@@ -20,12 +20,13 @@ from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
                      constant_weight, make_space, ricci_fN, segment_between,
                      weight_preset)
 from .reparam import (reparam_distance, reparam_partial, reparam_profile,
-                      tau_directional, tau_reparam)
+                      tau_reparam)
 from .coefficients import (TwistedCoefficient, b_coeff, beta,
-                           beta_from_partials, classical_distortion, frak_b)
+                           classical_distortion, frak_b, log_beta,
+                           require_conjugate_radius, within_conjugate_radius)
 from .jacobi import (JacobianTrajectory, TransportRay, check_jacobian_concavity,
                      check_riccati, falsify_jacobian, integrate_jacobi,
-                     jacobi_closed_form, sample_rays)
+                     jacobi_closed_form, sample_rays, scan_rays)
 from .ot import (AxisGeometry, DensityField, DiscreteMeasure, LineGeometry,
                  MeridianGeometry, MonotoneInterpolation, TransportPlan,
                  density_from_callable, dc_membership, entropy_functional,

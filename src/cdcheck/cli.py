@@ -27,7 +27,8 @@ from .ot import (DensityField, LineGeometry, MeridianGeometry,
                  density_from_callable)
 from .params import validate_params
 from .report import CheckReport, canonical_json, report_hash
-from .spaces import check_curvature_bound, make_space, weight_preset
+from .spaces import (_PRESET_RE, check_curvature_bound, make_space,
+                     weight_preset)
 
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
@@ -77,6 +78,9 @@ def resolve_config(cfg: dict) -> dict:
     space = make_space(sp["kind"], sp["dim"],
                        **{k: v for k, v in sp.items()
                           if k not in ("kind", "dim")})
+    if p["n"] != space.dim:
+        raise ConfigError(f"params.n = {p['n']} differs from the space"
+                          f" dimension {space.dim}")
     weight_preset(space, out["weight"])
     return out
 
@@ -105,9 +109,7 @@ def _build_geometry(cfg, params):
 
 
 def _axis_weight(spec):
-    import re
-
-    m = re.match(r"^([a-z]+)(?:[:(]([-+0-9.eE]+)\)?)?$", str(spec).strip())
+    m = _PRESET_RE.match(str(spec).strip())
     if not m:
         raise ConfigError(f"cannot parse axis weight: {spec!r}")
     name, arg = m.group(1), float(m.group(2)) if m.group(2) else 1.0
@@ -159,50 +161,20 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     rng = np.random.default_rng(s["seed"])
     trials = s["trials"]
     steps = s.get("steps", 128)
+    theta_range = tuple(s.get("theta_range", (0.2, 1.2)))
     margins = []
     worst = (math.inf, None)
     batch = 250
     done = 0
     while done < trials:
         m = min(batch, trials - done)
-        xs, ws, Ss = jacobi.sample_rays(space, rng, m,
-                                        region=s.get("region"),
-                                        theta_range=tuple(s.get(
-                                            "theta_range", (0.2, 1.2))))
-        out = jacobi.integrate_jacobi_batch(space, weight, params,
-                                            xs, ws, Ss, steps)
-        ok = out["admissible"]
-        if not ok.any():
-            done += m
-            continue
-        dt = out["ts"][1] - out["ts"][0]
-        d_partial = jacobi._partials_from_f(params, out["f_gamma"][ok],
-                                            out["thetas"][ok, None], dt)
-        from .params import diam_kappa
-
-        below = d_partial[:, -1] < diam_kappa(kappa) - 1e-12
-        if below.any():
-            m1, m2, m3 = jacobi.concavity_margins(
-                out["ts"], out["D"][ok][below], out["Dbar"][ok][below],
-                out["J"][ok][below], d_partial[below], params, kappa)
-            ray_min = np.nanmin(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
-            det_min = np.min(out["det"][ok][below], axis=-1)
-            for j, val in enumerate(ray_min):
-                val = float(val)
-                if val < -tol and det_min[j] < 0.1:
-                    # rays whose determinant dips near zero carry large
-                    # discretization error; confirm or dismiss on a fine grid
-                    idx = np.flatnonzero(ok)[np.flatnonzero(below)[j]]
-                    ref = jacobi.refine_ray_margin(space, weight, params,
-                                                   kappa, xs[idx], ws[idx],
-                                                   Ss[idx])
-                    if ref is None:
-                        continue
-                    val = ref
-                margins.append(val)
-                if val < worst[0]:
-                    idx = np.flatnonzero(ok)[np.flatnonzero(below)[j]]
-                    worst = (val, (xs[idx], ws[idx], Ss[idx]))
+        xs, ws, Ss, mins = jacobi.scan_rays(space, weight, params, kappa, rng,
+                                            m, steps, s.get("region"),
+                                            theta_range, tol)
+        for x, w, S, val in zip(xs, ws, Ss, mins.tolist()):
+            margins.append(val)
+            if val < worst[0]:
+                worst = (val, (x, w, S))
         done += m
     rep = CheckReport(name="jacobian_concavity", margins=margins,
                       tolerance=tol,
@@ -315,8 +287,9 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
         x, y = x[okay], y[okay]
         d_full = geometry.reparam_partial(params, x, y, 1.0)
         d_t = geometry.reparam_partial(params, x, y, t)
-        b_fwd = suites._beta_power(params, kappa, d_t, d_full, t)
-        b_rev = suites._beta_power(params, kappa, d_full - d_t, d_full, 1 - t)
+        b_fwd = np.exp(coefficients.log_beta(params, kappa, d_t, d_full, t))
+        b_rev = np.exp(coefficients.log_beta(params, kappa, d_full - d_t,
+                                             d_full, 1 - t))
         a = np.asarray(psi0(x), dtype=float) / b_rev
         b = np.asarray(psi1(y), dtype=float) / b_fwd
         pos = (a > 0.0) & (b > 0.0)

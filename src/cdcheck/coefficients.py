@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
 from .quadrature import neville_extrapolate
 from .report import CheckReport
@@ -43,12 +44,38 @@ class TwistedCoefficient:
         return math.exp(exponent * math.log(self.value))
 
 
+def within_conjugate_radius(kappa: float, d_full):
+    """d_f < C_kappa, elementwise: where beta_{kappa,t} is finite."""
+    return d_full < diam_kappa(kappa) - BOUNDARY_TOL
+
+
+def require_conjugate_radius(kappa: float, d_full) -> None:
+    """Raise PreconditionError unless every d_f lies below the conjugate radius."""
+    if not np.all(within_conjugate_radius(kappa, d_full)):
+        raise PreconditionError(
+            "re-parametrized distance reaches the conjugate radius",
+            failed="d_f < C_kappa")
+
+
+def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
+    """log beta_{kappa,frac} = (1/c) log(s_kappa(d_part) / (frac s_kappa(d_full))).
+
+    Elementwise over arrays, with d_part the partial distance at fraction
+    ``frac`` and 0 where d_full = 0. Callers keep d_full below the
+    conjugate radius.
+    """
+    d_part = np.asarray(d_part, dtype=float)
+    d_full = np.asarray(d_full, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.log(s_kappa(kappa, d_part))
+                 - np.log(frac * s_kappa(kappa, d_full)))
+    return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
+
+
 def _classify(d_f: float, kappa: float) -> str:
     if d_f == 0.0:
         return "unit"
-    if d_f >= diam_kappa(kappa) - BOUNDARY_TOL:
-        return "infinite"
-    return "finite"
+    return "finite" if within_conjugate_radius(kappa, d_f) else "infinite"
 
 
 def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
@@ -64,32 +91,8 @@ def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
     if regime != "finite":
         return TwistedCoefficient(math.inf, "infinite")
     d_t = reparam_partial(space, weight, params, seg, t)
-    log_ratio = math.log(s_kappa(kappa, d_t)) - math.log(t * s_kappa(kappa, d_full))
-    return TwistedCoefficient(math.exp(params.inv_c * log_ratio), "finite")
-
-
-def beta_from_partials(params: DimensionParams, kappa: float, t: float,
-                       d_t: float, d_full: float) -> TwistedCoefficient:
-    """beta from precomputed re-parametrized distances (grid pipelines)."""
-    if d_full == 0.0:
-        return TwistedCoefficient(1.0, "unit")
-    regime = _classify(d_full, kappa)
-    if regime != "finite":
-        return TwistedCoefficient(math.inf, "infinite")
-    log_ratio = math.log(s_kappa(kappa, d_t)) - math.log(t * s_kappa(kappa, d_full))
-    return TwistedCoefficient(math.exp(params.inv_c * log_ratio), "finite")
-
-
-def beta_power_array(params: DimensionParams, kappa: float, ts, d_ts, d_full,
-                     exponent: float) -> np.ndarray:
-    """Vectorized beta_t^{exponent} over a grid of fractions and partials.
-
-    Finite regime required; callers classify first.
-    """
-    ts = np.asarray(ts, dtype=float)
-    d_ts = np.asarray(d_ts, dtype=float)
-    log_ratio = np.log(s_kappa(kappa, d_ts)) - np.log(ts * s_kappa(kappa, d_full))
-    return np.exp(exponent * params.inv_c * log_ratio)
+    return TwistedCoefficient(
+        math.exp(float(log_beta(params, kappa, d_t, d_full, t))), "finite")
 
 
 def classical_distortion(kappa: float, N: float, t: float, theta: float) -> float:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coefficients import (log_beta, require_conjugate_radius,
+                           within_conjugate_radius)
 from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
@@ -301,22 +303,20 @@ def concavity_margins(ts, D, Dbar, J, d_partial, params: DimensionParams,
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
     t = ts[inner]
+    d_t = d_partial[..., inner]
+    d_rev = d_full - d_t
     s_full = s_kappa(kappa, d_full)
-    s_t = s_kappa(kappa, d_partial[..., inner])
-    s_rev = s_kappa(kappa, d_full - d_partial[..., inner])
 
     rhs1 = (1.0 - t) * Dbar[..., :1] + t * Dbar[..., -1:]
     m1 = (Dbar[..., inner] - rhs1) / (1.0 + np.abs(rhs1))
 
-    rhs2 = (s_rev / s_full) * D[..., :1] + (s_t / s_full) * D[..., -1:]
+    rhs2 = ((s_kappa(kappa, d_rev) / s_full) * D[..., :1]
+            + (s_kappa(kappa, d_t) / s_full) * D[..., -1:])
     m2 = (D[..., inner] - rhs2) / (1.0 + np.abs(rhs2))
 
-    # beta^{c/(c+1)} = (s-ratio / t)^{1/(c+1)}; combine exponents in logs
-    p = 1.0 / (params.c + 1.0)
-    with np.errstate(divide="ignore"):
-        brev = np.exp(p * (np.log(s_rev) - np.log((1.0 - t) * s_full)))
-        bfwd = np.exp(p * (np.log(s_t) - np.log(t * s_full)))
     cr = params.c_ratio
+    brev = np.exp(cr * log_beta(params, kappa, d_rev, d_full, 1.0 - t))
+    bfwd = np.exp(cr * log_beta(params, kappa, d_t, d_full, t))
     Jcr = np.where(J > 0, J, np.nan) ** cr
     rhs3 = (1.0 - t) * brev * Jcr[..., :1] + t * bfwd * Jcr[..., -1:]
     m3 = (Jcr[..., inner] - rhs3) / (1.0 + np.abs(rhs3))
@@ -327,14 +327,10 @@ def check_jacobian_concavity(traj: JacobianTrajectory,
                              params: DimensionParams, kappa: float,
                              tol: float = 1e-8) -> CheckReport:
     """The three trajectory inequalities for a single ray."""
-    from .params import diam_kappa
-
     dt = traj.ts[1] - traj.ts[0]
     d_partial = _partials_from_f(params, traj.f_gamma, traj.theta, dt)
-    if d_partial[-1] >= diam_kappa(kappa) - 1e-12 and traj.theta > 0:
-        raise PreconditionError(
-            "re-parametrized length reaches the conjugate radius",
-            failed="d_f < C_kappa")
+    if traj.theta > 0:
+        require_conjugate_radius(kappa, d_partial[-1])
     if traj.theta <= 1e-14:
         # degenerate ray: distances vanish, s-ratios are taken as t
         d_partial = traj.ts * 1e-30
@@ -387,6 +383,45 @@ def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
     return np.asarray(xs), np.asarray(ws), np.asarray(Ss)
 
 
+def scan_rays(space: ModelSpace, weight: WeightFunction,
+              params: DimensionParams, kappa: float, rng: np.random.Generator,
+              count: int, steps: int, region: dict | None,
+              theta_range: tuple[float, float], tol: float):
+    """Sample ``count`` rays and return the kept ones with their margins.
+
+    Returns (xs, ws, Ss, margins), ``margins`` holding each kept ray's
+    minimum over the concavity inequalities (i)-(iii). Rays that are
+    inadmissible or whose re-parametrized length reaches the conjugate
+    radius are dropped. A ray whose determinant dips below 0.1 carries
+    large discretization error, so one with a margin below ``-tol`` is
+    re-checked by :func:`refine_ray_margin` and dropped if the fine grid
+    shows it inadmissible.
+    """
+    xs, ws, Ss = sample_rays(space, rng, count, region, theta_range)
+    out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
+    dt = out["ts"][1] - out["ts"][0]
+    d_partial = _partials_from_f(params, out["f_gamma"],
+                                 out["thetas"][:, None], dt)
+    keep = np.flatnonzero(out["admissible"]
+                          & within_conjugate_radius(kappa, d_partial[:, -1]))
+    m1, m2, m3 = concavity_margins(out["ts"], out["D"][keep],
+                                   out["Dbar"][keep], out["J"][keep],
+                                   d_partial[keep], params, kappa)
+    margins = np.nanmin(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
+    det_min = np.min(out["det"][keep], axis=-1)
+    dropped = np.zeros(keep.size, dtype=bool)
+    for j in np.flatnonzero((margins < -tol) & (det_min < 0.1)):
+        i = keep[j]
+        ref = refine_ray_margin(space, weight, params, kappa,
+                                xs[i], ws[i], Ss[i])
+        if ref is None:
+            dropped[j] = True
+        else:
+            margins[j] = ref
+    keep, margins = keep[~dropped], margins[~dropped]
+    return xs[keep], ws[keep], Ss[keep], margins
+
+
 def falsify_jacobian(space: ModelSpace, weight: WeightFunction,
                      params: DimensionParams, kappa: float,
                      trials: int = 10000, seed: int = 0,
@@ -397,11 +432,10 @@ def falsify_jacobian(space: ModelSpace, weight: WeightFunction,
     """Counterexample search for the Jacobian concavity inequality.
 
     When the pointwise curvature bound fails, random rays are scanned for
-    a violation of the beta-interpolation inequality. The report passes
+    a violation of the concavity inequalities (i)-(iii). The report passes
     iff a margin below -``violation`` is found; when the curvature bound
     holds the search is skipped and the report is a vacuous pass.
     """
-    from .params import diam_kappa
     from .spaces import check_curvature_bound
 
     curv = check_curvature_bound(space, weight, params, kappa,
@@ -417,20 +451,10 @@ def falsify_jacobian(space: ModelSpace, weight: WeightFunction,
     done = 0
     while done < trials and worst > -violation:
         m = min(batch, trials - done)
-        xs, ws, Ss = sample_rays(space, rng, m, region, theta_range)
-        out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
-        ok = out["admissible"]
-        if ok.any():
-            dt = out["ts"][1] - out["ts"][0]
-            d_partial = _partials_from_f(params, out["f_gamma"][ok],
-                                         out["thetas"][ok, None], dt)
-            below = d_partial[:, -1] < diam_kappa(kappa) - 1e-12
-            if below.any():
-                _, _, m3 = concavity_margins(out["ts"], out["D"][ok][below],
-                                             out["Dbar"][ok][below],
-                                             out["J"][ok][below],
-                                             d_partial[below], params, kappa)
-                worst = min(worst, float(np.nanmin(m3)))
+        *_, margins = scan_rays(space, weight, params, kappa, rng, m, steps,
+                                region, theta_range, violation)
+        if margins.size:
+            worst = min(worst, float(margins.min()))
         done += m
     found = worst < -violation
     return CheckReport(name="falsify_jacobian",

@@ -12,8 +12,6 @@ axis grid with reference measure m = base * e^{-f1} / Z.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,15 +42,6 @@ class DiscreteMeasure:
             raise ConfigError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ConfigError("weights must sum to 1")
-
-    def to_json(self) -> str:
-        return json.dumps({"points": self.support.tolist(),
-                           "weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["points"]), np.asarray(obj["weights"]))
 
 
 @dataclass
@@ -242,13 +231,6 @@ class DensityField:
 
     def sup(self) -> float:
         return float(self.values.max())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "rho"])
-            for x, r in zip(self.geometry.xs, self.values):
-                w.writerow([f"{x:.17g}", f"{r:.17g}"])
 
 
 def density_from_callable(geometry: AxisGeometry, fn: Callable,

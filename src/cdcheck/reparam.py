@@ -89,11 +89,6 @@ def asymmetry_bound_margin(space: ModelSpace, weight: WeightFunction,
     return rhs - lhs
 
 
-def tau_directional(space: ModelSpace, x, v) -> float:
-    """Largest t with d(x, gamma_v(t)) = t; the model-space cut distance."""
-    return space.tau(x, v)
-
-
 def tau_reparam(space: ModelSpace, weight: WeightFunction,
                 params: DimensionParams, x, v,
                 rel_tol: float = 1e-10) -> float:

@@ -30,16 +30,16 @@ class CheckReport:
 
     @property
     def min_margin(self) -> float:
-        finite = [m for m in self.margins if not math.isnan(m)]
-        return min(finite) if finite else math.nan
+        """Smallest margin; NaN when there is none or any margin is NaN."""
+        if not self.margins or any(math.isnan(m) for m in self.margins):
+            return math.nan
+        return min(self.margins)
 
     @property
     def verdict(self) -> str:
         if self.vacuous:
             return "vacuous"
-        if self.margins and self.min_margin >= -self.tolerance:
-            return "pass"
-        return "fail"
+        return "pass" if self.min_margin >= -self.tolerance else "fail"
 
     @property
     def passed(self) -> bool:

@@ -346,24 +346,20 @@ def make_space(kind: str, dim: int, **kw) -> ModelSpace:
 
 @dataclass(frozen=True)
 class GeodesicSegment:
-    """A minimal geodesic between two points, with cut-locus clearance."""
+    """A minimal geodesic between two points, clear of the cut locus."""
 
     start: np.ndarray
     end: np.ndarray
     direction: np.ndarray
     length: float
-    cut_clear: bool
 
 
 def segment_between(space: ModelSpace, x, y) -> GeodesicSegment:
     """The minimal geodesic from x to y; raises CutLocusError on sphere antipodes."""
     v, length = space.log(x, y)
-    cut_clear = True
-    if isinstance(space, Sphere):
-        cut_clear = length < math.pi * space.radius - CUT_MARGIN
-        if not cut_clear:
-            raise CutLocusError("segment reaches the antipodal cut locus")
-    return GeodesicSegment(np.asarray(x, float), np.asarray(y, float), v, length, cut_clear)
+    if isinstance(space, Sphere) and not length < math.pi * space.radius - CUT_MARGIN:
+        raise CutLocusError("segment reaches the antipodal cut locus")
+    return GeodesicSegment(np.asarray(x, float), np.asarray(y, float), v, length)
 
 
 class WeightFunction:

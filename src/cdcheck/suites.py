@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import log_beta, require_conjugate_radius
 from .errors import HypothesisError, PreconditionError, RegionError
-from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
+from .params import DimensionParams, c_kappa, s_kappa
 from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
@@ -24,20 +25,6 @@ from .report import CheckReport
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-def _beta_power(params: DimensionParams, kappa: float, d_part, d_full,
-                frac, exponent: float = 1.0) -> np.ndarray:
-    """(s_k(d_part)/(frac * s_k(d_full)))^{exponent/c}, elementwise; 1 at d_full=0."""
-    d_part = np.asarray(d_part, dtype=float)
-    d_full = np.asarray(d_full, dtype=float)
-    pos = d_full > 0
-    out = np.ones(np.broadcast(d_part, d_full).shape)
-    lp = np.log(s_kappa(kappa, d_part[pos]))
-    lf = np.log(np.asarray(frac * s_kappa(kappa, d_full))[pos] if np.ndim(frac) else
-                frac * s_kappa(kappa, d_full[pos]))
-    out[pos] = np.exp(exponent * params.inv_c * (lp - lf))
-    return out
-
-
 def geometry_curvature_margin(geometry: AxisGeometry,
                               params: DimensionParams, kappa: float) -> float:
     """Worst-case margin of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)}
@@ -99,19 +86,12 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     pi = (id x T)_# mu_0.
     """
     g = rho0.geometry
-    curv = geometry_curvature_margin(g, params, kappa) if require_curvature else None
-    if require_curvature and curv < 0.0:
-        raise PreconditionError(
-            f"curvature bound fails on the window (margin {curv:.3e})",
-            failed="curvature bound")
+    curv = _require_curvature(g, params, kappa) if require_curvature else None
     interp = monotone_1d_transport(rho0, rho1)
     xs = g.xs
     T = interp.T
     d_full = g.reparam_partial(params, xs, T, 1.0)
-    if np.any(d_full >= diam_kappa(kappa) - 1e-12):
-        raise PreconditionError(
-            "re-parametrized distance reaches the conjugate radius",
-            failed="d_f < C_kappa")
+    require_conjugate_radius(kappa, d_full)
     support = rho0.values * g.m_density > 0
     rho1_at_T = np.interp(T, xs, rho1.values)
 
@@ -121,8 +101,8 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
         lhs = interp.pushforward_integral(
             t, lambda r: _u_pointwise(functional, r, params))
         d_t = g.reparam_partial(params, xs, T, t)
-        b_fwd = _beta_power(params, kappa, d_t, d_full, t)
-        b_rev = _beta_power(params, kappa, d_full - d_t, d_full, 1.0 - t)
+        b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
+        b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
         u0 = _u_pointwise(functional,
                           np.where(support, rho0.values / b_rev, 0.0), params)
         term0 = g.integrate(np.where(support, u0 * b_rev * g.m_density, 0.0))
@@ -178,13 +158,11 @@ def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
     yg = np.linspace(ylo, yhi, k)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     d_full = geometry.reparam_partial(params, X.ravel(), Y.ravel(), 1.0)
-    if np.any(d_full >= diam_kappa(kappa) - 1e-12):
-        raise PreconditionError("region pair reaches the conjugate radius",
-                                failed="d_f < C_kappa")
+    require_conjugate_radius(kappa, d_full)
     d_t = geometry.reparam_partial(params, X.ravel(), Y.ravel(), t)
     cr = params.c / (params.c + 1.0)
-    fwd = _beta_power(params, kappa, d_t, d_full, t, exponent=cr)
-    rev = _beta_power(params, kappa, d_full - d_t, d_full, 1.0 - t, exponent=cr)
+    fwd = np.exp(cr * log_beta(params, kappa, d_t, d_full, t))
+    rev = np.exp(cr * log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
     return float(rev.min()), float(fwd.min())
 
 
@@ -256,11 +234,9 @@ def _inf_beta_balls(space, params, kappa, f0, c0, r0, c1, r1, t, samples):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         ys = c1 + r1 * rng.random((count, 1)) ** (1.0 / n) * u
         d = np.linalg.norm(xs - ys, axis=1) * scale
-        if np.any(d >= diam_kappa(kappa) - 1e-12):
-            raise PreconditionError("ball pair reaches the conjugate radius",
-                                    failed="d_f < C_kappa")
-        fwd = _beta_power(params, kappa, t * d, d, t, exponent=cr)
-        rev = _beta_power(params, kappa, (1 - t) * d, d, 1 - t, exponent=cr)
+        require_conjugate_radius(kappa, d)
+        fwd = np.exp(cr * log_beta(params, kappa, t * d, d, t))
+        rev = np.exp(cr * log_beta(params, kappa, (1 - t) * d, d, 1 - t))
         vals.append((float(rev.min()), float(fwd.min())))
     drift = max(abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
     return vals[1][0], vals[1][1], drift
@@ -308,12 +284,10 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     ys = rng.uniform(Y[0], Y[1], samples)
     zs = (1.0 - t) * xs + t * ys
     d_full = geometry.reparam_partial(params, xs, ys, 1.0)
-    if np.any(d_full >= diam_kappa(kappa) - 1e-12):
-        raise PreconditionError("pair reaches the conjugate radius",
-                                failed="d_f < C_kappa")
+    require_conjugate_radius(kappa, d_full)
     d_t = geometry.reparam_partial(params, xs, ys, t)
-    b_fwd = _beta_power(params, kappa, d_t, d_full, t)
-    b_rev = _beta_power(params, kappa, d_full - d_t, d_full, 1.0 - t)
+    b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
+    b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
     p0 = np.asarray(psi0(xs), dtype=float)
     p1 = np.asarray(psi1(ys), dtype=float)
     pz = np.asarray(psi(zs), dtype=float)
@@ -404,9 +378,7 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                                     0.0) * g.m_density)
 
     d_f = g.reparam_partial(params, g.xs, interp.T, 1.0)
-    if np.any(d_f >= diam_kappa(kappa) - 1e-12):
-        raise PreconditionError("coupling reaches the conjugate radius",
-                                failed="d_f < C_kappa")
+    require_conjugate_radius(kappa, d_f)
     base = math.exp(-params.a * f0) * np.abs(interp.T - g.xs)
     pos = d_f > 0
     b_pow = np.ones_like(d_f)  # b^{c/(c+1)} with the unit value at the diagonal

@@ -67,29 +67,9 @@ def _ray_suite_margins(space, weight, params, kappa, trials, seed):
     mins = []
     riccati_mins = []
     while len(mins) < trials:
-        xs, ws, Ss = jacobi.sample_rays(space, rng, 250)
-        out = jacobi.integrate_jacobi_batch(space, weight, params,
-                                            xs, ws, Ss, 128)
-        okm = out["admissible"]
-        dt = out["ts"][1] - out["ts"][0]
-        d_partial = jacobi._partials_from_f(params, out["f_gamma"][okm],
-                                            out["thetas"][okm, None], dt)
-        below = d_partial[:, -1] < diam_kappa(kappa) - 1e-12
-        m1, m2, m3 = jacobi.concavity_margins(
-            out["ts"], out["D"][okm][below], out["Dbar"][okm][below],
-            out["J"][okm][below], d_partial[below], params, kappa)
-        ray_min = np.nanmin(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
-        det_min = np.min(out["det"][okm][below], axis=-1)
-        for j, val in enumerate(ray_min):
-            val = float(val)
-            if val < -1e-8 and det_min[j] < 0.1:
-                idx = np.flatnonzero(okm)[np.flatnonzero(below)[j]]
-                ref = jacobi.refine_ray_margin(space, weight, params, kappa,
-                                               xs[idx], ws[idx], Ss[idx])
-                if ref is None:
-                    continue
-                val = ref
-            mins.append(val)
+        *_, margins = jacobi.scan_rays(space, weight, params, kappa, rng, 250,
+                                       128, None, (0.2, 1.2), 1e-8)
+        mins.extend(margins.tolist())
     # differential inequalities on a subsample of admissible rays
     xs, ws, Ss = jacobi.sample_rays(space, rng, 60)
     for x, w, S in zip(xs, ws, Ss):

@@ -49,6 +49,18 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_dimension_mismatch_rejected(self, tmp_path, capsys):
+        # S^3 has Ric = 2 >= kappa = 1.5; with n = 2 the curvature suite
+        # would weigh the sectional curvature by n - 1 = 1 and report a fail
+        cfg = base_cfg("curvature", kappa=1.5, weight="zero",
+                       space={"kind": "sphere", "dim": 3, "radius": 1.0},
+                       params={"n": 2, "N": 2.0, "eps": 1.0})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 2
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "space dimension" in capsys.readouterr().err
+
     def test_infinite_N_token(self, tmp_path):
         cfg = base_cfg("curvature", params={"n": 3, "N": "inf", "eps": 0.4})
         path = write_cfg(tmp_path, "c.json", cfg)

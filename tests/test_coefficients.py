@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from cdcheck.coefficients import (b_coeff, beta, check_limits,
-                                  classical_distortion, frak_b)
-from cdcheck.params import s_kappa, validate_params
-from cdcheck.spaces import constant_weight, make_space, weight_preset
+                                  classical_distortion, frak_b, log_beta,
+                                  require_conjugate_radius)
+from cdcheck.errors import PreconditionError
+from cdcheck.params import diam_kappa, s_kappa, validate_params
+from cdcheck.reparam import reparam_partial
+from cdcheck.spaces import (constant_weight, make_space, segment_between,
+                            weight_preset)
 
 
 @pytest.fixture
@@ -77,6 +81,54 @@ class TestBeta:
                  np.zeros(2), np.array([1.0, 0.2]))
         val = b.power(p.c_ratio)
         assert 0.0 < val < math.inf
+
+
+class TestLogBeta:
+    @pytest.mark.parametrize("kappa", [0.9, 0.0, -0.8])
+    def test_classical_reduction(self, kappa):
+        # eps = 1, N = n, f = 0: d_t = t d and 1/c = N - 1
+        ts = np.array([0.1, 0.5, 0.9])[:, None]
+        ds = np.array([0.3, 1.1, 2.5])
+        for n in (2, 3, 5):
+            p = validate_params(n, n, 1.0)
+            got = np.exp(log_beta(p, kappa, ts * ds, ds, ts))
+            for (i, j), val in np.ndenumerate(got):
+                ref = classical_distortion(kappa, n, ts[i, 0], ds[j])
+                assert val == pytest.approx(ref, rel=1e-14)
+
+    def test_zero_at_coincidence(self):
+        p = validate_params(3, 6, 0.5)
+        out = log_beta(p, 1.0, np.array([0.0, 0.2]), np.array([0.0, 0.5]),
+                       0.5)
+        assert out[0] == 0.0
+        assert np.isfinite(out[1]) and out[1] != 0.0
+
+    def test_reversed_partials_match_beta(self):
+        # d_{1-t}(y, x) = d_f(x, y) - d_t(x, y) by reversing the geodesic
+        sp = make_space("sphere", 2)
+        w = weight_preset(sp, "cosine(0.3)")
+        p = validate_params(2, 6, 0.5)
+        kappa = 0.8
+        x = np.array([0.0, np.sin(1.0), np.cos(1.0)])
+        y = np.array([0.0, np.sin(1.6), np.cos(1.6)])
+        seg = segment_between(sp, x, y)
+        d_full = reparam_partial(sp, w, p, seg, 1.0)
+        for t in (0.2, 0.5, 0.7):
+            d_t = reparam_partial(sp, w, p, seg, t)
+            got = math.exp(float(log_beta(p, kappa, d_full - d_t, d_full,
+                                          1.0 - t)))
+            ref = beta(sp, w, p, kappa, 1.0 - t, y, x).value
+            assert got == pytest.approx(ref, rel=1e-10)
+
+
+class TestConjugateRadiusGuard:
+    def test_raises_at_the_conjugate_radius(self):
+        diam = diam_kappa(1.0)
+        with pytest.raises(PreconditionError) as exc:
+            require_conjugate_radius(1.0, np.array([0.5, diam - 1e-13]))
+        assert exc.value.failed == "d_f < C_kappa"
+        require_conjugate_radius(1.0, np.array([0.5, diam - 1e-11]))
+        require_conjugate_radius(-1.0, 1e6)
 
 
 class TestSectionCoefficients:
