@@ -13,7 +13,7 @@ axis grid with reference measure m = base * e^{-f1} / Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 

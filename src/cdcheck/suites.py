@@ -16,9 +16,9 @@ import numpy as np
 from .coefficients import log_beta, require_conjugate_radius
 from .errors import HypothesisError, PreconditionError, RegionError
 from .params import DimensionParams, c_kappa, s_kappa
-from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
-                 entropy_functional, fisher_information,
-                 monotone_1d_transport, renyi_pointwise, w2_axis)
+from .ot import (AxisGeometry, DensityField, entropy_functional,
+                 fisher_information, monotone_1d_transport, renyi_pointwise,
+                 w2_axis)
 from .report import CheckReport
 
 
@@ -397,9 +397,3 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                                    "log_term": log_term,
                                    "pair_term": pair_term})
 
-
-def young_margin(a: float, b: float) -> float:
-    """Margin of the Young-type inequality ab <= a log a - 2a + e^{b+1}."""
-    lhs = a * b
-    rhs = (a * math.log(a) if a > 0 else 0.0) - 2.0 * a + math.exp(b + 1.0)
-    return rhs - lhs

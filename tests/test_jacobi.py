@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cdcheck.errors import PreconditionError, SingularJacobian
 from cdcheck.jacobi import (TransportRay, check_jacobian_concavity,
@@ -55,23 +56,38 @@ class TestTrajectories:
         expect = np.cos(theta * traj.ts)
         np.testing.assert_allclose(traj.det, expect, atol=1e-10)
 
-    def test_rk4_matches_closed_form(self, sphere2):
-        p = validate_params(2, 2, 1.0)
-        S = np.array([[0.4, -0.2], [-0.2, 0.1]])
-        theta = 0.9
-        traj = integrate_jacobi(sphere2, constant_weight(0.0), p,
-                                north_ray(sphere2, theta, S))
-        exact = jacobi_closed_form(S, sphere2.sec * theta**2, traj.ts)
-        assert np.max(np.abs(traj.E - exact)) < 1e-10
+    @pytest.mark.parametrize("k_theta2", [0.81, 0.0, -0.64],
+                             ids=["sphere", "flat", "hyperbolic"])
+    def test_closed_form_matches_ode_solver(self, k_theta2):
+        # independent oracle: integrate E'' = -k theta^2 (E - e_n e_n^T E)
+        S = np.array([[0.4, -0.2, 0.1], [-0.2, 0.1, 0.3], [0.1, 0.3, -0.5]])
+        n = S.shape[0]
+        ts = np.linspace(0.0, 1.0, 33)
+
+        def rhs(_, y):
+            E = y[:n * n].reshape(n, n)
+            acc = -k_theta2 * E
+            acc[-1, :] = 0.0
+            return np.concatenate([y[n * n:], acc.ravel()])
+
+        sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([np.eye(n).ravel(),
+                                                         S.ravel()]),
+                        method="DOP853", t_eval=ts, rtol=1e-13, atol=1e-13)
+        ref = sol.y.T.reshape(ts.size, 2, n, n)
+        E, Ep = jacobi_closed_form(S[None], np.array([k_theta2]), ts)
+        np.testing.assert_allclose(E[0], ref[:, 0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Ep[0], ref[:, 1], rtol=1e-12, atol=1e-12)
 
     def test_step_halving_stability(self, sphere2):
+        # det E is exact on any grid; Dbar and h carry the a_nn quadrature
         p = validate_params(2, 2, 1.0)
         S = np.array([[0.3, 0.1], [0.1, -0.2]])
         coarse = integrate_jacobi(sphere2, constant_weight(0.0), p,
                                   north_ray(sphere2, 0.8, S), steps=128)
         fine = integrate_jacobi(sphere2, constant_weight(0.0), p,
                                 north_ray(sphere2, 0.8, S), steps=256)
-        assert abs(coarse.det[-1] - fine.det[-1]) < 1e-8
+        assert abs(coarse.Dbar[-1] - fine.Dbar[-1]) < 1e-8
+        assert abs(coarse.h[-1] - fine.h[-1]) < 1e-8
 
     def test_singular_ray_rejected(self, flat3):
         p = validate_params(3, 5, 0.5)

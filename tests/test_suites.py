@@ -9,8 +9,7 @@ from cdcheck.params import s_kappa, validate_params
 from cdcheck.spaces import constant_weight, make_space
 from cdcheck.suites import (RegionPair, check_brunn_minkowski, check_hwi_lsi,
                             check_interpolation, check_transport_energy,
-                            check_twcd, conclusion_exponent, p_mean,
-                            young_margin)
+                            check_twcd, conclusion_exponent, p_mean)
 
 
 def flat_line(points=4096, lo=-2.0, hi=2.0):
@@ -248,10 +247,3 @@ class TestFunctional:
         with pytest.raises(PreconditionError) as ei:
             check_hwi_lsi(rho, p, 0.5, 10.0)
         assert "constant" in ei.value.failed or "m-constant" in ei.value.failed
-
-    def test_young_inequality(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(0.01, 20.0, 500)
-        b = rng.uniform(-5.0, 5.0, 500)
-        for ai, bi in zip(a, b):
-            assert young_margin(ai, bi) >= -1e-12
