@@ -331,11 +331,12 @@ def _run_taylor(cfg, space, weight, params, out_dir):
     v = space.sample_unit(rng, x)
     reports = []
     margins = []
-    for term in taylor.TERMS:
-        if term in ("app4_fwd", "app4_rev", "app6") and params.eps == 0.0:
-            continue
-        chk = taylor.check_series(space, weight, params, cfg["kappa"],
-                                  x, v, term)
+    # theta needs eps != 0 (eps = 0 at N = 1)
+    terms = [term for term in taylor.TERMS
+             if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
+    checks = taylor.check_series(space, weight, params, cfg["kappa"],
+                                 x, v, terms)
+    for term, chk in zip(terms, checks):
         if out_dir is not None:
             chk.to_csv(out_dir / f"taylor_{term}.csv")
         slope = chk.slope
@@ -346,7 +347,8 @@ def _run_taylor(cfg, space, weight, params, out_dir):
     reports.append(CheckReport(name="taylor_series", margins=margins,
                                tolerance=0.0,
                                provenance={"x": np.asarray(x).tolist()}))
-    if params.N != params.n and not math.isinf(params.eps0):
+    # the identity divides by eps0, infinite at N = n and 0 at N = 1
+    if 0.0 < params.eps0 < math.inf:
         grid = np.linspace(-3.0, 3.0, 101)
         reports.append(taylor.check_F_identity(params, 0.7, grid))
     return reports

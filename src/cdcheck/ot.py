@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import ConfigError, IntegrabilityError, SizeError
 from .params import DimensionParams
@@ -62,6 +61,10 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure,
     of equal size use the assignment solver; the general case is the
     transportation linear program (HiGHS).
     """
+    # imported here: scipy.optimize alone would double the package's
+    # import time, and nothing else needs it
+    from scipy.optimize import linear_sum_assignment, linprog
+
     m, k = len(mu.weights), len(nu.weights)
     if m > MAX_SUPPORT or k > MAX_SUPPORT:
         raise SizeError(f"support size exceeds {MAX_SUPPORT}")

@@ -9,49 +9,80 @@ import numpy as np
 
 
 def adaptive_simpson(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     rel_tol: float = 1e-10,
     max_depth: int = 30,
 ) -> tuple[float, float]:
-    """Adaptive Simpson integration of ``fn`` on [a, b].
+    """Adaptive Simpson integration of ``fn`` on [a, b], one level at a time.
+
+    ``fn`` maps an array of abscissae to the array of integrand values.
+    One call evaluates a, the midpoint, b and the interior of a 33-point
+    grid; then each subdivision level makes one call for the two new
+    midpoints of every interval still open. An interval is accepted when
+    its Simpson refinement changes by at most its tolerance (or at
+    ``max_depth``), and its value is then left + right + delta/15; the
+    tolerance halves per level. Leaves are summed bottom-up, one pairwise
+    sum per split, which is the order of the recursive formulation.
 
     Returns (value, estimated absolute error). The tolerance is relative
-    to the running magnitude of the integral, with an absolute floor so
-    that integrals near zero terminate.
+    to the magnitude of the integral, with an absolute floor so that
+    integrals near zero terminate.
     """
     if a == b:
         return 0.0, 0.0
 
-    fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # the 3-point estimate can badly underestimate peaked integrands;
     # seed the tolerance scale from a 33-point composite rule instead
     grid = np.linspace(a, b, 33)
-    vals = np.array([fn(float(s)) for s in grid[1:-1]])
-    coarse = composite_simpson(
-        np.concatenate([[fa], vals, [fb]]), float(grid[1] - grid[0]))
+    f = np.asarray(fn(np.concatenate([[a, m, b], grid[1:-1]])), dtype=float)
+    coarse = composite_simpson(np.concatenate([f[0:1], f[3:], f[2:3]]),
+                               float(grid[1] - grid[0]))
     scale = max(abs(coarse), 1e-300)
+    tol = rel_tol * scale + 1e-300
 
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    # the open intervals of one level: ends, midpoint, values, Simpson value
+    lo, mid, hi = np.array([a], float), np.array([m], float), np.array([b], float)
+    flo, fmid, fhi = f[0:1], f[1:2], f[2:3]
+    whole = (b - a) / 6.0 * (flo + 4.0 * fmid + fhi)
+    levels = []  # per level: (accepted mask, leaf values, leaf errors)
+    for depth in range(max_depth + 1):
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        fl = np.asarray(fn(np.concatenate([lm, rm])), dtype=float)
+        flm, frm = fl[:lo.size], fl[lo.size:]
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
+        done = (np.abs(delta) <= tol) | (depth >= max_depth)
+        levels.append((done, left + right + delta / 15.0, np.abs(delta) / 15.0))
+        if done.all():
+            break
+        # children of each split interval, left then right, side by side;
         # halving the budget keeps the summed error below the request
-        lv, le = recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1)
-        rv, re = recurse(m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1)
-        return lv + rv, le + re
+        s = ~done
+        lo, mid, hi = (_interleave(lo[s], mid[s]), _interleave(lm[s], rm[s]),
+                       _interleave(mid[s], hi[s]))
+        flo, fmid, fhi = (_interleave(flo[s], fmid[s]),
+                          _interleave(flm[s], frm[s]),
+                          _interleave(fmid[s], fhi[s]))
+        whole = _interleave(left[s], right[s])
+        tol = 0.5 * tol
 
-    tol0 = rel_tol * scale + 1e-300
-    return recurse(a, fa, m, fm, b, fb, whole, tol0, 0)
+    val, err = levels[-1][1], levels[-1][2]
+    for done, leaf_val, leaf_err in reversed(levels[:-1]):
+        s = ~done
+        leaf_val[s] = val[0::2] + val[1::2]
+        leaf_err[s] = err[0::2] + err[1::2]
+        val, err = leaf_val, leaf_err
+    return float(val[0]), float(err[0])
+
+
+def _interleave(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[u0, w0, u1, w1, ...]."""
+    return np.stack([u, w], axis=1).ravel()
 
 
 def composite_simpson(values: np.ndarray, dx: float) -> float:

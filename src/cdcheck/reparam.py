@@ -6,8 +6,11 @@ weight f, the partial re-parametrized distance at fraction t is
     d_t(x, y) = integral_0^{t L} exp(-a f(gamma(s))) ds,   a = 2(1-eps)/(n-1).
 
 The full distance is d_f(x, y) = d_1(x, y). These are computed by
-adaptive Simpson quadrature on the analytic geodesic, or all at once on
-a fixed grid via cumulative Simpson when many fractions are needed.
+adaptive Simpson quadrature on the analytic geodesic, whose integrand is
+evaluated on a whole array of arclengths at once (``space.geodesic``,
+then ``weight.eval``, then the exponential taken with ``math.exp`` per
+value), or all at once on a fixed grid via cumulative Simpson when many
+fractions are needed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ def weight_along(space: ModelSpace, weight: WeightFunction,
     return weight.eval(pts)
 
 
+def _exp_weight(a: float, fs) -> np.ndarray:
+    """exp(-a f) per value; ``math.exp`` keeps the last bit that numpy's
+    exp can round differently."""
+    return np.array([math.exp(-a * f) for f in np.asarray(fs, float).tolist()])
+
+
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
                     params: DimensionParams, seg: GeodesicSegment,
                     t: float, rel_tol: float = 1e-10) -> float:
@@ -42,7 +51,7 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     upper = t * seg.length
     if upper == 0.0:
         return 0.0
-    fn = lambda s: math.exp(-a * float(weight_along(space, weight, seg, s)))
+    fn = lambda s: _exp_weight(a, weight_along(space, weight, seg, s))
     val, _ = adaptive_simpson(fn, 0.0, upper, rel_tol=rel_tol)
     return val
 
@@ -111,6 +120,6 @@ def tau_reparam(space: ModelSpace, weight: WeightFunction,
         T = horizon
     elif a == 0.0:
         return T
-    fn = lambda s: math.exp(-a * float(weight.eval(space.geodesic(x, v, s))))
+    fn = lambda s: _exp_weight(a, weight.eval(space.geodesic(x, v, s)))
     val, _ = adaptive_simpson(fn, 0.0, T, rel_tol=rel_tol)
     return val

@@ -25,16 +25,16 @@ from .report import CheckReport
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-def geometry_curvature_margin(geometry: AxisGeometry,
-                              params: DimensionParams, kappa: float) -> float:
-    """Worst-case margin of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)}
-    over the geometry's window.
+def _curvature_margins(geometry: AxisGeometry, params: DimensionParams,
+                       kappa: float):
+    """(xs, margins): the margin of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)}
+    at the points xs of the geometry's window, worst case over directions.
 
     Line geometry: f = f1(x_1) in flat space, so for a unit vector v the
     weighted Ricci is s (f1'' - f1'^2/(N-n)) with s = v_1^2 in [0, 1].
     Meridian geometry requires constant f (round-sphere Ricci is 1).
     """
-    f = geometry.f_vals
+    xs, f = geometry.xs, geometry.f_vals
     rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * f)
     constant = np.ptp(f) < 1e-12
     if geometry.kind == "meridian":
@@ -42,22 +42,32 @@ def geometry_curvature_margin(geometry: AxisGeometry,
             raise PreconditionError(
                 "curvature margin on the sphere needs a constant weight",
                 failed="constant weight")
-        return float(np.min(1.0 - rhs))
+        return xs, 1.0 - rhs
     if constant:
-        return float(np.min(-rhs))
+        return xs, -rhs
     fp = np.gradient(f, geometry.dx)
     fpp = np.gradient(fp, geometry.dx)
     drift = fpp if math.isinf(params.N) else fpp - fp**2 / (params.N - params.n)
     ric_min = np.minimum(drift, 0.0)  # minimized over the direction split
     # central differences smear the endpoints; drop two points per side
-    return float(np.min((ric_min - rhs)[2:-2]))
+    return xs[2:-2], (ric_min - rhs)[2:-2]
 
 
-def _require_curvature(geometry, params, kappa):
-    margin = geometry_curvature_margin(geometry, params, kappa)
+def _require_curvature(geometry, params, kappa, hull=None):
+    """Worst curvature margin on the window, or on the grid points within
+    one step of ``hull`` = (lo, hi); raises PreconditionError if negative."""
+    xs, margins = _curvature_margins(geometry, params, kappa)
+    where = "the window"
+    if hull is not None:
+        lo, hi = hull
+        near = (xs >= lo - geometry.dx) & (xs <= hi + geometry.dx)
+        if near.any():
+            margins = margins[near]
+            where = f"the hull [{lo:g}, {hi:g}] of the regions"
+    margin = float(np.min(margins))
     if margin < 0.0:
         raise PreconditionError(
-            f"curvature bound fails on the window (margin {margin:.3e})",
+            f"curvature bound fails on {where} (margin {margin:.3e})",
             failed="curvature bound")
     return margin
 
@@ -181,6 +191,9 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
         g: AxisGeometry = geometry_or_space
         xlo, xhi = pair.X["bounds"]
         ylo, yhi = pair.Y["bounds"]
+        # the transport between the intervals stays in their hull
+        ends = (xlo, xhi, ylo, yhi)
+        _require_curvature(g, params, kappa, (min(ends), max(ends)))
         m_x = _interval_measure(g, xlo, xhi)
         m_y = _interval_measure(g, ylo, yhi)
         m_z = _interval_measure(g, (1 - t) * xlo + t * ylo,

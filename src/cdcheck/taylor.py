@@ -5,6 +5,8 @@ with unit tangent v at symmetric offsets delta, subtracts the claimed
 partial sum through the delta^2 term, and fits the remainder decay on a
 log-log grid. A fitted slope of at least 2.8 certifies the O(delta^3)
 remainder; identically vanishing remainders pass at the noise floor.
+The distance and coefficient terms share one pair of re-parametrized
+distances per offset when they are checked in one ``check_series`` call.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,27 +83,45 @@ def theta_eps(params: DimensionParams, gradf_v: float) -> float:
     return -(params.eps - params.eps0) * gradf_v / ((params.n - 1) * params.eps)
 
 
-def _betas(space, weight, params, kappa, x, v, delta):
-    """(beta_fwd, beta_rev) at the symmetric pair, tight quadrature."""
+def _distances(space, weight, params, x, v, delta):
+    """(d_half, d_full) on the segment gamma(delta) -> gamma(-delta), tight
+    quadrature."""
     yp = space.geodesic(x, v, delta)
     ym = space.geodesic(x, v, -delta)
     seg = segment_between(space, yp, ym)
     d_half = reparam_partial(space, weight, params, seg, 0.5, rel_tol=1e-13)
     d_full = reparam_partial(space, weight, params, seg, 1.0, rel_tol=1e-13)
+    return d_half, d_full
+
+
+def _betas(params, kappa, d_half, d_full):
+    """(beta_fwd, beta_rev) at the symmetric pair."""
     # reversed orientation: first half of the geodesic from gamma(-delta)
     d_half_rev = d_full - d_half
     log_sf = math.log(0.5 * s_kappa(kappa, d_full))
     b_fwd = math.exp(params.inv_c * (math.log(s_kappa(kappa, d_half)) - log_sf))
     b_rev = math.exp(params.inv_c * (math.log(s_kappa(kappa, d_half_rev)) - log_sf))
-    return b_fwd, b_rev, d_half, d_half_rev, d_full
+    return b_fwd, b_rev
 
 
 def check_series(space: ModelSpace, weight: WeightFunction,
                  params: DimensionParams, kappa: float, x, v,
-                 term: str, grid=None) -> SeriesCheck:
-    """Exact-versus-series comparison for one expansion term."""
-    if term not in TERMS:
-        raise PreconditionError(f"unknown series term: {term}", failed="term id")
+                 term: str | Sequence[str],
+                 grid=None) -> SeriesCheck | list[SeriesCheck]:
+    """Exact-versus-series comparison for one expansion term or several.
+
+    ``term`` is one id from TERMS, which gives one SeriesCheck, or a
+    sequence of ids, which gives a list of SeriesChecks in that order.
+    The app1, app2 and app6 terms rest on the re-parametrized distances
+    (d_half, d_full) on the segment gamma(delta) -> gamma(-delta); that
+    pair is computed once per delta and shared by every term of the call.
+    """
+    single = isinstance(term, str)
+    terms = (term,) if single else tuple(term)
+    for tm in terms:
+        if tm not in TERMS:
+            raise PreconditionError(f"unknown series term: {tm}",
+                                    failed="term id")
     if grid is None:
         grid = [2.0 ** -k for k in range(4, 15)]
     deltas = np.asarray(sorted(grid, reverse=True), dtype=float)
@@ -111,67 +132,68 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
     n = params.n
+    pairs = None
+    if any(tm.startswith(("app1", "app2", "app6")) for tm in terms):
+        pairs = [_distances(space, weight, params, x, v, d) for d in deltas]
 
-    exact = np.empty_like(deltas)
-    series = np.empty_like(deltas)
-    for i, d in enumerate(deltas):
-        if term.startswith("app1"):
-            yp = space.geodesic(x, v, d)
-            ym = space.geodesic(x, v, -d)
-            seg = segment_between(space, yp, ym)
-            d_half = reparam_partial(space, weight, params, seg, 0.5,
-                                     rel_tol=1e-13)
-            d_full = reparam_partial(space, weight, params, seg, 1.0,
-                                     rel_tol=1e-13)
-            if term == "app1_fwd":
-                exact[i] = d_half
-                series[i] = e0 * d * (1.0 - alpha * gfv * d + A * d * d)
-            elif term == "app1_rev":
-                exact[i] = d_full - d_half
-                series[i] = e0 * d * (1.0 + alpha * gfv * d + A * d * d)
-            else:
-                exact[i] = d_full
-                series[i] = 2.0 * e0 * d * (1.0 + A * d * d)
-        elif term.startswith("app2"):
-            b_fwd, b_rev, *_ = _betas(space, weight, params, kappa, x, v, d)
-            coef2 = kap_eff + (1.0 - params.c) * (params.inv_c * alpha * gfv) ** 2
-            if term == "app2_fwd":
-                exact[i] = b_fwd
-                series[i] = (1.0 - params.inv_c * alpha * gfv * d
-                             + 0.5 * coef2 * d * d)
-            else:
-                exact[i] = b_rev
-                series[i] = (1.0 + params.inv_c * alpha * gfv * d
-                             + 0.5 * coef2 * d * d)
-        elif term.startswith("app3"):
-            sign = -1.0 if term == "app3_fwd" else 1.0
-            y = space.geodesic(x, v, sign * d)
-            exact[i] = math.exp(-float(weight.eval(y)) + fx)
-            lead = gfv if term == "app3_fwd" else -gfv
-            series[i] = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
-        elif term.startswith("app4"):
-            th = theta_eps(params, gfv)
-            sign = 1.0 if term == "app4_fwd" else -1.0
-            exact[i] = (1.0 + sign * th * d) ** n
-            series[i] = (1.0 + sign * n * th * d
-                         + 0.5 * n * (n - 1) * th**2 * d * d)
-        else:  # app6
-            th = theta_eps(params, gfv)
-            b_fwd, b_rev, *_ = _betas(space, weight, params, kappa, x, v, d)
-            fp = float(weight.eval(space.geodesic(x, v, d)))
-            fm = float(weight.eval(space.geodesic(x, v, -d)))
-            cr = params.c_ratio
-            left = (math.exp(-fm + fx) * (1.0 + th * d) ** n * b_fwd) ** cr
-            right = (math.exp(-fp + fx) * (1.0 - th * d) ** n * b_rev) ** cr
-            exact[i] = 0.5 * (left + right)
-            F = f_of_theta(params, gfv, th)
-            series[i] = 1.0 + cr * (kap_eff - hvv
-                                    - F / (params.c + 1.0)) * 0.5 * d * d
-    rem = exact - series
-    scale = float(np.max(1.0 + np.abs(exact)))
-    slope = fit_loglog_slope(deltas, rem, floor=NOISE_FLOOR * scale)
-    return SeriesCheck(term=term, deltas=deltas, exact=exact, series=series,
-                       slope=slope)
+    checks = []
+    for term in terms:
+        exact = np.empty_like(deltas)
+        series = np.empty_like(deltas)
+        for i, d in enumerate(deltas):
+            if term.startswith("app1"):
+                d_half, d_full = pairs[i]
+                if term == "app1_fwd":
+                    exact[i] = d_half
+                    series[i] = e0 * d * (1.0 - alpha * gfv * d + A * d * d)
+                elif term == "app1_rev":
+                    exact[i] = d_full - d_half
+                    series[i] = e0 * d * (1.0 + alpha * gfv * d + A * d * d)
+                else:
+                    exact[i] = d_full
+                    series[i] = 2.0 * e0 * d * (1.0 + A * d * d)
+            elif term.startswith("app2"):
+                b_fwd, b_rev = _betas(params, kappa, *pairs[i])
+                coef2 = (kap_eff
+                         + (1.0 - params.c) * (params.inv_c * alpha * gfv) ** 2)
+                if term == "app2_fwd":
+                    exact[i] = b_fwd
+                    series[i] = (1.0 - params.inv_c * alpha * gfv * d
+                                 + 0.5 * coef2 * d * d)
+                else:
+                    exact[i] = b_rev
+                    series[i] = (1.0 + params.inv_c * alpha * gfv * d
+                                 + 0.5 * coef2 * d * d)
+            elif term.startswith("app3"):
+                sign = -1.0 if term == "app3_fwd" else 1.0
+                y = space.geodesic(x, v, sign * d)
+                exact[i] = math.exp(-float(weight.eval(y)) + fx)
+                lead = gfv if term == "app3_fwd" else -gfv
+                series[i] = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
+            elif term.startswith("app4"):
+                th = theta_eps(params, gfv)
+                sign = 1.0 if term == "app4_fwd" else -1.0
+                exact[i] = (1.0 + sign * th * d) ** n
+                series[i] = (1.0 + sign * n * th * d
+                             + 0.5 * n * (n - 1) * th**2 * d * d)
+            else:  # app6
+                th = theta_eps(params, gfv)
+                b_fwd, b_rev = _betas(params, kappa, *pairs[i])
+                fp = float(weight.eval(space.geodesic(x, v, d)))
+                fm = float(weight.eval(space.geodesic(x, v, -d)))
+                cr = params.c_ratio
+                left = (math.exp(-fm + fx) * (1.0 + th * d) ** n * b_fwd) ** cr
+                right = (math.exp(-fp + fx) * (1.0 - th * d) ** n * b_rev) ** cr
+                exact[i] = 0.5 * (left + right)
+                F = f_of_theta(params, gfv, th)
+                series[i] = 1.0 + cr * (kap_eff - hvv
+                                        - F / (params.c + 1.0)) * 0.5 * d * d
+        rem = exact - series
+        scale = float(np.max(1.0 + np.abs(exact)))
+        slope = fit_loglog_slope(deltas, rem, floor=NOISE_FLOOR * scale)
+        checks.append(SeriesCheck(term=term, deltas=deltas, exact=exact,
+                                  series=series, slope=slope))
+    return checks[0] if single else checks
 
 
 def f_of_theta(params: DimensionParams, gradf_v: float, theta: float) -> float:
@@ -195,6 +217,8 @@ def check_F_identity(params: DimensionParams, gradf_v: float,
         raise PreconditionError("identity needs N != n", failed="N != n")
     if math.isinf(params.eps0):
         raise PreconditionError("identity needs finite eps0", failed="eps0 finite")
+    if params.eps0 == 0.0:
+        raise PreconditionError("identity needs eps0 > 0", failed="eps0 > 0")
     n, c, eps, eps0 = params.n, params.c, params.eps, params.eps0
     g = gradf_v
     margins = []

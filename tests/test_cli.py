@@ -171,6 +171,31 @@ def sphere_cfg(**over):
     return cfg
 
 
+class TestParameterRange:
+    @pytest.mark.parametrize("suite", ["taylor", "all"])
+    def test_N_equals_1_runs(self, tmp_path, suite):
+        # eps = eps0 = 0: theta and the F identity are undefined, so their
+        # checks are left out instead of dividing by zero
+        cfg = sphere_cfg(suite=suite, params={"n": 2, "N": 1, "eps": 0.0},
+                         sampling={"trials": 50, "seed": 7})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 0
+        names = [r["name"] for r in json.loads(
+            (out / f"{suite}_report.json").read_text())["reports"]]
+        assert "taylor_series" in names and "F_identity" not in names
+
+    def test_bm_on_default_line_is_a_precondition(self, tmp_path, capsys):
+        # no geometry block: the flat zero-weight line has Ric = 0, below
+        # kappa/c > 0 on the regions' hull, so bm has no hypothesis
+        cfg = sphere_cfg(suite="bm", params={"n": 2, "N": 4.0, "eps": 0.5})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[curvature bound]" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_same_seed_same_hash(self, tmp_path):
         cfg = sphere_cfg()

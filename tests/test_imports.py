@@ -1,4 +1,5 @@
-"""Every name a cdcheck module imports is used in that module.
+"""Every name a cdcheck module imports is used in that module, and the
+CLI starts without scipy.optimize.
 
 An AST scan stands in for a linter's unused-import rule. ``__init__.py``
 is skipped because its imports are the package's re-exports, and
@@ -6,6 +7,9 @@ is skipped because its imports are the package's re-exports, and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize serves only solve_discrete_ot and would double the
+    # CLI's start-up time; it is imported there, on first use
+    src = str(Path(cdcheck.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, cdcheck.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

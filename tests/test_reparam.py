@@ -120,3 +120,23 @@ class TestHorizon:
         tau = tau_reparam(flat2, constant_weight(0.0), p,
                           np.zeros(2), np.array([1.0, 0.0]))
         assert math.isinf(tau)
+
+
+class TestCurvedSpaces:
+    @pytest.mark.parametrize("kind, dim, preset, N", [
+        ("sphere", 2, "cosine(0.3)", 6.0),
+        ("hyperbolic", 3, "quadratic(0.3)", 9.0),
+    ])
+    def test_partial_matches_fine_profile(self, kind, dim, preset, N):
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, N, 0.4)
+        rng = np.random.default_rng(7)
+        x = sp.sample_point(rng)
+        y = sp.geodesic(x, sp.sample_unit(rng, x), 1.3)
+        seg = segment_between(sp, x, y)
+        m = 2**14
+        ss, prof = reparam_profile(sp, w, p, seg, grid_size=m)
+        for i in (m // 8, m // 2, 5 * m // 8, m):
+            direct = reparam_partial(sp, w, p, seg, ss[i] / seg.length)
+            assert direct == pytest.approx(prof[i], rel=0.0, abs=1e-11)

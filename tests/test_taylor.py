@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cdcheck import taylor
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
+from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import constant_weight, make_space, weight_preset
 from cdcheck.taylor import (SLOPE_MIN, TERMS, check_F_identity,
                             check_limit_bound, check_series, f_of_theta,
@@ -60,6 +62,41 @@ class TestSeriesSlopes:
         with pytest.raises(PreconditionError):
             check_series(EUC3, constant_weight(), p, 0.0,
                          *euc_ray(), "app7_fwd")
+
+
+class TestSharedDistances:
+    def test_one_distance_pair_per_delta(self, monkeypatch):
+        p = validate_params(3, 9, 0.4)
+        w = weight_preset(EUC3, "quadratic(0.3)")
+        x, v = euc_ray()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return reparam_partial(*args, **kwargs)
+
+        monkeypatch.setattr(taylor, "reparam_partial", counted)
+        grid = [2.0 ** -k for k in range(4, 12)]
+        checks = check_series(EUC3, w, p, -0.7, x, v, TERMS, grid=grid)
+        assert [chk.term for chk in checks] == list(TERMS)
+        assert len(calls) == 2 * len(grid)
+
+    @pytest.mark.parametrize("space, preset, kappa, ray", [
+        (EUC3, "quadratic(0.3)", -0.7, euc_ray),
+        (SPHERE, "cosine(0.3)", 0.8, meridian_ray),
+    ])
+    def test_shared_call_matches_single_terms(self, space, preset, kappa,
+                                              ray):
+        p = validate_params(space.dim, 9 if space.dim == 3 else 6, 0.4)
+        w = weight_preset(space, preset)
+        x, v = ray()
+        checks = check_series(space, w, p, kappa, x, v, TERMS)
+        for chk in checks:
+            one = check_series(space, w, p, kappa, x, v, chk.term)
+            assert np.array_equal(one.exact, chk.exact)
+            assert np.array_equal(one.series, chk.series)
+            assert one.slope == chk.slope or (math.isnan(one.slope)
+                                              and math.isnan(chk.slope))
 
 
 class TestExactReductions:
@@ -156,6 +193,13 @@ class TestFIdentity:
         p = validate_params(3, 3, 0.4)
         with pytest.raises(PreconditionError):
             check_F_identity(p, 0.2, [0.1])
+
+    def test_N_equals_1_rejected(self):
+        # eps0 = 0 at N = 1: the identity's right-hand side divides by it
+        p = validate_params(2, 1, 0.0)
+        with pytest.raises(PreconditionError) as exc:
+            check_F_identity(p, 0.2, [0.1])
+        assert exc.value.failed == "eps0 > 0"
 
 
 class TestLimitBound:
