@@ -61,7 +61,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure,
     of equal size use the assignment solver; the general case is the
     transportation linear program (HiGHS).
     """
-    # imported here: scipy.optimize alone would double the package's
+    # imported here: scipy.optimize would make up most of the package's
     # import time, and nothing else needs it
     from scipy.optimize import linear_sum_assignment, linprog
 

@@ -42,12 +42,12 @@ def test_no_unused_imports(path):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize serves only solve_discrete_ot and would double the
-    # CLI's start-up time; it is imported there, on first use
+    # scipy.optimize serves only solve_discrete_ot and would make up most
+    # of the CLI's start-up time; it is imported there, on first use
     src = str(Path(cdcheck.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = "import sys, cdcheck.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
