@@ -9,9 +9,8 @@ and transport-energy inequalities with explicit numerical margins.
 """
 
 from .errors import (CdCheckError, ConfigError, CutLocusError,
-                     DimensionError, HypothesisError, IntegrabilityError,
-                     PreconditionError, RangeError, RegionError,
-                     SingularJacobian, SizeError)
+                     DimensionError, HypothesisError, PreconditionError,
+                     RangeError, RegionError, SingularJacobian)
 from .params import (DimensionParams, c_kappa, diam_kappa, s_kappa,
                      validate_params)
 from .report import CheckReport, canonical_json, report_hash
@@ -19,19 +18,17 @@ from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
                      Sphere, WeightFunction, check_curvature_bound,
                      constant_weight, make_space, ricci_fN, segment_between,
                      weight_preset)
-from .reparam import (reparam_distance, reparam_partial, reparam_profile,
-                      tau_reparam)
+from .reparam import reparam_distance, reparam_partial, reparam_profile
 from .coefficients import (TwistedCoefficient, b_coeff, beta,
                            classical_distortion, frak_b, log_beta,
                            require_conjugate_radius, within_conjugate_radius)
 from .jacobi import (JacobianTrajectory, TransportRay, check_jacobian_concavity,
                      check_riccati, falsify_jacobian, integrate_jacobi,
                      jacobi_closed_form, sample_rays, scan_rays)
-from .ot import (AxisGeometry, DensityField, DiscreteMeasure, LineGeometry,
-                 MeridianGeometry, MonotoneInterpolation, TransportPlan,
-                 density_from_callable, dc_membership, entropy_functional,
-                 fisher_information, monotone_1d_transport,
-                 renyi_pointwise, solve_discrete_ot, w2_axis)
+from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
+                 MonotoneInterpolation, density_from_callable,
+                 entropy_functional, fisher_information,
+                 monotone_1d_transport, renyi_pointwise, w2_axis)
 from .suites import (RegionPair, check_brunn_minkowski, check_hwi_lsi,
                      check_interpolation, check_transport_energy, check_twcd,
                      conclusion_exponent, p_mean)

@@ -38,6 +38,8 @@ _TOP_KEYS = {"space", "weight", "params", "kappa", "suite", "sampling",
              "interpolation", "functional", "out_dir"}
 _DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
                      "t_grid": [0.1, 0.25, 0.5, 0.75, 0.9]}
+_GEOMETRY_KEYS = {"line": {"kind", "f1", "lo", "hi", "points"},
+                  "meridian": {"kind", "f1", "points"}}
 
 
 def load_config(path) -> dict:
@@ -57,12 +59,27 @@ def resolve_config(cfg: dict) -> dict:
             raise ConfigError(f"missing config field: {key}")
     if cfg["suite"] not in SUITES:
         raise ConfigError(f"unknown suite: {cfg['suite']}")
+    kappa = cfg["kappa"]
+    if (not isinstance(kappa, (int, float)) or isinstance(kappa, bool)
+            or not math.isfinite(kappa)):
+        raise ConfigError(f"kappa must be a finite number, got {kappa!r}")
     out = dict(cfg)
     out.setdefault("weight", "zero")
+    if not isinstance(cfg.get("sampling", {}), dict):
+        raise ConfigError("sampling must be an object")
     sampling = dict(_DEFAULT_SAMPLING)
     sampling.update(cfg.get("sampling", {}))
+    trials = sampling["trials"]
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ConfigError(f"sampling.trials must be a positive integer,"
+                          f" got {trials!r}")
     out["sampling"] = sampling
     out.setdefault("tolerances", {})
+    if not isinstance(cfg["params"], dict):
+        raise ConfigError("params must be an object")
+    missing = {"n", "N", "eps"} - set(cfg["params"])
+    if missing:
+        raise ConfigError(f"missing params fields: {sorted(missing)}")
     p = dict(cfg["params"])
     if isinstance(p.get("N"), str):
         if p["N"].lower() not in ("inf", "+inf", "infinity"):
@@ -82,7 +99,21 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
     weight_preset(space, out["weight"])
+    if "geometry" in cfg:
+        _check_geometry(cfg["geometry"])
     return out
+
+
+def _check_geometry(g):
+    if not isinstance(g, dict):
+        raise ConfigError("geometry must be an object")
+    kind = g.get("kind", "line")
+    if kind not in _GEOMETRY_KEYS:
+        raise ConfigError(f"unknown geometry kind: {kind}")
+    unknown = set(g) - _GEOMETRY_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} geometry fields: {sorted(unknown)}")
+    _axis_weight(g.get("f1", "zero"))
 
 
 def _build(cfg):
@@ -96,16 +127,12 @@ def _build(cfg):
     return space, weight, params
 
 
-def _build_geometry(cfg, params):
+def _build_geometry(cfg):
+    """The axis geometry of a resolved config (its keys are checked there)."""
     g = dict(cfg.get("geometry", {"kind": "line"}))
-    kind = g.pop("kind", "line")
-    f1_spec = g.pop("f1", "zero")
-    f1 = _axis_weight(f1_spec)
-    if kind == "line":
-        return LineGeometry(f1, **g)
-    if kind == "meridian":
-        return MeridianGeometry(f1, **g)
-    raise ConfigError(f"unknown geometry kind: {kind}")
+    meridian = g.pop("kind", "line") == "meridian"
+    f1 = _axis_weight(g.pop("f1", "zero"))
+    return (MeridianGeometry if meridian else LineGeometry)(f1, **g)
 
 
 def _axis_weight(spec):
@@ -203,7 +230,7 @@ def _write_trajectory(path, traj):
 
 
 def _run_twcd(cfg, params, out_dir):
-    geometry = _build_geometry(cfg, params)
+    geometry = _build_geometry(cfg)
     dens = cfg.get("densities",
                    [{"kind": "bump", "center": -0.5, "width": 0.4},
                     {"kind": "bump", "center": 0.5, "width": 0.6}])
@@ -235,7 +262,7 @@ def _run_bm(cfg, space, weight, params):
             reports.append(suites.check_brunn_minkowski(
                 pair, space, weight, params, cfg["kappa"], tol=tol))
     else:
-        geometry = _build_geometry(cfg, params)
+        geometry = _build_geometry(cfg)
         bounds = (regions or {}).get("bounds",
                                      [(-1.0, -0.25), (0.25, 1.0)])
         for t in t_grid:
@@ -248,7 +275,7 @@ def _run_bm(cfg, space, weight, params):
 
 
 def _run_interpolation(cfg, params):
-    geometry = _build_geometry(cfg, params)
+    geometry = _build_geometry(cfg)
     icfg = cfg.get("interpolation", {})
     t = icfg.get("t", 0.5)
     p = icfg.get("p", 0.0)
@@ -314,7 +341,7 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
 
 
 def _run_functional(cfg, params):
-    geometry = _build_geometry(cfg, params)
+    geometry = _build_geometry(cfg)
     fcfg = cfg.get("functional", {})
     spec = fcfg.get("density", {"kind": "cosine", "amplitude": 0.1})
     rho = _axis_density(geometry, spec)

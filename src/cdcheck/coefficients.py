@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
 from .quadrature import neville_extrapolate
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, segment_between
+from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
 from .reparam import reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
@@ -166,14 +166,12 @@ def check_limits(space, weight, params, kappa: float, x, y,
     t_mid = 0.5
     r = seg.length
     rng = np.random.default_rng(12345)
-    grad_sup = 0.0
-    for _ in range(200):
-        s = rng.uniform(0.0, r)
-        pt = space.geodesic(seg.start, seg.direction, s)
-        grad_sup = max(grad_sup, float(np.linalg.norm(weight.grad(pt))))
+    pts = [space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r))
+           for _ in range(200)]
+    sup = grad_sup(space, weight, pts)
     aa = abs(params.a)
-    B = aa * (1.0 - t_mid) * grad_sup * math.exp(
-        aa * (1.0 - t_mid) * grad_sup * r) * 2.0
+    B = aa * (1.0 - t_mid) * sup * math.exp(
+        aa * (1.0 - t_mid) * sup * r) * 2.0
     decay_rows = []
     decay_margin = math.inf
     for k in range(6):

@@ -25,10 +25,6 @@ class SingularJacobian(CdCheckError):
     """det(dF_t) <= 0 somewhere on [0, 1]: the transport ray is inadmissible."""
 
 
-class SizeError(CdCheckError):
-    """Discrete problem exceeds the exact-solver size cap."""
-
-
 class RegionError(CdCheckError):
     """Unsupported region shape for a Brunn-Minkowski style check."""
 
@@ -43,7 +39,3 @@ class PreconditionError(CdCheckError):
     def __init__(self, message: str, failed: str | None = None):
         self.failed = failed if failed is not None else message
         super().__init__(message)
-
-
-class IntegrabilityError(CdCheckError):
-    """The moment condition on the reference measure fails for this functional."""

@@ -1,13 +1,11 @@
-"""Optimal transport and entropy functionals.
+"""Optimal transport and entropy functionals on quasi-1D configurations.
 
-Two regimes are supported. Small discrete measures get an exact plan
-from a linear program (min-cost flow formulation). Absolutely continuous
-measures live on quasi-1D product configurations: either Euclidean R^n
-with weight f(x) = f1(x_1) and densities depending on x_1 only (the
-transverse factor is shared and the optimal map moves only the first
-coordinate), or rotationally symmetric densities on the round 2-sphere
-parametrized by colatitude. Both reduce to monotone CDF matching on an
-axis grid with reference measure m = base * e^{-f1} / Z.
+Absolutely continuous measures live on either Euclidean R^n with weight
+f(x) = f1(x_1) and densities depending on x_1 only (the transverse
+factor is shared and the optimal map moves only the first coordinate),
+or rotationally symmetric densities on the round 2-sphere parametrized
+by colatitude. Both reduce to monotone CDF matching on an axis grid with
+reference measure m = base * e^{-f1} / Z.
 """
 
 from __future__ import annotations
@@ -18,95 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, IntegrabilityError, SizeError
+from .errors import ConfigError
 from .params import DimensionParams
 from .quadrature import composite_simpson, cumulative_simpson, neville_extrapolate
-from .report import CheckReport
-
-MAX_SUPPORT = 512
-
-
-# ----------------------------------------------------------------------
-# discrete measures and exact plans
-# ----------------------------------------------------------------------
-@dataclass
-class DiscreteMeasure:
-    support: np.ndarray  # (m, ambient)
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ConfigError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ConfigError("weights must sum to 1")
-
-
-@dataclass
-class TransportPlan:
-    pairs: list  # (i, j, mass)
-    cost: float
-
-    @property
-    def w2(self) -> float:
-        return math.sqrt(max(self.cost, 0.0))
-
-
-def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      space=None, dist=None) -> TransportPlan:
-    """Exact optimal plan for squared-distance cost.
-
-    ``dist(x, y)`` defaults to the model-space distance. Uniform measures
-    of equal size use the assignment solver; the general case is the
-    transportation linear program (HiGHS).
-    """
-    # imported here: scipy.optimize would make up most of the package's
-    # import time, and nothing else needs it
-    from scipy.optimize import linear_sum_assignment, linprog
-
-    m, k = len(mu.weights), len(nu.weights)
-    if m > MAX_SUPPORT or k > MAX_SUPPORT:
-        raise SizeError(f"support size exceeds {MAX_SUPPORT}")
-    if dist is None:
-        dist = space.distance
-    cost = np.empty((m, k))
-    for i in range(m):
-        for j in range(k):
-            cost[i, j] = dist(mu.support[i], nu.support[j]) ** 2
-
-    uniform = (m == k and np.allclose(mu.weights, 1.0 / m, atol=1e-14)
-               and np.allclose(nu.weights, 1.0 / k, atol=1e-14))
-    if uniform:
-        rows, cols = linear_sum_assignment(cost)
-        pairs = [(int(i), int(j), 1.0 / m) for i, j in zip(rows, cols)]
-        total = float(cost[rows, cols].sum() / m)
-        return TransportPlan(pairs, total)
-
-    # transportation LP: variables p_ij >= 0, row/col marginal equalities
-    a_eq = []
-    for i in range(m):
-        row = np.zeros(m * k)
-        row[i * k:(i + 1) * k] = 1.0
-        a_eq.append(row)
-    for j in range(k):
-        col = np.zeros(m * k)
-        col[j::k] = 1.0
-        a_eq.append(col)
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=np.asarray(a_eq), b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, k)
-    pairs = [(i, j, float(plan[i, j]))
-             for i in range(m) for j in range(k) if plan[i, j] > 1e-12]
-    total = float((plan * cost).sum())
-    # marginal sanity
-    if (np.abs(plan.sum(axis=1) - mu.weights).max() > 1e-10
-            or np.abs(plan.sum(axis=0) - nu.weights).max() > 1e-10):
-        raise RuntimeError("transport plan marginals drifted beyond 1e-10")
-    return TransportPlan(pairs, total)
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +34,7 @@ class AxisGeometry:
     """
 
     def __init__(self, lo: float, hi: float, points: int, f1: Callable,
-                 base: Callable, ambient_dim: int, kind: str,
-                 tail_exponent: float | None = None):
+                 base: Callable, kind: str):
         if points < 16:
             raise ConfigError("axis grid needs at least 16 points")
         self.lo, self.hi = float(lo), float(hi)
@@ -134,9 +45,7 @@ class AxisGeometry:
         if self.f_vals.shape != self.xs.shape:
             self.f_vals = np.full_like(self.xs, float(f1(self.xs[0])))
         self.base_vals = np.asarray(base(self.xs), dtype=float)
-        self.ambient_dim = ambient_dim
         self.kind = kind
-        self.tail_exponent = tail_exponent
         raw = self.base_vals * np.exp(-self.f_vals)
         self.mass_norm = composite_simpson(raw, self.dx)
         self.m_density = raw / self.mass_norm
@@ -165,33 +74,16 @@ class AxisGeometry:
         mid = x + t * (y - x)
         return np.abs(np.interp(mid, self.xs, g) - np.interp(x, self.xs, g))
 
-    def f_at(self, x):
-        return np.interp(x, self.xs, self.f_vals)
-
     def integrate(self, values) -> float:
         return composite_simpson(np.asarray(values, dtype=float), self.dx)
-
-    def moment_condition_ok(self, params: DimensionParams) -> bool:
-        """Remark-style integrability of (1 + d^2)^{-1/c} against m.
-
-        Bounded-window geometries are always fine; a polynomial tail
-        descriptor q (meaning m ~ |x|^{-q}) must satisfy q + 2/c > 1.
-        """
-        if self.tail_exponent is None:
-            return True
-        return self.tail_exponent + 2.0 * params.inv_c > 1.0
 
 
 class LineGeometry(AxisGeometry):
     """Euclidean R^n with weight f(x) = f1(x_1), densities in x_1 only."""
 
     def __init__(self, f1: Callable, lo: float = -2.0, hi: float = 2.0,
-                 points: int = 4096, ambient_dim: int = 2,
-                 tail_exponent: float | None = None):
-        if ambient_dim < 2:
-            raise ConfigError("product configuration needs ambient dimension >= 2")
-        super().__init__(lo, hi, points, f1, lambda x: np.ones_like(x),
-                         ambient_dim, "line", tail_exponent)
+                 points: int = 4096):
+        super().__init__(lo, hi, points, f1, lambda x: np.ones_like(x), "line")
 
 
 class MeridianGeometry(AxisGeometry):
@@ -203,7 +95,7 @@ class MeridianGeometry(AxisGeometry):
 
     def __init__(self, f1: Callable = lambda th: np.zeros_like(th),
                  points: int = 4096):
-        super().__init__(0.0, math.pi, points, f1, np.sin, 2, "meridian")
+        super().__init__(0.0, math.pi, points, f1, np.sin, "meridian")
 
 
 @dataclass
@@ -236,11 +128,10 @@ class DensityField:
         return float(self.values.max())
 
 
-def density_from_callable(geometry: AxisGeometry, fn: Callable,
-                          normalize: bool = True) -> DensityField:
+def density_from_callable(geometry: AxisGeometry, fn: Callable) -> DensityField:
+    """fn sampled on the geometry's grid, clipped at 0 and normalized."""
     vals = np.clip(np.asarray(fn(geometry.xs), dtype=float), 0.0, None)
-    d = DensityField(geometry, vals)
-    return d.normalized() if normalize else d
+    return DensityField(geometry, vals).normalized()
 
 
 # ----------------------------------------------------------------------
@@ -348,19 +239,18 @@ def monotone_1d_transport(rho0: DensityField, rho1: DensityField) -> MonotoneInt
     return MonotoneInterpolation(rho0, rho1)
 
 
-def w2_axis(rho0: DensityField, rho1: DensityField,
-            sizes=(128, 256, 512)) -> float:
+def w2_axis(rho0: DensityField, rho1: DensityField) -> float:
     """W2 between axis densities by equal-mass quantization.
 
     Each measure is reduced to m quantile points, matched monotonically
     (optimal in 1D); the midpoint-rule costs are Richardson-extrapolated
-    in 1/m^2 over the given sizes.
+    in 1/m^2 over m = 128, 256, 512.
     """
     xs = rho0.geometry.xs
     cdf0 = _cdf(rho0)
     cdf1 = _cdf(rho1)
     costs, hs = [], []
-    for m in sizes:
+    for m in (128, 256, 512):
         u = (np.arange(m) + 0.5) / m
         q0 = _quantile(cdf0, xs, u)
         q1 = _quantile(cdf1, xs, u)
@@ -371,14 +261,8 @@ def w2_axis(rho0: DensityField, rho1: DensityField,
 
 
 # ----------------------------------------------------------------------
-# entropies, DC membership, Fisher information
+# entropies and Fisher information
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EntropyValue:
-    functional: str
-    value: float
-
-
 def renyi_pointwise(r: np.ndarray, params: DimensionParams) -> np.ndarray:
     """H(r) = c^{-1}(c+1) r (1 - r^{-c/(c+1)}) = ((c+1)/c)(r - r^{1/(c+1)})."""
     r = np.asarray(r, dtype=float)
@@ -389,49 +273,10 @@ def renyi_pointwise(r: np.ndarray, params: DimensionParams) -> np.ndarray:
     return out
 
 
-def entropy_functional(rho: DensityField, params: DimensionParams,
-                       functional: str = "renyi") -> EntropyValue:
-    """U_m(mu) = integral of U(rho) d m on the grid."""
+def entropy_functional(rho: DensityField, params: DimensionParams) -> float:
+    """Renyi-type entropy U_m(mu) = integral of H(rho) d m on the grid."""
     g = rho.geometry
-    if functional == "renyi":
-        vals = renyi_pointwise(rho.values, params)
-    elif functional == "rlogr":
-        if not g.moment_condition_ok(params):
-            raise IntegrabilityError(
-                "reference measure fails the (1+d^2)^{-1/c} moment condition")
-        r = rho.values
-        vals = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
-    else:
-        raise ConfigError(f"unknown entropy functional: {functional}")
-    return EntropyValue(functional, g.integrate(vals * g.m_density))
-
-
-def dc_membership(U: Callable[[float], float], params: DimensionParams,
-                  r_lo: float = 1e-6, r_hi: float = 1e6,
-                  points: int = 241, tol: float = 1e-8) -> CheckReport:
-    """Numerical membership test for the displacement convexity class.
-
-    Checks U(0) = 0, convexity of U, and convexity of
-    phi(r) = r^{(c+1)/c} U(r^{-(c+1)/c}) by second divided differences on
-    a log-spaced grid, each scaled by the local function magnitude.
-    """
-    rs = np.geomspace(r_lo, r_hi, points)
-    u_vals = np.array([float(U(r)) for r in rs])
-    margins = [tol - abs(float(U(0.0)))]
-
-    def convexity_margins(xs, ys):
-        s = np.diff(ys) / np.diff(xs)
-        d2 = 2.0 * np.diff(s) / (xs[2:] - xs[:-2])
-        scale = 1.0 + np.abs(ys[1:-1]) / np.maximum(xs[1:-1] ** 2, 1e-30)
-        return d2 / scale
-
-    margins.extend(float(v) for v in convexity_margins(rs, u_vals))
-    p = (params.c + 1.0) / params.c
-    phi_arg = rs ** (-p)
-    phi = rs ** p * np.array([float(U(v)) for v in phi_arg])
-    margins.extend(float(v) for v in convexity_margins(rs, phi))
-    return CheckReport(name="dc_membership", margins=margins, tolerance=tol,
-                       provenance={"r_lo": r_lo, "r_hi": r_hi, "points": points})
+    return g.integrate(renyi_pointwise(rho.values, params) * g.m_density)
 
 
 def fisher_information(rho: DensityField, params: DimensionParams) -> float:

@@ -97,29 +97,3 @@ def asymmetry_bound_margin(space: ModelSpace, weight: WeightFunction,
     rhs = abs(a) * big_a * math.exp(abs(a) * big_a * r) * r
     return rhs - lhs
 
-
-def tau_reparam(space: ModelSpace, weight: WeightFunction,
-                params: DimensionParams, x, v,
-                rel_tol: float = 1e-10) -> float:
-    """Re-parametrized length of the maximal minimizing ray from x along v.
-
-    When the ray minimizes forever the improper integral is evaluated on
-    a capped horizon of 1e3 if the integrand decays there, otherwise the
-    value is reported as +inf. On the sphere it is the weighted length up
-    to the antipode.
-    """
-    T = space.tau(x, v)
-    a = params.a
-    if math.isinf(T):
-        if a == 0.0:
-            return math.inf
-        horizon = 1e3
-        tail = math.exp(-a * float(weight.eval(space.geodesic(x, v, horizon))))
-        if tail > 1e-12:
-            return math.inf
-        T = horizon
-    elif a == 0.0:
-        return T
-    fn = lambda s: _exp_weight(a, weight.eval(space.geodesic(x, v, s)))
-    val, _ = adaptive_simpson(fn, 0.0, T, rel_tol=rel_tol)
-    return val

@@ -45,23 +45,6 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict in ("pass", "vacuous")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "margins": list(self.margins),
-            "min_margin": self.min_margin,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-        }
-
-    def summary(self) -> str:
-        return (
-            f"{self.name}: {self.verdict} "
-            f"(samples={self.samples}, min_margin={self.min_margin:.3e}, tol={self.tolerance:g})"
-        )
-
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON serialization (sorted keys, fixed separators)."""

@@ -70,13 +70,6 @@ class ModelSpace:
         """
         raise NotImplementedError
 
-    def tau(self, x, v) -> float:
-        """sup{t > 0 : d(x, gamma_v(t)) = t}; pi*radius on the sphere, +inf otherwise."""
-        raise NotImplementedError
-
-    def check_point(self, x) -> None:
-        """Validate the manifold constraint to 1e-12."""
-
     # -- sampling ------------------------------------------------------
     def sample_point(self, rng: np.random.Generator, region: dict | None = None):
         raise NotImplementedError
@@ -124,9 +117,6 @@ class Euclidean(ModelSpace):
         rest = _orthonormal_completion(np.asarray(last, dtype=float)[:, None], self.dim)
         return np.vstack([rest.T, np.asarray(last, dtype=float)])
 
-    def tau(self, x, v):
-        return math.inf
-
     def sample_point(self, rng, region=None):
         r = (region or {}).get("radius", 1.0)
         center = np.asarray((region or {}).get("center", np.zeros(self.dim)), dtype=float)
@@ -147,11 +137,6 @@ class Sphere(ModelSpace):
         self.radius = float(radius)
         self.ambient = dim + 1
         self.sec = 1.0 / radius**2
-
-    def check_point(self, x):
-        r = np.linalg.norm(x)
-        if abs(r - self.radius) > 1e-12 * (1.0 + self.radius):
-            raise ConfigError(f"point does not satisfy |x| = {self.radius}: |x| = {r}")
 
     def geodesic(self, x, v, t):
         t = np.asarray(t, dtype=float)
@@ -195,9 +180,6 @@ class Sphere(ModelSpace):
         rest = _orthonormal_completion(fixed, self.ambient)
         return np.vstack([rest.T, np.asarray(last, dtype=float)])
 
-    def tau(self, x, v):
-        return math.pi * self.radius
-
     def sample_point(self, rng, region=None):
         u = rng.normal(size=self.ambient)
         return self.radius * u / np.linalg.norm(u)
@@ -222,10 +204,6 @@ class Hyperbolic(ModelSpace):
         self.scale = float(scale)
         self.ambient = dim
         self.sec = -1.0 / scale**2
-
-    def check_point(self, x):
-        if x[-1] <= 0:
-            raise ConfigError("upper-half-space point must have positive last coordinate")
 
     # slice geodesic in curvature -1 normalization: point (0, y0),
     # tangent (us, uy) with us^2 + uy^2 = y0^2, arclength t
@@ -321,9 +299,6 @@ class Hyperbolic(ModelSpace):
         rest = _orthonormal_completion(e_last[:, None], self.ambient)
         fr = np.vstack([rest.T, e_last]) * (y / self.scale)
         return fr
-
-    def tau(self, x, v):
-        return math.inf
 
     def sample_point(self, rng, region=None):
         r = (region or {}).get("radius", 1.0)
@@ -430,6 +405,12 @@ class WeightFunction:
         qww = self._quadratic(x, w)
         qpm = self._quadratic(x, np.asarray(u) + np.asarray(w))
         return 0.5 * (qpm - quu - qww)
+
+
+def grad_sup(space: ModelSpace, weight: WeightFunction, points) -> float:
+    """Largest Riemannian gradient norm |grad f|(p) over the given points."""
+    return max((space.norm(p, np.asarray(weight.grad(p), dtype=float))
+                for p in points), default=0.0)
 
 
 def constant_weight(value: float = 0.0) -> WeightFunction:

@@ -72,31 +72,21 @@ def _require_curvature(geometry, params, kappa, hull=None):
     return margin
 
 
-def _u_pointwise(functional: str, r: np.ndarray, params: DimensionParams):
-    r = np.asarray(r, dtype=float)
-    if functional == "renyi":
-        return renyi_pointwise(r, params)
-    if functional == "rlogr":
-        return np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
-    raise PreconditionError(f"unknown functional id: {functional}",
-                            failed="functional id")
-
-
 # ----------------------------------------------------------------------
 # displacement convexity
 # ----------------------------------------------------------------------
 def check_twcd(rho0: DensityField, rho1: DensityField,
                params: DimensionParams, kappa: float, t_grid,
-               functional: str = "renyi", tol: float = 1e-6,
-               require_curvature: bool = True) -> CheckReport:
-    """Twisted displacement convexity along the monotone interpolation.
+               tol: float = 1e-6) -> CheckReport:
+    """Twisted displacement convexity of the Renyi-type entropy along the
+    monotone interpolation.
 
     For each t the margin is RHS(t) - U_m(mu_t) with the beta-weighted
     right-hand side evaluated through the deterministic coupling
     pi = (id x T)_# mu_0.
     """
     g = rho0.geometry
-    curv = _require_curvature(g, params, kappa) if require_curvature else None
+    curv = _require_curvature(g, params, kappa)
     interp = monotone_1d_transport(rho0, rho1)
     xs = g.xs
     T = interp.T
@@ -109,17 +99,16 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     per_t = []
     for t in sorted(float(v) for v in t_grid):
         lhs = interp.pushforward_integral(
-            t, lambda r: _u_pointwise(functional, r, params))
+            t, lambda r: renyi_pointwise(r, params))
         d_t = g.reparam_partial(params, xs, T, t)
         b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
         b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
-        u0 = _u_pointwise(functional,
-                          np.where(support, rho0.values / b_rev, 0.0), params)
+        u0 = renyi_pointwise(np.where(support, rho0.values / b_rev, 0.0),
+                             params)
         term0 = g.integrate(np.where(support, u0 * b_rev * g.m_density, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            u1 = _u_pointwise(functional,
-                              np.where(rho1_at_T > 0, rho1_at_T / b_fwd, 0.0),
-                              params)
+            u1 = renyi_pointwise(
+                np.where(rho1_at_T > 0, rho1_at_T / b_fwd, 0.0), params)
             w1 = np.where(support & (rho1_at_T > 0),
                           u1 * b_fwd / np.where(rho1_at_T > 0, rho1_at_T, 1.0)
                           * rho0.values * g.m_density, 0.0)
@@ -129,7 +118,7 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
         per_t.append({"t": t, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
 
     return CheckReport(name="twcd", margins=margins, tolerance=tol,
-                       provenance={"kappa": kappa, "functional": functional,
+                       provenance={"kappa": kappa, "functional": "renyi",
                                    "curvature_margin": curv, "rows": per_t})
 
 
@@ -354,7 +343,7 @@ def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
     g = rho.geometry
     _functional_preconditions(rho, params, kappa, delta)
     ones = DensityField(g, np.ones_like(g.xs))
-    H = entropy_functional(rho, params, "renyi").value
+    H = entropy_functional(rho, params)
     I = fisher_information(rho, params)
     W2 = w2_axis(rho, ones)
     cr = params.c / (params.c + 1.0)
@@ -380,7 +369,7 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
     f0 = _functional_preconditions(rho, params, kappa, None)
     ones = DensityField(g, np.ones_like(g.xs))
     interp = monotone_1d_transport(rho, ones)
-    H = entropy_functional(rho, params, "renyi").value
+    H = entropy_functional(rho, params)
     c = params.c
     ratio = (c + 1.0) / c
 

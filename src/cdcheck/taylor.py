@@ -22,7 +22,7 @@ from .errors import PreconditionError
 from .params import DimensionParams, s_kappa
 from .quadrature import fit_loglog_slope
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, segment_between
+from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
 from .reparam import asymmetry_bound_margin, reparam_partial
 
 SLOPE_MIN = 2.8
@@ -242,13 +242,11 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
     under-estimates the true sup and therefore only tightens the bound.
     """
     rng = np.random.default_rng(seed)
-    sup = 0.0
+    pts = []
     for _ in range(grad_samples):
         u = space.sample_unit(rng, x)
-        s = r * rng.random()
-        p = space.geodesic(x, u, s)
-        gn = space.norm(p, np.asarray(weight.grad(p), dtype=float))
-        sup = max(sup, gn)
+        pts.append(space.geodesic(x, u, r * rng.random()))
+    sup = grad_sup(space, weight, pts)
     margins = []
     for j in range(levels):
         y = space.geodesic(x, v, r * 2.0**-j)

@@ -61,6 +61,30 @@ class TestValidate:
                      str(tmp_path / "o")]) == 2
         assert "space dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", [
+        {"kappa": "abc"},
+        {"params": {"n": 3, "N": 9.0}},
+        {"sampling": {"trials": -5, "seed": 0}},
+        {"sampling": {"trials": 0, "seed": 0}},
+        {"sampling": [200, 0]},
+        {"suite": "twcd", "geometry": {"kind": "line", "bogus": 1}},
+        {"suite": "twcd", "geometry": {"kind": "line", "ambient_dim": 3}},
+        {"suite": "functional", "kappa": 1.0, "weight": "zero",
+         "space": {"kind": "sphere", "dim": 2},
+         "params": {"n": 2, "N": 2.0, "eps": 1.0},
+         "geometry": {"kind": "meridian", "lo": 0.0}},
+    ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
+            "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
+            "meridian-window"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, over):
+        cfg = base_cfg("jacobian")
+        cfg.update(over)
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 2
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_infinite_N_token(self, tmp_path):
         cfg = base_cfg("curvature", params={"n": 3, "N": "inf", "eps": 0.4})
         path = write_cfg(tmp_path, "c.json", cfg)

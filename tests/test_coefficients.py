@@ -7,7 +7,7 @@ from cdcheck.coefficients import (b_coeff, beta, check_limits,
                                   classical_distortion, frak_b, log_beta,
                                   require_conjugate_radius)
 from cdcheck.errors import PreconditionError
-from cdcheck.params import diam_kappa, s_kappa, validate_params
+from cdcheck.params import diam_kappa, validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)

@@ -1,8 +1,8 @@
-"""Every name a cdcheck module imports is used in that module, and the
-CLI starts without scipy.optimize.
+"""Every name a cdcheck module imports is used in that module, no module
+imports scipy, and the CLI starts without loading scipy.
 
 An AST scan stands in for a linter's unused-import rule. ``__init__.py``
-is skipped because its imports are the package's re-exports, and
+is skipped there because its imports are the package's re-exports, and
 ``from __future__`` imports bind no name.
 """
 
@@ -16,8 +16,8 @@ import pytest
 
 import cdcheck
 
-MODULES = sorted(p for p in Path(cdcheck.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+ALL_MODULES = sorted(Path(cdcheck.__file__).parent.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -41,13 +41,31 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # the package needs numpy only; scipy is a test dependency
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [m for m in _imported_modules(tree)
+            if m.split(".")[0] == "scipy"] == []
+
+
 def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize serves only solve_discrete_ot and would make up most
-    # of the CLI's start-up time; it is imported there, on first use
+    # the core is numpy-only, so starting the CLI loads no scipy module
     src = str(Path(cdcheck.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, cdcheck.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, cdcheck.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

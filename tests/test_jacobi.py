@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -192,7 +190,7 @@ class TestConcavity:
     def test_beta_form_matches_sratio_form(self, sphere2):
         # margin (iii) rewritten through beta powers must agree with the
         # s-ratio recombination of margin (ii) on the same grid
-        from cdcheck.jacobi import _partials_from_f, concavity_margins
+        from cdcheck.jacobi import _partials_from_f
 
         p = validate_params(2, 4, 0.3)
         w = weight_preset(sphere2, "cosine(0.2)")

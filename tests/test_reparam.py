@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cdcheck.params import validate_params
-from cdcheck.reparam import (reparam_distance, reparam_partial,
-                             reparam_profile, tau_reparam)
+from cdcheck.reparam import reparam_distance, reparam_partial, reparam_profile
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
 
@@ -104,22 +103,6 @@ class TestDistance:
         for i in range(0, len(ss), 97):
             direct = reparam_partial(flat2, w, p, seg, ss[i] / seg.length)
             assert prof[i] == pytest.approx(direct, abs=1e-9)
-
-
-class TestHorizon:
-    def test_round_sphere(self):
-        sp = make_space("sphere", 2)
-        p = validate_params(2, 2, 1.0)
-        x = np.array([0.0, 0.0, 1.0])
-        v = sp.frame(x)[0]
-        tau = tau_reparam(sp, constant_weight(0.0), p, x, v)
-        assert tau == pytest.approx(math.pi, rel=1e-6)
-
-    def test_flat_infinite(self, flat2):
-        p = validate_params(2, 4, 0.5)
-        tau = tau_reparam(flat2, constant_weight(0.0), p,
-                          np.zeros(2), np.array([1.0, 0.0]))
-        assert math.isinf(tau)
 
 
 class TestCurvedSpaces:

@@ -6,7 +6,7 @@ import pytest
 from cdcheck.errors import ConfigError, CutLocusError
 from cdcheck.params import validate_params
 from cdcheck.spaces import (check_curvature_bound, constant_weight,
-                            make_space, ricci_fN, segment_between,
+                            grad_sup, make_space, ricci_fN, segment_between,
                             weight_preset)
 
 
@@ -130,6 +130,17 @@ class TestWeights:
         u = sp.sample_unit(rng, x)
         v = sp.sample_unit(rng, x)
         assert w.hess(x, u, v) == pytest.approx(w.hess(x, v, u), rel=1e-6)
+
+    def test_grad_sup_is_riemannian(self):
+        # f = x_1 on H^3: the Euclidean components of grad f are y^2 e_1,
+        # whose Riemannian length is y
+        sp = make_space("hyperbolic", 3)
+        w = weight_preset(sp, "linear(1)")
+        x = np.array([0.0, 0.0, 2.0])
+        assert np.linalg.norm(w.grad(x)) == pytest.approx(4.0, rel=1e-8)
+        assert grad_sup(sp, w, [x]) == pytest.approx(2.0, rel=1e-8)
+        lower = np.array([0.5, 0.0, 1.0])
+        assert grad_sup(sp, w, [lower, x]) == pytest.approx(2.0, rel=1e-8)
 
 
 class TestRicci:

@@ -10,9 +10,8 @@ from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import constant_weight, make_space, weight_preset
-from cdcheck.taylor import (SLOPE_MIN, TERMS, check_F_identity,
-                            check_limit_bound, check_series, f_of_theta,
-                            theta_eps)
+from cdcheck.taylor import (TERMS, check_F_identity, check_limit_bound,
+                            check_series, f_of_theta, theta_eps)
 
 EUC3 = make_space("euclidean", 3)
 SPHERE = make_space("sphere", 2, radius=1.0)
