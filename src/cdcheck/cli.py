@@ -42,6 +42,48 @@ _GEOMETRY_KEYS = {"line": {"kind", "f1", "lo", "hi", "points"},
                   "meridian": {"kind", "f1", "points"}}
 
 
+def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
+    """Check: a finite number of type ``kind`` in [lo, hi]."""
+    return lambda v: (isinstance(v, kind) and not isinstance(v, bool)
+                      and math.isfinite(v) and lo <= v <= hi)
+
+
+def _list(item, count=None):
+    """Check: a non-empty list of ``item``s, ``count`` long if given."""
+    return lambda v: (isinstance(v, list) and len(v) > 0
+                      and count in (None, len(v)) and all(map(item, v)))
+
+
+_REAL, _PAIR = _real(), _list(_real(), 2)
+_DENSITY = {"kind": lambda v: v in ("bump", "uniform", "cosine"),
+            "center": _REAL, "width": _REAL, "amplitude": _REAL, "bounds": _PAIR}
+# value checks of the config fields, applied where a field is present; a
+# dict holds the checks of a nested object's fields
+_FIELDS = {
+    "kappa": _REAL, "weight": lambda v: isinstance(v, str),
+    "space": {"dim": _real(2, kind=int), "radius": _REAL, "scale": _REAL},
+    "params": {"n": _REAL, "eps": _REAL,
+               "N": lambda v: v == math.inf or _REAL(v) or isinstance(v, str)},
+    "sampling": {"trials": _real(1, kind=int), "seed": _real(0, kind=int),
+                 "steps": _real(2, kind=int), "t_grid": _list(_real(0, 1)),
+                 "theta_range": _PAIR,
+                 "region": {"radius": _REAL, "center": _list(_REAL)}},
+    "tolerances": dict.fromkeys(SUITES, _real(0)),
+    "geometry": {"points": _real(16, kind=int), "lo": _REAL, "hi": _REAL},
+    "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
+    "regions": {"radii": _PAIR, "bounds": _list(_PAIR, 2)},
+    "interpolation": {"t": _real(0, 1), "X": _PAIR, "Y": _PAIR},
+    "functional": {"delta": _REAL, "density": _DENSITY},
+}
+
+
+def _valid(obj, checks) -> bool:
+    """Whether ``obj`` is an object whose present fields pass ``checks``."""
+    return isinstance(obj, dict) and all(
+        _valid(obj[key], ok) if isinstance(ok, dict) else ok(obj[key])
+        for key, ok in checks.items() if key in obj)
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
@@ -59,24 +101,15 @@ def resolve_config(cfg: dict) -> dict:
             raise ConfigError(f"missing config field: {key}")
     if cfg["suite"] not in SUITES:
         raise ConfigError(f"unknown suite: {cfg['suite']}")
-    kappa = cfg["kappa"]
-    if (not isinstance(kappa, (int, float)) or isinstance(kappa, bool)
-            or not math.isfinite(kappa)):
-        raise ConfigError(f"kappa must be a finite number, got {kappa!r}")
+    bad = [key for key in _FIELDS if not _valid(cfg, {key: _FIELDS[key]})]
+    if bad:
+        raise ConfigError(f"invalid {bad[0]}: {cfg[bad[0]]!r}")
     out = dict(cfg)
     out.setdefault("weight", "zero")
-    if not isinstance(cfg.get("sampling", {}), dict):
-        raise ConfigError("sampling must be an object")
     sampling = dict(_DEFAULT_SAMPLING)
     sampling.update(cfg.get("sampling", {}))
-    trials = sampling["trials"]
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"sampling.trials must be a positive integer,"
-                          f" got {trials!r}")
     out["sampling"] = sampling
     out.setdefault("tolerances", {})
-    if not isinstance(cfg["params"], dict):
-        raise ConfigError("params must be an object")
     missing = {"n", "N", "eps"} - set(cfg["params"])
     if missing:
         raise ConfigError(f"missing params fields: {sorted(missing)}")
@@ -91,22 +124,16 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError("space spec needs kind and dim")
     out["space"] = sp
     # materialize the objects once to surface validation errors early
-    validate_params(p["n"], p["N"], p["eps"])
-    space = make_space(sp["kind"], sp["dim"],
-                       **{k: v for k, v in sp.items()
-                          if k not in ("kind", "dim")})
+    space, _, _ = _build(out)
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
-    weight_preset(space, out["weight"])
     if "geometry" in cfg:
         _check_geometry(cfg["geometry"])
     return out
 
 
 def _check_geometry(g):
-    if not isinstance(g, dict):
-        raise ConfigError("geometry must be an object")
     kind = g.get("kind", "line")
     if kind not in _GEOMETRY_KEYS:
         raise ConfigError(f"unknown geometry kind: {kind}")
@@ -162,11 +189,8 @@ def _axis_density(geometry, spec) -> DensityField:
         lo, hi = spec["bounds"]
         return density_from_callable(
             geometry, lambda x: ((x >= lo) & (x <= hi)).astype(float))
-    if kind == "cosine":
-        a = spec.get("amplitude", 0.1)
-        return density_from_callable(geometry,
-                                     lambda th: 1.0 + a * np.cos(th))
-    raise ConfigError(f"unknown density kind: {kind}")
+    a = spec.get("amplitude", 0.1)  # kind "cosine"
+    return density_from_callable(geometry, lambda th: 1.0 + a * np.cos(th))
 
 
 # ----------------------------------------------------------------------

@@ -51,10 +51,6 @@ class AxisGeometry:
         self.m_density = raw / self.mass_norm
         self._g_cache: dict[float, np.ndarray] = {}
 
-    # geodesic distance between axis points
-    def distance(self, x, y):
-        return np.abs(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-
     def _g_table(self, a: float) -> np.ndarray:
         """Antiderivative G(x) = int_lo^x e^{-a f1}; makes every d_t O(1)."""
         tab = self._g_cache.get(a)

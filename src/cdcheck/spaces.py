@@ -5,8 +5,9 @@ radius (points stored as embedding vectors in R^{d+1}), and hyperbolic
 space in upper-half-space coordinates (last coordinate positive). All
 geodesic, log-map, and frame operations are closed form.
 
-Weight functions carry value/gradient/Hessian access, either analytic
-(the named presets) or by geodesic finite differences.
+Weight functions carry value, Riemannian gradient and Hessian access;
+every named preset has closed-form derivatives on every space it is
+defined on (no finite differences).
 """
 
 from __future__ import annotations
@@ -337,74 +338,30 @@ def segment_between(space: ModelSpace, x, y) -> GeodesicSegment:
 
 
 class WeightFunction:
-    """Smooth density exponent f with gradient and Hessian access.
+    """Smooth density exponent f with closed-form gradient and Hessian.
 
-    ``eval`` is vectorized over leading axes. Analytic instances supply
-    vectorized ``grad`` and ``hess``; finite-difference instances use
-    geodesic central differences (gradient step 1e-5*(1+|x|), Hessian
-    step 1e-4*(1+|x|)).
+    ``eval``, ``grad`` and ``hess`` are vectorized over leading axes.
+    ``grad`` returns the Riemannian gradient vector in the space's point
+    coordinates, so g(grad f, v) is ``space.inner(x, grad f, v)``;
+    ``hess(x, u, w)`` is the Riemannian Hessian Hess f(u, w).
     """
 
-    def __init__(self, eval_fn, grad_fn=None, hess_fn=None, *, space=None,
-                 mode="analytic", is_constant=False, name="custom"):
+    def __init__(self, eval_fn, grad_fn, hess_fn, *, is_constant=False,
+                 name="custom"):
         self._eval = eval_fn
         self._grad = grad_fn
         self._hess = hess_fn
-        self._space = space
-        self.mode = mode
         self.is_constant = is_constant
         self.name = name
-        if mode == "finite-difference" and space is None:
-            raise ConfigError("finite-difference weights need the model space")
 
     def eval(self, x):
         return self._eval(np.asarray(x, dtype=float))
 
     def grad(self, x):
-        if self._grad is not None:
-            return self._grad(np.asarray(x, dtype=float))
-        return self._fd_grad(np.asarray(x, dtype=float))
+        return self._grad(np.asarray(x, dtype=float))
 
     def hess(self, x, u, w):
-        if self._hess is not None:
-            return self._hess(np.asarray(x, dtype=float), np.asarray(u, float), np.asarray(w, float))
-        return self._fd_hess(np.asarray(x, dtype=float), np.asarray(u, float), np.asarray(w, float))
-
-    # -- finite differences along geodesics ----------------------------
-    def _fd_grad(self, x):
-        if x.ndim > 1:
-            return np.stack([self._fd_grad(p) for p in x])
-        sp = self._space
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-        fr = sp.frame(x)
-        g = np.zeros(sp.ambient)
-        for e in fr:
-            df = (self.eval(sp.geodesic(x, e, h)) - self.eval(sp.geodesic(x, -e, h))) / (2 * h)
-            g += float(df) * e
-        return g
-
-    def _second_along(self, x, e, h):
-        f0 = float(self.eval(x))
-        fp = float(self.eval(self._space.geodesic(x, e, h)))
-        fm = float(self.eval(self._space.geodesic(x, -e, h)))
-        return (fp - 2.0 * f0 + fm) / h**2
-
-    def _quadratic(self, x, u):
-        """Hess f(u, u) for a general tangent u via the unit geodesic."""
-        sp = self._space
-        nu = sp.norm(x, u)
-        if nu < 1e-14:
-            return 0.0
-        h = 1e-4 * (1.0 + np.linalg.norm(x))
-        return nu**2 * self._second_along(x, np.asarray(u) / nu, h)
-
-    def _fd_hess(self, x, u, w):
-        if x.ndim > 1:
-            return np.array([self._fd_hess(p, uu, ww) for p, uu, ww in zip(x, u, w)])
-        quu = self._quadratic(x, u)
-        qww = self._quadratic(x, w)
-        qpm = self._quadratic(x, np.asarray(u) + np.asarray(w))
-        return 0.5 * (qpm - quu - qww)
+        return self._hess(np.asarray(x, dtype=float), np.asarray(u, float), np.asarray(w, float))
 
 
 def grad_sup(space: ModelSpace, weight: WeightFunction, points) -> float:
@@ -485,19 +442,22 @@ def _sphere_linear(space: Sphere, a: float) -> WeightFunction:
     def theta(x):
         return np.arccos(np.clip(x[..., -1] / R, -1.0, 1.0))
 
-    def ev(x):
-        return a * theta(x)
-
-    def gr(x):
+    def grad_theta(x):
         z = x[..., -1]
         w = axis - z[..., None] * x / R**2
         nw = np.linalg.norm(w, axis=-1)
         nw = np.where(nw < 1e-300, 1.0, nw)
-        return -(a / R) * w / nw[..., None]
+        return -(w / nw[..., None]) / R
+
+    def ev(x):
+        return a * theta(x)
+
+    def gr(x):
+        return a * grad_theta(x)
 
     def he(x, u, w):
         th = theta(x)
-        gth = gr(x) / a  # unit co-vector of theta, scaled
+        gth = grad_theta(x)
         cot = np.cos(th) / np.sin(th)
         guv = np.sum(u * w, axis=-1)
         du = np.sum(gth * u, axis=-1)
@@ -507,11 +467,33 @@ def _sphere_linear(space: Sphere, a: float) -> WeightFunction:
     return WeightFunction(ev, gr, he, name=f"linear({a})")
 
 
+def _hyperbolic(space: Hyperbolic, flat: WeightFunction) -> WeightFunction:
+    """A Euclidean coordinate weight on H^n, whose metric (s/y)^2 |dx|^2 is
+    conformal: grad f = (y/s)^2 Df, and the Christoffel symbols of the
+    factor give Hess f(u, w) = D^2 f(u, w)
+    + (u.Df w_y + w.Df u_y - (u.w) D_y f) / y."""
+    s = space.scale
+
+    def gr(x):
+        return (x[..., -1:] / s) ** 2 * flat.grad(x)
+
+    def he(x, u, w):
+        df = flat.grad(x)
+        ud = np.sum(u * df, axis=-1)
+        wd = np.sum(w * df, axis=-1)
+        uw = np.sum(u * w, axis=-1)
+        return flat.hess(x, u, w) + (ud * w[..., -1] + wd * u[..., -1]
+                                     - uw * df[..., -1]) / x[..., -1]
+
+    return WeightFunction(flat.eval, gr, he, name=flat.name)
+
+
 _PRESET_RE = re.compile(r"^([a-z]+)(?:[:(]([-+0-9.eE]+)\)?)?$")
 
 
 def weight_preset(space: ModelSpace, spec: str) -> WeightFunction:
-    """Named weight presets: zero, linear(a), quadratic(a), cosine(a)."""
+    """Named weight presets: zero, constant(a), linear(a), quadratic(a),
+    cosine(a) (sphere only)."""
     m = _PRESET_RE.match(spec.strip())
     if not m:
         raise ConfigError(f"cannot parse weight preset: {spec!r}")
@@ -520,24 +502,21 @@ def weight_preset(space: ModelSpace, spec: str) -> WeightFunction:
         return constant_weight(0.0)
     if name == "constant":
         return constant_weight(arg)
-    if name == "linear":
-        if isinstance(space, Euclidean):
-            return _euclidean_linear(arg)
-        if isinstance(space, Sphere):
-            return _sphere_linear(space, arg)
-        return WeightFunction(lambda x: arg * x[..., 0], space=space,
-                              mode="finite-difference", name=f"linear({arg})")
-    if name == "quadratic":
-        if isinstance(space, Euclidean):
-            return _euclidean_quadratic(arg)
-        fn = lambda x: 0.5 * arg * np.sum(x * x, axis=-1)
-        return WeightFunction(fn, space=space, mode="finite-difference",
-                              name=f"quadratic({arg})")
     if name == "cosine":
         if not isinstance(space, Sphere):
             raise ConfigError("cosine weight is defined on the sphere only")
         return _sphere_cosine(space, arg)
-    raise ConfigError(f"unknown weight preset: {name}")
+    if name not in ("linear", "quadratic"):
+        raise ConfigError(f"unknown weight preset: {name}")
+    if isinstance(space, Sphere):
+        if name == "linear":
+            return _sphere_linear(space, arg)
+        # |x| = R on the sphere, so a |x|^2 / 2 is the constant a R^2 / 2
+        weight = constant_weight(0.5 * arg * space.radius**2)
+        weight.name = f"quadratic({arg})"
+        return weight
+    flat = (_euclidean_linear if name == "linear" else _euclidean_quadratic)(arg)
+    return _hyperbolic(space, flat) if isinstance(space, Hyperbolic) else flat
 
 
 def ricci_fN(space: ModelSpace, weight: WeightFunction, params: DimensionParams,

@@ -73,9 +73,21 @@ class TestValidate:
          "space": {"kind": "sphere", "dim": 2},
          "params": {"n": 2, "N": 2.0, "eps": 1.0},
          "geometry": {"kind": "meridian", "lo": 0.0}},
+        {"weight": 5},
+        {"space": {"kind": "sphere", "dim": 3, "radius": "x"}},
+        {"suite": "twcd", "sampling": {"t_grid": "abc"}},
+        {"sampling": {"trials": 200, "seed": 0, "steps": "x"}},
+        {"suite": "twcd", "geometry": {"kind": "line", "points": "x"}},
+        {"suite": "twcd", "densities": [{"kind": "bump"}]},
+        {"suite": "twcd", "tolerances": {"twcd": "x"}},
+        {"suite": "bm", "regions": 5},
+        {"suite": "interpolation", "interpolation": {"t": "x"}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
-            "meridian-window"])
+            "meridian-window", "weight-number", "radius-string",
+            "t-grid-string", "steps-string", "points-string",
+            "one-density", "tolerance-string", "regions-number",
+            "interpolation-t-string"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -92,6 +104,17 @@ class TestValidate:
 
 
 class TestRunExitCodes:
+    def test_sphere_zero_linear_weight_passes(self, tmp_path):
+        # linear(0) is the zero weight: Ric = 1 >= kappa / c = 0.36
+        cfg = sphere_cfg(suite="curvature", weight="linear(0)",
+                         params={"n": 2, "N": 4.0, "eps": 0.5})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 0
+        rep = json.loads((out / "curvature_report.json").read_text())
+        assert rep["reports"][0]["min_margin"] is not None
+
     def test_sphere_jacobian_passes(self, tmp_path):
         cfg = {
             "space": {"kind": "sphere", "dim": 2, "radius": 1.0},

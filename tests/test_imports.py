@@ -1,15 +1,18 @@
-"""Every name a cdcheck module imports is used in that module, no module
-imports scipy, and the CLI starts without loading scipy.
+"""Every name a cdcheck module imports is used in that module, every
+function, method and class it defines has a caller, no module imports
+scipy, and the CLI starts without loading scipy.
 
-An AST scan stands in for a linter's unused-import rule. ``__init__.py``
-is skipped there because its imports are the package's re-exports, and
-``from __future__`` imports bind no name.
+AST scans stand in for a linter's unused-import and dead-code rules.
+``__init__.py`` is skipped in the import scan because its imports are the
+package's re-exports, and ``from __future__`` imports bind no name.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,10 @@ import cdcheck
 
 ALL_MODULES = sorted(Path(cdcheck.__file__).parent.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+REPO = Path(__file__).resolve().parent.parent
+# every file that may call into the package: src, tests and the benchmark
+CALLERS = (ALL_MODULES + sorted(REPO.glob("tests/*.py"))
+           + sorted(REPO.glob("perfbench/*.py")))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -39,6 +46,47 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _references(tree: ast.AST):
+    """Names a tree refers to: variables, attributes, and the parts of
+    dotted-name strings (the benchmark's tracer names functions that way).
+    Import statements refer to nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            yield from node.value.split(".")
+
+
+def _dead_definitions(modules, callers) -> list[str]:
+    refs = Counter()
+    for path in callers:
+        refs.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    dead = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name)
+                    and refs[node.name] == Counter(_references(node))[node.name]):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_no_dead_definitions():
+    # a definition whose name is referenced only inside its own body has no
+    # caller (dunder methods are called by the interpreter)
+    assert _dead_definitions(ALL_MODULES, CALLERS) == []
+
+
+def test_dead_definition_scan_sees_an_uncalled_function(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def used():\n    return 1\n\n\n"
+                   "def unused(n):\n    return unused(n - 1) if n else used()\n")
+    assert _dead_definitions([mod], [mod]) == ["mod.py:5 unused"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

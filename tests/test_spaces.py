@@ -81,15 +81,26 @@ class TestLogMap:
             segment_between(sp, x, -x)
 
 
+def _cases(*cases):
+    """(kind, dim, space options, preset) cases, with ids that name the
+    options only when there are any."""
+    ids = ["-".join([kind, str(dim), preset] + [f"{k}{v:g}" for k, v in kw.items()])
+           for kind, dim, kw, preset in cases]
+    return pytest.mark.parametrize("kind,dim,kw,preset", cases, ids=ids)
+
+
 class TestWeights:
-    @pytest.mark.parametrize("kind,dim,preset", [
-        ("euclidean", 2, "linear(0.7)"),
-        ("euclidean", 3, "quadratic(0.4)"),
-        ("sphere", 2, "cosine(0.3)"),
-        ("sphere", 2, "linear(0.2)"),
-    ])
-    def test_gradient_matches_fd(self, kind, dim, preset):
-        sp = make_space(kind, dim)
+    @_cases(
+        ("euclidean", 2, {}, "linear(0.7)"),
+        ("euclidean", 3, {}, "quadratic(0.4)"),
+        ("sphere", 2, {}, "cosine(0.3)"),
+        ("sphere", 2, {}, "linear(0.2)"),
+        ("hyperbolic", 3, {}, "linear(0.7)"),
+        ("hyperbolic", 3, {}, "quadratic(0.4)"),
+        ("hyperbolic", 3, {"scale": 2.0}, "quadratic(0.4)"),
+    )
+    def test_gradient_matches_fd(self, kind, dim, kw, preset):
+        sp = make_space(kind, dim, **kw)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -100,16 +111,20 @@ class TestWeights:
             h = 1e-6
             fd = (w.eval(sp.geodesic(x, v, h))
                   - w.eval(sp.geodesic(x, v, -h))) / (2 * h)
-            assert np.dot(w.grad(x), v) == pytest.approx(fd, abs=1e-6)
+            # grad f is the Riemannian gradient: g(grad f, v) = df(v)
+            assert sp.inner(x, w.grad(x), v) == pytest.approx(fd, abs=1e-6)
 
-    @pytest.mark.parametrize("kind,dim,preset", [
-        ("euclidean", 2, "quadratic(0.5)"),
-        ("sphere", 2, "cosine(0.4)"),
-        ("sphere", 2, "linear(0.2)"),
-    ])
-    def test_hessian_matches_geodesic_fd(self, kind, dim, preset):
+    @_cases(
+        ("euclidean", 2, {}, "quadratic(0.5)"),
+        ("sphere", 2, {}, "cosine(0.4)"),
+        ("sphere", 2, {}, "linear(0.2)"),
+        ("hyperbolic", 3, {}, "linear(0.7)"),
+        ("hyperbolic", 3, {}, "quadratic(0.4)"),
+        ("hyperbolic", 3, {"scale": 2.0}, "quadratic(0.4)"),
+    )
+    def test_hessian_matches_geodesic_fd(self, kind, dim, kw, preset):
         # nabla^2 f(v,v) = (f o gamma)''(0) for unit-speed geodesics
-        sp = make_space(kind, dim)
+        sp = make_space(kind, dim, **kw)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -130,6 +145,39 @@ class TestWeights:
         u = sp.sample_unit(rng, x)
         v = sp.sample_unit(rng, x)
         assert w.hess(x, u, v) == pytest.approx(w.hess(x, v, u), rel=1e-6)
+
+    @pytest.mark.parametrize("preset", ["linear(0.7)", "quadratic(0.4)"])
+    def test_hyperbolic_hessian_symmetry(self, preset):
+        sp = make_space("hyperbolic", 3, scale=2.0)
+        w = weight_preset(sp, preset)
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            x = sp.sample_point(rng)
+            u = sp.sample_unit(rng, x)
+            v = sp.sample_unit(rng, x)
+            assert w.hess(x, u, v) == pytest.approx(w.hess(x, v, u), rel=1e-12)
+
+    def test_sphere_quadratic_is_constant(self):
+        # |x| = R on the sphere, so f = a |x|^2 / 2 = a R^2 / 2
+        sp = make_space("sphere", 2, radius=2.0)
+        w = weight_preset(sp, "quadratic(0.6)")
+        assert w.is_constant and w.name == "quadratic(0.6)"
+        rng = np.random.default_rng(12)
+        xs = np.stack([sp.sample_point(rng) for _ in range(10)])
+        vs = np.stack([sp.sample_unit(rng, x) for x in xs])
+        np.testing.assert_allclose(w.eval(xs), 1.2, rtol=1e-15)
+        np.testing.assert_array_equal(w.grad(xs), 0.0)
+        np.testing.assert_array_equal(w.hess(xs, vs, vs), 0.0)
+
+    def test_sphere_linear_zero_is_flat(self):
+        # the Hessian's co-vector is grad theta itself, not grad f / a
+        sp = make_space("sphere", 2)
+        w = weight_preset(sp, "linear(0)")
+        rng = np.random.default_rng(13)
+        xs = np.stack([sp.sample_point(rng) for _ in range(10)])
+        vs = np.stack([sp.sample_unit(rng, x) for x in xs])
+        np.testing.assert_array_equal(w.grad(xs), 0.0)
+        np.testing.assert_array_equal(w.hess(xs, vs, vs), 0.0)
 
     def test_grad_sup_is_riemannian(self):
         # f = x_1 on H^3: the Euclidean components of grad f are y^2 e_1,
