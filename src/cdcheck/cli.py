@@ -27,8 +27,7 @@ from .ot import (DensityField, LineGeometry, MeridianGeometry,
                  density_from_callable)
 from .params import validate_params
 from .report import CheckReport, canonical_json, report_hash
-from .spaces import (_PRESET_RE, check_curvature_bound, make_space,
-                     weight_preset)
+from .spaces import check_curvature_bound, make_space, weight_preset
 
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
@@ -40,6 +39,10 @@ _DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
                      "t_grid": [0.1, 0.25, 0.5, 0.75, 0.9]}
 _GEOMETRY_KEYS = {"line": {"kind", "f1", "lo", "hi", "points"},
                   "meridian": {"kind", "f1", "points"}}
+_GEOMETRIES = {"line": LineGeometry, "meridian": MeridianGeometry}
+# the intervals the bm and interpolation suites place on the axis by default
+_BM_BOUNDS = [(-1.0, -0.25), (0.25, 1.0)]
+_INTERPOLATION_X, _INTERPOLATION_Y = (-1.0, -0.2), (0.2, 1.0)
 
 
 def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
@@ -54,13 +57,13 @@ def _list(item, count=None):
                       and count in (None, len(v)) and all(map(item, v)))
 
 
-_REAL, _PAIR = _real(), _list(_real(), 2)
+_REAL, _PAIR, _STR = _real(), _list(_real(), 2), lambda v: isinstance(v, str)
 _DENSITY = {"kind": lambda v: v in ("bump", "uniform", "cosine"),
             "center": _REAL, "width": _REAL, "amplitude": _REAL, "bounds": _PAIR}
 # value checks of the config fields, applied where a field is present; a
 # dict holds the checks of a nested object's fields
 _FIELDS = {
-    "kappa": _REAL, "weight": lambda v: isinstance(v, str),
+    "kappa": _REAL, "weight": _STR,
     "space": {"dim": _real(2, kind=int), "radius": _REAL, "scale": _REAL},
     "params": {"n": _REAL, "eps": _REAL,
                "N": lambda v: v == math.inf or _REAL(v) or isinstance(v, str)},
@@ -69,7 +72,8 @@ _FIELDS = {
                  "theta_range": _PAIR,
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(SUITES, _real(0)),
-    "geometry": {"points": _real(16, kind=int), "lo": _REAL, "hi": _REAL},
+    "geometry": {"points": _real(16, kind=int), "lo": _REAL, "hi": _REAL,
+                 "f1": _STR},
     "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
     "regions": {"radii": _PAIR, "bounds": _list(_PAIR, 2)},
     "interpolation": {"t": _real(0, 1), "X": _PAIR, "Y": _PAIR},
@@ -128,19 +132,40 @@ def resolve_config(cfg: dict) -> dict:
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
-    if "geometry" in cfg:
-        _check_geometry(cfg["geometry"])
+    _check_axis(out, space)
     return out
 
 
-def _check_geometry(g):
+def _check_axis(cfg, space):
+    """Check the axis geometry and the intervals the config's suite places
+    on it, without building its grid."""
+    g = cfg.get("geometry", {})
     kind = g.get("kind", "line")
     if kind not in _GEOMETRY_KEYS:
         raise ConfigError(f"unknown geometry kind: {kind}")
     unknown = set(g) - _GEOMETRY_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown {kind} geometry fields: {sorted(unknown)}")
-    _axis_weight(g.get("f1", "zero"))
+    weight_preset(_GEOMETRIES[kind].space, g.get("f1", "zero"))
+    if kind == "meridian" and (space.dim, space.sec) != (2, 1.0):
+        raise ConfigError("a meridian geometry needs the unit S^2 space")
+    lo, hi = ((0.0, math.pi) if kind == "meridian"
+              else (g.get("lo", -2.0), g.get("hi", 2.0)))
+    regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
+    if regions.get("kind") == "ball" and "radii" not in regions:
+        raise ConfigError("ball regions need radii")
+    spans = [d.get("bounds") for d in cfg.get("densities", [])
+             + [cfg.get("functional", {}).get("density", {})]
+             if d.get("kind") == "uniform"]
+    if cfg["suite"] in ("bm", "all") and regions.get("kind") != "ball":
+        spans += regions.get("bounds", _BM_BOUNDS)
+    if cfg["suite"] in ("interpolation", "all"):
+        spans += [icfg.get("X", _INTERPOLATION_X),
+                  icfg.get("Y", _INTERPOLATION_Y)]
+    for span in spans:
+        if not (span and lo <= min(span) <= max(span) <= hi):
+            raise ConfigError(f"axis interval {span} is missing or leaves"
+                              f" the {kind} window [{lo:g}, {hi:g}]")
 
 
 def _build(cfg):
@@ -156,26 +181,8 @@ def _build(cfg):
 
 def _build_geometry(cfg):
     """The axis geometry of a resolved config (its keys are checked there)."""
-    g = dict(cfg.get("geometry", {"kind": "line"}))
-    meridian = g.pop("kind", "line") == "meridian"
-    f1 = _axis_weight(g.pop("f1", "zero"))
-    return (MeridianGeometry if meridian else LineGeometry)(f1, **g)
-
-
-def _axis_weight(spec):
-    m = _PRESET_RE.match(str(spec).strip())
-    if not m:
-        raise ConfigError(f"cannot parse axis weight: {spec!r}")
-    name, arg = m.group(1), float(m.group(2)) if m.group(2) else 1.0
-    if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "constant":
-        return lambda x: np.full_like(np.asarray(x, dtype=float), arg)
-    if name == "linear":
-        return lambda x: arg * np.asarray(x, dtype=float)
-    if name == "quadratic":
-        return lambda x: 0.5 * arg * np.asarray(x, dtype=float) ** 2
-    raise ConfigError(f"unknown axis weight preset: {name}")
+    g = dict(cfg.get("geometry", {}))
+    return _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
 
 
 def _axis_density(geometry, spec) -> DensityField:
@@ -274,28 +281,18 @@ def _run_twcd(cfg, params, out_dir):
 
 
 def _run_bm(cfg, space, weight, params):
-    regions = cfg.get("regions")
+    regions = cfg.get("regions", {})
     tol = cfg["tolerances"].get("bm", 1e-6)
-    t_grid = cfg["sampling"]["t_grid"]
-    reports = []
-    if regions and regions.get("kind") == "ball":
-        for t in t_grid:
-            pair = suites.RegionPair(
-                {"kind": "ball", "radius": regions["radii"][0]},
-                {"kind": "ball", "radius": regions["radii"][1]}, t)
-            reports.append(suites.check_brunn_minkowski(
-                pair, space, weight, params, cfg["kappa"], tol=tol))
+    if regions.get("kind") == "ball":
+        X, Y = ({"kind": "ball", "radius": r} for r in regions["radii"])
+        where = (space, weight)
     else:
-        geometry = _build_geometry(cfg)
-        bounds = (regions or {}).get("bounds",
-                                     [(-1.0, -0.25), (0.25, 1.0)])
-        for t in t_grid:
-            pair = suites.RegionPair(
-                {"kind": "interval", "bounds": tuple(bounds[0])},
-                {"kind": "interval", "bounds": tuple(bounds[1])}, t)
-            reports.append(suites.check_brunn_minkowski(
-                pair, geometry, None, params, cfg["kappa"], tol=tol))
-    return reports
+        X, Y = ({"kind": "interval", "bounds": tuple(b)}
+                for b in regions.get("bounds", _BM_BOUNDS))
+        where = (_build_geometry(cfg), None)
+    return [suites.check_brunn_minkowski(suites.RegionPair(X, Y, t), *where,
+                                         params, cfg["kappa"], tol=tol)
+            for t in cfg["sampling"]["t_grid"]]
 
 
 def _run_interpolation(cfg, params):
@@ -303,13 +300,15 @@ def _run_interpolation(cfg, params):
     icfg = cfg.get("interpolation", {})
     t = icfg.get("t", 0.5)
     p = icfg.get("p", 0.0)
-    X = tuple(icfg.get("X", (-1.0, -0.2)))
-    Y = tuple(icfg.get("Y", (0.2, 1.0)))
+    X = tuple(icfg.get("X", _INTERPOLATION_X))
+    Y = tuple(icfg.get("Y", _INTERPOLATION_Y))
     tol = cfg["tolerances"].get("interpolation", 1e-6)
     psi0 = lambda x: np.exp(-0.5 * ((np.asarray(x) - np.mean(X)) / 0.3) ** 2) \
         * ((np.asarray(x) >= X[0]) & (np.asarray(x) <= X[1]))
     psi1 = lambda y: np.exp(-0.5 * ((np.asarray(y) - np.mean(Y)) / 0.3) ** 2) \
         * ((np.asarray(y) >= Y[0]) & (np.asarray(y) <= Y[1]))
+    # the hypothesis first: the envelope below takes seconds
+    suites._require_curvature(geometry, params, cfg["kappa"])
     psi = envelope_psi(geometry, params, cfg["kappa"], psi0, psi1, X, Y, t, p)
     rep = suites.check_interpolation(geometry, params, cfg["kappa"],
                                      psi0, psi1, psi, X, Y, t, p,
@@ -463,11 +462,13 @@ def _report_payload(cfg: dict, rep: CheckReport) -> dict:
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"invalid seed: {args.seed}")
+            cfg["sampling"]["seed"] = args.seed
     except (CdCheckError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["sampling"]["seed"] = args.seed
     out_dir = Path(args.out_dir or cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -1,11 +1,11 @@
 """Optimal transport and entropy functionals on quasi-1D configurations.
 
-Absolutely continuous measures live on either Euclidean R^n with weight
-f(x) = f1(x_1) and densities depending on x_1 only (the transverse
-factor is shared and the optimal map moves only the first coordinate),
-or rotationally symmetric densities on the round 2-sphere parametrized
-by colatitude. Both reduce to monotone CDF matching on an axis grid with
-reference measure m = base * e^{-f1} / Z.
+Absolutely continuous measures live on a geodesic axis, weighted by a
+preset f of its model space: the x_1-axis of flat space with densities
+in x_1 only (the optimal map moves only the first coordinate), or a
+meridian of the unit 2-sphere with rotationally symmetric densities.
+Both reduce to monotone CDF matching on an axis grid with reference
+measure m = base * e^{-f} / Z.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .params import DimensionParams
 from .quadrature import composite_simpson, cumulative_simpson, neville_extrapolate
+from .spaces import Euclidean, Sphere, weight_preset
 
 
 # ----------------------------------------------------------------------
@@ -27,32 +28,34 @@ from .quadrature import composite_simpson, cumulative_simpson, neville_extrapola
 class AxisGeometry:
     """Shared machinery for 1D-reducible configurations.
 
-    The axis carries a uniform grid, the weight component f1, a base
-    volume factor, and the normalized reference density m(x) so that
-    integral rho * m dx = 1 characterizes a probability density rho
-    relative to the reference measure.
+    The axis is the unit-speed geodesic of the model space ``space`` from
+    ``origin`` along e_1, with e_2 normal to it all along. It carries a
+    uniform grid, the weight preset ``f1`` of ``space`` at the grid
+    points, a base volume factor, and the reference density m(x), which
+    makes integral rho * m dx = 1 the mass condition of a density rho.
     """
 
-    def __init__(self, lo: float, hi: float, points: int, f1: Callable,
-                 base: Callable, kind: str):
+    def __init__(self, f1: str, lo: float, hi: float, points: int,
+                 base: Callable):
         if points < 16:
             raise ConfigError("axis grid needs at least 16 points")
-        self.lo, self.hi = float(lo), float(hi)
         self.xs = np.linspace(lo, hi, points)
         self.dx = self.xs[1] - self.xs[0]
-        self.f1 = f1
-        self.f_vals = np.asarray(f1(self.xs), dtype=float)
-        if self.f_vals.shape != self.xs.shape:
-            self.f_vals = np.full_like(self.xs, float(f1(self.xs[0])))
-        self.base_vals = np.asarray(base(self.xs), dtype=float)
-        self.kind = kind
-        raw = self.base_vals * np.exp(-self.f_vals)
-        self.mass_norm = composite_simpson(raw, self.dx)
-        self.m_density = raw / self.mass_norm
+        self.weight = weight_preset(self.space, f1)
+        self.f_vals = self.weight.eval(self.axis_frame()[0])
+        raw = base(self.xs) * np.exp(-self.f_vals)
+        self.m_density = raw / composite_simpson(raw, self.dx)
         self._g_cache: dict[float, np.ndarray] = {}
 
+    def axis_frame(self):
+        """(points, unit axis tangents, unit normals) of the grid in ``space``."""
+        e1, e2 = np.eye(self.space.ambient)[:2]
+        return (self.space.geodesic(self.origin, e1, self.xs),
+                self.space.velocity(self.origin, e1, self.xs),
+                np.broadcast_to(e2, (self.xs.size, e2.size)))
+
     def _g_table(self, a: float) -> np.ndarray:
-        """Antiderivative G(x) = int_lo^x e^{-a f1}; makes every d_t O(1)."""
+        """Antiderivative G(x) = int_lo^x e^{-a f}; makes every d_t O(1)."""
         tab = self._g_cache.get(a)
         if tab is None:
             tab = cumulative_simpson(np.exp(-a * self.f_vals), self.dx)
@@ -75,23 +78,28 @@ class AxisGeometry:
 
 
 class LineGeometry(AxisGeometry):
-    """Euclidean R^n with weight f(x) = f1(x_1), densities in x_1 only."""
+    """The x_1-axis of the flat plane, densities in x_1 only; ``f1`` is a
+    weight preset of R^2, evaluated at the points (x, 0)."""
 
-    def __init__(self, f1: Callable, lo: float = -2.0, hi: float = 2.0,
+    space, origin = Euclidean(2), np.zeros(2)
+
+    def __init__(self, f1: str, lo: float = -2.0, hi: float = 2.0,
                  points: int = 4096):
-        super().__init__(lo, hi, points, f1, lambda x: np.ones_like(x), "line")
+        super().__init__(f1, lo, hi, points, np.ones_like)
 
 
 class MeridianGeometry(AxisGeometry):
     """Rotationally symmetric densities on the unit 2-sphere.
 
-    The axis is the colatitude in [0, pi]; the base factor sin(theta)
-    is the surface-measure marginal; transport moves along meridians.
+    The axis is the colatitude theta in [0, pi], at the points
+    (sin theta, 0, cos theta), weighted by a preset ``f1`` of the unit
+    sphere; the base factor sin(theta) is the surface-measure marginal.
     """
 
-    def __init__(self, f1: Callable = lambda th: np.zeros_like(th),
-                 points: int = 4096):
-        super().__init__(0.0, math.pi, points, f1, np.sin, "meridian")
+    space, origin = Sphere(2), np.array([0.0, 0.0, 1.0])
+
+    def __init__(self, f1: str = "zero", points: int = 4096):
+        super().__init__(f1, 0.0, math.pi, points, np.sin)
 
 
 @dataclass

@@ -19,7 +19,9 @@ from .params import DimensionParams, c_kappa, s_kappa
 from .ot import (AxisGeometry, DensityField, entropy_functional,
                  fisher_information, monotone_1d_transport, renyi_pointwise,
                  w2_axis)
+from .quadrature import cumulative_simpson
 from .report import CheckReport
+from .spaces import ricci_fN_batch
 
 
 # ----------------------------------------------------------------------
@@ -28,34 +30,24 @@ from .report import CheckReport
 def _curvature_margins(geometry: AxisGeometry, params: DimensionParams,
                        kappa: float):
     """(xs, margins): the margin of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)}
-    at the points xs of the geometry's window, worst case over directions.
+    at the grid points xs of the axis, worst case over unit directions.
 
-    Line geometry: f = f1(x_1) in flat space, so for a unit vector v the
-    weighted Ricci is s (f1'' - f1'^2/(N-n)) with s = v_1^2 in [0, 1].
-    Meridian geometry requires constant f (round-sphere Ricci is 1).
+    Every preset has grad f along the axis and Hess f diagonal in the
+    frame (axis tangent, normal), so Ric_f^N(v) is affine in the squared
+    tangent component of v: its minimum is at one of the two frame vectors.
     """
-    xs, f = geometry.xs, geometry.f_vals
-    rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * f)
-    constant = np.ptp(f) < 1e-12
-    if geometry.kind == "meridian":
-        if not constant:
-            raise PreconditionError(
-                "curvature margin on the sphere needs a constant weight",
-                failed="constant weight")
-        return xs, 1.0 - rhs
-    if constant:
-        return xs, -rhs
-    fp = np.gradient(f, geometry.dx)
-    fpp = np.gradient(fp, geometry.dx)
-    drift = fpp if math.isinf(params.N) else fpp - fp**2 / (params.N - params.n)
-    ric_min = np.minimum(drift, 0.0)  # minimized over the direction split
-    # central differences smear the endpoints; drop two points per side
-    return xs[2:-2], (ric_min - rhs)[2:-2]
+    points, *frame = geometry.axis_frame()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ric = np.min([ricci_fN_batch(geometry.space, geometry.weight, params,
+                                     points, vs) for vs in frame], axis=0)
+    rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * geometry.f_vals)
+    return geometry.xs, ric - rhs
 
 
 def _require_curvature(geometry, params, kappa, hull=None):
     """Worst curvature margin on the window, or on the grid points within
-    one step of ``hull`` = (lo, hi); raises PreconditionError if negative."""
+    one step of ``hull`` = (lo, hi); raises PreconditionError if it is
+    negative or not finite."""
     xs, margins = _curvature_margins(geometry, params, kappa)
     where = "the window"
     if hull is not None:
@@ -64,6 +56,9 @@ def _require_curvature(geometry, params, kappa, hull=None):
         if near.any():
             margins = margins[near]
             where = f"the hull [{lo:g}, {hi:g}] of the regions"
+    if not np.isfinite(margins).all():
+        raise PreconditionError(f"curvature margin is not finite on {where}",
+                                failed="curvature bound")
     margin = float(np.min(margins))
     if margin < 0.0:
         raise PreconditionError(
@@ -140,12 +135,7 @@ class RegionPair:
 
 
 def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
-    from .quadrature import cumulative_simpson
-
-    tab = getattr(geometry, "_m_cumulative", None)
-    if tab is None:
-        tab = cumulative_simpson(geometry.m_density, geometry.dx)
-        geometry._m_cumulative = tab
+    tab = cumulative_simpson(geometry.m_density, geometry.dx)
     a, b = min(lo, hi), max(lo, hi)
     return float(np.interp(b, geometry.xs, tab) - np.interp(a, geometry.xs, tab))
 

@@ -117,7 +117,7 @@ def test_criterion_04_falsification(tmp_path):
 
 def test_criterion_05_displacement_convexity():
     t_grid = np.linspace(0.1, 0.9, 9)
-    g = LineGeometry(lambda x: 0.25 * x**2, lo=-2.0, hi=2.0, points=4096)
+    g = LineGeometry("quadratic(0.5)", lo=-2.0, hi=2.0, points=4096)
     p = validate_params(2, 10, 0.5)
     pairs = [((-0.5, 0.4), (0.5, 0.6)), ((-0.8, 0.3), (0.2, 0.4)),
              ((0.0, 0.5), (0.6, 0.3)), ((-0.3, 0.6), (-0.6, 0.4)),
@@ -133,8 +133,7 @@ def test_criterion_05_displacement_convexity():
 
     # classical reduction: eps = 1, f = 0, N = n against an independently
     # coded CD((N-1) kappa, N) computation
-    gf = LineGeometry(lambda x: np.zeros_like(x), lo=-2.0, hi=2.0,
-                      points=4096)
+    gf = LineGeometry("zero", lo=-2.0, hi=2.0, points=4096)
     n = 2
     pc = validate_params(n, n, 1.0)
     kappa = -0.4
@@ -174,7 +173,7 @@ def test_criterion_06_brunn_minkowski():
         rep = suites.check_brunn_minkowski(pair, euc, constant_weight(0.0),
                                            p, 0.0)
         ok &= rep.min_margin >= -1e-10
-    g = LineGeometry(lambda x: 0.25 * x**2, lo=-2.0, hi=2.0, points=4096)
+    g = LineGeometry("quadratic(0.5)", lo=-2.0, hi=2.0, points=4096)
     pw = validate_params(2, 8, 0.4)
     for t in (0.25, 0.5, 0.75):
         pair = suites.RegionPair({"kind": "interval", "bounds": (-1.0, -0.3)},

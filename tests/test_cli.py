@@ -1,7 +1,9 @@
 """Command-line interface: config validation, exit codes, artifacts."""
 
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,11 @@ def write_cfg(tmp_path, name, cfg):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+S2_ZERO = {"space": {"kind": "sphere", "dim": 2, "radius": 1.0},
+           "weight": "zero", "params": {"n": 2, "N": 6.0, "eps": 0.5},
+           "kappa": 0.5}
 
 
 def base_cfg(suite, **over):
@@ -82,12 +89,25 @@ class TestValidate:
         {"suite": "twcd", "tolerances": {"twcd": "x"}},
         {"suite": "bm", "regions": 5},
         {"suite": "interpolation", "interpolation": {"t": "x"}},
+        {**S2_ZERO, "suite": "twcd", "geometry": {"kind": "meridian"},
+         "space": {"kind": "sphere", "dim": 2, "radius": 2.0}},
+        {"suite": "twcd", "geometry": {"kind": "meridian"}},
+        {**S2_ZERO, "suite": "interpolation", "geometry": {"kind": "meridian"}},
+        {"suite": "bm", "regions": {"bounds": [[-3.0, -1.0], [0.3, 1.0]]}},
+        {"suite": "twcd", "densities": [{"kind": "uniform",
+                                         "bounds": [-3.0, 0.0]},
+                                        {"kind": "bump"}]},
+        {"suite": "twcd", "densities": [{"kind": "uniform"}, {"kind": "bump"}]},
+        {"suite": "bm", "regions": {"kind": "ball"}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
             "t-grid-string", "steps-string", "points-string",
             "one-density", "tolerance-string", "regions-number",
-            "interpolation-t-string"])
+            "interpolation-t-string", "meridian-radius-2", "meridian-on-r3",
+            "interpolation-outside-meridian", "regions-outside-line",
+            "uniform-outside-line", "uniform-without-bounds",
+            "ball-without-radii"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -96,6 +116,23 @@ class TestValidate:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
+        assert main(["run", "--config", path, "--seed", "-1", "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_configs_validate(self, tmp_path, monkeypatch, seed):
+        # the benchmark's configs are a fixed interface of the program
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for name in workloads.NAMES:
+            for k, call in enumerate(workloads.build(name, seed)):
+                path = write_cfg(tmp_path, f"{name}-{k}.json", call.config)
+                assert main(["validate", "--config", path]) == 0, call.name
 
     def test_infinite_N_token(self, tmp_path):
         cfg = base_cfg("curvature", params={"n": 3, "N": "inf", "eps": 0.4})
@@ -158,6 +195,20 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "precondition failed" in capsys.readouterr().err
+
+
+class TestAxisCurvatureHypothesis:
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    @pytest.mark.parametrize("suite", ["twcd", "bm", "interpolation"])
+    def test_N_equals_n_axis_weight_exits_2(self, tmp_path, suite, kappa):
+        # at N = n the weighted Ricci of a non-constant weight is undefined;
+        # the grid point x = 0 once gave a NaN margin that passed as "holds"
+        cfg = base_cfg(suite, weight="zero", kappa=kappa,
+                       params={"n": 3, "N": 3, "eps": 0.5},
+                       geometry={"f1": "quadratic(0.3)", "points": 4097})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 2
 
 
 class TestArtifacts:

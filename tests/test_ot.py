@@ -7,8 +7,7 @@ from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
 from cdcheck.params import validate_params
 
 
-def line(points=4096, lo=-2.0, hi=2.0, f1=None):
-    f1 = f1 or (lambda x: np.zeros_like(x))
+def line(points=4096, lo=-2.0, hi=2.0, f1="zero"):
     return LineGeometry(f1, lo=lo, hi=hi, points=points)
 
 
@@ -35,7 +34,7 @@ class TestMonotoneInterpolation:
             np.testing.assert_allclose(vals, r0.values[core], atol=1e-4)
 
     def test_monge_ampere_consistency(self):
-        g = line(f1=lambda x: 0.5 * x**2)
+        g = line(f1="quadratic(1)")
         r0 = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x + 0.4) ** 2))
         mi = MonotoneInterpolation(r0, r1)
@@ -50,7 +49,7 @@ class TestMonotoneInterpolation:
     def test_particle_oracle(self):
         # deterministic particles: push the u-quantiles of rho0 through the
         # monotone map and recover rho_t from the inverse-CDF derivative
-        g = line(f1=lambda x: 0.5 * x**2, points=16384)
+        g = line(f1="quadratic(1)", points=16384)
         r0 = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x + 0.4) ** 2))
         mi = MonotoneInterpolation(r0, r1)
@@ -72,7 +71,7 @@ class TestMonotoneInterpolation:
         assert np.max(np.abs(est - ref)[mask]) < 1e-4
 
     def test_mass_conserved_along_path(self):
-        g = line(f1=lambda x: 0.3 * x**2, points=8192)
+        g = line(f1="quadratic(0.6)", points=8192)
         r0 = density_from_callable(g, lambda x: np.exp(-3 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.5) ** 2))
         mi = MonotoneInterpolation(r0, r1)
@@ -100,7 +99,7 @@ class TestW2:
         assert w2_axis(r0, r1) == pytest.approx(2.0, abs=1e-6)
 
     def test_symmetry(self):
-        g = line(f1=lambda x: 0.2 * x**2)
+        g = line(f1="quadratic(0.4)")
         r0 = density_from_callable(g, lambda x: np.exp(-2 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.6) ** 2))
         assert w2_axis(r0, r1) == pytest.approx(w2_axis(r1, r0), abs=1e-9)
@@ -116,7 +115,7 @@ class TestEntropy:
 
     def test_classical_renyi_reduction(self):
         # N = n: c/(c+1) = 1/n, H = n - n \int rho^{1-1/n} dm
-        g = line(f1=lambda x: 0.5 * x**2)
+        g = line(f1="quadratic(1)")
         rho = density_from_callable(g, lambda x: np.exp(-(x - 0.2) ** 2))
         n = 2
         p = validate_params(n, n, 0.7)

@@ -6,19 +6,20 @@ import pytest
 from cdcheck.errors import HypothesisError, PreconditionError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable)
 from cdcheck.params import s_kappa, validate_params
-from cdcheck.spaces import constant_weight, make_space
-from cdcheck.suites import (RegionPair, check_brunn_minkowski, check_hwi_lsi,
+from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
+                            weight_preset)
+from cdcheck.suites import (RegionPair, _curvature_margins,
+                            check_brunn_minkowski, check_hwi_lsi,
                             check_interpolation, check_transport_energy,
                             check_twcd, conclusion_exponent, p_mean)
 
 
 def flat_line(points=4096, lo=-2.0, hi=2.0):
-    return LineGeometry(lambda x: np.zeros_like(x), lo=lo, hi=hi,
-                        points=points)
+    return LineGeometry("zero", lo=lo, hi=hi, points=points)
 
 
 def quad_line(a=0.5, points=4096, lo=-2.0, hi=2.0):
-    return LineGeometry(lambda x: 0.5 * a * x**2, lo=lo, hi=hi, points=points)
+    return LineGeometry(f"quadratic({a})", lo=lo, hi=hi, points=points)
 
 
 T_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -113,7 +114,7 @@ class TestBrunnMinkowski:
         assert abs(rep.min_margin) < 1e-9
 
     def test_weighted_intervals_negative_kappa(self):
-        g = LineGeometry(lambda x: x, lo=-2.0, hi=2.0, points=4096)
+        g = LineGeometry("linear(1)", lo=-2.0, hi=2.0, points=4096)
         p = validate_params(2, 6, 0.4)
         pair = RegionPair({"kind": "interval", "bounds": (-1.0, -0.3)},
                           {"kind": "interval", "bounds": (0.3, 1.0)}, 0.5)
@@ -241,9 +242,60 @@ class TestFunctional:
         assert "kappa" in ei.value.failed
 
     def test_nonconstant_weight_flagged(self):
-        g = LineGeometry(lambda x: 0.5 * x**2, lo=-2, hi=2, points=2048)
+        g = LineGeometry("quadratic(1)", lo=-2, hi=2, points=2048)
         p = validate_params(2, 10, 0.5)
         rho = density_from_callable(g, lambda x: np.exp(-x**2))
         with pytest.raises(PreconditionError) as ei:
             check_hwi_lsi(rho, p, 0.5, 10.0)
         assert "constant" in ei.value.failed or "m-constant" in ei.value.failed
+
+
+# (n, N, eps) in each N regime: N < 0, N = 1 (eps = 0), n < N < inf, N = inf
+N_REGIMES = {"N=-2": (2, -2.0, 0.5), "N=1": (2, 1.0, 0.0),
+             "N=6": (2, 6.0, 0.5), "N=inf": (2, math.inf, 0.5)}
+
+
+def _axis_tangent_planes(kind, xs):
+    """Axis points with an orthonormal basis (axis tangent, normal) of the
+    tangent plane there, written out for each axis."""
+    zero, one = np.zeros_like(xs), np.ones_like(xs)
+    if kind == "line":
+        return (make_space("euclidean", 2), np.stack([xs, zero], -1),
+                np.stack([one, zero], -1), np.stack([zero, one], -1))
+    s, c = np.sin(xs), np.cos(xs)
+    return (make_space("sphere", 2), np.stack([s, zero, c], -1),
+            np.stack([c, zero, -s], -1), np.stack([zero, one, zero], -1))
+
+
+class TestAxisCurvature:
+    @pytest.mark.parametrize("regime", list(N_REGIMES))
+    @pytest.mark.parametrize("kind, preset", [
+        ("line", "zero"), ("line", "linear(1)"), ("line", "quadratic(0.5)"),
+        ("line", "quadratic(-0.5)"), ("meridian", "zero"),
+        ("meridian", "cosine(0.3)")])
+    def test_margin_is_the_worst_direction(self, kind, preset, regime):
+        # the two-direction margin equals the minimum of Ric_f^N over 64
+        # unit tangent directions, at 20 axis points
+        p = validate_params(*N_REGIMES[regime])
+        kappa = 0.3
+        g = (LineGeometry(preset, points=401) if kind == "line"
+             else MeridianGeometry(preset, points=401))
+        xs, margins = _curvature_margins(g, p, kappa)
+        idx = np.linspace(0, xs.size - 1, 20).astype(int)
+        space, pts, e_axis, e_normal = _axis_tangent_planes(kind, xs[idx])
+        weight = weight_preset(space, preset)
+        phis = 2.0 * np.pi * np.arange(64) / 64
+        ric = np.min([ricci_fN_batch(space, weight, p, pts,
+                                     np.cos(phi) * e_axis
+                                     + np.sin(phi) * e_normal)
+                      for phi in phis], axis=0)
+        brute = ric - p.inv_c * kappa * np.exp(-2.0 * p.a * weight.eval(pts))
+        np.testing.assert_allclose(margins[idx], brute, rtol=0, atol=1e-12)
+
+    def test_meridian_linear_weight_is_not_finite(self):
+        # linear(a) = a theta has an infinite Hessian at the pole theta = 0
+        g = MeridianGeometry("linear(0.3)", points=401)
+        rho = density_from_callable(g, lambda th: 1.0 + 0.1 * np.cos(th))
+        with pytest.raises(PreconditionError, match="not finite") as ei:
+            check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID)
+        assert ei.value.failed == "curvature bound"
