@@ -76,7 +76,8 @@ _FIELDS = {
                  "f1": _STR},
     "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
     "regions": {"radii": _PAIR, "bounds": _list(_PAIR, 2)},
-    "interpolation": {"t": _real(0, 1), "X": _PAIR, "Y": _PAIR},
+    "interpolation": {"t": _real(0, 1), "X": _PAIR, "Y": _PAIR,
+                      "p": lambda v: v in (math.inf, -math.inf) or _REAL(v)},
     "functional": {"delta": _REAL, "density": _DENSITY},
 }
 
@@ -128,17 +129,20 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError("space spec needs kind and dim")
     out["space"] = sp
     # materialize the objects once to surface validation errors early
-    space, _, _ = _build(out)
+    space, weight, params = _build(out)
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
-    _check_axis(out, space)
+    axis_weight = _check_axis(out, space)
+    if params.N == params.n and not (weight.is_constant
+                                     and axis_weight.is_constant):
+        raise ConfigError("N = n requires a constant weight and geometry f1")
     return out
 
 
 def _check_axis(cfg, space):
     """Check the axis geometry and the intervals the config's suite places
-    on it, without building its grid."""
+    on it, without building its grid; returns the axis weight."""
     g = cfg.get("geometry", {})
     kind = g.get("kind", "line")
     if kind not in _GEOMETRY_KEYS:
@@ -146,11 +150,13 @@ def _check_axis(cfg, space):
     unknown = set(g) - _GEOMETRY_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown {kind} geometry fields: {sorted(unknown)}")
-    weight_preset(_GEOMETRIES[kind].space, g.get("f1", "zero"))
+    axis_weight = weight_preset(_GEOMETRIES[kind].space, g.get("f1", "zero"))
     if kind == "meridian" and (space.dim, space.sec) != (2, 1.0):
         raise ConfigError("a meridian geometry needs the unit S^2 space")
     lo, hi = ((0.0, math.pi) if kind == "meridian"
               else (g.get("lo", -2.0), g.get("hi", 2.0)))
+    if not lo < hi:
+        raise ConfigError(f"{kind} window [{lo:g}, {hi:g}] is empty or reversed")
     regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
     if regions.get("kind") == "ball" and "radii" not in regions:
         raise ConfigError("ball regions need radii")
@@ -166,6 +172,7 @@ def _check_axis(cfg, space):
         if not (span and lo <= min(span) <= max(span) <= hi):
             raise ConfigError(f"axis interval {span} is missing or leaves"
                               f" the {kind} window [{lo:g}, {hi:g}]")
+    return axis_weight
 
 
 def _build(cfg):
@@ -379,24 +386,18 @@ def _run_taylor(cfg, space, weight, params, out_dir):
     rng = np.random.default_rng(cfg["sampling"]["seed"])
     x = space.sample_point(rng, cfg["sampling"].get("region"))
     v = space.sample_unit(rng, x)
-    reports = []
-    margins = []
     # theta needs eps != 0 (eps = 0 at N = 1)
     terms = [term for term in taylor.TERMS
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
     checks = taylor.check_series(space, weight, params, cfg["kappa"],
                                  x, v, terms)
-    for term, chk in zip(terms, checks):
-        if out_dir is not None:
-            chk.to_csv(out_dir / f"taylor_{term}.csv")
-        slope = chk.slope
-        if math.isnan(slope):  # remainder at the noise floor
-            margins.append(0.0)
-        else:
-            margins.append(slope - taylor.SLOPE_MIN)
-    reports.append(CheckReport(name="taylor_series", margins=margins,
-                               tolerance=0.0,
-                               provenance={"x": np.asarray(x).tolist()}))
+    if out_dir is not None:
+        for chk in checks:
+            chk.to_csv(out_dir / f"taylor_{chk.term}.csv")
+    reports = [CheckReport(name="taylor_series",
+                           margins=[chk.margin for chk in checks],
+                           tolerance=0.0,
+                           provenance={"x": np.asarray(x).tolist()})]
     # the identity divides by eps0, infinite at N = n and 0 at N = 1
     if 0.0 < params.eps0 < math.inf:
         grid = np.linspace(-3.0, 3.0, 101)

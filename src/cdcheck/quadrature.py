@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -156,21 +155,3 @@ def neville_extrapolate(ts: Sequence[float], vals: Sequence[float], at: float = 
         )
     return float(p[0])
 
-
-def fit_loglog_slope(xs: np.ndarray, ys: np.ndarray, floor: float = 1e-14,
-                     tail: int = 6) -> float:
-    """Least-squares slope of log|ys| against log(xs), ignoring values below floor.
-
-    Only the ``tail`` smallest xs above the floor are used: the decay rate
-    is an asymptotic statement and higher-order terms pollute large xs.
-    Returns NaN when fewer than two usable points remain.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.abs(np.asarray(ys, dtype=float))
-    mask = ys > floor
-    if mask.sum() < 2:
-        return math.nan
-    order = np.argsort(xs[mask])[:tail]
-    lx, ly = np.log(xs[mask][order]), np.log(ys[mask][order])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)

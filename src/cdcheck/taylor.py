@@ -2,11 +2,14 @@
 
 Each series check evaluates an exact quantity along a geodesic through x
 with unit tangent v at symmetric offsets delta, subtracts the claimed
-partial sum through the delta^2 term, and fits the remainder decay on a
-log-log grid. A fitted slope of at least 2.8 certifies the O(delta^3)
-remainder; identically vanishing remainders pass at the noise floor.
-The distance and coefficient terms share one pair of re-parametrized
-distances per offset when they are checked in one ``check_series`` call.
+partial sum through the delta^2 term, and bounds |remainder| / delta^3:
+at the smallest offset whose remainder is above the noise floor it may be
+at most four times its larger value at 8 and 16 times that offset, where an
+O(delta^2) remainder would make it 8 to 16 times larger. Remainders at the
+noise floor pass with margin 0; a non-finite remainder fails with margin
+NaN. The offsets are successive halvings. The distance and coefficient
+terms share one pair of re-parametrized distances per offset when they are
+checked in one ``check_series`` call.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .params import DimensionParams, s_kappa
-from .quadrature import fit_loglog_slope
 from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
 from .reparam import asymmetry_bound_margin, reparam_partial
 
-SLOPE_MIN = 2.8
 NOISE_FLOOR = 5e-15
 
 TERMS = ("app1_fwd", "app1_rev", "app1_full", "app2_fwd", "app2_rev",
@@ -38,18 +39,38 @@ class SeriesCheck:
     deltas: np.ndarray
     exact: np.ndarray
     series: np.ndarray
-    slope: float
 
     @property
     def remainder(self) -> np.ndarray:
         return self.exact - self.series
 
     @property
+    def margin(self) -> float:
+        """1 - q0 / (4 max(ref)) for q = |remainder| / delta^3, q0 at the
+        smallest delta whose remainder is above the noise floor and ref at
+        8 and 16 times that delta; 0.0 when no remainder, or no reference
+        remainder, is above the floor, and NaN when any remainder is not
+        finite.
+
+        Two reference points keep a sign change of the remainder near one
+        of them from deciding the verdict.
+        """
+        rem = np.abs(self.remainder)
+        if not np.all(np.isfinite(rem)):
+            return math.nan
+        live = rem > NOISE_FLOOR * float(np.max(1.0 + np.abs(self.exact)))
+        if not live.any():
+            return 0.0
+        q = rem / self.deltas**3
+        d0 = self.deltas[live].min()
+        ref = q[live & np.isin(self.deltas, (8.0 * d0, 16.0 * d0))]
+        if not ref.size:
+            return 0.0
+        return float(1.0 - q[self.deltas == d0][0] / (4.0 * ref.max()))
+
+    @property
     def passed(self) -> bool:
-        scale = 1.0 + np.abs(self.exact)
-        if np.all(np.abs(self.remainder) <= NOISE_FLOOR * scale):
-            return True
-        return self.slope >= SLOPE_MIN
+        return self.margin >= 0.0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -94,16 +115,6 @@ def _distances(space, weight, params, x, v, delta):
     return d_half, d_full
 
 
-def _betas(params, kappa, d_half, d_full):
-    """(beta_fwd, beta_rev) at the symmetric pair."""
-    # reversed orientation: first half of the geodesic from gamma(-delta)
-    d_half_rev = d_full - d_half
-    log_sf = math.log(0.5 * s_kappa(kappa, d_full))
-    b_fwd = math.exp(params.inv_c * (math.log(s_kappa(kappa, d_half)) - log_sf))
-    b_rev = math.exp(params.inv_c * (math.log(s_kappa(kappa, d_half_rev)) - log_sf))
-    return b_fwd, b_rev
-
-
 def check_series(space: ModelSpace, weight: WeightFunction,
                  params: DimensionParams, kappa: float, x, v,
                  term: str | Sequence[str],
@@ -115,6 +126,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     The app1, app2 and app6 terms rest on the re-parametrized distances
     (d_half, d_full) on the segment gamma(delta) -> gamma(-delta); that
     pair is computed once per delta and shared by every term of the call.
+    ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
+    the offsets 8 and 16 times each offset are on it.
     """
     single = isinstance(term, str)
     terms = (term,) if single else tuple(term)
@@ -124,7 +137,9 @@ def check_series(space: ModelSpace, weight: WeightFunction,
                                     failed="term id")
     if grid is None:
         grid = [2.0 ** -k for k in range(4, 15)]
-    deltas = np.asarray(sorted(grid, reverse=True), dtype=float)
+    d = np.asarray(sorted(grid, reverse=True), dtype=float)
+    if not np.all(d[:-1] == 2.0 * d[1:]):
+        raise ValueError("the delta grid must be successive halvings")
     fx, gfv, hvv = _pointwise_data(space, weight, params, x, v)
     a = params.a
     alpha = 0.5 * a  # (1-eps)/(n-1)
@@ -132,67 +147,58 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
     n = params.n
-    pairs = None
     if any(tm.startswith(("app1", "app2", "app6")) for tm in terms):
-        pairs = [_distances(space, weight, params, x, v, d) for d in deltas]
+        d_half, d_full = np.array([_distances(space, weight, params, x, v, dd)
+                                   for dd in d]).T
+        # beta_{kappa,1/2} both ways: the reversed first half starts at
+        # gamma(-delta)
+        log_sf = np.log(0.5 * s_kappa(kappa, d_full))
+        b_fwd, b_rev = np.exp(params.inv_c * (
+            np.log(s_kappa(kappa, np.array([d_half, d_full - d_half])))
+            - log_sf))
+    if any(tm.startswith(("app3", "app6")) for tm in terms):
+        # the weight ratios e^{f(x) - f(gamma(-+delta))}
+        f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
+        w_rev, w_fwd = np.exp(fx - f_pm.reshape(2, -1))
 
     checks = []
     for term in terms:
-        exact = np.empty_like(deltas)
-        series = np.empty_like(deltas)
-        for i, d in enumerate(deltas):
-            if term.startswith("app1"):
-                d_half, d_full = pairs[i]
-                if term == "app1_fwd":
-                    exact[i] = d_half
-                    series[i] = e0 * d * (1.0 - alpha * gfv * d + A * d * d)
-                elif term == "app1_rev":
-                    exact[i] = d_full - d_half
-                    series[i] = e0 * d * (1.0 + alpha * gfv * d + A * d * d)
-                else:
-                    exact[i] = d_full
-                    series[i] = 2.0 * e0 * d * (1.0 + A * d * d)
-            elif term.startswith("app2"):
-                b_fwd, b_rev = _betas(params, kappa, *pairs[i])
-                coef2 = (kap_eff
-                         + (1.0 - params.c) * (params.inv_c * alpha * gfv) ** 2)
-                if term == "app2_fwd":
-                    exact[i] = b_fwd
-                    series[i] = (1.0 - params.inv_c * alpha * gfv * d
-                                 + 0.5 * coef2 * d * d)
-                else:
-                    exact[i] = b_rev
-                    series[i] = (1.0 + params.inv_c * alpha * gfv * d
-                                 + 0.5 * coef2 * d * d)
-            elif term.startswith("app3"):
-                sign = -1.0 if term == "app3_fwd" else 1.0
-                y = space.geodesic(x, v, sign * d)
-                exact[i] = math.exp(-float(weight.eval(y)) + fx)
-                lead = gfv if term == "app3_fwd" else -gfv
-                series[i] = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
-            elif term.startswith("app4"):
-                th = theta_eps(params, gfv)
-                sign = 1.0 if term == "app4_fwd" else -1.0
-                exact[i] = (1.0 + sign * th * d) ** n
-                series[i] = (1.0 + sign * n * th * d
-                             + 0.5 * n * (n - 1) * th**2 * d * d)
-            else:  # app6
-                th = theta_eps(params, gfv)
-                b_fwd, b_rev = _betas(params, kappa, *pairs[i])
-                fp = float(weight.eval(space.geodesic(x, v, d)))
-                fm = float(weight.eval(space.geodesic(x, v, -d)))
-                cr = params.c_ratio
-                left = (math.exp(-fm + fx) * (1.0 + th * d) ** n * b_fwd) ** cr
-                right = (math.exp(-fp + fx) * (1.0 - th * d) ** n * b_rev) ** cr
-                exact[i] = 0.5 * (left + right)
-                F = f_of_theta(params, gfv, th)
-                series[i] = 1.0 + cr * (kap_eff - hvv
-                                        - F / (params.c + 1.0)) * 0.5 * d * d
-        rem = exact - series
-        scale = float(np.max(1.0 + np.abs(exact)))
-        slope = fit_loglog_slope(deltas, rem, floor=NOISE_FLOOR * scale)
-        checks.append(SeriesCheck(term=term, deltas=deltas, exact=exact,
-                                  series=series, slope=slope))
+        if term == "app1_fwd":
+            exact = d_half
+            series = e0 * d * (1.0 - alpha * gfv * d + A * d * d)
+        elif term == "app1_rev":
+            exact = d_full - d_half
+            series = e0 * d * (1.0 + alpha * gfv * d + A * d * d)
+        elif term == "app1_full":
+            exact = d_full
+            series = 2.0 * e0 * d * (1.0 + A * d * d)
+        elif term.startswith("app2"):
+            g2 = params.inv_c * alpha * gfv
+            coef2 = kap_eff + (1.0 - params.c) * g2**2
+            exact = b_fwd if term == "app2_fwd" else b_rev
+            lead = -g2 if term == "app2_fwd" else g2
+            series = 1.0 + lead * d + 0.5 * coef2 * d * d
+        elif term.startswith("app3"):
+            exact = w_fwd if term == "app3_fwd" else w_rev
+            lead = gfv if term == "app3_fwd" else -gfv
+            series = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
+        elif term.startswith("app4"):
+            th = theta_eps(params, gfv)
+            if term == "app4_rev":
+                th = -th
+            exact = (1.0 + th * d) ** n
+            series = 1.0 + n * th * d + 0.5 * n * (n - 1) * th**2 * d * d
+        else:  # app6
+            th = theta_eps(params, gfv)
+            cr = params.c_ratio
+            left = (w_fwd * (1.0 + th * d) ** n * b_fwd) ** cr
+            right = (w_rev * (1.0 - th * d) ** n * b_rev) ** cr
+            exact = 0.5 * (left + right)
+            F = f_of_theta(params, gfv, th)
+            series = 1.0 + cr * (kap_eff - hvv
+                                 - F / (params.c + 1.0)) * 0.5 * d * d
+        checks.append(SeriesCheck(term=term, deltas=d, exact=exact,
+                                  series=series))
     return checks[0] if single else checks
 
 

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,15 @@ class TestValidate:
                                         {"kind": "bump"}]},
         {"suite": "twcd", "densities": [{"kind": "uniform"}, {"kind": "bump"}]},
         {"suite": "bm", "regions": {"kind": "ball"}},
+        {"suite": "twcd", "geometry": {"kind": "line", "lo": 2.0, "hi": -2.0}},
+        {"suite": "interpolation", "interpolation": {"p": "x"}},
+        {"suite": "interpolation", "interpolation": {"p": True}},
+        {"suite": "interpolation", "interpolation": {"p": math.nan}},
+        {"suite": "curvature", "weight": "linear(0.5)",
+         "params": {"n": 3, "N": 3, "eps": 0.5}},
+        {"suite": "all", "weight": "zero",
+         "params": {"n": 3, "N": 3, "eps": 0.5},
+         "geometry": {"f1": "quadratic(0.3)"}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -107,7 +117,9 @@ class TestValidate:
             "interpolation-t-string", "meridian-radius-2", "meridian-on-r3",
             "interpolation-outside-meridian", "regions-outside-line",
             "uniform-outside-line", "uniform-without-bounds",
-            "ball-without-radii"])
+            "ball-without-radii", "line-window-reversed",
+            "interpolation-p-string", "interpolation-p-bool",
+            "interpolation-p-nan", "N-equals-n-weight", "N-equals-n-f1"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -133,6 +145,11 @@ class TestValidate:
             for k, call in enumerate(workloads.build(name, seed)):
                 path = write_cfg(tmp_path, f"{name}-{k}.json", call.config)
                 assert main(["validate", "--config", path]) == 0, call.name
+
+    def test_infinite_interpolation_p_accepted(self, tmp_path):
+        cfg = base_cfg("interpolation", interpolation={"p": -math.inf})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 0
 
     def test_infinite_N_token(self, tmp_path):
         cfg = base_cfg("curvature", params={"n": 3, "N": "inf", "eps": 0.4})
@@ -183,6 +200,19 @@ class TestRunExitCodes:
         rows = list(csv.reader((out / "worst_ray.csv").open()))
         assert rows[0] == ["t", "det", "J", "h", "l", "D", "Dbar"]
         assert len(rows) > 2
+
+    def test_taylor_remainder_sign_change_passes(self, tmp_path):
+        # app2_fwd's O(delta^3) remainder changes sign between delta = 1/64
+        # and 1/128; a log-log slope fit read it as slope 2.76 and failed
+        cfg = base_cfg("taylor", kappa=-0.7,
+                       sampling={"seed": 1079195180})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 0
+        names = [r["name"] for r in json.loads(
+            (out / "taylor_report.json").read_text())["reports"]]
+        assert names == ["taylor_series", "F_identity"]
 
     def test_precondition_exits_2(self, tmp_path, capsys):
         # functional suite needs kappa > 0; the failed hypothesis is named

@@ -1,4 +1,5 @@
-"""Series-expansion checks: slopes, exact reductions, and the F identity."""
+"""Series-expansion checks: remainder bounds, exact reductions, and the F
+identity."""
 
 import math
 
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 
 from cdcheck import taylor
+from cdcheck.coefficients import beta
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import constant_weight, make_space, weight_preset
-from cdcheck.taylor import (TERMS, check_F_identity, check_limit_bound,
-                            check_series, f_of_theta, theta_eps)
+from cdcheck.taylor import (TERMS, SeriesCheck, check_F_identity,
+                            check_limit_bound, check_series, f_of_theta,
+                            theta_eps)
 
 EUC3 = make_space("euclidean", 3)
 SPHERE = make_space("sphere", 2, radius=1.0)
@@ -36,7 +39,7 @@ class TestSeriesSlopes:
         w = weight_preset(EUC3, "quadratic(0.3)")
         x, v = euc_ray()
         chk = check_series(EUC3, w, p, -0.7, x, v, term)
-        assert chk.passed, f"{term}: slope {chk.slope:.3f}"
+        assert chk.passed, f"{term}: margin {chk.margin:.3f}"
 
     @pytest.mark.parametrize("term", TERMS)
     def test_sphere_cosine_weight(self, term):
@@ -44,23 +47,60 @@ class TestSeriesSlopes:
         w = weight_preset(SPHERE, "cosine(0.4)")
         x, v = meridian_ray()
         chk = check_series(SPHERE, w, p, 0.8, x, v, term)
-        assert chk.passed, f"{term}: slope {chk.slope:.3f}"
+        assert chk.passed, f"{term}: margin {chk.margin:.3f}"
 
-    def test_slope_stable_under_grid_trim(self):
-        # dropping the coarsest offset must not move the fitted slope much
+    def test_verdict_stable_under_grid_trim(self):
+        # dropping the coarsest offset must not change the verdict
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "quadratic(0.3)")
         x, v = euc_ray()
         grid = [2.0 ** -k for k in range(4, 13)]
         full = check_series(EUC3, w, p, -0.7, x, v, "app2_fwd", grid=grid)
         trim = check_series(EUC3, w, p, -0.7, x, v, "app2_fwd", grid=grid[1:])
-        assert abs(full.slope - trim.slope) < 0.1
+        assert full.passed and trim.passed
 
     def test_unknown_term_rejected(self):
         p = validate_params(3, 9, 0.4)
         with pytest.raises(PreconditionError):
             check_series(EUC3, constant_weight(), p, 0.0,
                          *euc_ray(), "app7_fwd")
+
+
+class TestCubicBound:
+    """The margin of SeriesCheck on synthetic remainders."""
+
+    @staticmethod
+    def margin(rem):
+        deltas = np.array([2.0 ** -k for k in range(4, 15)])
+        return SeriesCheck("app1_fwd", deltas, rem(deltas),
+                           np.zeros_like(deltas)).margin
+
+    def test_cubic_with_sign_change_passes(self):
+        # the remainder changes sign near delta = 2e-3, inside the grid
+        assert self.margin(lambda d: -2e-3 * d**3 + d**4) > 0.0
+
+    def test_quadratic_fails(self):
+        assert self.margin(lambda d: 1e-3 * d**2) < 0.0
+
+    def test_below_noise_floor_is_zero(self):
+        assert self.margin(lambda d: 1e-16 * np.sin(d)) == 0.0
+
+    def test_non_finite_remainder_fails(self):
+        # one NaN must not turn the noise floor into NaN and pass at 0.0
+        margin = self.margin(lambda d: np.where(d == 2.0**-10, np.nan, d**2))
+        assert math.isnan(margin)
+        deltas = np.array([2.0 ** -k for k in range(4, 15)])
+        exact = np.where(deltas == 2.0**-4, np.inf, 0.0)
+        assert not SeriesCheck("app1_fwd", deltas, exact,
+                               np.zeros_like(deltas)).passed
+
+    def test_grid_must_halve(self):
+        # on a grid of thirds no offset has references at 8 and 16 times it
+        p = validate_params(3, 9, 0.4)
+        w = weight_preset(EUC3, "quadratic(0.3)")
+        with pytest.raises(ValueError, match="halvings"):
+            check_series(EUC3, w, p, -0.7, *euc_ray(), "app3_fwd",
+                         grid=[3.0 ** -k for k in range(3, 10)])
 
 
 class TestSharedDistances:
@@ -94,8 +134,7 @@ class TestSharedDistances:
             one = check_series(space, w, p, kappa, x, v, chk.term)
             assert np.array_equal(one.exact, chk.exact)
             assert np.array_equal(one.series, chk.series)
-            assert one.slope == chk.slope or (math.isnan(one.slope)
-                                              and math.isnan(chk.slope))
+            assert one.margin == chk.margin
 
 
 class TestExactReductions:
@@ -122,6 +161,20 @@ class TestExactReductions:
         expected = 0.5 * p.inv_c * (-0.5) * math.exp(-2.0 * p.a * 0.7)
         assert coef == pytest.approx(expected, rel=1e-12)
 
+    def test_app2_is_beta_of_the_pair(self):
+        # beta_{kappa,1/2} between gamma(delta) and gamma(-delta), either way
+        p = validate_params(3, 9, 0.4)
+        w = weight_preset(EUC3, "quadratic(0.3)")
+        x, v = euc_ray()
+        fwd, rev = check_series(EUC3, w, p, -0.7, x, v,
+                                ["app2_fwd", "app2_rev"])
+        for i in (0, 3):
+            yp, ym = (EUC3.geodesic(x, v, s * fwd.deltas[i]) for s in (1, -1))
+            assert fwd.exact[i] == pytest.approx(
+                beta(EUC3, w, p, -0.7, 0.5, yp, ym).value, rel=1e-9)
+            assert rev.exact[i] == pytest.approx(
+                beta(EUC3, w, p, -0.7, 0.5, ym, yp).value, rel=1e-9)
+
     def test_app3_matches_weight_ratio(self):
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "linear(0.6)")
@@ -134,7 +187,8 @@ class TestExactReductions:
 
     def test_app4_is_binomial(self):
         # exact (1 + theta d)^n against its quadratic truncation: the
-        # remainder is the exact binomial tail, slope 3 for n = 3
+        # remainder is the exact binomial tail theta^3 delta^3 for n = 3, so
+        # |remainder| / delta^3 is constant and the margin is 1 - 1/4
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "linear(0.6)")
         x, v = euc_ray()
@@ -142,7 +196,7 @@ class TestExactReductions:
         th = theta_eps(p, float(np.dot(w.grad(x), v)))
         tail = (1.0 + th * chk.deltas) ** 3 - chk.series
         assert np.allclose(chk.remainder, tail, atol=1e-15)
-        assert chk.slope == pytest.approx(3.0, abs=0.05)
+        assert chk.margin == pytest.approx(0.75, abs=0.02)
 
 
 class TestThetaEps:
