@@ -67,6 +67,17 @@ def _require_curvature(geometry, params, kappa, hull=None):
     return margin
 
 
+def axis_log_betas(geometry: AxisGeometry, params: DimensionParams,
+                   kappa: float, x, y, t: float):
+    """(log beta_{1-t}(y, x), log beta_t(x, y)) at the axis pairs (x, y);
+    raises PreconditionError if a pair reaches the conjugate radius."""
+    d_full = geometry.reparam_partial(params, x, y, 1.0)
+    require_conjugate_radius(kappa, d_full)
+    d_t = geometry.reparam_partial(params, x, y, t)
+    return (log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t),
+            log_beta(params, kappa, d_t, d_full, t))
+
+
 # ----------------------------------------------------------------------
 # displacement convexity
 # ----------------------------------------------------------------------
@@ -85,8 +96,6 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     interp = monotone_1d_transport(rho0, rho1)
     xs = g.xs
     T = interp.T
-    d_full = g.reparam_partial(params, xs, T, 1.0)
-    require_conjugate_radius(kappa, d_full)
     support = rho0.values * g.m_density > 0
     rho1_at_T = np.interp(T, xs, rho1.values)
 
@@ -95,9 +104,7 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     for t in sorted(float(v) for v in t_grid):
         lhs = interp.pushforward_integral(
             t, lambda r: renyi_pointwise(r, params))
-        d_t = g.reparam_partial(params, xs, T, t)
-        b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
-        b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
+        b_rev, b_fwd = np.exp(axis_log_betas(g, params, kappa, xs, T, t))
         u0 = renyi_pointwise(np.where(support, rho0.values / b_rev, 0.0),
                              params)
         term0 = g.integrate(np.where(support, u0 * b_rev * g.m_density, 0.0))
@@ -143,15 +150,10 @@ def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
 def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
     """Sampled infima of beta_{1-t}(y,x)^{c/(c+1)} and beta_t(x,y)^{c/(c+1)}
     over the interval product, on a k x k grid."""
-    xg = np.linspace(xlo, xhi, k)
-    yg = np.linspace(ylo, yhi, k)
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    d_full = geometry.reparam_partial(params, X.ravel(), Y.ravel(), 1.0)
-    require_conjugate_radius(kappa, d_full)
-    d_t = geometry.reparam_partial(params, X.ravel(), Y.ravel(), t)
-    cr = params.c / (params.c + 1.0)
-    fwd = np.exp(cr * log_beta(params, kappa, d_t, d_full, t))
-    rev = np.exp(cr * log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
+    X, Y = np.meshgrid(np.linspace(xlo, xhi, k), np.linspace(ylo, yhi, k),
+                       indexing="ij")
+    logs = axis_log_betas(geometry, params, kappa, X, Y, t)
+    rev, fwd = np.exp(params.c_ratio * np.array(logs))
     return float(rev.min()), float(fwd.min())
 
 
@@ -237,20 +239,27 @@ def _inf_beta_balls(space, params, kappa, f0, c0, r0, c1, r1, t, samples):
 # ----------------------------------------------------------------------
 # p-mean interpolation
 # ----------------------------------------------------------------------
-def p_mean(a: float, b: float, t: float, p: float) -> float:
-    if p == math.inf:
-        return max(a, b)
-    if p == -math.inf:
-        return min(a, b)
-    if a <= 0.0 or b <= 0.0:
-        return 0.0
-    if p == 0.0:
-        return a ** (1.0 - t) * b**t
-    return ((1.0 - t) * a**p + t * b**p) ** (1.0 / p)
+def p_mean(a, b, t: float, p: float):
+    """Weighted p-mean ((1-t) a^p + t b^p)^(1/p), elementwise over arrays:
+    max and min at p = +-inf, the geometric mean at p = 0, and 0 where a
+    or b is 0 unless p = +inf. A scalar pair gives a float."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if math.isinf(p):
+            out = np.maximum(a, b) if p > 0 else np.minimum(a, b)
+        elif p == 0.0:
+            out = a ** (1.0 - t) * b**t
+        else:
+            out = ((1.0 - t) * a**p + t * b**p) ** (1.0 / p)
+    if p < math.inf:
+        out = np.where((a <= 0.0) | (b <= 0.0), 0.0, out)
+    return out if out.ndim else float(out)
 
 
 def conclusion_exponent(p: float, params: DimensionParams) -> float:
-    """c p / ((1+c) p + c), with the boundary p = -c/(c+1) sent to -inf."""
+    """c p / ((1+c) p + c): c/(c+1) at p = +inf, -inf at p = -c/(c+1)."""
+    if p == math.inf:
+        return params.c_ratio
     c = params.c
     den = (1.0 + c) * p + c
     if abs(den) < 1e-15:
@@ -275,17 +284,9 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     xs = rng.uniform(X[0], X[1], samples)
     ys = rng.uniform(Y[0], Y[1], samples)
     zs = (1.0 - t) * xs + t * ys
-    d_full = geometry.reparam_partial(params, xs, ys, 1.0)
-    require_conjugate_radius(kappa, d_full)
-    d_t = geometry.reparam_partial(params, xs, ys, t)
-    b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
-    b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t))
-    p0 = np.asarray(psi0(xs), dtype=float)
-    p1 = np.asarray(psi1(ys), dtype=float)
-    pz = np.asarray(psi(zs), dtype=float)
-    hyp = np.array([p_mean(a, b, t, p)
-                    for a, b in zip(p0 / b_rev, p1 / b_fwd)])
-    worst = float(np.min(pz - hyp))
+    b_rev, b_fwd = np.exp(axis_log_betas(geometry, params, kappa, xs, ys, t))
+    hyp = p_mean(psi0(xs) / b_rev, psi1(ys) / b_fwd, t, p)
+    worst = float(np.min(psi(zs) - hyp))
     if worst < -1e-9 * (1.0 + float(np.max(np.abs(hyp)))):
         raise HypothesisError(
             f"pointwise p-mean hypothesis fails (worst margin {worst:.3e})")

@@ -104,6 +104,8 @@ class TestValidate:
         {"suite": "interpolation", "interpolation": {"p": "x"}},
         {"suite": "interpolation", "interpolation": {"p": True}},
         {"suite": "interpolation", "interpolation": {"p": math.nan}},
+        {"suite": "interpolation", "interpolation": {"t": 0.0}},
+        {"suite": "interpolation", "interpolation": {"t": 1}},
         {"suite": "curvature", "weight": "linear(0.5)",
          "params": {"n": 3, "N": 3, "eps": 0.5}},
         {"suite": "all", "weight": "zero",
@@ -119,7 +121,8 @@ class TestValidate:
             "uniform-outside-line", "uniform-without-bounds",
             "ball-without-radii", "line-window-reversed",
             "interpolation-p-string", "interpolation-p-bool",
-            "interpolation-p-nan", "N-equals-n-weight", "N-equals-n-f1"])
+            "interpolation-p-nan", "interpolation-t-zero",
+            "interpolation-t-one", "N-equals-n-weight", "N-equals-n-f1"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -213,6 +216,28 @@ class TestRunExitCodes:
         names = [r["name"] for r in json.loads(
             (out / "taylor_report.json").read_text())["reports"]]
         assert names == ["taylor_series", "F_identity"]
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, math.inf])
+    def test_interpolation_p_mean_passes(self, tmp_path, p):
+        # the benchmark's interpolation-p0 config; at p = +inf the
+        # conclusion exponent once came out NaN and reported a failure
+        cfg = {"space": {"kind": "euclidean", "dim": 2}, "weight": "zero",
+               "params": {"n": 2, "N": 10.0, "eps": 0.5}, "kappa": -1.0,
+               "suite": "interpolation",
+               "geometry": {"kind": "line", "lo": -2.0, "hi": 2.0,
+                            "points": 8192, "f1": "quadratic(0.5)"},
+               "interpolation": {"p": p, "t": 0.5},
+               "sampling": {"seed": 1607340150}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 0
+        margin = json.loads((out / "interpolation_report.json").read_text()
+                            )["reports"][0]["min_margin"]
+        assert math.isfinite(margin)
+        if p == 0.0:
+            # the margin from a grid envelope at 16,384 z and x values
+            assert margin == pytest.approx(0.0569168298, abs=1e-6)
 
     def test_precondition_exits_2(self, tmp_path, capsys):
         # functional suite needs kappa > 0; the failed hypothesis is named

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdcheck.coefficients import log_beta
 from cdcheck.errors import HypothesisError, PreconditionError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable)
 from cdcheck.params import s_kappa, validate_params
@@ -153,6 +154,54 @@ class TestInterpolationInequality:
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, math.inf])
+    def test_envelope_is_the_sup(self, p, t):
+        # at 32 of the envelope's z nodes, against the max over 2^16 x
+        from cdcheck.cli import envelope_psi
+
+        g = quad_line()
+        params = validate_params(2, 10.0, 0.5)
+        kappa = -1.0
+        X, Y = (-1.0, -0.2), (0.2, 1.0)
+        psi0 = lambda x: np.exp(-0.5 * ((x + 0.6) / 0.3) ** 2)
+        psi1 = lambda y: np.exp(-0.5 * ((y - 0.6) / 0.3) ** 2)
+        psi = envelope_psi(g, params, kappa, psi0, psi1, X, Y, t, p, 0.0)
+        zs = np.linspace((1 - t) * X[0] + t * Y[0],
+                         (1 - t) * X[1] + t * Y[1], 4096)[::128]
+        for z in zs:
+            x = np.linspace(max(X[0], (z - t * Y[1]) / (1 - t)),
+                            min(X[1], (z - t * Y[0]) / (1 - t)), 2**16)
+            y = np.clip((z - (1 - t) * x) / t, *Y)
+            d_full = g.reparam_partial(params, x, y, 1.0)
+            d_t = g.reparam_partial(params, x, y, t)
+            b_fwd = np.exp(log_beta(params, kappa, d_t, d_full, t))
+            b_rev = np.exp(log_beta(params, kappa, d_full - d_t, d_full,
+                                    1 - t))
+            brute = p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p).max()
+            assert brute * (1 - 1e-12) <= psi(z) <= brute * (1 + 1e-8)
+
+    def test_envelope_far_from_origin(self):
+        # near x = 1e4 neighbouring floats are 1.8e-12 apart: the search
+        # must stop although no bracket can shrink to 1e-12
+        from cdcheck.cli import envelope_psi
+
+        g = LineGeometry("zero", lo=1e4, hi=1e4 + 4.0)
+        bump = lambda x: np.exp(-(x - 1e4 - 2.0) ** 2)
+        X, Y = (1e4 + 0.5, 1e4 + 1.5), (1e4 + 2.5, 1e4 + 3.5)
+        psi = envelope_psi(g, validate_params(2, 4, 0.5), -1.0, bump, bump,
+                           X, Y, 0.5, 0.0)
+        assert np.all(np.isfinite(psi(np.linspace(1e4 + 1.5, 1e4 + 2.5, 9))))
+
+    def test_envelope_beyond_conjugate_radius(self):
+        # d_f reaches pi / sqrt(3) < 2 on X x Y: no NaN may enter the sup
+        from cdcheck.cli import envelope_psi
+
+        bump = lambda x: np.exp(-np.asarray(x) ** 2)
+        with pytest.raises(PreconditionError):
+            envelope_psi(flat_line(), validate_params(2, 4, 0.5), 3.0,
+                         bump, bump, (-1.0, -0.2), (0.2, 1.0), 0.5, 0.0)
+
     def test_p_out_of_range(self):
         g = flat_line()
         p = validate_params(2, 4, 0.5)
@@ -190,12 +239,23 @@ class TestPMean:
             vals = [p_mean(a, b, t, q) for q in ps]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p", [-math.inf, -0.3, 0.0, 1.0, math.inf])
+    def test_elementwise_matches_scalar(self, p):
+        a = np.array([0.0, 0.0, 2.0, 0.5, 3.0, 1e-3])
+        b = np.array([0.0, 4.0, 0.0, 0.5, 1.5, 7.0])
+        vals = p_mean(a, b, 0.3, p)
+        assert vals.shape == a.shape
+        assert vals.tolist() == [p_mean(float(u), float(v), 0.3, p)
+                                 for u, v in zip(a, b)]
+
     def test_conclusion_exponent(self):
         p = validate_params(2, 4, 0.5)
         c = p.c
         q = conclusion_exponent(1.0, p)
         assert q == pytest.approx(c / (1 + 2 * c))
         assert conclusion_exponent(-c / (c + 1.0), p) == -math.inf
+        assert conclusion_exponent(math.inf, p) == pytest.approx(c / (c + 1))
+        assert conclusion_exponent(1e12, p) == pytest.approx(c / (c + 1))
 
 
 class TestFunctional:
