@@ -134,6 +134,7 @@ def resolve_config(cfg: dict) -> dict:
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
+    suites.require_p_range(out.get("interpolation", {}).get("p", 0.0), params)
     axis_weight = _check_axis(out, space)
     if params.N == params.n and not (weight.is_constant
                                      and axis_weight.is_constant):
@@ -242,6 +243,10 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
             if val < worst[0]:
                 worst = (val, (x, w, S))
         done += m
+    if not margins:
+        raise PreconditionError(f"all {trials} rays were inadmissible or"
+                                " reached the conjugate radius",
+                                failed="samples")
     rep = CheckReport(name="jacobian_concavity", margins=margins,
                       tolerance=tol,
                       provenance={"kappa": kappa, "trials": trials,

@@ -9,9 +9,10 @@ solves the matrix Jacobi equation
     E''(t) = -k |w|^2 (E(t) - e_n e_n^T E(t)),   E(0) = I, E'(0) = S,
 
 with k the constant sectional curvature, and everything downstream
-(weighted Jacobian J_t, the scalars h, l, D, Dbar) comes from E.
-On the model spaces the system has constant coefficients, so E and E'
-are evaluated exactly on the t-grid by ``jacobi_closed_form``; the grid
+(weighted Jacobian J_t, the scalars h, l, D, Dbar) comes from det E and
+a_nn = (E' E^{-1})_{nn}. On the model spaces the system has constant
+coefficients, so ``jacobi_closed_form`` evaluates both exactly on the
+t-grid from one eigendecomposition per ray, without building E; the grid
 only sets the points where the inequalities are checked and the
 quadrature of a_nn behind h and Dbar.
 """
@@ -58,17 +59,19 @@ class JacobianTrajectory:
 
     ray: TransportRay
     ts: np.ndarray
-    E: np.ndarray  # (T, n, n)
     det: np.ndarray
     J: np.ndarray
     h: np.ndarray
     l: np.ndarray
     D: np.ndarray
-    Dbar: np.ndarray
-    a_nn: np.ndarray
+    int_ann: np.ndarray  # log Dbar
     f_gamma: np.ndarray  # f along the geodesic
     theta: float  # |w|
     direction: np.ndarray = field(default=None)  # unit tangent, None if theta=0
+
+    @property
+    def Dbar(self) -> np.ndarray:
+        return np.exp(self.int_ann)
 
     def as_rows(self):
         """Rows (t, det, J, h, l, D, Dbar) for CSV export."""
@@ -77,16 +80,25 @@ class JacobianTrajectory:
 
 
 def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
-    """Exact E and E' of the Jacobi system for a batch of rays.
+    """Exact det E and a_nn = (E' E^{-1})_{nn} for a batch of rays.
 
     Ss: (B, n, n) initial derivatives S; k_theta2: (B,) values of
-    k theta^2; ts: (T,). Returns (E, Ep) of shape (B, T, n, n).
+    k theta^2; ts: (T,). Returns (det, a_nn) of shape (B, T); a_nn is
+    inf or NaN where det is 0.
 
-    The last row evolves linearly, the others by the scalar propagator
-    C = cos, Sn = sin/omega of frequency omega = sqrt(k) theta (cosh, sinh
-    for k < 0; 1, t for k = 0), so that rows :-1 are E = C I + Sn S and
-    E' = -k theta^2 Sn I + C S. Each ray evaluates only its own branch, so
-    no unused cosh can overflow.
+    Rows :-1 of E are C I + Sn S, with the scalar propagator C = cos,
+    Sn = sin/omega of frequency omega = sqrt(k) theta (cosh, sinh for
+    k < 0; 1, t for k = 0), and the last row is e_n + t S[-1]. Each ray
+    evaluates only its own branch, so no unused cosh can overflow.
+    With S = [[A, b], [c^T, d]], P = C I + Sn A and M the matrix E with
+    its last row replaced by S[-1] (the last row of E'), det E is linear
+    in the last row and a_nn is a cofactor expansion along it:
+
+        det E = det P + t det M,    a_nn = det M / det E.
+
+    With A = U diag(alpha) U^T, beta = U^T b, gamma = U^T c and
+    p_i = C + Sn alpha_i, det P = prod p_i and
+    det M = d prod p_i - Sn sum_i beta_i gamma_i prod_{j != i} p_j.
     """
     Ss = np.asarray(Ss, dtype=float)
     w2 = np.asarray(k_theta2, dtype=float)
@@ -103,16 +115,18 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
         om = np.sqrt(-w2[neg])[:, None]
         C[neg] = np.cosh(om * ts)
         Sn[neg] = np.sinh(om * ts) / om
-    C, Sn = C[:, :, None, None], Sn[:, :, None, None]
-    eye = np.eye(n)
-    S_top = Ss[:, None, :-1, :]
-    E = np.empty((B, ts.size, n, n))
-    Ep = np.empty((B, ts.size, n, n))
-    E[:, :, :-1, :] = C * eye[:-1] + Sn * S_top
-    Ep[:, :, :-1, :] = -w2[:, None, None, None] * Sn * eye[:-1] + C * S_top
-    E[:, :, -1, :] = eye[-1] + ts[:, None] * Ss[:, None, -1, :]
-    Ep[:, :, -1, :] = Ss[:, None, -1, :]
-    return E, Ep
+    alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
+    beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
+    gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
+    p = C[..., None] + Sn[..., None] * alpha[:, None, :]  # (B, T, n - 1)
+    det_P = np.prod(p, axis=-1)
+    cross = sum((beta[:, i] * gamma[:, i])[:, None]
+                * np.prod(np.delete(p, i, axis=-1), axis=-1)
+                for i in range(n - 1))
+    det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
+    det = det_P + ts * det_M
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return det, det_M / det
 
 
 def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
@@ -120,32 +134,25 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
                            steps: int = 128):
     """Vectorized trajectory computation for a batch of rays.
 
-    Returns a dict of arrays keyed by the trajectory field names plus an
-    ``admissible`` mask (det > 0 on the whole grid). Inadmissible rows
-    carry NaN downstream values.
+    Returns a dict of (B, steps + 1) arrays keyed by the trajectory field
+    names (``int_ann`` = log Dbar; D and Dbar themselves are not formed,
+    so they cannot overflow), plus ``thetas`` and an ``admissible`` mask
+    (det > 0 on the whole grid). Inadmissible rows carry NaN downstream
+    values.
     """
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
     Ss = np.asarray(Ss, dtype=float)
     B = xs.shape[0]
-    n = space.dim
     thetas = np.array([space.norm(x, w) for x, w in zip(xs, ws)])
     ts = np.linspace(0.0, 1.0, steps + 1)
     dt = ts[1] - ts[0]
 
     # zero-speed rays degenerate to the identity trajectory
     Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
-    Es, Eps = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
-    det = np.linalg.det(Es)
+    det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
     admissible = np.all(det > 0.0, axis=1)
-
-    # a_nn = last row of E' times last column of E^{-1}
-    a_nn = np.full((B, steps + 1), np.nan)
-    if admissible.any():
-        inv = np.linalg.inv(Es[admissible])
-        a_nn[admissible] = np.einsum("btj,btj->bt",
-                                     Eps[admissible][:, :, -1, :],
-                                     inv[:, :, :, -1])
+    a_nn[~admissible] = np.nan
 
     # f along each geodesic; zero-speed rays sit at the base point
     f_gamma = np.empty((B, steps + 1))
@@ -162,11 +169,8 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     h = logdet - int_ann
     l = h - f_gamma + f_gamma[:, :1]
     J = np.exp(logdet - f_gamma + f_gamma[:, :1])
-    D = np.exp(params.c * l)
-    Dbar = np.exp(int_ann)
-    return {"ts": ts, "E": Es, "Ep": Eps, "det": det, "J": J, "h": h, "l": l,
-            "D": D, "Dbar": Dbar, "a_nn": a_nn, "f_gamma": f_gamma,
-            "thetas": thetas, "admissible": admissible}
+    return {"ts": ts, "det": det, "J": J, "h": h, "l": l, "int_ann": int_ann,
+            "f_gamma": f_gamma, "thetas": thetas, "admissible": admissible}
 
 
 def _geodesic_points(space, xs, ws, thetas, ts):
@@ -198,9 +202,9 @@ def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
     if theta > 1e-14:
         direction = np.asarray(ray.w, float) / theta
     return JacobianTrajectory(
-        ray=ray, ts=out["ts"], E=out["E"][0], det=out["det"][0], J=out["J"][0],
-        h=out["h"][0], l=out["l"][0], D=out["D"][0], Dbar=out["Dbar"][0],
-        a_nn=out["a_nn"][0], f_gamma=out["f_gamma"][0], theta=theta,
+        ray=ray, ts=out["ts"], det=out["det"][0], J=out["J"][0],
+        h=out["h"][0], l=out["l"][0], D=np.exp(params.c * out["l"][0]),
+        int_ann=out["int_ann"][0], f_gamma=out["f_gamma"][0], theta=theta,
         direction=direction,
     )
 
@@ -267,8 +271,22 @@ def _partials_from_f(params, f_gamma, theta, dt):
     return cumulative_simpson(integrand, dt)
 
 
-def concavity_margins(ts, D, Dbar, J, d_partial, params: DimensionParams,
-                      kappa: float):
+def _log_margin(x, w0, x0, w1, x1):
+    """(e^x - r)/(1 + r) with r = w0 e^x0 + w1 e^x1, from the logs x, x0, x1.
+
+    Numerator and denominator are scaled by e^-s, s = max(0, log r), so
+    neither e^x0, e^x1 nor r is formed and no inf/inf can arise; only a
+    margin whose value is beyond the float range reads +inf.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.logaddexp(np.log(w0) + x0, np.log(w1) + x1)
+        s = np.maximum(0.0, log_r)
+        r = np.exp(log_r - s)
+        return (np.exp(x - s) - r) / (np.exp(-s) + r)
+
+
+def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
+                      params: DimensionParams, kappa: float):
     """Margins of the three concavity inequalities on the grid interior.
 
     (i)  Dbar(t) >= (1-t) Dbar(0) + t Dbar(1)
@@ -277,7 +295,9 @@ def concavity_margins(ts, D, Dbar, J, d_partial, params: DimensionParams,
                            + t beta_t(x,y)^{c/(c+1)} J_1^{c/(c+1)}
 
     with d_{1-t}(y,x) = d_f(x,y) - d_t(x,y) by reversal of the geodesic.
-    All margins are scaled by 1/(1 + |RHS|). Works on batched rows.
+    D and Dbar enter through their logs c l and int a_nn, which stay
+    finite where the densities overflow. All margins are scaled by
+    1/(1 + |RHS|). Works on batched rows.
     """
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
@@ -286,12 +306,11 @@ def concavity_margins(ts, D, Dbar, J, d_partial, params: DimensionParams,
     d_rev = d_full - d_t
     s_full = s_kappa(kappa, d_full)
 
-    rhs1 = (1.0 - t) * Dbar[..., :1] + t * Dbar[..., -1:]
-    m1 = (Dbar[..., inner] - rhs1) / (1.0 + np.abs(rhs1))
-
-    rhs2 = ((s_kappa(kappa, d_rev) / s_full) * D[..., :1]
-            + (s_kappa(kappa, d_t) / s_full) * D[..., -1:])
-    m2 = (D[..., inner] - rhs2) / (1.0 + np.abs(rhs2))
+    m1 = _log_margin(log_Dbar[..., inner], 1.0 - t, log_Dbar[..., :1],
+                     t, log_Dbar[..., -1:])
+    m2 = _log_margin(log_D[..., inner], s_kappa(kappa, d_rev) / s_full,
+                     log_D[..., :1], s_kappa(kappa, d_t) / s_full,
+                     log_D[..., -1:])
 
     cr = params.c_ratio
     brev = np.exp(cr * log_beta(params, kappa, d_rev, d_full, 1.0 - t))
@@ -313,8 +332,8 @@ def check_jacobian_concavity(traj: JacobianTrajectory,
     if traj.theta <= 1e-14:
         # degenerate ray: distances vanish, s-ratios are taken as t
         d_partial = traj.ts * 1e-30
-    m1, m2, m3 = concavity_margins(traj.ts, traj.D, traj.Dbar, traj.J,
-                                   d_partial, params, kappa)
+    m1, m2, m3 = concavity_margins(traj.ts, params.c * traj.l, traj.int_ann,
+                                   traj.J, d_partial, params, kappa)
     margins = [float(v) for part in (m1, m2, m3) for v in part]
     return CheckReport(name="jacobian_concavity", margins=margins,
                        tolerance=tol,
@@ -345,21 +364,25 @@ def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
                 region: dict | None = None,
                 theta_range: tuple[float, float] = (0.2, 1.2)):
     """Random admissible-candidate rays: eigenvalues uniform in
-    [-0.8, 0.8]/theta with a Haar-random eigenframe."""
+    [-0.8, 0.8]/theta with a Haar-random eigenframe.
+
+    Each ray draws, in this order, its point, the normal vector behind its
+    unit direction (the draw of ``space.sample_unit``), theta, the
+    eigenvalues and the Gaussian matrix behind the eigenframe. The
+    arithmetic then runs on the whole batch, with the same values, bit for
+    bit, as ray by ray: the vector norms are taken as matrix products,
+    like ``np.linalg.norm``'s dot product of one vector.
+    """
     n = space.dim
-    xs, ws, Ss = [], [], []
-    for _ in range(count):
-        x = space.sample_point(rng, region)
-        vhat = space.sample_unit(rng, x)
-        theta = rng.uniform(*theta_range)
-        lam = rng.uniform(-0.8, 0.8, size=n) / theta
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        S = (q * lam) @ q.T
-        S = 0.5 * (S + S.T)
-        xs.append(x)
-        ws.append(theta * vhat)
-        Ss.append(S)
-    return np.asarray(xs), np.asarray(ws), np.asarray(Ss)
+    draws = [(space.sample_point(rng, region), rng.normal(size=n),
+              rng.uniform(*theta_range), rng.uniform(-0.8, 0.8, size=n),
+              rng.normal(size=(n, n))) for _ in range(count)]
+    xs, coeff, theta, lam, gauss = (np.asarray(a) for a in zip(*draws))
+    coeff = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
+    vhat = (coeff[:, None, :] @ space.frame(xs))[:, 0]
+    q, _ = np.linalg.qr(gauss)
+    S = (q * (lam / theta[:, None])[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return xs, theta[:, None] * vhat, 0.5 * (S + np.swapaxes(S, 1, 2))
 
 
 def scan_rays(space: ModelSpace, weight: WeightFunction,
@@ -371,7 +394,7 @@ def scan_rays(space: ModelSpace, weight: WeightFunction,
     Returns (xs, ws, Ss, margins), ``margins`` holding each kept ray's
     minimum over the concavity inequalities (i)-(iii). Rays that are
     inadmissible or whose re-parametrized length reaches the conjugate
-    radius are dropped. E is exact at every grid point; the grid error
+    radius are dropped. det E is exact at every grid point; the grid error
     left is the quadrature of a_nn behind h and Dbar, which is sharp where
     the determinant dips toward 0, and a dip between grid points can hide
     det E <= 0. So a ray whose determinant dips below 0.1 and whose
@@ -385,10 +408,10 @@ def scan_rays(space: ModelSpace, weight: WeightFunction,
                                  out["thetas"][:, None], dt)
     keep = np.flatnonzero(out["admissible"]
                           & within_conjugate_radius(kappa, d_partial[:, -1]))
-    m1, m2, m3 = concavity_margins(out["ts"], out["D"][keep],
-                                   out["Dbar"][keep], out["J"][keep],
+    m1, m2, m3 = concavity_margins(out["ts"], params.c * out["l"][keep],
+                                   out["int_ann"][keep], out["J"][keep],
                                    d_partial[keep], params, kappa)
-    margins = np.nanmin(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
+    margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
     det_min = np.min(out["det"][keep], axis=-1)
     dropped = np.zeros(keep.size, dtype=bool)
     for j in np.flatnonzero((margins < -tol) & (det_min < 0.1)):

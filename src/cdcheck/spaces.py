@@ -27,11 +27,12 @@ CUT_MARGIN = 1e-6
 
 
 def _orthonormal_completion(existing: np.ndarray, dim: int) -> np.ndarray:
-    """Columns orthonormal to the given ones, completing a basis of R^dim."""
-    k = existing.shape[1]
-    m = np.concatenate([existing, np.eye(dim)], axis=1)
-    q, _ = np.linalg.qr(m)
-    return q[:, k:dim]
+    """Columns orthonormal to the given ones, completing a basis of R^dim;
+    ``existing`` may be a stack (..., dim, k)."""
+    k = existing.shape[-1]
+    eye = np.broadcast_to(np.eye(dim), existing.shape[:-2] + (dim, dim))
+    q, _ = np.linalg.qr(np.concatenate([existing, eye], axis=-1))
+    return q[..., k:dim]
 
 
 class ModelSpace:
@@ -68,6 +69,8 @@ class ModelSpace:
         """Orthonormal tangent frame at x, rows = frame vectors.
 
         When ``last`` (a unit tangent) is given it becomes the final row.
+        Without ``last``, x may be a stack of points (..., ambient); the
+        result is then the stack of their frames (..., dim, ambient).
         """
         raise NotImplementedError
 
@@ -114,7 +117,7 @@ class Euclidean(ModelSpace):
 
     def frame(self, x, last=None):
         if last is None:
-            return np.eye(self.dim)
+            return np.tile(np.eye(self.dim), np.shape(x)[:-1] + (1, 1))
         rest = _orthonormal_completion(np.asarray(last, dtype=float)[:, None], self.dim)
         return np.vstack([rest.T, np.asarray(last, dtype=float)])
 
@@ -174,9 +177,10 @@ class Sphere(ModelSpace):
         return float(np.dot(u, v))
 
     def frame(self, x, last=None):
-        normal = np.asarray(x, dtype=float)[:, None] / self.radius
+        normal = np.asarray(x, dtype=float)[..., None] / self.radius
         if last is None:
-            return _orthonormal_completion(normal, self.ambient).T
+            return np.swapaxes(_orthonormal_completion(normal, self.ambient),
+                               -1, -2)
         fixed = np.concatenate([normal, np.asarray(last, dtype=float)[:, None]], axis=1)
         rest = _orthonormal_completion(fixed, self.ambient)
         return np.vstack([rest.T, np.asarray(last, dtype=float)])
@@ -293,9 +297,9 @@ class Hyperbolic(ModelSpace):
         return float(np.dot(u, v)) * self.scale**2 / y**2
 
     def frame(self, x, last=None):
-        y = x[-1]
+        y = np.asarray(x, dtype=float)[..., -1]
         if last is None:
-            return np.eye(self.ambient) * (y / self.scale)
+            return np.eye(self.ambient) * (y / self.scale)[..., None, None]
         e_last = np.asarray(last, dtype=float) * self.scale / y  # euclidean-unit
         rest = _orthonormal_completion(e_last[:, None], self.ambient)
         fr = np.vstack([rest.T, e_last]) * (y / self.scale)

@@ -267,6 +267,13 @@ def conclusion_exponent(p: float, params: DimensionParams) -> float:
     return c * p / den
 
 
+def require_p_range(p: float, params: DimensionParams) -> None:
+    """Raise PreconditionError unless p >= -c/(c+1), the p-mean exponents
+    for which the interpolation inequality is stated."""
+    if p < -params.c_ratio - 1e-15:
+        raise PreconditionError("p must be >= -c/(c+1)", failed="p range")
+
+
 def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
                         kappa: float, psi0, psi1, psi, X: tuple, Y: tuple,
                         t: float, p: float, samples: int = 10000,
@@ -277,8 +284,7 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     z the exact geodesic t-point; HypothesisError aborts the check if it
     fails, otherwise the integral conclusion margin is reported.
     """
-    if p < -params.c / (params.c + 1.0) - 1e-15:
-        raise PreconditionError("p must be >= -c/(c+1)", failed="p range")
+    require_p_range(p, params)
     _require_curvature(geometry, params, kappa)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X[0], X[1], samples)

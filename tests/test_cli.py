@@ -106,6 +106,8 @@ class TestValidate:
         {"suite": "interpolation", "interpolation": {"p": math.nan}},
         {"suite": "interpolation", "interpolation": {"t": 0.0}},
         {"suite": "interpolation", "interpolation": {"t": 1}},
+        {"suite": "interpolation", "interpolation": {"p": -math.inf}},
+        {"suite": "interpolation", "interpolation": {"p": -0.5}},
         {"suite": "curvature", "weight": "linear(0.5)",
          "params": {"n": 3, "N": 3, "eps": 0.5}},
         {"suite": "all", "weight": "zero",
@@ -122,7 +124,9 @@ class TestValidate:
             "ball-without-radii", "line-window-reversed",
             "interpolation-p-string", "interpolation-p-bool",
             "interpolation-p-nan", "interpolation-t-zero",
-            "interpolation-t-one", "N-equals-n-weight", "N-equals-n-f1"])
+            "interpolation-t-one", "interpolation-p-minus-inf",
+            "interpolation-p-below-range", "N-equals-n-weight",
+            "N-equals-n-f1"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -150,7 +154,7 @@ class TestValidate:
                 assert main(["validate", "--config", path]) == 0, call.name
 
     def test_infinite_interpolation_p_accepted(self, tmp_path):
-        cfg = base_cfg("interpolation", interpolation={"p": -math.inf})
+        cfg = base_cfg("interpolation", interpolation={"p": math.inf})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["validate", "--config", path]) == 0
 
@@ -250,6 +254,15 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "precondition failed" in capsys.readouterr().err
+
+    def test_no_kept_ray_exits_2(self, tmp_path, capsys):
+        # the one ray of seed 1 is inadmissible; an empty report is no
+        # counterexample
+        cfg = base_cfg("jacobian", sampling={"trials": 1, "seed": 1})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[samples]" in capsys.readouterr().err
 
 
 class TestAxisCurvatureHypothesis:

@@ -20,6 +20,19 @@ def sphere2():
     return make_space("sphere", 2)
 
 
+def _random_symmetric(n, seed):
+    m = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, n))
+    return m + m.T
+
+
+RANDOM_S = [_random_symmetric(n, seed=n) for n in (2, 3, 4)]
+# eigenvalues -0.9995, 0.2, -0.3 in a rotated frame: det E = 5e-4 * 0.84
+# at t = 1 on flat space, where a_nn = (S (I + S)^{-1})_{nn} is large
+_Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+NEAR_SINGULAR_S = (_Q * [-0.9995, 0.2, -0.3]) @ _Q.T
+NEAR_SINGULAR_S = 0.5 * (NEAR_SINGULAR_S + NEAR_SINGULAR_S.T)
+
+
 def north_ray(sp, theta, S):
     x = np.array([0.0, 0.0, 1.0])
     v = sp.frame(x)[0]
@@ -54,27 +67,36 @@ class TestTrajectories:
         expect = np.cos(theta * traj.ts)
         np.testing.assert_allclose(traj.det, expect, atol=1e-10)
 
-    @pytest.mark.parametrize("k_theta2", [0.81, 0.0, -0.64],
-                             ids=["sphere", "flat", "hyperbolic"])
-    def test_closed_form_matches_ode_solver(self, k_theta2):
-        # independent oracle: integrate E'' = -k theta^2 (E - e_n e_n^T E)
-        S = np.array([[0.4, -0.2, 0.1], [-0.2, 0.1, 0.3], [0.1, 0.3, -0.5]])
-        n = S.shape[0]
+    @pytest.mark.parametrize("k_theta2, cases", [
+        (0.81, RANDOM_S), (0.0, RANDOM_S), (-0.64, RANDOM_S),
+        (0.0, [NEAR_SINGULAR_S]),
+    ], ids=["sphere", "flat", "hyperbolic", "near-singular"])
+    def test_closed_form_matches_ode_solver(self, k_theta2, cases):
+        # independent oracle: integrate E'' = -k theta^2 (E - e_n e_n^T E),
+        # then det E by LU and a_nn = (E' E^{-1})_{nn} from a full inverse
         ts = np.linspace(0.0, 1.0, 33)
+        for S in cases:
+            n = S.shape[0]
 
-        def rhs(_, y):
-            E = y[:n * n].reshape(n, n)
-            acc = -k_theta2 * E
-            acc[-1, :] = 0.0
-            return np.concatenate([y[n * n:], acc.ravel()])
+            def rhs(_, y):
+                E = y[:n * n].reshape(n, n)
+                acc = -k_theta2 * E
+                acc[-1, :] = 0.0
+                return np.concatenate([y[n * n:], acc.ravel()])
 
-        sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([np.eye(n).ravel(),
-                                                         S.ravel()]),
-                        method="DOP853", t_eval=ts, rtol=1e-13, atol=1e-13)
-        ref = sol.y.T.reshape(ts.size, 2, n, n)
-        E, Ep = jacobi_closed_form(S[None], np.array([k_theta2]), ts)
-        np.testing.assert_allclose(E[0], ref[:, 0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(Ep[0], ref[:, 1], rtol=1e-12, atol=1e-12)
+            sol = solve_ivp(rhs, (0.0, 1.0),
+                            np.concatenate([np.eye(n).ravel(), S.ravel()]),
+                            method="DOP853", t_eval=ts, rtol=1e-13,
+                            atol=1e-13)
+            ref = sol.y.T.reshape(ts.size, 2, n, n)
+            ref_det = np.linalg.det(ref[:, 0])
+            ref_ann = np.einsum("tj,tj->t", ref[:, 1, -1, :],
+                                np.linalg.inv(ref[:, 0])[:, :, -1])
+            det, a_nn = jacobi_closed_form(S[None], np.array([k_theta2]), ts)
+            np.testing.assert_allclose(det[0], ref_det, rtol=1e-10)
+            np.testing.assert_allclose(a_nn[0], ref_ann, rtol=1e-10)
+        if cases is not RANDOM_S:
+            assert 0.0 < det.min() < 1e-3
 
     def test_step_halving_stability(self, sphere2):
         # det E is exact on any grid; Dbar and h carry the a_nn quadrature
@@ -107,6 +129,51 @@ class TestTrajectories:
                                           [[0.2, 0.0], [0.0, 0.1]]))
         assert np.all(traj.D > 0)
         assert np.all(traj.Dbar > 0)
+
+
+def _sample_rays_per_ray(space, rng, count, region, theta_range):
+    """The ray-by-ray sampling loop that ``sample_rays`` batches."""
+    n = space.dim
+    xs, ws, Ss = [], [], []
+    for _ in range(count):
+        x = space.sample_point(rng, region)
+        vhat = space.sample_unit(rng, x)
+        theta = rng.uniform(*theta_range)
+        lam = rng.uniform(-0.8, 0.8, size=n) / theta
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = (q * lam) @ q.T
+        xs.append(x)
+        ws.append(theta * vhat)
+        Ss.append(0.5 * (S + S.T))
+    return np.asarray(xs), np.asarray(ws), np.asarray(Ss)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("kind, dim, region", [
+        ("euclidean", 3, None),
+        ("euclidean", 3, {"center": [0.3, -1.0, 2.0], "radius": 0.5}),
+        ("sphere", 2, None),
+        ("hyperbolic", 3, None),
+        ("hyperbolic", 3, {"radius": 0.4}),
+    ])
+    def test_batch_equals_per_ray_loop(self, kind, dim, region):
+        sp = make_space(kind, dim)
+        for seed in range(3):
+            batch = sample_rays(sp, np.random.default_rng(seed), 120, region,
+                                (0.2, 1.4))
+            loop = _sample_rays_per_ray(sp, np.random.default_rng(seed), 120,
+                                        region, (0.2, 1.4))
+            for got, want in zip(batch, loop):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
+                                           ("sphere", 3), ("hyperbolic", 3)])
+    def test_stacked_frames(self, kind, dim):
+        sp = make_space(kind, dim)
+        rng = np.random.default_rng(1)
+        xs = np.stack([sp.sample_point(rng) for _ in range(5)])
+        np.testing.assert_array_equal(sp.frame(xs),
+                                      np.stack([sp.frame(x) for x in xs]))
 
 
 class TestRiccati:
@@ -216,6 +283,47 @@ class TestConcavity:
                       + sr_t ** (cr * p.inv_c) * ts ** (1.0 - cr * p.inv_c)
                       * traj.J[-1] ** cr)
         np.testing.assert_allclose(rhs_beta, rhs_sratio, rtol=1e-9)
+
+
+# two rays of the benchmark's ray-pass scans whose det E dips to ~3e-9
+# between grid points: on 128 steps the a_nn quadrature drives log Dbar
+# (first ray) or c l (second ray) far past the float range of exp
+OVERFLOW_RAYS = {
+    "log-Dbar": ("euclidean", "quadratic(0.3)", (3, 10.0, 0.4), -1.0,
+                 [0.5784613439631379, -0.19095029640810365,
+                  -0.5858795420208942],
+                 [0.28831321504233065, -0.006233803922670684,
+                  0.22661051132900953],
+                 [[0.6604003039160794, -0.5087215117023524,
+                   -0.19316919862513132],
+                  [-0.5087215117023524, -0.9890745596105948,
+                   0.05254195598389437],
+                  [-0.19316919862513132, 0.05254195598389437,
+                   -1.1197128635246707]]),
+    "log-D": ("sphere", "cosine(0.2)", (2, 6.0, 0.5), 0.3,
+              [-0.2990810920593812, -0.026788311557744346,
+               0.9538516062451503],
+              [-0.15289645250840356, 0.2680613155700899,
+               -0.0404124999085456],
+              [[-2.001085652878722, 0.014550204121846776],
+               [0.014550204121846776, -2.0173851445330473]]),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_RAYS))
+    def test_margins_defined_past_exp_range(self, name):
+        kind, weight, (n, N, eps), kappa, x, w, S = OVERFLOW_RAYS[name]
+        sp = make_space(kind, n)
+        p = validate_params(n, N, eps)
+        traj = integrate_jacobi(sp, weight_preset(sp, weight), p,
+                                TransportRay(np.array(x), np.array(w),
+                                             np.array(S)))
+        assert max(traj.int_ann.max(), p.c * traj.l.max()) > 710.0
+        rep = check_jacobian_concavity(traj, p, kappa)
+        margins = np.array(rep.margins)
+        assert not np.isnan(margins).any()
+        assert np.isfinite(rep.min_margin)
 
 
 class TestFalsification:
