@@ -58,6 +58,9 @@ def _list(item, count=None):
 
 
 _REAL, _PAIR, _STR = _real(), _list(_real(), 2), lambda v: isinstance(v, str)
+# an interpolation parameter t: the coefficients beta need t in ]0, 1[
+_OPEN_T = lambda v: _REAL(v) and 0 < v < 1
+
 _DENSITY = {"kind": lambda v: v in ("bump", "uniform", "cosine"),
             "center": _REAL, "width": _REAL, "amplitude": _REAL, "bounds": _PAIR}
 # value checks of the config fields, applied where a field is present; a
@@ -68,7 +71,7 @@ _FIELDS = {
     "params": {"n": _REAL, "eps": _REAL,
                "N": lambda v: v == math.inf or _REAL(v) or isinstance(v, str)},
     "sampling": {"trials": _real(1, kind=int), "seed": _real(0, kind=int),
-                 "steps": _real(2, kind=int), "t_grid": _list(_real(0, 1)),
+                 "steps": _real(2, kind=int), "t_grid": _list(_OPEN_T),
                  "theta_range": _PAIR,
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(SUITES, _real(0)),
@@ -76,7 +79,7 @@ _FIELDS = {
                  "f1": _STR},
     "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
     "regions": {"radii": _PAIR, "bounds": _list(_PAIR, 2)},
-    "interpolation": {"t": lambda v: _REAL(v) and 0 < v < 1,
+    "interpolation": {"t": _OPEN_T,
                       "X": _PAIR, "Y": _PAIR,
                       "p": lambda v: v in (math.inf, -math.inf) or _REAL(v)},
     "functional": {"delta": _REAL, "density": _DENSITY},
@@ -268,7 +271,7 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
 def _write_trajectory(path, traj):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "det", "J", "h", "l", "D", "Dbar"])
+        w.writerow(["t", "det", "J", "h", "l", "log_D", "log_Dbar"])
         for row in traj.as_rows():
             w.writerow([f"{v:.17g}" for v in row])
 

@@ -63,20 +63,24 @@ class JacobianTrajectory:
     J: np.ndarray
     h: np.ndarray
     l: np.ndarray
-    D: np.ndarray
+    log_D: np.ndarray  # c l
     int_ann: np.ndarray  # log Dbar
     f_gamma: np.ndarray  # f along the geodesic
     theta: float  # |w|
     direction: np.ndarray = field(default=None)  # unit tangent, None if theta=0
 
     @property
+    def D(self) -> np.ndarray:
+        return np.exp(self.log_D)
+
+    @property
     def Dbar(self) -> np.ndarray:
         return np.exp(self.int_ann)
 
     def as_rows(self):
-        """Rows (t, det, J, h, l, D, Dbar) for CSV export."""
+        """Rows (t, det, J, h, l, log D, log Dbar) for CSV export."""
         return np.column_stack([self.ts, self.det, self.J, self.h,
-                                self.l, self.D, self.Dbar])
+                                self.l, self.log_D, self.int_ann])
 
 
 def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
@@ -203,7 +207,7 @@ def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
         direction = np.asarray(ray.w, float) / theta
     return JacobianTrajectory(
         ray=ray, ts=out["ts"], det=out["det"][0], J=out["J"][0],
-        h=out["h"][0], l=out["l"][0], D=np.exp(params.c * out["l"][0]),
+        h=out["h"][0], l=out["l"][0], log_D=params.c * out["l"][0],
         int_ann=out["int_ann"][0], f_gamma=out["f_gamma"][0], theta=theta,
         direction=direction,
     )
@@ -332,7 +336,7 @@ def check_jacobian_concavity(traj: JacobianTrajectory,
     if traj.theta <= 1e-14:
         # degenerate ray: distances vanish, s-ratios are taken as t
         d_partial = traj.ts * 1e-30
-    m1, m2, m3 = concavity_margins(traj.ts, params.c * traj.l, traj.int_ann,
+    m1, m2, m3 = concavity_margins(traj.ts, traj.log_D, traj.int_ann,
                                    traj.J, d_partial, params, kappa)
     margins = [float(v) for part in (m1, m2, m3) for v in part]
     return CheckReport(name="jacobian_concavity", margins=margins,

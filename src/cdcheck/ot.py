@@ -5,7 +5,8 @@ preset f of its model space: the x_1-axis of flat space with densities
 in x_1 only (the optimal map moves only the first coordinate), or a
 meridian of the unit 2-sphere with rotationally symmetric densities.
 Both reduce to monotone CDF matching on an axis grid with reference
-measure m = base * e^{-f} / Z.
+measure m = base * e^{-f} / Z. Displacement interpolation works in the
+mass coordinate u in ]0, 1[ of the quantile functions.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class DensityField:
         if abs(m - 1.0) > tol:
             raise ConfigError(f"density mass {m} is not 1 within {tol}")
 
-    def sup(self) -> float:
-        return float(self.values.max())
-
 
 def density_from_callable(geometry: AxisGeometry, fn: Callable) -> DensityField:
     """fn sampled on the geometry's grid, clipped at 0 and normalized."""
@@ -165,13 +163,40 @@ def _quantile(cdf: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-class MonotoneInterpolation:
-    """Displacement interpolation between two axis densities.
+# the graded midpoint rule in the mass coordinate u: the midpoints s of
+# _MASS_CELLS equal cells, mapped by u = s^p / (s^p + (1-s)^p), p = _GRADING,
+# crowd toward u = 0 and 1, where j = 1/rho(Q) has integrable singularities
+_MASS_CELLS, _GRADING = 2048, 3
 
-    Carries the monotone map T (sampled on the grid), its derivative
-    from the Monge-Ampere identity, and produces the intermediate
-    density both in pushforward coordinates (x-space, exact for
-    integration by substitution) and re-sampled on the standard grid.
+
+def _mass_quantile(rho: DensityField, u: np.ndarray):
+    """(Q(u), Q'(u)) for u in ]0, 1[: the exact inverse of the trapezoid CDF
+    of the piecewise-linear mass density w = rho m, quadratic in each cell
+    (stable root form), and Q' = 1/w(Q), both at total mass 1."""
+    g = rho.geometry
+    w = rho.values * g.m_density
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * g.dx)])
+    target = u * cum[-1]
+    # the cell [x_i, x_i+1] with cum_i < target <= cum_i+1 carries mass
+    i = np.clip(np.searchsorted(cum, target, side="left"), 1, w.size - 1) - 1
+    rest = target - cum[i]
+    slope = (w[i + 1] - w[i]) / g.dx
+    # w_i s + slope s^2 / 2 = rest
+    s = 2.0 * rest / (w[i] + np.sqrt(w[i] ** 2 + 2.0 * slope * rest))
+    return g.xs[i] + s, cum[-1] / (w[i] + slope * s)
+
+
+class MonotoneInterpolation:
+    """Displacement interpolation between two axis densities, in the mass
+    coordinate u in ]0, 1[.
+
+    With Q_i the quantile functions of rho_i m, mu_t is the law of
+    Q_t = (1-t) Q_0 + t Q_1 under u uniform. Its density relative to m at
+    Q_t(u) is 1/j_t(u), with j_t = m(Q_t) ((1-t) Q_0' + t Q_1'), so every
+    integral over mu_t is an integral in u on the graded midpoint grid
+    (``u``, ``du``); nothing is re-sampled on the axis grid. ``j0`` and
+    ``j1`` are j_t at t = 0 and 1. The monotone map T = Q_1 o F_0 is also
+    kept on the axis grid, for the transport-energy check.
     """
 
     def __init__(self, rho0: DensityField, rho1: DensityField):
@@ -180,63 +205,31 @@ class MonotoneInterpolation:
         rho0.check_mass(1e-7)
         rho1.check_mass(1e-7)
         self.g = rho0.geometry
-        self.rho0 = rho0
-        self.rho1 = rho1
-        xs = self.g.xs
-        cdf0 = _cdf(rho0)
-        cdf1 = _cdf(rho1)
-        self.T = _quantile(cdf1, xs, cdf0)
-        # Monge-Ampere: T'(x) = rho0(x) m(x) / (rho1(T(x)) m(T(x)))
-        num = rho0.values * self.g.m_density
-        den = (np.interp(self.T, xs, rho1.values)
-               * np.interp(self.T, xs, self.g.m_density))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tp = np.where(num > 0, num / den, 1.0)
-        self.Tprime = np.where(np.isfinite(tp), tp, 1.0)
+        self.T = _quantile(_cdf(rho1), self.g.xs, _cdf(rho0))
+        s = (np.arange(_MASS_CELLS) + 0.5) / _MASS_CELLS
+        a, b = s**_GRADING, (1.0 - s) ** _GRADING
+        self.u = a / (a + b)
+        self.du = (_GRADING * (s * (1.0 - s)) ** (_GRADING - 1)
+                   / ((a + b) ** 2 * _MASS_CELLS))
+        self.Q0, self.dQ0 = _mass_quantile(rho0, self.u)
+        self.Q1, self.dQ1 = _mass_quantile(rho1, self.u)
+        self.j0, self.j1 = self.jacobian([0.0, 1.0])
 
-    def map_at(self, t: float) -> np.ndarray:
-        return (1.0 - t) * self.g.xs + t * self.T
+    def jacobian(self, ts) -> np.ndarray:
+        """j_t(u) = 1 / rho_t(Q_t(u)), one row per t of ``ts``."""
+        t = np.asarray(ts, dtype=float)[:, None]
+        q = (1.0 - t) * self.Q0 + t * self.Q1
+        return (np.interp(q, self.g.xs, self.g.m_density)
+                * ((1.0 - t) * self.dQ0 + t * self.dQ1))
 
-    def map_deriv(self, t: float) -> np.ndarray:
-        return (1.0 - t) + t * self.Tprime
+    def mass_integral(self, integrand_of_rho, j) -> np.ndarray:
+        """integral of integrand(rho) d m for the densities rho = 1/j at
+        the quantiles: the sum of integrand(1/j) j du over the last axis."""
+        return (integrand_of_rho(1.0 / j) * j) @ self.du
 
-    def density_along(self, t: float) -> np.ndarray:
-        """rho_t evaluated at F_t(x), indexed by the source grid x."""
-        if t == 0.0:
-            return self.rho0.values.copy()
-        if t == 1.0:
-            return np.interp(self.T, self.g.xs, self.rho1.values)
-        ft = self.map_at(t)
-        m_ft = np.interp(ft, self.g.xs, self.g.m_density)
-        num = self.rho0.values * self.g.m_density
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = num / (m_ft * self.map_deriv(t))
-        return np.where(num > 0, rho, 0.0)
-
-    def density_at(self, t: float) -> DensityField:
-        """rho_t re-sampled on the standard grid (for entropy by grid quadrature)."""
-        if t == 0.0:
-            return self.rho0
-        if t == 1.0:
-            return self.rho1
-        ft = self.map_at(t)
-        vals_along = self.density_along(t)
-        on_grid = np.interp(self.g.xs, ft, vals_along, left=0.0, right=0.0)
-        return DensityField(self.g, on_grid)
-
-    def pushforward_integral(self, t: float, integrand_of_rho) -> float:
-        """integral of integrand(rho_t) d m by substitution y = F_t(x).
-
-        Avoids any re-sampling error: the weight m(F_t) F_t' dx is exact
-        up to quadrature on the source grid.
-        """
-        ft = self.map_at(t)
-        m_ft = np.interp(ft, self.g.xs, self.g.m_density)
-        jac = self.map_deriv(t)
-        rho = self.density_along(t)
-        support = self.rho0.values * self.g.m_density > 0
-        vals = np.where(support, integrand_of_rho(rho) * m_ft * jac, 0.0)
-        return self.g.integrate(vals)
+    def pushforward_integral(self, ts, integrand_of_rho) -> np.ndarray:
+        """integral of integrand(rho_t) d m for each t of ``ts``."""
+        return self.mass_integral(integrand_of_rho, self.jacobian(ts))
 
 
 def monotone_1d_transport(rho0: DensityField, rho1: DensityField) -> MonotoneInterpolation:

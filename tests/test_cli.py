@@ -106,6 +106,8 @@ class TestValidate:
         {"suite": "interpolation", "interpolation": {"p": math.nan}},
         {"suite": "interpolation", "interpolation": {"t": 0.0}},
         {"suite": "interpolation", "interpolation": {"t": 1}},
+        {"suite": "twcd", "sampling": {"t_grid": [0.0, 0.5, 1.0]}},
+        {"suite": "bm", "sampling": {"t_grid": [0.5, 1]}},
         {"suite": "interpolation", "interpolation": {"p": -math.inf}},
         {"suite": "interpolation", "interpolation": {"p": -0.5}},
         {"suite": "curvature", "weight": "linear(0.5)",
@@ -124,7 +126,8 @@ class TestValidate:
             "ball-without-radii", "line-window-reversed",
             "interpolation-p-string", "interpolation-p-bool",
             "interpolation-p-nan", "interpolation-t-zero",
-            "interpolation-t-one", "interpolation-p-minus-inf",
+            "interpolation-t-one", "twcd-t-grid-zero", "bm-t-grid-one",
+            "interpolation-p-minus-inf",
             "interpolation-p-below-range", "N-equals-n-weight",
             "N-equals-n-f1"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
@@ -205,7 +208,7 @@ class TestRunExitCodes:
         ce = json.loads((out / "counterexample.json").read_text())
         assert ce["margin"] < 0.0
         rows = list(csv.reader((out / "worst_ray.csv").open()))
-        assert rows[0] == ["t", "det", "J", "h", "l", "D", "Dbar"]
+        assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
         assert len(rows) > 2
 
     def test_taylor_remainder_sign_change_passes(self, tmp_path):

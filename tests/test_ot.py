@@ -3,7 +3,7 @@ import pytest
 
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, entropy_functional,
-                        fisher_information, w2_axis)
+                        fisher_information, renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
 
 
@@ -18,8 +18,8 @@ class TestMonotoneInterpolation:
         mi = MonotoneInterpolation(rho, rho)
         sup = np.max(np.abs(mi.T - g.xs)[rho.values > 1e-8])
         assert sup < 1e-8
-        np.testing.assert_allclose(mi.density_along(0.5)[rho.values > 1e-6],
-                                   rho.values[rho.values > 1e-6], rtol=1e-5)
+        np.testing.assert_array_equal(mi.Q0, mi.Q1)
+        np.testing.assert_allclose(mi.jacobian([0.5])[0], mi.j0, rtol=1e-12)
 
     def test_uniform_shift(self):
         g = line(lo=-1.0, hi=4.0)
@@ -28,27 +28,34 @@ class TestMonotoneInterpolation:
         mi = MonotoneInterpolation(r0, r1)
         core = (g.xs > 0.05) & (g.xs < 0.95)
         np.testing.assert_allclose(mi.T[core], g.xs[core] + 2.0, atol=1e-6)
+        np.testing.assert_allclose(mi.Q1 - mi.Q0, 2.0, atol=1e-12)
         # rho_t is uniform on [2t, 1+2t] with the same height as rho_0
+        bulk = (mi.Q0 > 0.05) & (mi.Q0 < 0.95)
+        height = np.interp(mi.Q0[bulk], g.xs, r0.values)
         for t in (0.25, 0.5, 0.75):
-            vals = mi.density_along(t)[core]
-            np.testing.assert_allclose(vals, r0.values[core], atol=1e-4)
+            rho_t = 1.0 / mi.jacobian([t])[0, bulk]
+            np.testing.assert_allclose(rho_t, height, atol=1e-10)
 
     def test_monge_ampere_consistency(self):
+        # rho_t(Q_t) m(Q_t) Q_t' = 1, with Q_t' by differences in u
         g = line(f1="quadratic(1)")
         r0 = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x + 0.4) ** 2))
         mi = MonotoneInterpolation(r0, r1)
+        core = (mi.u > 0.01) & (mi.u < 0.99)
+        for rho, q, j in ((r0, mi.Q0, mi.j0), (r1, mi.Q1, mi.j1)):
+            rho_q = np.interp(q, g.xs, rho.values)
+            np.testing.assert_allclose((rho_q * j)[core], 1.0, rtol=5e-6)
         t = 0.6
-        rho_t = mi.density_along(t)
-        m_interp = np.interp(mi.map_at(t), g.xs, g.m_density)
-        jac = mi.map_deriv(t) * m_interp / g.m_density
-        core = r0.values > 1e-3
-        resid = np.abs(r0.values - rho_t * jac)[core]
-        assert np.max(resid) < 1e-6
+        q_t = (1 - t) * mi.Q0 + t * mi.Q1
+        j_fd = np.interp(q_t, g.xs, g.m_density) * np.gradient(q_t, mi.u)
+        np.testing.assert_allclose(j_fd[core], mi.jacobian([t])[0, core],
+                                   rtol=1e-4)
 
     def test_particle_oracle(self):
         # deterministic particles: push the u-quantiles of rho0 through the
-        # monotone map and recover rho_t from the inverse-CDF derivative
+        # monotone map T on the axis grid and recover rho_t from the
+        # inverse-CDF derivative
         g = line(f1="quadratic(1)", points=16384)
         r0 = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x + 0.4) ** 2))
@@ -61,12 +68,13 @@ class TestMonotoneInterpolation:
                    + r0.values[:-1] * g.m_density[:-1]) * g.dx)])
         cdf0 /= cdf0[-1]
         xs_p = np.interp(u, cdf0, g.xs)
-        ys_p = np.interp(xs_p, g.xs, mi.map_at(t))
+        ys_p = np.interp(xs_p, g.xs, (1 - t) * g.xs + t * mi.T)
         k = 800
         centers = ys_p[k:-k]
         dens_m = (u[2 * k:] - u[:-2 * k]) / (ys_p[2 * k:] - ys_p[:-2 * k])
         est = dens_m / np.interp(centers, g.xs, g.m_density)
-        ref = np.interp(centers, g.xs, mi.density_at(t).values)
+        q_t = (1 - t) * mi.Q0 + t * mi.Q1
+        ref = np.interp(centers, q_t, 1.0 / mi.jacobian([t])[0])
         mask = ref > 0.5  # bulk only: tail windows are too wide
         assert np.max(np.abs(est - ref)[mask]) < 1e-4
 
@@ -75,20 +83,28 @@ class TestMonotoneInterpolation:
         r0 = density_from_callable(g, lambda x: np.exp(-3 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.5) ** 2))
         mi = MonotoneInterpolation(r0, r1)
-        for t in np.linspace(0.0, 1.0, 9):
-            rho_t = mi.density_at(t)
-            mass = g.integrate(rho_t.values * g.m_density)
-            assert abs(mass - 1.0) < 1e-7
+        ts = np.linspace(0.0, 1.0, 9)
+        mass = mi.pushforward_integral(ts, lambda r: r)
+        np.testing.assert_allclose(mass, 1.0, atol=1e-12)
+        # the barycentre moves linearly between the grid barycentres
+        bary = [g.integrate(g.xs * r.values * g.m_density) for r in (r0, r1)]
+        for t in ts:
+            q_t = (1 - t) * mi.Q0 + t * mi.Q1
+            assert q_t @ mi.du == pytest.approx(
+                (1 - t) * bary[0] + t * bary[1], abs=1e-8)
 
     def test_endpoints(self):
         g = line()
         r0 = density_from_callable(g, lambda x: np.exp(-3 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.5) ** 2))
         mi = MonotoneInterpolation(r0, r1)
-        l1_0 = g.integrate(np.abs(mi.density_at(0.0).values - r0.values) * g.m_density)
-        l1_1 = g.integrate(np.abs(mi.density_at(1.0).values - r1.values) * g.m_density)
-        assert l1_0 < 1e-6
-        assert l1_1 < 1e-6
+        p = validate_params(2, 10, 0.5)
+        got = mi.pushforward_integral(
+            [0.0, 1.0], lambda r: renyi_pointwise(r, p))
+        ref = [entropy_functional(r, p) for r in (r0, r1)]
+        np.testing.assert_allclose(got, ref, atol=1e-6)
+        np.testing.assert_array_equal(mi.jacobian([0.0, 1.0]),
+                                      [mi.j0, mi.j1])
 
 
 class TestW2:

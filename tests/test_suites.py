@@ -5,7 +5,8 @@ import pytest
 
 from cdcheck.coefficients import log_beta
 from cdcheck.errors import HypothesisError, PreconditionError
-from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable)
+from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable,
+                        entropy_functional)
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
                             weight_preset)
@@ -51,14 +52,13 @@ class TestTwCD:
 
         mi = MonotoneInterpolation(r0, r1)
         K = (n - 1) * kappa  # Ric lower bound entering the classical check
+        # classical CD(K, N) coefficients sigma^{(t)}(d) over the monotone
+        # coupling (Q_0(u), Q_1(u)) in the mass coordinate u
+        d = np.abs(mi.Q1 - mi.Q0)
+        sd = np.where(d > 1e-14, d, 1e-14)
         for row in rep.provenance["rows"]:
             t = row["t"]
-            # classical CD(K, N) coefficients sigma^{(t)}(d) on the line
-            d = np.abs(mi.T - g.xs)
-            live = r0.values > 1e-12
-            sd = np.where(d > 1e-14, d, 1e-14)
             # tau-coefficients with N = n: beta_t^{1/N} = (s(t d)/(t s(d)))
-            arg = np.sqrt(K / (n - 1.0)) if K > 0 else 0.0
             s_full = s_kappa(K / (n - 1.0), sd)
             s_t = s_kappa(K / (n - 1.0), t * sd)
             s_1mt = s_kappa(K / (n - 1.0), (1 - t) * sd)
@@ -67,17 +67,88 @@ class TestTwCD:
             tau_1mt = np.where(d > 1e-14, (1 - t) ** (1.0 / n)
                                * (s_1mt / s_full) ** (1.0 - 1.0 / n),
                                1 - t)
-            rho1_T = mi.density_at(1.0).values
-            rho1_at_T = np.interp(mi.T, g.xs, rho1_T)
-            integrand = (tau_1mt * r0.values ** (-1.0 / n)
-                         + tau_t * np.where(rho1_at_T > 1e-300,
-                                            rho1_at_T, 1.0) ** (-1.0 / n))
-            lhs_classical = g.integrate(
-                np.where(live, integrand, 0.0) * r0.values * g.m_density)
+            # rho_0 dm = du, rho_0(Q_0)^{-1/n} = j_0^{1/n} and
+            # rho_1(T(Q_0))^{-1/n} = j_1^{1/n}
+            lhs_classical = (tau_1mt * mi.j0 ** (1.0 / n)
+                             + tau_t * mi.j1 ** (1.0 / n)) @ mi.du
             # the twcd rhs at this t must equal the classical rhs
             # computed through the same U = Renyi reduction
             rhs_classical = n * (1.0 - lhs_classical)
             assert row["rhs"] == pytest.approx(rhs_classical, abs=1e-9)
+
+    # criterion 5 of the acceptance gate, as the benchmark runs it
+    PAIRS = (((-0.5, 0.4), (0.5, 0.6)), ((-0.8, 0.3), (0.2, 0.4)),
+             ((0.0, 0.5), (0.6, 0.3)), ((-0.3, 0.6), (-0.6, 0.4)),
+             ((0.4, 0.35), (-0.4, 0.55)))
+    FINE_T = [round(0.01 * i, 2) for i in range(1, 100)]
+
+    @staticmethod
+    def _bumps(g, pair):
+        (m0, w0), (m1, w1) = pair
+        return [density_from_callable(
+            g, lambda x, m=m, w=w: np.exp(-0.5 * ((x - m) / w) ** 2))
+            for m, w in ((m0, w0), (m1, w1))]
+
+    def _pair_margin(self, pair, points):
+        g = quad_line(points=points)
+        r0, r1 = self._bumps(g, pair)
+        return check_twcd(r0, r1, validate_params(2, 10, 0.5), -1.0,
+                          self.FINE_T)
+
+    def test_pair2_converged_margin(self):
+        # the source-grid pushforward read 4.40e-3 here, 55% above the limit
+        rep = self._pair_margin(self.PAIRS[2], 8192)
+        assert rep.min_margin == pytest.approx(2.8385e-3, abs=1e-7)
+
+    def test_criterion5_margins_grid_independent(self):
+        for pair in self.PAIRS:
+            coarse = self._pair_margin(pair, 8192).margins
+            fine = self._pair_margin(pair, 16384).margins
+            assert np.max(np.abs(np.subtract(coarse, fine))) < 1e-7
+
+    def test_wide_window_endpoint_entropy(self):
+        # rho_0 has tail mass where rho_1 has almost none; the source-grid
+        # pushforward read -764 for the lhs at t = 0.99
+        g = quad_line(points=16384, lo=-4.0, hi=4.0)
+        p = validate_params(2, 10, 0.5)
+        r0, r1 = self._bumps(g, self.PAIRS[2])
+        rep = check_twcd(r0, r1, p, -1.0, [0.99])
+        lhs = rep.provenance["rows"][0]["lhs"]
+        assert lhs == pytest.approx(entropy_functional(r1, p), abs=1e-2)
+
+    @pytest.mark.parametrize("X, Y, tol", [
+        ((-1.5, -0.5), (0.0, 1.5), 2e-6),
+        ((-1.5, -0.5), (0.0, 1.02), 1e-7),
+        ((-1.5, -0.5), (0.5, 1.5), 1e-12),
+    ], ids=["lengths-1-1.5", "lengths-1-1.02", "equal-lengths"])
+    def test_uniform_pair_closed_form(self, X, Y, tol):
+        # flat line, kappa = 0: beta = 1 and j_i = L_i / 4 on the support,
+        # so j_t = (1-t) j_0 + t j_1 and the margin is in closed form
+        g = flat_line(points=8192)
+        p = validate_params(2, 10, 0.5)
+        r0, r1 = (density_from_callable(
+            g, lambda x, a=a, b=b: ((x >= a) & (x <= b)).astype(float))
+            for a, b in (X, Y))
+        rep = check_twcd(r0, r1, p, 0.0, T_GRID)
+        L0, L1 = (X[1] - X[0]) / 4.0, (Y[1] - Y[0]) / 4.0
+        r = p.c / (p.c + 1.0)
+        for row in rep.provenance["rows"]:
+            t = row["t"]
+            ref = ((p.c + 1.0) / p.c * (((1 - t) * L0 + t * L1) ** r
+                                        - (1 - t) * L0**r - t * L1**r))
+            assert abs(row["margin"] - ref) <= tol
+
+    def test_meridian_margins_grid_independent(self):
+        p = validate_params(2, 6.0, 0.5)
+        margins = []
+        for points in (4096, 16384):
+            g = MeridianGeometry("zero", points)
+            r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
+            r1 = density_from_callable(
+                g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
+            margins.append(check_twcd(r0, r1, p, 0.5, T_GRID).margins)
+        assert np.all(np.isfinite(margins))
+        assert np.max(np.abs(np.subtract(*margins))) < 1e-6
 
     def test_weighted_pipeline(self):
         g = quad_line(a=1.0)
