@@ -58,6 +58,7 @@ def _list(item, count=None):
 
 
 _REAL, _PAIR, _STR = _real(), _list(_real(), 2), lambda v: isinstance(v, str)
+_POSITIVE_PAIR = _list(lambda v: _REAL(v) and v > 0, 2)
 # an interpolation parameter t: the coefficients beta need t in ]0, 1[
 _OPEN_T = lambda v: _REAL(v) and 0 < v < 1
 
@@ -66,19 +67,19 @@ _DENSITY = {"kind": lambda v: v in ("bump", "uniform", "cosine"),
 # value checks of the config fields, applied where a field is present; a
 # dict holds the checks of a nested object's fields
 _FIELDS = {
-    "kappa": _REAL, "weight": _STR,
+    "kappa": _REAL, "weight": _STR, "out_dir": _STR,
     "space": {"dim": _real(2, kind=int), "radius": _REAL, "scale": _REAL},
     "params": {"n": _REAL, "eps": _REAL,
                "N": lambda v: v == math.inf or _REAL(v) or isinstance(v, str)},
     "sampling": {"trials": _real(1, kind=int), "seed": _real(0, kind=int),
                  "steps": _real(2, kind=int), "t_grid": _list(_OPEN_T),
-                 "theta_range": _PAIR,
+                 "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(SUITES, _real(0)),
-    "geometry": {"points": _real(16, kind=int), "lo": _REAL, "hi": _REAL,
-                 "f1": _STR},
+    "geometry": {"kind": _STR, "points": _real(16, kind=int), "lo": _REAL,
+                 "hi": _REAL, "f1": _STR},
     "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
-    "regions": {"radii": _PAIR, "bounds": _list(_PAIR, 2)},
+    "regions": {"radii": _POSITIVE_PAIR, "bounds": _list(_PAIR, 2)},
     "interpolation": {"t": _OPEN_T,
                       "X": _PAIR, "Y": _PAIR,
                       "p": lambda v: v in (math.inf, -math.inf) or _REAL(v)},
@@ -477,7 +478,11 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir or cfg.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory error: {exc}", file=sys.stderr)
+        return 2
     try:
         reports = run_suite(cfg, out_dir)
     except PreconditionError as exc:

@@ -62,8 +62,12 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
 
     Elementwise over arrays, with d_part the partial distance at fraction
     ``frac`` and 0 where d_full = 0. Callers keep d_full below the
-    conjugate radius.
+    conjugate radius; a fraction outside ]0, 1[ raises ValueError.
     """
+    frac = np.asarray(frac, dtype=float)
+    if not np.all((frac > 0.0) & (frac < 1.0)):
+        raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
+                         f" to {frac.max()}")
     d_part = np.asarray(d_part, dtype=float)
     d_full = np.asarray(d_full, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,9 +4,10 @@ Absolutely continuous measures live on a geodesic axis, weighted by a
 preset f of its model space: the x_1-axis of flat space with densities
 in x_1 only (the optimal map moves only the first coordinate), or a
 meridian of the unit 2-sphere with rotationally symmetric densities.
-Both reduce to monotone CDF matching on an axis grid with reference
-measure m = base * e^{-f} / Z. Displacement interpolation works in the
-mass coordinate u in ]0, 1[ of the quantile functions.
+Both carry the reference measure m = base * e^{-f} / Z on an axis grid,
+and both reduce to the monotone coupling of two densities, taken in the
+mass coordinate u in ]0, 1[ of their quantile functions: W2 and
+displacement interpolation are integrals in u.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import DimensionParams
-from .quadrature import composite_simpson, cumulative_simpson, neville_extrapolate
+from .quadrature import composite_simpson, cumulative_simpson
 from .spaces import Euclidean, Sphere, weight_preset
 
 
@@ -139,30 +140,6 @@ def density_from_callable(geometry: AxisGeometry, fn: Callable) -> DensityField:
 # ----------------------------------------------------------------------
 # monotone transport and displacement interpolation
 # ----------------------------------------------------------------------
-def _cdf(rho: DensityField) -> np.ndarray:
-    g = rho.geometry
-    cdf = cumulative_simpson(rho.values * g.m_density, g.dx)
-    cdf = np.maximum.accumulate(cdf / cdf[-1])
-    return np.clip(cdf, 0.0, 1.0)
-
-
-def _quantile(cdf: np.ndarray, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Generalized inverse inf{x : cdf(x) >= u}, flat stretches included."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
-    p0 = cdf[idx - 1]
-    p1 = cdf[idx]
-    gap = p1 - p0
-    frac = np.where(gap > 0, (u - p0) / np.where(gap > 0, gap, 1.0), 1.0)
-    out = xs[idx - 1] + np.clip(frac, 0.0, 1.0) * (xs[idx] - xs[idx - 1])
-    # u = 0 sits in the flat head of the CDF; use the left support edge
-    zero = u <= 0.0
-    if np.any(zero):
-        i0 = max(int(np.searchsorted(cdf, 0.0, side="right")) - 1, 0)
-        out = np.where(zero, xs[i0], out)
-    return out
-
-
 # the graded midpoint rule in the mass coordinate u: the midpoints s of
 # _MASS_CELLS equal cells, mapped by u = s^p / (s^p + (1-s)^p), p = _GRADING,
 # crowd toward u = 0 and 1, where j = 1/rho(Q) has integrable singularities
@@ -195,8 +172,8 @@ class MonotoneInterpolation:
     Q_t(u) is 1/j_t(u), with j_t = m(Q_t) ((1-t) Q_0' + t Q_1'), so every
     integral over mu_t is an integral in u on the graded midpoint grid
     (``u``, ``du``); nothing is re-sampled on the axis grid. ``j0`` and
-    ``j1`` are j_t at t = 0 and 1. The monotone map T = Q_1 o F_0 is also
-    kept on the axis grid, for the transport-energy check.
+    ``j1`` are j_t at t = 0 and 1. The pairs (Q_0(u), Q_1(u)) are the
+    optimal coupling of rho_0 m with rho_1 m.
     """
 
     def __init__(self, rho0: DensityField, rho1: DensityField):
@@ -205,7 +182,6 @@ class MonotoneInterpolation:
         rho0.check_mass(1e-7)
         rho1.check_mass(1e-7)
         self.g = rho0.geometry
-        self.T = _quantile(_cdf(rho1), self.g.xs, _cdf(rho0))
         s = (np.arange(_MASS_CELLS) + 0.5) / _MASS_CELLS
         a, b = s**_GRADING, (1.0 - s) ** _GRADING
         self.u = a / (a + b)
@@ -237,24 +213,10 @@ def monotone_1d_transport(rho0: DensityField, rho1: DensityField) -> MonotoneInt
 
 
 def w2_axis(rho0: DensityField, rho1: DensityField) -> float:
-    """W2 between axis densities by equal-mass quantization.
-
-    Each measure is reduced to m quantile points, matched monotonically
-    (optimal in 1D); the midpoint-rule costs are Richardson-extrapolated
-    in 1/m^2 over m = 128, 256, 512.
-    """
-    xs = rho0.geometry.xs
-    cdf0 = _cdf(rho0)
-    cdf1 = _cdf(rho1)
-    costs, hs = [], []
-    for m in (128, 256, 512):
-        u = (np.arange(m) + 0.5) / m
-        q0 = _quantile(cdf0, xs, u)
-        q1 = _quantile(cdf1, xs, u)
-        costs.append(float(np.mean((q0 - q1) ** 2)))
-        hs.append(1.0 / m**2)
-    cost = neville_extrapolate(hs, costs, at=0.0)
-    return math.sqrt(max(cost, 0.0))
+    """W2 between axis densities: the cost of the monotone coupling, the
+    integral of (Q_1 - Q_0)^2 over u on the graded grid."""
+    interp = MonotoneInterpolation(rho0, rho1)
+    return math.sqrt(((interp.Q1 - interp.Q0) ** 2) @ interp.du)
 
 
 # ----------------------------------------------------------------------

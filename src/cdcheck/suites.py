@@ -358,8 +358,9 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                            kappa: float, tol: float = 1e-5) -> CheckReport:
     """Transport-energy lower bound on the entropy of mu = rho m.
 
-    The optimal coupling of (mu, m) is the monotone map; the b-type
-    coefficients are evaluated on its graph.
+    The optimal coupling of (mu, m) is the monotone one, the pairs
+    (Q_0(u), Q_1(u)) of their quantiles; the b-type coefficients are
+    integrated over it in the mass coordinate u.
     """
     g = rho.geometry
     f0 = _functional_preconditions(rho, params, kappa, None)
@@ -375,9 +376,9 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                                                           rho.values, 1.0)),
                                     0.0) * g.m_density)
 
-    d_f = g.reparam_partial(params, g.xs, interp.T, 1.0)
+    d_f = g.reparam_partial(params, interp.Q0, interp.Q1, 1.0)
     require_conjugate_radius(kappa, d_f)
-    base = math.exp(-params.a * f0) * np.abs(interp.T - g.xs)
+    base = math.exp(-params.a * f0) * np.abs(interp.Q1 - interp.Q0)
     pos = d_f > 0
     b_pow = np.ones_like(d_f)  # b^{c/(c+1)} with the unit value at the diagonal
     b_pow[pos] = np.exp((np.log(base[pos]) - np.log(s_kappa(kappa, d_f[pos])))
@@ -385,8 +386,7 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
     frak = np.zeros_like(d_f)
     frak[pos] = (base[pos] * c_kappa(kappa, d_f[pos]) / s_kappa(kappa, d_f[pos])
                  - 1.0) / (c + 1.0)
-    pair_term = g.integrate((frak + np.exp(1.0 - b_pow))
-                            * rho.values * g.m_density)
+    pair_term = (frak + np.exp(1.0 - b_pow)) @ interp.du
     rhs = 0.5 * ratio + 0.5 * log_term - 0.5 * ratio * pair_term
     margin = H - rhs
     return CheckReport(name="transport_energy", margins=[margin],

@@ -1,5 +1,6 @@
 """Command-line interface: config validation, exit codes, artifacts."""
 
+import copy
 import csv
 import importlib
 import json
@@ -7,8 +8,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cdcheck import cli
 from cdcheck.cli import main
+from cdcheck.errors import CdCheckError
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -33,6 +37,43 @@ def base_cfg(suite, **over):
     }
     cfg.update(over)
     return cfg
+
+
+# a config that sets every checked field, for the fuzz test
+FUZZ_BASE = {
+    "space": {"kind": "euclidean", "dim": 2}, "weight": "zero",
+    "params": {"n": 2, "N": 8.0, "eps": 0.4}, "kappa": -1.0, "suite": "all",
+    "sampling": {"trials": 10, "seed": 0, "steps": 16, "t_grid": [0.5],
+                 "theta_range": [0.2, 1.0],
+                 "region": {"radius": 1.0, "center": [0.0, 0.0]}},
+    "tolerances": dict.fromkeys(cli.SUITES, 1e-6),
+    "geometry": {"kind": "line", "lo": -2.0, "hi": 2.0, "points": 64,
+                 "f1": "zero"},
+    "densities": [{"kind": "bump", "center": 0.0, "width": 0.5},
+                  {"kind": "uniform", "bounds": [-1.0, 1.0]}],
+    "regions": {"radii": [0.3, 0.5], "bounds": [[-1.0, -0.3], [0.3, 1.0]]},
+    "interpolation": {"t": 0.5, "p": 0.0, "X": [-1.0, -0.2],
+                      "Y": [0.2, 1.0]},
+    "functional": {"delta": 0.0,
+                   "density": {"kind": "cosine", "amplitude": 0.1,
+                               "center": 0.0, "width": 0.5,
+                               "bounds": [-1.0, 1.0]}},
+    "out_dir": "out",
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6)
+
+
+def _field_paths(checks, prefix=()):
+    """The key paths of every field that ``checks`` (cli._FIELDS) checks."""
+    for key, ok in checks.items():
+        yield prefix + (key,)
+        if isinstance(ok, dict):
+            yield from _field_paths(ok, prefix + (key,))
 
 
 class TestValidate:
@@ -115,6 +156,12 @@ class TestValidate:
         {"suite": "all", "weight": "zero",
          "params": {"n": 3, "N": 3, "eps": 0.5},
          "geometry": {"f1": "quadratic(0.3)"}},
+        {"sampling": {"trials": 200, "seed": 0, "theta_range": [1.0, 0.2]}},
+        {"sampling": {"trials": 200, "seed": 0, "theta_range": [0.0, 0.0]}},
+        {"suite": "bm", "weight": "zero",
+         "regions": {"kind": "ball", "radii": [-0.3, 0.3]}},
+        {"out_dir": 5},
+        {"suite": "twcd", "geometry": {"kind": ["line"]}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -129,7 +176,8 @@ class TestValidate:
             "interpolation-t-one", "twcd-t-grid-zero", "bm-t-grid-one",
             "interpolation-p-minus-inf",
             "interpolation-p-below-range", "N-equals-n-weight",
-            "N-equals-n-f1"])
+            "N-equals-n-f1", "theta-range-reversed", "theta-range-zero",
+            "ball-radius-negative", "out-dir-number", "geometry-kind-list"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -165,6 +213,23 @@ class TestValidate:
         cfg = base_cfg("curvature", params={"n": 3, "N": "inf", "eps": 0.4})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["validate", "--config", path]) == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(sorted(_field_paths(cli._FIELDS))),
+           suite=st.sampled_from(cli.SUITES), value=_JSON)
+    def test_validate_never_crashes(self, path, suite, value):
+        # any JSON value in any checked field is accepted or refused with
+        # a CdCheckError (exit 2), never an uncaught exception
+        cfg = copy.deepcopy(FUZZ_BASE)
+        cfg["suite"] = suite
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cli.resolve_config(cfg)
+        except CdCheckError:
+            pass
 
 
 class TestRunExitCodes:
@@ -257,6 +322,16 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "precondition failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under_file", [False, True],
+                             ids=["file", "path-under-file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o" if under_file else blocker
+        path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
+        assert main(["run", "--config", path, "--out-dir", str(out)]) == 2
+        assert "output directory error" in capsys.readouterr().err
 
     def test_no_kept_ray_exits_2(self, tmp_path, capsys):
         # the one ray of seed 1 is inadmissible; an empty report is no

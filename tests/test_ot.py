@@ -11,13 +11,22 @@ def line(points=4096, lo=-2.0, hi=2.0, f1="zero"):
     return LineGeometry(f1, lo=lo, hi=hi, points=points)
 
 
+def trapezoid_cdf(rho):
+    """The CDF of rho m on the axis grid by the trapezoid rule, total 1."""
+    w = rho.values * rho.geometry.m_density
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1])
+                                           * rho.geometry.dx)])
+    return cdf / cdf[-1]
+
+
 class TestMonotoneInterpolation:
     def test_identity_when_equal(self):
         g = line()
         rho = density_from_callable(g, lambda x: np.exp(-x**2))
         mi = MonotoneInterpolation(rho, rho)
-        sup = np.max(np.abs(mi.T - g.xs)[rho.values > 1e-8])
-        assert sup < 1e-8
+        # the monotone map T = Q_1 o Q_0^{-1} on the support
+        supp = g.xs[rho.values > 1e-8]
+        assert np.max(np.abs(np.interp(supp, mi.Q0, mi.Q1) - supp)) < 1e-8
         np.testing.assert_array_equal(mi.Q0, mi.Q1)
         np.testing.assert_allclose(mi.jacobian([0.5])[0], mi.j0, rtol=1e-12)
 
@@ -26,8 +35,9 @@ class TestMonotoneInterpolation:
         r0 = density_from_callable(g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
         r1 = density_from_callable(g, lambda x: ((x >= 2) & (x <= 3)).astype(float))
         mi = MonotoneInterpolation(r0, r1)
-        core = (g.xs > 0.05) & (g.xs < 0.95)
-        np.testing.assert_allclose(mi.T[core], g.xs[core] + 2.0, atol=1e-6)
+        core = g.xs[(g.xs > 0.05) & (g.xs < 0.95)]
+        np.testing.assert_allclose(np.interp(core, mi.Q0, mi.Q1), core + 2.0,
+                                   atol=1e-6)
         np.testing.assert_allclose(mi.Q1 - mi.Q0, 2.0, atol=1e-12)
         # rho_t is uniform on [2t, 1+2t] with the same height as rho_0
         bulk = (mi.Q0 > 0.05) & (mi.Q0 < 0.95)
@@ -54,8 +64,8 @@ class TestMonotoneInterpolation:
 
     def test_particle_oracle(self):
         # deterministic particles: push the u-quantiles of rho0 through the
-        # monotone map T on the axis grid and recover rho_t from the
-        # inverse-CDF derivative
+        # monotone map T = F_1^{-1} o F_0 of the trapezoid CDFs on the axis
+        # grid and recover rho_t from the inverse-CDF derivative
         g = line(f1="quadratic(1)", points=16384)
         r0 = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x + 0.4) ** 2))
@@ -63,12 +73,10 @@ class TestMonotoneInterpolation:
         t = 0.5
         n = 4_000_000
         u = (np.arange(n) + 0.5) / n
-        cdf0 = np.concatenate([[0.0], np.cumsum(
-            0.5 * (r0.values[1:] * g.m_density[1:]
-                   + r0.values[:-1] * g.m_density[:-1]) * g.dx)])
-        cdf0 /= cdf0[-1]
+        cdf0, cdf1 = (trapezoid_cdf(r) for r in (r0, r1))
+        T = np.interp(cdf0, cdf1, g.xs)
         xs_p = np.interp(u, cdf0, g.xs)
-        ys_p = np.interp(xs_p, g.xs, (1 - t) * g.xs + t * mi.T)
+        ys_p = np.interp(xs_p, g.xs, (1 - t) * g.xs + t * T)
         k = 800
         centers = ys_p[k:-k]
         dens_m = (u[2 * k:] - u[:-2 * k]) / (ys_p[2 * k:] - ys_p[:-2 * k])
@@ -119,6 +127,19 @@ class TestW2:
         r0 = density_from_callable(g, lambda x: np.exp(-2 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.6) ** 2))
         assert w2_axis(r0, r1) == pytest.approx(w2_axis(r1, r0), abs=1e-9)
+
+    def test_against_fine_quantile_rule(self):
+        # the midpoint rule on 2,000,000 uniform u nodes of the inverted
+        # trapezoid CDFs; an m = 128/256/512 quantile ladder with Neville
+        # extrapolation was off by 2.1e-5 here
+        g = line(f1="quadratic(0.4)")
+        r0 = density_from_callable(g, lambda x: np.exp(-2 * x**2))
+        r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.6) ** 2))
+        n = 2_000_000
+        u = (np.arange(n) + 0.5) / n
+        q0, q1 = (np.interp(u, trapezoid_cdf(r), g.xs) for r in (r0, r1))
+        ref = np.sqrt(np.mean((q1 - q0) ** 2))
+        assert w2_axis(r0, r1) == pytest.approx(ref, abs=1e-7)
 
 
 class TestEntropy:

@@ -167,6 +167,17 @@ class TestTwCD:
         with pytest.raises(PreconditionError):
             check_twcd(r0, r0, p, 5.0, [0.5])
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_endpoint_t_rejected(self, t):
+        # beta_t needs t in ]0, 1[; t = 0 or 1 once gave a NaN margin and
+        # a false fail
+        g = flat_line(points=1024)
+        p = validate_params(2, 10, 0.5)
+        r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.3) ** 2))
+        r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.5) ** 2))
+        with pytest.raises(ValueError, match=r"\]0,1\["):
+            check_twcd(r0, r1, p, -1.0, [t, 0.5])
+
 
 class TestBrunnMinkowski:
     def test_flat_balls_classical(self):
@@ -193,6 +204,20 @@ class TestBrunnMinkowski:
         rep = check_brunn_minkowski(pair, g, None, p, -2.5)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    def test_endpoint_t_rejected(self, kind, t):
+        p = validate_params(2, 10, 0.5)
+        if kind == "interval":
+            X, Y = ({"kind": kind, "bounds": b} for b in ((-1.0, -0.3),
+                                                          (0.3, 1.0)))
+            where = (flat_line(points=1024), None)
+        else:
+            X, Y = ({"kind": kind, "radius": r} for r in (0.4, 1.0))
+            where = (make_space("euclidean", 2), constant_weight(0.0))
+        with pytest.raises(ValueError, match=r"\]0,1\["):
+            check_brunn_minkowski(RegionPair(X, Y, t), *where, p, -1.0)
 
 
 class TestInterpolationInequality:
