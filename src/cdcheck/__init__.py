@@ -16,15 +16,15 @@ from .params import (DimensionParams, c_kappa, diam_kappa, s_kappa,
 from .report import CheckReport, canonical_json, report_hash
 from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
                      Sphere, WeightFunction, check_curvature_bound,
-                     constant_weight, make_space, ricci_fN, segment_between,
+                     constant_weight, make_space, segment_between,
                      weight_preset)
-from .reparam import reparam_distance, reparam_partial, reparam_profile
-from .coefficients import (TwistedCoefficient, b_coeff, beta,
-                           classical_distortion, frak_b, log_beta,
-                           require_conjugate_radius, within_conjugate_radius)
+from .reparam import reparam_partial
+from .coefficients import (TwistedCoefficient, b_coeff, beta, frak_b,
+                           log_beta, require_conjugate_radius,
+                           within_conjugate_radius)
 from .jacobi import (JacobianTrajectory, TransportRay, check_jacobian_concavity,
-                     check_riccati, falsify_jacobian, integrate_jacobi,
-                     jacobi_closed_form, sample_rays, scan_rays)
+                     check_riccati, integrate_jacobi, jacobi_closed_form,
+                     sample_rays, scan_rays)
 from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  MonotoneInterpolation, density_from_callable,
                  entropy_functional, fisher_information,

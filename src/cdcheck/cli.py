@@ -175,9 +175,10 @@ def _check_axis(cfg, space):
         spans += [icfg.get("X", _INTERPOLATION_X),
                   icfg.get("Y", _INTERPOLATION_Y)]
     for span in spans:
-        if not (span and lo <= min(span) <= max(span) <= hi):
-            raise ConfigError(f"axis interval {span} is missing or leaves"
-                              f" the {kind} window [{lo:g}, {hi:g}]")
+        if not (span and lo <= span[0] < span[1] <= hi):
+            raise ConfigError(f"axis interval {span} is missing, empty,"
+                              f" reversed or leaves the {kind} window"
+                              f" [{lo:g}, {hi:g}]")
     return axis_weight
 
 
@@ -229,44 +230,33 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     s = cfg["sampling"]
     kappa = cfg["kappa"]
     tol = cfg["tolerances"].get("jacobian", 1e-8)
-    rng = np.random.default_rng(s["seed"])
     trials = s["trials"]
     steps = s.get("steps", 128)
-    theta_range = tuple(s.get("theta_range", (0.2, 1.2)))
-    margins = []
-    worst = (math.inf, None)
-    batch = 250
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        xs, ws, Ss, mins = jacobi.scan_rays(space, weight, params, kappa, rng,
-                                            m, steps, s.get("region"),
-                                            theta_range, tol)
-        for x, w, S, val in zip(xs, ws, Ss, mins.tolist()):
-            margins.append(val)
-            if val < worst[0]:
-                worst = (val, (x, w, S))
-        done += m
-    if not margins:
+    xs, ws, Ss, margins = jacobi.scan_rays(
+        space, weight, params, kappa, np.random.default_rng(s["seed"]),
+        trials, steps, s.get("region"),
+        tuple(s.get("theta_range", (0.2, 1.2))), tol)
+    if not margins.size:
         raise PreconditionError(f"all {trials} rays were inadmissible or"
                                 " reached the conjugate radius",
                                 failed="samples")
-    rep = CheckReport(name="jacobian_concavity", margins=margins,
+    rep = CheckReport(name="jacobian_concavity", margins=margins.tolist(),
                       tolerance=tol,
                       provenance={"kappa": kappa, "trials": trials,
                                   "seed": s["seed"], "steps": steps})
-    reports = [rep]
-    if worst[1] is not None and out_dir is not None:
-        x, w, S = worst[1]
+    # the first smallest margin; a NaN margin names no worst ray
+    i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
+    if out_dir is not None:
         traj = jacobi.integrate_jacobi(space, weight, params,
-                                       jacobi.TransportRay(x, w, S), steps)
+                                       jacobi.TransportRay(xs[i], ws[i],
+                                                           Ss[i]), steps)
         _write_trajectory(out_dir / "worst_ray.csv", traj)
-        if worst[0] < -tol:
-            record = {"x": x.tolist(), "w": w.tolist(), "S": S.tolist(),
-                      "margin": worst[0]}
+        if margins[i] < -tol:
+            record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
+                      "S": Ss[i].tolist(), "margin": float(margins[i])}
             (out_dir / "counterexample.json").write_text(
                 canonical_json(record))
-    return reports
+    return [rep]
 
 
 def _write_trajectory(path, traj):

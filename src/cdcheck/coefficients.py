@@ -99,19 +99,6 @@ def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
         math.exp(float(log_beta(params, kappa, d_t, d_full, t))), "finite")
 
 
-def classical_distortion(kappa: float, N: float, t: float, theta: float) -> float:
-    """Unweighted distortion (s_K(t theta)/(t s_K(theta)))^{N-1}, K = kappa.
-
-    Reference implementation for the eps = 1 reduction.
-    """
-    if theta == 0.0:
-        return 1.0
-    if theta >= diam_kappa(kappa) - BOUNDARY_TOL:
-        return math.inf
-    return math.exp((N - 1.0) * (math.log(s_kappa(kappa, t * theta))
-                                 - math.log(t * s_kappa(kappa, theta))))
-
-
 def b_coeff(space, weight, params, kappa: float, x, y) -> float:
     """Small-t limit of beta_t(x,y); 1 at x = y, +inf past the conjugate radius."""
     seg = segment_between(space, x, y)

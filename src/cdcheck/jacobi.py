@@ -19,7 +19,6 @@ quadrature of a_nn behind h and Dbar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,9 @@ from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, ricci_fN_batch
 
 SYMMETRY_TOL = 1e-12
+# rays that scan_rays samples and integrates at once; it bounds the
+# (batch, steps + 1) work arrays
+_RAY_BATCH = 250
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,6 @@ class JacobianTrajectory:
     f_gamma: np.ndarray  # f along the geodesic
     theta: float  # |w|
     direction: np.ndarray = field(default=None)  # unit tangent, None if theta=0
-
-    @property
-    def D(self) -> np.ndarray:
-        return np.exp(self.log_D)
-
-    @property
-    def Dbar(self) -> np.ndarray:
-        return np.exp(self.int_ann)
 
     def as_rows(self):
         """Rows (t, det, J, h, l, log D, log Dbar) for CSV export."""
@@ -396,14 +390,29 @@ def scan_rays(space: ModelSpace, weight: WeightFunction,
     """Sample ``count`` rays and return the kept ones with their margins.
 
     Returns (xs, ws, Ss, margins), ``margins`` holding each kept ray's
-    minimum over the concavity inequalities (i)-(iii). Rays that are
-    inadmissible or whose re-parametrized length reaches the conjugate
-    radius are dropped. det E is exact at every grid point; the grid error
-    left is the quadrature of a_nn behind h and Dbar, which is sharp where
-    the determinant dips toward 0, and a dip between grid points can hide
-    det E <= 0. So a ray whose determinant dips below 0.1 and whose
-    margin is below ``-tol`` is re-checked by :func:`refine_ray_margin`
-    and dropped if the fine grid shows it inadmissible.
+    minimum over the concavity inequalities (i)-(iii), in draw order. The
+    rays are drawn and scanned ``_RAY_BATCH`` at a time, so a scan of
+    ``count`` rays equals scans of its batches on the same generator.
+    """
+    parts = [_scan_batch(space, weight, params, kappa, rng,
+                         min(_RAY_BATCH, count - done), steps, region,
+                         theta_range, tol)
+             for done in range(0, count, _RAY_BATCH)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _scan_batch(space, weight, params, kappa, rng, count, steps, region,
+                theta_range, tol):
+    """One batch of :func:`scan_rays`.
+
+    Rays that are inadmissible or whose re-parametrized length reaches
+    the conjugate radius are dropped. det E is exact at every grid point;
+    the grid error left is the quadrature of a_nn behind h and Dbar, which
+    is sharp where the determinant dips toward 0, and a dip between grid
+    points can hide det E <= 0. So a ray whose determinant dips below 0.1
+    and whose margin is below ``-tol`` is re-checked by
+    :func:`refine_ray_margin` and dropped if the fine grid shows it
+    inadmissible.
     """
     xs, ws, Ss = sample_rays(space, rng, count, region, theta_range)
     out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
@@ -428,45 +437,3 @@ def scan_rays(space: ModelSpace, weight: WeightFunction,
             margins[j] = ref
     keep, margins = keep[~dropped], margins[~dropped]
     return xs[keep], ws[keep], Ss[keep], margins
-
-
-def falsify_jacobian(space: ModelSpace, weight: WeightFunction,
-                     params: DimensionParams, kappa: float,
-                     trials: int = 10000, seed: int = 0,
-                     region: dict | None = None,
-                     theta_range: tuple[float, float] = (0.2, 1.4),
-                     steps: int = 64,
-                     violation: float = 1e-6) -> CheckReport:
-    """Counterexample search for the Jacobian concavity inequality.
-
-    When the pointwise curvature bound fails, random rays are scanned for
-    a violation of the concavity inequalities (i)-(iii). The report passes
-    iff a margin below -``violation`` is found; when the curvature bound
-    holds the search is skipped and the report is a vacuous pass.
-    """
-    from .spaces import check_curvature_bound
-
-    curv = check_curvature_bound(space, weight, params, kappa,
-                                 {"count": 400, "seed": seed, "region": region})
-    if curv.passed:
-        return CheckReport(name="falsify_jacobian", margins=[0.0],
-                           tolerance=0.0, vacuous=True,
-                           provenance={"curvature_min_margin": curv.min_margin})
-
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    batch = 500
-    done = 0
-    while done < trials and worst > -violation:
-        m = min(batch, trials - done)
-        *_, margins = scan_rays(space, weight, params, kappa, rng, m, steps,
-                                region, theta_range, violation)
-        if margins.size:
-            worst = min(worst, float(margins.min()))
-        done += m
-    found = worst < -violation
-    return CheckReport(name="falsify_jacobian",
-                       margins=[-worst - violation],
-                       tolerance=0.0,
-                       provenance={"worst_margin": worst, "trials": done,
-                                   "violation_found": found})

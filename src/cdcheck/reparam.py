@@ -9,8 +9,7 @@ The full distance is d_f(x, y) = d_1(x, y). These are computed by
 adaptive Simpson quadrature on the analytic geodesic, whose integrand is
 evaluated on a whole array of arclengths at once (``space.geodesic``,
 then ``weight.eval``, then the exponential taken with ``math.exp`` per
-value), or all at once on a fixed grid via cumulative Simpson when many
-fractions are needed.
+value).
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import math
 import numpy as np
 
 from .params import DimensionParams
-from .quadrature import adaptive_simpson, cumulative_simpson
-from .spaces import GeodesicSegment, ModelSpace, WeightFunction, segment_between
+from .quadrature import adaptive_simpson
+from .spaces import GeodesicSegment, ModelSpace, WeightFunction
 
 
 def weight_along(space: ModelSpace, weight: WeightFunction,
@@ -54,30 +53,6 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     fn = lambda s: _exp_weight(a, weight_along(space, weight, seg, s))
     val, _ = adaptive_simpson(fn, 0.0, upper, rel_tol=rel_tol)
     return val
-
-
-def reparam_distance(space, weight, params, x, y, rel_tol: float = 1e-10) -> float:
-    """Full re-parametrized distance d_f(x, y)."""
-    seg = segment_between(space, x, y)
-    return reparam_partial(space, weight, params, seg, 1.0, rel_tol=rel_tol)
-
-
-def reparam_profile(space: ModelSpace, weight: WeightFunction,
-                    params: DimensionParams, seg: GeodesicSegment,
-                    grid_size: int = 512):
-    """(s_grid, d(s)) with d(s) = integral_0^s e^{-a f(gamma)} on a uniform grid.
-
-    Fourth-order cumulative Simpson; d(s_grid[-1]) is the full distance.
-    grid_size is rounded up to an even interval count.
-    """
-    m = grid_size + (grid_size % 2)
-    s = np.linspace(0.0, seg.length, m + 1)
-    fs = np.asarray(weight_along(space, weight, seg, s), dtype=float)
-    integrand = np.exp(-params.a * fs)
-    if seg.length == 0.0:
-        return s, np.zeros_like(s)
-    d = cumulative_simpson(integrand, s[1] - s[0])
-    return s, d
 
 
 def asymmetry_bound_margin(space: ModelSpace, weight: WeightFunction,

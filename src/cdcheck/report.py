@@ -41,10 +41,6 @@ class CheckReport:
             return "vacuous"
         return "pass" if self.min_margin >= -self.tolerance else "fail"
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "vacuous")
-
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON serialization (sorted keys, fixed separators)."""

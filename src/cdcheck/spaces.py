@@ -56,9 +56,6 @@ class ModelSpace:
         """(unit tangent v, length L) with geodesic(x, v, L) == y."""
         raise NotImplementedError
 
-    def distance(self, x, y) -> float:
-        return self.log(x, y)[1]
-
     def inner(self, x, u, v) -> float:
         raise NotImplementedError
 
@@ -523,18 +520,12 @@ def weight_preset(space: ModelSpace, spec: str) -> WeightFunction:
     return _hyperbolic(space, flat) if isinstance(space, Hyperbolic) else flat
 
 
-def ricci_fN(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
-             x, v) -> float:
-    """N-weighted Ricci curvature Ric_f^N(v, v) for a unit tangent v.
+def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
+    """N-weighted Ricci curvature Ric_f^N(v, v) at each point of ``xs``
+    for the unit tangent of ``vs`` at it.
 
     The last term vanishes for N = +inf; N = n requires a constant weight.
     """
-    arr = ricci_fN_batch(space, weight, params,
-                         np.asarray(x, float)[None, :], np.asarray(v, float)[None, :])
-    return float(arr[0])
-
-
-def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
     n, N = params.n, params.N
     if N == n and not weight.is_constant:
         raise ConfigError("N = n requires a constant weight function")

@@ -68,10 +68,6 @@ class SeriesCheck:
             return 0.0
         return float(1.0 - q[self.deltas == d0][0] / (4.0 * ref.max()))
 
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0.0
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

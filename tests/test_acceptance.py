@@ -62,14 +62,11 @@ def test_criterion_02_c_reductions():
     _gate(2, "c-constant reductions on random (n, N)", ok)
 
 
-def _ray_suite_margins(space, weight, params, kappa, trials, seed):
+def _ray_suite_margins(space, weight, params, kappa, rays, seed):
     rng = np.random.default_rng(seed)
-    mins = []
+    *_, margins = jacobi.scan_rays(space, weight, params, kappa, rng, rays,
+                                   128, None, (0.2, 1.2), 1e-8)
     riccati_mins = []
-    while len(mins) < trials:
-        *_, margins = jacobi.scan_rays(space, weight, params, kappa, rng, 250,
-                                       128, None, (0.2, 1.2), 1e-8)
-        mins.extend(margins.tolist())
     # differential inequalities on a subsample of admissible rays
     xs, ws, Ss = jacobi.sample_rays(space, rng, 60)
     for x, w, S in zip(xs, ws, Ss):
@@ -80,31 +77,26 @@ def _ray_suite_margins(space, weight, params, kappa, trials, seed):
             continue
         rep = jacobi.check_riccati(traj, space, weight, params)
         riccati_mins.append(rep.min_margin)
-    return min(mins), min(riccati_mins), len(mins)
+    return margins.min(), min(riccati_mins), margins.size
 
 
 def test_criterion_03_ray_suites():
     sphere = make_space("sphere", 2, radius=1.0)
     p_s = validate_params(2, 2, 1.0)
     m_s, r_s, n_s = _ray_suite_margins(sphere, constant_weight(0.0), p_s,
-                                       1.0, 1000, 3)
+                                       1.0, 1500, 3)
     euc = make_space("euclidean", 3)
     w = weight_preset(euc, "quadratic(0.3)")
     p_e = validate_params(3, 10, 0.4)
     curv = check_curvature_bound(euc, w, p_e, -1.0,
                                  {"count": 400, "seed": 3})
-    m_e, r_e, n_e = _ray_suite_margins(euc, w, p_e, -1.0, 1000, 3)
-    ok = (curv.passed and n_s >= 1000 and n_e >= 1000
+    m_e, r_e, n_e = _ray_suite_margins(euc, w, p_e, -1.0, 1500, 3)
+    ok = (curv.verdict == "pass" and n_s >= 1000 and n_e >= 1000
           and min(m_s, m_e) >= -1e-8 and min(r_s, r_e) >= -1e-8)
     _gate(3, "sphere and weighted-space ray inequalities", ok)
 
 
 def test_criterion_04_falsification(tmp_path):
-    euc = make_space("euclidean", 3)
-    p = validate_params(3, 3, 1.0)
-    rep = jacobi.falsify_jacobian(euc, constant_weight(0.0), p, 0.2,
-                                  trials=10000, seed=0)
-    found = rep.provenance.get("violation_found", False)
     cfg = {"space": {"kind": "euclidean", "dim": 3}, "weight": "zero",
            "params": {"n": 3, "N": 3.0, "eps": 1.0}, "kappa": 0.2,
            "suite": "jacobian", "sampling": {"trials": 10000, "seed": 0}}
@@ -112,7 +104,10 @@ def test_criterion_04_falsification(tmp_path):
     cpath.write_text(json.dumps(cfg))
     code = cli.main(["run", "--config", str(cpath), "--out-dir",
                      str(tmp_path), "--quiet"])
-    _gate(4, "flat space with positive bound is falsified", found and code == 1)
+    # the jacobian suite's default tolerance
+    found = (code == 1 and json.loads((tmp_path / "counterexample.json")
+                                      .read_text())["margin"] < -1e-8)
+    _gate(4, "flat space with positive bound is falsified", found)
 
 
 def test_criterion_05_displacement_convexity():
@@ -208,7 +203,7 @@ def test_criterion_08_series_expansions():
     ok = True
     for term in TERMS:
         chk = check_series(euc, w, p, -0.7, x, v, term)
-        ok &= chk.passed
+        ok &= chk.margin >= 0.0
     rep = check_F_identity(p, 0.7, np.linspace(-3.0, 3.0, 100), tol=1e-10)
     ok &= rep.verdict == "pass"
     _gate(8, "series remainder slopes and quadratic-form identity", ok)

@@ -162,6 +162,11 @@ class TestValidate:
          "regions": {"kind": "ball", "radii": [-0.3, 0.3]}},
         {"out_dir": 5},
         {"suite": "twcd", "geometry": {"kind": ["line"]}},
+        {"suite": "interpolation", "interpolation": {"X": [-0.2, -1.0]}},
+        {"suite": "bm", "regions": {"bounds": [[-0.3, -1.0], [0.3, 1.0]]}},
+        {"suite": "twcd", "densities": [{"kind": "uniform",
+                                         "bounds": [-0.5, -1.0]},
+                                        {"kind": "bump"}]},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -177,7 +182,9 @@ class TestValidate:
             "interpolation-p-minus-inf",
             "interpolation-p-below-range", "N-equals-n-weight",
             "N-equals-n-f1", "theta-range-reversed", "theta-range-zero",
-            "ball-radius-negative", "out-dir-number", "geometry-kind-list"])
+            "ball-radius-negative", "out-dir-number", "geometry-kind-list",
+            "interpolation-X-reversed", "regions-reversed",
+            "uniform-reversed"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -261,20 +268,27 @@ class TestRunExitCodes:
         assert bundle["reports"][0]["verdict"] in ("pass", "vacuous")
 
     def test_flat_positive_kappa_fails_with_counterexample(self, tmp_path):
-        # flat space cannot satisfy a positive lower bound; the violation
-        # must be found and recorded
-        cfg = base_cfg("jacobian", weight="zero",
-                       params={"n": 3, "N": 3.0, "eps": 1.0}, kappa=0.2,
-                       sampling={"trials": 2000, "seed": 0})
-        path = write_cfg(tmp_path, "c.json", cfg)
-        out = tmp_path / "out"
-        assert main(["run", "--config", path, "--out-dir", str(out),
-                     "--quiet"]) == 1
-        ce = json.loads((out / "counterexample.json").read_text())
-        assert ce["margin"] < 0.0
-        rows = list(csv.reader((out / "worst_ray.csv").open()))
-        assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
-        assert len(rows) > 2
+        # flat space cannot satisfy a positive lower bound, nor the unit
+        # sphere one above its curvature; the violation must be found and
+        # recorded (the sphere case is a search of 500 short-grid rays)
+        flat = base_cfg("jacobian", weight="zero",
+                        params={"n": 3, "N": 3.0, "eps": 1.0}, kappa=0.2,
+                        sampling={"trials": 2000, "seed": 0})
+        sphere = sphere_cfg(weight="zero", kappa=1.1,
+                            params={"n": 2, "N": 2.0, "eps": 1.0},
+                            sampling={"trials": 500, "seed": 1, "steps": 64,
+                                      "theta_range": [0.2, 1.4]},
+                            tolerances={"jacobian": 1e-6})
+        for cfg, tol in ((flat, 1e-8), (sphere, 1e-6)):
+            path = write_cfg(tmp_path, "c.json", cfg)
+            out = tmp_path / cfg["space"]["kind"]
+            assert main(["run", "--config", path, "--out-dir", str(out),
+                         "--quiet"]) == 1
+            ce = json.loads((out / "counterexample.json").read_text())
+            assert ce["margin"] < -tol
+            rows = list(csv.reader((out / "worst_ray.csv").open()))
+            assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
+            assert len(rows) > 2
 
     def test_taylor_remainder_sign_change_passes(self, tmp_path):
         # app2_fwd's O(delta^3) remainder changes sign between delta = 1/64

@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from cdcheck.coefficients import (b_coeff, beta, check_limits,
-                                  classical_distortion, frak_b, log_beta,
-                                  require_conjugate_radius)
+from cdcheck.coefficients import (b_coeff, beta, check_limits, frak_b,
+                                  log_beta, require_conjugate_radius)
 from cdcheck.errors import PreconditionError
-from cdcheck.params import diam_kappa, validate_params
+from cdcheck.params import diam_kappa, s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
+
+
+def classical_distortion(kappa, N, t, theta):
+    """Reference: the unweighted distortion (s_K(t theta)/(t s_K(theta)))^{N-1},
+    K = kappa, for theta inside the model diameter."""
+    if theta == 0.0:
+        return 1.0
+    return math.exp((N - 1.0) * (math.log(s_kappa(kappa, t * theta))
+                                 - math.log(t * s_kappa(kappa, theta))))
 
 
 @pytest.fixture

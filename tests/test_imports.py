@@ -1,6 +1,7 @@
 """Every name a cdcheck module imports is used in that module, every
-function, method and class it defines has a caller, no module imports
-scipy, and the CLI starts without loading scipy.
+function, method and class it defines has a caller in the package or the
+benchmark, no module imports scipy, and the CLI starts without loading
+scipy.
 
 AST scans stand in for a linter's unused-import and dead-code rules.
 ``__init__.py`` is skipped in the import scan because its imports are the
@@ -22,9 +23,11 @@ import cdcheck
 ALL_MODULES = sorted(Path(cdcheck.__file__).parent.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 REPO = Path(__file__).resolve().parent.parent
-# every file that may call into the package: src, tests and the benchmark
-CALLERS = (ALL_MODULES + sorted(REPO.glob("tests/*.py"))
-           + sorted(REPO.glob("perfbench/*.py")))
+# the files whose calls keep a definition alive: src and the benchmark;
+# code that only tests reach belongs in the tests
+CALLERS = ALL_MODULES + sorted(REPO.glob("perfbench/*.py"))
+# acceptance-gate APIs, called from the tests only
+TEST_APIS = {"check_riccati"}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -79,7 +82,8 @@ def _dead_definitions(modules, callers) -> list[str]:
 def test_no_dead_definitions():
     # a definition whose name is referenced only inside its own body has no
     # caller (dunder methods are called by the interpreter)
-    assert _dead_definitions(ALL_MODULES, CALLERS) == []
+    assert [d for d in _dead_definitions(ALL_MODULES, CALLERS)
+            if d.split()[-1] not in TEST_APIS] == []
 
 
 def test_dead_definition_scan_sees_an_uncalled_function(tmp_path):

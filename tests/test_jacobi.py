@@ -4,10 +4,11 @@ from scipy.integrate import solve_ivp
 
 from cdcheck.errors import PreconditionError, SingularJacobian
 from cdcheck.jacobi import (TransportRay, check_jacobian_concavity,
-                            check_riccati, falsify_jacobian, integrate_jacobi,
-                            jacobi_closed_form, sample_rays)
+                            check_riccati, integrate_jacobi,
+                            jacobi_closed_form, sample_rays, scan_rays)
 from cdcheck.params import validate_params
-from cdcheck.spaces import constant_weight, make_space, weight_preset
+from cdcheck.spaces import (check_curvature_bound, constant_weight,
+                            make_space, weight_preset)
 
 
 @pytest.fixture
@@ -47,8 +48,8 @@ class TestTrajectories:
         traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
         np.testing.assert_allclose(traj.det, 1.0, atol=1e-12)
         np.testing.assert_allclose(traj.J, 1.0, atol=1e-12)
-        np.testing.assert_allclose(traj.D, 1.0, atol=1e-12)
-        np.testing.assert_allclose(traj.Dbar, 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(traj.log_D), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(traj.int_ann), 1.0, atol=1e-12)
 
     def test_flat_isotropic_determinant(self, flat3):
         lam = 0.35
@@ -106,7 +107,8 @@ class TestTrajectories:
                                   north_ray(sphere2, 0.8, S), steps=128)
         fine = integrate_jacobi(sphere2, constant_weight(0.0), p,
                                 north_ray(sphere2, 0.8, S), steps=256)
-        assert abs(coarse.Dbar[-1] - fine.Dbar[-1]) < 1e-8
+        assert abs(np.exp(coarse.int_ann[-1])
+                   - np.exp(fine.int_ann[-1])) < 1e-8
         assert abs(coarse.h[-1] - fine.h[-1]) < 1e-8
 
     def test_singular_ray_rejected(self, flat3):
@@ -127,8 +129,9 @@ class TestTrajectories:
         traj = integrate_jacobi(sphere2, w, p,
                                 north_ray(sphere2, 0.7,
                                           [[0.2, 0.0], [0.0, 0.1]]))
-        assert np.all(traj.D > 0)
-        assert np.all(traj.Dbar > 0)
+        # D and Dbar are kept as their logs: finite logs, positive densities
+        assert np.all(np.isfinite(traj.log_D))
+        assert np.all(np.isfinite(traj.int_ann))
 
 
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
@@ -215,6 +218,26 @@ class TestRiccati:
             assert rep.verdict == "pass", rep.min_margin
             count += 1
         assert count == 10
+
+
+class TestScan:
+    @pytest.mark.parametrize("kind, dim, weight, nNe, kappa", [
+        ("sphere", 2, "zero", (2, 2.0, 1.0), 1.0),
+        ("euclidean", 3, "zero", (3, 3.0, 1.0), 0.2),
+    ], ids=["s2-equality", "r3-violated"])
+    def test_whole_count_equals_its_batches(self, kind, dim, weight, nNe,
+                                            kappa):
+        # the draw order behind every seeded jacobian run: one scan of 600
+        # rays is the scans of 250, 250 and 100 on the same generator
+        sp = make_space(kind, dim)
+        args = (sp, weight_preset(sp, weight), validate_params(*nNe), kappa)
+        rest = (64, None, (0.2, 1.4), 1e-6)
+        whole = scan_rays(*args, np.random.default_rng(5), 600, *rest)
+        rng = np.random.default_rng(5)
+        parts = [scan_rays(*args, rng, m, *rest) for m in (250, 250, 100)]
+        assert all(part[-1].size for part in parts)
+        for got, want in zip(whole, zip(*parts)):
+            np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 class TestConcavity:
@@ -327,22 +350,24 @@ class TestOverflow:
 
 
 class TestFalsification:
-    def test_flat_positive_kappa_violated(self, flat3):
-        p = validate_params(3, 3, 1.0)
-        rep = falsify_jacobian(flat3, constant_weight(0.0), p, 0.2,
-                               trials=10000, seed=0)
-        assert rep.provenance["violation_found"]
-        assert rep.verdict == "pass"
+    # a counterexample search is one scan_rays call past the curvature
+    # bound: 500 rays, 64 steps, theta in [0.2, 1.4], violation 1e-6
+    @staticmethod
+    def _search(sp, params, kappa, seed):
+        w = constant_weight(0.0)
+        curv = check_curvature_bound(sp, w, params, kappa,
+                                     {"count": 400, "seed": seed,
+                                      "region": None})
+        assert curv.verdict != "pass"
+        *_, margins = scan_rays(sp, w, params, kappa,
+                                np.random.default_rng(seed), 500, 64, None,
+                                (0.2, 1.4), 1e-6)
+        return float(margins.min())
 
-    def test_vacuous_on_valid_space(self, sphere2):
-        p = validate_params(2, 2, 1.0)
-        rep = falsify_jacobian(sphere2, constant_weight(0.0), p, 1.0,
-                               trials=500, seed=0)
-        assert rep.vacuous
-        assert rep.passed
+    def test_flat_positive_kappa_violated(self, flat3):
+        worst = self._search(flat3, validate_params(3, 3, 1.0), 0.2, 0)
+        assert worst < -1e-6
 
     def test_sphere_excess_kappa_violated(self, sphere2):
-        p = validate_params(2, 2, 1.0)
-        rep = falsify_jacobian(sphere2, constant_weight(0.0), p, 1.1,
-                               trials=10000, seed=1)
-        assert rep.provenance["violation_found"]
+        worst = self._search(sphere2, validate_params(2, 2, 1.0), 1.1, 1)
+        assert worst < -1e-6

@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from cdcheck.params import validate_params
-from cdcheck.reparam import reparam_distance, reparam_partial, reparam_profile
+from cdcheck.quadrature import cumulative_simpson
+from cdcheck.reparam import reparam_partial, weight_along
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
+
+
+def reparam_distance(space, weight, params, x, y):
+    """Full re-parametrized distance d_f(x, y)."""
+    seg = segment_between(space, x, y)
+    return reparam_partial(space, weight, params, seg, 1.0)
+
+
+def reparam_profile(space, weight, params, seg, grid_size=512):
+    """Reference: (s_grid, d(s)) with d(s) = integral_0^s e^{-a f(gamma)},
+    by cumulative Simpson on a uniform grid of ``grid_size`` (even) steps."""
+    s = np.linspace(0.0, seg.length, grid_size + 1)
+    fs = np.asarray(weight_along(space, weight, seg, s), dtype=float)
+    return s, cumulative_simpson(np.exp(-params.a * fs), s[1] - s[0])
 
 
 @pytest.fixture
