@@ -22,9 +22,9 @@ from .reparam import reparam_partial
 from .coefficients import (TwistedCoefficient, b_coeff, beta, frak_b,
                            log_beta, require_conjugate_radius,
                            within_conjugate_radius)
-from .jacobi import (JacobianTrajectory, TransportRay, check_jacobian_concavity,
-                     check_riccati, integrate_jacobi, jacobi_closed_form,
-                     sample_rays, scan_rays)
+from .jacobi import (JacobianTrajectory, TransportRay, check_riccati,
+                     integrate_jacobi, jacobi_closed_form, sample_rays,
+                     scan_rays)
 from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  MonotoneInterpolation, density_from_callable,
                  entropy_functional, fisher_information,

@@ -28,6 +28,7 @@ from .ot import (DensityField, LineGeometry, MeridianGeometry,
 from .params import validate_params
 from .report import CheckReport, canonical_json, report_hash
 from .spaces import check_curvature_bound, make_space, weight_preset
+from .suites import envelope_psi
 
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
@@ -232,7 +233,7 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     tol = cfg["tolerances"].get("jacobian", 1e-8)
     trials = s["trials"]
     steps = s.get("steps", 128)
-    xs, ws, Ss, margins = jacobi.scan_rays(
+    xs, ws, Ss, margins, grids = jacobi.scan_rays(
         space, weight, params, kappa, np.random.default_rng(s["seed"]),
         trials, steps, s.get("region"),
         tuple(s.get("theta_range", (0.2, 1.2))), tol)
@@ -246,16 +247,15 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
                                   "seed": s["seed"], "steps": steps})
     # the first smallest margin; a NaN margin names no worst ray
     i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
-    if out_dir is not None:
-        traj = jacobi.integrate_jacobi(space, weight, params,
-                                       jacobi.TransportRay(xs[i], ws[i],
-                                                           Ss[i]), steps)
-        _write_trajectory(out_dir / "worst_ray.csv", traj)
-        if margins[i] < -tol:
-            record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
-                      "S": Ss[i].tolist(), "margin": float(margins[i])}
-            (out_dir / "counterexample.json").write_text(
-                canonical_json(record))
+    traj = jacobi.integrate_jacobi(space, weight, params,
+                                   jacobi.TransportRay(xs[i], ws[i], Ss[i]),
+                                   steps)
+    _write_trajectory(out_dir / "worst_ray.csv", traj)
+    if margins[i] < -tol:
+        record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
+                  "S": Ss[i].tolist(), "margin": float(margins[i]),
+                  "steps": int(grids[i])}
+        (out_dir / "counterexample.json").write_text(canonical_json(record))
     return [rep]
 
 
@@ -277,13 +277,12 @@ def _run_twcd(cfg, params, out_dir):
     tol = cfg["tolerances"].get("twcd", 1e-6)
     rep = suites.check_twcd(rho0, rho1, params, cfg["kappa"],
                             cfg["sampling"]["t_grid"], tol=tol)
-    if out_dir is not None:
-        with open(out_dir / "twcd.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "lhs", "rhs", "margin"])
-            for row in rep.provenance["rows"]:
-                w.writerow([f"{row[k]:.17g}"
-                            for k in ("t", "lhs", "rhs", "margin")])
+    with open(out_dir / "twcd.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "lhs", "rhs", "margin"])
+        for row in rep.provenance["rows"]:
+            w.writerow([f"{row[k]:.17g}"
+                        for k in ("t", "lhs", "rhs", "margin")])
     return [rep]
 
 
@@ -318,55 +317,6 @@ def _run_interpolation(cfg, params):
                                        seed=cfg["sampling"]["seed"], tol=tol)]
 
 
-def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
-                 slack: float = 1e-4):
-    """Tight admissible middle function for the p-mean hypothesis.
-
-    At each of 4,096 z nodes, the sup of the hypothesis right-hand side
-    over the pairs (x, y) in X x Y with (1-t)x + ty = z: the best of 64 x
-    values brackets it, and golden-section steps on all z at once shrink
-    the bracket to 1e-12. A relative slack covers interpolation error.
-    """
-    zs = np.linspace((1 - t) * X[0] + t * Y[0],
-                     (1 - t) * X[1] + t * Y[1], 4096)
-    lo = np.maximum(X[0], (zs - t * Y[1]) / (1 - t))
-    hi = np.minimum(X[1], (zs - t * Y[0]) / (1 - t))
-
-    def rhs(x, z):  # the interval ends may round past X and Y
-        x = np.clip(x, *X)
-        y = np.clip((z - (1 - t) * x) / t, *Y)
-        b_rev, b_fwd = np.exp(suites.axis_log_betas(geometry, params, kappa,
-                                                    x, y, t))
-        return suites.p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p)
-
-    cells = np.linspace(0.0, 1.0, 64)
-    best, k = np.empty(zs.size), np.empty(zs.size, dtype=int)
-    step = 8192 // cells.size  # chunks no larger than the axis grid
-    for s in range(0, zs.size, step):
-        part = slice(s, s + step)
-        vals = rhs(lo[part, None] + (hi - lo)[part, None] * cells,
-                   zs[part, None])
-        k[part], best[part] = vals.argmax(axis=1), vals.max(axis=1)
-    a = lo + (hi - lo) * cells[np.maximum(k - 1, 0)]
-    b = lo + (hi - lo) * cells[np.minimum(k + 1, cells.size - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = rhs(c, zs), rhs(d, zs)
-    # a step count, not a width test: far from 0, x is coarser than 1e-12
-    steps = math.log(1e-12 / max(float(np.max(b - a)), 1e-12), g)
-    for _ in range(math.ceil(steps)):
-        left = fc >= fd  # the sup lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - g * (b - a), a + g * (b - a))
-        f_new = rhs(new, zs)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    env = np.maximum(best, np.maximum(fc, fd))
-    env *= 1.0 + slack
-    env += slack * float(env.max())
-    return lambda z: np.interp(z, zs, env, left=0.0, right=0.0)
-
-
 def _run_functional(cfg, params):
     geometry = _build_geometry(cfg)
     fcfg = cfg.get("functional", {})
@@ -388,9 +338,8 @@ def _run_taylor(cfg, space, weight, params, out_dir):
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
     checks = taylor.check_series(space, weight, params, cfg["kappa"],
                                  x, v, terms)
-    if out_dir is not None:
-        for chk in checks:
-            chk.to_csv(out_dir / f"taylor_{chk.term}.csv")
+    for chk in checks:
+        chk.to_csv(out_dir / f"taylor_{chk.term}.csv")
     reports = [CheckReport(name="taylor_series",
                            margins=[chk.margin for chk in checks],
                            tolerance=0.0,

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (log_beta, require_conjugate_radius,
-                           within_conjugate_radius)
+from .coefficients import log_beta, within_conjugate_radius
 from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
@@ -35,6 +34,8 @@ SYMMETRY_TOL = 1e-12
 # rays that scan_rays samples and integrates at once; it bounds the
 # (batch, steps + 1) work arrays
 _RAY_BATCH = 250
+# the grid on which the scan re-checks the rays it flags
+_REFINE_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -319,43 +320,47 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
     return m1, m2, m3
 
 
-def check_jacobian_concavity(traj: JacobianTrajectory,
-                             params: DimensionParams, kappa: float,
-                             tol: float = 1e-8) -> CheckReport:
-    """The three trajectory inequalities for a single ray."""
-    dt = traj.ts[1] - traj.ts[0]
-    d_partial = _partials_from_f(params, traj.f_gamma, traj.theta, dt)
-    if traj.theta > 0:
-        require_conjugate_radius(kappa, d_partial[-1])
-    if traj.theta <= 1e-14:
-        # degenerate ray: distances vanish, s-ratios are taken as t
-        d_partial = traj.ts * 1e-30
-    m1, m2, m3 = concavity_margins(traj.ts, traj.log_D, traj.int_ann,
-                                   traj.J, d_partial, params, kappa)
-    margins = [float(v) for part in (m1, m2, m3) for v in part]
-    return CheckReport(name="jacobian_concavity", margins=margins,
-                       tolerance=tol,
-                       provenance={"kappa": kappa, "theta": traj.theta,
-                                   "d_f": float(d_partial[-1])})
+def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
+    """The concavity margins of a batch of rays on a grid of ``steps`` steps.
+
+    Returns (keep, margins, det_min): the indices of the rays that move,
+    are admissible and whose re-parametrized length stays below the
+    conjugate radius, and for each of them the minimum over inequalities
+    (i)-(iii) and the minimum of det E on the grid. Dropped rows get no
+    margins: a zero-speed ray has no s-ratios, and a ray with det E <= 0
+    has no log D.
+    """
+    out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
+    dt = out["ts"][1] - out["ts"][0]
+    d_partial = _partials_from_f(params, out["f_gamma"],
+                                 out["thetas"][:, None], dt)
+    keep = np.flatnonzero(out["admissible"] & (out["thetas"] > 1e-14)
+                          & within_conjugate_radius(kappa, d_partial[:, -1]))
+    m1, m2, m3 = concavity_margins(out["ts"], params.c * out["l"][keep],
+                                   out["int_ann"][keep], out["J"][keep],
+                                   d_partial[keep], params, kappa)
+    margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
+    return keep, margins, np.min(out["det"][keep], axis=-1)
 
 
 def refine_ray_margin(space: ModelSpace, weight: WeightFunction,
                       params: DimensionParams, kappa: float,
-                      x, w, S, steps: int = 4096) -> float | None:
-    """Re-check one ray's concavity margin on a much finer grid.
+                      x, w, S, steps: int = _REFINE_STEPS) -> float | None:
+    """One ray's concavity margin on a grid of ``steps`` steps.
 
-    Rays whose determinant dips close to zero mid-trajectory carry large
-    a_nn quadrature error at the default resolution; refinement
-    either confirms the margin or reveals the ray as inadmissible
-    (``None``). A margin that stays negative is a genuine violation.
+    ``None`` if the ray has zero speed, is inadmissible on that grid,
+    reaches the conjugate radius, or S is not symmetric. The scan refines its flagged
+    rays through the same kernel, so this reproduces their margins.
     """
     try:
-        traj = integrate_jacobi(space, weight, params,
-                                TransportRay(x, w, S), steps)
-        rep = check_jacobian_concavity(traj, params, kappa)
-    except (SingularJacobian, PreconditionError):
+        ray = TransportRay(np.asarray(x, float), np.asarray(w, float),
+                           np.asarray(S, float))
+    except PreconditionError:
         return None
-    return rep.min_margin
+    keep, margins, _ = _ray_margins(space, weight, params, kappa,
+                                    ray.x[None], ray.w[None], ray.S[None],
+                                    steps)
+    return float(margins[0]) if keep.size else None
 
 
 def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
@@ -389,10 +394,11 @@ def scan_rays(space: ModelSpace, weight: WeightFunction,
               theta_range: tuple[float, float], tol: float):
     """Sample ``count`` rays and return the kept ones with their margins.
 
-    Returns (xs, ws, Ss, margins), ``margins`` holding each kept ray's
-    minimum over the concavity inequalities (i)-(iii), in draw order. The
-    rays are drawn and scanned ``_RAY_BATCH`` at a time, so a scan of
-    ``count`` rays equals scans of its batches on the same generator.
+    Returns (xs, ws, Ss, margins, grids), ``margins`` holding each kept
+    ray's minimum over the concavity inequalities (i)-(iii), in draw order,
+    and ``grids`` the step count that margin was taken on. The rays are
+    drawn and scanned ``_RAY_BATCH`` at a time, so a scan of ``count`` rays
+    equals scans of its batches on the same generator.
     """
     parts = [_scan_batch(space, weight, params, kappa, rng,
                          min(_RAY_BATCH, count - done), steps, region,
@@ -409,31 +415,24 @@ def _scan_batch(space, weight, params, kappa, rng, count, steps, region,
     the conjugate radius are dropped. det E is exact at every grid point;
     the grid error left is the quadrature of a_nn behind h and Dbar, which
     is sharp where the determinant dips toward 0, and a dip between grid
-    points can hide det E <= 0. So a ray whose determinant dips below 0.1
-    and whose margin is below ``-tol`` is re-checked by
-    :func:`refine_ray_margin` and dropped if the fine grid shows it
-    inadmissible.
+    points can hide det E <= 0. So the rays whose determinant dips below
+    0.1 and whose margin is below ``-tol`` are re-checked on
+    ``_REFINE_STEPS`` steps, in chunks whose arrays are no larger than the
+    batch's, and dropped if the fine grid shows them inadmissible.
     """
     xs, ws, Ss = sample_rays(space, rng, count, region, theta_range)
-    out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
-    dt = out["ts"][1] - out["ts"][0]
-    d_partial = _partials_from_f(params, out["f_gamma"],
-                                 out["thetas"][:, None], dt)
-    keep = np.flatnonzero(out["admissible"]
-                          & within_conjugate_radius(kappa, d_partial[:, -1]))
-    m1, m2, m3 = concavity_margins(out["ts"], params.c * out["l"][keep],
-                                   out["int_ann"][keep], out["J"][keep],
-                                   d_partial[keep], params, kappa)
-    margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
-    det_min = np.min(out["det"][keep], axis=-1)
+    keep, margins, det_min = _ray_margins(space, weight, params, kappa,
+                                          xs, ws, Ss, steps)
+    grids = np.full(keep.size, steps)
     dropped = np.zeros(keep.size, dtype=bool)
-    for j in np.flatnonzero((margins < -tol) & (det_min < 0.1)):
+    flagged = np.flatnonzero((margins < -tol) & (det_min < 0.1))
+    chunk = max(1, _RAY_BATCH * (steps + 1) // (_REFINE_STEPS + 1))
+    for start in range(0, flagged.size, chunk):
+        j = flagged[start:start + chunk]
         i = keep[j]
-        ref = refine_ray_margin(space, weight, params, kappa,
-                                xs[i], ws[i], Ss[i])
-        if ref is None:
-            dropped[j] = True
-        else:
-            margins[j] = ref
-    keep, margins = keep[~dropped], margins[~dropped]
-    return xs[keep], ws[keep], Ss[keep], margins
+        kept, fine, _ = _ray_margins(space, weight, params, kappa,
+                                     xs[i], ws[i], Ss[i], _REFINE_STEPS)
+        dropped[np.delete(j, kept)] = True
+        margins[j[kept]], grids[j[kept]] = fine, _REFINE_STEPS
+    keep = keep[~dropped]
+    return xs[keep], ws[keep], Ss[keep], margins[~dropped], grids[~dropped]

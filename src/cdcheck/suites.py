@@ -273,6 +273,54 @@ def require_p_range(p: float, params: DimensionParams) -> None:
         raise PreconditionError("p must be >= -c/(c+1)", failed="p range")
 
 
+def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
+                 slack: float = 1e-4):
+    """Tight admissible middle function for the p-mean hypothesis.
+
+    At each of 4,096 z nodes, the sup of the hypothesis right-hand side
+    over the pairs (x, y) in X x Y with (1-t)x + ty = z: the best of 64 x
+    values brackets it, and golden-section steps on all z at once shrink
+    the bracket to 1e-12. A relative slack covers interpolation error.
+    """
+    zs = np.linspace((1 - t) * X[0] + t * Y[0],
+                     (1 - t) * X[1] + t * Y[1], 4096)
+    lo = np.maximum(X[0], (zs - t * Y[1]) / (1 - t))
+    hi = np.minimum(X[1], (zs - t * Y[0]) / (1 - t))
+
+    def rhs(x, z):  # the interval ends may round past X and Y
+        x = np.clip(x, *X)
+        y = np.clip((z - (1 - t) * x) / t, *Y)
+        b_rev, b_fwd = np.exp(axis_log_betas(geometry, params, kappa, x, y, t))
+        return p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p)
+
+    cells = np.linspace(0.0, 1.0, 64)
+    best, k = np.empty(zs.size), np.empty(zs.size, dtype=int)
+    step = 8192 // cells.size  # chunks no larger than the axis grid
+    for s in range(0, zs.size, step):
+        part = slice(s, s + step)
+        vals = rhs(lo[part, None] + (hi - lo)[part, None] * cells,
+                   zs[part, None])
+        k[part], best[part] = vals.argmax(axis=1), vals.max(axis=1)
+    a = lo + (hi - lo) * cells[np.maximum(k - 1, 0)]
+    b = lo + (hi - lo) * cells[np.minimum(k + 1, cells.size - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = rhs(c, zs), rhs(d, zs)
+    # a step count, not a width test: far from 0, x is coarser than 1e-12
+    steps = math.log(1e-12 / max(float(np.max(b - a)), 1e-12), g)
+    for _ in range(math.ceil(steps)):
+        left = fc >= fd  # the sup lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - g * (b - a), a + g * (b - a))
+        f_new = rhs(new, zs)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    env = np.maximum(best, np.maximum(fc, fd))
+    env *= 1.0 + slack
+    env += slack * float(env.max())
+    return lambda z: np.interp(z, zs, env, left=0.0, right=0.0)
+
+
 def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
                         kappa: float, psi0, psi1, psi, X: tuple, Y: tuple,
                         t: float, p: float, samples: int = 10000,

@@ -64,8 +64,8 @@ def test_criterion_02_c_reductions():
 
 def _ray_suite_margins(space, weight, params, kappa, rays, seed):
     rng = np.random.default_rng(seed)
-    *_, margins = jacobi.scan_rays(space, weight, params, kappa, rng, rays,
-                                   128, None, (0.2, 1.2), 1e-8)
+    *_, margins, _ = jacobi.scan_rays(space, weight, params, kappa, rng,
+                                      rays, 128, None, (0.2, 1.2), 1e-8)
     riccati_mins = []
     # differential inequalities on a subsample of admissible rays
     xs, ws, Ss = jacobi.sample_rays(space, rng, 60)

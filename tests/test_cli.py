@@ -7,18 +7,24 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcheck import cli
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
+from cdcheck.jacobi import refine_ray_margin
 
 
 def write_cfg(tmp_path, name, cfg):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+def _csv_rows(path):
+    return list(csv.reader(path.read_text().splitlines()))
 
 
 S2_ZERO = {"space": {"kind": "sphere", "dim": 2, "radius": 1.0},
@@ -286,7 +292,13 @@ class TestRunExitCodes:
                          "--quiet"]) == 1
             ce = json.loads((out / "counterexample.json").read_text())
             assert ce["margin"] < -tol
-            rows = list(csv.reader((out / "worst_ray.csv").open()))
+            # the margin is the one-ray margin on the grid it names
+            space, weight, params = cli._build(cli.resolve_config(cfg))
+            assert refine_ray_margin(
+                space, weight, params, cfg["kappa"],
+                *(np.array(ce[k]) for k in ("x", "w", "S")),
+                steps=ce["steps"]) == ce["margin"]
+            rows = _csv_rows(out / "worst_ray.csv")
             assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
             assert len(rows) > 2
 
@@ -382,7 +394,7 @@ class TestArtifacts:
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == 0
-        rows = list(csv.reader((out / "twcd.csv").open()))
+        rows = _csv_rows(out / "twcd.csv")
         assert rows[0] == ["t", "lhs", "rhs", "margin"]
         for row in rows[1:]:
             t, lhs, rhs, margin = map(float, row)
@@ -395,7 +407,7 @@ class TestArtifacts:
         assert main(["run", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == 0
         per_term = out / "taylor_app2_fwd.csv"
-        rows = list(csv.reader(per_term.open()))
+        rows = _csv_rows(per_term)
         assert rows[0] == ["delta", "exact", "series", "remainder"]
         for row in rows[1:]:
             d, e, s, r = map(float, row)

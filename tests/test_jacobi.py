@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cdcheck.errors import PreconditionError, SingularJacobian
-from cdcheck.jacobi import (TransportRay, check_jacobian_concavity,
-                            check_riccati, integrate_jacobi,
-                            jacobi_closed_form, sample_rays, scan_rays)
+from cdcheck.jacobi import (TransportRay, check_riccati, integrate_jacobi,
+                            jacobi_closed_form, refine_ray_margin,
+                            sample_rays, scan_rays)
 from cdcheck.params import validate_params
 from cdcheck.spaces import (check_curvature_bound, constant_weight,
                             make_space, weight_preset)
@@ -123,6 +123,16 @@ class TestTrajectories:
             TransportRay(np.zeros(3), np.array([1.0, 0, 0]),
                          np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    @pytest.mark.parametrize("speed, S", [
+        (0.5, -1.5 * np.eye(3)), (0.5, [[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]),
+        (0.0, 0.1 * np.eye(3)),
+    ], ids=["inadmissible", "asymmetric", "zero-speed"])
+    def test_refine_ray_margin_none(self, flat3, speed, S):
+        assert refine_ray_margin(flat3, constant_weight(0.0),
+                                 validate_params(3, 5, 0.5), 0.0, np.zeros(3),
+                                 np.array([speed, 0.0, 0.0]),
+                                 np.array(S)) is None
+
     def test_positive_densities(self, sphere2):
         p = validate_params(2, 4, 0.5)
         w = weight_preset(sphere2, "cosine(0.3)")
@@ -239,6 +249,29 @@ class TestScan:
         for got, want in zip(whole, zip(*parts)):
             np.testing.assert_array_equal(got, np.concatenate(want))
 
+    def test_scan_is_the_serial_refinement(self):
+        # the scan, one ray at a time: a margin below -tol on a ray whose
+        # det E dips below 0.1 is re-checked on 4,096 steps, and a ray
+        # is dropped where its grid gives no margin
+        sp, w = make_space("euclidean", 3), constant_weight(0.0)
+        args = (sp, w, validate_params(3, 3.0, 1.0), 0.2)
+        *scanned, margins, grids = scan_rays(
+            *args, np.random.default_rng(0), 600, 64, None, (0.2, 1.4), 1e-6)
+        want, dropped = [], 0
+        for ray in zip(*sample_rays(sp, np.random.default_rng(0), 600, None,
+                                    (0.2, 1.4))):
+            margin, steps = refine_ray_margin(*args, *ray, steps=64), 64
+            if (margin is not None and margin < -1e-6
+                    and integrate_jacobi(sp, w, args[2], TransportRay(*ray),
+                                         64).det.min() < 0.1):
+                margin, steps = refine_ray_margin(*args, *ray), 4096
+                dropped += margin is None
+            if margin is not None:
+                want.append((*ray, margin, steps))
+        assert dropped and 4096 in grids
+        for got, expect in zip([*scanned, margins, grids], zip(*want)):
+            np.testing.assert_array_equal(got, np.array(expect))
+
 
 class TestConcavity:
     def test_flat_equality_case(self, flat3):
@@ -251,15 +284,16 @@ class TestConcavity:
         power = traj.J ** (p.c / (p.c + 1.0))
         expect = 1.0 + lam * traj.ts
         np.testing.assert_allclose(power, expect, rtol=1e-9)
-        rep = check_jacobian_concavity(traj, p, 0.0)
-        assert rep.verdict == "pass"
+        margin = refine_ray_margin(flat3, constant_weight(0.0), p, 0.0,
+                                   ray.x, ray.w, ray.S, steps=128)
+        assert margin >= -1e-8
 
     def test_zero_S_equality(self, sphere2):
         p = validate_params(2, 2, 1.0)
-        traj = integrate_jacobi(sphere2, constant_weight(0.0), p,
-                                north_ray(sphere2, 0.9, np.zeros((2, 2))))
-        rep = check_jacobian_concavity(traj, p, 1.0)
-        assert rep.verdict == "pass"
+        ray = north_ray(sphere2, 0.9, np.zeros((2, 2)))
+        margin = refine_ray_margin(sphere2, constant_weight(0.0), p, 1.0,
+                                   ray.x, ray.w, ray.S, steps=128)
+        assert margin >= -1e-8
 
     def test_sphere_monte_carlo(self, sphere2):
         p = validate_params(2, 2, 1.0)
@@ -268,12 +302,11 @@ class TestConcavity:
         xs, ws, Ss = sample_rays(sphere2, rng, 200)
         checked = 0
         for x, wv, S in zip(xs, ws, Ss):
-            try:
-                traj = integrate_jacobi(sphere2, w, p, TransportRay(x, wv, S))
-                rep = check_jacobian_concavity(traj, p, 1.0)
-            except (SingularJacobian, PreconditionError):
+            margin = refine_ray_margin(sphere2, w, p, 1.0, x, wv, S,
+                                       steps=128)
+            if margin is None:
                 continue
-            assert rep.min_margin >= -1e-8, rep.min_margin
+            assert margin >= -1e-8, margin
             checked += 1
         assert checked > 100
 
@@ -339,14 +372,14 @@ class TestOverflow:
         kind, weight, (n, N, eps), kappa, x, w, S = OVERFLOW_RAYS[name]
         sp = make_space(kind, n)
         p = validate_params(n, N, eps)
-        traj = integrate_jacobi(sp, weight_preset(sp, weight), p,
-                                TransportRay(np.array(x), np.array(w),
-                                             np.array(S)))
+        wf = weight_preset(sp, weight)
+        ray = TransportRay(np.array(x), np.array(w), np.array(S))
+        traj = integrate_jacobi(sp, wf, p, ray)
         assert max(traj.int_ann.max(), p.c * traj.l.max()) > 710.0
-        rep = check_jacobian_concavity(traj, p, kappa)
-        margins = np.array(rep.margins)
-        assert not np.isnan(margins).any()
-        assert np.isfinite(rep.min_margin)
+        # the minimum of the margins is NaN if any margin is
+        margin = refine_ray_margin(sp, wf, p, kappa, ray.x, ray.w, ray.S,
+                                   steps=128)
+        assert margin is not None and np.isfinite(margin)
 
 
 class TestFalsification:
@@ -359,9 +392,9 @@ class TestFalsification:
                                      {"count": 400, "seed": seed,
                                       "region": None})
         assert curv.verdict != "pass"
-        *_, margins = scan_rays(sp, w, params, kappa,
-                                np.random.default_rng(seed), 500, 64, None,
-                                (0.2, 1.4), 1e-6)
+        *_, margins, _ = scan_rays(sp, w, params, kappa,
+                                   np.random.default_rng(seed), 500, 64,
+                                   None, (0.2, 1.4), 1e-6)
         return float(margins.min())
 
     def test_flat_positive_kappa_violated(self, flat3):

@@ -13,7 +13,8 @@ from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
 from cdcheck.suites import (RegionPair, _curvature_margins,
                             check_brunn_minkowski, check_hwi_lsi,
                             check_interpolation, check_transport_energy,
-                            check_twcd, conclusion_exponent, p_mean)
+                            check_twcd, conclusion_exponent, envelope_psi,
+                            p_mean)
 
 
 def flat_line(points=4096, lo=-2.0, hi=2.0):
@@ -234,8 +235,6 @@ class TestInterpolationInequality:
             assert abs(rep.min_margin) < 1e-9
 
     def test_prekopa_leindler_weighted(self):
-        from cdcheck.cli import envelope_psi
-
         g = quad_line(a=1.0)
         p = validate_params(2, 8, 0.3)
         kappa = -1.0
@@ -254,8 +253,6 @@ class TestInterpolationInequality:
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, math.inf])
     def test_envelope_is_the_sup(self, p, t):
         # at 32 of the envelope's z nodes, against the max over 2^16 x
-        from cdcheck.cli import envelope_psi
-
         g = quad_line()
         params = validate_params(2, 10.0, 0.5)
         kappa = -1.0
@@ -280,8 +277,6 @@ class TestInterpolationInequality:
     def test_envelope_far_from_origin(self):
         # near x = 1e4 neighbouring floats are 1.8e-12 apart: the search
         # must stop although no bracket can shrink to 1e-12
-        from cdcheck.cli import envelope_psi
-
         g = LineGeometry("zero", lo=1e4, hi=1e4 + 4.0)
         bump = lambda x: np.exp(-(x - 1e4 - 2.0) ** 2)
         X, Y = (1e4 + 0.5, 1e4 + 1.5), (1e4 + 2.5, 1e4 + 3.5)
@@ -291,8 +286,6 @@ class TestInterpolationInequality:
 
     def test_envelope_beyond_conjugate_radius(self):
         # d_f reaches pi / sqrt(3) < 2 on X x Y: no NaN may enter the sup
-        from cdcheck.cli import envelope_psi
-
         bump = lambda x: np.exp(-np.asarray(x) ** 2)
         with pytest.raises(PreconditionError):
             envelope_psi(flat_line(), validate_params(2, 4, 0.5), 3.0,
