@@ -19,9 +19,8 @@ from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
                      constant_weight, make_space, segment_between,
                      weight_preset)
 from .reparam import reparam_partial
-from .coefficients import (TwistedCoefficient, b_coeff, beta, frak_b,
-                           log_beta, require_conjugate_radius,
-                           within_conjugate_radius)
+from .coefficients import (beta, frak_b, log_b, log_beta, log_beta_pair,
+                           require_conjugate_radius, within_conjugate_radius)
 from .jacobi import (JacobianTrajectory, TransportRay, check_riccati,
                      integrate_jacobi, jacobi_closed_form, sample_rays,
                      scan_rays)

@@ -1,13 +1,17 @@
 """Twisted distortion coefficients and their small-t / small-distance limits.
 
 beta_{kappa,t}(x,y) = (s_kappa(d_t(x,y)) / (t s_kappa(d_f(x,y))))^{1/c}
-with d_t the partial re-parametrized distance. The companion scalars are
+with d_t the partial re-parametrized distance. The inequalities use the
+pair beta_{1-t}(y,x), beta_t(x,y); reversing the geodesic gives
+d_{1-t}(y,x) = d_f(x,y) - d_t(x,y), so ``log_beta_pair`` forms both from
+one (d_t, d_f). With base = e^{-a f(x)} d(x,y) and d_f = d_f(x,y),
 
-    b(x,y)   = (e^{-a f(x)} d(x,y) / s_kappa(d_f(x,y)))^{1/c}
-    bfrak(x,y) = (1/(c+1)) (e^{-a f(x)} d(x,y) c_kappa(d_f)/s_kappa(d_f) - 1)
+    b(base, d_f)     = (base / s_kappa(d_f))^{1/c}
+    bfrak(base, d_f) = (1/(c+1)) (base c_kappa(d_f)/s_kappa(d_f) - 1)
 
-which arise as the t -> 0 limits of beta_t(x,y) and of
-(1 - beta_{1-t}(y,x)^{c/(c+1)})/t respectively.
+are the t -> 0 limits of beta_t(x,y) and of
+(1 - beta_{1-t}(y,x)^{c/(c+1)})/t respectively; b = 1 and bfrak = 0 at
+x = y.
 
 All powers are taken in log space since 1/c can be large.
 """
@@ -15,7 +19,6 @@ All powers are taken in log space since 1/c can be large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +31,6 @@ from .reparam import reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TwistedCoefficient:
-    value: float  # in ]0, +inf]
-    regime: str  # "unit" | "finite" | "infinite"
-
-    def power(self, exponent: float) -> float:
-        """value**exponent, stable in log space; +inf stays +inf."""
-        if self.regime == "infinite":
-            return math.inf
-        if self.regime == "unit":
-            return 1.0
-        return math.exp(exponent * math.log(self.value))
 
 
 def within_conjugate_radius(kappa: float, d_full):
@@ -76,77 +65,83 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
     return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
 
 
-def _classify(d_f: float, kappa: float) -> str:
-    if d_f == 0.0:
-        return "unit"
-    return "finite" if within_conjugate_radius(kappa, d_f) else "infinite"
+def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):
+    """(log beta_{1-t}(y,x), log beta_t(x,y)) from d_t = d_t(x,y) and
+    d_full = d_f(x,y), elementwise over arrays.
+
+    The reversed coefficient takes d_{1-t}(y,x) = d_f - d_t. Raises
+    PreconditionError if some d_f reaches the conjugate radius.
+    """
+    require_conjugate_radius(kappa, d_full)
+    return (log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t),
+            log_beta(params, kappa, d_t, d_full, t))
+
+
+def log_b(params: DimensionParams, kappa: float, base, d_full):
+    """log b = (1/c) log(base / s_kappa(d_f)), elementwise, 0 where d_f = 0;
+    d_f below the conjugate radius."""
+    base = np.asarray(base, dtype=float)
+    d_full = np.asarray(d_full, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(base) - np.log(s_kappa(kappa, d_full))
+    return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
+
+
+def frak_b(params: DimensionParams, kappa: float, base, d_full):
+    """bfrak = (base c_kappa(d_f)/s_kappa(d_f) - 1)/(c+1), elementwise, 0
+    where d_f = 0; d_f below the conjugate radius."""
+    base = np.asarray(base, dtype=float)
+    d_full = np.asarray(d_full, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = ((base * c_kappa(kappa, d_full) / s_kappa(kappa, d_full) - 1.0)
+               / (params.c + 1.0))
+    return np.where(d_full == 0.0, 0.0, val)
 
 
 def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
-         kappa: float, t: float, x, y) -> TwistedCoefficient:
-    """Twisted coefficient beta_{kappa,t}(x,y) for t in ]0,1[."""
+         kappa: float, t: float, x, y) -> float:
+    """Twisted coefficient beta_{kappa,t}(x,y) for t in ]0,1[: 1 at x = y,
+    +inf once d_f(x,y) reaches the conjugate radius."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in ]0,1[, got {t}")
     seg = segment_between(space, x, y)
     if seg.length == 0.0:
-        return TwistedCoefficient(1.0, "unit")
-    d_full = reparam_partial(space, weight, params, seg, 1.0)
-    regime = _classify(d_full, kappa)
-    if regime != "finite":
-        return TwistedCoefficient(math.inf, "infinite")
-    d_t = reparam_partial(space, weight, params, seg, t)
-    return TwistedCoefficient(
-        math.exp(float(log_beta(params, kappa, d_t, d_full, t))), "finite")
-
-
-def b_coeff(space, weight, params, kappa: float, x, y) -> float:
-    """Small-t limit of beta_t(x,y); 1 at x = y, +inf past the conjugate radius."""
-    seg = segment_between(space, x, y)
-    if seg.length == 0.0:
         return 1.0
-    d_f = reparam_partial(space, weight, params, seg, 1.0)
-    if _classify(d_f, kappa) != "finite":
+    d_full = reparam_partial(space, weight, params, seg, 1.0)
+    if not within_conjugate_radius(kappa, d_full):
         return math.inf
-    fx = float(weight.eval(seg.start))
-    log_ratio = -params.a * fx + math.log(seg.length) - math.log(s_kappa(kappa, d_f))
-    return math.exp(params.inv_c * log_ratio)
-
-
-def frak_b(space, weight, params, kappa: float, x, y) -> float:
-    """Small-t limit of (1 - beta_{1-t}(y,x)^{c/(c+1)})/t; 0 at x = y."""
-    seg = segment_between(space, x, y)
-    if seg.length == 0.0:
-        return 0.0
-    d_f = reparam_partial(space, weight, params, seg, 1.0)
-    if _classify(d_f, kappa) != "finite":
-        return math.inf
-    fx = float(weight.eval(seg.start))
-    ratio = math.exp(-params.a * fx) * seg.length * c_kappa(kappa, d_f) / s_kappa(kappa, d_f)
-    return (ratio - 1.0) / (params.c + 1.0)
+    d_t = reparam_partial(space, weight, params, seg, t)
+    return math.exp(float(log_beta(params, kappa, d_t, d_full, t)))
 
 
 def check_limits(space, weight, params, kappa: float, x, y,
                  t_grid, tol: float = 1e-6) -> CheckReport:
     """Verify the t -> 0 limits of beta against b and bfrak by extrapolation,
-    and the small-distance decay |beta_t - 1| = O(d(x,y))."""
-    t_grid = sorted(float(t) for t in t_grid)
+    and the small-distance decay |beta_t - 1| = O(d(x,y)).
+
+    Limits 1 and 2 share one d_f(x,y) and one d_t(x,y) per t. Raises
+    PreconditionError if d_f reaches the conjugate radius.
+    """
+    ts = np.sort(np.asarray(t_grid, dtype=float))
     seg = segment_between(space, x, y)
+    d_full = reparam_partial(space, weight, params, seg, 1.0)
+    d_t = np.array([reparam_partial(space, weight, params, seg, t)
+                    for t in ts])
+    log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full, ts)
+    base = math.exp(-params.a * float(weight.eval(seg.start))) * seg.length
     margins = []
-    provenance = {"kappa": kappa, "t_grid": t_grid}
+    provenance = {"kappa": kappa, "t_grid": ts.tolist()}
 
     # limit 1: beta_t(x, y) -> b(x, y)
-    b_target = b_coeff(space, weight, params, kappa, x, y)
-    vals = [beta(space, weight, params, kappa, t, x, y).value for t in t_grid]
-    b_extrap = neville_extrapolate(t_grid, vals, at=0.0)
+    b_target = float(np.exp(log_b(params, kappa, base, d_full)))
+    b_extrap = neville_extrapolate(ts, np.exp(log_fwd), at=0.0)
     margins.append(tol - abs(b_extrap - b_target))
     provenance["b_limit"] = {"target": b_target, "extrapolated": b_extrap}
 
     # limit 2: (1 - beta_{1-t}(y, x)^{c/(c+1)})/t -> bfrak(x, y)
-    fb_target = frak_b(space, weight, params, kappa, x, y)
-    cr = params.c_ratio
-    quots = [(1.0 - beta(space, weight, params, kappa, 1.0 - t, y, x).power(cr)) / t
-             for t in t_grid]
-    fb_extrap = neville_extrapolate(t_grid, quots, at=0.0)
+    fb_target = float(frak_b(params, kappa, base, d_full))
+    quots = -np.expm1(params.c_ratio * log_rev) / ts
+    fb_extrap = neville_extrapolate(ts, quots, at=0.0)
     margins.append(tol - abs(fb_extrap - fb_target))
     provenance["frak_b_limit"] = {"target": fb_target, "extrapolated": fb_extrap}
 
@@ -157,8 +152,7 @@ def check_limits(space, weight, params, kappa: float, x, y,
     t_mid = 0.5
     r = seg.length
     rng = np.random.default_rng(12345)
-    pts = [space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r))
-           for _ in range(200)]
+    pts = space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r, 200))
     sup = grad_sup(space, weight, pts)
     aa = abs(params.a)
     B = aa * (1.0 - t_mid) * sup * math.exp(
@@ -168,8 +162,8 @@ def check_limits(space, weight, params, kappa: float, x, y,
     for k in range(6):
         dk = seg.length * 0.5**k
         yk = space.geodesic(seg.start, seg.direction, dk)
-        bk = beta(space, weight, params, kappa, t_mid, seg.start, yk)
-        dev = abs(bk.value - 1.0)
+        dev = abs(beta(space, weight, params, kappa, t_mid, seg.start, yk)
+                  - 1.0)
         # conservative envelope: linear asymmetry term plus curvature term
         lim = math.expm1(params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0))
         decay_rows.append({"d": dk, "dev": dev, "bound": lim})

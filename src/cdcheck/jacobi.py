@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import log_beta, within_conjugate_radius
+from .coefficients import log_beta_pair, within_conjugate_radius
 from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
@@ -34,7 +34,7 @@ SYMMETRY_TOL = 1e-12
 # rays that scan_rays samples and integrates at once; it bounds the
 # (batch, steps + 1) work arrays
 _RAY_BATCH = 250
-# the grid on which the scan re-checks the rays it flags
+# the grid on which the scan re-checks the rays it flags on a coarser grid
 _REFINE_STEPS = 4096
 
 
@@ -312,8 +312,8 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
                      log_D[..., -1:])
 
     cr = params.c_ratio
-    brev = np.exp(cr * log_beta(params, kappa, d_rev, d_full, 1.0 - t))
-    bfwd = np.exp(cr * log_beta(params, kappa, d_t, d_full, t))
+    brev, bfwd = (np.exp(cr * lb)
+                  for lb in log_beta_pair(params, kappa, d_t, d_full, t))
     Jcr = np.where(J > 0, J, np.nan) ** cr
     rhs3 = (1.0 - t) * brev * Jcr[..., :1] + t * bfwd * Jcr[..., -1:]
     m3 = (Jcr[..., inner] - rhs3) / (1.0 + np.abs(rhs3))
@@ -415,17 +415,19 @@ def _scan_batch(space, weight, params, kappa, rng, count, steps, region,
     the conjugate radius are dropped. det E is exact at every grid point;
     the grid error left is the quadrature of a_nn behind h and Dbar, which
     is sharp where the determinant dips toward 0, and a dip between grid
-    points can hide det E <= 0. So the rays whose determinant dips below
-    0.1 and whose margin is below ``-tol`` are re-checked on
-    ``_REFINE_STEPS`` steps, in chunks whose arrays are no larger than the
-    batch's, and dropped if the fine grid shows them inadmissible.
+    points can hide det E <= 0. So on a grid coarser than
+    ``_REFINE_STEPS`` steps, the rays whose determinant dips below 0.1 and
+    whose margin is below ``-tol`` are re-checked on ``_REFINE_STEPS``
+    steps, in chunks whose arrays are no larger than the batch's, and
+    dropped if the fine grid shows them inadmissible.
     """
     xs, ws, Ss = sample_rays(space, rng, count, region, theta_range)
     keep, margins, det_min = _ray_margins(space, weight, params, kappa,
                                           xs, ws, Ss, steps)
     grids = np.full(keep.size, steps)
     dropped = np.zeros(keep.size, dtype=bool)
-    flagged = np.flatnonzero((margins < -tol) & (det_min < 0.1))
+    flagged = np.flatnonzero((margins < -tol) & (det_min < 0.1)
+                             & (steps < _REFINE_STEPS))
     chunk = max(1, _RAY_BATCH * (steps + 1) // (_REFINE_STEPS + 1))
     for start in range(0, flagged.size, chunk):
         j = flagged[start:start + chunk]

@@ -359,6 +359,17 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir", str(out)]) == 2
         assert "output directory error" in capsys.readouterr().err
 
+    def test_limits_past_conjugate_radius_exits_2(self, tmp_path, capsys):
+        # d(x, y) = 0.4 > pi / sqrt(100): beta is infinite, which once gave
+        # NaN margins and a false counterexample (exit 1)
+        cfg = base_cfg("limits", space={"kind": "euclidean", "dim": 2},
+                       weight="zero", params={"n": 2, "N": 4.0, "eps": 0.5},
+                       kappa=100.0)
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[d_f < C_kappa]" in capsys.readouterr().err
+
     def test_no_kept_ray_exits_2(self, tmp_path, capsys):
         # the one ray of seed 1 is inadmissible; an empty report is no
         # counterexample

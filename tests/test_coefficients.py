@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cdcheck.coefficients import (b_coeff, beta, check_limits, frak_b,
-                                  log_beta, require_conjugate_radius)
+from cdcheck import cli, coefficients
+from cdcheck.coefficients import (beta, check_limits, frak_b, log_b, log_beta,
+                                  log_beta_pair, require_conjugate_radius)
 from cdcheck.errors import PreconditionError
-from cdcheck.params import diam_kappa, s_kappa, validate_params
+from cdcheck.params import c_kappa, diam_kappa, s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
@@ -30,9 +31,7 @@ class TestBeta:
     def test_unit_regime_at_coincidence(self, flat2):
         p = validate_params(2, 4, 0.5)
         x = np.array([0.1, 0.2])
-        b = beta(flat2, constant_weight(0.0), p, 1.0, 0.5, x, x)
-        assert b.value == 1.0
-        assert b.regime == "unit"
+        assert beta(flat2, constant_weight(0.0), p, 1.0, 0.5, x, x) == 1.0
 
     def test_flat_constant_weight(self, flat2):
         # kappa = 0 with constant f: s_0 is linear so the ratio is 1
@@ -41,8 +40,7 @@ class TestBeta:
         y = np.array([0.8, 0.3])
         for t in (0.2, 0.5, 0.8):
             b = beta(flat2, constant_weight(0.7), p, 0.0, t, x, y)
-            assert b.value == pytest.approx(1.0, rel=1e-12)
-            assert b.regime == "finite"
+            assert b == pytest.approx(1.0, rel=1e-12)
 
     def test_classical_reduction(self, flat2):
         # eps = 1: d_t = t d, so beta is the classical distortion with
@@ -62,32 +60,32 @@ class TestBeta:
                 continue
             got = beta(flat2, w, p, kappa, t, x, y)
             ref = classical_distortion(kappa, N, t, d)
-            assert got.value == pytest.approx(ref, rel=1e-10)
+            assert got == pytest.approx(ref, rel=1e-10)
 
     def test_infinite_regime(self, flat2):
         # large kappa pushes d_f past the conjugate diameter
         p = validate_params(2, 4, 0.5)
         x = np.zeros(2)
         y = np.array([2.0, 0.0])
-        b = beta(flat2, constant_weight(0.0), p, 9.0, 0.5, x, y)
-        assert b.regime == "infinite"
-        assert math.isinf(b.value)
+        assert math.isinf(beta(flat2, constant_weight(0.0), p, 9.0, 0.5, x, y))
 
     def test_regime_monotone_in_kappa(self, flat2):
         p = validate_params(2, 4, 0.5)
         x = np.zeros(2)
         y = np.array([1.5, 0.0])
-        regimes = [beta(flat2, constant_weight(0.0), p, k, 0.5, x, y).regime
-                   for k in np.linspace(0.5, 8.0, 30)]
-        flipped = regimes.index("infinite") if "infinite" in regimes else len(regimes)
-        assert all(r == "finite" for r in regimes[:flipped])
-        assert all(r == "infinite" for r in regimes[flipped:])
+        vals = [beta(flat2, constant_weight(0.0), p, k, 0.5, x, y)
+                for k in np.linspace(0.5, 8.0, 30)]
+        infinite = [math.isinf(v) for v in vals]
+        flipped = infinite.index(True) if any(infinite) else len(vals)
+        assert 0 < flipped < len(vals)
+        assert not any(infinite[:flipped])
+        assert all(infinite[flipped:])
 
     def test_power_finite_positive(self, flat2):
         p = validate_params(2, 4, 0.5)
         b = beta(flat2, constant_weight(0.0), p, 0.5, 0.3,
                  np.zeros(2), np.array([1.0, 0.2]))
-        val = b.power(p.c_ratio)
+        val = b ** p.c_ratio
         assert 0.0 < val < math.inf
 
 
@@ -123,10 +121,18 @@ class TestLogBeta:
         d_full = reparam_partial(sp, w, p, seg, 1.0)
         for t in (0.2, 0.5, 0.7):
             d_t = reparam_partial(sp, w, p, seg, t)
-            got = math.exp(float(log_beta(p, kappa, d_full - d_t, d_full,
-                                          1.0 - t)))
-            ref = beta(sp, w, p, kappa, 1.0 - t, y, x).value
-            assert got == pytest.approx(ref, rel=1e-10)
+            rev, fwd = np.exp(log_beta_pair(p, kappa, d_t, d_full, t))
+            assert rev == pytest.approx(beta(sp, w, p, kappa, 1.0 - t, y, x),
+                                        rel=1e-10)
+            assert fwd == pytest.approx(beta(sp, w, p, kappa, t, x, y),
+                                        rel=1e-12)
+
+    def test_pair_guards_the_conjugate_radius(self):
+        p = validate_params(2, 4, 0.5)
+        d_full = np.array([0.5, diam_kappa(1.0)])
+        with pytest.raises(PreconditionError) as exc:
+            log_beta_pair(p, 1.0, 0.5 * d_full, d_full, 0.5)
+        assert exc.value.failed == "d_f < C_kappa"
 
 
 class TestConjugateRadiusGuard:
@@ -139,14 +145,21 @@ class TestConjugateRadiusGuard:
         require_conjugate_radius(-1.0, 1e6)
 
 
+def section_args(space, w, p, x, y):
+    """(base, d_f) of the pair: base = e^{-a f(x)} d(x, y)."""
+    seg = segment_between(space, x, y)
+    base = math.exp(-p.a * float(w.eval(x))) * seg.length
+    return base, reparam_partial(space, w, p, seg, 1.0)
+
+
 class TestSectionCoefficients:
     def test_constant_weight_flat(self, flat2):
         p = validate_params(2, 4, 0.5)
         x = np.zeros(2)
         y = np.array([0.9, 0.1])
-        w = constant_weight(0.5)
-        assert b_coeff(flat2, w, p, 0.0, x, y) == pytest.approx(1.0, rel=1e-10)
-        assert frak_b(flat2, w, p, 0.0, x, y) == pytest.approx(0.0, abs=1e-10)
+        args = section_args(flat2, constant_weight(0.5), p, x, y)
+        assert math.exp(log_b(p, 0.0, *args)) == pytest.approx(1.0, rel=1e-10)
+        assert frak_b(p, 0.0, *args) == pytest.approx(0.0, abs=1e-10)
 
     def test_sphere_quarter_turn(self):
         # f = 0, kappa = 1, d = pi/2: s_1(d) = 1, c_1(d) = 0
@@ -154,11 +167,26 @@ class TestSectionCoefficients:
         p = validate_params(2, 4, 0.5)
         x = np.array([0.0, 0.0, 1.0])
         y = np.array([1.0, 0.0, 0.0])
-        w = constant_weight(0.0)
+        args = section_args(sp, constant_weight(0.0), p, x, y)
         expect_b = (math.pi / 2) ** p.inv_c
-        assert b_coeff(sp, w, p, 1.0, x, y) == pytest.approx(expect_b, rel=1e-9)
-        assert frak_b(sp, w, p, 1.0, x, y) == pytest.approx(
-            -1.0 / (p.c + 1.0), abs=1e-9)
+        assert math.exp(log_b(p, 1.0, *args)) == pytest.approx(expect_b,
+                                                               rel=1e-9)
+        assert frak_b(p, 1.0, *args) == pytest.approx(-1.0 / (p.c + 1.0),
+                                                       abs=1e-9)
+
+    def test_elementwise_with_unit_value_at_coincidence(self):
+        # b = 1 and bfrak = 0 at x = y, where base = d_f = 0
+        p = validate_params(3, 6, 0.5)
+        base = np.array([0.0, 0.4, 0.9])
+        d_full = np.array([0.0, 0.5, 1.2])
+        lb, fb = log_b(p, 1.0, base, d_full), frak_b(p, 1.0, base, d_full)
+        assert lb[0] == 0.0 and fb[0] == 0.0
+        for i in (1, 2):
+            s, c = s_kappa(1.0, d_full[i]), c_kappa(1.0, d_full[i])
+            assert lb[i] == pytest.approx(p.inv_c * math.log(base[i] / s),
+                                          rel=1e-14)
+            assert fb[i] == pytest.approx((base[i] * c / s - 1.0)
+                                          / (p.c + 1.0), rel=1e-14)
 
 
 class TestLimits:
@@ -168,10 +196,11 @@ class TestLimits:
         x = np.zeros(2)
         y = np.array([1.0, 0.0])
         # beta_t is identically the t->0 limit coefficient for kappa = 0
+        b = math.exp(log_b(p, 0.0, *section_args(flat2, w, p, x, y)))
         for t in (0.5, 0.1, 0.01):
             bt = beta(flat2, w, p, 0.0, t, x, y)
-            assert bt.value == pytest.approx(b_coeff(flat2, w, p, 0.0, x, y)
-                                             ** 0.0 * 1.0, rel=1e-12)
+            assert bt == pytest.approx(b, rel=1e-12)
+            assert bt == pytest.approx(1.0, rel=1e-12)
 
     def test_extrapolated_limits(self):
         sp = make_space("sphere", 2)
@@ -184,3 +213,35 @@ class TestLimits:
         rep = check_limits(sp, w, p, 0.8, x, y,
                            [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
         assert rep.verdict == "pass"
+
+    def test_limit2_error_is_rounding_only(self, tmp_path):
+        # the benchmark's H^3 limits call at this seed: a second quadrature
+        # on the reversed segment put 6.3e-8 of error into limit 2
+        cfg = cli.resolve_config({
+            "space": {"kind": "hyperbolic", "dim": 3},
+            "weight": "quadratic(0.3)",
+            "params": {"n": 3, "N": 9.0, "eps": 0.4}, "kappa": -3.0,
+            "suite": "limits", "sampling": {"seed": 536972774}})
+        rep = cli.run_suite(cfg, tmp_path)[1]
+        assert rep.name == "coefficient_limits"
+        lim = rep.provenance["frak_b_limit"]
+        assert abs(lim["extrapolated"] - lim["target"]) <= 1e-11
+
+    def test_one_quadrature_per_t(self, monkeypatch):
+        # one d_f and one d_t per t for limits 1 and 2, and one pair for
+        # each of the six decay points of limit 3
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reparam_partial(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "reparam_partial", counted)
+        sp = make_space("sphere", 2)
+        p = validate_params(2, 4, 0.5)
+        x = np.array([0.0, np.sin(1.0), np.cos(1.0)])
+        y = np.array([0.0, np.sin(1.6), np.cos(1.6)])
+        rep = check_limits(sp, weight_preset(sp, "cosine(0.2)"), p, 0.8, x, y,
+                           [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
+        assert rep.verdict == "pass"
+        assert len(calls) <= 20

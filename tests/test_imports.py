@@ -9,6 +9,7 @@ package's re-exports, and ``from __future__`` imports bind no name.
 """
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -121,3 +122,17 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_span(monkeypatch):
+    # the benchmark's tracer wraps src functions by module and name; a src
+    # rename must not leave one of its spans without a function
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    import cdcheck.cli  # noqa: F401 - loads every module the tracer spans
+
+    with tracer.Tracer() as tr:
+        assert tr.absent == []

@@ -272,6 +272,17 @@ class TestScan:
         for got, expect in zip([*scanned, margins, grids], zip(*want)):
             np.testing.assert_array_equal(got, np.array(expect))
 
+    def test_fine_grid_is_not_rechecked_on_a_coarser_one(self):
+        # a scan on more than 4,096 steps keeps its own margins: three of
+        # these rays are flagged and once reported the re-check's 4,096
+        sp = make_space("euclidean", 3)
+        *_, grids = scan_rays(sp, constant_weight(0.0),
+                              validate_params(3, 3.0, 1.0), 0.2,
+                              np.random.default_rng(0), 250, 8192, None,
+                              (0.2, 1.2), 1e-8)
+        assert grids.size == 181
+        assert np.all(grids == 8192)
+
 
 class TestConcavity:
     def test_flat_equality_case(self, flat3):

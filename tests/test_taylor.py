@@ -171,9 +171,9 @@ class TestExactReductions:
         for i in (0, 3):
             yp, ym = (EUC3.geodesic(x, v, s * fwd.deltas[i]) for s in (1, -1))
             assert fwd.exact[i] == pytest.approx(
-                beta(EUC3, w, p, -0.7, 0.5, yp, ym).value, rel=1e-9)
+                beta(EUC3, w, p, -0.7, 0.5, yp, ym), rel=1e-9)
             assert rev.exact[i] == pytest.approx(
-                beta(EUC3, w, p, -0.7, 0.5, ym, yp).value, rel=1e-9)
+                beta(EUC3, w, p, -0.7, 0.5, ym, yp), rel=1e-9)
 
     def test_app3_matches_weight_ratio(self):
         p = validate_params(3, 9, 0.4)
