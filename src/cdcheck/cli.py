@@ -6,7 +6,8 @@ Usage:
 
 The config is a JSON object; unknown fields are rejected. Exit codes:
 0 all checks pass, 1 at least one inequality fails beyond tolerance,
-2 configuration or precondition error.
+2 configuration or precondition error, 4 internal error (a crash of the
+program, reported on one stderr line; never a verdict).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .params import validate_params
 from .report import CheckReport, canonical_json, report_hash
 from .spaces import check_curvature_bound, make_space, weight_preset
 from .suites import envelope_psi
+
+INTERNAL_ERROR = 4
 
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
@@ -167,9 +170,19 @@ def _check_axis(cfg, space):
     regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
     if regions.get("kind") == "ball" and "radii" not in regions:
         raise ConfigError("ball regions need radii")
-    spans = [d.get("bounds") for d in cfg.get("densities", [])
-             + [cfg.get("functional", {}).get("density", {})]
-             if d.get("kind") == "uniform"]
+    functional = cfg.get("functional", {}).get("density")
+    densities = cfg.get("densities", []) + ([functional] if functional else [])
+    # a bump normalizes by its mass on the grid: without any it reads NaN
+    grid = np.linspace(lo, hi, g.get("points", 4096))[1:-1]
+    for bump in [d for d in densities if d.get("kind", "bump") == "bump"]:
+        center, width = bump.get("center", 0.0), bump.get("width", 0.5)
+        if not width > 0:
+            raise ConfigError(f"bump density width {width:g} is not positive")
+        with np.errstate(over="ignore", under="ignore"):
+            if not np.any(_bump(center, width)(grid) > 0):
+                raise ConfigError(f"bump density at {center:g} of width"
+                                  f" {width:g} has no mass on the {kind} grid")
+    spans = [d.get("bounds") for d in densities if d.get("kind") == "uniform"]
     if cfg["suite"] in ("bm", "all") and regions.get("kind") != "ball":
         spans += regions.get("bounds", _BM_BOUNDS)
     if cfg["suite"] in ("interpolation", "all"):
@@ -200,13 +213,16 @@ def _build_geometry(cfg):
     return _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
 
 
+def _bump(center, width):
+    """The unnormalized Gaussian bump of a density spec."""
+    return lambda x: np.exp(-0.5 * ((x - center) / width) ** 2)
+
+
 def _axis_density(geometry, spec) -> DensityField:
     kind = spec.get("kind", "bump")
     if kind == "bump":
-        m0 = spec.get("center", 0.0)
-        w = spec.get("width", 0.5)
         return density_from_callable(
-            geometry, lambda x: np.exp(-0.5 * ((x - m0) / w) ** 2))
+            geometry, _bump(spec.get("center", 0.0), spec.get("width", 0.5)))
     if kind == "uniform":
         lo, hi = spec["bounds"]
         return density_from_callable(
@@ -407,6 +423,16 @@ def _report_payload(cfg: dict, rep: CheckReport) -> dict:
 
 
 def cmd_run(args) -> int:
+    """``cdcheck run``; any exception that is not a CdCheckError is an
+    internal error, exit 4, never a verdict."""
+    try:
+        return _run(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
+
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -164,8 +164,12 @@ def check_limits(space, weight, params, kappa: float, x, y,
         yk = space.geodesic(seg.start, seg.direction, dk)
         dev = abs(beta(space, weight, params, kappa, t_mid, seg.start, yk)
                   - 1.0)
-        # conservative envelope: linear asymmetry term plus curvature term
-        lim = math.expm1(params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0))
+        # conservative envelope: linear asymmetry term plus curvature term;
+        # past the float range it bounds nothing and reads +inf
+        try:
+            lim = math.expm1(params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0))
+        except OverflowError:
+            lim = math.inf
         decay_rows.append({"d": dk, "dev": dev, "bound": lim})
         decay_margin = min(decay_margin, lim - dev + 1e-12)
     margins.append(float(decay_margin))

@@ -28,7 +28,8 @@ from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, ricci_fN_batch
+from .spaces import (ModelSpace, WeightFunction, ricci_fN_batch,
+                     unit_tangents)
 
 SYMMETRY_TOL = 1e-12
 # rays that scan_rays samples and integrates at once; it bounds the
@@ -143,7 +144,7 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     ws = np.asarray(ws, dtype=float)
     Ss = np.asarray(Ss, dtype=float)
     B = xs.shape[0]
-    thetas = np.array([space.norm(x, w) for x, w in zip(xs, ws)])
+    thetas = space.norm(xs, ws)
     ts = np.linspace(0.0, 1.0, steps + 1)
     dt = ts[1] - ts[0]
 
@@ -157,7 +158,9 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     f_gamma = np.empty((B, steps + 1))
     live = thetas > 1e-14
     if live.any():
-        pts = _geodesic_points(space, xs[live], ws[live], thetas[live], ts)
+        vs = ws[live] / thetas[live, None]
+        pts = space.geodesic(xs[live, None], vs[:, None],
+                             thetas[live, None] * ts)
         f_gamma[live] = np.asarray(weight.eval(pts), dtype=float)
     if (~live).any():
         f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
@@ -170,21 +173,6 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     J = np.exp(logdet - f_gamma + f_gamma[:, :1])
     return {"ts": ts, "det": det, "J": J, "h": h, "l": l, "int_ann": int_ann,
             "f_gamma": f_gamma, "thetas": thetas, "admissible": admissible}
-
-
-def _geodesic_points(space, xs, ws, thetas, ts):
-    """(B, T, ambient) geodesic points; broadcast fast paths per model."""
-    vs = ws / thetas[:, None]
-    svals = thetas[:, None] * ts[None, :]
-    kind = space.kind
-    if kind == "euclidean":
-        return xs[:, None, :] + svals[..., None] * vs[:, None, :]
-    if kind == "sphere":
-        ang = svals[..., None] / space.radius
-        return (np.cos(ang) * xs[:, None, :]
-                + space.radius * np.sin(ang) * vs[:, None, :])
-    return np.stack([space.geodesic(x, v, s)
-                     for x, v, s in zip(xs, vs, svals)])
 
 
 def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
@@ -244,9 +232,7 @@ def check_riccati(traj: JacobianTrajectory, space: ModelSpace,
     margins.extend(float(v) for v in m1)
 
     if traj.theta > 1e-14:
-        pts = _geodesic_points(space, traj.ray.x[None, :],
-                               traj.ray.w[None, :],
-                               np.array([traj.theta]), ts)[0]
+        pts = space.geodesic(traj.ray.x, traj.direction, traj.theta * ts)
         vels = space.velocity(traj.ray.x, traj.direction, traj.theta * ts)
         ric_fn = theta2 * ricci_fN_batch(space, weight, params, pts, vels)
     else:
@@ -373,16 +359,14 @@ def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
     unit direction (the draw of ``space.sample_unit``), theta, the
     eigenvalues and the Gaussian matrix behind the eigenframe. The
     arithmetic then runs on the whole batch, with the same values, bit for
-    bit, as ray by ray: the vector norms are taken as matrix products,
-    like ``np.linalg.norm``'s dot product of one vector.
+    bit, as ray by ray (see ``unit_tangents``).
     """
     n = space.dim
     draws = [(space.sample_point(rng, region), rng.normal(size=n),
               rng.uniform(*theta_range), rng.uniform(-0.8, 0.8, size=n),
               rng.normal(size=(n, n))) for _ in range(count)]
     xs, coeff, theta, lam, gauss = (np.asarray(a) for a in zip(*draws))
-    coeff = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
-    vhat = (coeff[:, None, :] @ space.frame(xs))[:, 0]
+    vhat = unit_tangents(space.frame(xs), coeff)
     q, _ = np.linalg.qr(gauss)
     S = (q * (lam / theta[:, None])[:, None, :]) @ np.swapaxes(q, 1, 2)
     return xs, theta[:, None] * vhat, 0.5 * (S + np.swapaxes(S, 1, 2))

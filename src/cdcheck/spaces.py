@@ -5,6 +5,11 @@ radius (points stored as embedding vectors in R^{d+1}), and hyperbolic
 space in upper-half-space coordinates (last coordinate positive). All
 geodesic, log-map, and frame operations are closed form.
 
+``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` (without
+``last``) broadcast over stacks of points and tangents (..., ambient),
+bit for bit equal to the calls on single points: dot products are stacked
+matrix products, which round like one pair's ``np.dot``.
+
 Weight functions carry value, Riemannian gradient and Hessian access;
 every named preset has closed-form derivatives on every space it is
 defined on (no finite differences).
@@ -35,6 +40,21 @@ def _orthonormal_completion(existing: np.ndarray, dim: int) -> np.ndarray:
     return q[..., k:dim]
 
 
+def _dot(u, v):
+    """u . v over the last axis of two stacks, as ``np.dot`` of each pair."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def unit_tangents(frames, coeff) -> np.ndarray:
+    """Unit tangents coeff / |coeff| in orthonormal frames (rows): normal
+    draws (..., dim) in one frame (dim, ambient) or a stack of frames; each
+    row equals its own ``coeff / np.linalg.norm(coeff) @ frame``."""
+    coeff = np.asarray(coeff, dtype=float)
+    coeff = coeff / np.sqrt(_dot(coeff, coeff))[..., None]
+    return (coeff[..., None, :] @ frames)[..., 0, :]
+
+
 class ModelSpace:
     """Base class: a complete simply connected space of constant curvature."""
 
@@ -45,7 +65,8 @@ class ModelSpace:
 
     # -- core geometry -------------------------------------------------
     def geodesic(self, x, v, t):
-        """Point(s) gamma_v(t) of the unit-speed geodesic; t scalar or array."""
+        """Point(s) gamma_v(t) of the unit-speed geodesic; the leading axes
+        of x, v and t broadcast together."""
         raise NotImplementedError
 
     def velocity(self, x, v, t):
@@ -56,11 +77,13 @@ class ModelSpace:
         """(unit tangent v, length L) with geodesic(x, v, L) == y."""
         raise NotImplementedError
 
-    def inner(self, x, u, v) -> float:
+    def inner(self, x, u, v):
+        """g_x(u, v), over the leading axes of stacks."""
         raise NotImplementedError
 
-    def norm(self, x, u) -> float:
-        return math.sqrt(max(self.inner(x, u, u), 0.0))
+    def norm(self, x, u):
+        """|u| at x, over the leading axes of stacks."""
+        return np.sqrt(np.maximum(self.inner(x, u, u), 0.0))
 
     def frame(self, x, last=None) -> np.ndarray:
         """Orthonormal tangent frame at x, rows = frame vectors.
@@ -76,10 +99,12 @@ class ModelSpace:
         raise NotImplementedError
 
     def sample_unit(self, rng: np.random.Generator, x) -> np.ndarray:
-        fr = self.frame(x)
-        coeff = rng.normal(size=self.dim)
-        coeff /= np.linalg.norm(coeff)
-        return coeff @ fr
+        """A uniformly random unit tangent at x, or one at each point of a
+        stack x (k, ambient); the stack draws its k normal vectors as k
+        calls on single points would."""
+        x = np.asarray(x, dtype=float)
+        return unit_tangents(self.frame(x),
+                             rng.normal(size=x.shape[:-1] + (self.dim,)))
 
 
 class Euclidean(ModelSpace):
@@ -110,7 +135,7 @@ class Euclidean(ModelSpace):
         return d / length, length
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _dot(u, v)
 
     def frame(self, x, last=None):
         if last is None:
@@ -171,7 +196,7 @@ class Sphere(ModelSpace):
         return v, length
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return _dot(u, v)
 
     def frame(self, x, last=None):
         normal = np.asarray(x, dtype=float)[..., None] / self.radius
@@ -185,6 +210,14 @@ class Sphere(ModelSpace):
     def sample_point(self, rng, region=None):
         u = rng.normal(size=self.ambient)
         return self.radius * u / np.linalg.norm(u)
+
+
+def _circle(xi, y0):
+    """(r, s0) of the half circle s = xi + r tanh(s0 + t), y = r / cosh(s0 + t)
+    through (0, y0) in the curvature -1 half-plane, from ``math``:
+    ``np.hypot`` and ``np.arctanh`` round differently."""
+    r = math.hypot(xi, y0)
+    return r, math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r)))
 
 
 class Hyperbolic(ModelSpace):
@@ -207,56 +240,45 @@ class Hyperbolic(ModelSpace):
         self.ambient = dim
         self.sec = -1.0 / scale**2
 
-    # slice geodesic in curvature -1 normalization: point (0, y0),
-    # tangent (us, uy) with us^2 + uy^2 = y0^2, arclength t
-    @staticmethod
-    def _slice_geodesic(y0, us, uy, t):
-        t = np.asarray(t, dtype=float)
-        if abs(us) < 1e-14 * y0:
-            sg = 1.0 if uy >= 0 else -1.0
-            y = y0 * np.exp(sg * t)
-            s = np.zeros_like(y)
-            vs = np.zeros_like(y)
-            vy = sg * y
-            return s, y, vs, vy
-        xi = y0 * uy / us
-        r = math.hypot(xi, y0)
-        s0 = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r)))
-        sg = 1.0 if us > 0 else -1.0
-        sp = s0 + sg * t
-        s = xi + r * np.tanh(sp)
-        y = r / np.cosh(sp)
-        vs = sg * r / np.cosh(sp) ** 2
-        vy = -sg * r * np.tanh(sp) / np.cosh(sp)
-        return s, y, vs, vy
-
-    def _split(self, x, v):
-        """Unit-curvature slice data for scale-a point/tangent."""
+    def _slice(self, x, v, t):
+        """Stacked geodesics in their vertical slices: the unit horizontal
+        direction eh and the slice coordinates (s, y) and derivatives
+        (vs, vy) at curvature -1 arclengths t / scale, on y0 e^{+-t} for a
+        vertical direction and on its ``_circle`` for any other."""
         x = np.asarray(x, dtype=float)
         u = self.scale * np.asarray(v, dtype=float)  # |u|_euc = y in curvature -1
-        uh = u[:-1]
-        h = np.linalg.norm(uh)
-        if h < 1e-14 * x[-1]:
-            return x, None, 0.0, u[-1]
-        return x, uh / h, float(h), float(u[-1])
+        t = np.asarray(t, dtype=float) / self.scale
+        y0, uy, uh = x[..., -1], u[..., -1], u[..., :-1]
+        h = np.sqrt(_dot(uh, uh))
+        vert = h < 1e-14 * y0
+        h = np.where(vert, 1.0, h)
+        xi = y0 * uy / h
+        circles = np.reshape([_circle(a, b) for a, b in np.broadcast(xi, y0)],
+                             np.shape(xi) + (2,))
+        r, sp = circles[..., 0], circles[..., 1] + t
+        th, ch = np.tanh(sp), np.cosh(sp)
+        eh = uh / h[..., None]
+        s, y, vs, vy = xi + r * th, r / ch, r / ch**2, -r * th / ch
+        if vert.any():
+            sg = np.where(uy >= 0, 1.0, -1.0)
+            ey = y0 * np.exp(sg * t)
+            eh = np.where(vert[..., None], 0.0, eh)
+            s, vs = np.where(vert, 0.0, s), np.where(vert, 0.0, vs)
+            y, vy = np.where(vert, ey, y), np.where(vert, sg * ey, vy)
+        return eh, s, y, vs, vy
 
     def geodesic(self, x, v, t):
-        x, eh, us, uy = self._split(x, v)
-        t1 = np.asarray(t, dtype=float) / self.scale
-        s, y, _, _ = self._slice_geodesic(x[-1], us, uy, t1)
-        out = np.broadcast_to(x, np.shape(t1) + (self.ambient,)).copy()
-        if eh is not None:
-            out[..., :-1] = x[:-1] + s[..., None] * eh
+        x = np.asarray(x, dtype=float)
+        eh, s, y, _, _ = self._slice(x, v, t)
+        out = np.broadcast_to(x, y.shape + (self.ambient,)).copy()
+        out[..., :-1] += s[..., None] * eh
         out[..., -1] = y
         return out
 
     def velocity(self, x, v, t):
-        x, eh, us, uy = self._split(x, v)
-        t1 = np.asarray(t, dtype=float) / self.scale
-        _, _, vs, vy = self._slice_geodesic(x[-1], us, uy, t1)
-        out = np.zeros(np.shape(t1) + (self.ambient,))
-        if eh is not None:
-            out[..., :-1] = vs[..., None] * eh
+        eh, _, _, vs, vy = self._slice(x, v, t)
+        out = np.empty(vy.shape + (self.ambient,))
+        out[..., :-1] = vs[..., None] * eh
         out[..., -1] = vy
         return out / self.scale  # back to scale-a unit tangents
 
@@ -290,8 +312,10 @@ class Hyperbolic(ModelSpace):
         return v / self.scale, self.scale * length
 
     def inner(self, x, u, v):
-        y = x[-1]
-        return float(np.dot(u, v)) * self.scale**2 / y**2
+        # float_power is libm pow, as y**2 of one float64 point; the array
+        # y**2 squares and differs from it in the last bit
+        y2 = np.float_power(np.asarray(x, dtype=float)[..., -1], 2)
+        return _dot(u, v) * self.scale**2 / y2
 
     def frame(self, x, last=None):
         y = np.asarray(x, dtype=float)[..., -1]
@@ -366,9 +390,11 @@ class WeightFunction:
 
 
 def grad_sup(space: ModelSpace, weight: WeightFunction, points) -> float:
-    """Largest Riemannian gradient norm |grad f|(p) over the given points."""
-    return max((space.norm(p, np.asarray(weight.grad(p), dtype=float))
-                for p in points), default=0.0)
+    """Largest Riemannian gradient norm |grad f|(p) over a stack of points;
+    0.0 for none."""
+    points = np.asarray(points, dtype=float).reshape(-1, space.ambient)
+    norms = space.norm(points, np.asarray(weight.grad(points), dtype=float))
+    return float(np.max(norms, initial=0.0))
 
 
 def constant_weight(value: float = 0.0) -> WeightFunction:
@@ -535,7 +561,7 @@ def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
     if not math.isinf(N) and N != n:
         grads = np.asarray(weight.grad(xs), dtype=float)
         if isinstance(space, Hyperbolic):
-            gv = np.array([space.inner(x, g, v) for x, g, v in zip(xs, grads, vs)])
+            gv = space.inner(xs, grads, vs)
         else:
             gv = np.sum(grads * vs, axis=-1)
         out = out - gv * gv / (N - n)
@@ -555,7 +581,7 @@ def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
     tol = sampling.get("tol", 1e-9)
     rng = np.random.default_rng(seed)
     xs = np.stack([space.sample_point(rng, region) for _ in range(count)])
-    vs = np.stack([space.sample_unit(rng, x) for x in xs])
+    vs = space.sample_unit(rng, xs)
     ric = ricci_fN_batch(space, weight, params, xs, vs)
     f = np.asarray(weight.eval(xs), dtype=float)
     rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * f)

@@ -242,7 +242,9 @@ def _inf_beta_balls(space, params, kappa, f0, c0, r0, c1, r1, t, samples):
 def p_mean(a, b, t: float, p: float):
     """Weighted p-mean ((1-t) a^p + t b^p)^(1/p), elementwise over arrays:
     max and min at p = +-inf, the geometric mean at p = 0, and 0 where a
-    or b is 0 unless p = +inf. A scalar pair gives a float."""
+    or b is 0 unless p = +inf. A scalar pair gives a float. Other p scale
+    by m = max(a, b) (p > 0) or min(a, b) (p < 0), so that no power of a
+    large |p| overflows: m ((1-t)(a/m)^p + t(b/m)^p)^(1/p)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if math.isinf(p):
@@ -250,7 +252,8 @@ def p_mean(a, b, t: float, p: float):
         elif p == 0.0:
             out = a ** (1.0 - t) * b**t
         else:
-            out = ((1.0 - t) * a**p + t * b**p) ** (1.0 / p)
+            m = np.maximum(a, b) if p > 0 else np.minimum(a, b)
+            out = m * ((1.0 - t) * (a / m)**p + t * (b / m)**p) ** (1.0 / p)
     if p < math.inf:
         out = np.where((a <= 0.0) | (b <= 0.0), 0.0, out)
     return out if out.ndim else float(out)

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import PreconditionError
 from .params import DimensionParams, s_kappa
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
+from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
+                     unit_tangents)
 from .reparam import asymmetry_bound_margin, reparam_partial
 
 NOISE_FLOOR = 5e-15
@@ -244,11 +245,12 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
     under-estimates the true sup and therefore only tightens the bound.
     """
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(grad_samples):
-        u = space.sample_unit(rng, x)
-        pts.append(space.geodesic(x, u, r * rng.random()))
-    sup = grad_sup(space, weight, pts)
+    # each sample draws the normals behind its direction, then its radius
+    coeff, radii = np.empty((grad_samples, space.dim)), np.empty(grad_samples)
+    for i in range(grad_samples):
+        coeff[i], radii[i] = rng.normal(size=space.dim), rng.random()
+    units = unit_tangents(space.frame(x), coeff)
+    sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
     margins = []
     for j in range(levels):
         y = space.geodesic(x, v, r * 2.0**-j)

@@ -370,6 +370,49 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == 2
         assert "[d_f < C_kappa]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [1e4, 1e6, 1e308])
+    def test_interpolation_large_p_passes(self, tmp_path, p):
+        # the p-mean's powers overflowed here: a false counterexample
+        # (margin -4.39e-2 at p = 1e6)
+        cfg = {"space": {"kind": "euclidean", "dim": 2}, "weight": "zero",
+               "params": {"n": 2, "N": 6.0, "eps": 0.5}, "kappa": 0.0,
+               "suite": "interpolation", "interpolation": {"p": p}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a crash is no counterexample: it exits 4 with one stderr line
+        def crash(cfg, out_dir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_suite", crash)
+        path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == cli.INTERNAL_ERROR == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("density, message", [
+        ({"kind": "bump", "center": 0.5, "width": 0.0}, "not positive"),
+        ({"center": 0.5, "width": -0.3}, "not positive"),
+        ({"kind": "bump", "center": 100.0, "width": 0.1}, "no mass"),
+    ], ids=["width-zero", "width-negative", "outside-window"])
+    def test_bump_without_mass_exits_2(self, tmp_path, capsys, density,
+                                       message):
+        # such a bump normalized to NaN, and the run blamed [d_f < C_kappa]
+        cfg = base_cfg("twcd", weight="zero", kappa=0.0,
+                       space={"kind": "euclidean", "dim": 2},
+                       params={"n": 2, "N": 6.0, "eps": 0.5},
+                       densities=[{"kind": "bump", "center": -0.5,
+                                   "width": 0.4}, density])
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "bump density" in err and message in err
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "C_kappa" not in capsys.readouterr().err
+
     def test_no_kept_ray_exits_2(self, tmp_path, capsys):
         # the one ray of seed 1 is inadmissible; an empty report is no
         # counterexample

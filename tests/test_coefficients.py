@@ -245,3 +245,17 @@ class TestLimits:
                            [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
         assert rep.verdict == "pass"
         assert len(calls) <= 20
+
+    def test_overflowing_decay_bound_is_met(self, tmp_path):
+        # unit S^2, zero weight, kappa = -3e5: the decay envelope
+        # expm1(...) passes the float range at the larger distances, which
+        # once raised OverflowError out of the suite
+        cfg = cli.resolve_config({
+            "space": {"kind": "sphere", "dim": 2}, "weight": "zero",
+            "params": {"n": 2, "N": 6.0, "eps": 0.5}, "kappa": -3e5,
+            "suite": "limits"})
+        rep = cli.run_suite(cfg, tmp_path)[1]
+        rows = rep.provenance["decay"]
+        assert rows[0]["bound"] == math.inf
+        assert all(row["dev"] <= row["bound"] for row in rows)
+        assert rep.margins[2] > 0.0

@@ -5,9 +5,9 @@ import pytest
 
 from cdcheck.errors import ConfigError, CutLocusError
 from cdcheck.params import validate_params
-from cdcheck.spaces import (check_curvature_bound, constant_weight,
-                            grad_sup, make_space, ricci_fN_batch,
-                            segment_between, weight_preset)
+from cdcheck.spaces import (Hyperbolic, check_curvature_bound,
+                            constant_weight, grad_sup, make_space,
+                            ricci_fN_batch, segment_between, weight_preset)
 
 
 class TestGeodesics:
@@ -267,6 +267,132 @@ class TestCurvatureBound:
                                     {"count": 100, "seed": 0})
         assert rep.verdict == "fail"
         assert rep.min_margin == pytest.approx(-0.1 * p.inv_c, rel=1e-12)
+
+
+def _unit_per_point(sp, rng, x):
+    """One random unit tangent at one point: normalize one normal draw and
+    take it through the frame of x."""
+    coeff = rng.normal(size=sp.dim)
+    coeff /= np.linalg.norm(coeff)
+    return coeff @ sp.frame(x)
+
+
+def _inner_per_point(sp, x, u, v):
+    """g_x(u, v) at one point, from one dot product."""
+    g = float(np.dot(u, v))
+    return g * sp.scale**2 / x[-1] ** 2 if isinstance(sp, Hyperbolic) else g
+
+
+def _geodesic_per_point(sp, x, v, t):
+    """gamma_v(t) of one point, tangent and parameter in closed form; on H^n
+    the half circle in the vertical slice of v."""
+    if not isinstance(sp, Hyperbolic):
+        return sp.geodesic(x, v, t)
+    u = sp.scale * v
+    h, y0, t = np.linalg.norm(u[:-1]), x[-1], np.float64(t / sp.scale)
+    out = x.copy()
+    if h < 1e-14 * y0:
+        out[-1] = y0 * np.exp((1.0 if u[-1] >= 0 else -1.0) * t)
+        return out
+    xi = y0 * float(u[-1]) / float(h)
+    r = math.hypot(xi, y0)
+    sp0 = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r))) + t
+    out[:-1] = x[:-1] + (xi + r * np.tanh(sp0)) * (u[:-1] / h)
+    out[-1] = r / np.cosh(sp0)
+    return out
+
+
+STACK_SPACES = [("euclidean", 3, {}), ("sphere", 2, {}),
+                ("sphere", 3, {"radius": 1.7}), ("hyperbolic", 3, {}),
+                ("hyperbolic", 3, {"scale": 0.6})]
+
+
+class TestStacks:
+    """The stacked layer equals its per-point reference loops bit for bit."""
+
+    @staticmethod
+    def _points_and_units(sp, count=40):
+        rng = np.random.default_rng(17)
+        xs = np.stack([sp.sample_point(rng, {"radius": 1.5})
+                       for _ in range(count)])
+        vs = np.stack([_unit_per_point(sp, rng, x) for x in xs])
+        if isinstance(sp, Hyperbolic):  # vertical directions, up and down
+            vs[:2, :-1] = 0.0
+            vs[:2, -1] = [1.0, -1.0] * xs[:2, -1] / sp.scale
+        return xs, vs
+
+    @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
+    def test_sample_unit(self, kind, dim, kw):
+        sp = make_space(kind, dim, **kw)
+        xs, _ = self._points_and_units(sp)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        want = [_unit_per_point(sp, ref, x) for x in xs]
+        np.testing.assert_array_equal(sp.sample_unit(rng, xs), want)
+        # single points keep the stream and the values too
+        np.testing.assert_array_equal(sp.sample_unit(rng, xs[0]),
+                                      _unit_per_point(sp, ref, xs[0]))
+
+    @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
+    def test_geodesic(self, kind, dim, kw):
+        sp = make_space(kind, dim, **kw)
+        xs, vs = self._points_and_units(sp)
+        ts = np.random.default_rng(5).uniform(-1.5, 1.5, len(xs))
+        ts[2] = 0.0
+        want = [_geodesic_per_point(sp, x, v, t) for x, v, t in zip(xs, vs, ts)]
+        np.testing.assert_array_equal(sp.geodesic(xs, vs, ts), want)
+        # many directions from one point, and one grid per direction
+        np.testing.assert_array_equal(
+            sp.geodesic(xs[3], vs, ts),
+            [_geodesic_per_point(sp, xs[3], v, t) for v, t in zip(vs, ts)])
+        grid = np.linspace(0.0, 1.0, 9) * (1.0 + np.abs(ts))[:, None]
+        np.testing.assert_array_equal(
+            sp.geodesic(xs[:, None], vs[:, None], grid),
+            [[_geodesic_per_point(sp, x, v, t) for t in row]
+             for x, v, row in zip(xs, vs, grid)])
+
+    @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
+    def test_inner_and_norm(self, kind, dim, kw):
+        sp = make_space(kind, dim, **kw)
+        xs, vs = self._points_and_units(sp)
+        us = 1.7 * vs[::-1]
+        np.testing.assert_array_equal(
+            sp.inner(xs, us, vs),
+            [_inner_per_point(sp, x, u, v) for x, u, v in zip(xs, us, vs)])
+        np.testing.assert_array_equal(
+            sp.norm(xs, us),
+            [math.sqrt(max(_inner_per_point(sp, x, u, u), 0.0))
+             for x, u in zip(xs, us)])
+
+    @pytest.mark.parametrize("kind, dim, kw, preset", [
+        ("euclidean", 3, {}, "quadratic(0.7)"), ("sphere", 2, {}, "cosine(0.4)"),
+        ("sphere", 3, {"radius": 1.7}, "linear(0.3)"),
+        ("hyperbolic", 3, {"scale": 0.6}, "quadratic(0.3)")])
+    def test_grad_sup(self, kind, dim, kw, preset):
+        sp = make_space(kind, dim, **kw)
+        w = weight_preset(sp, preset)
+        xs, _ = self._points_and_units(sp)
+        want = max(math.sqrt(max(_inner_per_point(sp, x, w.grad(x),
+                                                  w.grad(x)), 0.0))
+                   for x in xs)
+        assert grad_sup(sp, w, xs) == want
+        assert grad_sup(sp, w, np.empty((0, sp.ambient))) == 0.0
+
+    @pytest.mark.parametrize("kind, dim, kw, preset", [
+        ("euclidean", 3, {}, "quadratic(0.7)"), ("sphere", 2, {}, "cosine(0.4)"),
+        ("hyperbolic", 3, {}, "linear(0.5)"),
+        ("hyperbolic", 3, {"scale": 0.6}, "quadratic(0.3)")])
+    def test_curvature_bound_report(self, kind, dim, kw, preset):
+        sp = make_space(kind, dim, **kw)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, 7, 0.4)
+        rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8})
+        rng = np.random.default_rng(8)
+        xs = np.stack([sp.sample_point(rng) for _ in range(60)])
+        vs = [_unit_per_point(sp, rng, x) for x in xs]
+        ric = [ricci_fN_batch(sp, w, p, x[None], v[None])[0]
+               for x, v in zip(xs, vs)]
+        want = ric - p.inv_c * -0.5 * np.exp(-2.0 * p.a * w.eval(xs))
+        np.testing.assert_array_equal(rep.margins, want)
 
 
 class TestPointValidity:

@@ -337,6 +337,18 @@ class TestPMean:
         assert vals.tolist() == [p_mean(float(u), float(v), 0.3, p)
                                  for u, v in zip(a, b)]
 
+    @pytest.mark.parametrize("p", [1e4, 1e6, 1e308])
+    def test_large_p_tends_to_the_max(self, p):
+        # a^p overflows and (1-t) a^p + t b^p underflows at these p; the
+        # mean of the powers once came out inf or 0
+        vals = p_mean(np.array([2.0, 1e-3, 8.0]), np.array([8.0, 2e-3, 8.0]),
+                      0.5, p)
+        np.testing.assert_allclose(vals, [8.0, 2e-3, 8.0],
+                                   rtol=math.log(2.0) / p * 1.01)
+        assert np.all(vals <= [8.0, 2e-3, 8.0])
+        assert p_mean(8.0, 2.0, 0.5, -p) == pytest.approx(
+            2.0, rel=1.01 * math.log(2.0) / p)
+
     def test_conclusion_exponent(self):
         p = validate_params(2, 4, 0.5)
         c = p.c

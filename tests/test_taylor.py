@@ -10,8 +10,9 @@ from cdcheck import taylor
 from cdcheck.coefficients import beta
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
-from cdcheck.reparam import reparam_partial
-from cdcheck.spaces import constant_weight, make_space, weight_preset
+from cdcheck.reparam import asymmetry_bound_margin, reparam_partial
+from cdcheck.spaces import (constant_weight, make_space, segment_between,
+                            weight_preset)
 from cdcheck.taylor import (TERMS, SeriesCheck, check_F_identity,
                             check_limit_bound, check_series, f_of_theta,
                             theta_eps)
@@ -276,3 +277,29 @@ class TestLimitBound:
         w = weight_preset(SPHERE, "cosine(0.4)")
         rep = check_limit_bound(SPHERE, w, p, 0.3, *meridian_ray(), r=0.8)
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("euclidean", 3, "quadratic(0.6)"), ("sphere", 2, "cosine(0.4)"),
+        ("hyperbolic", 3, "linear(0.5)")])
+    def test_report_equals_per_point_loop(self, kind, dim, preset):
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, 3 * dim, 0.4)
+        rng = np.random.default_rng(21)
+        x = sp.sample_point(rng)
+        v = sp.sample_unit(rng, x)
+        rep = check_limit_bound(sp, w, p, 0.5, x, v, r=0.6, seed=3)
+        # the sampling loop the stacked draws replace: per sample, a unit
+        # direction from one normal draw, then a radius
+        rng = np.random.default_rng(3)
+        sup = 0.0
+        for _ in range(400):
+            coeff = rng.normal(size=dim)
+            u = (coeff / np.linalg.norm(coeff)) @ sp.frame(x)
+            pt = sp.geodesic(x, u, 0.6 * rng.random())
+            sup = max(sup, sp.norm(pt, w.grad(pt)))
+        assert rep.provenance["grad_sup"] == sup
+        want = [asymmetry_bound_margin(
+            sp, w, p, segment_between(sp, x, sp.geodesic(x, v, 0.6 * 2.0**-j)),
+            0.5, sup) for j in range(8)]
+        np.testing.assert_array_equal(rep.margins, want)
