@@ -21,8 +21,7 @@ from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
 from .reparam import reparam_partial
 from .coefficients import (beta, frak_b, log_b, log_beta, log_beta_pair,
                            require_conjugate_radius, within_conjugate_radius)
-from .jacobi import (JacobianTrajectory, TransportRay, check_riccati,
-                     integrate_jacobi, jacobi_closed_form, sample_rays,
+from .jacobi import (integrate_jacobi, jacobi_closed_form, sample_rays,
                      scan_rays)
 from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  MonotoneInterpolation, density_from_callable,

@@ -263,10 +263,9 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
                                   "seed": s["seed"], "steps": steps})
     # the first smallest margin; a NaN margin names no worst ray
     i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
-    traj = jacobi.integrate_jacobi(space, weight, params,
-                                   jacobi.TransportRay(xs[i], ws[i], Ss[i]),
-                                   steps)
-    _write_trajectory(out_dir / "worst_ray.csv", traj)
+    traj = jacobi.integrate_jacobi(space, weight, params, xs[i], ws[i],
+                                   Ss[i], steps)
+    _write_trajectory(out_dir / "worst_ray.csv", traj, params.c)
     if margins[i] < -tol:
         record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
                   "S": Ss[i].tolist(), "margin": float(margins[i]),
@@ -275,11 +274,13 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     return [rep]
 
 
-def _write_trajectory(path, traj):
+def _write_trajectory(path, traj, c):
+    """Columns t, det, J, h, l, log D = c l and log Dbar of one ray."""
+    cols = [traj[k] for k in ("ts", "det", "J", "h", "l")]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "det", "J", "h", "l", "log_D", "log_Dbar"])
-        for row in traj.as_rows():
+        for row in np.column_stack(cols + [c * traj["l"], traj["int_ann"]]):
             w.writerow([f"{v:.17g}" for v in row])
 
 

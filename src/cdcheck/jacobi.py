@@ -19,17 +19,13 @@ quadrature of a_nn behind h and Dbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .coefficients import log_beta_pair, within_conjugate_radius
-from .errors import PreconditionError, SingularJacobian
+from .errors import SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
-from .report import CheckReport
-from .spaces import (ModelSpace, WeightFunction, ricci_fN_batch,
-                     unit_tangents)
+from .spaces import ModelSpace, WeightFunction, unit_tangents
 
 SYMMETRY_TOL = 1e-12
 # rays that scan_rays samples and integrates at once; it bounds the
@@ -37,46 +33,6 @@ SYMMETRY_TOL = 1e-12
 _RAY_BATCH = 250
 # the grid on which the scan re-checks the rays it flags on a coarser grid
 _REFINE_STEPS = 4096
-
-
-@dataclass(frozen=True)
-class TransportRay:
-    """Base point, transport direction w, and Hessian surrogate S.
-
-    S lives in an orthonormal frame at x whose last vector is w/|w|.
-    """
-
-    x: np.ndarray
-    w: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.S, dtype=float)
-        if not np.allclose(s, s.T, atol=SYMMETRY_TOL, rtol=0.0):
-            raise PreconditionError("Hessian surrogate must be symmetric",
-                                    failed="S symmetric")
-
-
-@dataclass
-class JacobianTrajectory:
-    """Per-grid-point state of a transport ray on t in [0, 1]."""
-
-    ray: TransportRay
-    ts: np.ndarray
-    det: np.ndarray
-    J: np.ndarray
-    h: np.ndarray
-    l: np.ndarray
-    log_D: np.ndarray  # c l
-    int_ann: np.ndarray  # log Dbar
-    f_gamma: np.ndarray  # f along the geodesic
-    theta: float  # |w|
-    direction: np.ndarray = field(default=None)  # unit tangent, None if theta=0
-
-    def as_rows(self):
-        """Rows (t, det, J, h, l, log D, log Dbar) for CSV export."""
-        return np.column_stack([self.ts, self.det, self.J, self.h,
-                                self.l, self.log_D, self.int_ann])
 
 
 def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
@@ -134,11 +90,12 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
                            steps: int = 128):
     """Vectorized trajectory computation for a batch of rays.
 
-    Returns a dict of (B, steps + 1) arrays keyed by the trajectory field
-    names (``int_ann`` = log Dbar; D and Dbar themselves are not formed,
-    so they cannot overflow), plus ``thetas`` and an ``admissible`` mask
-    (det > 0 on the whole grid). Inadmissible rows carry NaN downstream
-    values.
+    Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
+    ``det``, ``J``, ``h``, ``l``, ``int_ann`` (= log Dbar; log D is c l, and
+    D and Dbar themselves are not formed, so they cannot overflow) and
+    ``f_gamma`` (f along the geodesic), plus the speeds ``thetas`` and an
+    ``admissible`` mask (det > 0 on the whole grid). Inadmissible rows
+    carry NaN downstream values.
     """
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
@@ -176,78 +133,15 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
 
 
 def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
-                     params: DimensionParams, ray: TransportRay,
-                     steps: int = 128) -> JacobianTrajectory:
-    """Trajectory of a single ray; raises SingularJacobian if det E hits 0."""
-    theta = space.norm(ray.x, ray.w)
-    out = integrate_jacobi_batch(space, weight, params,
-                                 ray.x[None, :], ray.w[None, :],
-                                 np.asarray(ray.S, float)[None, :, :], steps)
+                     params: DimensionParams, x, w, S, steps: int = 128):
+    """One ray's :func:`integrate_jacobi_batch` dict, each array reduced to
+    the ray's row; raises SingularJacobian if det E hits 0."""
+    out = integrate_jacobi_batch(
+        space, weight, params,
+        *(np.asarray(a, float)[None] for a in (x, w, S)), steps)
     if not out["admissible"][0]:
         raise SingularJacobian("det(dF_t) vanishes on [0, 1]; ray inadmissible")
-    direction = None
-    if theta > 1e-14:
-        direction = np.asarray(ray.w, float) / theta
-    return JacobianTrajectory(
-        ray=ray, ts=out["ts"], det=out["det"][0], J=out["J"][0],
-        h=out["h"][0], l=out["l"][0], log_D=params.c * out["l"][0],
-        int_ann=out["int_ann"][0], f_gamma=out["f_gamma"][0], theta=theta,
-        direction=direction,
-    )
-
-
-# -- finite-difference stencils (uniform grid, 5 points) ----------------
-def _deriv1_5pt(y: np.ndarray, dt: float) -> np.ndarray:
-    """First derivative at interior points [2:-2]."""
-    return (y[..., :-4] - 8.0 * y[..., 1:-3] + 8.0 * y[..., 3:-1]
-            - y[..., 4:]) / (12.0 * dt)
-
-
-def _deriv2_5pt(y: np.ndarray, dt: float) -> np.ndarray:
-    """Second derivative at interior points [2:-2]."""
-    return (-y[..., :-4] + 16.0 * y[..., 1:-3] - 30.0 * y[..., 2:-2]
-            + 16.0 * y[..., 3:-1] - y[..., 4:]) / (12.0 * dt**2)
-
-
-def check_riccati(traj: JacobianTrajectory, space: ModelSpace,
-                  weight: WeightFunction, params: DimensionParams,
-                  tol: float = 1e-8) -> CheckReport:
-    """Differential inequalities for h and l along the trajectory.
-
-        h'' <= -h'^2/(n-1) - Ric_g(gamma')
-        (e^{a f} l')' <= -e^{a f} (c l'^2 + Ric_f^N(gamma'))
-
-    Margins are (RHS - LHS)/(1 + |RHS|) at interior grid points.
-    """
-    n = space.dim
-    ts, dt = traj.ts, traj.ts[1] - traj.ts[0]
-    theta2 = traj.theta**2
-    margins = []
-
-    hp = _deriv1_5pt(traj.h, dt)
-    hpp = _deriv2_5pt(traj.h, dt)
-    ric_g = (n - 1) * space.sec * theta2
-    rhs1 = -hp**2 / (n - 1) - ric_g
-    m1 = (rhs1 - hpp) / (1.0 + np.abs(rhs1))
-    margins.extend(float(v) for v in m1)
-
-    if traj.theta > 1e-14:
-        pts = space.geodesic(traj.ray.x, traj.direction, traj.theta * ts)
-        vels = space.velocity(traj.ray.x, traj.direction, traj.theta * ts)
-        ric_fn = theta2 * ricci_fN_batch(space, weight, params, pts, vels)
-    else:
-        ric_fn = np.zeros_like(ts)
-    ef = np.exp(params.a * traj.f_gamma)
-    lp = _deriv1_5pt(traj.l, dt)
-    w = ef[2:-2] * lp
-    wp = _deriv1_5pt(w, dt)  # valid on indices [4:-4] of the base grid
-    inner = slice(4, len(ts) - 4)
-    rhs2 = -ef[inner] * (params.c * lp[2:-2]**2 + ric_fn[inner])
-    m2 = (rhs2 - wp) / (1.0 + np.abs(rhs2))
-    margins.extend(float(v) for v in m2)
-
-    return CheckReport(name="riccati", margins=margins, tolerance=tol,
-                       provenance={"theta": traj.theta, "steps": len(ts) - 1})
+    return {k: v if k == "ts" else v[0] for k, v in out.items()}
 
 
 def _partials_from_f(params, f_gamma, theta, dt):
@@ -335,17 +229,15 @@ def refine_ray_margin(space: ModelSpace, weight: WeightFunction,
     """One ray's concavity margin on a grid of ``steps`` steps.
 
     ``None`` if the ray has zero speed, is inadmissible on that grid,
-    reaches the conjugate radius, or S is not symmetric. The scan refines its flagged
-    rays through the same kernel, so this reproduces their margins.
+    reaches the conjugate radius, or S is not symmetric (S may come from
+    a ``counterexample.json``). The scan refines its flagged rays through
+    the same kernel, so this reproduces their margins.
     """
-    try:
-        ray = TransportRay(np.asarray(x, float), np.asarray(w, float),
-                           np.asarray(S, float))
-    except PreconditionError:
+    x, w, S = (np.asarray(a, float) for a in (x, w, S))
+    if not np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0):
         return None
     keep, margins, _ = _ray_margins(space, weight, params, kappa,
-                                    ray.x[None], ray.w[None], ray.S[None],
-                                    steps)
+                                    x[None], w[None], S[None], steps)
     return float(margins[0]) if keep.size else None
 
 

@@ -25,10 +25,6 @@ class CheckReport:
     provenance: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def samples(self) -> int:
-        return len(self.margins)
-
-    @property
     def min_margin(self) -> float:
         """Smallest margin; NaN when there is none or any margin is NaN."""
         if not self.margins or any(math.isnan(m) for m in self.margins):

@@ -5,10 +5,10 @@ radius (points stored as embedding vectors in R^{d+1}), and hyperbolic
 space in upper-half-space coordinates (last coordinate positive). All
 geodesic, log-map, and frame operations are closed form.
 
-``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` (without
-``last``) broadcast over stacks of points and tangents (..., ambient),
-bit for bit equal to the calls on single points: dot products are stacked
-matrix products, which round like one pair's ``np.dot``.
+``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
+over stacks of points and tangents (..., ambient), bit for bit equal to
+the calls on single points: dot products are stacked matrix products,
+which round like one pair's ``np.dot``.
 
 Weight functions carry value, Riemannian gradient and Hessian access;
 every named preset has closed-form derivatives on every space it is
@@ -85,13 +85,10 @@ class ModelSpace:
         """|u| at x, over the leading axes of stacks."""
         return np.sqrt(np.maximum(self.inner(x, u, u), 0.0))
 
-    def frame(self, x, last=None) -> np.ndarray:
-        """Orthonormal tangent frame at x, rows = frame vectors.
-
-        When ``last`` (a unit tangent) is given it becomes the final row.
-        Without ``last``, x may be a stack of points (..., ambient); the
-        result is then the stack of their frames (..., dim, ambient).
-        """
+    def frame(self, x) -> np.ndarray:
+        """Orthonormal tangent frame at x, rows = frame vectors; for a stack
+        of points (..., ambient), the stack of their frames (..., dim,
+        ambient)."""
         raise NotImplementedError
 
     # -- sampling ------------------------------------------------------
@@ -137,11 +134,8 @@ class Euclidean(ModelSpace):
     def inner(self, x, u, v):
         return _dot(u, v)
 
-    def frame(self, x, last=None):
-        if last is None:
-            return np.tile(np.eye(self.dim), np.shape(x)[:-1] + (1, 1))
-        rest = _orthonormal_completion(np.asarray(last, dtype=float)[:, None], self.dim)
-        return np.vstack([rest.T, np.asarray(last, dtype=float)])
+    def frame(self, x):
+        return np.tile(np.eye(self.dim), np.shape(x)[:-1] + (1, 1))
 
     def sample_point(self, rng, region=None):
         r = (region or {}).get("radius", 1.0)
@@ -198,14 +192,10 @@ class Sphere(ModelSpace):
     def inner(self, x, u, v):
         return _dot(u, v)
 
-    def frame(self, x, last=None):
+    def frame(self, x):
         normal = np.asarray(x, dtype=float)[..., None] / self.radius
-        if last is None:
-            return np.swapaxes(_orthonormal_completion(normal, self.ambient),
-                               -1, -2)
-        fixed = np.concatenate([normal, np.asarray(last, dtype=float)[:, None]], axis=1)
-        rest = _orthonormal_completion(fixed, self.ambient)
-        return np.vstack([rest.T, np.asarray(last, dtype=float)])
+        return np.swapaxes(_orthonormal_completion(normal, self.ambient),
+                           -1, -2)
 
     def sample_point(self, rng, region=None):
         u = rng.normal(size=self.ambient)
@@ -299,8 +289,7 @@ class Hyperbolic(ModelSpace):
             return v, self.scale * length
         eh = dh / h
         xi = (h * h + y1 * y1 - y0 * y0) / (2.0 * h)
-        r = math.hypot(xi, y0)
-        sp = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r)))
+        r, sp = _circle(xi, y0)
         sq = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, (h - xi) / r)))
         length = abs(sq - sp)
         sg = 1.0 if sq > sp else -1.0
@@ -317,14 +306,9 @@ class Hyperbolic(ModelSpace):
         y2 = np.float_power(np.asarray(x, dtype=float)[..., -1], 2)
         return _dot(u, v) * self.scale**2 / y2
 
-    def frame(self, x, last=None):
+    def frame(self, x):
         y = np.asarray(x, dtype=float)[..., -1]
-        if last is None:
-            return np.eye(self.ambient) * (y / self.scale)[..., None, None]
-        e_last = np.asarray(last, dtype=float) * self.scale / y  # euclidean-unit
-        rest = _orthonormal_completion(e_last[:, None], self.ambient)
-        fr = np.vstack([rest.T, e_last]) * (y / self.scale)
-        return fr
+        return np.eye(self.ambient) * (y / self.scale)[..., None, None]
 
     def sample_point(self, rng, region=None):
         r = (region or {}).get("radius", 1.0)

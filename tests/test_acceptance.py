@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; each criterion is also an ordinary test so the suite fails loudly
-if any gate is missed.
+if any gate is missed. ``check_riccati``, the differential form of the
+ray inequalities behind criterion 3, lives here with its own tests.
 """
 
 import json
@@ -16,8 +17,9 @@ from cdcheck.coefficients import check_limits
 from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable,
                         monotone_1d_transport)
 from cdcheck.params import diam_kappa, s_kappa, validate_params
+from cdcheck.report import CheckReport
 from cdcheck.spaces import (check_curvature_bound, constant_weight,
-                            make_space, weight_preset)
+                            make_space, ricci_fN_batch, weight_preset)
 from cdcheck.taylor import TERMS, check_F_identity, check_series
 
 
@@ -62,6 +64,101 @@ def test_criterion_02_c_reductions():
     _gate(2, "c-constant reductions on random (n, N)", ok)
 
 
+# -- finite-difference stencils (uniform grid, 5 points) ----------------
+def _deriv1_5pt(y: np.ndarray, dt: float) -> np.ndarray:
+    """First derivative at interior points [2:-2]."""
+    return (y[..., :-4] - 8.0 * y[..., 1:-3] + 8.0 * y[..., 3:-1]
+            - y[..., 4:]) / (12.0 * dt)
+
+
+def _deriv2_5pt(y: np.ndarray, dt: float) -> np.ndarray:
+    """Second derivative at interior points [2:-2]."""
+    return (-y[..., :-4] + 16.0 * y[..., 1:-3] - 30.0 * y[..., 2:-2]
+            + 16.0 * y[..., 3:-1] - y[..., 4:]) / (12.0 * dt**2)
+
+
+def check_riccati(space, weight, params, x, w, traj,
+                  tol: float = 1e-8) -> CheckReport:
+    """Differential inequalities for h and l along the ray (x, w), whose
+    ``jacobi.integrate_jacobi`` dict is ``traj``.
+
+        h'' <= -h'^2/(n-1) - Ric_g(gamma')
+        (e^{a f} l')' <= -e^{a f} (c l'^2 + Ric_f^N(gamma'))
+
+    Margins are (RHS - LHS)/(1 + |RHS|) at interior grid points.
+    """
+    n = space.dim
+    ts, theta = traj["ts"], traj["thetas"]
+    dt = ts[1] - ts[0]
+    theta2 = theta**2
+    margins = []
+
+    hp = _deriv1_5pt(traj["h"], dt)
+    hpp = _deriv2_5pt(traj["h"], dt)
+    ric_g = (n - 1) * space.sec * theta2
+    rhs1 = -hp**2 / (n - 1) - ric_g
+    m1 = (rhs1 - hpp) / (1.0 + np.abs(rhs1))
+    margins.extend(float(v) for v in m1)
+
+    if theta > 1e-14:
+        direction = np.asarray(w, float) / theta
+        pts = space.geodesic(x, direction, theta * ts)
+        vels = space.velocity(x, direction, theta * ts)
+        ric_fn = theta2 * ricci_fN_batch(space, weight, params, pts, vels)
+    else:
+        ric_fn = np.zeros_like(ts)
+    ef = np.exp(params.a * traj["f_gamma"])
+    lp = _deriv1_5pt(traj["l"], dt)
+    wp = _deriv1_5pt(ef[2:-2] * lp, dt)  # valid on indices [4:-4] of the grid
+    inner = slice(4, len(ts) - 4)
+    rhs2 = -ef[inner] * (params.c * lp[2:-2]**2 + ric_fn[inner])
+    m2 = (rhs2 - wp) / (1.0 + np.abs(rhs2))
+    margins.extend(float(v) for v in m2)
+
+    return CheckReport(name="riccati", margins=margins, tolerance=tol,
+                       provenance={"theta": theta, "steps": len(ts) - 1})
+
+
+class TestRiccati:
+    def test_flat_isotropic_closed_form(self):
+        # h'' = -n lam^2/(1+lam t)^2 vs bound -h'^2/(n-1); strict for n >= 2
+        lam = 0.3
+        flat3, zero = make_space("euclidean", 3), constant_weight(0.0)
+        p = validate_params(3, 3, 1.0)
+        ray = np.zeros(3), np.array([0.5, 0, 0]), lam * np.eye(3)
+        traj = jacobi.integrate_jacobi(flat3, zero, p, *ray)
+        rep = check_riccati(flat3, zero, p, *ray[:2], traj)
+        assert rep.verdict == "pass"
+        # normal block is conformal (lam I), so the comparison is an
+        # equality: h' = (n-1) lam/(1+lam t), h'' = -h'^2/(n-1) exactly
+        expect_h = 2.0 * np.log1p(lam * traj["ts"])
+        np.testing.assert_allclose(traj["h"], expect_h, atol=1e-9)
+        assert abs(rep.min_margin) < 1e-8
+
+    def test_zero_S_equality(self):
+        flat3, zero = make_space("euclidean", 3), constant_weight(0.0)
+        p = validate_params(3, 3, 1.0)
+        ray = np.zeros(3), np.array([0.5, 0, 0]), np.zeros((3, 3))
+        traj = jacobi.integrate_jacobi(flat3, zero, p, *ray)
+        rep = check_riccati(flat3, zero, p, *ray[:2], traj)
+        assert rep.verdict == "pass"
+        assert abs(rep.min_margin) < 1e-10
+
+    def test_weighted_sphere(self):
+        sphere2 = make_space("sphere", 2)
+        p = validate_params(2, 6, 0.4)
+        w = weight_preset(sphere2, "cosine(0.2)")
+        x = np.array([0.0, 0.0, 1.0])
+        v = 0.9 * sphere2.frame(x)[0]
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            M = rng.uniform(-0.4, 0.4, size=(2, 2))
+            S = 0.5 * (M + M.T)
+            traj = jacobi.integrate_jacobi(sphere2, w, p, x, v, S)
+            rep = check_riccati(sphere2, w, p, x, v, traj)
+            assert rep.verdict == "pass", rep.min_margin
+
+
 def _ray_suite_margins(space, weight, params, kappa, rays, seed):
     rng = np.random.default_rng(seed)
     *_, margins, _ = jacobi.scan_rays(space, weight, params, kappa, rng,
@@ -71,11 +168,10 @@ def _ray_suite_margins(space, weight, params, kappa, rays, seed):
     xs, ws, Ss = jacobi.sample_rays(space, rng, 60)
     for x, w, S in zip(xs, ws, Ss):
         try:
-            traj = jacobi.integrate_jacobi(space, weight, params,
-                                           jacobi.TransportRay(x, w, S), 256)
+            traj = jacobi.integrate_jacobi(space, weight, params, x, w, S, 256)
         except jacobi.SingularJacobian:
             continue
-        rep = jacobi.check_riccati(traj, space, weight, params)
+        rep = check_riccati(space, weight, params, x, w, traj)
         riccati_mins.append(rep.min_margin)
     return margins.min(), min(riccati_mins), margins.size
 

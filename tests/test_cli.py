@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cdcheck import cli
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
-from cdcheck.jacobi import refine_ray_margin
+from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -300,7 +300,16 @@ class TestRunExitCodes:
                 steps=ce["steps"]) == ce["margin"]
             rows = _csv_rows(out / "worst_ray.csv")
             assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
-            assert len(rows) > 2
+            # the table is the kernel's row of the counterexample ray on the
+            # sampling grid, written to round trip, with log D = c l
+            traj = integrate_jacobi_batch(
+                space, weight, params,
+                *(np.array([ce[k]]) for k in ("x", "w", "S")),
+                cfg["sampling"].get("steps", 128))
+            want = [traj["ts"]] + [traj[k][0] for k in ("det", "J", "h", "l")]
+            want += [params.c * traj["l"][0], traj["int_ann"][0]]
+            got = np.array([[float(v) for v in row] for row in rows[1:]])
+            np.testing.assert_array_equal(got, np.column_stack(want))
 
     def test_taylor_remainder_sign_change_passes(self, tmp_path):
         # app2_fwd's O(delta^3) remainder changes sign between delta = 1/64

@@ -27,8 +27,6 @@ REPO = Path(__file__).resolve().parent.parent
 # the files whose calls keep a definition alive: src and the benchmark;
 # code that only tests reach belongs in the tests
 CALLERS = ALL_MODULES + sorted(REPO.glob("perfbench/*.py"))
-# acceptance-gate APIs, called from the tests only
-TEST_APIS = {"check_riccati"}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -83,8 +81,7 @@ def _dead_definitions(modules, callers) -> list[str]:
 def test_no_dead_definitions():
     # a definition whose name is referenced only inside its own body has no
     # caller (dunder methods are called by the interpreter)
-    assert [d for d in _dead_definitions(ALL_MODULES, CALLERS)
-            if d.split()[-1] not in TEST_APIS] == []
+    assert _dead_definitions(ALL_MODULES, CALLERS) == []
 
 
 def test_dead_definition_scan_sees_an_uncalled_function(tmp_path):

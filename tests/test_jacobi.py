@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cdcheck.errors import PreconditionError, SingularJacobian
-from cdcheck.jacobi import (TransportRay, check_riccati, integrate_jacobi,
-                            jacobi_closed_form, refine_ray_margin,
-                            sample_rays, scan_rays)
+from cdcheck.errors import SingularJacobian
+from cdcheck.jacobi import (integrate_jacobi, jacobi_closed_form,
+                            refine_ray_margin, sample_rays, scan_rays)
 from cdcheck.params import validate_params
 from cdcheck.spaces import (check_curvature_bound, constant_weight,
                             make_space, weight_preset)
@@ -35,38 +34,37 @@ NEAR_SINGULAR_S = 0.5 * (NEAR_SINGULAR_S + NEAR_SINGULAR_S.T)
 
 
 def north_ray(sp, theta, S):
+    """(x, w, S) of a ray from the north pole along the first frame vector."""
     x = np.array([0.0, 0.0, 1.0])
     v = sp.frame(x)[0]
-    return TransportRay(x, theta * v, np.asarray(S, dtype=float))
+    return x, theta * v, np.asarray(S, dtype=float)
 
 
 class TestTrajectories:
     def test_identity_when_S_zero(self, flat3):
         p = validate_params(3, 5, 0.5)
-        ray = TransportRay(np.zeros(3), np.array([0.7, 0.0, 0.0]),
-                           np.zeros((3, 3)))
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-        np.testing.assert_allclose(traj.det, 1.0, atol=1e-12)
-        np.testing.assert_allclose(traj.J, 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.exp(traj.log_D), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.exp(traj.int_ann), 1.0, atol=1e-12)
+        traj = integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+                                np.array([0.7, 0.0, 0.0]), np.zeros((3, 3)))
+        np.testing.assert_allclose(traj["det"], 1.0, atol=1e-12)
+        np.testing.assert_allclose(traj["J"], 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(p.c * traj["l"]), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(traj["int_ann"]), 1.0, atol=1e-12)
 
     def test_flat_isotropic_determinant(self, flat3):
         lam = 0.35
         p = validate_params(3, 5, 0.5)
-        ray = TransportRay(np.zeros(3), np.array([0.4, 0.1, 0.0]),
-                           lam * np.eye(3))
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-        expect = (1.0 + lam * traj.ts) ** 3
-        np.testing.assert_allclose(traj.det, expect, rtol=1e-10)
+        traj = integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+                                np.array([0.4, 0.1, 0.0]), lam * np.eye(3))
+        expect = (1.0 + lam * traj["ts"]) ** 3
+        np.testing.assert_allclose(traj["det"], expect, rtol=1e-10)
 
     def test_sphere_normal_block(self, sphere2):
         theta = 1.1
         p = validate_params(2, 2, 1.0)
         traj = integrate_jacobi(sphere2, constant_weight(0.0), p,
-                                north_ray(sphere2, theta, np.zeros((2, 2))))
-        expect = np.cos(theta * traj.ts)
-        np.testing.assert_allclose(traj.det, expect, atol=1e-10)
+                                *north_ray(sphere2, theta, np.zeros((2, 2))))
+        expect = np.cos(theta * traj["ts"])
+        np.testing.assert_allclose(traj["det"], expect, atol=1e-10)
 
     @pytest.mark.parametrize("k_theta2, cases", [
         (0.81, RANDOM_S), (0.0, RANDOM_S), (-0.64, RANDOM_S),
@@ -104,24 +102,18 @@ class TestTrajectories:
         p = validate_params(2, 2, 1.0)
         S = np.array([[0.3, 0.1], [0.1, -0.2]])
         coarse = integrate_jacobi(sphere2, constant_weight(0.0), p,
-                                  north_ray(sphere2, 0.8, S), steps=128)
+                                  *north_ray(sphere2, 0.8, S), steps=128)
         fine = integrate_jacobi(sphere2, constant_weight(0.0), p,
-                                north_ray(sphere2, 0.8, S), steps=256)
-        assert abs(np.exp(coarse.int_ann[-1])
-                   - np.exp(fine.int_ann[-1])) < 1e-8
-        assert abs(coarse.h[-1] - fine.h[-1]) < 1e-8
+                                *north_ray(sphere2, 0.8, S), steps=256)
+        assert abs(np.exp(coarse["int_ann"][-1])
+                   - np.exp(fine["int_ann"][-1])) < 1e-8
+        assert abs(coarse["h"][-1] - fine["h"][-1]) < 1e-8
 
     def test_singular_ray_rejected(self, flat3):
         p = validate_params(3, 5, 0.5)
-        ray = TransportRay(np.zeros(3), np.array([0.5, 0.0, 0.0]),
-                           -1.5 * np.eye(3))
         with pytest.raises(SingularJacobian):
-            integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-
-    def test_asymmetric_S_rejected(self):
-        with pytest.raises(PreconditionError):
-            TransportRay(np.zeros(3), np.array([1.0, 0, 0]),
-                         np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+            integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+                             np.array([0.5, 0.0, 0.0]), -1.5 * np.eye(3))
 
     @pytest.mark.parametrize("speed, S", [
         (0.5, -1.5 * np.eye(3)), (0.5, [[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]),
@@ -137,11 +129,11 @@ class TestTrajectories:
         p = validate_params(2, 4, 0.5)
         w = weight_preset(sphere2, "cosine(0.3)")
         traj = integrate_jacobi(sphere2, w, p,
-                                north_ray(sphere2, 0.7,
-                                          [[0.2, 0.0], [0.0, 0.1]]))
+                                *north_ray(sphere2, 0.7,
+                                           [[0.2, 0.0], [0.0, 0.1]]))
         # D and Dbar are kept as their logs: finite logs, positive densities
-        assert np.all(np.isfinite(traj.log_D))
-        assert np.all(np.isfinite(traj.int_ann))
+        assert np.all(np.isfinite(p.c * traj["l"]))
+        assert np.all(np.isfinite(traj["int_ann"]))
 
 
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
@@ -189,47 +181,6 @@ class TestSampling:
                                       np.stack([sp.frame(x) for x in xs]))
 
 
-class TestRiccati:
-    def test_flat_isotropic_closed_form(self, flat3):
-        # h'' = -n lam^2/(1+lam t)^2 vs bound -h'^2/(n-1); strict for n >= 2
-        lam = 0.3
-        p = validate_params(3, 3, 1.0)
-        ray = TransportRay(np.zeros(3), np.array([0.5, 0, 0]),
-                           lam * np.eye(3))
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-        rep = check_riccati(traj, flat3, constant_weight(0.0), p)
-        assert rep.verdict == "pass"
-        # normal block is conformal (lam I), so the comparison is an
-        # equality: h' = (n-1) lam/(1+lam t), h'' = -h'^2/(n-1) exactly
-        ts = traj.ts
-        expect_h = 2.0 * np.log1p(lam * ts)
-        np.testing.assert_allclose(traj.h, expect_h, atol=1e-9)
-        assert abs(rep.min_margin) < 1e-8
-
-    def test_zero_S_equality(self, flat3):
-        p = validate_params(3, 3, 1.0)
-        ray = TransportRay(np.zeros(3), np.array([0.5, 0, 0]), np.zeros((3, 3)))
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-        rep = check_riccati(traj, flat3, constant_weight(0.0), p)
-        assert rep.verdict == "pass"
-        assert abs(rep.min_margin) < 1e-10
-
-    def test_weighted_sphere(self, sphere2):
-        p = validate_params(2, 6, 0.4)
-        w = weight_preset(sphere2, "cosine(0.2)")
-        rng = np.random.default_rng(0)
-        count = 0
-        for _ in range(10):
-            M = rng.uniform(-0.4, 0.4, size=(2, 2))
-            S = 0.5 * (M + M.T)
-            traj = integrate_jacobi(sphere2, w, p,
-                                    north_ray(sphere2, 0.9, S))
-            rep = check_riccati(traj, sphere2, w, p)
-            assert rep.verdict == "pass", rep.min_margin
-            count += 1
-        assert count == 10
-
-
 class TestScan:
     @pytest.mark.parametrize("kind, dim, weight, nNe, kappa", [
         ("sphere", 2, "zero", (2, 2.0, 1.0), 1.0),
@@ -262,8 +213,8 @@ class TestScan:
                                     (0.2, 1.4))):
             margin, steps = refine_ray_margin(*args, *ray, steps=64), 64
             if (margin is not None and margin < -1e-6
-                    and integrate_jacobi(sp, w, args[2], TransportRay(*ray),
-                                         64).det.min() < 0.1):
+                    and integrate_jacobi(sp, w, args[2], *ray,
+                                         64)["det"].min() < 0.1):
                 margin, steps = refine_ray_margin(*args, *ray), 4096
                 dropped += margin is None
             if margin is not None:
@@ -289,21 +240,20 @@ class TestConcavity:
         # N = n: J^{1/n} = 1 + lam t exactly, equality in the interpolation
         lam = 0.4
         p = validate_params(3, 3, 1.0)
-        ray = TransportRay(np.zeros(3), np.array([0.6, 0, 0]),
-                           lam * np.eye(3))
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, ray)
-        power = traj.J ** (p.c / (p.c + 1.0))
-        expect = 1.0 + lam * traj.ts
+        ray = np.zeros(3), np.array([0.6, 0, 0]), lam * np.eye(3)
+        traj = integrate_jacobi(flat3, constant_weight(0.0), p, *ray)
+        power = traj["J"] ** (p.c / (p.c + 1.0))
+        expect = 1.0 + lam * traj["ts"]
         np.testing.assert_allclose(power, expect, rtol=1e-9)
         margin = refine_ray_margin(flat3, constant_weight(0.0), p, 0.0,
-                                   ray.x, ray.w, ray.S, steps=128)
+                                   *ray, steps=128)
         assert margin >= -1e-8
 
     def test_zero_S_equality(self, sphere2):
         p = validate_params(2, 2, 1.0)
-        ray = north_ray(sphere2, 0.9, np.zeros((2, 2)))
         margin = refine_ray_margin(sphere2, constant_weight(0.0), p, 1.0,
-                                   ray.x, ray.w, ray.S, steps=128)
+                                   *north_ray(sphere2, 0.9, np.zeros((2, 2))),
+                                   steps=128)
         assert margin >= -1e-8
 
     def test_sphere_monte_carlo(self, sphere2):
@@ -329,26 +279,27 @@ class TestConcavity:
         p = validate_params(2, 4, 0.3)
         w = weight_preset(sphere2, "cosine(0.2)")
         traj = integrate_jacobi(sphere2, w, p,
-                                north_ray(sphere2, 0.8,
-                                          [[0.15, 0.0], [0.0, 0.05]]))
+                                *north_ray(sphere2, 0.8,
+                                           [[0.15, 0.0], [0.0, 0.05]]))
         kappa = 0.9
-        dt = traj.ts[1] - traj.ts[0]
-        d_part = _partials_from_f(p, traj.f_gamma[None], traj.theta, dt)[0]
+        ts = traj["ts"]
+        d_part = _partials_from_f(p, traj["f_gamma"][None], traj["thetas"],
+                                  ts[1] - ts[0])[0]
         from cdcheck.params import s_kappa
 
         d_full = d_part[-1]
-        inner = slice(1, len(traj.ts) - 1)
-        ts = traj.ts[inner]
+        inner = slice(1, len(ts) - 1)
+        ts = ts[inner]
         sr_t = s_kappa(kappa, d_part[inner]) / s_kappa(kappa, d_full)
         sr_1mt = s_kappa(kappa, d_full - d_part[inner]) / s_kappa(kappa, d_full)
         cr = p.c / (p.c + 1.0)
         beta_t_pow = (sr_t / ts) ** (cr * p.inv_c)
         beta_1mt_pow = (sr_1mt / (1.0 - ts)) ** (cr * p.inv_c)
         rhs_beta = ((1.0 - ts) * beta_1mt_pow * 1.0
-                    + ts * beta_t_pow * traj.J[-1] ** cr)
+                    + ts * beta_t_pow * traj["J"][-1] ** cr)
         rhs_sratio = (sr_1mt ** (cr * p.inv_c) * (1.0 - ts) ** (1.0 - cr * p.inv_c)
                       + sr_t ** (cr * p.inv_c) * ts ** (1.0 - cr * p.inv_c)
-                      * traj.J[-1] ** cr)
+                      * traj["J"][-1] ** cr)
         np.testing.assert_allclose(rhs_beta, rhs_sratio, rtol=1e-9)
 
 
@@ -384,12 +335,10 @@ class TestOverflow:
         sp = make_space(kind, n)
         p = validate_params(n, N, eps)
         wf = weight_preset(sp, weight)
-        ray = TransportRay(np.array(x), np.array(w), np.array(S))
-        traj = integrate_jacobi(sp, wf, p, ray)
-        assert max(traj.int_ann.max(), p.c * traj.l.max()) > 710.0
+        traj = integrate_jacobi(sp, wf, p, x, w, S)
+        assert max(traj["int_ann"].max(), p.c * traj["l"].max()) > 710.0
         # the minimum of the margins is NaN if any margin is
-        margin = refine_ray_margin(sp, wf, p, kappa, ray.x, ray.w, ray.S,
-                                   steps=128)
+        margin = refine_ray_margin(sp, wf, p, kappa, x, w, S, steps=128)
         assert margin is not None and np.isfinite(margin)
 
 
