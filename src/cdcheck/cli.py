@@ -4,27 +4,34 @@ Usage:
     cdcheck run --config cfg.json [--seed S] [--out-dir D] [--quiet]
     cdcheck validate --config cfg.json
 
-The config is a JSON object; unknown fields are rejected. Exit codes:
-0 all checks pass, 1 at least one inequality fails beyond tolerance,
-2 configuration or precondition error, 4 internal error (a crash of the
-program, reported on one stderr line; never a verdict).
+The config is a JSON object checked against one schema, ``_SCHEMA``:
+unknown fields are refused at every level, ``space`` takes ``radius`` only
+on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
+"interval" or "ball", and ``tolerances`` has a key per suite that reads one
+(not taylor, limits or all). ``validate`` builds what a run builds, so an
+axis density of any kind with no mass on its grid exits 2 there. Exit
+codes: 0 all checks pass, 1 at least one inequality fails beyond
+tolerance, 2 configuration or precondition error, 4 internal error (a
+crash of the program, reported on one stderr line; never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coefficients, jacobi, suites, taylor
 from .errors import CdCheckError, ConfigError, PreconditionError
-from .ot import (DensityField, LineGeometry, MeridianGeometry,
+from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  density_from_callable)
 from .params import validate_params
 from .report import CheckReport, canonical_json, report_hash
@@ -36,23 +43,22 @@ INTERNAL_ERROR = 4
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
 
-_TOP_KEYS = {"space", "weight", "params", "kappa", "suite", "sampling",
-             "tolerances", "geometry", "densities", "regions",
-             "interpolation", "functional", "out_dir"}
 _DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
                      "t_grid": [0.1, 0.25, 0.5, 0.75, 0.9]}
-_GEOMETRY_KEYS = {"line": {"kind", "f1", "lo", "hi", "points"},
-                  "meridian": {"kind", "f1", "points"}}
 _GEOMETRIES = {"line": LineGeometry, "meridian": MeridianGeometry}
-# the intervals the bm and interpolation suites place on the axis by default
+# what the 1-d suites place on the axis by default: the twcd and functional
+# densities, the bm intervals and the interpolation intervals
+_TWCD_DENSITIES = [{"kind": "bump", "center": -0.5, "width": 0.4},
+                   {"kind": "bump", "center": 0.5, "width": 0.6}]
+_FUNCTIONAL_DENSITY = {"kind": "cosine", "amplitude": 0.1}
 _BM_BOUNDS = [(-1.0, -0.25), (0.25, 1.0)]
 _INTERPOLATION_X, _INTERPOLATION_Y = (-1.0, -0.2), (0.2, 1.0)
 
 
 def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
-    """Check: a finite number of type ``kind`` in [lo, hi]."""
+    """Check: a finite float value of type ``kind`` in [lo, hi]."""
     return lambda v: (isinstance(v, kind) and not isinstance(v, bool)
-                      and math.isfinite(v) and lo <= v <= hi)
+                      and abs(v) <= sys.float_info.max and lo <= v <= hi)
 
 
 def _list(item, count=None):
@@ -61,174 +67,174 @@ def _list(item, count=None):
                       and count in (None, len(v)) and all(map(item, v)))
 
 
+class _Need(NamedTuple):  # a table entry that must be present
+    schema: object
+
+
+class _Kinds(dict):
+    """One table per ``kind`` of an object; ``default`` for one without."""
+
+    def __init__(self, default=None, **tables):
+        super().__init__(tables)
+        self.default = default
+
+
 _REAL, _PAIR, _STR = _real(), _list(_real(), 2), lambda v: isinstance(v, str)
 _POSITIVE_PAIR = _list(lambda v: _REAL(v) and v > 0, 2)
 # an interpolation parameter t: the coefficients beta need t in ]0, 1[
 _OPEN_T = lambda v: _REAL(v) and 0 < v < 1
-
-_DENSITY = {"kind": lambda v: v in ("bump", "uniform", "cosine"),
-            "center": _REAL, "width": _REAL, "amplitude": _REAL, "bounds": _PAIR}
-# value checks of the config fields, applied where a field is present; a
-# dict holds the checks of a nested object's fields
-_FIELDS = {
-    "kappa": _REAL, "weight": _STR, "out_dir": _STR,
-    "space": {"dim": _real(2, kind=int), "radius": _REAL, "scale": _REAL},
-    "params": {"n": _REAL, "eps": _REAL,
-               "N": lambda v: v == math.inf or _REAL(v) or isinstance(v, str)},
+# N: a number, or infinity as the JSON value Infinity or a string token
+_N = lambda v: v == math.inf or _REAL(v) or (
+    isinstance(v, str) and v.lower() in ("inf", "+inf", "infinity"))
+_DIM, _POINTS = _Need(_real(2, kind=int)), _real(16, 2**20, kind=int)
+_DENSITY = _Kinds("bump", bump={"center": _REAL, "width": _REAL},
+                  uniform={"bounds": _Need(_PAIR)},
+                  cosine={"amplitude": _REAL})
+# the config schema, walked by _valid; the tolerances are those a runner reads
+_SCHEMA = {
+    "space": _Need(_Kinds(euclidean={"dim": _DIM},
+                          sphere={"dim": _DIM, "radius": _REAL},
+                          hyperbolic={"dim": _DIM, "scale": _REAL})),
+    "weight": _STR,
+    "params": _Need({"n": _Need(_REAL), "N": _Need(_N), "eps": _Need(_REAL)}),
+    "kappa": _Need(_REAL),
+    "suite": _Need(lambda v: isinstance(v, str) and v in SUITES),
     "sampling": {"trials": _real(1, kind=int), "seed": _real(0, kind=int),
                  "steps": _real(2, kind=int), "t_grid": _list(_OPEN_T),
                  "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
-    "tolerances": dict.fromkeys(SUITES, _real(0)),
-    "geometry": {"kind": _STR, "points": _real(16, kind=int), "lo": _REAL,
-                 "hi": _REAL, "f1": _STR},
-    "densities": _list(lambda spec: _valid(spec, _DENSITY), 2),
-    "regions": {"radii": _POSITIVE_PAIR, "bounds": _list(_PAIR, 2)},
-    "interpolation": {"t": _OPEN_T,
-                      "X": _PAIR, "Y": _PAIR,
+    "tolerances": dict.fromkeys(("curvature", "jacobian", "twcd", "bm",
+                                 "interpolation", "functional"), _real(0)),
+    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS},
+                       line={"f1": _STR, "points": _POINTS, "lo": _REAL,
+                             "hi": _REAL}),
+    "densities": [_DENSITY, _DENSITY],
+    "regions": _Kinds("interval", interval={"bounds": [_PAIR, _PAIR]},
+                      ball={"radii": _Need(_POSITIVE_PAIR)}),
+    "interpolation": {"t": _OPEN_T, "X": _PAIR, "Y": _PAIR,
                       "p": lambda v: v in (math.inf, -math.inf) or _REAL(v)},
     "functional": {"delta": _REAL, "density": _DENSITY},
+    "out_dir": _STR,
 }
 
 
-def _valid(obj, checks) -> bool:
-    """Whether ``obj`` is an object whose present fields pass ``checks``."""
-    return isinstance(obj, dict) and all(
-        _valid(obj[key], ok) if isinstance(ok, dict) else ok(obj[key])
-        for key, ok in checks.items() if key in obj)
+def _valid(value, schema, path=""):
+    """Check ``value`` against ``schema``: a predicate, a list (one schema
+    per item of a list that long), a table (the schemas of an object's
+    keys, the required ones in `_Need`; any other key is refused) or a
+    `_Kinds`. A ConfigError names the path of the first bad field."""
+    if isinstance(schema, list):  # walked as a table keyed by index
+        if not (isinstance(value, list) and len(value) == len(schema)):
+            raise ConfigError(f"invalid {path}: {value!r}")
+        value, schema = dict(enumerate(value)), dict(enumerate(schema))
+    elif not isinstance(schema, dict):
+        if not schema(value):
+            raise ConfigError(f"invalid {path}: {value!r}")
+        return
+    if not isinstance(value, dict):
+        raise ConfigError(f"invalid {path or 'config'}: {value!r}")
+    at = lambda key: f"{path}.{key}" if path else key
+    if isinstance(schema, _Kinds):
+        kind = value.get("kind", schema.default)
+        if not (isinstance(kind, str) and kind in schema):
+            raise ConfigError(f"invalid or missing {at('kind')}: {kind!r}")
+        schema = {"kind": _STR, **schema[kind]}
+    unknown = sorted(set(value) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config fields: {list(map(at, unknown))}")
+    for key, entry in schema.items():
+        if key in value:
+            _valid(value[key], getattr(entry, "schema", entry), at(key))
+        elif isinstance(entry, _Need):
+            raise ConfigError(f"missing config field: {at(key)}")
 
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
-    return resolve_config(cfg)
+        return resolve_config(json.load(fh))
 
 
 def resolve_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in ("space", "params", "kappa", "suite"):
-        if key not in cfg:
-            raise ConfigError(f"missing config field: {key}")
-    if cfg["suite"] not in SUITES:
-        raise ConfigError(f"unknown suite: {cfg['suite']}")
-    bad = [key for key in _FIELDS if not _valid(cfg, {key: _FIELDS[key]})]
-    if bad:
-        raise ConfigError(f"invalid {bad[0]}: {cfg[bad[0]]!r}")
-    out = dict(cfg)
-    out.setdefault("weight", "zero")
-    sampling = dict(_DEFAULT_SAMPLING)
-    sampling.update(cfg.get("sampling", {}))
-    out["sampling"] = sampling
-    out.setdefault("tolerances", {})
-    missing = {"n", "N", "eps"} - set(cfg["params"])
-    if missing:
-        raise ConfigError(f"missing params fields: {sorted(missing)}")
+    _valid(cfg, _SCHEMA)
     p = dict(cfg["params"])
-    if isinstance(p.get("N"), str):
-        if p["N"].lower() not in ("inf", "+inf", "infinity"):
-            raise ConfigError(f"cannot parse N: {p['N']}")
+    if isinstance(p["N"], str):
         p["N"] = math.inf
-    out["params"] = p
-    sp = dict(cfg["space"])
-    if "kind" not in sp or "dim" not in sp:
-        raise ConfigError("space spec needs kind and dim")
-    out["space"] = sp
-    # materialize the objects once to surface validation errors early
+    out = {"weight": "zero", "tolerances": {}, **cfg, "params": p,
+           "sampling": {**_DEFAULT_SAMPLING, **cfg.get("sampling", {})},
+           "space": dict(cfg["space"])}
+    # build what a run builds, to surface validation errors early
     space, weight, params = _build(out)
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
     suites.require_p_range(out.get("interpolation", {}).get("p", 0.0), params)
-    axis_weight = _check_axis(out, space)
+    axis = _build_axis(out, space)
     if params.N == params.n and not (weight.is_constant
-                                     and axis_weight.is_constant):
+                                     and axis.geometry.weight.is_constant):
         raise ConfigError("N = n requires a constant weight and geometry f1")
     return out
 
 
-def _check_axis(cfg, space):
-    """Check the axis geometry and the intervals the config's suite places
-    on it, without building its grid; returns the axis weight."""
-    g = cfg.get("geometry", {})
-    kind = g.get("kind", "line")
-    if kind not in _GEOMETRY_KEYS:
-        raise ConfigError(f"unknown geometry kind: {kind}")
-    unknown = set(g) - _GEOMETRY_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} geometry fields: {sorted(unknown)}")
-    axis_weight = weight_preset(_GEOMETRIES[kind].space, g.get("f1", "zero"))
-    if kind == "meridian" and (space.dim, space.sec) != (2, 1.0):
-        raise ConfigError("a meridian geometry needs the unit S^2 space")
-    lo, hi = ((0.0, math.pi) if kind == "meridian"
-              else (g.get("lo", -2.0), g.get("hi", 2.0)))
-    if not lo < hi:
-        raise ConfigError(f"{kind} window [{lo:g}, {hi:g}] is empty or reversed")
-    regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
-    if regions.get("kind") == "ball" and "radii" not in regions:
-        raise ConfigError("ball regions need radii")
-    functional = cfg.get("functional", {}).get("density")
-    densities = cfg.get("densities", []) + ([functional] if functional else [])
-    # a bump normalizes by its mass on the grid: without any it reads NaN
-    grid = np.linspace(lo, hi, g.get("points", 4096))[1:-1]
-    for bump in [d for d in densities if d.get("kind", "bump") == "bump"]:
-        center, width = bump.get("center", 0.0), bump.get("width", 0.5)
-        if not width > 0:
-            raise ConfigError(f"bump density width {width:g} is not positive")
-        with np.errstate(over="ignore", under="ignore"):
-            if not np.any(_bump(center, width)(grid) > 0):
-                raise ConfigError(f"bump density at {center:g} of width"
-                                  f" {width:g} has no mass on the {kind} grid")
-    spans = [d.get("bounds") for d in densities if d.get("kind") == "uniform"]
-    if cfg["suite"] in ("bm", "all") and regions.get("kind") != "ball":
-        spans += regions.get("bounds", _BM_BOUNDS)
-    if cfg["suite"] in ("interpolation", "all"):
-        spans += [icfg.get("X", _INTERPOLATION_X),
-                  icfg.get("Y", _INTERPOLATION_Y)]
-    for span in spans:
-        if not (span and lo <= span[0] < span[1] <= hi):
-            raise ConfigError(f"axis interval {span} is missing, empty,"
-                              f" reversed or leaves the {kind} window"
-                              f" [{lo:g}, {hi:g}]")
-    return axis_weight
-
-
 def _build(cfg):
-    sp = cfg["space"]
-    space = make_space(sp["kind"], sp["dim"],
-                       **{k: v for k, v in sp.items()
-                          if k not in ("kind", "dim")})
-    weight = weight_preset(space, cfg["weight"])
-    p = cfg["params"]
-    params = validate_params(p["n"], p["N"], p["eps"])
-    return space, weight, params
+    space = make_space(**cfg["space"])
+    return (space, weight_preset(space, cfg["weight"]),
+            validate_params(**cfg["params"]))
 
 
-def _build_geometry(cfg):
-    """The axis geometry of a resolved config (its keys are checked there)."""
+_Axis = NamedTuple("_Axis", [("geometry", AxisGeometry), ("pair", list),
+                             ("rho", DensityField)])
+
+
+def _build_axis(cfg, space) -> _Axis:
+    """The axis of a resolved config as its 1-d suites take it, a default
+    density only where read; a ConfigError if a density has no grid mass
+    or an interval the suite places on the axis leaves the window."""
     g = dict(cfg.get("geometry", {}))
-    return _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
+    geometry = _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
+    if (isinstance(geometry, MeridianGeometry)
+            and (space.dim, space.sec) != (2, 1.0)):
+        raise ConfigError("a meridian geometry needs the unit S^2 space")
+    uses = lambda suite: cfg["suite"] in (suite, "all")
+    regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
+    if uses("bm") and regions.get("kind") != "ball":
+        for span in regions.get("bounds", _BM_BOUNDS):
+            _inside(geometry, span)
+    if uses("interpolation"):
+        _inside(geometry, icfg.get("X", _INTERPOLATION_X))
+        _inside(geometry, icfg.get("Y", _INTERPOLATION_Y))
+    specs = cfg.get("densities", _TWCD_DENSITIES if uses("twcd") else [])
+    spec = cfg.get("functional", {}).get(
+        "density", _FUNCTIONAL_DENSITY if uses("functional") else None)
+    return _Axis(geometry, [_axis_density(geometry, s) for s in specs],
+                 None if spec is None else _axis_density(geometry, spec))
 
 
-def _bump(center, width):
-    """The unnormalized Gaussian bump of a density spec."""
-    return lambda x: np.exp(-0.5 * ((x - center) / width) ** 2)
+def _inside(geometry, span):
+    """``span`` if it is an interval [a, b] with a < b in the axis window."""
+    lo, hi = geometry.xs[0], geometry.xs[-1]
+    if not lo <= span[0] < span[1] <= hi:
+        raise ConfigError(f"axis interval {span} is empty, reversed or leaves"
+                          f" the axis window [{lo:g}, {hi:g}]")
+    return span
 
 
 def _axis_density(geometry, spec) -> DensityField:
     kind = spec.get("kind", "bump")
     if kind == "bump":
-        return density_from_callable(
-            geometry, _bump(spec.get("center", 0.0), spec.get("width", 0.5)))
-    if kind == "uniform":
-        lo, hi = spec["bounds"]
-        return density_from_callable(
-            geometry, lambda x: ((x >= lo) & (x <= hi)).astype(float))
-    a = spec.get("amplitude", 0.1)  # kind "cosine"
-    return density_from_callable(geometry, lambda th: 1.0 + a * np.cos(th))
+        center, width = spec.get("center", 0.0), spec.get("width", 0.5)
+        if not width > 0:
+            raise ConfigError(f"bump density width {width:g} is not positive")
+        fn = lambda x: np.exp(-0.5 * ((x - center) / width) ** 2)
+    elif kind == "uniform":
+        lo, hi = _inside(geometry, spec["bounds"])
+        fn = lambda x: ((x >= lo) & (x <= hi)).astype(float)
+    else:  # kind "cosine"
+        a = spec.get("amplitude", 0.1)
+        fn = lambda th: 1.0 + a * np.cos(th)
+    try:
+        return density_from_callable(geometry, fn)
+    except ConfigError as exc:
+        raise ConfigError(f"{kind} {exc}: {spec}") from None
 
 
 # ----------------------------------------------------------------------
@@ -237,18 +243,15 @@ def _axis_density(geometry, spec) -> DensityField:
 def _run_curvature(cfg, space, weight, params):
     s = cfg["sampling"]
     tol = cfg["tolerances"].get("curvature", 1e-9)
-    rep = check_curvature_bound(space, weight, params, cfg["kappa"],
-                                {"count": s["trials"], "seed": s["seed"],
-                                 "region": s.get("region"), "tol": tol})
-    return [rep]
+    return [check_curvature_bound(space, weight, params, cfg["kappa"],
+                                  {"count": s["trials"], "seed": s["seed"],
+                                   "region": s.get("region"), "tol": tol})]
 
 
 def _run_jacobian(cfg, space, weight, params, out_dir):
     s = cfg["sampling"]
-    kappa = cfg["kappa"]
+    kappa, trials, steps = cfg["kappa"], s["trials"], s.get("steps", 128)
     tol = cfg["tolerances"].get("jacobian", 1e-8)
-    trials = s["trials"]
-    steps = s.get("steps", 128)
     xs, ws, Ss, margins, grids = jacobi.scan_rays(
         space, weight, params, kappa, np.random.default_rng(s["seed"]),
         trials, steps, s.get("region"),
@@ -284,13 +287,7 @@ def _write_trajectory(path, traj, c):
             w.writerow([f"{v:.17g}" for v in row])
 
 
-def _run_twcd(cfg, params, out_dir):
-    geometry = _build_geometry(cfg)
-    dens = cfg.get("densities",
-                   [{"kind": "bump", "center": -0.5, "width": 0.4},
-                    {"kind": "bump", "center": 0.5, "width": 0.6}])
-    rho0 = _axis_density(geometry, dens[0])
-    rho1 = _axis_density(geometry, dens[1])
+def _run_twcd(cfg, params, rho0, rho1, out_dir):
     tol = cfg["tolerances"].get("twcd", 1e-6)
     rep = suites.check_twcd(rho0, rho1, params, cfg["kappa"],
                             cfg["sampling"]["t_grid"], tol=tol)
@@ -303,7 +300,7 @@ def _run_twcd(cfg, params, out_dir):
     return [rep]
 
 
-def _run_bm(cfg, space, weight, params):
+def _run_bm(cfg, space, weight, params, geometry):
     regions = cfg.get("regions", {})
     tol = cfg["tolerances"].get("bm", 1e-6)
     if regions.get("kind") == "ball":
@@ -312,14 +309,13 @@ def _run_bm(cfg, space, weight, params):
     else:
         X, Y = ({"kind": "interval", "bounds": tuple(b)}
                 for b in regions.get("bounds", _BM_BOUNDS))
-        where = (_build_geometry(cfg), None)
+        where = (geometry, None)
     return [suites.check_brunn_minkowski(suites.RegionPair(X, Y, t), *where,
                                          params, cfg["kappa"], tol=tol)
             for t in cfg["sampling"]["t_grid"]]
 
 
-def _run_interpolation(cfg, params):
-    geometry = _build_geometry(cfg)
+def _run_interpolation(cfg, params, geometry):
     icfg = cfg.get("interpolation", {})
     t = icfg.get("t", 0.5)
     p = icfg.get("p", 0.0)
@@ -334,12 +330,9 @@ def _run_interpolation(cfg, params):
                                        seed=cfg["sampling"]["seed"], tol=tol)]
 
 
-def _run_functional(cfg, params):
-    geometry = _build_geometry(cfg)
+def _run_functional(cfg, params, rho):
     fcfg = cfg.get("functional", {})
-    spec = fcfg.get("density", {"kind": "cosine", "amplitude": 0.1})
-    rho = _axis_density(geometry, spec)
-    f0 = float(geometry.f_vals[0])
+    f0 = float(rho.geometry.f_vals[0])
     delta = fcfg.get("delta", (1.0 - params.eps) * f0 / (params.n - 1.0))
     tol = cfg["tolerances"].get("functional", 1e-5)
     return [suites.check_hwi_lsi(rho, params, cfg["kappa"], delta, tol=tol),
@@ -373,24 +366,26 @@ def _run_limits(cfg, space, weight, params):
     x = space.sample_point(rng, cfg["sampling"].get("region"))
     v = space.sample_unit(rng, x)
     y = space.geodesic(x, v, 0.4)
-    reports = [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
-                                        r=0.5, seed=cfg["sampling"]["seed"]),
-               coefficients.check_limits(space, weight, params, cfg["kappa"],
-                                         x, y, [0.1, 0.05, 0.02, 0.01,
-                                                0.005, 0.002, 0.001])]
-    return reports
+    return [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
+                                     r=0.5, seed=cfg["sampling"]["seed"]),
+            coefficients.check_limits(space, weight, params, cfg["kappa"],
+                                      x, y, [0.1, 0.05, 0.02, 0.01,
+                                             0.005, 0.002, 0.001])]
 
 
 def run_suite(cfg: dict, out_dir) -> list[CheckReport]:
     space, weight, params = _build(cfg)
+    # built once, by the first runner that takes it
+    axis = functools.cache(lambda: _build_axis(cfg, space))
     suite = cfg["suite"]
     runners = {
         "curvature": lambda: _run_curvature(cfg, space, weight, params),
         "jacobian": lambda: _run_jacobian(cfg, space, weight, params, out_dir),
-        "twcd": lambda: _run_twcd(cfg, params, out_dir),
-        "bm": lambda: _run_bm(cfg, space, weight, params),
-        "interpolation": lambda: _run_interpolation(cfg, params),
-        "functional": lambda: _run_functional(cfg, params),
+        "twcd": lambda: _run_twcd(cfg, params, *axis().pair, out_dir),
+        "bm": lambda: _run_bm(cfg, space, weight, params, axis().geometry),
+        "interpolation": lambda: _run_interpolation(cfg, params,
+                                                    axis().geometry),
+        "functional": lambda: _run_functional(cfg, params, axis().rho),
         "taylor": lambda: _run_taylor(cfg, space, weight, params, out_dir),
         "limits": lambda: _run_limits(cfg, space, weight, params),
     }
@@ -408,7 +403,7 @@ def run_suite(cfg: dict, out_dir) -> list[CheckReport]:
 
 
 def _report_payload(cfg: dict, rep: CheckReport) -> dict:
-    payload = {
+    return {
         "name": rep.name,
         "params": cfg["params"],
         "kappa": cfg["kappa"],
@@ -420,7 +415,6 @@ def _report_payload(cfg: dict, rep: CheckReport) -> dict:
         "config": cfg,
         "provenance": rep.provenance,
     }
-    return payload
 
 
 def cmd_run(args) -> int:
@@ -437,8 +431,7 @@ def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"invalid seed: {args.seed}")
+            _valid(args.seed, _SCHEMA["sampling"]["seed"], "seed")
             cfg["sampling"]["seed"] = args.seed
     except (CdCheckError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -465,14 +458,13 @@ def _run(args) -> int:
               "timestamp": time.time()}
     path = out_dir / f"{cfg['suite']}_report.json"
     path.write_text(canonical_json(bundle))
-    failed = [p for p in payloads if p["verdict"] == "fail"]
     if not args.quiet:
         for p in payloads:
             mm = p["min_margin"]
             mm_s = "n/a" if mm is None else f"{mm:.3e}"
             print(f"{p['name']}: {p['verdict']} (min margin {mm_s})")
         print(f"report written to {path}")
-    return 1 if failed else 0
+    return 1 if any(p["verdict"] == "fail" for p in payloads) else 0
 
 
 def cmd_validate(args) -> int:

@@ -39,14 +39,19 @@ class AxisGeometry:
 
     def __init__(self, f1: str, lo: float, hi: float, points: int,
                  base: Callable):
-        if points < 16:
-            raise ConfigError("axis grid needs at least 16 points")
+        if points < 16 or not (lo < hi and math.isfinite(hi - lo)):
+            raise ConfigError(f"axis grid of {points} points on [{lo:g},"
+                              f" {hi:g}]: needs 16 or more on lo < hi")
         self.xs = np.linspace(lo, hi, points)
         self.dx = self.xs[1] - self.xs[0]
         self.weight = weight_preset(self.space, f1)
-        self.f_vals = self.weight.eval(self.axis_frame()[0])
-        raw = base(self.xs) * np.exp(-self.f_vals)
-        self.m_density = raw / composite_simpson(raw, self.dx)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.f_vals = self.weight.eval(self.axis_frame()[0])
+            raw = base(self.xs) * np.exp(-self.f_vals)
+            mass = composite_simpson(raw, self.dx)
+        if not 0.0 < mass < math.inf:  # an f1 past the float range
+            raise ConfigError(f"axis weight {f1} has reference mass {mass:g}")
+        self.m_density = raw / mass
         self._g_cache: dict[float, np.ndarray] = {}
 
     def axis_frame(self):
@@ -122,9 +127,6 @@ class DensityField:
     def mass(self) -> float:
         return self.geometry.integrate(self.values * self.geometry.m_density)
 
-    def normalized(self) -> "DensityField":
-        return DensityField(self.geometry, self.values / self.mass())
-
     def check_mass(self, tol: float = 1e-8) -> None:
         m = self.mass()
         if abs(m - 1.0) > tol:
@@ -132,9 +134,16 @@ class DensityField:
 
 
 def density_from_callable(geometry: AxisGeometry, fn: Callable) -> DensityField:
-    """fn sampled on the geometry's grid, clipped at 0 and normalized."""
-    vals = np.clip(np.asarray(fn(geometry.xs), dtype=float), 0.0, None)
-    return DensityField(geometry, vals).normalized()
+    """fn on the geometry's grid (over- and underflow read as inf and 0),
+    clipped at 0 and normalized; ConfigError without finite positive mass."""
+    with np.errstate(over="ignore", under="ignore"):
+        rho = DensityField(geometry, np.clip(
+            np.asarray(fn(geometry.xs), dtype=float), 0.0, None))
+        mass = rho.mass()
+    if not 0.0 < mass < math.inf:
+        raise ConfigError("density has no mass (or no finite mass) on the"
+                          " axis grid")
+    return DensityField(geometry, rho.values / mass)
 
 
 # ----------------------------------------------------------------------

@@ -319,13 +319,11 @@ class Hyperbolic(ModelSpace):
 
 
 def make_space(kind: str, dim: int, **kw) -> ModelSpace:
-    if kind == "euclidean":
-        return Euclidean(dim)
-    if kind == "sphere":
-        return Sphere(dim, kw.get("radius", 1.0))
-    if kind == "hyperbolic":
-        return Hyperbolic(dim, kw.get("scale", 1.0))
-    raise ConfigError(f"unknown space kind: {kind}")
+    spaces = {"euclidean": Euclidean, "sphere": Sphere,
+              "hyperbolic": Hyperbolic}  # kw: a radius or a scale
+    if kind not in spaces:
+        raise ConfigError(f"unknown space kind: {kind}")
+    return spaces[kind](dim, **kw)
 
 
 @dataclass(frozen=True)

@@ -52,18 +52,17 @@ FUZZ_BASE = {
     "sampling": {"trials": 10, "seed": 0, "steps": 16, "t_grid": [0.5],
                  "theta_range": [0.2, 1.0],
                  "region": {"radius": 1.0, "center": [0.0, 0.0]}},
-    "tolerances": dict.fromkeys(cli.SUITES, 1e-6),
+    "tolerances": dict.fromkeys(("curvature", "jacobian", "twcd", "bm",
+                                 "interpolation", "functional"), 1e-6),
     "geometry": {"kind": "line", "lo": -2.0, "hi": 2.0, "points": 64,
                  "f1": "zero"},
     "densities": [{"kind": "bump", "center": 0.0, "width": 0.5},
                   {"kind": "uniform", "bounds": [-1.0, 1.0]}],
-    "regions": {"radii": [0.3, 0.5], "bounds": [[-1.0, -0.3], [0.3, 1.0]]},
+    "regions": {"kind": "interval", "bounds": [[-1.0, -0.3], [0.3, 1.0]]},
     "interpolation": {"t": 0.5, "p": 0.0, "X": [-1.0, -0.2],
                       "Y": [0.2, 1.0]},
     "functional": {"delta": 0.0,
-                   "density": {"kind": "cosine", "amplitude": 0.1,
-                               "center": 0.0, "width": 0.5,
-                               "bounds": [-1.0, 1.0]}},
+                   "density": {"kind": "cosine", "amplitude": 0.1}},
     "out_dir": "out",
 }
 _JSON = st.recursive(
@@ -74,12 +73,36 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
-def _field_paths(checks, prefix=()):
-    """The key paths of every field that ``checks`` (cli._FIELDS) checks."""
-    for key, ok in checks.items():
-        yield prefix + (key,)
-        if isinstance(ok, dict):
-            yield from _field_paths(ok, prefix + (key,))
+def _field_paths(schema, prefix=()):
+    """The key paths of every field of ``schema`` (cli._SCHEMA): of every
+    kind of a per-kind object, and by index into a list of objects."""
+    if isinstance(schema, cli._Kinds):
+        for table in schema.values():
+            yield from _field_paths({"kind": None, **table}, prefix)
+    elif isinstance(schema, list):
+        for i, item in enumerate(schema):
+            yield prefix + (i,)
+            yield from _field_paths(item, prefix + (i,))
+    elif isinstance(schema, dict):
+        for key, entry in schema.items():
+            yield prefix + (key,)
+            yield from _field_paths(getattr(entry, "schema", entry),
+                                    prefix + (key,))
+
+
+def _objects(node, prefix=()):
+    """The paths of every object in the config ``node``."""
+    if isinstance(node, dict):
+        yield prefix
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _objects(child, prefix + (key,))
+
+
+_FIELD_PATHS = sorted(set(_field_paths(cli._SCHEMA)))
+_KEYS = {path[-1] for path in _FIELD_PATHS}
 
 
 class TestValidate:
@@ -173,6 +196,20 @@ class TestValidate:
         {"suite": "twcd", "densities": [{"kind": "uniform",
                                          "bounds": [-0.5, -1.0]},
                                         {"kind": "bump"}]},
+        {"suite": "twcd", "geometry": {"kind": "line", "points": 64},
+         "densities": [{"kind": "uniform", "bounds": [0.01, 0.02]},
+                       {"kind": "bump"}]},
+        {"sampling": {"trails": 200, "seed": 0}},
+        {"suite": "twcd", "densities": [{"kind": "bump", "centre": 0.3},
+                                        {"kind": "bump"}]},
+        {"suite": "bm", "weight": "zero",
+         "regions": {"kind": "balls", "radii": [0.3, 0.5]}},
+        {"suite": "interpolation", "interpolation": {"pp": 1.0}},
+        {"space": {"kind": "euclidean", "dim": 3, "radius": 2.0}},
+        {"suite": "taylor", "tolerances": {"taylor": 1e-3}},
+        {"kappa": 10**400},
+        {"suite": "twcd", "geometry": {"f1": "quadratic(1e300)"}},
+        {"suite": "twcd", "geometry": {"lo": -1e308, "hi": 1e308}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -190,7 +227,11 @@ class TestValidate:
             "N-equals-n-f1", "theta-range-reversed", "theta-range-zero",
             "ball-radius-negative", "out-dir-number", "geometry-kind-list",
             "interpolation-X-reversed", "regions-reversed",
-            "uniform-reversed"])
+            "uniform-reversed", "uniform-without-grid-mass",
+            "sampling-unknown-key", "density-unknown-key",
+            "regions-kind-unknown", "interpolation-unknown-key",
+            "euclidean-radius", "tolerance-unread", "kappa-past-float",
+            "f1-without-reference-mass", "line-window-too-wide"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -227,8 +268,14 @@ class TestValidate:
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["validate", "--config", path]) == 0
 
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_fuzz_base_is_valid(self, suite):
+        # the fuzz tests change one field of this config: it must pass
+        # unchanged, or every fuzz case would be a refusal
+        cli.resolve_config({**copy.deepcopy(FUZZ_BASE), "suite": suite})
+
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(path=st.sampled_from(sorted(_field_paths(cli._FIELDS))),
+    @given(path=st.sampled_from(_FIELD_PATHS),
            suite=st.sampled_from(cli.SUITES), value=_JSON)
     def test_validate_never_crashes(self, path, suite, value):
         # any JSON value in any checked field is accepted or refused with
@@ -243,6 +290,21 @@ class TestValidate:
             cli.resolve_config(cfg)
         except CdCheckError:
             pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(sorted(_objects(FUZZ_BASE), key=str)),
+           suite=st.sampled_from(cli.SUITES),
+           key=st.text(max_size=6).filter(lambda k: k not in _KEYS))
+    def test_unknown_key_refused(self, path, suite, key):
+        # a key that no object of the schema has is refused in any object
+        cfg = copy.deepcopy(FUZZ_BASE)
+        cfg["suite"] = suite
+        node = cfg
+        for step in path:
+            node = node[step]
+        node[key] = 0
+        with pytest.raises(CdCheckError, match="unknown config fields"):
+            cli.resolve_config(cfg)
 
 
 class TestRunExitCodes:
@@ -421,6 +483,16 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "C_kappa" not in capsys.readouterr().err
+
+    def test_empty_density_spec_is_the_default_bump(self, tmp_path):
+        # an empty spec is falsy, yet a valid density: it must be built
+        cfg = {**S2_ZERO, "suite": "functional",
+               "params": {"n": 2, "N": 2.0, "eps": 1.0}, "kappa": 1.0,
+               "geometry": {"kind": "meridian", "points": 513},
+               "functional": {"density": {}}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 0
 
     def test_no_kept_ray_exits_2(self, tmp_path, capsys):
         # the one ray of seed 1 is inadmissible; an empty report is no
