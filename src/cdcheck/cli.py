@@ -9,10 +9,12 @@ unknown fields are refused at every level, ``space`` takes ``radius`` only
 on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
 "interval" or "ball", and ``tolerances`` has a key per suite that reads one
 (not taylor, limits or all). ``validate`` builds what a run builds, so an
-axis density of any kind with no mass on its grid exits 2 there. Exit
-codes: 0 all checks pass, 1 at least one inequality fails beyond
-tolerance, 2 configuration or precondition error, 4 internal error (a
-crash of the program, reported on one stderr line; never a verdict).
+axis density of any kind with no mass on its grid exits 2 there, as do
+ball regions under a non-constant weight and a ``sampling.region.center``
+whose length is not the space's point length. Exit codes: 0 all checks
+pass, 1 at least one inequality fails beyond tolerance, 2 configuration or
+precondition error, 4 internal error (a crash of the program, reported on
+one stderr line; never a verdict).
 """
 
 from __future__ import annotations
@@ -168,6 +170,14 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
     suites.require_p_range(out.get("interpolation", {}).get("p", 0.0), params)
+    center = out["sampling"].get("region", {}).get("center")
+    if center is not None and len(center) != space.ambient:
+        raise ConfigError(f"sampling.region.center has {len(center)}"
+                          f" coordinates; points of the space have"
+                          f" {space.ambient}")
+    if (out["suite"] in ("bm", "all")
+            and out.get("regions", {}).get("kind") == "ball"):
+        suites.require_ball_weight(weight)
     axis = _build_axis(out, space)
     if params.N == params.n and not (weight.is_constant
                                      and axis.geometry.weight.is_constant):

@@ -105,12 +105,16 @@ def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in ]0,1[, got {t}")
     seg = segment_between(space, x, y)
+    d_full, d_t = reparam_partial(space, weight, params, [seg], [1.0, t])
+    return _beta_of(params, kappa, t, seg, d_t, d_full)
+
+
+def _beta_of(params, kappa, t, seg, d_t, d_full) -> float:
+    """beta_{kappa,t} on one segment from its distances d_t and d_f."""
     if seg.length == 0.0:
         return 1.0
-    d_full = reparam_partial(space, weight, params, seg, 1.0)
     if not within_conjugate_radius(kappa, d_full):
         return math.inf
-    d_t = reparam_partial(space, weight, params, seg, t)
     return math.exp(float(log_beta(params, kappa, d_t, d_full, t)))
 
 
@@ -119,14 +123,23 @@ def check_limits(space, weight, params, kappa: float, x, y,
     """Verify the t -> 0 limits of beta against b and bfrak by extrapolation,
     and the small-distance decay |beta_t - 1| = O(d(x,y)).
 
-    Limits 1 and 2 share one d_f(x,y) and one d_t(x,y) per t. Raises
+    Limits 1 and 2 share one d_f(x,y) and one d_t(x,y) per t; these and
+    the distance pairs of limit 3 come from one stacked quadrature. Raises
     PreconditionError if d_f reaches the conjugate radius.
     """
     ts = np.sort(np.asarray(t_grid, dtype=float))
     seg = segment_between(space, x, y)
-    d_full = reparam_partial(space, weight, params, seg, 1.0)
-    d_t = np.array([reparam_partial(space, weight, params, seg, t)
-                    for t in ts])
+    # limit 3 takes beta_{1/2}(x, y_k) at y_k on the geodesic at d(x,y) 2^-k
+    t_mid = 0.5
+    dks = [seg.length * 0.5**k for k in range(6)]
+    decay_segs = [segment_between(space, seg.start, space.geodesic(
+        seg.start, seg.direction, dk)) for dk in dks]
+    dist = reparam_partial(space, weight, params,
+                           [seg] * (ts.size + 1) + decay_segs * 2,
+                           np.concatenate([[1.0], ts, np.ones(6),
+                                           np.full(6, t_mid)]))
+    d_full, d_t = dist[0], dist[1:ts.size + 1]
+    decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6).tolist()
     log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full, ts)
     base = math.exp(-params.a * float(weight.eval(seg.start))) * seg.length
     margins = []
@@ -149,7 +162,6 @@ def check_limits(space, weight, params, kappa: float, x, y,
     # rate comes from the asymmetry of the re-parametrized distance,
     # |d_t/(t d_f) - 1| <= |a| A e^{|a| A r} d(x,y) with
     # A = (1-t) sup||grad f||; curvature adds a quadratic correction.
-    t_mid = 0.5
     r = seg.length
     rng = np.random.default_rng(12345)
     pts = space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r, 200))
@@ -159,11 +171,8 @@ def check_limits(space, weight, params, kappa: float, x, y,
         aa * (1.0 - t_mid) * sup * r) * 2.0
     decay_rows = []
     decay_margin = math.inf
-    for k in range(6):
-        dk = seg.length * 0.5**k
-        yk = space.geodesic(seg.start, seg.direction, dk)
-        dev = abs(beta(space, weight, params, kappa, t_mid, seg.start, yk)
-                  - 1.0)
+    for dk, sk, dk_full, dk_t in zip(dks, decay_segs, decay_full, decay_t):
+        dev = abs(_beta_of(params, kappa, t_mid, sk, dk_t, dk_full) - 1.0)
         # conservative envelope: linear asymmetry term plus curvature term;
         # past the float range it bounds nothing and reads +inf
         try:

@@ -5,11 +5,13 @@ weight f, the partial re-parametrized distance at fraction t is
 
     d_t(x, y) = integral_0^{t L} exp(-a f(gamma(s))) ds,   a = 2(1-eps)/(n-1).
 
-The full distance is d_f(x, y) = d_1(x, y). These are computed by
-adaptive Simpson quadrature on the analytic geodesic, whose integrand is
-evaluated on a whole array of arclengths at once (``space.geodesic``,
+The full distance is d_f(x, y) = d_1(x, y). ``reparam_partial`` takes one
+segment and one fraction, or a stack of segments and their fractions, and
+computes every distance of the stack in one stacked adaptive Simpson call
+on the analytic geodesics: each level evaluates the integrand at all of
+its abscissae at once (``space.geodesic`` from each abscissa's segment,
 then ``weight.eval``, then the exponential taken with ``math.exp`` per
-value).
+value), and each distance is the float its own one-segment call returns.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ from .quadrature import adaptive_simpson
 from .spaces import GeodesicSegment, ModelSpace, WeightFunction
 
 
-def weight_along(space: ModelSpace, weight: WeightFunction,
-                 seg: GeodesicSegment, s):
-    """f(gamma(s)) for arclength s, vectorized."""
-    pts = space.geodesic(seg.start, seg.direction, np.asarray(s, dtype=float))
-    return weight.eval(pts)
-
-
 def _exp_weight(a: float, fs) -> np.ndarray:
     """exp(-a f) per value; ``math.exp`` keeps the last bit that numpy's
     exp can round differently."""
@@ -37,38 +32,27 @@ def _exp_weight(a: float, fs) -> np.ndarray:
 
 
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
-                    params: DimensionParams, seg: GeodesicSegment,
-                    t: float, rel_tol: float = 1e-10) -> float:
-    """d_t(x, y) along the given segment, t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
+                    params: DimensionParams, seg, t, rel_tol: float = 1e-10):
+    """d_t(x, y) along a segment, t in [0, 1]: a float for one segment and
+    a scalar t; for a sequence of segments, an array of the shape of their
+    index broadcast against t (so t = [[t0], [t1]] gives the two fractions
+    on every segment as two rows)."""
+    single = isinstance(seg, GeodesicSegment)
+    segs = [seg] if single else list(seg)
+    rows, ts = np.broadcast_arrays(np.arange(len(segs)),
+                                   np.asarray(t, dtype=float))
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError(f"fraction t must lie in [0, 1], got {t}")
+    lengths = np.array([sg.length for sg in segs])[rows]
     a = params.a
     if a == 0.0 or weight.is_constant:
-        f0 = float(weight.eval(seg.start)) if weight.is_constant else 0.0
+        f0 = float(weight.eval(segs[0].start)) if weight.is_constant else 0.0
         scale = math.exp(-a * f0) if weight.is_constant else 1.0
-        return scale * t * seg.length
-    upper = t * seg.length
-    if upper == 0.0:
-        return 0.0
-    fn = lambda s: _exp_weight(a, weight_along(space, weight, seg, s))
-    val, _ = adaptive_simpson(fn, 0.0, upper, rel_tol=rel_tol)
-    return val
-
-
-def asymmetry_bound_margin(space: ModelSpace, weight: WeightFunction,
-                           params: DimensionParams, seg: GeodesicSegment,
-                           t: float, grad_sup: float) -> float:
-    """Margin of |d_t/(t d_f) - 1| <= |a| A e^{|a| A r} d(x,y), A = (1-t) grad_sup.
-
-    ``grad_sup`` must dominate the gradient norm of the weight on a ball
-    of radius r = d(x,y) around x. Nonnegative margin means the bound holds.
-    """
-    a = params.a
-    r = seg.length
-    d_full = reparam_partial(space, weight, params, seg, 1.0)
-    d_t = reparam_partial(space, weight, params, seg, t)
-    lhs = abs(d_t / (t * d_full) - 1.0)
-    big_a = (1.0 - t) * grad_sup
-    rhs = abs(a) * big_a * math.exp(abs(a) * big_a * r) * r
-    return rhs - lhs
-
+        out = scale * ts * lengths
+    else:
+        starts = np.stack([sg.start for sg in segs])[rows.ravel()]
+        directions = np.stack([sg.direction for sg in segs])[rows.ravel()]
+        fn = lambda p: _exp_weight(a, weight.eval(space.geodesic(
+            starts[p[0]], directions[p[0]], p[1])))
+        out, _ = adaptive_simpson(fn, 0.0, ts * lengths, rel_tol=rel_tol)
+    return float(out[0]) if single and np.ndim(t) == 0 else out

@@ -6,9 +6,10 @@ space in upper-half-space coordinates (last coordinate positive). All
 geodesic, log-map, and frame operations are closed form.
 
 ``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
-over stacks of points and tangents (..., ambient), bit for bit equal to
-the calls on single points: dot products are stacked matrix products,
-which round like one pair's ``np.dot``.
+over stacks of points and tangents (..., ambient), and ``sample_point``
+draws a stack of ``count`` points, bit for bit equal to the calls on
+single points: dot products are stacked matrix products, which round like
+one pair's ``np.dot``.
 
 Weight functions carry value, Riemannian gradient and Hessian access;
 every named preset has closed-form derivatives on every space it is
@@ -92,7 +93,14 @@ class ModelSpace:
         raise NotImplementedError
 
     # -- sampling ------------------------------------------------------
-    def sample_point(self, rng: np.random.Generator, region: dict | None = None):
+    def sample_point(self, rng: np.random.Generator, region: dict | None = None,
+                     count: int | None = None):
+        """A random point, or a stack of ``count`` points (count, ambient)
+        drawn from the stream of ``count`` single calls."""
+        xs = self._sample_points(rng, region, 1 if count is None else count)
+        return xs[0] if count is None else xs
+
+    def _sample_points(self, rng, region, count) -> np.ndarray:
         raise NotImplementedError
 
     def sample_unit(self, rng: np.random.Generator, x) -> np.ndarray:
@@ -137,12 +145,16 @@ class Euclidean(ModelSpace):
     def frame(self, x):
         return np.tile(np.eye(self.dim), np.shape(x)[:-1] + (1, 1))
 
-    def sample_point(self, rng, region=None):
+    def _sample_points(self, rng, region, count):
+        # per point: a normal direction, then a uniform radius
         r = (region or {}).get("radius", 1.0)
         center = np.asarray((region or {}).get("center", np.zeros(self.dim)), dtype=float)
-        u = rng.normal(size=self.dim)
-        u /= np.linalg.norm(u)
-        return center + r * rng.random() ** (1.0 / self.dim) * u
+        xs = np.empty((count, self.dim))
+        for i in range(count):
+            u = rng.normal(size=self.dim)
+            u /= np.linalg.norm(u)
+            xs[i] = center + r * rng.random() ** (1.0 / self.dim) * u
+        return xs
 
 
 class Sphere(ModelSpace):
@@ -197,9 +209,9 @@ class Sphere(ModelSpace):
         return np.swapaxes(_orthonormal_completion(normal, self.ambient),
                            -1, -2)
 
-    def sample_point(self, rng, region=None):
-        u = rng.normal(size=self.ambient)
-        return self.radius * u / np.linalg.norm(u)
+    def _sample_points(self, rng, region, count):
+        u = rng.normal(size=(count, self.ambient))
+        return self.radius * u / np.sqrt(_dot(u, u))[:, None]
 
 
 def _circle(xi, y0):
@@ -243,8 +255,12 @@ class Hyperbolic(ModelSpace):
         vert = h < 1e-14 * y0
         h = np.where(vert, 1.0, h)
         xi = y0 * uy / h
-        circles = np.reshape([_circle(a, b) for a, b in np.broadcast(xi, y0)],
-                             np.shape(xi) + (2,))
+        # one circle per distinct (xi, y0): the points of a stack on a few
+        # geodesics repeat them
+        pairs = list(zip(np.ravel(xi).tolist(),
+                         np.ravel(np.broadcast_to(y0, np.shape(xi))).tolist()))
+        table = {k: _circle(*k) for k in dict.fromkeys(pairs)}
+        circles = np.reshape([table[k] for k in pairs], np.shape(xi) + (2,))
         r, sp = circles[..., 0], circles[..., 1] + t
         th, ch = np.tanh(sp), np.cosh(sp)
         eh = uh / h[..., None]
@@ -310,12 +326,13 @@ class Hyperbolic(ModelSpace):
         y = np.asarray(x, dtype=float)[..., -1]
         return np.eye(self.ambient) * (y / self.scale)[..., None, None]
 
-    def sample_point(self, rng, region=None):
+    def _sample_points(self, rng, region, count):
+        # uniform coordinates and log-height; math.exp, as np.exp can
+        # round differently in the last bit
         r = (region or {}).get("radius", 1.0)
-        out = np.empty(self.ambient)
-        out[:-1] = rng.uniform(-r, r, size=self.ambient - 1)
-        out[-1] = math.exp(rng.uniform(-r, r))
-        return out
+        xs = rng.uniform(-r, r, size=(count, self.ambient))
+        xs[:, -1] = [math.exp(h) for h in xs[:, -1].tolist()]
+        return xs
 
 
 def make_space(kind: str, dim: int, **kw) -> ModelSpace:
@@ -562,7 +579,7 @@ def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
     region = sampling.get("region")
     tol = sampling.get("tol", 1e-9)
     rng = np.random.default_rng(seed)
-    xs = np.stack([space.sample_point(rng, region) for _ in range(count)])
+    xs = space.sample_point(rng, region, count)
     vs = space.sample_unit(rng, xs)
     ric = ricci_fN_batch(space, weight, params, xs, vs)
     f = np.asarray(weight.eval(xs), dtype=float)

@@ -188,8 +188,7 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
         rev, fwd = rev2, fwd2
     elif kx == ky == "ball":
         space = geometry_or_space
-        if weight_or_none is not None and not weight_or_none.is_constant:
-            raise RegionError("ball regions support constant weights only")
+        require_ball_weight(weight_or_none)
         f0 = float(weight_or_none.eval(np.zeros(space.dim))) if weight_or_none else 0.0
         c0 = np.asarray(pair.X.get("center", np.zeros(space.dim)), dtype=float)
         c1 = np.asarray(pair.Y.get("center", np.zeros(space.dim)), dtype=float)
@@ -212,6 +211,13 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
                        provenance={"kappa": kappa, "t": t,
                                    "measures": {"X": m_x, "Y": m_y, "Z": m_z},
                                    "inf_beta_refine_drift": refine_drift})
+
+
+def require_ball_weight(weight) -> None:
+    """Raise RegionError unless the weight of a ball pair is constant (or
+    absent): the ball measures are closed form only then."""
+    if weight is not None and not weight.is_constant:
+        raise RegionError("ball regions support constant weights only")
 
 
 def _inf_beta_balls(space, params, kappa, f0, c0, r0, c1, r1, t, samples):

@@ -26,7 +26,7 @@ from .params import DimensionParams, s_kappa
 from .report import CheckReport
 from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
                      unit_tangents)
-from .reparam import asymmetry_bound_margin, reparam_partial
+from .reparam import reparam_partial
 
 NOISE_FLOOR = 5e-15
 
@@ -101,17 +101,6 @@ def theta_eps(params: DimensionParams, gradf_v: float) -> float:
     return -(params.eps - params.eps0) * gradf_v / ((params.n - 1) * params.eps)
 
 
-def _distances(space, weight, params, x, v, delta):
-    """(d_half, d_full) on the segment gamma(delta) -> gamma(-delta), tight
-    quadrature."""
-    yp = space.geodesic(x, v, delta)
-    ym = space.geodesic(x, v, -delta)
-    seg = segment_between(space, yp, ym)
-    d_half = reparam_partial(space, weight, params, seg, 0.5, rel_tol=1e-13)
-    d_full = reparam_partial(space, weight, params, seg, 1.0, rel_tol=1e-13)
-    return d_half, d_full
-
-
 def check_series(space: ModelSpace, weight: WeightFunction,
                  params: DimensionParams, kappa: float, x, v,
                  term: str | Sequence[str],
@@ -122,7 +111,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     sequence of ids, which gives a list of SeriesChecks in that order.
     The app1, app2 and app6 terms rest on the re-parametrized distances
     (d_half, d_full) on the segment gamma(delta) -> gamma(-delta); that
-    pair is computed once per delta and shared by every term of the call.
+    pair is computed for every delta in one stacked quadrature, shared by
+    every term of the call.
     ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
     the offsets 8 and 16 times each offset are on it.
     """
@@ -145,8 +135,10 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
     n = params.n
     if any(tm.startswith(("app1", "app2", "app6")) for tm in terms):
-        d_half, d_full = np.array([_distances(space, weight, params, x, v, dd)
-                                   for dd in d]).T
+        segs = [segment_between(space, space.geodesic(x, v, dd),
+                                space.geodesic(x, v, -dd)) for dd in d]
+        d_half, d_full = reparam_partial(space, weight, params, segs,
+                                         [[0.5], [1.0]], rel_tol=1e-13)
         # beta_{kappa,1/2} both ways: the reversed first half starts at
         # gamma(-delta)
         log_sf = np.log(0.5 * s_kappa(kappa, d_full))
@@ -239,7 +231,10 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
                       params: DimensionParams, t: float, x, v,
                       r: float = 1.0, levels: int = 8,
                       grad_samples: int = 400, seed: int = 0) -> CheckReport:
-    """Asymmetry bound on a shrinking pair sequence d(x,y) = r 2^{-j}.
+    """Asymmetry bound |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L with
+    A = (1-t) sup |grad f|, on a shrinking pair sequence L = d(x,y) = r 2^{-j}
+    whose distances come from one stacked quadrature; a nonnegative margin
+    means the bound holds.
 
     The gradient sup over the ball is estimated by dense sampling, which
     under-estimates the true sup and therefore only tightens the bound.
@@ -251,11 +246,12 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
         coeff[i], radii[i] = rng.normal(size=space.dim), rng.random()
     units = unit_tangents(space.frame(x), coeff)
     sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
-    margins = []
-    for j in range(levels):
-        y = space.geodesic(x, v, r * 2.0**-j)
-        seg = segment_between(space, x, y)
-        margins.append(asymmetry_bound_margin(space, weight, params, seg,
-                                              t, sup))
+    segs = [segment_between(space, x, space.geodesic(x, v, r * 2.0**-j))
+            for j in range(levels)]
+    d_full, d_t = reparam_partial(space, weight, params, segs, [[1.0], [t]])
+    a, big_a = abs(params.a), (1.0 - t) * sup
+    margins = [a * big_a * math.exp(a * big_a * sg.length) * sg.length
+               - abs(dt / (t * df) - 1.0)
+               for sg, df, dt in zip(segs, d_full.tolist(), d_t.tolist())]
     return CheckReport(name="limit_bound", margins=margins, tolerance=1e-12,
                        provenance={"t": t, "r": r, "grad_sup": sup})

@@ -210,6 +210,13 @@ class TestValidate:
         {"kappa": 10**400},
         {"suite": "twcd", "geometry": {"f1": "quadratic(1e300)"}},
         {"suite": "twcd", "geometry": {"lo": -1e308, "hi": 1e308}},
+        {"suite": "bm", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
+        {"suite": "all", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
+        {"sampling": {"trials": 200, "seed": 0,
+                      "region": {"center": [0.0, 0.0], "radius": 1.0}}},
+        {"suite": "taylor", "space": {"kind": "sphere", "dim": 2},
+         "weight": "cosine(0.3)", "params": {"n": 2, "N": 6.0, "eps": 0.4},
+         "sampling": {"region": {"center": [0.0, 0.0]}}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -231,7 +238,9 @@ class TestValidate:
             "sampling-unknown-key", "density-unknown-key",
             "regions-kind-unknown", "interpolation-unknown-key",
             "euclidean-radius", "tolerance-unread", "kappa-past-float",
-            "f1-without-reference-mass", "line-window-too-wide"])
+            "f1-without-reference-mass", "line-window-too-wide",
+            "ball-weight-not-constant", "ball-weight-not-constant-all",
+            "region-center-short", "region-center-short-sphere"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)

@@ -228,8 +228,8 @@ class TestLimits:
         assert abs(lim["extrapolated"] - lim["target"]) <= 1e-11
 
     def test_one_quadrature_per_t(self, monkeypatch):
-        # one d_f and one d_t per t for limits 1 and 2, and one pair for
-        # each of the six decay points of limit 3
+        # one stacked quadrature: d_f and one d_t per t for limits 1 and 2,
+        # and one pair for each of the six decay points of limit 3
         calls = []
 
         def counted(*args, **kwargs):
@@ -244,7 +244,9 @@ class TestLimits:
         rep = check_limits(sp, weight_preset(sp, "cosine(0.2)"), p, 0.8, x, y,
                            [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
         assert rep.verdict == "pass"
-        assert len(calls) <= 20
+        assert len(calls) == 1
+        segs, ts = calls[0][3], calls[0][4]
+        assert len(segs) == len(ts) == 1 + 7 + 2 * 6
 
     def test_overflowing_decay_bound_is_met(self, tmp_path):
         # unit S^2, zero weight, kappa = -3e5: the decay envelope

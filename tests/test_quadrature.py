@@ -9,12 +9,18 @@ from cdcheck.quadrature import adaptive_simpson, composite_simpson
 
 
 def counting(fn):
-    """Wrap a vectorized integrand; ``calls`` counts its invocations."""
-    def wrapped(x):
+    """Wrap a vectorized integrand of the abscissae; ``calls`` counts its
+    invocations."""
+    def wrapped(p):
         wrapped.calls += 1
-        return fn(np.asarray(x, dtype=float))
+        return fn(np.asarray(p[1], dtype=float))
     wrapped.calls = 0
     return wrapped
+
+
+def abscissae(fn):
+    """The stacked integrand of a vectorized one that ignores the index."""
+    return lambda p: fn(p[1])
 
 
 def recursive_simpson(fn, a, b, rel_tol=1e-10, max_depth=30):
@@ -48,15 +54,15 @@ def gaussian(x, c=0.3, w=0.01):
 
 
 def elementwise(f):
-    """A vectorized integrand from a scalar one, value by value, so the
+    """A stacked integrand from a scalar one, value by value, so the
     batched and the scalar rule see the same bits."""
-    return lambda x: np.array([f(s) for s in np.asarray(x, float).tolist()])
+    return lambda p: np.array([f(s) for s in np.asarray(p[1], float).tolist()])
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("L", [0.01, 1.0, 7.5])
     def test_decaying_exponential(self, L):
-        val, err = adaptive_simpson(lambda x: np.exp(-x), 0.0, L,
+        val, err = adaptive_simpson(abscissae(lambda x: np.exp(-x)), 0.0, L,
                                     rel_tol=1e-12)
         exact = -math.expm1(-L)
         assert val == pytest.approx(exact, rel=1e-12)
@@ -64,18 +70,19 @@ class TestClosedForms:
 
     def test_cubic_is_exact(self):
         cubic = lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 1.0
-        val, err = adaptive_simpson(cubic, -1.0, 2.0)
+        val, err = adaptive_simpson(abscissae(cubic), -1.0, 2.0)
         exact = 0.5 * (16 - 1) - (8 + 1) / 3.0 + 1.5 * (4 - 1) - 3.0
         assert val == pytest.approx(exact, rel=1e-14)
         assert err < 1e-14
 
     def test_peaked_gaussian(self):
-        val, _ = adaptive_simpson(gaussian, 0.0, 1.0, rel_tol=1e-10)
+        val, _ = adaptive_simpson(abscissae(gaussian), 0.0, 1.0,
+                                  rel_tol=1e-10)
         exact = 0.01 * math.sqrt(2.0 * math.pi)  # tails below 1e-195
         assert val == pytest.approx(exact, rel=1e-10)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(np.exp, 0.4, 0.4) == (0.0, 0.0)
+        assert adaptive_simpson(abscissae(np.exp), 0.4, 0.4) == (0.0, 0.0)
 
 
 class TestLevels:
@@ -98,3 +105,77 @@ class TestLevels:
         scalar = recursive_simpson(f, a, b, rel_tol=rel_tol,
                                    max_depth=max_depth)
         assert batched == scalar
+
+
+class TestStack:
+    """A stack of intervals is integrated in one level-batched call whose
+    every value and error is the float of a call on its interval alone."""
+
+    # per integral (i, x) -> f_i(x): a smooth one that stops early, a peak
+    # that needs many levels, a kink, and an oscillation
+    FNS = (math.exp,
+           lambda s: math.exp(-0.5 * ((s - 0.3) / 0.01) ** 2),
+           lambda s: math.sqrt(abs(s - 0.2)),
+           lambda s: math.sin(40.0 * s) ** 2)
+
+    def stacked(self, fns):
+        return lambda p: np.array([fns[i](s) for i, s in
+                                   zip(p[0].tolist(), p[1].tolist())])
+
+    @pytest.mark.parametrize("rel_tol, max_depth", [(1e-13, 30), (1e-10, 30),
+                                                    (1e-12, 12), (1e-13, 3)])
+    def test_stack_equals_single_calls(self, rel_tol, max_depth):
+        a = np.array([0.0, 0.0, 0.0, -1.0, 0.4, 0.7])
+        b = np.array([2.0, 1.0, 1.0, 0.5, 0.4, 0.1])
+        fns = self.FNS + (math.exp, math.cos)  # an empty and a reversed one
+        vals, errs = adaptive_simpson(self.stacked(fns), a, b,
+                                      rel_tol=rel_tol, max_depth=max_depth)
+        for i, f in enumerate(fns):
+            one = adaptive_simpson(elementwise(f), a[i], b[i],
+                                   rel_tol=rel_tol, max_depth=max_depth)
+            assert (vals[i], errs[i]) == one
+        assert (vals[4], errs[4]) == (0.0, 0.0)
+
+    def evaluations(self, fns, a, b, **kw):
+        """Integrand calls, and abscissae per integral, of one stacked call."""
+        seen = []
+
+        def fn(p):
+            seen.append(np.bincount(p[0], minlength=len(fns)))
+            return self.stacked(fns)(p)
+
+        adaptive_simpson(fn, a, b, **kw)
+        return len(seen), np.sum(seen, axis=0).tolist()
+
+    def test_integrals_stop_at_their_own_depth(self):
+        # each level evaluates only the intervals still open, so every
+        # integral costs the abscissae of its own call, and the stack makes
+        # as many calls as its deepest integral
+        a, b = [0.0, 0.0, -1.0], [2.0, 1.0, 0.5]
+        fns = (self.FNS[0], self.FNS[1], self.FNS[3])
+        calls, points = self.evaluations(fns, a, b, rel_tol=1e-10)
+        single = [self.evaluations((f,), [lo], [hi], rel_tol=1e-10)
+                  for f, lo, hi in zip(fns, a, b)]
+        assert points == [pts[0] for _, pts in single]
+        assert calls == max(n for n, _ in single)
+        assert len({n for n, _ in single}) == 3
+
+    def test_max_depth_reached(self):
+        # a kink at 0.2 keeps intervals open to max_depth, where the stack
+        # and the single call stop together
+        fns = (self.FNS[2], math.exp)
+        vals, errs = adaptive_simpson(self.stacked(fns), [0.0, 0.0],
+                                      [1.0, 1.0], rel_tol=1e-15, max_depth=6)
+        for i, f in enumerate(fns):
+            assert (vals[i], errs[i]) == adaptive_simpson(
+                elementwise(f), 0.0, 1.0, rel_tol=1e-15, max_depth=6)
+        calls, _ = self.evaluations(fns, [0.0, 0.0], [1.0, 1.0],
+                                    rel_tol=1e-15, max_depth=6)
+        assert calls == 6 + 2
+
+    def test_shapes(self):
+        vals, errs = adaptive_simpson(abscissae(np.exp), [[0.0], [1.0]],
+                                      [1.0, 2.0, 3.0])
+        assert vals.shape == errs.shape == (2, 3)
+        assert vals[1, 0] == 0.0
+        assert vals[0, 1] == adaptive_simpson(abscissae(np.exp), 0.0, 2.0)[0]

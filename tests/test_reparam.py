@@ -5,7 +5,7 @@ import pytest
 
 from cdcheck.params import validate_params
 from cdcheck.quadrature import cumulative_simpson
-from cdcheck.reparam import reparam_partial, weight_along
+from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
 
@@ -20,7 +20,8 @@ def reparam_profile(space, weight, params, seg, grid_size=512):
     """Reference: (s_grid, d(s)) with d(s) = integral_0^s e^{-a f(gamma)},
     by cumulative Simpson on a uniform grid of ``grid_size`` (even) steps."""
     s = np.linspace(0.0, seg.length, grid_size + 1)
-    fs = np.asarray(weight_along(space, weight, seg, s), dtype=float)
+    fs = np.asarray(weight.eval(space.geodesic(seg.start, seg.direction, s)),
+                    dtype=float)
     return s, cumulative_simpson(np.exp(-params.a * fs), s[1] - s[0])
 
 
@@ -138,3 +139,50 @@ class TestCurvedSpaces:
         for i in (m // 8, m // 2, 5 * m // 8, m):
             direct = reparam_partial(sp, w, p, seg, ss[i] / seg.length)
             assert direct == pytest.approx(prof[i], rel=0.0, abs=1e-11)
+
+
+class TestStacked:
+    """A stack of segments and fractions is one quadrature whose every
+    distance is the float of its one-segment call."""
+
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("euclidean", 3, "quadratic(0.6)"), ("euclidean", 3, "constant(0.7)"),
+        ("sphere", 2, "cosine(0.4)"), ("sphere", 2, "zero"),
+        ("hyperbolic", 3, "linear(0.5)"), ("hyperbolic", 3, "constant(-0.3)"),
+    ])
+    def test_stack_equals_one_segment_calls(self, kind, dim, preset):
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, 3 * dim, 0.4)
+        rng = np.random.default_rng(5)
+        x = sp.sample_point(rng)
+        segs = [segment_between(sp, x, sp.geodesic(x, sp.sample_unit(rng, x),
+                                                   length))
+                for length in (1.1, 0.3, 2.0 ** -9, 0.0)]
+        ts = [[0.0], [0.37], [0.5], [1.0]]
+        stacked = reparam_partial(sp, w, p, segs, ts, rel_tol=1e-13)
+        assert stacked.shape == (4, 4)
+        for i, t in enumerate(np.ravel(ts)):
+            for j, seg in enumerate(segs):
+                one = reparam_partial(sp, w, p, seg, t, rel_tol=1e-13)
+                assert stacked[i, j] == one
+                assert isinstance(one, float)
+
+    def test_constant_path_order(self):
+        # scale * t * L, in that order, on every item of a stack
+        sp = make_space("euclidean", 3)
+        p = validate_params(3, 9, 0.4)
+        segs = [segment_between(sp, np.zeros(3), np.array([0.1, 0.7, 0.3])),
+                segment_between(sp, np.zeros(3), np.array([1.3, -0.2, 0.9]))]
+        ts = np.array([0.3, 0.7])
+        got = reparam_partial(sp, constant_weight(0.9), p, segs, ts)
+        scale = math.exp(-p.a * 0.9)
+        assert got.tolist() == [scale * t * sg.length
+                                for t, sg in zip(ts.tolist(), segs)]
+
+    def test_fraction_out_of_range(self, flat2):
+        p = validate_params(2, 4, 0.5)
+        seg = segment_between(flat2, np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="fraction"):
+            reparam_partial(flat2, weight_preset(flat2, "linear(1.0)"), p,
+                            [seg, seg], [0.5, 1.5])

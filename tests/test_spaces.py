@@ -277,6 +277,25 @@ def _unit_per_point(sp, rng, x):
     return coeff @ sp.frame(x)
 
 
+def _point_per_point(sp, rng, region=None):
+    """One random point: on R^n a normal direction, then a uniform radius;
+    on S^n a normalized normal draw; on H^n uniform coordinates, then a
+    uniform log-height."""
+    r = (region or {}).get("radius", 1.0)
+    if isinstance(sp, Hyperbolic):
+        out = np.empty(sp.ambient)
+        out[:-1] = rng.uniform(-r, r, size=sp.ambient - 1)
+        out[-1] = math.exp(rng.uniform(-r, r))
+        return out
+    if sp.kind == "sphere":
+        u = rng.normal(size=sp.ambient)
+        return sp.radius * u / np.linalg.norm(u)
+    u = rng.normal(size=sp.dim)
+    u /= np.linalg.norm(u)
+    center = np.asarray((region or {}).get("center", np.zeros(sp.dim)))
+    return center + r * rng.random() ** (1.0 / sp.dim) * u
+
+
 def _inner_per_point(sp, x, u, v):
     """g_x(u, v) at one point, from one dot product."""
     g = float(np.dot(u, v))
@@ -320,6 +339,21 @@ class TestStacks:
             vs[:2, :-1] = 0.0
             vs[:2, -1] = [1.0, -1.0] * xs[:2, -1] / sp.scale
         return xs, vs
+
+    @pytest.mark.parametrize("region", [None, {"radius": 1.5},
+                                        {"radius": 0.4, "center": "ones"}])
+    @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
+                                           ("sphere", 3), ("hyperbolic", 2),
+                                           ("hyperbolic", 3)])
+    def test_sample_point(self, kind, dim, region):
+        sp = make_space(kind, dim)
+        if region and region.get("center") == "ones":
+            region = {**region, "center": [1.0] * sp.ambient}
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        want = [_point_per_point(sp, ref, region) for _ in range(50)]
+        np.testing.assert_array_equal(sp.sample_point(rng, region, 49),
+                                      want[:49])
+        np.testing.assert_array_equal(sp.sample_point(rng, region), want[49])
 
     @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
     def test_sample_unit(self, kind, dim, kw):
@@ -387,7 +421,7 @@ class TestStacks:
         p = validate_params(dim, 7, 0.4)
         rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8})
         rng = np.random.default_rng(8)
-        xs = np.stack([sp.sample_point(rng) for _ in range(60)])
+        xs = np.stack([_point_per_point(sp, rng) for _ in range(60)])
         vs = [_unit_per_point(sp, rng, x) for x in xs]
         ric = [ricci_fN_batch(sp, w, p, x[None], v[None])[0]
                for x, v in zip(xs, vs)]

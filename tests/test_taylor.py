@@ -10,7 +10,7 @@ from cdcheck import taylor
 from cdcheck.coefficients import beta
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
-from cdcheck.reparam import asymmetry_bound_margin, reparam_partial
+from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
 from cdcheck.taylor import (TERMS, SeriesCheck, check_F_identity,
@@ -112,14 +112,17 @@ class TestSharedDistances:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[4])
+            calls.append(args[3:5])
             return reparam_partial(*args, **kwargs)
 
         monkeypatch.setattr(taylor, "reparam_partial", counted)
         grid = [2.0 ** -k for k in range(4, 12)]
         checks = check_series(EUC3, w, p, -0.7, x, v, TERMS, grid=grid)
         assert [chk.term for chk in checks] == list(TERMS)
-        assert len(calls) == 2 * len(grid)
+        # one stacked call: every offset's segment at fractions 1/2 and 1
+        assert len(calls) == 1
+        segs, ts = calls[0]
+        assert len(segs) == len(grid) and ts == [[0.5], [1.0]]
 
     @pytest.mark.parametrize("space, preset, kappa, ray", [
         (EUC3, "quadratic(0.3)", -0.7, euc_ray),
@@ -299,7 +302,15 @@ class TestLimitBound:
             pt = sp.geodesic(x, u, 0.6 * rng.random())
             sup = max(sup, sp.norm(pt, w.grad(pt)))
         assert rep.provenance["grad_sup"] == sup
-        want = [asymmetry_bound_margin(
-            sp, w, p, segment_between(sp, x, sp.geodesic(x, v, 0.6 * 2.0**-j)),
-            0.5, sup) for j in range(8)]
+        # per level, the margin of |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L,
+        # A = (1-t) sup, from one-segment distances
+        want = []
+        for j in range(8):
+            seg = segment_between(sp, x, sp.geodesic(x, v, 0.6 * 2.0**-j))
+            d_full = reparam_partial(sp, w, p, seg, 1.0)
+            d_t = reparam_partial(sp, w, p, seg, 0.5)
+            big_a = 0.5 * sup
+            rhs = (abs(p.a) * big_a * math.exp(abs(p.a) * big_a * seg.length)
+                   * seg.length)
+            want.append(rhs - abs(d_t / (0.5 * d_full) - 1.0))
         np.testing.assert_array_equal(rep.margins, want)
