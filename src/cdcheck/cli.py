@@ -8,20 +8,19 @@ The config is a JSON object checked against one schema, ``_SCHEMA``:
 unknown fields are refused at every level, ``space`` takes ``radius`` only
 on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
 "interval" or "ball", and ``tolerances`` has a key per suite that reads one
-(not taylor, limits or all). ``validate`` builds what a run builds, so an
-axis density of any kind with no mass on its grid exits 2 there, as do
-ball regions under a non-constant weight and a ``sampling.region.center``
-whose length is not the space's point length. Exit codes: 0 all checks
-pass, 1 at least one inequality fails beyond tolerance, 2 configuration or
-precondition error, 4 internal error (a crash of the program, reported on
-one stderr line; never a verdict).
+(not taylor, limits or all). ``validate`` builds the `Run` a run takes,
+so an axis density of any kind with no mass on its grid exits 2 there, as
+do ball regions off Euclidean space or under a non-constant weight and a
+``sampling.region.center`` whose length is not the space's point length.
+Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
+tolerance, 2 configuration or precondition error, 4 internal error (a
+crash of the program, reported on one stderr line; never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -35,9 +34,10 @@ from . import coefficients, jacobi, suites, taylor
 from .errors import CdCheckError, ConfigError, PreconditionError
 from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  density_from_callable)
-from .params import validate_params
+from .params import DimensionParams, validate_params
 from .report import CheckReport, canonical_json, report_hash
-from .spaces import check_curvature_bound, make_space, weight_preset
+from .spaces import (ModelSpace, WeightFunction, check_curvature_bound,
+                     make_space, weight_preset)
 from .suites import envelope_psi
 
 INTERNAL_ERROR = 4
@@ -47,14 +47,17 @@ SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
 
 _DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
                      "t_grid": [0.1, 0.25, 0.5, 0.75, 0.9]}
+# the tolerance of each suite that reads one, when the config gives none
+_TOLERANCES = {"curvature": 1e-9, "jacobian": 1e-8, "twcd": 1e-6, "bm": 1e-6,
+               "interpolation": 1e-6, "functional": 1e-5}
 _GEOMETRIES = {"line": LineGeometry, "meridian": MeridianGeometry}
 # what the 1-d suites place on the axis by default: the twcd and functional
-# densities, the bm intervals and the interpolation intervals
+# densities, the bm intervals and the interpolation settings
 _TWCD_DENSITIES = [{"kind": "bump", "center": -0.5, "width": 0.4},
                    {"kind": "bump", "center": 0.5, "width": 0.6}]
 _FUNCTIONAL_DENSITY = {"kind": "cosine", "amplitude": 0.1}
 _BM_BOUNDS = [(-1.0, -0.25), (0.25, 1.0)]
-_INTERPOLATION_X, _INTERPOLATION_Y = (-1.0, -0.2), (0.2, 1.0)
+_INTERPOLATION = {"t": 0.5, "p": 0.0, "X": (-1.0, -0.2), "Y": (0.2, 1.0)}
 
 
 def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
@@ -92,7 +95,7 @@ _DIM, _POINTS = _Need(_real(2, kind=int)), _real(16, 2**20, kind=int)
 _DENSITY = _Kinds("bump", bump={"center": _REAL, "width": _REAL},
                   uniform={"bounds": _Need(_PAIR)},
                   cosine={"amplitude": _REAL})
-# the config schema, walked by _valid; the tolerances are those a runner reads
+# the config schema, walked by _valid
 _SCHEMA = {
     "space": _Need(_Kinds(euclidean={"dim": _DIM},
                           sphere={"dim": _DIM, "radius": _REAL},
@@ -105,8 +108,7 @@ _SCHEMA = {
                  "steps": _real(2, kind=int), "t_grid": _list(_OPEN_T),
                  "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
-    "tolerances": dict.fromkeys(("curvature", "jacobian", "twcd", "bm",
-                                 "interpolation", "functional"), _real(0)),
+    "tolerances": dict.fromkeys(_TOLERANCES, _real(0)),
     "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS},
                        line={"f1": _STR, "points": _POINTS, "lo": _REAL,
                              "hi": _REAL}),
@@ -151,81 +153,87 @@ def _valid(value, schema, path=""):
             raise ConfigError(f"missing config field: {at(key)}")
 
 
-def load_config(path) -> dict:
+# the axis geometry and what the 1-d suites place on it; None where unread
+_Axis = NamedTuple("_Axis", [("geometry", AxisGeometry), ("pair", list),
+                             ("rho", DensityField), ("bm", list),
+                             ("interpolation", dict)])
+# a resolved config and what its suite runs on, each built once
+Run = NamedTuple("Run", [("cfg", dict), ("space", ModelSpace),
+                         ("weight", WeightFunction),
+                         ("params", DimensionParams), ("axis", _Axis)])
+
+
+def load_config(path) -> Run:
     with open(path) as fh:
         return resolve_config(json.load(fh))
 
 
-def resolve_config(cfg: dict) -> dict:
+def resolve_config(cfg: dict) -> Run:
+    """The run of ``cfg``; a CdCheckError if the config is refused."""
     _valid(cfg, _SCHEMA)
-    p = dict(cfg["params"])
-    if isinstance(p["N"], str):
-        p["N"] = math.inf
+    N = cfg["params"]["N"]
+    p = {**cfg["params"], "N": math.inf if isinstance(N, str) else N}
     out = {"weight": "zero", "tolerances": {}, **cfg, "params": p,
            "sampling": {**_DEFAULT_SAMPLING, **cfg.get("sampling", {})},
            "space": dict(cfg["space"])}
-    # build what a run builds, to surface validation errors early
-    space, weight, params = _build(out)
+    space = make_space(**out["space"])
+    weight, params = weight_preset(space, out["weight"]), validate_params(**p)
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
                           f" dimension {space.dim}")
-    suites.require_p_range(out.get("interpolation", {}).get("p", 0.0), params)
+    suites.require_p_range(
+        out.get("interpolation", {}).get("p", _INTERPOLATION["p"]), params)
     center = out["sampling"].get("region", {}).get("center")
     if center is not None and len(center) != space.ambient:
         raise ConfigError(f"sampling.region.center has {len(center)}"
                           f" coordinates; points of the space have"
                           f" {space.ambient}")
-    if (out["suite"] in ("bm", "all")
-            and out.get("regions", {}).get("kind") == "ball"):
-        suites.require_ball_weight(weight)
-    axis = _build_axis(out, space)
-    if params.N == params.n and not (weight.is_constant
-                                     and axis.geometry.weight.is_constant):
+    axis = _build_axis(out, space, weight)
+    if params.N == params.n and not (weight.is_constant and (
+            axis is None or axis.geometry.weight.is_constant)):
         raise ConfigError("N = n requires a constant weight and geometry f1")
-    return out
+    return Run(out, space, weight, params, axis)
 
 
-def _build(cfg):
-    space = make_space(**cfg["space"])
-    return (space, weight_preset(space, cfg["weight"]),
-            validate_params(**cfg["params"]))
-
-
-_Axis = NamedTuple("_Axis", [("geometry", AxisGeometry), ("pair", list),
-                             ("rho", DensityField)])
-
-
-def _build_axis(cfg, space) -> _Axis:
-    """The axis of a resolved config as its 1-d suites take it, a default
-    density only where read; a ConfigError if a density has no grid mass
-    or an interval the suite places on the axis leaves the window."""
+def _build_axis(cfg, space, weight) -> _Axis | None:
+    """The axis of a resolved config as its 1-d suites take it, defaults
+    only where read; None if no suite reads it and no field sets it. Refuses
+    a density without grid mass, an interval the suite places outside the
+    window, and ball regions the ball check refuses."""
+    if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
+            cfg["suite"] in ("curvature", "jacobian", "taylor", "limits")):
+        return None
     g = dict(cfg.get("geometry", {}))
     geometry = _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
     if (isinstance(geometry, MeridianGeometry)
             and (space.dim, space.sec) != (2, 1.0)):
         raise ConfigError("a meridian geometry needs the unit S^2 space")
     uses = lambda suite: cfg["suite"] in (suite, "all")
-    regions, icfg = cfg.get("regions", {}), cfg.get("interpolation", {})
-    if uses("bm") and regions.get("kind") != "ball":
-        for span in regions.get("bounds", _BM_BOUNDS):
-            _inside(geometry, span)
+    regions, bm, interpolation = cfg.get("regions", {}), None, None
+    if uses("bm") and regions.get("kind") == "ball":
+        suites.require_flat_balls(space, weight)
+    elif uses("bm"):
+        bm = [_inside(geometry, span)
+              for span in regions.get("bounds", _BM_BOUNDS)]
     if uses("interpolation"):
-        _inside(geometry, icfg.get("X", _INTERPOLATION_X))
-        _inside(geometry, icfg.get("Y", _INTERPOLATION_Y))
+        icfg = {**_INTERPOLATION, **cfg.get("interpolation", {})}
+        interpolation = {**icfg, "X": _inside(geometry, icfg["X"]),
+                         "Y": _inside(geometry, icfg["Y"])}
     specs = cfg.get("densities", _TWCD_DENSITIES if uses("twcd") else [])
     spec = cfg.get("functional", {}).get(
         "density", _FUNCTIONAL_DENSITY if uses("functional") else None)
     return _Axis(geometry, [_axis_density(geometry, s) for s in specs],
-                 None if spec is None else _axis_density(geometry, spec))
+                 None if spec is None else _axis_density(geometry, spec),
+                 bm, interpolation)
 
 
-def _inside(geometry, span):
+def _inside(geometry, span) -> tuple:
     """``span`` if it is an interval [a, b] with a < b in the axis window."""
     lo, hi = geometry.xs[0], geometry.xs[-1]
     if not lo <= span[0] < span[1] <= hi:
         raise ConfigError(f"axis interval {span} is empty, reversed or leaves"
                           f" the axis window [{lo:g}, {hi:g}]")
-    return span
+    return tuple(span)
 
 
 def _axis_density(geometry, spec) -> DensityField:
@@ -247,21 +255,35 @@ def _axis_density(geometry, spec) -> DensityField:
         raise ConfigError(f"{kind} {exc}: {spec}") from None
 
 
+def _write_table(path, header, rows) -> None:
+    """A CSV table of float rows, written to round trip (``.17g``)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
 # ----------------------------------------------------------------------
-# suite runners, each returning a list of CheckReport
+# suite runners: (run, out_dir) -> list of CheckReport
 # ----------------------------------------------------------------------
-def _run_curvature(cfg, space, weight, params):
+def _tol(run, suite) -> float:
+    return run.cfg["tolerances"].get(suite, _TOLERANCES[suite])
+
+
+def _run_curvature(run, out_dir):
+    cfg, space, weight, params, _ = run
     s = cfg["sampling"]
-    tol = cfg["tolerances"].get("curvature", 1e-9)
     return [check_curvature_bound(space, weight, params, cfg["kappa"],
                                   {"count": s["trials"], "seed": s["seed"],
-                                   "region": s.get("region"), "tol": tol})]
+                                   "region": s.get("region"),
+                                   "tol": _tol(run, "curvature")})]
 
 
-def _run_jacobian(cfg, space, weight, params, out_dir):
+def _run_jacobian(run, out_dir):
+    cfg, space, weight, params, _ = run
     s = cfg["sampling"]
     kappa, trials, steps = cfg["kappa"], s["trials"], s.get("steps", 128)
-    tol = cfg["tolerances"].get("jacobian", 1e-8)
+    tol = _tol(run, "jacobian")
     xs, ws, Ss, margins, grids = jacobi.scan_rays(
         space, weight, params, kappa, np.random.default_rng(s["seed"]),
         trials, steps, s.get("region"),
@@ -278,7 +300,12 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
     traj = jacobi.integrate_jacobi(space, weight, params, xs[i], ws[i],
                                    Ss[i], steps)
-    _write_trajectory(out_dir / "worst_ray.csv", traj, params.c)
+    # columns t, det, J, h, l, log D = c l and log Dbar of the worst ray
+    cols = [traj[k] for k in ("ts", "det", "J", "h", "l")]
+    _write_table(out_dir / "worst_ray.csv",
+                 ["t", "det", "J", "h", "l", "log_D", "log_Dbar"],
+                 np.column_stack(cols + [params.c * traj["l"],
+                                         traj["int_ann"]]))
     if margins[i] < -tol:
         record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
                   "S": Ss[i].tolist(), "margin": float(margins[i]),
@@ -287,69 +314,54 @@ def _run_jacobian(cfg, space, weight, params, out_dir):
     return [rep]
 
 
-def _write_trajectory(path, traj, c):
-    """Columns t, det, J, h, l, log D = c l and log Dbar of one ray."""
-    cols = [traj[k] for k in ("ts", "det", "J", "h", "l")]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "det", "J", "h", "l", "log_D", "log_Dbar"])
-        for row in np.column_stack(cols + [c * traj["l"], traj["int_ann"]]):
-            w.writerow([f"{v:.17g}" for v in row])
-
-
-def _run_twcd(cfg, params, rho0, rho1, out_dir):
-    tol = cfg["tolerances"].get("twcd", 1e-6)
-    rep = suites.check_twcd(rho0, rho1, params, cfg["kappa"],
-                            cfg["sampling"]["t_grid"], tol=tol)
-    with open(out_dir / "twcd.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "lhs", "rhs", "margin"])
-        for row in rep.provenance["rows"]:
-            w.writerow([f"{row[k]:.17g}"
-                        for k in ("t", "lhs", "rhs", "margin")])
+def _run_twcd(run, out_dir):
+    cfg = run.cfg
+    rep = suites.check_twcd(*run.axis.pair, run.params, cfg["kappa"],
+                            cfg["sampling"]["t_grid"], tol=_tol(run, "twcd"))
+    cols = ("t", "lhs", "rhs", "margin")
+    _write_table(out_dir / "twcd.csv", cols,
+                 ([row[k] for k in cols] for row in rep.provenance["rows"]))
     return [rep]
 
 
-def _run_bm(cfg, space, weight, params, geometry):
-    regions = cfg.get("regions", {})
-    tol = cfg["tolerances"].get("bm", 1e-6)
-    if regions.get("kind") == "ball":
-        X, Y = ({"kind": "ball", "radius": r} for r in regions["radii"])
+def _run_bm(run, out_dir):
+    cfg, space, weight, params, axis = run
+    if axis.bm is None:  # ball regions
+        X, Y = ({"kind": "ball", "radius": r} for r in cfg["regions"]["radii"])
         where = (space, weight)
     else:
-        X, Y = ({"kind": "interval", "bounds": tuple(b)}
-                for b in regions.get("bounds", _BM_BOUNDS))
-        where = (geometry, None)
+        X, Y = ({"kind": "interval", "bounds": b} for b in axis.bm)
+        where = (axis.geometry, None)
     return [suites.check_brunn_minkowski(suites.RegionPair(X, Y, t), *where,
-                                         params, cfg["kappa"], tol=tol)
+                                         params, cfg["kappa"],
+                                         tol=_tol(run, "bm"))
             for t in cfg["sampling"]["t_grid"]]
 
 
-def _run_interpolation(cfg, params, geometry):
-    icfg = cfg.get("interpolation", {})
-    t = icfg.get("t", 0.5)
-    p = icfg.get("p", 0.0)
-    X = tuple(icfg.get("X", _INTERPOLATION_X))
-    Y = tuple(icfg.get("Y", _INTERPOLATION_Y))
-    tol = cfg["tolerances"].get("interpolation", 1e-6)
+def _run_interpolation(run, out_dir):
+    cfg, _, _, params, axis = run
+    t, p, X, Y = (axis.interpolation[k] for k in ("t", "p", "X", "Y"))
     psi0, psi1 = (lambda x, I=I: np.exp(-0.5 * ((x - np.mean(I)) / 0.3) ** 2)
                   * ((x >= I[0]) & (x <= I[1])) for I in (X, Y))
-    psi = envelope_psi(geometry, params, cfg["kappa"], psi0, psi1, X, Y, t, p)
-    return [suites.check_interpolation(geometry, params, cfg["kappa"],
+    psi = envelope_psi(axis.geometry, params, cfg["kappa"], psi0, psi1, X, Y,
+                       t, p)
+    return [suites.check_interpolation(axis.geometry, params, cfg["kappa"],
                                        psi0, psi1, psi, X, Y, t, p,
-                                       seed=cfg["sampling"]["seed"], tol=tol)]
+                                       seed=cfg["sampling"]["seed"],
+                                       tol=_tol(run, "interpolation"))]
 
 
-def _run_functional(cfg, params, rho):
-    fcfg = cfg.get("functional", {})
-    f0 = float(rho.geometry.f_vals[0])
-    delta = fcfg.get("delta", (1.0 - params.eps) * f0 / (params.n - 1.0))
-    tol = cfg["tolerances"].get("functional", 1e-5)
+def _run_functional(run, out_dir):
+    cfg, params, rho = run.cfg, run.params, run.axis.rho
+    f0, tol = float(rho.geometry.f_vals[0]), _tol(run, "functional")
+    delta = cfg.get("functional", {}).get(
+        "delta", (1.0 - params.eps) * f0 / (params.n - 1.0))
     return [suites.check_hwi_lsi(rho, params, cfg["kappa"], delta, tol=tol),
             suites.check_transport_energy(rho, params, cfg["kappa"], tol=tol)]
 
 
-def _run_taylor(cfg, space, weight, params, out_dir):
+def _run_taylor(run, out_dir):
+    cfg, space, weight, params, _ = run
     rng = np.random.default_rng(cfg["sampling"]["seed"])
     x = space.sample_point(rng, cfg["sampling"].get("region"))
     v = space.sample_unit(rng, x)
@@ -359,7 +371,9 @@ def _run_taylor(cfg, space, weight, params, out_dir):
     checks = taylor.check_series(space, weight, params, cfg["kappa"],
                                  x, v, terms)
     for chk in checks:
-        chk.to_csv(out_dir / f"taylor_{chk.term}.csv")
+        _write_table(out_dir / f"taylor_{chk.term}.csv",
+                     ["delta", "exact", "series", "remainder"],
+                     zip(chk.deltas, chk.exact, chk.series, chk.remainder))
     reports = [CheckReport(name="taylor_series",
                            margins=[chk.margin for chk in checks],
                            tolerance=0.0,
@@ -371,7 +385,8 @@ def _run_taylor(cfg, space, weight, params, out_dir):
     return reports
 
 
-def _run_limits(cfg, space, weight, params):
+def _run_limits(run, out_dir):
+    cfg, space, weight, params, _ = run
     rng = np.random.default_rng(cfg["sampling"]["seed"])
     x = space.sample_point(rng, cfg["sampling"].get("region"))
     v = space.sample_unit(rng, x)
@@ -383,33 +398,27 @@ def _run_limits(cfg, space, weight, params):
                                              0.005, 0.002, 0.001])]
 
 
-def run_suite(cfg: dict, out_dir) -> list[CheckReport]:
-    space, weight, params = _build(cfg)
-    # built once, by the first runner that takes it
-    axis = functools.cache(lambda: _build_axis(cfg, space))
-    suite = cfg["suite"]
-    runners = {
-        "curvature": lambda: _run_curvature(cfg, space, weight, params),
-        "jacobian": lambda: _run_jacobian(cfg, space, weight, params, out_dir),
-        "twcd": lambda: _run_twcd(cfg, params, *axis().pair, out_dir),
-        "bm": lambda: _run_bm(cfg, space, weight, params, axis().geometry),
-        "interpolation": lambda: _run_interpolation(cfg, params,
-                                                    axis().geometry),
-        "functional": lambda: _run_functional(cfg, params, axis().rho),
-        "taylor": lambda: _run_taylor(cfg, space, weight, params, out_dir),
-        "limits": lambda: _run_limits(cfg, space, weight, params),
-    }
-    if suite == "all":
-        reports = []
-        for name, fn in runners.items():
-            try:
-                reports.extend(fn())
-            except PreconditionError as exc:
-                reports.append(CheckReport(
-                    name=name, margins=[], tolerance=0.0, vacuous=True,
-                    provenance={"skipped": str(exc)}))
-        return reports
-    return runners[suite]()
+# every suite but "all", in the order "all" runs them
+_RUNNERS = {"curvature": _run_curvature, "jacobian": _run_jacobian,
+            "twcd": _run_twcd, "bm": _run_bm,
+            "interpolation": _run_interpolation,
+            "functional": _run_functional, "taylor": _run_taylor,
+            "limits": _run_limits}
+
+
+def run_suite(run: Run, out_dir) -> list[CheckReport]:
+    suite = run.cfg["suite"]
+    if suite != "all":
+        return _RUNNERS[suite](run, out_dir)
+    reports = []
+    for name, runner in _RUNNERS.items():
+        try:
+            reports.extend(runner(run, out_dir))
+        except PreconditionError as exc:
+            reports.append(CheckReport(
+                name=name, margins=[], tolerance=0.0, vacuous=True,
+                provenance={"skipped": str(exc)}))
+    return reports
 
 
 def _report_payload(cfg: dict, rep: CheckReport) -> dict:
@@ -427,25 +436,19 @@ def _report_payload(cfg: dict, rep: CheckReport) -> dict:
     }
 
 
-def cmd_run(args) -> int:
-    """``cdcheck run``; any exception that is not a CdCheckError is an
-    internal error, exit 4, never a verdict."""
-    try:
-        return _run(args)
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
-
-
 def _run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
+        run = load_config(args.config)
+        if args.command == "run" and args.seed is not None:
             _valid(args.seed, _SCHEMA["sampling"]["seed"], "seed")
-            cfg["sampling"]["seed"] = args.seed
+            run.cfg["sampling"]["seed"] = args.seed
     except (CdCheckError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print("config ok")
+        return 0
+    cfg = run.cfg
     out_dir = Path(args.out_dir or cfg.get("out_dir") or ".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,7 +456,7 @@ def _run(args) -> int:
         print(f"output directory error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = run_suite(cfg, out_dir)
+        reports = run_suite(run, out_dir)
     except PreconditionError as exc:
         print(f"precondition failed: {exc} [{exc.failed}]", file=sys.stderr)
         return 2
@@ -477,17 +480,9 @@ def _run(args) -> int:
     return 1 if any(p["verdict"] == "fail" for p in payloads) else 0
 
 
-def cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except (CdCheckError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    print("config ok")
-    return 0
-
-
 def main(argv=None) -> int:
+    """``cdcheck run`` or ``cdcheck validate``; any exception that is not a
+    CdCheckError is an internal error, exit 4, never a verdict."""
     parser = argparse.ArgumentParser(
         prog="cdcheck",
         description="numerical checks for weighted curvature-dimension"
@@ -498,12 +493,14 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out-dir", default=None)
     run_p.add_argument("--quiet", action="store_true")
-    run_p.set_defaults(fn=cmd_run)
     val_p = sub.add_parser("validate", help="schema-check a config")
     val_p.add_argument("--config", required=True)
-    val_p.set_defaults(fn=cmd_validate)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return _run(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -147,14 +147,14 @@ def check_limits(space, weight, params, kappa: float, x, y,
 
     # limit 1: beta_t(x, y) -> b(x, y)
     b_target = float(np.exp(log_b(params, kappa, base, d_full)))
-    b_extrap = neville_extrapolate(ts, np.exp(log_fwd), at=0.0)
+    b_extrap = neville_extrapolate(ts, np.exp(log_fwd))
     margins.append(tol - abs(b_extrap - b_target))
     provenance["b_limit"] = {"target": b_target, "extrapolated": b_extrap}
 
     # limit 2: (1 - beta_{1-t}(y, x)^{c/(c+1)})/t -> bfrak(x, y)
     fb_target = float(frak_b(params, kappa, base, d_full))
     quots = -np.expm1(params.c_ratio * log_rev) / ts
-    fb_extrap = neville_extrapolate(ts, quots, at=0.0)
+    fb_extrap = neville_extrapolate(ts, quots)
     margins.append(tol - abs(fb_extrap - fb_target))
     provenance["frak_b_limit"] = {"target": fb_target, "extrapolated": fb_extrap}
 

@@ -127,10 +127,10 @@ class DensityField:
     def mass(self) -> float:
         return self.geometry.integrate(self.values * self.geometry.m_density)
 
-    def check_mass(self, tol: float = 1e-8) -> None:
+    def check_mass(self) -> None:
         m = self.mass()
-        if abs(m - 1.0) > tol:
-            raise ConfigError(f"density mass {m} is not 1 within {tol}")
+        if abs(m - 1.0) > 1e-7:
+            raise ConfigError(f"density mass {m} is not 1 within 1e-07")
 
 
 def density_from_callable(geometry: AxisGeometry, fn: Callable) -> DensityField:
@@ -188,8 +188,8 @@ class MonotoneInterpolation:
     def __init__(self, rho0: DensityField, rho1: DensityField):
         if rho0.geometry is not rho1.geometry:
             raise ConfigError("densities must share one geometry")
-        rho0.check_mass(1e-7)
-        rho1.check_mass(1e-7)
+        rho0.check_mass()
+        rho1.check_mass()
         self.g = rho0.geometry
         s = (np.arange(_MASS_CELLS) + 0.5) / _MASS_CELLS
         a, b = s**_GRADING, (1.0 - s) ** _GRADING

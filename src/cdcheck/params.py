@@ -95,6 +95,9 @@ def s_kappa(kappa: float, s):
     """
     import numpy as np
 
+    # a scalar keeps its own math.sin/math.sinh branch: numpy's ufuncs can
+    # round the last bit unlike libm, and the scalar calls of check_limits
+    # put these values into its report hashes
     if np.ndim(s) == 0:
         z = kappa * s * s
         if abs(z) < _SERIES_THRESHOLD:
@@ -121,7 +124,7 @@ def c_kappa(kappa: float, s):
     """Derivative of :func:`s_kappa` with respect to arclength."""
     import numpy as np
 
-    if np.ndim(s) == 0:
+    if np.ndim(s) == 0:  # on libm, as in s_kappa
         z = kappa * s * s
         if abs(z) < _SERIES_THRESHOLD:
             return 1.0 - z / 2.0 + z * z / 24.0

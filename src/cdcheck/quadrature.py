@@ -172,8 +172,8 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def neville_extrapolate(ts: Sequence[float], vals: Sequence[float], at: float = 0.0) -> float:
-    """Polynomial (Neville) extrapolation of vals(ts) to ``at``.
+def neville_extrapolate(ts: Sequence[float], vals: Sequence[float]) -> float:
+    """Polynomial (Neville) extrapolation of vals(ts) to t = 0.
 
     Used as a Richardson-type limit estimator: when the error expansion is a
     power series in t, the degree-(m-1) extrapolant converges at order m.
@@ -182,7 +182,7 @@ def neville_extrapolate(ts: Sequence[float], vals: Sequence[float], at: float = 
     p = np.asarray(vals, dtype=float).copy()
     m = t.size
     for j in range(1, m):
-        p[: m - j] = ((at - t[j:m]) * p[: m - j] + (t[: m - j] - at) * p[1 : m - j + 1]) / (
+        p[: m - j] = (-t[j:m] * p[: m - j] + t[: m - j] * p[1 : m - j + 1]) / (
             t[: m - j] - t[j:m]
         )
     return float(p[0])

@@ -134,7 +134,7 @@ class RegionPair:
 
     Supported region dicts: {"kind": "interval", "bounds": (a, b)} on an
     axis geometry, or {"kind": "ball", "center": ..., "radius": r} in
-    unweighted Euclidean space.
+    Euclidean space under a constant weight.
     """
 
     X: dict
@@ -188,7 +188,7 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
         rev, fwd = rev2, fwd2
     elif kx == ky == "ball":
         space = geometry_or_space
-        require_ball_weight(weight_or_none)
+        require_flat_balls(space, weight_or_none)
         f0 = float(weight_or_none.eval(np.zeros(space.dim))) if weight_or_none else 0.0
         c0 = np.asarray(pair.X.get("center", np.zeros(space.dim)), dtype=float)
         c1 = np.asarray(pair.Y.get("center", np.zeros(space.dim)), dtype=float)
@@ -213,9 +213,11 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
                                    "inf_beta_refine_drift": refine_drift})
 
 
-def require_ball_weight(weight) -> None:
-    """Raise RegionError unless the weight of a ball pair is constant (or
-    absent): the ball measures are closed form only then."""
+def require_flat_balls(space, weight) -> None:
+    """Raise RegionError unless a ball pair lies in Euclidean space under a
+    constant (or absent) weight: its measures and distances are flat ones."""
+    if space.kind != "euclidean":
+        raise RegionError(f"ball regions need Euclidean space, not {space.kind}")
     if weight is not None and not weight.is_constant:
         raise RegionError("ball regions support constant weights only")
 
@@ -387,7 +389,7 @@ def _functional_preconditions(rho: DensityField, params: DimensionParams,
             raise PreconditionError("(1-eps) f <= (n-1) delta fails",
                                     failed="delta bound")
     _require_curvature(g, params, kappa)
-    rho.check_mass(1e-7)
+    rho.check_mass()
     return f0
 
 

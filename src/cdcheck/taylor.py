@@ -14,7 +14,6 @@ checked in one ``check_series`` call.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,14 +67,6 @@ class SeriesCheck:
         if not ref.size:
             return 0.0
         return float(1.0 - q[self.deltas == d0][0] / (4.0 * ref.max()))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["delta", "exact", "series", "remainder"])
-            for d, e, s, r in zip(self.deltas, self.exact, self.series,
-                                  self.remainder):
-                w.writerow([f"{d:.17g}", f"{e:.17g}", f"{s:.17g}", f"{r:.17g}"])
 
 
 def _pointwise_data(space, weight, params, x, v):

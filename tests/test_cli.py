@@ -15,6 +15,7 @@ from cdcheck import cli
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
 from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
+from cdcheck.ot import AxisGeometry
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -217,6 +218,10 @@ class TestValidate:
         {"suite": "taylor", "space": {"kind": "sphere", "dim": 2},
          "weight": "cosine(0.3)", "params": {"n": 2, "N": 6.0, "eps": 0.4},
          "sampling": {"region": {"center": [0.0, 0.0]}}},
+        {**S2_ZERO, "suite": "bm",
+         "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
+        {"suite": "bm", "space": {"kind": "hyperbolic", "dim": 3},
+         "weight": "zero", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -240,7 +245,8 @@ class TestValidate:
             "euclidean-radius", "tolerance-unread", "kappa-past-float",
             "f1-without-reference-mass", "line-window-too-wide",
             "ball-weight-not-constant", "ball-weight-not-constant-all",
-            "region-center-short", "region-center-short-sphere"])
+            "region-center-short", "region-center-short-sphere",
+            "ball-on-sphere", "ball-on-hyperbolic"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -364,7 +370,7 @@ class TestRunExitCodes:
             ce = json.loads((out / "counterexample.json").read_text())
             assert ce["margin"] < -tol
             # the margin is the one-ray margin on the grid it names
-            space, weight, params = cli._build(cli.resolve_config(cfg))
+            _, space, weight, params, _ = cli.resolve_config(cfg)
             assert refine_ray_margin(
                 space, weight, params, cfg["kappa"],
                 *(np.array(ce[k]) for k in ("x", "w", "S")),
@@ -472,6 +478,19 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == cli.INTERNAL_ERROR == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    def test_crash_while_resolving_exits_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        # validate and run share one config path: a crash there exits 4
+        def crash(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "resolve_config", crash)
+        path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
+        for argv in (["validate"], ["run", "--out-dir", str(tmp_path / "o")]):
+            assert main(argv + ["--config", path]) == 4
+            assert capsys.readouterr().err == (
+                "internal error: RuntimeError: boom\n")
+
     @pytest.mark.parametrize("density, message", [
         ({"kind": "bump", "center": 0.5, "width": 0.0}, "not positive"),
         ({"center": 0.5, "width": -0.3}, "not positive"),
@@ -571,6 +590,36 @@ class TestArtifacts:
         assert {"name", "margins", "min_margin", "tolerance",
                 "verdict"} <= set(rep)
 
+
+
+class TestOneBuild:
+    """A run builds its axis once, at config resolution, and only where it
+    can be read or refused."""
+
+    @staticmethod
+    def _axis_builds(tmp_path, monkeypatch, cfg):
+        builds = []
+        init = AxisGeometry.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AxisGeometry, "__init__", counted)
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) in (0, 1)
+        return builds
+
+    def test_suite_all_builds_one_axis(self, tmp_path, monkeypatch):
+        cfg = {**copy.deepcopy(FUZZ_BASE), "suite": "all"}
+        assert self._axis_builds(tmp_path, monkeypatch, cfg) == [
+            "LineGeometry"]
+
+    def test_taylor_without_axis_fields_builds_none(self, tmp_path,
+                                                    monkeypatch):
+        assert self._axis_builds(tmp_path, monkeypatch,
+                                 base_cfg("taylor")) == []
 
 def sphere_cfg(**over):
     cfg = {

@@ -217,12 +217,12 @@ class TestLimits:
     def test_limit2_error_is_rounding_only(self, tmp_path):
         # the benchmark's H^3 limits call at this seed: a second quadrature
         # on the reversed segment put 6.3e-8 of error into limit 2
-        cfg = cli.resolve_config({
+        run = cli.resolve_config({
             "space": {"kind": "hyperbolic", "dim": 3},
             "weight": "quadratic(0.3)",
             "params": {"n": 3, "N": 9.0, "eps": 0.4}, "kappa": -3.0,
             "suite": "limits", "sampling": {"seed": 536972774}})
-        rep = cli.run_suite(cfg, tmp_path)[1]
+        rep = cli.run_suite(run, tmp_path)[1]
         assert rep.name == "coefficient_limits"
         lim = rep.provenance["frak_b_limit"]
         assert abs(lim["extrapolated"] - lim["target"]) <= 1e-11
@@ -252,11 +252,11 @@ class TestLimits:
         # unit S^2, zero weight, kappa = -3e5: the decay envelope
         # expm1(...) passes the float range at the larger distances, which
         # once raised OverflowError out of the suite
-        cfg = cli.resolve_config({
+        run = cli.resolve_config({
             "space": {"kind": "sphere", "dim": 2}, "weight": "zero",
             "params": {"n": 2, "N": 6.0, "eps": 0.5}, "kappa": -3e5,
             "suite": "limits"})
-        rep = cli.run_suite(cfg, tmp_path)[1]
+        rep = cli.run_suite(run, tmp_path)[1]
         rows = rep.provenance["decay"]
         assert rows[0]["bound"] == math.inf
         assert all(row["dev"] <= row["bound"] for row in rows)

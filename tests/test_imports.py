@@ -1,7 +1,7 @@
 """Every name a cdcheck module imports is used in that module, every
 function, method and class it defines has a caller in the package or the
-benchmark, no module imports scipy, and the CLI starts without loading
-scipy.
+benchmark, and so has every module-level name it assigns; no module
+imports scipy, and the CLI starts without loading scipy.
 
 AST scans stand in for a linter's unused-import and dead-code rules.
 ``__init__.py`` is skipped in the import scan because its imports are the
@@ -64,23 +64,40 @@ def _references(tree: ast.AST):
             yield from node.value.split(".")
 
 
+def _definitions(tree: ast.Module):
+    """(node, name) of every function, method and class a module defines,
+    and of every name its top-level assignments bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for name in ast.walk(ast.Tuple(elts=targets)):
+                if isinstance(name, ast.Name):
+                    yield node, name.id
+
+
 def _dead_definitions(modules, callers) -> list[str]:
     refs = Counter()
     for path in callers:
         refs.update(_references(ast.parse(path.read_text(), filename=str(path))))
     dead = []
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not re.fullmatch(r"__\w+__", node.name)
-                    and refs[node.name] == Counter(_references(node))[node.name]):
-                dead.append(f"{path.name}:{node.lineno} {node.name}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dead += [f"{path.name}:{node.lineno} {name}"
+                 for node, name in sorted(_definitions(tree),
+                                          key=lambda d: d[0].lineno)
+                 if not re.fullmatch(r"__\w+__", name)
+                 and refs[name] == Counter(_references(node))[name]]
     return dead
 
 
 def test_no_dead_definitions():
-    # a definition whose name is referenced only inside its own body has no
-    # caller (dunder methods are called by the interpreter)
+    # a definition whose name is referenced only inside its own body, or a
+    # module-level name only in its own assignment, has no reader (dunder
+    # methods are called by the interpreter)
     assert _dead_definitions(ALL_MODULES, CALLERS) == []
 
 
@@ -89,6 +106,14 @@ def test_dead_definition_scan_sees_an_uncalled_function(tmp_path):
     mod.write_text("def used():\n    return 1\n\n\n"
                    "def unused(n):\n    return unused(n - 1) if n else used()\n")
     assert _dead_definitions([mod], [mod]) == ["mod.py:5 unused"]
+
+
+def test_dead_definition_scan_sees_an_unread_constant(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("READ, UNREAD = 1, 2\nLONE: int = READ\n\n\n"
+                   "def used():\n    return READ\n\n\nused()\n")
+    assert _dead_definitions([mod], [mod]) == ["mod.py:1 UNREAD",
+                                               "mod.py:2 LONE"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
