@@ -341,7 +341,8 @@ def _run_bm(run, out_dir):
 def _run_interpolation(run, out_dir):
     cfg, _, _, params, axis = run
     t, p, X, Y = (axis.interpolation[k] for k in ("t", "p", "X", "Y"))
-    psi0, psi1 = (lambda x, I=I: np.exp(-0.5 * ((x - np.mean(I)) / 0.3) ** 2)
+    psi0, psi1 = (lambda x, I=I, mid=np.mean(I):
+                  np.exp(-0.5 * ((x - mid) / 0.3) ** 2)
                   * ((x >= I[0]) & (x <= I[1])) for I in (X, Y))
     psi = envelope_psi(axis.geometry, params, cfg["kappa"], psi0, psi1, X, Y,
                        t, p)
@@ -360,11 +361,17 @@ def _run_functional(run, out_dir):
             suites.check_transport_energy(rho, params, cfg["kappa"], tol=tol)]
 
 
+def _base_point(run):
+    """(x, v): the seeded point and unit direction of taylor and limits."""
+    s = run.cfg["sampling"]
+    rng = np.random.default_rng(s["seed"])
+    x = run.space.sample_point(rng, s.get("region"))
+    return x, run.space.sample_unit(rng, x)
+
+
 def _run_taylor(run, out_dir):
     cfg, space, weight, params, _ = run
-    rng = np.random.default_rng(cfg["sampling"]["seed"])
-    x = space.sample_point(rng, cfg["sampling"].get("region"))
-    v = space.sample_unit(rng, x)
+    x, v = _base_point(run)
     # theta needs eps != 0 (eps = 0 at N = 1)
     terms = [term for term in taylor.TERMS
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
@@ -387,9 +394,7 @@ def _run_taylor(run, out_dir):
 
 def _run_limits(run, out_dir):
     cfg, space, weight, params, _ = run
-    rng = np.random.default_rng(cfg["sampling"]["seed"])
-    x = space.sample_point(rng, cfg["sampling"].get("region"))
-    v = space.sample_unit(rng, x)
+    x, v = _base_point(run)
     y = space.geodesic(x, v, 0.4)
     return [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
                                      r=0.5, seed=cfg["sampling"]["seed"]),

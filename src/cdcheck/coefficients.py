@@ -53,15 +53,20 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
     ``frac`` and 0 where d_full = 0. Callers keep d_full below the
     conjugate radius; a fraction outside ]0, 1[ raises ValueError.
     """
+    d_full = np.asarray(d_full, dtype=float)
+    return _log_beta(params, kappa, d_part, d_full, s_kappa(kappa, d_full),
+                     frac)
+
+
+def _log_beta(params, kappa, d_part, d_full, s_full, frac):
+    """log_beta with s_full = s_kappa(d_full) already taken."""
     frac = np.asarray(frac, dtype=float)
     if not np.all((frac > 0.0) & (frac < 1.0)):
         raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
                          f" to {frac.max()}")
     d_part = np.asarray(d_part, dtype=float)
-    d_full = np.asarray(d_full, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (np.log(s_kappa(kappa, d_part))
-                 - np.log(frac * s_kappa(kappa, d_full)))
+        ratio = np.log(s_kappa(kappa, d_part)) - np.log(frac * s_full)
     return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
 
 
@@ -69,12 +74,15 @@ def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):
     """(log beta_{1-t}(y,x), log beta_t(x,y)) from d_t = d_t(x,y) and
     d_full = d_f(x,y), elementwise over arrays.
 
-    The reversed coefficient takes d_{1-t}(y,x) = d_f - d_t. Raises
-    PreconditionError if some d_f reaches the conjugate radius.
+    The reversed coefficient takes d_{1-t}(y,x) = d_f - d_t; both share
+    one s_kappa(d_f). Raises PreconditionError if some d_f reaches the
+    conjugate radius.
     """
     require_conjugate_radius(kappa, d_full)
-    return (log_beta(params, kappa, d_full - d_t, d_full, 1.0 - t),
-            log_beta(params, kappa, d_t, d_full, t))
+    d_full = np.asarray(d_full, dtype=float)
+    s_full = s_kappa(kappa, d_full)
+    return (_log_beta(params, kappa, d_full - d_t, d_full, s_full, 1.0 - t),
+            _log_beta(params, kappa, d_t, d_full, s_full, t))
 
 
 def log_b(params: DimensionParams, kappa: float, base, d_full):

@@ -109,15 +109,15 @@ def s_kappa(kappa: float, s):
         return math.sinh(r * s) / r
     s = np.asarray(s, dtype=float)
     z = kappa * s * s
-    series = s * (1.0 - z / 6.0 + z * z / 120.0)
     if kappa == 0.0:
-        return series
+        return s * (1.0 - z / 6.0 + z * z / 120.0)
     r = math.sqrt(abs(kappa))
-    # clip the closed-form argument where the series branch is taken; the
-    # result there is discarded, this just avoids overflow warnings
-    safe = np.where(np.abs(z) < _SERIES_THRESHOLD, 0.0, s)
-    closed = np.sin(r * safe) / r if kappa > 0.0 else np.sinh(r * safe) / r
-    return np.where(np.abs(z) < _SERIES_THRESHOLD, series, closed)
+    out = np.sin(r * s) / r if kappa > 0.0 else np.sinh(r * s) / r
+    small = np.abs(z) < _SERIES_THRESHOLD
+    if small.any():  # the series only where it is taken
+        s, z = s[small], z[small]
+        out[small] = s * (1.0 - z / 6.0 + z * z / 120.0)
+    return out
 
 
 def c_kappa(kappa: float, s):
@@ -133,13 +133,15 @@ def c_kappa(kappa: float, s):
         return math.cosh(math.sqrt(-kappa) * s)
     s = np.asarray(s, dtype=float)
     z = kappa * s * s
-    series = 1.0 - z / 2.0 + z * z / 24.0
     if kappa == 0.0:
-        return series
+        return 1.0 - z / 2.0 + z * z / 24.0
     r = math.sqrt(abs(kappa))
-    safe = np.where(np.abs(z) < _SERIES_THRESHOLD, 0.0, s)
-    closed = np.cos(r * safe) if kappa > 0.0 else np.cosh(r * safe)
-    return np.where(np.abs(z) < _SERIES_THRESHOLD, series, closed)
+    out = np.cos(r * s) if kappa > 0.0 else np.cosh(r * s)
+    small = np.abs(z) < _SERIES_THRESHOLD
+    if small.any():
+        z = z[small]
+        out[small] = 1.0 - z / 2.0 + z * z / 24.0
+    return out
 
 
 def diam_kappa(kappa: float) -> float:

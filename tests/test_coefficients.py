@@ -127,6 +127,31 @@ class TestLogBeta:
             assert fwd == pytest.approx(beta(sp, w, p, kappa, t, x, y),
                                         rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.8, 0.0, -1.2])
+    def test_pair_matches_two_log_beta_calls(self, kappa):
+        p = validate_params(3, 8, 0.4)
+        d_full = np.array([0.0, 1e-5, 0.4, 1.3, 2.2])
+        ts = np.array([0.05, 0.3, 0.5, 0.95])[:, None]
+        d_t = np.sqrt(ts) * d_full  # not t d_f: a weighted reparametrization
+        rev, fwd = log_beta_pair(p, kappa, d_t, d_full, ts)
+        assert np.array_equal(rev, log_beta(p, kappa, d_full - d_t, d_full,
+                                            1.0 - ts))
+        assert np.array_equal(fwd, log_beta(p, kappa, d_t, d_full, ts))
+
+    def test_pair_takes_s_kappa_of_d_f_once(self, monkeypatch):
+        # s_kappa of d_{1-t}(y, x), of d_t(x, y) and one of d_f for both
+        calls = []
+
+        def counted(kappa, s):
+            calls.append(np.shape(s))
+            return s_kappa(kappa, s)
+
+        monkeypatch.setattr(coefficients, "s_kappa", counted)
+        d_full = np.array([0.2, 0.9, 1.4])
+        log_beta_pair(validate_params(2, 4, 0.5), 0.6, 0.3 * d_full, d_full,
+                      0.3)
+        assert len(calls) == 3
+
     def test_pair_guards_the_conjugate_radius(self):
         p = validate_params(2, 4, 0.5)
         d_full = np.array([0.5, diam_kappa(1.0)])

@@ -119,6 +119,40 @@ class TestComparisonFunctions:
             ref = [c_kappa(kappa, float(v)) for v in s]
             np.testing.assert_allclose(arr, ref, rtol=1e-14)
 
+    # the closed form over the whole array with np.where onto the series,
+    # as s_kappa and c_kappa took it before they wrote the series only into
+    # the elements that take it
+    @staticmethod
+    def _where_form(kappa, s, series, closed):
+        s = np.asarray(s, dtype=float)
+        z = kappa * s * s
+        if kappa == 0.0:
+            return series(s, z)
+        r = math.sqrt(abs(kappa))
+        safe = np.where(np.abs(z) < 1e-8, 0.0, s)
+        return np.where(np.abs(z) < 1e-8, series(s, z), closed(r, safe))
+
+    @pytest.mark.parametrize("kappa", [1.3, -0.7, 0.0])
+    @pytest.mark.parametrize("s", [
+        [0.0, 1e-9, -3e-6, 0.3, -2.0, 1e-4, 5e-5],  # both branches
+        [0.0, 1e-9, -2e-6, 5e-6, 1e-12],  # series only
+        [0.3, -2.0, 1.0, 2.9],  # closed form only
+        [np.nan, 1e-9, 0.7, np.nan, -1e-5],  # NaN among both
+        [[0.0, 0.5], [1e-7, -1.5]],  # a stack
+    ])
+    def test_array_branches_match_the_where_form(self, kappa, s):
+        ref = self._where_form(
+            kappa, s, lambda s, z: s * (1.0 - z / 6.0 + z * z / 120.0),
+            lambda r, s: (np.sin(r * s) / r if kappa > 0.0
+                          else np.sinh(r * s) / r))
+        assert np.array_equal(s_kappa(kappa, np.array(s)), ref,
+                              equal_nan=True)
+        ref = self._where_form(
+            kappa, s, lambda s, z: 1.0 - z / 2.0 + z * z / 24.0,
+            lambda r, s: np.cos(r * s) if kappa > 0.0 else np.cosh(r * s))
+        assert np.array_equal(c_kappa(kappa, np.array(s)), ref,
+                              equal_nan=True)
+
 
 class TestDiameter:
     def test_values(self):

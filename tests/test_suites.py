@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cdcheck.coefficients import log_beta
+from cdcheck.coefficients import log_beta, log_beta_pair
 from cdcheck.errors import HypothesisError, PreconditionError
-from cdcheck.ot import (LineGeometry, MeridianGeometry, density_from_callable,
+from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
+                        density_from_callable, renyi_pointwise,
                         entropy_functional)
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
                             weight_preset)
-from cdcheck.suites import (RegionPair, _curvature_margins,
+from cdcheck.suites import (RegionPair, _curvature_margins, axis_log_betas,
                             check_brunn_minkowski, check_hwi_lsi,
                             check_interpolation, check_transport_energy,
                             check_twcd, conclusion_exponent, envelope_psi,
@@ -107,6 +108,26 @@ class TestTwCD:
             fine = self._pair_margin(pair, 16384).margins
             assert np.max(np.abs(np.subtract(coarse, fine))) < 1e-7
 
+    def test_rhs_matches_the_entropy_form(self):
+        # the rhs from log beta and log j against
+        # (1-t) int H(1/J_rev) J_rev du + t int H(1/J_fwd) J_fwd du,
+        # J = beta j, on the benchmark's line
+        g = quad_line(points=8192)
+        p, kappa = validate_params(2, 10, 0.5), -1.0
+        t = np.array(self.FINE_T)
+        entropy = lambda r: renyi_pointwise(r, p)
+        for pair in self.PAIRS:
+            r0, r1 = self._bumps(g, pair)
+            rows = check_twcd(r0, r1, p, kappa, self.FINE_T).provenance["rows"]
+            mi = MonotoneInterpolation(r0, r1)
+            b_rev, b_fwd = np.exp(log_beta_pair(
+                p, kappa, g.reparam_partial(p, mi.Q0, mi.Q1, t[:, None]),
+                g.reparam_partial(p, mi.Q0, mi.Q1, 1.0), t[:, None]))
+            ref = ((1.0 - t) * mi.mass_integral(entropy, b_rev * mi.j0)
+                   + t * mi.mass_integral(entropy, b_fwd * mi.j1))
+            got = np.array([row["rhs"] for row in rows])
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+
     def test_wide_window_endpoint_entropy(self):
         # rho_0 has tail mass where rho_1 has almost none; the source-grid
         # pushforward read -764 for the lhs at t = 0.99
@@ -178,6 +199,38 @@ class TestTwCD:
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.5) ** 2))
         with pytest.raises(ValueError, match=r"\]0,1\["):
             check_twcd(r0, r1, p, -1.0, [t, 0.5])
+
+
+class TestAxisLogBetas:
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
+    @pytest.mark.parametrize("f1", ["quadratic(0.5)", "zero"])
+    def test_matches_separate_distances(self, kappa, f1):
+        g = LineGeometry(f1)
+        p = validate_params(2, 10, 0.5)
+        X, Y = np.meshgrid(np.linspace(-1.0, -0.2, 16),
+                           np.linspace(-0.5, 1.0, 12), indexing="ij")
+        for t in (0.25, 0.5, np.linspace(0.1, 0.9, 12)):
+            got = axis_log_betas(g, p, kappa, X, Y, t)
+            ref = log_beta_pair(p, kappa, g.reparam_partial(p, X, Y, t),
+                                g.reparam_partial(p, X, Y, 1.0), t)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
+    def test_three_lookups_of_G_per_pair(self, monkeypatch):
+        # G at x once, at x + t (y - x) and at y: 3 N points for N pairs
+        g, p = quad_line(), validate_params(2, 10, 0.5)
+        looked_up = []
+        interp = np.interp
+
+        def counted(x, xp, fp, *args, **kwargs):
+            if fp is g._g_table(p.a):
+                looked_up.append(np.size(x))
+            return interp(x, xp, fp, *args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counted)
+        xs = np.linspace(-1.0, -0.2, 50)
+        axis_log_betas(g, p, -1.0, xs, -xs, 0.4)
+        assert sum(looked_up) == 3 * xs.size
 
 
 class TestBrunnMinkowski:
