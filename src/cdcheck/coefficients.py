@@ -54,19 +54,18 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
     conjugate radius; a fraction outside ]0, 1[ raises ValueError.
     """
     d_full = np.asarray(d_full, dtype=float)
-    return _log_beta(params, kappa, d_part, d_full, s_kappa(kappa, d_full),
-                     frac)
+    return _log_beta(params, s_kappa(kappa, d_part), d_full,
+                     s_kappa(kappa, d_full), frac)
 
 
-def _log_beta(params, kappa, d_part, d_full, s_full, frac):
-    """log_beta with s_full = s_kappa(d_full) already taken."""
+def _log_beta(params, s_part, d_full, s_full, frac):
+    """log_beta from s_part = s_kappa(d_part) and s_full = s_kappa(d_full)."""
     frac = np.asarray(frac, dtype=float)
     if not np.all((frac > 0.0) & (frac < 1.0)):
         raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
                          f" to {frac.max()}")
-    d_part = np.asarray(d_part, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(s_kappa(kappa, d_part)) - np.log(frac * s_full)
+        ratio = np.log(s_part) - np.log(frac * s_full)
     return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
 
 
@@ -78,11 +77,16 @@ def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):
     one s_kappa(d_f). Raises PreconditionError if some d_f reaches the
     conjugate radius.
     """
-    require_conjugate_radius(kappa, d_full)
     d_full = np.asarray(d_full, dtype=float)
-    s_full = s_kappa(kappa, d_full)
-    return (_log_beta(params, kappa, d_full - d_t, d_full, s_full, 1.0 - t),
-            _log_beta(params, kappa, d_t, d_full, s_full, t))
+    return _log_beta_pair(params, kappa, d_full, t, *(
+        s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full)))
+
+
+def _log_beta_pair(params, kappa, d_full, t, s_rev, s_t, s_full):
+    """log_beta_pair from the s_kappa of d_f - d_t, d_t and d_f."""
+    require_conjugate_radius(kappa, d_full)
+    return (_log_beta(params, s_rev, d_full, s_full, 1.0 - t),
+            _log_beta(params, s_t, d_full, s_full, t))
 
 
 def log_b(params: DimensionParams, kappa: float, base, d_full):

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import log_beta_pair, within_conjugate_radius
+from .coefficients import _log_beta_pair, within_conjugate_radius
 from .errors import SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
-from .spaces import ModelSpace, WeightFunction, unit_tangents
+from .spaces import ModelSpace, WeightFunction
 
 SYMMETRY_TOL = 1e-12
 # rays that scan_rays samples and integrates at once; it bounds the
@@ -111,16 +111,16 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     admissible = np.all(det > 0.0, axis=1)
     a_nn[~admissible] = np.nan
 
-    # f along each geodesic; zero-speed rays sit at the base point
+    # f along each geodesic; zero-speed rays sit at the base point, and a
+    # constant weight takes its value there for the whole ray
     f_gamma = np.empty((B, steps + 1))
-    live = thetas > 1e-14
+    live = (thetas > 1e-14) & (not weight.is_constant)
     if live.any():
         vs = ws[live] / thetas[live, None]
         pts = space.geodesic(xs[live, None], vs[:, None],
                              thetas[live, None] * ts)
         f_gamma[live] = np.asarray(weight.eval(pts), dtype=float)
-    if (~live).any():
-        f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
+    f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
 
     int_ann = cumulative_simpson(a_nn, dt)
     with np.errstate(invalid="ignore"):
@@ -182,18 +182,16 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
     inner = slice(1, ts.size - 1)
     t = ts[inner]
     d_t = d_partial[..., inner]
-    d_rev = d_full - d_t
-    s_full = s_kappa(kappa, d_full)
+    s_rev, s_t, s_full = (s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full))
 
     m1 = _log_margin(log_Dbar[..., inner], 1.0 - t, log_Dbar[..., :1],
                      t, log_Dbar[..., -1:])
-    m2 = _log_margin(log_D[..., inner], s_kappa(kappa, d_rev) / s_full,
-                     log_D[..., :1], s_kappa(kappa, d_t) / s_full,
-                     log_D[..., -1:])
+    m2 = _log_margin(log_D[..., inner], s_rev / s_full, log_D[..., :1],
+                     s_t / s_full, log_D[..., -1:])
 
     cr = params.c_ratio
-    brev, bfwd = (np.exp(cr * lb)
-                  for lb in log_beta_pair(params, kappa, d_t, d_full, t))
+    brev, bfwd = (np.exp(cr * lb) for lb in _log_beta_pair(
+        params, kappa, d_full, t, s_rev, s_t, s_full))
     Jcr = np.where(J > 0, J, np.nan) ** cr
     rhs3 = (1.0 - t) * brev * Jcr[..., :1] + t * bfwd * Jcr[..., -1:]
     m3 = (Jcr[..., inner] - rhs3) / (1.0 + np.abs(rhs3))
@@ -247,19 +245,16 @@ def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
     """Random admissible-candidate rays: eigenvalues uniform in
     [-0.8, 0.8]/theta with a Haar-random eigenframe.
 
-    Each ray draws, in this order, its point, the normal vector behind its
-    unit direction (the draw of ``space.sample_unit``), theta, the
-    eigenvalues and the Gaussian matrix behind the eigenframe. The
-    arithmetic then runs on the whole batch, with the same values, bit for
-    bit, as ray by ray (see ``unit_tangents``).
+    The batch draws five blocks, in this order: the points, the (count, n)
+    normal draws behind the unit directions, theta, the (count, n)
+    eigenvalues and the (count, n, n) Gaussian matrices of the eigenframes.
     """
     n = space.dim
-    draws = [(space.sample_point(rng, region), rng.normal(size=n),
-              rng.uniform(*theta_range), rng.uniform(-0.8, 0.8, size=n),
-              rng.normal(size=(n, n))) for _ in range(count)]
-    xs, coeff, theta, lam, gauss = (np.asarray(a) for a in zip(*draws))
-    vhat = unit_tangents(space.frame(xs), coeff)
-    q, _ = np.linalg.qr(gauss)
+    xs = space.sample_point(rng, region, count)
+    vhat = space.sample_unit(rng, xs)
+    theta = rng.uniform(*theta_range, size=count)
+    lam = rng.uniform(-0.8, 0.8, size=(count, n))
+    q, _ = np.linalg.qr(rng.normal(size=(count, n, n)))
     S = (q * (lam / theta[:, None])[:, None, :]) @ np.swapaxes(q, 1, 2)
     return xs, theta[:, None] * vhat, 0.5 * (S + np.swapaxes(S, 1, 2))
 

@@ -6,10 +6,11 @@ space in upper-half-space coordinates (last coordinate positive). All
 geodesic, log-map, and frame operations are closed form.
 
 ``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
-over stacks of points and tangents (..., ambient), and ``sample_point``
-draws a stack of ``count`` points, bit for bit equal to the calls on
-single points: dot products are stacked matrix products, which round like
-one pair's ``np.dot``.
+over stacks of points and tangents (..., ambient), bit for bit equal to
+the calls on single points: dot products are stacked matrix products,
+which round like one pair's ``np.dot``. ``sample_point`` draws a stack of
+``count`` points: on S^n and H^n the draws of ``count`` single calls, on
+R^n a normal block, then a uniform block.
 
 Weight functions carry value, Riemannian gradient and Hessian access;
 every named preset has closed-form derivatives on every space it is
@@ -95,8 +96,9 @@ class ModelSpace:
     # -- sampling ------------------------------------------------------
     def sample_point(self, rng: np.random.Generator, region: dict | None = None,
                      count: int | None = None):
-        """A random point, or a stack of ``count`` points (count, ambient)
-        drawn from the stream of ``count`` single calls."""
+        """A random point, or a stack of ``count`` points (count, ambient):
+        on S^n and H^n the draws of ``count`` single calls, on R^n a normal
+        block of directions, then a uniform block of radii."""
         xs = self._sample_points(rng, region, 1 if count is None else count)
         return xs[0] if count is None else xs
 
@@ -146,15 +148,13 @@ class Euclidean(ModelSpace):
         return np.tile(np.eye(self.dim), np.shape(x)[:-1] + (1, 1))
 
     def _sample_points(self, rng, region, count):
-        # per point: a normal direction, then a uniform radius
-        r = (region or {}).get("radius", 1.0)
-        center = np.asarray((region or {}).get("center", np.zeros(self.dim)), dtype=float)
-        xs = np.empty((count, self.dim))
-        for i in range(count):
-            u = rng.normal(size=self.dim)
-            u /= np.linalg.norm(u)
-            xs[i] = center + r * rng.random() ** (1.0 / self.dim) * u
-        return xs
+        u = rng.normal(size=(count, self.dim))
+        u = u / np.sqrt(_dot(u, u))[:, None]
+        # float_power is libm pow, as a single point's float ** float;
+        # ** on an array can round differently in the last bit
+        radii = np.float_power(rng.random(count), 1.0 / self.dim)[:, None]
+        region = region or {}
+        return region.get("center", 0.0) + region.get("radius", 1.0) * radii * u
 
 
 class Sphere(ModelSpace):

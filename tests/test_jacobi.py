@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from cdcheck import coefficients, jacobi
 from cdcheck.errors import SingularJacobian
-from cdcheck.jacobi import (integrate_jacobi, jacobi_closed_form,
+from cdcheck.jacobi import (concavity_margins, integrate_jacobi,
+                            integrate_jacobi_batch, jacobi_closed_form,
                             refine_ray_margin, sample_rays, scan_rays)
-from cdcheck.params import validate_params
-from cdcheck.spaces import (check_curvature_bound, constant_weight,
-                            make_space, weight_preset)
+from cdcheck.params import s_kappa, validate_params
+from cdcheck.spaces import (WeightFunction, check_curvature_bound,
+                            constant_weight, make_space, weight_preset)
 
 
 @pytest.fixture
@@ -125,6 +127,24 @@ class TestTrajectories:
                                  np.array([speed, 0.0, 0.0]),
                                  np.array(S)) is None
 
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("sphere", 2, "zero"), ("hyperbolic", 3, "zero"),
+        ("euclidean", 3, "constant(0.7)")])
+    def test_constant_weight_skips_the_geodesic(self, kind, dim, preset):
+        # f_gamma of a constant weight is its value at the base point: the
+        # same dict as that weight evaluated along every geodesic
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        along = WeightFunction(w.eval, w.grad, w.hess)
+        p = validate_params(dim, dim + 2.0, 0.5)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(2), 40)
+        ws[:3] = 0.0  # zero-speed rows
+        got = integrate_jacobi_batch(sp, w, p, xs, ws, Ss, 32)
+        want = integrate_jacobi_batch(sp, along, p, xs, ws, Ss, 32)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
+
     def test_positive_densities(self, sphere2):
         p = validate_params(2, 4, 0.5)
         w = weight_preset(sphere2, "cosine(0.3)")
@@ -137,20 +157,23 @@ class TestTrajectories:
 
 
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
-    """The ray-by-ray sampling loop that ``sample_rays`` batches."""
+    """The five blocks ``sample_rays`` documents (points, the normal draws
+    behind the directions, theta, eigenvalues, the Gaussian matrices behind
+    the eigenframes), then each ray's arithmetic on its own."""
     n = space.dim
-    xs, ws, Ss = [], [], []
-    for _ in range(count):
-        x = space.sample_point(rng, region)
-        vhat = space.sample_unit(rng, x)
-        theta = rng.uniform(*theta_range)
-        lam = rng.uniform(-0.8, 0.8, size=n) / theta
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        S = (q * lam) @ q.T
-        xs.append(x)
+    xs = space.sample_point(rng, region, count)
+    coeffs = rng.normal(size=(count, n))
+    thetas = rng.uniform(*theta_range, size=count)
+    lams = rng.uniform(-0.8, 0.8, size=(count, n))
+    gauss = rng.normal(size=(count, n, n))
+    ws, Ss = [], []
+    for x, coeff, theta, lam, g in zip(xs, coeffs, thetas, lams, gauss):
+        vhat = coeff / np.linalg.norm(coeff) @ space.frame(x)
+        q, _ = np.linalg.qr(g)
+        S = (q * (lam / theta)) @ q.T
         ws.append(theta * vhat)
         Ss.append(0.5 * (S + S.T))
-    return np.asarray(xs), np.asarray(ws), np.asarray(Ss)
+    return xs, np.asarray(ws), np.asarray(Ss)
 
 
 class TestSampling:
@@ -170,6 +193,46 @@ class TestSampling:
                                         region, (0.2, 1.4))
             for got, want in zip(batch, loop):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, dim, region", [
+        ("euclidean", 3, None),
+        ("euclidean", 2, {"center": [0.3, -1.0], "radius": 0.5}),
+        ("sphere", 2, None),
+        ("sphere", 3, None),
+        ("hyperbolic", 3, None),
+        ("hyperbolic", 2, {"radius": 0.4}),
+    ])
+    def test_documented_distribution(self, kind, dim, region):
+        # |w| = theta in the theta range, S symmetric, theta eig(S) in
+        # [-0.8, 0.8], and every point in the model and its region
+        sp = make_space(kind, dim)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(3), 400, region,
+                                 (0.3, 0.9))
+        thetas = sp.norm(xs, ws)
+        assert np.all((thetas > 0.3 - 1e-12) & (thetas < 0.9 + 1e-12))
+        np.testing.assert_array_equal(Ss, np.swapaxes(Ss, 1, 2))
+        scaled = thetas[:, None] * np.linalg.eigvalsh(Ss)
+        assert np.all(np.abs(scaled) <= 0.8 + 1e-12)
+        assert np.ptp(scaled) > 1.5  # the whole range is drawn
+        r = (region or {}).get("radius", 1.0)
+        if kind == "euclidean":
+            center = np.asarray((region or {}).get("center", np.zeros(dim)))
+            assert np.all(np.linalg.norm(xs - center, axis=1) <= r + 1e-12)
+        elif kind == "sphere":
+            np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0,
+                                       rtol=1e-14)
+        else:
+            assert np.all(np.abs(xs[:, :-1]) <= r)
+            assert np.all(np.abs(np.log(xs[:, -1])) <= r + 1e-12)
+
+    @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
+                                           ("hyperbolic", 3)])
+    def test_same_seed_same_rays(self, kind, dim):
+        sp = make_space(kind, dim)
+        first, again = (sample_rays(sp, np.random.default_rng(9), 300)
+                        for _ in range(2))
+        for got, want in zip(first, again):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
                                            ("sphere", 3), ("hyperbolic", 3)])
@@ -209,8 +272,10 @@ class TestScan:
         *scanned, margins, grids = scan_rays(
             *args, np.random.default_rng(0), 600, 64, None, (0.2, 1.4), 1e-6)
         want, dropped = [], 0
-        for ray in zip(*sample_rays(sp, np.random.default_rng(0), 600, None,
-                                    (0.2, 1.4))):
+        rng = np.random.default_rng(0)  # drawn in batches, as the scan does
+        rays = [sample_rays(sp, rng, m, None, (0.2, 1.4))
+                for m in (250, 250, 100)]
+        for ray in zip(*(np.concatenate(a) for a in zip(*rays))):
             margin, steps = refine_ray_margin(*args, *ray, steps=64), 64
             if (margin is not None and margin < -1e-6
                     and integrate_jacobi(sp, w, args[2], *ray,
@@ -224,14 +289,15 @@ class TestScan:
             np.testing.assert_array_equal(got, np.array(expect))
 
     def test_fine_grid_is_not_rechecked_on_a_coarser_one(self):
-        # a scan on more than 4,096 steps keeps its own margins: three of
-        # these rays are flagged and once reported the re-check's 4,096
+        # a scan on more than 4,096 steps keeps its own margins: two of
+        # these rays are flagged, and such rays once reported the
+        # re-check's 4,096
         sp = make_space("euclidean", 3)
         *_, grids = scan_rays(sp, constant_weight(0.0),
                               validate_params(3, 3.0, 1.0), 0.2,
                               np.random.default_rng(0), 250, 8192, None,
                               (0.2, 1.2), 1e-8)
-        assert grids.size == 181
+        assert grids.size == 171
         assert np.all(grids == 8192)
 
 
@@ -270,6 +336,23 @@ class TestConcavity:
             assert margin >= -1e-8, margin
             checked += 1
         assert checked > 100
+
+    def test_one_s_kappa_per_distance_array(self, monkeypatch):
+        # s_kappa of d_f - d_t, d_t and d_f, shared by margins (ii) and (iii)
+        calls = []
+
+        def counted(kappa, s):
+            calls.append(np.shape(s))
+            return s_kappa(kappa, s)
+
+        for module in (coefficients, jacobi):
+            monkeypatch.setattr(module, "s_kappa", counted)
+        ts = np.linspace(0.0, 1.0, 9)
+        d_partial = np.outer([0.4, 1.1], ts)
+        ones = np.ones((2, 9))
+        concavity_margins(ts, 0.1 * ones, 0.2 * ones, ones, d_partial,
+                          validate_params(3, 5, 0.5), 0.6)
+        assert len(calls) == 3
 
     def test_beta_form_matches_sratio_form(self, sphere2):
         # margin (iii) rewritten through beta powers must agree with the

@@ -296,6 +296,21 @@ def _point_per_point(sp, rng, region=None):
     return center + r * rng.random() ** (1.0 / sp.dim) * u
 
 
+def _points_per_stack(sp, rng, region, count):
+    """A stack of random points: on S^n and H^n the single points in turn;
+    on R^n a normal block of directions, then a uniform block of radii,
+    each point formed as a single one is."""
+    if sp.kind != "euclidean":
+        return np.stack([_point_per_point(sp, rng, region)
+                         for _ in range(count)])
+    r = (region or {}).get("radius", 1.0)
+    center = np.asarray((region or {}).get("center", np.zeros(sp.dim)))
+    dirs = rng.normal(size=(count, sp.dim))
+    radii = rng.random(count).tolist()
+    return np.stack([center + r * s ** (1.0 / sp.dim) * (u / np.linalg.norm(u))
+                     for u, s in zip(dirs, radii)])
+
+
 def _inner_per_point(sp, x, u, v):
     """g_x(u, v) at one point, from one dot product."""
     g = float(np.dot(u, v))
@@ -350,10 +365,10 @@ class TestStacks:
         if region and region.get("center") == "ones":
             region = {**region, "center": [1.0] * sp.ambient}
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
-        want = [_point_per_point(sp, ref, region) for _ in range(50)]
         np.testing.assert_array_equal(sp.sample_point(rng, region, 49),
-                                      want[:49])
-        np.testing.assert_array_equal(sp.sample_point(rng, region), want[49])
+                                      _points_per_stack(sp, ref, region, 49))
+        np.testing.assert_array_equal(sp.sample_point(rng, region),
+                                      _point_per_point(sp, ref, region))
 
     @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
     def test_sample_unit(self, kind, dim, kw):
@@ -421,7 +436,7 @@ class TestStacks:
         p = validate_params(dim, 7, 0.4)
         rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8})
         rng = np.random.default_rng(8)
-        xs = np.stack([_point_per_point(sp, rng) for _ in range(60)])
+        xs = _points_per_stack(sp, rng, None, 60)
         vs = [_unit_per_point(sp, rng, x) for x in xs]
         ric = [ricci_fN_batch(sp, w, p, x[None], v[None])[0]
                for x, v in zip(xs, vs)]
@@ -436,6 +451,19 @@ class TestPointValidity:
         for _ in range(50):
             x = sp.sample_point(rng)
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_single_euclidean_point_is_the_per_point_formula(self, dim):
+        # a single point (a taylor or limits base point) draws one
+        # direction, then one radius, by the per-point formula
+        sp = make_space("euclidean", dim)
+        region = {"center": np.linspace(-1.0, 2.0, dim).tolist(),
+                  "radius": 0.7}
+        for seed in range(300):
+            for reg in (None, region):
+                got = sp.sample_point(np.random.default_rng(seed), reg)
+                want = _point_per_point(sp, np.random.default_rng(seed), reg)
+                np.testing.assert_array_equal(got, want)
 
     def test_hyperbolic_points_in_model(self):
         sp = make_space("hyperbolic", 2)
