@@ -58,6 +58,9 @@ _TWCD_DENSITIES = [{"kind": "bump", "center": -0.5, "width": 0.4},
 _FUNCTIONAL_DENSITY = {"kind": "cosine", "amplitude": 0.1}
 _BM_BOUNDS = [(-1.0, -0.25), (0.25, 1.0)]
 _INTERPOLATION = {"t": 0.5, "p": 0.0, "X": (-1.0, -0.2), "Y": (0.2, 1.0)}
+# H^n points of a region radius r have heights y with y^2 up to e^{+-2r},
+# a normal float only for |r| below this
+_H_RADIUS = -0.5 * math.log(sys.float_info.min)
 
 
 def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
@@ -183,11 +186,15 @@ def resolve_config(cfg: dict) -> Run:
                           f" dimension {space.dim}")
     suites.require_p_range(
         out.get("interpolation", {}).get("p", _INTERPOLATION["p"]), params)
-    center = out["sampling"].get("region", {}).get("center")
+    region = out["sampling"].get("region", {})
+    center = region.get("center")
     if center is not None and len(center) != space.ambient:
         raise ConfigError(f"sampling.region.center has {len(center)}"
                           f" coordinates; points of the space have"
                           f" {space.ambient}")
+    if space.kind == "hyperbolic" and not abs(region.get("radius", 1)) < _H_RADIUS:
+        raise ConfigError(f"|sampling.region.radius| must stay below"
+                          f" {_H_RADIUS:.4g} on a hyperbolic space")
     axis = _build_axis(out, space, weight)
     if params.N == params.n and not (weight.is_constant and (
             axis is None or axis.geometry.weight.is_constant)):

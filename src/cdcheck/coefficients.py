@@ -27,7 +27,7 @@ from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
 from .quadrature import neville_extrapolate
 from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
-from .reparam import reparam_partial
+from .reparam import LOG_MAX, reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12
@@ -44,6 +44,15 @@ def require_conjugate_radius(kappa: float, d_full) -> None:
         raise PreconditionError(
             "re-parametrized distance reaches the conjugate radius",
             failed="d_f < C_kappa")
+
+
+def require_float_range(kappa: float, d_full) -> None:
+    """Raise PreconditionError unless s_kappa and c_kappa of every d_f are
+    floats: for kappa < 0 they grow like e^{sqrt(-kappa) d_f} / 2."""
+    r = math.sqrt(max(-kappa, 0.0))
+    if r and not np.all(r * np.asarray(d_full) < LOG_MAX + min(0.0, math.log(r))):
+        raise PreconditionError("s_kappa of a re-parametrized distance leaves"
+                                " the float range", failed="s_kappa(d_f) finite")
 
 
 def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
@@ -75,9 +84,10 @@ def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):
 
     The reversed coefficient takes d_{1-t}(y,x) = d_f - d_t; both share
     one s_kappa(d_f). Raises PreconditionError if some d_f reaches the
-    conjugate radius.
+    conjugate radius or leaves the float range of s_kappa.
     """
     d_full = np.asarray(d_full, dtype=float)
+    require_float_range(kappa, d_full)
     return _log_beta_pair(params, kappa, d_full, t, *(
         s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full)))
 
@@ -137,7 +147,8 @@ def check_limits(space, weight, params, kappa: float, x, y,
 
     Limits 1 and 2 share one d_f(x,y) and one d_t(x,y) per t; these and
     the distance pairs of limit 3 come from one stacked quadrature. Raises
-    PreconditionError if d_f reaches the conjugate radius.
+    PreconditionError if d_f reaches the conjugate radius or leaves the float
+    range of s_kappa.
     """
     ts = np.sort(np.asarray(t_grid, dtype=float))
     seg = segment_between(space, x, y)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import _log_beta_pair, within_conjugate_radius
+from .coefficients import (_log_beta_pair, require_float_range,
+                           within_conjugate_radius)
 from .errors import SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
@@ -176,12 +177,14 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
     with d_{1-t}(y,x) = d_f(x,y) - d_t(x,y) by reversal of the geodesic.
     D and Dbar enter through their logs c l and int a_nn, which stay
     finite where the densities overflow. All margins are scaled by
-    1/(1 + |RHS|). Works on batched rows.
+    1/(1 + |RHS|). Works on batched rows. Raises PreconditionError if
+    s_kappa of some d_f leaves the float range.
     """
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
     t = ts[inner]
     d_t = d_partial[..., inner]
+    require_float_range(kappa, d_full)
     s_rev, s_t, s_full = (s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full))
 
     m1 = _log_margin(log_Dbar[..., inner], 1.0 - t, log_Dbar[..., :1],

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionError, RangeError
 
 # below this threshold |kappa| * s^2 the closed forms of s_kappa and
@@ -91,57 +93,34 @@ def validate_params(n: int, N: float, eps: float) -> DimensionParams:
 def s_kappa(kappa: float, s):
     """Comparison function: the solution of psi'' + kappa psi = 0, psi(0)=0, psi'(0)=1.
 
-    Accepts scalar or array s.
+    Elementwise over an array s; a scalar s gives a numpy float.
     """
-    import numpy as np
-
-    # a scalar keeps its own math.sin/math.sinh branch: numpy's ufuncs can
-    # round the last bit unlike libm, and the scalar calls of check_limits
-    # put these values into its report hashes
-    if np.ndim(s) == 0:
-        z = kappa * s * s
-        if abs(z) < _SERIES_THRESHOLD:
-            return s * (1.0 - z / 6.0 + z * z / 120.0)
-        if kappa > 0.0:
-            r = math.sqrt(kappa)
-            return math.sin(r * s) / r
-        r = math.sqrt(-kappa)
-        return math.sinh(r * s) / r
     s = np.asarray(s, dtype=float)
     z = kappa * s * s
     if kappa == 0.0:
         return s * (1.0 - z / 6.0 + z * z / 120.0)
     r = math.sqrt(abs(kappa))
-    out = np.sin(r * s) / r if kappa > 0.0 else np.sinh(r * s) / r
+    out = np.asarray(np.sin(r * s) / r if kappa > 0.0 else np.sinh(r * s) / r)
     small = np.abs(z) < _SERIES_THRESHOLD
     if small.any():  # the series only where it is taken
         s, z = s[small], z[small]
         out[small] = s * (1.0 - z / 6.0 + z * z / 120.0)
-    return out
+    return out[()]
 
 
 def c_kappa(kappa: float, s):
     """Derivative of :func:`s_kappa` with respect to arclength."""
-    import numpy as np
-
-    if np.ndim(s) == 0:  # on libm, as in s_kappa
-        z = kappa * s * s
-        if abs(z) < _SERIES_THRESHOLD:
-            return 1.0 - z / 2.0 + z * z / 24.0
-        if kappa > 0.0:
-            return math.cos(math.sqrt(kappa) * s)
-        return math.cosh(math.sqrt(-kappa) * s)
     s = np.asarray(s, dtype=float)
     z = kappa * s * s
     if kappa == 0.0:
         return 1.0 - z / 2.0 + z * z / 24.0
     r = math.sqrt(abs(kappa))
-    out = np.cos(r * s) if kappa > 0.0 else np.cosh(r * s)
+    out = np.asarray(np.cos(r * s) if kappa > 0.0 else np.cosh(r * s))
     small = np.abs(z) < _SERIES_THRESHOLD
     if small.any():
         z = z[small]
         out[small] = 1.0 - z / 2.0 + z * z / 24.0
-    return out
+    return out[()]
 
 
 def diam_kappa(kappa: float) -> float:

@@ -76,7 +76,7 @@ def _integrate(fn, a, b, ids, rel_tol, max_depth):
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         delta = left + right - whole
-        done = (np.abs(delta) <= tol) | (depth >= max_depth)
+        done = ~(np.abs(delta) > tol) | (depth >= max_depth)  # NaN: final
         levels.append((done, left + right + delta / 15.0, np.abs(delta) / 15.0))
         if done.all():
             break

@@ -10,25 +10,23 @@ segment and one fraction, or a stack of segments and their fractions, and
 computes every distance of the stack in one stacked adaptive Simpson call
 on the analytic geodesics: each level evaluates the integrand at all of
 its abscissae at once (``space.geodesic`` from each abscissa's segment,
-then ``weight.eval``, then the exponential taken with ``math.exp`` per
-value), and each distance is the float its own one-segment call returns.
+then ``weight.eval``, then ``np.exp``), and each distance is the float its
+own one-segment call returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
+from .errors import PreconditionError
 from .params import DimensionParams
 from .quadrature import adaptive_simpson
 from .spaces import GeodesicSegment, ModelSpace, WeightFunction
 
-
-def _exp_weight(a: float, fs) -> np.ndarray:
-    """exp(-a f) per value; ``math.exp`` keeps the last bit that numpy's
-    exp can round differently."""
-    return np.array([math.exp(-a * f) for f in np.asarray(fs, float).tolist()])
+LOG_MAX = math.log(sys.float_info.max)  # exp of a larger exponent overflows
 
 
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
@@ -36,7 +34,8 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     """d_t(x, y) along a segment, t in [0, 1]: a float for one segment and
     a scalar t; for a sequence of segments, an array of the shape of their
     index broadcast against t (so t = [[t0], [t1]] gives the two fractions
-    on every segment as two rows)."""
+    on every segment as two rows). Raises PreconditionError where e^{-a f}
+    leaves the float range."""
     single = isinstance(seg, GeodesicSegment)
     segs = [seg] if single else list(seg)
     rows, ts = np.broadcast_arrays(np.arange(len(segs)),
@@ -52,7 +51,14 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     else:
         starts = np.stack([sg.start for sg in segs])[rows.ravel()]
         directions = np.stack([sg.direction for sg in segs])[rows.ravel()]
-        fn = lambda p: _exp_weight(a, weight.eval(space.geodesic(
-            starts[p[0]], directions[p[0]], p[1])))
-        out, _ = adaptive_simpson(fn, 0.0, ts * lengths, rel_tol=rel_tol)
+
+        def integrand(p):
+            expo = -a * weight.eval(space.geodesic(starts[p[0]],
+                                                   directions[p[0]], p[1]))
+            if np.any(expo > LOG_MAX):
+                raise PreconditionError("e^{-a f} on a segment leaves the float"
+                                        " range", failed="e^{-a f} finite")
+            return np.exp(expo)
+
+        out, _ = adaptive_simpson(integrand, 0.0, ts * lengths, rel_tol=rel_tol)
     return float(out[0]) if single and np.ndim(t) == 0 else out

@@ -150,9 +150,7 @@ class Euclidean(ModelSpace):
     def _sample_points(self, rng, region, count):
         u = rng.normal(size=(count, self.dim))
         u = u / np.sqrt(_dot(u, u))[:, None]
-        # float_power is libm pow, as a single point's float ** float;
-        # ** on an array can round differently in the last bit
-        radii = np.float_power(rng.random(count), 1.0 / self.dim)[:, None]
+        radii = rng.random(count)[:, None] ** (1.0 / self.dim)
         region = region or {}
         return region.get("center", 0.0) + region.get("radius", 1.0) * radii * u
 
@@ -216,10 +214,9 @@ class Sphere(ModelSpace):
 
 def _circle(xi, y0):
     """(r, s0) of the half circle s = xi + r tanh(s0 + t), y = r / cosh(s0 + t)
-    through (0, y0) in the curvature -1 half-plane, from ``math``:
-    ``np.hypot`` and ``np.arctanh`` round differently."""
-    r = math.hypot(xi, y0)
-    return r, math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r)))
+    through (0, y0) in the curvature -1 half-plane, elementwise."""
+    r = np.hypot(xi, y0)
+    return r, np.arctanh(np.clip(-xi / r, -1 + 1e-16, 1 - 1e-16))
 
 
 class Hyperbolic(ModelSpace):
@@ -255,13 +252,8 @@ class Hyperbolic(ModelSpace):
         vert = h < 1e-14 * y0
         h = np.where(vert, 1.0, h)
         xi = y0 * uy / h
-        # one circle per distinct (xi, y0): the points of a stack on a few
-        # geodesics repeat them
-        pairs = list(zip(np.ravel(xi).tolist(),
-                         np.ravel(np.broadcast_to(y0, np.shape(xi))).tolist()))
-        table = {k: _circle(*k) for k in dict.fromkeys(pairs)}
-        circles = np.reshape([table[k] for k in pairs], np.shape(xi) + (2,))
-        r, sp = circles[..., 0], circles[..., 1] + t
+        r, s0 = _circle(xi, y0)
+        sp = s0 + t
         th, ch = np.tanh(sp), np.cosh(sp)
         eh = uh / h[..., None]
         s, y, vs, vy = xi + r * th, r / ch, r / ch**2, -r * th / ch
@@ -306,7 +298,7 @@ class Hyperbolic(ModelSpace):
         eh = dh / h
         xi = (h * h + y1 * y1 - y0 * y0) / (2.0 * h)
         r, sp = _circle(xi, y0)
-        sq = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, (h - xi) / r)))
+        sq = np.arctanh(np.clip((h - xi) / r, -1 + 1e-16, 1 - 1e-16))
         length = abs(sq - sp)
         sg = 1.0 if sq > sp else -1.0
         vs = sg * r / math.cosh(sp) ** 2
@@ -317,21 +309,18 @@ class Hyperbolic(ModelSpace):
         return v / self.scale, self.scale * length
 
     def inner(self, x, u, v):
-        # float_power is libm pow, as y**2 of one float64 point; the array
-        # y**2 squares and differs from it in the last bit
-        y2 = np.float_power(np.asarray(x, dtype=float)[..., -1], 2)
-        return _dot(u, v) * self.scale**2 / y2
+        y = np.asarray(x, dtype=float)[..., -1]
+        return _dot(u, v) * self.scale**2 / (y * y)
 
     def frame(self, x):
         y = np.asarray(x, dtype=float)[..., -1]
         return np.eye(self.ambient) * (y / self.scale)[..., None, None]
 
     def _sample_points(self, rng, region, count):
-        # uniform coordinates and log-height; math.exp, as np.exp can
-        # round differently in the last bit
+        # uniform coordinates and log-height
         r = (region or {}).get("radius", 1.0)
         xs = rng.uniform(-r, r, size=(count, self.ambient))
-        xs[:, -1] = [math.exp(h) for h in xs[:, -1].tolist()]
+        xs[:, -1] = np.exp(xs[:, -1])
         return xs
 
 

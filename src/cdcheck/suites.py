@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import log_beta_pair, require_conjugate_radius
+from .coefficients import (log_beta_pair, require_conjugate_radius,
+                           require_float_range)
 from .errors import HypothesisError, PreconditionError, RegionError
 from .params import DimensionParams, c_kappa, s_kappa
 from .ot import (AxisGeometry, DensityField, entropy_functional,
@@ -446,6 +447,7 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
 
     d_f = g.reparam_partial(params, interp.Q0, interp.Q1, 1.0)
     require_conjugate_radius(kappa, d_f)
+    require_float_range(kappa, d_f)
     base = math.exp(-params.a * f0) * np.abs(interp.Q1 - interp.Q0)
     pos = d_f > 0
     b_pow = np.ones_like(d_f)  # b^{c/(c+1)} with the unit value at the diagonal

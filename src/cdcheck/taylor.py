@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .coefficients import require_float_range
 from .errors import PreconditionError
 from .params import DimensionParams, s_kappa
 from .report import CheckReport
@@ -105,7 +106,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     pair is computed for every delta in one stacked quadrature, shared by
     every term of the call.
     ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
-    the offsets 8 and 16 times each offset are on it.
+    the offsets 8 and 16 times each offset are on it. Raises
+    PreconditionError if s_kappa of a distance leaves the float range.
     """
     single = isinstance(term, str)
     terms = (term,) if single else tuple(term)
@@ -130,6 +132,7 @@ def check_series(space: ModelSpace, weight: WeightFunction,
                                 space.geodesic(x, v, -dd)) for dd in d]
         d_half, d_full = reparam_partial(space, weight, params, segs,
                                          [[0.5], [1.0]], rel_tol=1e-13)
+        require_float_range(kappa, d_full)
         # beta_{kappa,1/2} both ways: the reversed first half starts at
         # gamma(-delta)
         log_sf = np.log(0.5 * s_kappa(kappa, d_full))
@@ -231,11 +234,10 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
     under-estimates the true sup and therefore only tightens the bound.
     """
     rng = np.random.default_rng(seed)
-    # each sample draws the normals behind its direction, then its radius
-    coeff, radii = np.empty((grad_samples, space.dim)), np.empty(grad_samples)
-    for i in range(grad_samples):
-        coeff[i], radii[i] = rng.normal(size=space.dim), rng.random()
-    units = unit_tangents(space.frame(x), coeff)
+    # a normal block behind the directions, then a uniform block of radii
+    units = unit_tangents(space.frame(x),
+                          rng.normal(size=(grad_samples, space.dim)))
+    radii = rng.random(grad_samples)
     sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
     segs = [segment_between(space, x, space.geodesic(x, v, r * 2.0**-j))
             for j in range(levels)]

@@ -456,6 +456,42 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == 2
         assert "[d_f < C_kappa]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [500, 800])
+    @pytest.mark.parametrize("suite", ["curvature", "jacobian"])
+    def test_hyperbolic_region_past_float_range_exits_2(self, tmp_path,
+                                                        capsys, suite,
+                                                        radius):
+        # y^2 = e^{2h} leaves the float range in the metric: curvature read
+        # a false counterexample (exit 1) and jacobian a pass at radius 500
+        cfg = base_cfg(suite, space={"kind": "hyperbolic", "dim": 3},
+                       weight="zero", kappa=-3.0,
+                       sampling={"trials": 20, "seed": 0,
+                                 "region": {"radius": radius}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 2
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "sampling.region.radius" in capsys.readouterr().err
+
+    def test_hyperbolic_region_inside_float_range_validates(self, tmp_path):
+        cfg = base_cfg("curvature", space={"kind": "hyperbolic", "dim": 3},
+                       weight="zero", kappa=-3.0,
+                       sampling={"region": {"radius": -354.0}})
+        assert main(["validate", "--config",
+                     write_cfg(tmp_path, "c.json", cfg)]) == 0
+
+    @pytest.mark.parametrize("suite", ["limits", "taylor"])
+    def test_s_kappa_past_float_range_exits_2(self, tmp_path, capsys, suite):
+        # f = -25 |x|^2 puts d_f near 7e71 at the seed-0 base point, where
+        # sinh(d_f) overflows: limits crashed (exit 4) and taylor read NaN
+        # margins as a counterexample (exit 1)
+        cfg = base_cfg(suite, weight="quadratic(-50)", kappa=-1.0,
+                       sampling={"seed": 0, "region": {"radius": 12.0}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[s_kappa(d_f) finite]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", [1e4, 1e6, 1e308])
     def test_interpolation_large_p_passes(self, tmp_path, p):
         # the p-mean's powers overflowed here: a false counterexample

@@ -1,11 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cdcheck import cli, coefficients
 from cdcheck.coefficients import (beta, check_limits, frak_b, log_b, log_beta,
-                                  log_beta_pair, require_conjugate_radius)
+                                  log_beta_pair, require_conjugate_radius,
+                                  require_float_range)
 from cdcheck.errors import PreconditionError
 from cdcheck.params import c_kappa, diam_kappa, s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
@@ -168,6 +170,33 @@ class TestConjugateRadiusGuard:
         assert exc.value.failed == "d_f < C_kappa"
         require_conjugate_radius(1.0, np.array([0.5, diam - 1e-11]))
         require_conjugate_radius(-1.0, 1e6)
+
+
+class TestFloatRangeGuard:
+    @pytest.mark.parametrize("kappa", [-1e-4, -1.0, -3e5])
+    def test_raises_where_s_kappa_overflows(self, kappa):
+        # below the bound s_kappa and c_kappa are floats (an overflow would
+        # warn, and warnings are errors here); past it the guard raises
+        r = math.sqrt(-kappa)
+        bound = (math.log(sys.float_info.max) + min(0.0, math.log(r))) / r
+        inside = np.array([0.0, 0.5 * bound, bound * (1 - 1e-12)])
+        require_float_range(kappa, inside)
+        assert np.all(np.isfinite(s_kappa(kappa, inside)))
+        assert np.all(np.isfinite(c_kappa(kappa, inside)))
+        for d_full in (np.append(inside, 1.001 * bound), math.inf, math.nan):
+            with pytest.raises(PreconditionError) as exc:
+                require_float_range(kappa, d_full)
+            assert exc.value.failed == "s_kappa(d_f) finite"
+
+    def test_bounded_s_kappa_is_never_refused(self):
+        for kappa in (0.0, 1e-12, 4.0):
+            require_float_range(kappa, np.array([0.0, 1e6, 1e300]))
+
+    def test_pair_refuses_before_taking_s_kappa(self):
+        p = validate_params(2, 4, 0.5)
+        with pytest.raises(PreconditionError) as exc:
+            log_beta_pair(p, -1.0, 400.0, np.array([1.0, 800.0]), 0.5)
+        assert exc.value.failed == "s_kappa(d_f) finite"
 
 
 def section_args(space, w, p, x, y):

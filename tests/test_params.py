@@ -119,6 +119,18 @@ class TestComparisonFunctions:
             ref = [c_kappa(kappa, float(v)) for v in s]
             np.testing.assert_allclose(arr, ref, rtol=1e-14)
 
+    @pytest.mark.parametrize("kappa", [1.3, 1e-12, 0.0, -0.7, -2.5])
+    def test_scalar_is_its_array_element(self, kappa):
+        # one implementation: a scalar call returns, bit for bit, its
+        # element of an array call, on the closed form and on the series
+        s = np.concatenate([np.random.default_rng(9).uniform(-4.0, 4.0, 300),
+                            [0.0, 1e-9, -3e-6, 2e-5]])
+        for fn in (s_kappa, c_kappa):
+            arr = fn(kappa, s)
+            scalars = [fn(kappa, float(v)) for v in s]
+            assert all(np.ndim(v) == 0 for v in scalars)
+            assert np.array_equal([float(v) for v in scalars], arr)
+
     # the closed form over the whole array with np.where onto the series,
     # as s_kappa and c_kappa took it before they wrote the series only into
     # the elements that take it

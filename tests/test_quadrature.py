@@ -92,6 +92,14 @@ class TestLevels:
         adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-13, max_depth=max_depth)
         assert fn.calls <= max_depth + 2
 
+    def test_nan_refinement_is_final(self):
+        # a NaN integrand cannot converge: it stops at the first level
+        # instead of splitting every interval down to max_depth
+        fn = counting(lambda x: np.where(x > 0.5, np.nan, x))
+        val, err = adaptive_simpson(fn, 0.0, 1.0, max_depth=12)
+        assert math.isnan(val) and math.isnan(err)
+        assert fn.calls == 2
+
     @pytest.mark.parametrize("f, a, b, rel_tol, max_depth", [
         (math.exp, 0.0, 2.0, 1e-13, 30),
         (lambda s: math.exp(-0.5 * ((s - 0.3) / 0.01) ** 2), 0.0, 1.0,

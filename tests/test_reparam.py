@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
 from cdcheck.quadrature import cumulative_simpson
 from cdcheck.reparam import reparam_partial
@@ -179,6 +180,18 @@ class TestStacked:
         scale = math.exp(-p.a * 0.9)
         assert got.tolist() == [scale * t * sg.length
                                 for t, sg in zip(ts.tolist(), segs)]
+
+    def test_weight_factor_past_float_range(self):
+        # e^{-a f} = e^{15 |x|^2} overflows near |x| = 6.9: the distance
+        # is no float, so it is refused, not integrated as inf
+        sp = make_space("euclidean", 3)
+        w = weight_preset(sp, "quadratic(-50)")
+        p = validate_params(3, 9, 0.4)
+        seg = segment_between(sp, np.array([6.5, 0.0, 0.0]),
+                              np.array([7.5, 0.0, 0.0]))
+        with pytest.raises(PreconditionError) as exc:
+            reparam_partial(sp, w, p, [seg], 1.0)
+        assert exc.value.failed == "e^{-a f} finite"
 
     def test_fraction_out_of_range(self, flat2):
         p = validate_params(2, 4, 0.5)

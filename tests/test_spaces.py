@@ -285,7 +285,7 @@ def _point_per_point(sp, rng, region=None):
     if isinstance(sp, Hyperbolic):
         out = np.empty(sp.ambient)
         out[:-1] = rng.uniform(-r, r, size=sp.ambient - 1)
-        out[-1] = math.exp(rng.uniform(-r, r))
+        out[-1] = np.exp(rng.uniform(-r, r))
         return out
     if sp.kind == "sphere":
         u = rng.normal(size=sp.ambient)
@@ -293,7 +293,7 @@ def _point_per_point(sp, rng, region=None):
     u = rng.normal(size=sp.dim)
     u /= np.linalg.norm(u)
     center = np.asarray((region or {}).get("center", np.zeros(sp.dim)))
-    return center + r * rng.random() ** (1.0 / sp.dim) * u
+    return center + r * (rng.random(1) ** (1.0 / sp.dim))[0] * u
 
 
 def _points_per_stack(sp, rng, region, count):
@@ -306,8 +306,8 @@ def _points_per_stack(sp, rng, region, count):
     r = (region or {}).get("radius", 1.0)
     center = np.asarray((region or {}).get("center", np.zeros(sp.dim)))
     dirs = rng.normal(size=(count, sp.dim))
-    radii = rng.random(count).tolist()
-    return np.stack([center + r * s ** (1.0 / sp.dim) * (u / np.linalg.norm(u))
+    radii = rng.random(count) ** (1.0 / sp.dim)
+    return np.stack([center + r * s * (u / np.linalg.norm(u))
                      for u, s in zip(dirs, radii)])
 
 
@@ -329,8 +329,8 @@ def _geodesic_per_point(sp, x, v, t):
         out[-1] = y0 * np.exp((1.0 if u[-1] >= 0 else -1.0) * t)
         return out
     xi = y0 * float(u[-1]) / float(h)
-    r = math.hypot(xi, y0)
-    sp0 = math.atanh(max(-1 + 1e-16, min(1 - 1e-16, -xi / r))) + t
+    r = np.hypot(xi, y0)
+    sp0 = np.arctanh(np.clip(-xi / r, -1 + 1e-16, 1 - 1e-16)) + t
     out[:-1] = x[:-1] + (xi + r * np.tanh(sp0)) * (u[:-1] / h)
     out[-1] = r / np.cosh(sp0)
     return out

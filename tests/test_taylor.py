@@ -292,14 +292,14 @@ class TestLimitBound:
         x = sp.sample_point(rng)
         v = sp.sample_unit(rng, x)
         rep = check_limit_bound(sp, w, p, 0.5, x, v, r=0.6, seed=3)
-        # the sampling loop the stacked draws replace: per sample, a unit
-        # direction from one normal draw, then a radius
+        # per sample, a unit direction from its row of one normal block and
+        # a radius from one uniform block drawn after it
         rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(400, dim))
         sup = 0.0
-        for _ in range(400):
-            coeff = rng.normal(size=dim)
+        for coeff, radius in zip(coeffs, rng.random(400)):
             u = (coeff / np.linalg.norm(coeff)) @ sp.frame(x)
-            pt = sp.geodesic(x, u, 0.6 * rng.random())
+            pt = sp.geodesic(x, u, 0.6 * radius)
             sup = max(sup, sp.norm(pt, w.grad(pt)))
         assert rep.provenance["grad_sup"] == sup
         # per level, the margin of |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L,
