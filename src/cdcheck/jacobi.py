@@ -19,6 +19,8 @@ quadrature of a_nn behind h and Dbar.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .coefficients import (_log_beta_pair, require_float_range,
@@ -75,11 +77,10 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
     alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
     beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
     gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
-    p = C[..., None] + Sn[..., None] * alpha[:, None, :]  # (B, T, n - 1)
-    det_P = np.prod(p, axis=-1)
+    p = [C + Sn * a[:, None] for a in alpha.T]  # multiplied in index order
+    det_P = math.prod(p)
     cross = sum((beta[:, i] * gamma[:, i])[:, None]
-                * np.prod(np.delete(p, i, axis=-1), axis=-1)
-                for i in range(n - 1))
+                * math.prod(p[:i] + p[i + 1:]) for i in range(n - 1))
     det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
     det = det_P + ts * det_M
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -94,9 +95,9 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
     ``det``, ``J``, ``h``, ``l``, ``int_ann`` (= log Dbar; log D is c l, and
     D and Dbar themselves are not formed, so they cannot overflow) and
-    ``f_gamma`` (f along the geodesic), plus the speeds ``thetas`` and an
-    ``admissible`` mask (det > 0 on the whole grid). Inadmissible rows
-    carry NaN downstream values.
+    ``f_gamma`` (f along the geodesic, a constant weight's base-point value
+    on every column), plus the speeds ``thetas`` and an ``admissible`` mask
+    (det > 0 on the whole grid). Inadmissible rows carry NaN downstream.
     """
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
@@ -145,23 +146,17 @@ def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
     return {k: v if k == "ts" else v[0] for k, v in out.items()}
 
 
-def _partials_from_f(params, f_gamma, theta, dt):
-    """Re-parametrized partial distances d_t(x,y) on the ray's own grid."""
-    integrand = theta * np.exp(-params.a * f_gamma)
-    return cumulative_simpson(integrand, dt)
-
-
 def _log_margin(x, w0, x0, w1, x1):
     """(e^x - r)/(1 + r) with r = w0 e^x0 + w1 e^x1, from the logs x, x0, x1.
 
-    Numerator and denominator are scaled by e^-s, s = max(0, log r), so
-    neither e^x0, e^x1 nor r is formed and no inf/inf can arise; only a
-    margin whose value is beyond the float range reads +inf.
+    Both parts are scaled by e^-s with the row constant s = max(0, x0, x1)
+    of the (B, 1) end values: r e^-s <= w0 + w1 is finite, e^-s + r e^-s > 0
+    and e^{x - s} is the one exponential per element. No inf/inf can arise;
+    only a margin whose value is beyond the float range reads +inf.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        log_r = np.logaddexp(np.log(w0) + x0, np.log(w1) + x1)
-        s = np.maximum(0.0, log_r)
-        r = np.exp(log_r - s)
+    s = np.maximum(np.maximum(x0, x1), 0.0)
+    r = w0 * np.exp(x0 - s) + w1 * np.exp(x1 - s)
+    with np.errstate(over="ignore"):
         return (np.exp(x - s) - r) / (np.exp(-s) + r)
 
 
@@ -209,15 +204,19 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     conjugate radius, and for each of them the minimum over inequalities
     (i)-(iii) and the minimum of det E on the grid. Dropped rows get no
     margins: a zero-speed ray has no s-ratios, and a ray with det E <= 0
-    has no log D.
+    has no log D. A constant weight's partial distances are theta e^{-a f} t;
+    any other weight's come from a cumulative Simpson along the geodesic.
     """
     out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
-    dt = out["ts"][1] - out["ts"][0]
-    d_partial = _partials_from_f(params, out["f_gamma"],
-                                 out["thetas"][:, None], dt)
+    ts, theta = out["ts"], out["thetas"][:, None]
+    if weight.is_constant:
+        d_partial = theta * np.exp(-params.a * out["f_gamma"][:, :1]) * ts
+    else:
+        d_partial = cumulative_simpson(
+            theta * np.exp(-params.a * out["f_gamma"]), ts[1] - ts[0])
     keep = np.flatnonzero(out["admissible"] & (out["thetas"] > 1e-14)
                           & within_conjugate_radius(kappa, d_partial[:, -1]))
-    m1, m2, m3 = concavity_margins(out["ts"], params.c * out["l"][keep],
+    m1, m2, m3 = concavity_margins(ts, params.c * out["l"][keep],
                                    out["int_ann"][keep], out["J"][keep],
                                    d_partial[keep], params, kappa)
     margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)

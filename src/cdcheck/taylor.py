@@ -26,7 +26,7 @@ from .params import DimensionParams, s_kappa
 from .report import CheckReport
 from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
                      unit_tangents)
-from .reparam import reparam_partial
+from .reparam import LOG_MAX, reparam_partial
 
 NOISE_FLOOR = 5e-15
 
@@ -107,7 +107,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     every term of the call.
     ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
     the offsets 8 and 16 times each offset are on it. Raises
-    PreconditionError if s_kappa of a distance leaves the float range.
+    PreconditionError if e^{-a f} at the base point or s_kappa of a
+    distance leaves the float range.
     """
     single = isinstance(term, str)
     terms = (term,) if single else tuple(term)
@@ -123,6 +124,9 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     fx, gfv, hvv = _pointwise_data(space, weight, params, x, v)
     a = params.a
     alpha = 0.5 * a  # (1-eps)/(n-1)
+    if -2.0 * a * fx > LOG_MAX:
+        raise PreconditionError("e^{-a f} at the base point leaves the float"
+                                " range", failed="e^{-a f} finite")
     e0 = math.exp(-a * fx)
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)

@@ -492,6 +492,18 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == 2
         assert "[s_kappa(d_f) finite]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_weight_factor_past_float_range_exits_2(self, tmp_path, capsys,
+                                                    seed):
+        # e^{-a f} at these base points overflows before any distance is
+        # taken: taylor crashed with an OverflowError (exit 4)
+        cfg = base_cfg("taylor", weight="quadratic(-50)", kappa=-1.0,
+                       sampling={"seed": seed, "region": {"radius": 12.0}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[e^{-a f} finite]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", [1e4, 1e6, 1e308])
     def test_interpolation_large_p_passes(self, tmp_path, p):
         # the p-mean's powers overflowed here: a false counterexample

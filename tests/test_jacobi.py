@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,6 +10,7 @@ from cdcheck.jacobi import (concavity_margins, integrate_jacobi,
                             integrate_jacobi_batch, jacobi_closed_form,
                             refine_ray_margin, sample_rays, scan_rays)
 from cdcheck.params import s_kappa, validate_params
+from cdcheck.quadrature import cumulative_simpson
 from cdcheck.spaces import (WeightFunction, check_curvature_bound,
                             constant_weight, make_space, weight_preset)
 
@@ -33,6 +36,37 @@ RANDOM_S = [_random_symmetric(n, seed=n) for n in (2, 3, 4)]
 _Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
 NEAR_SINGULAR_S = (_Q * [-0.9995, 0.2, -0.3]) @ _Q.T
 NEAR_SINGULAR_S = 0.5 * (NEAR_SINGULAR_S + NEAR_SINGULAR_S.T)
+
+
+def _closed_form_stacked(Ss, w2, ts):
+    """jacobi_closed_form with the factors p_i stacked on a last axis, det P
+    and each prod_{j != i} p_j taken by np.prod (and np.delete)."""
+    B, n, _ = Ss.shape
+    C = np.ones((B, ts.size))
+    Sn = np.tile(ts, (B, 1))
+    pos, neg = w2 > 0, w2 < 0
+    om = np.sqrt(w2[pos])[:, None]
+    C[pos], Sn[pos] = np.cos(om * ts), np.sin(om * ts) / om
+    om = np.sqrt(-w2[neg])[:, None]
+    C[neg], Sn[neg] = np.cosh(om * ts), np.sinh(om * ts) / om
+    alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
+    beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
+    gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
+    p = C[..., None] + Sn[..., None] * alpha[:, None, :]
+    det_P = np.prod(p, axis=-1)
+    cross = sum((beta[:, i] * gamma[:, i])[:, None]
+                * np.prod(np.delete(p, i, axis=-1), axis=-1)
+                for i in range(n - 1))
+    det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
+    det = det_P + ts * det_M
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return det, det_M / det
+
+
+def _simpson_partials(params, f_gamma, theta, ts):
+    """d_t = int_0^t theta e^{-a f} by cumulative Simpson on the grid."""
+    return cumulative_simpson(theta * np.exp(-params.a * f_gamma),
+                              ts[1] - ts[0])
 
 
 def north_ray(sp, theta, S):
@@ -98,6 +132,19 @@ class TestTrajectories:
             np.testing.assert_allclose(a_nn[0], ref_ann, rtol=1e-10)
         if cases is not RANDOM_S:
             assert 0.0 < det.min() < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_is_the_stacked_product(self, n):
+        # the n - 1 factors p_i are multiplied in index order, as np.prod
+        # does over a stacked (B, T, n - 1) axis: det and a_nn bit for bit
+        Ss = np.stack([_random_symmetric(n, seed) for seed in range(12)])
+        k_theta2 = np.tile([0.81, 0.0, -0.64], 4)
+        Ss[:3], k_theta2[:3] = 0.0, 0.0  # zero-speed rows
+        ts = np.linspace(0.0, 1.0, 33)
+        det, a_nn = jacobi_closed_form(Ss, k_theta2, ts)
+        ref_det, ref_ann = _closed_form_stacked(Ss, k_theta2, ts)
+        assert np.array_equal(det, ref_det)
+        assert np.array_equal(a_nn, ref_ann, equal_nan=True)
 
     def test_step_halving_stability(self, sphere2):
         # det E is exact on any grid; Dbar and h carry the a_nn quadrature
@@ -357,8 +404,6 @@ class TestConcavity:
     def test_beta_form_matches_sratio_form(self, sphere2):
         # margin (iii) rewritten through beta powers must agree with the
         # s-ratio recombination of margin (ii) on the same grid
-        from cdcheck.jacobi import _partials_from_f
-
         p = validate_params(2, 4, 0.3)
         w = weight_preset(sphere2, "cosine(0.2)")
         traj = integrate_jacobi(sphere2, w, p,
@@ -366,8 +411,7 @@ class TestConcavity:
                                            [[0.15, 0.0], [0.0, 0.05]]))
         kappa = 0.9
         ts = traj["ts"]
-        d_part = _partials_from_f(p, traj["f_gamma"][None], traj["thetas"],
-                                  ts[1] - ts[0])[0]
+        d_part = _simpson_partials(p, traj["f_gamma"], traj["thetas"], ts)
         from cdcheck.params import s_kappa
 
         d_full = d_part[-1]
@@ -384,6 +428,106 @@ class TestConcavity:
                       + sr_t ** (cr * p.inv_c) * ts ** (1.0 - cr * p.inv_c)
                       * traj["J"][-1] ** cr)
         np.testing.assert_allclose(rhs_beta, rhs_sratio, rtol=1e-9)
+
+
+def _log_margin_logaddexp(x, w0, x0, w1, x1):
+    """_log_margin shifted per element by s = max(0, log r), with log r
+    taken by np.logaddexp."""
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.logaddexp(np.log(w0) + x0, np.log(w1) + x1)
+        s = np.maximum(0.0, log_r)
+        r = np.exp(log_r - s)
+        return (np.exp(x - s) - r) / (np.exp(-s) + r)
+
+
+class TestLogMargin:
+    @staticmethod
+    def _weights(T):
+        t = np.linspace(0.0, 1.0, T + 2)[1:-1]
+        return 1.0 - t, t
+
+    @pytest.mark.parametrize("scale", [5.0, 700.0])
+    def test_matches_the_logaddexp_form(self, scale):
+        rng = np.random.default_rng(int(scale))
+        x = rng.uniform(-scale, scale, size=(60, 31))
+        x0, x1 = rng.uniform(-scale, scale, size=(2, 60, 1))
+        w0, w1 = self._weights(31)
+        np.testing.assert_allclose(jacobi._log_margin(x, w0, x0, w1, x1),
+                                   _log_margin_logaddexp(x, w0, x0, w1, x1),
+                                   rtol=1e-13)
+
+    def test_large_end_values_give_finite_margins(self):
+        # e^x0 and e^x1 are past the float range; the margin is not
+        x = np.array([[720.0, 750.0, 790.0], [0.0, 5.0, 1000.0]])
+        x0, x1 = np.array([[720.0], [711.0]]), np.array([[800.0], [-3.0]])
+        w0, w1 = self._weights(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = jacobi._log_margin(x, w0, x0, w1, x1)
+        assert np.all(np.isfinite(m))
+        np.testing.assert_allclose(m, _log_margin_logaddexp(x, w0, x0, w1,
+                                                            x1), rtol=1e-13)
+
+    def test_margin_past_float_range_is_inf(self):
+        x = np.array([[1500.0, 720.0], [1.0, 720.0]])
+        x0, x1 = np.array([[0.0], [-2.0]]), np.array([[700.0], [-1.0]])
+        w0, w1 = self._weights(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = jacobi._log_margin(x, w0, x0, w1, x1)
+        assert m[0, 0] == m[1, 1] == np.inf
+        assert np.all(np.isfinite(m[[0, 1], [1, 0]]))
+
+
+class TestPartials:
+    # d_t of a constant weight is theta e^{-a f(x)} t; any other weight
+    # takes the cumulative Simpson of theta e^{-a f} along the geodesic
+    @staticmethod
+    def _run(monkeypatch, kind, dim, preset):
+        simpson, d_partials = [], []
+
+        def counted(y, dx):
+            simpson.append(np.shape(y))
+            return cumulative_simpson(y, dx)
+
+        def recorded(ts, log_D, log_Dbar, J, d_partial, params, kappa):
+            d_partials.append(d_partial)
+            return concavity_margins(ts, log_D, log_Dbar, J, d_partial,
+                                     params, kappa)
+
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, dim + 2.0, 0.5)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(3), 60)
+        ws[:3] = 0.0  # zero-speed rows
+        with monkeypatch.context() as m:
+            m.setattr(jacobi, "cumulative_simpson", counted)
+            m.setattr(jacobi, "concavity_margins", recorded)
+            keep, _, _ = jacobi._ray_margins(sp, w, p, 0.3, xs, ws, Ss, 64)
+        out = integrate_jacobi_batch(sp, w, p, xs, ws, Ss, 64)
+        simpson_d = _simpson_partials(p, out["f_gamma"],
+                                      out["thetas"][:, None], out["ts"])[keep]
+        assert keep.size > 20
+        return len(simpson), d_partials[0], simpson_d
+
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("sphere", 2, "zero"), ("hyperbolic", 3, "zero"),
+        ("euclidean", 3, "constant(0.7)")])
+    def test_constant_weight_takes_one_simpson(self, monkeypatch, kind, dim,
+                                               preset):
+        calls, d_partial, simpson_d = self._run(monkeypatch, kind, dim,
+                                                preset)
+        assert calls == 1  # the quadrature of a_nn
+        np.testing.assert_allclose(d_partial, simpson_d, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("sphere", 2, "cosine(0.2)"), ("euclidean", 3, "quadratic(0.3)")])
+    def test_other_weights_keep_the_simpson_distances(self, monkeypatch,
+                                                      kind, dim, preset):
+        calls, d_partial, simpson_d = self._run(monkeypatch, kind, dim,
+                                                preset)
+        assert calls == 2
+        assert np.array_equal(d_partial, simpson_d)
 
 
 # two rays of the benchmark's ray-pass scans whose det E dips to ~3e-9
