@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -41,6 +43,8 @@ from .spaces import (ModelSpace, WeightFunction, check_curvature_bound,
 from .suites import envelope_psi
 
 INTERNAL_ERROR = 4
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
@@ -492,9 +496,7 @@ def _run(args) -> int:
     return 1 if any(p["verdict"] == "fail" for p in payloads) else 0
 
 
-def main(argv=None) -> int:
-    """``cdcheck run`` or ``cdcheck validate``; any exception that is not a
-    CdCheckError is an internal error, exit 4, never a verdict."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdcheck",
         description="numerical checks for weighted curvature-dimension"
@@ -507,7 +509,33 @@ def main(argv=None) -> int:
     run_p.add_argument("--quiet", action="store_true")
     val_p = sub.add_parser("validate", help="schema-check a config")
     val_p.add_argument("--config", required=True)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at its 32 MiB maximum and its trim
+    threshold at 64 MiB, once per process. Left dynamic, the two thresholds
+    hand every batch's work arrays (128 KiB to a few MiB) back to the
+    kernel and fault them in again on the next batch. Setting either one
+    stops glibc adjusting both, so both are set. A C library without
+    ``mallopt`` is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def main(argv=None) -> int:
+    """``cdcheck run`` or ``cdcheck validate``; any exception that is not a
+    CdCheckError is an internal error, exit 4, never a verdict."""
+    _fix_malloc_thresholds()
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except Exception as exc:

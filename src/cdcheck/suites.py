@@ -117,11 +117,9 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     for start in range(0, ts.size, _T_CHUNK):
         t = ts[start:start + _T_CHUNK]
         lhs = interp.pushforward_integral(t, entropy)
-        # d_t is left unnamed: a (chunk, K) array kept alive into the next
-        # chunk tripled the page faults of a call
-        log_rev, log_fwd = log_beta_pair(
-            params, kappa, g.reparam_partial(params, interp.Q0, interp.Q1,
-                                             t[:, None]), d_full, t[:, None])
+        d_t = g.reparam_partial(params, interp.Q0, interp.Q1, t[:, None])
+        log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full,
+                                         t[:, None])
         rhs = coef * (
             (1.0 - t) * ((1.0 - np.exp(cr * (log_rev + log_j0))) @ interp.du)
             + t * ((1.0 - np.exp(cr * (log_fwd + log_j1))) @ interp.du))

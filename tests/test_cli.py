@@ -2,9 +2,13 @@
 
 import copy
 import csv
+import ctypes
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -731,3 +735,42 @@ class TestDeterminism:
         h1 = json.loads((out1 / "jacobian_report.json").read_text())["hash"]
         h2 = json.loads((out2 / "jacobian_report.json").read_text())["hash"]
         assert h1 != h2
+
+
+# three runs of one config through cli.main in one process, each printing
+# the minor page faults of the call and its report hash
+_FAULTS_SNIPPET = """\
+import contextlib, io, json, resource, sys
+from pathlib import Path
+from cdcheck import cli
+cfg, out = sys.argv[1], Path(sys.argv[2])
+for i in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--config", cfg, "--out-dir", str(out / str(i)),
+                         "--quiet"])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    report = json.loads((out / str(i) / "jacobian_report.json").read_text())
+    print(json.dumps([code, faults, report["hash"]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_repeated_run_does_not_fault_its_arrays_in_again(tmp_path):
+    # with the allocator thresholds fixed at main's start, a repeated run
+    # reuses the heap pages of the run before instead of faulting in fresh
+    # ones; a fresh interpreter keeps the test process's heap out of it
+    cfg = {**S2_ZERO, "kappa": 0.3, "suite": "jacobian",
+           "sampling": {"trials": 250, "seed": 3}}
+    path = write_cfg(tmp_path, "c.json", cfg)
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SNIPPET, path, str(tmp_path / "o")],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    runs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[2][1] < 100
+    assert len({digest for _, _, digest in runs}) == 1
