@@ -10,8 +10,9 @@ on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
 "interval" or "ball", and ``tolerances`` has a key per suite that reads one
 (not taylor, limits or all). ``validate`` builds the `Run` a run takes,
 so an axis density of any kind with no mass on its grid exits 2 there, as
-do ball regions off Euclidean space or under a non-constant weight and a
-``sampling.region.center`` whose length is not the space's point length.
+do ball regions off Euclidean space or under a non-constant weight, a
+``sampling.region`` on a sphere, and a ``sampling.region.center`` off R^n
+or whose length is not the space's point length.
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
 tolerance, 2 configuration or precondition error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
@@ -192,6 +193,11 @@ def resolve_config(cfg: dict) -> Run:
         out.get("interpolation", {}).get("p", _INTERPOLATION["p"]), params)
     region = out["sampling"].get("region", {})
     center = region.get("center")
+    if space.kind == "sphere" and "region" in out["sampling"]:
+        raise ConfigError("sampling.region is not read on a sphere")
+    if space.kind == "hyperbolic" and center is not None:
+        raise ConfigError("sampling.region.center is not read on a"
+                          " hyperbolic space")
     if center is not None and len(center) != space.ambient:
         raise ConfigError(f"sampling.region.center has {len(center)}"
                           f" coordinates; points of the space have"

@@ -212,19 +212,16 @@ class Sphere(ModelSpace):
         return self.radius * u / np.sqrt(_dot(u, u))[:, None]
 
 
-def _circle(xi, y0):
-    """(r, s0) of the half circle s = xi + r tanh(s0 + t), y = r / cosh(s0 + t)
-    through (0, y0) in the curvature -1 half-plane, elementwise."""
-    r = np.hypot(xi, y0)
-    return r, np.arctanh(np.clip(-xi / r, -1 + 1e-16, 1 - 1e-16))
-
-
 class Hyperbolic(ModelSpace):
     """Hyperbolic space in upper-half-space coordinates (x_1..x_{d-1}, y > 0).
 
     ``scale`` sets the curvature to -1/scale^2; the metric is
-    scale^2 (dx^2 + dy^2)/y^2. Geodesics reduce to the 2D half-plane
-    closed forms in the vertical slice containing the initial velocity.
+    scale^2 (dx^2 + dy^2)/y^2. Every geodesic from (x0, y0) in the Euclidean
+    unit direction e = scale v / y0 is, at s = t / scale, y = y0 / D and
+    x = x0 + e_x y0 sinh(s) / D, D = cosh s - e_y sinh s = ((1 - e_y) e^s +
+    (1 + e_y) e^-s) / 2 with the smaller of 1 -+ e_y taken as |e_x|^2 / (1 +
+    |e_y|), so D > 0 at every direction and length; ``log`` inverts it from
+    the length 2 asinh(|p1 - p0| / (2 sqrt(y0 y1))) at curvature -1.
     """
 
     kind = "hyperbolic"
@@ -239,74 +236,47 @@ class Hyperbolic(ModelSpace):
         self.ambient = dim
         self.sec = -1.0 / scale**2
 
-    def _slice(self, x, v, t):
-        """Stacked geodesics in their vertical slices: the unit horizontal
-        direction eh and the slice coordinates (s, y) and derivatives
-        (vs, vy) at curvature -1 arclengths t / scale, on y0 e^{+-t} for a
-        vertical direction and on its ``_circle`` for any other."""
-        x = np.asarray(x, dtype=float)
-        u = self.scale * np.asarray(v, dtype=float)  # |u|_euc = y in curvature -1
-        t = np.asarray(t, dtype=float) / self.scale
-        y0, uy, uh = x[..., -1], u[..., -1], u[..., :-1]
-        h = np.sqrt(_dot(uh, uh))
-        vert = h < 1e-14 * y0
-        h = np.where(vert, 1.0, h)
-        xi = y0 * uy / h
-        r, s0 = _circle(xi, y0)
-        sp = s0 + t
-        th, ch = np.tanh(sp), np.cosh(sp)
-        eh = uh / h[..., None]
-        s, y, vs, vy = xi + r * th, r / ch, r / ch**2, -r * th / ch
-        if vert.any():
-            sg = np.where(uy >= 0, 1.0, -1.0)
-            ey = y0 * np.exp(sg * t)
-            eh = np.where(vert[..., None], 0.0, eh)
-            s, vs = np.where(vert, 0.0, s), np.where(vert, 0.0, vs)
-            y, vy = np.where(vert, ey, y), np.where(vert, sg * ey, vy)
-        return eh, s, y, vs, vy
+    def _path(self, x, v, t):
+        """Stacked (x, v, s, D, D' = dD/ds) of the closed form."""
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        s = np.asarray(t, dtype=float) / self.scale
+        e = self.scale * v / x[..., -1:]
+        big = 1.0 + np.abs(e[..., -1])
+        small = _dot(e[..., :-1], e[..., :-1]) / big
+        up = e[..., -1] >= 0
+        a = 0.5 * np.exp(s) * np.where(up, small, big)  # e^s (1 - e_y) / 2
+        b = 0.5 * np.exp(-s) * np.where(up, big, small)  # e^-s (1 + e_y) / 2
+        return x, v, s, a + b, a - b
 
     def geodesic(self, x, v, t):
-        x = np.asarray(x, dtype=float)
-        eh, s, y, _, _ = self._slice(x, v, t)
-        out = np.broadcast_to(x, y.shape + (self.ambient,)).copy()
-        out[..., :-1] += s[..., None] * eh
-        out[..., -1] = y
+        x, v, s, d, _ = self._path(x, v, t)
+        out = np.empty(d.shape + (self.ambient,))
+        out[..., :-1] = x[..., :-1] + (self.scale * np.sinh(s) / d)[..., None] * v[..., :-1]
+        out[..., -1] = x[..., -1] / d
         return out
 
     def velocity(self, x, v, t):
-        eh, _, _, vs, vy = self._slice(x, v, t)
-        out = np.empty(vy.shape + (self.ambient,))
-        out[..., :-1] = vs[..., None] * eh
-        out[..., -1] = vy
-        return out / self.scale  # back to scale-a unit tangents
+        x, v, _, d, dd = self._path(x, v, t)
+        out = np.empty(d.shape + (self.ambient,))
+        out[..., :-1] = v[..., :-1] / (d * d)[..., None]
+        out[..., -1] = -x[..., -1] * dd / (self.scale * d * d)
+        return out
 
     def log(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dh = y[:-1] - x[:-1]
-        h = np.linalg.norm(dh)
         y0, y1 = x[-1], y[-1]
-        if h < 1e-15 and abs(y1 - y0) < 1e-15 * y0:
-            fr = self.frame(x)
-            return fr[0], 0.0
-        if h < 1e-14 * y0:
-            length = abs(math.log(y1 / y0))
-            sg = 1.0 if y1 > y0 else -1.0
-            v = np.zeros(self.ambient)
-            v[-1] = sg * y0 / self.scale
-            return v, self.scale * length
-        eh = dh / h
-        xi = (h * h + y1 * y1 - y0 * y0) / (2.0 * h)
-        r, sp = _circle(xi, y0)
-        sq = np.arctanh(np.clip((h - xi) / r, -1 + 1e-16, 1 - 1e-16))
-        length = abs(sq - sp)
-        sg = 1.0 if sq > sp else -1.0
-        vs = sg * r / math.cosh(sp) ** 2
-        vy = -sg * r * math.tanh(sp) / math.cosh(sp)
-        v = np.zeros(self.ambient)
-        v[:-1] = vs * eh
-        v[-1] = vy
-        return v / self.scale, self.scale * length
+        dx, dy = y[:-1] - x[:-1], y1 - y0
+        dx2 = np.dot(dx, dx)
+        length = 2.0 * np.arcsinh(np.sqrt(dx2 + dy * dy)
+                                  / (2.0 * np.sqrt(y0 * y1)))
+        if length < 1e-15:
+            return self.frame(x)[0], 0.0
+        sh = np.sinh(length)
+        e = np.empty(self.ambient)
+        e[:-1] = dx / (y1 * sh)
+        e[-1] = (dx2 + dy * (y0 + y1)) / (2.0 * y0 * y1 * sh)
+        return e * (y0 / self.scale), self.scale * length
 
     def inner(self, x, u, v):
         y = np.asarray(x, dtype=float)[..., -1]
@@ -547,11 +517,7 @@ def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
     hess = np.asarray(weight.hess(xs, vs, vs), dtype=float)
     out = ric_g + hess
     if not math.isinf(N) and N != n:
-        grads = np.asarray(weight.grad(xs), dtype=float)
-        if isinstance(space, Hyperbolic):
-            gv = space.inner(xs, grads, vs)
-        else:
-            gv = np.sum(grads * vs, axis=-1)
+        gv = space.inner(xs, np.asarray(weight.grad(xs), dtype=float), vs)
         out = out - gv * gv / (N - n)
     return out
 

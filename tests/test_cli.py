@@ -226,6 +226,10 @@ class TestValidate:
          "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
         {"suite": "bm", "space": {"kind": "hyperbolic", "dim": 3},
          "weight": "zero", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
+        {**S2_ZERO, "sampling": {"trials": 50, "seed": 3,
+                                 "region": {"radius": 0.1}}},
+        {"space": {"kind": "hyperbolic", "dim": 3}, "weight": "zero",
+         "sampling": {"region": {"center": [40.0, 40.0, 40.0]}}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -250,7 +254,8 @@ class TestValidate:
             "f1-without-reference-mass", "line-window-too-wide",
             "ball-weight-not-constant", "ball-weight-not-constant-all",
             "region-center-short", "region-center-short-sphere",
-            "ball-on-sphere", "ball-on-hyperbolic"])
+            "ball-on-sphere", "ball-on-hyperbolic", "region-on-sphere",
+            "region-center-on-hyperbolic"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -319,20 +320,19 @@ def _inner_per_point(sp, x, u, v):
 
 def _geodesic_per_point(sp, x, v, t):
     """gamma_v(t) of one point, tangent and parameter in closed form; on H^n
-    the half circle in the vertical slice of v."""
+    (x0 + scale v_x sinh(s) / D, y0 / D) at s = t / scale, with D = e^s (1 -
+    e_y) / 2 + e^-s (1 + e_y) / 2 and the smaller of 1 -+ e_y taken as
+    |e_x|^2 / (1 + |e_y|)."""
     if not isinstance(sp, Hyperbolic):
         return sp.geodesic(x, v, t)
-    u = sp.scale * v
-    h, y0, t = np.linalg.norm(u[:-1]), x[-1], np.float64(t / sp.scale)
-    out = x.copy()
-    if h < 1e-14 * y0:
-        out[-1] = y0 * np.exp((1.0 if u[-1] >= 0 else -1.0) * t)
-        return out
-    xi = y0 * float(u[-1]) / float(h)
-    r = np.hypot(xi, y0)
-    sp0 = np.arctanh(np.clip(-xi / r, -1 + 1e-16, 1 - 1e-16)) + t
-    out[:-1] = x[:-1] + (xi + r * np.tanh(sp0)) * (u[:-1] / h)
-    out[-1] = r / np.cosh(sp0)
+    e, s = sp.scale * v / x[-1], np.float64(t) / sp.scale
+    big = 1.0 + abs(e[-1])
+    small = np.dot(e[:-1], e[:-1]) / big
+    a, b = (small, big) if e[-1] >= 0 else (big, small)
+    d = 0.5 * np.exp(s) * a + 0.5 * np.exp(-s) * b
+    out = np.empty(sp.ambient)
+    out[:-1] = x[:-1] + sp.scale * np.sinh(s) / d * v[:-1]
+    out[-1] = x[-1] / d
     return out
 
 
@@ -470,3 +470,137 @@ class TestPointValidity:
         rng = np.random.default_rng(8)
         for _ in range(50):
             assert sp.sample_point(rng)[-1] > 0.0
+
+
+# The hyperboloid model: points X with <X, X> = -1, X_0 > 0 in Minkowski
+# R^{n,1}, <A, B> = -A_0 B_0 + A_1 B_1 + ... + A_n B_n, in 80-digit decimals.
+# A half-space point (x, y) is X = ((1 + r^2) / 2y, x / y, (1 - r^2) / 2y),
+# r^2 = |x|^2 + y^2, and back y = 1 / (X_0 + X_n), x = (X_1..X_{n-1}) y;
+# tangents map through the differentials of these two maps. At scale a
+# (curvature -1/a^2) the reference runs at curvature -1 on the tangent a v
+# for s = t / a, and divides velocities by a and multiplies lengths by a.
+
+def _mink(a, b):
+    return -a[0] * b[0] + sum(p * q for p, q in zip(a[1:], b[1:]))
+
+
+def _cosh_sinh(s):
+    ep, em = s.exp(), (-s).exp()
+    return (ep + em) / 2, (ep - em) / 2
+
+
+def _to_hyperboloid(p, u):
+    """The half-space point p and tangent u as hyperboloid (X, V)."""
+    x, y, dx, dy = p[:-1], p[-1], u[:-1], u[-1]
+    r2 = sum(c * c for c in x) + y * y
+    xdx = sum(c * d for c, d in zip(x, dx))
+    X = [(1 + r2) / (2 * y)] + [c / y for c in x] + [(1 - r2) / (2 * y)]
+    V = ([xdx / y + dy - (1 + r2) * dy / (2 * y * y)]
+         + [d / y - c * dy / (y * y) for c, d in zip(x, dx)]
+         + [-xdx / y - dy - (1 - r2) * dy / (2 * y * y)])
+    return X, V
+
+
+def _to_half_space(X, V):
+    """The hyperboloid point X and tangent V as half-space (p, u)."""
+    q, dq = X[0] + X[-1], V[0] + V[-1]
+    p = [c / q for c in X[1:-1]] + [1 / q]
+    u = [d / q - c * dq / (q * q) for c, d in zip(X[1:-1], V[1:-1])]
+    return p, u + [-dq / (q * q)]
+
+
+def _hyperboloid_geodesic(sp, x, v, t):
+    """(gamma_v(t), gamma_v'(t)) from cosh(s) X + sinh(s) V on the hyperboloid."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a = Decimal(sp.scale)
+        X, V = _to_hyperboloid([Decimal(c) for c in x],
+                               [a * Decimal(c) for c in v])
+        norm = _mink(V, V).sqrt()
+        ch, sh = _cosh_sinh(Decimal(t) / a)
+        G = [ch * p + sh * q / norm for p, q in zip(X, V)]
+        dG = [sh * p + ch * q / norm for p, q in zip(X, V)]
+        p, u = _to_half_space(G, dG)
+        return (np.array([float(c) for c in p]),
+                np.array([float(c / a) for c in u]))
+
+
+def _hyperboloid_log(sp, x, y):
+    """(unit v, length) from L = 2 asinh(|X - Y| / 2) and the tangent
+    (Y - cosh(L) X) / sinh(L) on the hyperboloid."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        zero = [Decimal(0)] * len(x)
+        X, _ = _to_hyperboloid([Decimal(c) for c in x], zero)
+        Y, _ = _to_hyperboloid([Decimal(c) for c in y], zero)
+        chord = [p - q for p, q in zip(X, Y)]
+        half = _mink(chord, chord).sqrt() / 2
+        length = 2 * (half + (half * half + 1).sqrt()).ln()
+        ch, sh = _cosh_sinh(length)
+        _, u = _to_half_space(X, [(q - ch * p) / sh for p, q in zip(X, Y)])
+        a = Decimal(sp.scale)
+        return np.array([float(c / a) for c in u]), float(a * length)
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _point_rel(got, want):
+    """A half-space point's relative error: the horizontal part against the
+    whole point, the height against itself."""
+    return max(float(np.linalg.norm(got[:-1] - want[:-1]) / np.linalg.norm(want)),
+               abs(got[-1] / want[-1] - 1.0))
+
+
+HYPERBOLIC_SPACES = [(2, 1.0), (3, 1.0), (2, 0.6), (3, 0.6)]
+
+
+class TestHyperboloidReference:
+    """geodesic, velocity and log on H^n against the hyperboloid model, to
+    1e-12 relative, at random and at near-vertical directions."""
+
+    @staticmethod
+    def _rays(sp):
+        """(x, unit v) at (0, .., 0, 1) and 5 random points of a radius-2
+        region: one random direction and, up and down, |e_x| in {0, 1e-13,
+        1e-8, 1e-5, 1e-3} for the Euclidean unit direction e of v."""
+        rng = np.random.default_rng(23)
+        xs = np.vstack([np.eye(sp.ambient)[-1],
+                        sp.sample_point(rng, {"radius": 2.0}, 5)])
+        rays = []
+        for x in xs:
+            rays.append((x, sp.sample_unit(rng, x)))
+            across = rng.normal(size=sp.ambient - 1)
+            across /= np.linalg.norm(across)
+            for ex in (0.0, 1e-13, 1e-8, 1e-5, 1e-3):
+                for up in (1.0, -1.0):
+                    e = np.append(ex * across, up * math.sqrt(1.0 - ex * ex))
+                    rays.append((x, e * x[-1] / sp.scale))
+        return rays
+
+    @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
+    def test_geodesic_and_velocity(self, dim, scale):
+        sp = make_space("hyperbolic", dim, scale=scale)
+        for x, v in self._rays(sp):
+            for t in (1e-3, 1.0, 3.0, 25.0):
+                point, vel = _hyperboloid_geodesic(sp, x, v, t)
+                assert _point_rel(sp.geodesic(x, v, t), point) < 1e-12, (x, v, t)
+                assert _rel(sp.velocity(x, v, t), vel) < 1e-12, (x, v, t)
+
+    @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
+    def test_log(self, dim, scale):
+        sp = make_space("hyperbolic", dim, scale=scale)
+        rays = self._rays(sp)
+        base = np.eye(dim)[-1]  # and a point ln 3 above it, 1e-9 or 1e-6 aside
+        pairs = [(base, 3.0 * base + aside * np.eye(dim)[0])
+                 for aside in (1e-9, 1e-6)]
+        pairs += [(x, _hyperboloid_geodesic(sp, x, v, t)[0])
+                  for x, v in rays for t in (1e-3, 1.0, 25.0)]
+        xs = [x for x, _ in rays[::11]]
+        pairs += [(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]]
+        for x, y in pairs:
+            v, length = _hyperboloid_log(sp, x, y)
+            got_v, got_length = sp.log(x, y)
+            assert abs(got_length / length - 1.0) < 1e-12, (x, y)
+            assert _rel(got_v, v) < 1e-12, (x, y)
