@@ -11,8 +11,10 @@ on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
 (not taylor, limits or all). ``validate`` builds the `Run` a run takes,
 so an axis density of any kind with no mass on its grid exits 2 there, as
 do ball regions off Euclidean space or under a non-constant weight, a
-``sampling.region`` on a sphere, and a ``sampling.region.center`` off R^n
-or whose length is not the space's point length.
+``sampling.region`` on a sphere, a ``sampling.region.center`` off R^n or
+of another length than a point, and an H^n region radius whose points
+(stored on the hyperboloid, n + 1 coordinates) pass X_n = 2^26 R, where
+their coordinates keep no digit of the hyperboloid (`spaces.SPAN`).
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
 tolerance, 2 configuration or precondition error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
@@ -39,8 +41,8 @@ from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  density_from_callable)
 from .params import DimensionParams, validate_params
 from .report import CheckReport, canonical_json, report_hash
-from .spaces import (ModelSpace, WeightFunction, check_curvature_bound,
-                     make_space, weight_preset)
+from .spaces import (ModelSpace, WeightFunction, centred,
+                     check_curvature_bound, make_space, weight_preset)
 from .suites import envelope_psi
 
 INTERNAL_ERROR = 4
@@ -63,9 +65,6 @@ _TWCD_DENSITIES = [{"kind": "bump", "center": -0.5, "width": 0.4},
 _FUNCTIONAL_DENSITY = {"kind": "cosine", "amplitude": 0.1}
 _BM_BOUNDS = [(-1.0, -0.25), (0.25, 1.0)]
 _INTERPOLATION = {"t": 0.5, "p": 0.0, "X": (-1.0, -0.2), "Y": (0.2, 1.0)}
-# H^n points of a region radius r have heights y with y^2 up to e^{+-2r},
-# a normal float only for |r| below this
-_H_RADIUS = -0.5 * math.log(sys.float_info.min)
 
 
 def _real(lo=-math.inf, hi=math.inf, kind=(int, float)):
@@ -202,9 +201,10 @@ def resolve_config(cfg: dict) -> Run:
         raise ConfigError(f"sampling.region.center has {len(center)}"
                           f" coordinates; points of the space have"
                           f" {space.ambient}")
-    if space.kind == "hyperbolic" and not abs(region.get("radius", 1)) < _H_RADIUS:
-        raise ConfigError(f"|sampling.region.radius| must stay below"
-                          f" {_H_RADIUS:.4g} on a hyperbolic space")
+    if space.kind == "hyperbolic" and not space.region_in_range(
+            region.get("radius", 1)):
+        raise ConfigError("sampling.region.radius puts points of the"
+                          " hyperbolic space past X_n = 2^26 R")
     axis = _build_axis(out, space, weight)
     if params.N == params.n and not (weight.is_constant and (
             axis is None or axis.geometry.weight.is_constant)):
@@ -379,21 +379,23 @@ def _run_functional(run, out_dir):
 
 
 def _base_point(run):
-    """(x, v): the seeded point and unit direction of taylor and limits."""
+    """(x, weight, x0, v): the seeded point x of taylor and limits, and the
+    weight, x and the seeded unit direction moved by `spaces.centred`."""
     s = run.cfg["sampling"]
     rng = np.random.default_rng(s["seed"])
     x = run.space.sample_point(rng, s.get("region"))
-    return x, run.space.sample_unit(rng, x)
+    return (x, *centred(run.space, run.cfg["weight"], x,
+                        run.space.sample_unit(rng, x)))
 
 
 def _run_taylor(run, out_dir):
-    cfg, space, weight, params, _ = run
-    x, v = _base_point(run)
+    cfg, space, _, params, _ = run
+    x, weight, x0, v = _base_point(run)
     # theta needs eps != 0 (eps = 0 at N = 1)
     terms = [term for term in taylor.TERMS
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
     checks = taylor.check_series(space, weight, params, cfg["kappa"],
-                                 x, v, terms)
+                                 x0, v, terms)
     for chk in checks:
         _write_table(out_dir / f"taylor_{chk.term}.csv",
                      ["delta", "exact", "series", "remainder"],
@@ -410,8 +412,8 @@ def _run_taylor(run, out_dir):
 
 
 def _run_limits(run, out_dir):
-    cfg, space, weight, params, _ = run
-    x, v = _base_point(run)
+    cfg, space, _, params, _ = run
+    _, weight, x, v = _base_point(run)
     y = space.geodesic(x, v, 0.4)
     return [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
                                      r=0.5, seed=cfg["sampling"]["seed"]),

@@ -107,14 +107,8 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     ts = np.linspace(0.0, 1.0, steps + 1)
     dt = ts[1] - ts[0]
 
-    # zero-speed rays degenerate to the identity trajectory
-    Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
-    det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
-    admissible = np.all(det > 0.0, axis=1)
-    a_nn[~admissible] = np.nan
-
-    # f along each geodesic; zero-speed rays sit at the base point, and a
-    # constant weight takes its value there for the whole ray
+    # f first, so a geodesic past X_n = SPAN R stops the scan before the
+    # propagator overflows; zero-speed rays and constant weights take f(x)
     f_gamma = np.empty((B, steps + 1))
     live = (thetas > 1e-14) & (not weight.is_constant)
     if live.any():
@@ -123,6 +117,12 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
                              thetas[live, None] * ts)
         f_gamma[live] = np.asarray(weight.eval(pts), dtype=float)
     f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
+
+    # zero-speed rays degenerate to the identity trajectory
+    Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
+    det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
+    admissible = np.all(det > 0.0, axis=1)
+    a_nn[~admissible] = np.nan
 
     int_ann = cumulative_simpson(a_nn, dt)
     with np.errstate(invalid="ignore"):

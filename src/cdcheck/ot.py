@@ -31,10 +31,10 @@ class AxisGeometry:
     """Shared machinery for 1D-reducible configurations.
 
     The axis is the unit-speed geodesic of the model space ``space`` from
-    ``origin`` along e_1, with e_2 normal to it all along. It carries a
-    uniform grid, the weight preset ``f1`` of ``space`` at the grid
-    points, a base volume factor, and the reference density m(x), which
-    makes integral rho * m dx = 1 the mass condition of a density rho.
+    ``origin`` along e_1, with e_2 (unit in every model's ambient form)
+    normal to it all along. It carries a uniform grid, the weight preset
+    ``f1`` of ``space`` at the grid points, a base volume factor, and the
+    reference density m(x): integral rho * m dx = 1 is a density's mass.
     """
 
     def __init__(self, f1: str, lo: float, hi: float, points: int,

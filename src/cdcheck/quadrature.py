@@ -6,6 +6,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import PreconditionError
+
+# open intervals past which a refinement that never settles (rounding noise
+# above the tolerance) is refused rather than split on to 2^max_depth
+MAX_OPEN = 2**16
+
 
 def adaptive_simpson(
     fn: Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray],
@@ -30,6 +36,7 @@ def adaptive_simpson(
     formulation. Each integral keeps its own seeding, tolerance and sums,
     so its value and error are the floats a call on its interval alone
     returns; an empty interval gives (0, 0) and costs no evaluation.
+    Raises PreconditionError where more than MAX_OPEN intervals stay open.
 
     Returns (value, estimated absolute error): floats for scalar a and b,
     else two arrays of their broadcast shape. The tolerance is relative to
@@ -83,6 +90,9 @@ def _integrate(fn, a, b, ids, rel_tol, max_depth):
         # children of each split interval, left then right, side by side;
         # halving the budget keeps the summed error below the request
         s = ~done
+        if 2 * np.count_nonzero(s) > MAX_OPEN:
+            raise PreconditionError("adaptive Simpson does not settle within"
+                                    f" {MAX_OPEN} intervals", failed="quadrature settles")
         ids = np.repeat(ids[s], 2)
         lo, mid, hi = (_interleave(lo[s], mid[s]), _interleave(lm[s], rm[s]),
                        _interleave(mid[s], hi[s]))

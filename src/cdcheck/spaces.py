@@ -1,9 +1,9 @@
 """Constant-curvature model spaces with weights.
 
-Three models are provided: Euclidean R^d, the round sphere of a given
-radius (points stored as embedding vectors in R^{d+1}), and hyperbolic
-space in upper-half-space coordinates (last coordinate positive). All
-geodesic, log-map, and frame operations are closed form.
+Three models are provided: Euclidean R^d, and the round sphere and
+hyperbolic space as the quadrics <X, X> = +-R^2 of R^{d+1}, under the
+Euclidean and the Minkowski form (see `_Quadric`). All geodesic, log-map,
+and frame operations are closed form.
 
 ``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
 over stacks of points and tangents (..., ambient), bit for bit equal to
@@ -12,9 +12,11 @@ which round like one pair's ``np.dot``. ``sample_point`` draws a stack of
 ``count`` points: on S^n and H^n the draws of ``count`` single calls, on
 R^n a normal block, then a uniform block.
 
-Weight functions carry value, Riemannian gradient and Hessian access;
-every named preset has closed-form derivatives on every space it is
-defined on (no finite differences).
+Every weight preset is an ambient function F with closed-form DF and
+D^2F; its Riemannian gradient and Hessian come from one rule,
+`_ambient_weight` (no finite differences). H^n coordinates grow as e^d
+at a distance d from the origin (0, ..., 0, R), and a point past X_n =
+SPAN R is refused; checks confined near one point run there (`centred`).
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CutLocusError
+from .errors import ConfigError, CutLocusError, PreconditionError
 from .params import DimensionParams
 from .report import CheckReport
 
 # sphere segments this close to the antipode are treated as cut-locus hits
 CUT_MARGIN = 1e-6
+# past X_n = SPAN R the constant R^2 of an H^n point's Minkowski square
+# falls below the last bit of X_n^2: its coordinates keep no digit of it
+SPAN = 2.0**26
 
 
 def _orthonormal_completion(existing: np.ndarray, dim: int) -> np.ndarray:
@@ -64,6 +69,11 @@ class ModelSpace:
     dim: int
     sec: float  # constant sectional curvature
     ambient: int  # length of point coordinate arrays
+
+    def __init__(self, dim: int, ambient: int, sec: float):
+        if dim < 2:
+            raise ConfigError("model dimension must be >= 2")
+        self.dim, self.ambient, self.sec = dim, ambient, sec
 
     # -- core geometry -------------------------------------------------
     def geodesic(self, x, v, t):
@@ -118,11 +128,7 @@ class Euclidean(ModelSpace):
     kind = "euclidean"
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise ConfigError("model dimension must be >= 2")
-        self.dim = dim
-        self.ambient = dim
-        self.sec = 0.0
+        super().__init__(dim, dim, 0.0)
 
     def geodesic(self, x, v, t):
         t = np.asarray(t, dtype=float)
@@ -155,52 +161,60 @@ class Euclidean(ModelSpace):
         return region.get("center", 0.0) + region.get("radius", 1.0) * radii * u
 
 
-class Sphere(ModelSpace):
-    kind = "sphere"
+class _Quadric(ModelSpace):
+    """S^n or H^n as the quadric <X, X> = 1/sec of R^{n+1} under the form
+    G = diag(1, ..., 1, ``_sign``): Euclidean on S^n (sec = 1/R^2),
+    Minkowski with the time coordinate last on H^n (sec = -1/R^2, X_n > 0).
+    ``inner`` is G at every point; the tangents at X are G-orthogonal to X.
+
+    The unit-speed geodesic is c_sec(t) X + s_sec(t) V. ``log`` takes the
+    length from the chord c = |Y - X|_G: L = 2R ``_arc``(c / 2R), asin on
+    S^n and asinh on H^n. Past c^2 = 2R^2, where Y - X cancels in the form,
+    c^2 is 2(1/sec - <X, Y>), which does not. The direction is Y - X made
+    G-orthogonal to X, which does not cancel at short lengths as
+    Y - c_sec(L) X does, and is tangent at a point its rounding put off
+    the quadric.
+    """
 
     def __init__(self, dim: int, radius: float = 1.0):
-        if dim < 2:
-            raise ConfigError("model dimension must be >= 2")
         if radius <= 0:
-            raise ConfigError("sphere radius must be positive")
-        self.dim = dim
+            raise ConfigError(f"{self.kind} {'radius' if self._sign > 0 else 'scale'}"
+                              " must be positive")
+        super().__init__(dim, dim + 1, self._sign / radius**2)
         self.radius = float(radius)
-        self.ambient = dim + 1
-        self.sec = 1.0 / radius**2
+        self._form = np.append(np.ones(dim), self._sign)
+
+    def log(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        R, d = self.radius, y - x
+        c2 = 2.0 * (self._sign * R * R - float(self.inner(x, x, y)))
+        if c2 <= 2.0 * R * R:
+            c2 = float(self.inner(x, d, d))
+        half = 0.5 * (math.sqrt(max(c2, 0.0)) / R)
+        if half > self._half_cut:
+            raise CutLocusError("antipodal pair on the sphere: minimal geodesic not unique")
+        length = R * (2.0 * self._arc(half))
+        if length < 1e-15:
+            return self.frame(x)[0], 0.0
+        v = d - float(self.inner(x, d, x) / self.inner(x, x, x)) * x
+        return v / self.norm(x, v), length
+
+    def inner(self, x, u, v):
+        return _dot(np.asarray(u, dtype=float) * self._form, v)
+
+
+class Sphere(_Quadric):
+    kind = "sphere"
+    _arc, _sign = math.asin, 1.0
+    _half_cut = math.cos(0.5 * CUT_MARGIN)  # c / 2R at angle pi - CUT_MARGIN
 
     def geodesic(self, x, v, t):
-        t = np.asarray(t, dtype=float)
-        ang = t[..., None] / self.radius
+        ang = np.asarray(t, dtype=float)[..., None] / self.radius
         return np.cos(ang) * np.asarray(x) + self.radius * np.sin(ang) * np.asarray(v)
 
     def velocity(self, x, v, t):
-        t = np.asarray(t, dtype=float)
-        ang = t[..., None] / self.radius
+        ang = np.asarray(t, dtype=float)[..., None] / self.radius
         return -np.sin(ang) * np.asarray(x) / self.radius + np.cos(ang) * np.asarray(v)
-
-    def log(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        cosang = float(np.dot(x, y)) / self.radius**2
-        cosang = max(-1.0, min(1.0, cosang))
-        if cosang > 0.0:
-            # chord formula, well-conditioned for small angles
-            chord = float(np.linalg.norm(x - y)) / self.radius
-            ang = 2.0 * math.asin(min(1.0, 0.5 * chord))
-        else:
-            ang = math.acos(cosang)
-        length = self.radius * ang
-        if length < 1e-15:
-            fr = self.frame(x)
-            return fr[0], 0.0
-        if ang > math.pi - CUT_MARGIN:
-            raise CutLocusError("antipodal pair on the sphere: minimal geodesic not unique")
-        v = y - cosang * x
-        v /= np.linalg.norm(v)
-        return v, length
-
-    def inner(self, x, u, v):
-        return _dot(u, v)
 
     def frame(self, x):
         normal = np.asarray(x, dtype=float)[..., None] / self.radius
@@ -212,86 +226,85 @@ class Sphere(ModelSpace):
         return self.radius * u / np.sqrt(_dot(u, u))[:, None]
 
 
-class Hyperbolic(ModelSpace):
-    """Hyperbolic space in upper-half-space coordinates (x_1..x_{d-1}, y > 0).
+class Hyperbolic(_Quadric):
+    """H^n on the hyperboloid; ``scale`` is R, the curvature -1/R^2.
 
-    ``scale`` sets the curvature to -1/scale^2; the metric is
-    scale^2 (dx^2 + dy^2)/y^2. Every geodesic from (x0, y0) in the Euclidean
-    unit direction e = scale v / y0 is, at s = t / scale, y = y0 / D and
-    x = x0 + e_x y0 sinh(s) / D, D = cosh s - e_y sinh s = ((1 - e_y) e^s +
-    (1 + e_y) e^-s) / 2 with the smaller of 1 -+ e_y taken as |e_x|^2 / (1 +
-    |e_y|), so D > 0 at every direction and length; ``log`` inverts it from
-    the length 2 asinh(|p1 - p0| / (2 sqrt(y0 y1))) at curvature -1.
+    The geodesic cosh(s) X + sinh(s) R V, s = t / R, is taken as (e^s N+ +
+    e^-s N-) / 2 for the null vectors N+- = X +- R V: where it passes the
+    origin from far out no two large terms cancel, and each point is a
+    smooth function of t to the last bits of its coordinates.
+
+    Configs keep the upper half space (p, y), y > 0, with metric
+    R^2 (|dp|^2 + dy^2) / y^2 as their chart: the point of (p, y) is
+    X = R ((r^2 - 1) / 2y, p / y, (r^2 + 1) / 2y) with r^2 = |p|^2 + y^2,
+    and back p = X_{1..n-1} / q, y = R / q for q = X_n - X_0. Points are
+    drawn uniform in (p, log y), and ``frame`` is the image of the
+    half-space frame y e_i / R: rows (p_j, e_j, p_j) and
+    ((y^2 - |p|^2 + 1) / 2y, -p / y, (y^2 - |p|^2 - 1) / 2y).
     """
 
     kind = "hyperbolic"
+    _arc, _sign = math.asinh, -1.0
+    _half_cut = math.inf
 
     def __init__(self, dim: int, scale: float = 1.0):
-        if dim < 2:
-            raise ConfigError("model dimension must be >= 2")
-        if scale <= 0:
-            raise ConfigError("hyperbolic scale must be positive")
-        self.dim = dim
-        self.scale = float(scale)
-        self.ambient = dim
-        self.sec = -1.0 / scale**2
+        super().__init__(dim, scale)
+        self.scale = self.radius
 
-    def _path(self, x, v, t):
-        """Stacked (x, v, s, D, D' = dD/ds) of the closed form."""
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        s = np.asarray(t, dtype=float) / self.scale
-        e = self.scale * v / x[..., -1:]
-        big = 1.0 + np.abs(e[..., -1])
-        small = _dot(e[..., :-1], e[..., :-1]) / big
-        up = e[..., -1] >= 0
-        a = 0.5 * np.exp(s) * np.where(up, small, big)  # e^s (1 - e_y) / 2
-        b = 0.5 * np.exp(-s) * np.where(up, big, small)  # e^-s (1 + e_y) / 2
-        return x, v, s, a + b, a - b
+    def _null(self, x, v, t):
+        """(e^s, N+, N-) of the geodesic."""
+        x, rv = np.asarray(x, dtype=float), self.radius * np.asarray(v, dtype=float)
+        return np.exp(np.asarray(t, dtype=float)[..., None] / self.radius), x + rv, x - rv
 
     def geodesic(self, x, v, t):
-        x, v, s, d, _ = self._path(x, v, t)
-        out = np.empty(d.shape + (self.ambient,))
-        out[..., :-1] = x[..., :-1] + (self.scale * np.sinh(s) / d)[..., None] * v[..., :-1]
-        out[..., -1] = x[..., -1] / d
+        """Raises PreconditionError where a point reaches X_n = SPAN R."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            e, up, down = self._null(x, v, t)
+            out = 0.5 * (e * up + down / e)
+        if not np.all(out[..., -1] < SPAN * self.radius):
+            raise PreconditionError("a geodesic leaves the span where H^n"
+                                    " coordinates keep digits",
+                                    failed="geodesic within SPAN")
         return out
 
     def velocity(self, x, v, t):
-        x, v, _, d, dd = self._path(x, v, t)
-        out = np.empty(d.shape + (self.ambient,))
-        out[..., :-1] = v[..., :-1] / (d * d)[..., None]
-        out[..., -1] = -x[..., -1] * dd / (self.scale * d * d)
-        return out
+        e, up, down = self._null(x, v, t)
+        return 0.5 * (e * up - down / e) / self.radius
 
-    def log(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        y0, y1 = x[-1], y[-1]
-        dx, dy = y[:-1] - x[:-1], y1 - y0
-        dx2 = np.dot(dx, dx)
-        length = 2.0 * np.arcsinh(np.sqrt(dx2 + dy * dy)
-                                  / (2.0 * np.sqrt(y0 * y1)))
-        if length < 1e-15:
-            return self.frame(x)[0], 0.0
-        sh = np.sinh(length)
-        e = np.empty(self.ambient)
-        e[:-1] = dx / (y1 * sh)
-        e[-1] = (dx2 + dy * (y0 + y1)) / (2.0 * y0 * y1 * sh)
-        return e * (y0 / self.scale), self.scale * length
-
-    def inner(self, x, u, v):
-        y = np.asarray(x, dtype=float)[..., -1]
-        return _dot(u, v) * self.scale**2 / (y * y)
+    def _nulls(self, x):
+        """(q, s) = (X_n - X_0, X_n + X_0) = (R / y, R r^2 / y) at points;
+        the one that cancels, s where X_0 < 0 and q where X_0 > 0, taken
+        from q s = |X_{1..n-1}|^2 + R^2."""
+        mid = x[..., 1:-1]
+        q, s, up = x[..., -1] - x[..., 0], x[..., -1] + x[..., 0], x[..., 0] > 0.0
+        prod = _dot(mid, mid) + self.radius**2
+        return np.where(up, prod / s, q), np.where(up, s, prod / q)
 
     def frame(self, x):
-        y = np.asarray(x, dtype=float)[..., -1]
-        return np.eye(self.ambient) * (y / self.scale)[..., None, None]
+        x = np.asarray(x, dtype=float)
+        q = self._nulls(x)[0][..., None]
+        p, y = x[..., 1:-1] / q, self.radius / q
+        out = np.zeros(x.shape[:-1] + (self.dim, self.ambient))
+        out[..., :-1, 0] = out[..., :-1, -1] = p
+        out[..., :-1, 1:-1] = np.eye(self.dim - 1)
+        h = (y * y - _dot(p, p)[..., None]) / (2.0 * y)
+        out[..., -1, :] = np.concatenate([h + 0.5 / y, -p / y, h - 0.5 / y], axis=-1)
+        return out
 
     def _sample_points(self, rng, region, count):
-        # uniform coordinates and log-height
-        r = (region or {}).get("radius", 1.0)
-        xs = rng.uniform(-r, r, size=(count, self.ambient))
-        xs[:, -1] = np.exp(xs[:, -1])
-        return xs
+        r = abs((region or {}).get("radius", 1.0))
+        p = rng.uniform(-r, r, size=(count, self.dim))
+        p, y = p[:, :-1], np.exp(p[:, -1:])
+        h = (_dot(p, p)[:, None] + y * y) / (2.0 * y)
+        return self.radius * np.hstack([h - 0.5 / y, p / y, h + 0.5 / y])
+
+    def region_in_range(self, radius) -> bool:
+        """Whether the points of a region of this radius stay below X_n =
+        SPAN R: the largest, ((n - 1) r^2 + e^{-2r} + 1) e^r / 2 at p_i = r,
+        y = e^{-r}, is compared in logs."""
+        r = abs(radius)
+        return r + math.log(0.5 * ((self.dim - 1) * r * r + math.exp(-2.0 * r)
+                                   + 1.0)) < math.log(SPAN)
 
 
 def make_space(kind: str, dim: int, **kw) -> ModelSpace:
@@ -315,8 +328,6 @@ class GeodesicSegment:
 def segment_between(space: ModelSpace, x, y) -> GeodesicSegment:
     """The minimal geodesic from x to y; raises CutLocusError on sphere antipodes."""
     v, length = space.log(x, y)
-    if isinstance(space, Sphere) and not length < math.pi * space.radius - CUT_MARGIN:
-        raise CutLocusError("segment reaches the antipodal cut locus")
     return GeodesicSegment(np.asarray(x, float), np.asarray(y, float), v, length)
 
 
@@ -355,130 +366,114 @@ def grad_sup(space: ModelSpace, weight: WeightFunction, points) -> float:
     return float(np.max(norms, initial=0.0))
 
 
+def _no_hessian(x, u, w):
+    return np.zeros(np.shape(x)[:-1])
+
+
 def constant_weight(value: float = 0.0) -> WeightFunction:
-    def ev(x):
-        return np.full(np.shape(x)[:-1], float(value)) if np.ndim(x) > 1 else float(value)
-
-    def gr(x):
-        return np.zeros(np.shape(x))
-
-    def he(x, u, w):
-        return np.zeros(np.shape(x)[:-1]) if np.ndim(x) > 1 else 0.0
-
-    return WeightFunction(ev, gr, he, is_constant=True, name=f"constant({value})")
+    return WeightFunction(lambda x: np.full(np.shape(x)[:-1], float(value)),
+                          lambda x: np.zeros(np.shape(x)), _no_hessian,
+                          is_constant=True, name=f"constant({value})")
 
 
-def _euclidean_linear(a: float) -> WeightFunction:
-    def ev(x):
-        return a * x[..., 0]
-
-    def gr(x):
-        g = np.zeros(np.shape(x))
-        g[..., 0] = a
-        return g
-
-    def he(x, u, w):
-        return np.zeros(np.shape(x)[:-1]) if np.ndim(x) > 1 else 0.0
-
-    return WeightFunction(ev, gr, he, name=f"linear({a})")
+def _along(x, entries) -> np.ndarray:
+    """Ambient vectors at x, zero but at the {index: value} entries."""
+    g = np.zeros(np.shape(x))
+    for i, value in entries.items():
+        g[..., i] = value
+    return g
 
 
-def _euclidean_quadratic(a: float) -> WeightFunction:
-    def ev(x):
-        return 0.5 * a * np.sum(x * x, axis=-1)
-
-    def gr(x):
-        return a * x
-
-    def he(x, u, w):
-        return a * np.sum(u * w, axis=-1)
-
-    return WeightFunction(ev, gr, he, name=f"quadratic({a})")
+def _euclidean_presets(space, a):
+    return {"linear": (lambda x: a * x[..., 0], lambda x: _along(x, {0: a}),
+                       _no_hessian),
+            "quadratic": (lambda x: 0.5 * a * np.sum(x * x, axis=-1),
+                          lambda x: a * x,
+                          lambda x, u, w: a * np.sum(u * w, axis=-1))}
 
 
-def _sphere_cosine(space: Sphere, a: float) -> WeightFunction:
-    """f = a cos(theta) = a z / R on the sphere; z is an eigenfunction, so
-    grad and Hessian are closed form: hess f = -(a z / R^3) g."""
+def _sphere_presets(space, a):
+    """cosine(a) = a X_n / R, and linear(a) = a theta for the colatitude
+    theta = acos(X_n / R) (singular at the poles)."""
     R = space.radius
-    axis = np.zeros(space.ambient)
-    axis[-1] = 1.0
 
-    def ev(x):
-        return a * x[..., -1] / R
+    def dtheta(z):  # d theta / d X_n
+        return -1.0 / np.sqrt((R - z) * (R + z))
+
+    return {"cosine": (lambda x: a * x[..., -1] / R,
+                       lambda x: _along(x, {-1: a / R}), _no_hessian),
+            "linear": (lambda x: a * np.arccos(np.clip(x[..., -1] / R, -1.0, 1.0)),
+                       lambda x: _along(x, {-1: a * dtheta(x[..., -1])}),
+                       lambda x, u, w: (a * x[..., -1] * dtheta(x[..., -1]) ** 3
+                                        * u[..., -1] * w[..., -1]))}
+
+
+def _hyperbolic_presets(space, a, at=None):
+    """The half-space coordinate functions a (|p|^2 + y^2) / 2 and a p_1, at
+    any scale, composed with the isometry (p, y) -> (p0 + y0 p, y0 y) that
+    takes the origin (0, ..., 0, R) to ``at`` (default: the origin), whose
+    chart point is (p0, y0): a (y0^2 r^2 + 2 y0 p0 . p + |p0|^2) / 2 and
+    a (y0 p_1 + p0_1) for r^2 = |p|^2 + y^2 = s / q and p = X_{1..n-1} / q
+    (``_nulls``). Each is F = c + N . X / q, N = sigma (e_0 + e_n) + a middle
+    part, so DF = (N - (F - c) Dq) / q and D^2F(u, w) = -(Dq . u DF . w +
+    Dq . w DF . u) / q."""
+    e = np.eye(space.ambient)
+    Dq = e[-1] - e[0]
+    at = space.radius * e[-1] if at is None else np.asarray(at, dtype=float)
+    q0 = space._nulls(at)[0]
+    p0, y0 = np.concatenate([[0.0], at[1:-1] / q0, [0.0]]), space.radius / q0
+
+    def ratio(n, c):
+        def G(x):  # (F - c, q)
+            q, s = space._nulls(x)
+            return (n[-1] * s + _dot(x[..., 1:-1], n[1:-1])) / q, q
+
+        def DF(x):
+            g, q = G(x)
+            return (n - g[..., None] * Dq) / q[..., None]
+
+        def D2F(x, u, w):
+            df = DF(x)
+            return -(_dot(u, Dq) * _dot(w, df)
+                     + _dot(w, Dq) * _dot(u, df)) / G(x)[1]
+
+        return lambda x: c + G(x)[0], DF, D2F
+
+    return {"quadratic": ratio(0.5 * a * (y0 * y0 * (e[0] + e[-1]) + 2.0 * y0 * p0),
+                               0.5 * a * (p0 @ p0)),
+            "linear": ratio(a * y0 * e[1], a * p0[1])}
+
+
+_PRESETS = {"euclidean": _euclidean_presets, "sphere": _sphere_presets,
+            "hyperbolic": _hyperbolic_presets}
+
+
+def _ambient_weight(space: ModelSpace, name: str, F, DF, D2F) -> WeightFunction:
+    """The weight of an ambient function F, given with DF and D^2F: with
+    P_X v = v - sec <X, v> X and G the ambient form, grad f = P_X(G DF) and
+    Hess f(u, w) = D^2F(u, w) - sec <u, w> (X . DF); on R^n (sec = 0) they
+    are DF and D^2F."""
+    k = space.sec
+    if k == 0.0:
+        return WeightFunction(F, DF, D2F, name=name)
 
     def gr(x):
-        z = x[..., -1]
-        return (a / R) * (axis - z[..., None] * x / R**2)
+        df = DF(x)
+        return df * space._form - (k * _dot(x, df))[..., None] * x
 
     def he(x, u, w):
-        z = x[..., -1]
-        return -(a * z / R**3) * np.sum(u * w, axis=-1)
+        return D2F(x, u, w) - k * space.inner(x, u, w) * _dot(x, DF(x))
 
-    return WeightFunction(ev, gr, he, name=f"cosine({a})")
-
-
-def _sphere_linear(space: Sphere, a: float) -> WeightFunction:
-    """f = a * colatitude; distance function from the pole, so the Hessian
-    is the classical cot comparison form. Singular at the poles."""
-    R = space.radius
-    axis = np.zeros(space.ambient)
-    axis[-1] = 1.0
-
-    def theta(x):
-        return np.arccos(np.clip(x[..., -1] / R, -1.0, 1.0))
-
-    def grad_theta(x):
-        z = x[..., -1]
-        w = axis - z[..., None] * x / R**2
-        nw = np.linalg.norm(w, axis=-1)
-        nw = np.where(nw < 1e-300, 1.0, nw)
-        return -(w / nw[..., None]) / R
-
-    def ev(x):
-        return a * theta(x)
-
-    def gr(x):
-        return a * grad_theta(x)
-
-    def he(x, u, w):
-        th = theta(x)
-        gth = grad_theta(x)
-        cot = np.cos(th) / np.sin(th)
-        guv = np.sum(u * w, axis=-1)
-        du = np.sum(gth * u, axis=-1)
-        dw = np.sum(gth * w, axis=-1)
-        return a * (cot / R**2) * (guv - R**2 * du * dw)
-
-    return WeightFunction(ev, gr, he, name=f"linear({a})")
-
-
-def _hyperbolic(space: Hyperbolic, flat: WeightFunction) -> WeightFunction:
-    """A Euclidean coordinate weight on H^n, whose metric (s/y)^2 |dx|^2 is
-    conformal: grad f = (y/s)^2 Df, and the Christoffel symbols of the
-    factor give Hess f(u, w) = D^2 f(u, w)
-    + (u.Df w_y + w.Df u_y - (u.w) D_y f) / y."""
-    s = space.scale
-
-    def gr(x):
-        return (x[..., -1:] / s) ** 2 * flat.grad(x)
-
-    def he(x, u, w):
-        df = flat.grad(x)
-        ud = np.sum(u * df, axis=-1)
-        wd = np.sum(w * df, axis=-1)
-        uw = np.sum(u * w, axis=-1)
-        return flat.hess(x, u, w) + (ud * w[..., -1] + wd * u[..., -1]
-                                     - uw * df[..., -1]) / x[..., -1]
-
-    return WeightFunction(flat.eval, gr, he, name=flat.name)
+    return WeightFunction(F, gr, he, name=name)
 
 
 _PRESET_RE = re.compile(r"^([a-z]+)(?:[:(]([-+0-9.eE]+)\)?)?$")
 
 
-def weight_preset(space: ModelSpace, spec: str) -> WeightFunction:
+def weight_preset(space: ModelSpace, spec: str, at=None) -> WeightFunction:
     """Named weight presets: zero, constant(a), linear(a), quadratic(a),
-    cosine(a) (sphere only)."""
+    cosine(a) (sphere only); on H^n, ``at`` composes the preset with an
+    isometry taking the origin (0, ..., 0, R) to the point ``at``."""
     m = _PRESET_RE.match(spec.strip())
     if not m:
         raise ConfigError(f"cannot parse weight preset: {spec!r}")
@@ -487,21 +482,31 @@ def weight_preset(space: ModelSpace, spec: str) -> WeightFunction:
         return constant_weight(0.0)
     if name == "constant":
         return constant_weight(arg)
-    if name == "cosine":
-        if not isinstance(space, Sphere):
-            raise ConfigError("cosine weight is defined on the sphere only")
-        return _sphere_cosine(space, arg)
-    if name not in ("linear", "quadratic"):
-        raise ConfigError(f"unknown weight preset: {name}")
-    if isinstance(space, Sphere):
-        if name == "linear":
-            return _sphere_linear(space, arg)
+    if name == "quadratic" and isinstance(space, Sphere):
         # |x| = R on the sphere, so a |x|^2 / 2 is the constant a R^2 / 2
         weight = constant_weight(0.5 * arg * space.radius**2)
         weight.name = f"quadratic({arg})"
         return weight
-    flat = (_euclidean_linear if name == "linear" else _euclidean_quadratic)(arg)
-    return _hyperbolic(space, flat) if isinstance(space, Hyperbolic) else flat
+    presets = (_PRESETS[space.kind](space, arg) if at is None
+               else _hyperbolic_presets(space, arg, at))
+    if name not in presets:
+        raise ConfigError(f"unknown weight preset on a {space.kind} space: {name}")
+    return _ambient_weight(space, f"{name}({arg})", *presets[name])
+
+
+def centred(space: ModelSpace, spec: str, x, v):
+    """(weight, x, v) for the weight preset ``spec`` at x along the unit
+    tangent v, moved on H^n by the isometry that takes x to the origin: the
+    preset composed with it (``weight_preset``'s ``at``), the origin, and
+    the tangent there with v's coordinates in ``frame(x)``, where a
+    tangent's Minkowski products keep the digits they lose as (X_n / R)^2
+    at x. On R^n and S^n the preset, x and v as given."""
+    if space.kind != "hyperbolic":
+        return weight_preset(space, spec), x, v
+    origin = space.radius * np.eye(space.ambient)[-1]
+    return (weight_preset(space, spec, at=x), origin,
+            unit_tangents(space.frame(origin),
+                          space.inner(x, space.frame(x), v)))
 
 
 def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:

@@ -465,13 +465,16 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == 2
         assert "[d_f < C_kappa]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("radius", [500, 800])
+    # the corner p_i = r, y = e^{-r} of an H^3 region is the hyperboloid
+    # point of time coordinate (2 r^2 + e^{-2r} + 1) e^r / 2, which reaches
+    # X_n = 2^26 R, the span where coordinates keep digits, at r = 12.90379
+    @pytest.mark.parametrize("radius", [500, 800, 12.9038])
     @pytest.mark.parametrize("suite", ["curvature", "jacobian"])
     def test_hyperbolic_region_past_float_range_exits_2(self, tmp_path,
                                                         capsys, suite,
                                                         radius):
-        # y^2 = e^{2h} leaves the float range in the metric: curvature read
-        # a false counterexample (exit 1) and jacobian a pass at radius 500
+        # half-space heights e^{+-r} left the float range at radius 500:
+        # curvature read a false counterexample (exit 1), jacobian a pass
         cfg = base_cfg(suite, space={"kind": "hyperbolic", "dim": 3},
                        weight="zero", kappa=-3.0,
                        sampling={"trials": 20, "seed": 0,
@@ -485,9 +488,44 @@ class TestRunExitCodes:
     def test_hyperbolic_region_inside_float_range_validates(self, tmp_path):
         cfg = base_cfg("curvature", space={"kind": "hyperbolic", "dim": 3},
                        weight="zero", kappa=-3.0,
-                       sampling={"region": {"radius": -354.0}})
-        assert main(["validate", "--config",
-                     write_cfg(tmp_path, "c.json", cfg)]) == 0
+                       sampling={"region": {"radius": -12.9037}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 0
+        # and runs, warning-free (a warning would exit 4); a negative
+        # radius crashed with exit 4 when it was drawn as uniform(-r, r)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("suite", ["taylor", "limits"])
+    def test_hyperbolic_far_base_point_passes(self, tmp_path, suite):
+        # the seed-0 base point of a radius-3 region sits at X_n = 28 R,
+        # where tangent products lose digits as (X_n / R)^2: run there,
+        # taylor's remainders level off at 1e-14, above the noise floor,
+        # and read taylor_series -102.2; run at the origin, they pass
+        cfg = base_cfg(suite, space={"kind": "hyperbolic", "dim": 3},
+                       kappa=-3.0, sampling={"seed": 0, "region": {"radius": 3.0}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("suite, scale", [
+        ("jacobian", 0.001), ("limits", 0.001), ("limits", 0.005),
+        ("limits", 0.002), ("taylor", 0.003)])
+    def test_hyperbolic_geodesic_past_float_range_exits_2(self, tmp_path,
+                                                          capsys, suite,
+                                                          scale):
+        # at small scales a ray, the limits ball or the largest taylor
+        # offset runs past X_n = 2^26 R, where a point keeps no digit of
+        # the hyperboloid: past it limits overflowed (0.005, 0.002), taylor
+        # ran out of memory (0.003), and the half-space model read jacobian
+        # -1.0 and a NaN limit bound at 0.001, with RuntimeWarnings
+        cfg = base_cfg(suite, space={"kind": "hyperbolic", "dim": 3,
+                                     "scale": scale},
+                       kappa=-3.0 / scale**2, sampling={"trials": 50, "seed": 0})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[geodesic within SPAN]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["limits", "taylor"])
     def test_s_kappa_past_float_range_exits_2(self, tmp_path, capsys, suite):

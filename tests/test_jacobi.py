@@ -12,7 +12,8 @@ from cdcheck.jacobi import (concavity_margins, integrate_jacobi,
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.quadrature import cumulative_simpson
 from cdcheck.spaces import (WeightFunction, check_curvature_bound,
-                            constant_weight, make_space, weight_preset)
+                            constant_weight, make_space, unit_tangents,
+                            weight_preset)
 
 
 @pytest.fixture
@@ -268,9 +269,34 @@ class TestSampling:
         elif kind == "sphere":
             np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0,
                                        rtol=1e-14)
-        else:
-            assert np.all(np.abs(xs[:, :-1]) <= r)
-            assert np.all(np.abs(np.log(xs[:, -1])) <= r + 1e-12)
+        else:  # the half-space coordinates X_{1..n-1} / q and y = R / q
+            q = xs[:, -1] - xs[:, 0]
+            assert np.all(np.abs(xs[:, 1:-1] / q[:, None]) <= r + 1e-12)
+            assert np.all(np.abs(np.log(sp.radius / q)) <= r + 1e-12)
+
+    def test_hyperbolic_rays_keep_their_draws(self):
+        # H^3 rays take the five blocks of the half-space model: a uniform
+        # (p, log y) block, then the normal, theta, eigenvalue and Gaussian
+        # blocks; theta and S are the values that model drew, and the
+        # points its points on the hyperboloid
+        sp = make_space("hyperbolic", 3)
+        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+        xs, ws, Ss = sample_rays(sp, rng, 50)
+        block = ref.uniform(-1.0, 1.0, size=(50, 3))
+        coeffs = ref.normal(size=(50, 3))
+        thetas = ref.uniform(0.2, 1.2, size=50)
+        lams = ref.uniform(-0.8, 0.8, size=(50, 3))
+        q, _ = np.linalg.qr(ref.normal(size=(50, 3, 3)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        S = (q * (lams / thetas[:, None])[:, None, :]) @ np.swapaxes(q, 1, 2)
+        np.testing.assert_array_equal(Ss, 0.5 * (S + np.swapaxes(S, 1, 2)))
+        np.testing.assert_array_equal(
+            ws, thetas[:, None] * unit_tangents(sp.frame(xs), coeffs))
+        height = xs[:, -1] - xs[:, 0]
+        np.testing.assert_allclose(xs[:, 1:-1] / height[:, None], block[:, :-1],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.log(1.0 / height), block[:, -1],
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
                                            ("hyperbolic", 3)])

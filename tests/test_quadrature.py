@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cdcheck.quadrature import adaptive_simpson, composite_simpson
+from cdcheck.errors import PreconditionError
+from cdcheck.quadrature import MAX_OPEN, adaptive_simpson, composite_simpson
 
 
 def counting(fn):
@@ -99,6 +100,16 @@ class TestLevels:
         val, err = adaptive_simpson(fn, 0.0, 1.0, max_depth=12)
         assert math.isnan(val) and math.isnan(err)
         assert fn.calls == 2
+
+    def test_unsettled_refinement_is_refused(self):
+        # noise above the tolerance never settles: every interval splits
+        # at every level, and past MAX_OPEN open intervals the call is
+        # refused instead of splitting on towards 2^30 of them
+        noise = np.random.default_rng(0)
+        fn = counting(lambda x: 1.0 + 1e-9 * noise.standard_normal(x.shape))
+        with pytest.raises(PreconditionError, match="does not settle"):
+            adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-13)
+        assert fn.calls == math.log2(MAX_OPEN) + 2
 
     @pytest.mark.parametrize("f, a, b, rel_tol, max_depth", [
         (math.exp, 0.0, 2.0, 1e-13, 30),
