@@ -273,11 +273,13 @@ def _axis_density(geometry, spec) -> DensityField:
 
 
 def _write_table(path, header, rows) -> None:
-    """A CSV table of float rows, written to round trip (``.17g``)."""
+    """A CSV table; floats are written to round trip (``.17g``), str cells
+    as they are."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([f"{v:.17g}" for v in row] for row in rows)
+        w.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row]
+                    for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -396,10 +398,10 @@ def _run_taylor(run, out_dir):
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
     checks = taylor.check_series(space, weight, params, cfg["kappa"],
                                  x0, v, terms)
-    for chk in checks:
-        _write_table(out_dir / f"taylor_{chk.term}.csv",
-                     ["delta", "exact", "series", "remainder"],
-                     zip(chk.deltas, chk.exact, chk.series, chk.remainder))
+    _write_table(out_dir / "taylor.csv",
+                 ["term", "delta", "exact", "series", "remainder"],
+                 ((chk.term, *row) for chk in checks for row in
+                  zip(chk.deltas, chk.exact, chk.series, chk.remainder)))
     reports = [CheckReport(name="taylor_series",
                            margins=[chk.margin for chk in checks],
                            tolerance=0.0,

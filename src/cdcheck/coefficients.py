@@ -27,7 +27,7 @@ from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
 from .quadrature import neville_extrapolate
 from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
-from .reparam import LOG_MAX, reparam_partial
+from .reparam import LOG_MAX, exp_or_inf, reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12
@@ -190,7 +190,7 @@ def check_limits(space, weight, params, kappa: float, x, y,
     pts = space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r, 200))
     sup = grad_sup(space, weight, pts)
     aa = abs(params.a)
-    B = aa * (1.0 - t_mid) * sup * math.exp(
+    B = aa * (1.0 - t_mid) * sup * exp_or_inf(
         aa * (1.0 - t_mid) * sup * r) * 2.0
     decay_rows = []
     decay_margin = math.inf
@@ -198,10 +198,8 @@ def check_limits(space, weight, params, kappa: float, x, y,
         dev = abs(_beta_of(params, kappa, t_mid, sk, dk_t, dk_full) - 1.0)
         # conservative envelope: linear asymmetry term plus curvature term;
         # past the float range it bounds nothing and reads +inf
-        try:
-            lim = math.expm1(params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0))
-        except OverflowError:
-            lim = math.inf
+        ex = params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0)
+        lim = math.inf if ex > LOG_MAX else math.expm1(ex)
         decay_rows.append({"d": dk, "dev": dev, "bound": lim})
         decay_margin = min(decay_margin, lim - dev + 1e-12)
     margins.append(float(decay_margin))

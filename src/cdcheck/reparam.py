@@ -7,11 +7,12 @@ weight f, the partial re-parametrized distance at fraction t is
 
 The full distance is d_f(x, y) = d_1(x, y). ``reparam_partial`` takes one
 segment and one fraction, or a stack of segments and their fractions, and
-computes every distance of the stack in one stacked adaptive Simpson call
-on the analytic geodesics: each level evaluates the integrand at all of
-its abscissae at once (``space.geodesic`` from each abscissa's segment,
-then ``weight.eval``, then ``np.exp``), and each distance is the float its
-own one-segment call returns.
+computes every distance of the stack in one stacked call of the
+Gauss-Legendre panel rule `quadrature.gauss_legendre` on the analytic
+geodesics: each round evaluates the integrand at all of its abscissae at
+once (``space.geodesic`` from each abscissa's segment, then
+``weight.eval``, then ``np.exp``), and each distance is the float its own
+one-segment call returns.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ import numpy as np
 
 from .errors import PreconditionError
 from .params import DimensionParams
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_legendre
 from .spaces import GeodesicSegment, ModelSpace, WeightFunction
 
 LOG_MAX = math.log(sys.float_info.max)  # exp of a larger exponent overflows
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, +inf past the float range: a bound there bounds nothing."""
+    return math.inf if x > LOG_MAX else math.exp(x)
 
 
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
@@ -35,7 +41,7 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     a scalar t; for a sequence of segments, an array of the shape of their
     index broadcast against t (so t = [[t0], [t1]] gives the two fractions
     on every segment as two rows). Raises PreconditionError where e^{-a f}
-    leaves the float range."""
+    overflows, or where a distance of a non-empty segment underflows."""
     single = isinstance(seg, GeodesicSegment)
     segs = [seg] if single else list(seg)
     rows, ts = np.broadcast_arrays(np.arange(len(segs)),
@@ -60,5 +66,10 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
                                         " range", failed="e^{-a f} finite")
             return np.exp(expo)
 
-        out, _ = adaptive_simpson(integrand, 0.0, ts * lengths, rel_tol=rel_tol)
+        out, _ = gauss_legendre(integrand, 0.0, ts * lengths, rel_tol=rel_tol)
+    # where e^{-a f} underflows along a whole segment, its distances keep
+    # no digit and every ratio of them is 0/0
+    if np.any((out < sys.float_info.min) & (ts * lengths > 0.0)):
+        raise PreconditionError("a re-parametrized distance underflows the"
+                                " float range", failed="d_t normal")
     return float(out[0]) if single and np.ndim(t) == 0 else out

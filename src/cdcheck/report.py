@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,9 +25,10 @@ class CheckReport:
     vacuous: bool = False
     provenance: dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def min_margin(self) -> float:
-        """Smallest margin; NaN when there is none or any margin is NaN."""
+        """Smallest margin, taken once (a report's margins do not change);
+        NaN when there is none or any margin is NaN."""
         if not self.margins or any(math.isnan(m) for m in self.margins):
             return math.nan
         return min(self.margins)

@@ -26,7 +26,7 @@ from .params import DimensionParams, s_kappa
 from .report import CheckReport
 from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
                      unit_tangents)
-from .reparam import LOG_MAX, reparam_partial
+from .reparam import LOG_MAX, exp_or_inf, reparam_partial
 
 NOISE_FLOOR = 5e-15
 
@@ -108,7 +108,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
     the offsets 8 and 16 times each offset are on it. Raises
     PreconditionError if e^{-a f} at the base point or s_kappa of a
-    distance leaves the float range.
+    distance leaves the float range, or if an app4 or app6 term meets
+    |theta| delta >= 1 on the grid.
     """
     single = isinstance(term, str)
     terms = (term,) if single else tuple(term)
@@ -143,6 +144,14 @@ def check_series(space: ModelSpace, weight: WeightFunction,
         b_fwd, b_rev = np.exp(params.inv_c * (
             np.log(s_kappa(kappa, np.array([d_half, d_full - d_half])))
             - log_sf))
+    if any(tm.startswith(("app4", "app6")) for tm in terms):
+        th = theta_eps(params, gfv)
+        # past |theta| delta = 1 the factors (1 -+ theta delta)^n are no
+        # small-delta expansion, and app6 takes a power of a negative base
+        if abs(th) * d[0] >= 1.0:
+            raise PreconditionError(f"|theta| delta = {abs(th) * d[0]:.3g}"
+                                    " reaches 1 on the delta grid",
+                                    failed="|theta| delta < 1")
     if any(tm.startswith(("app3", "app6")) for tm in terms):
         # the weight ratios e^{f(x) - f(gamma(-+delta))}
         f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
@@ -170,13 +179,10 @@ def check_series(space: ModelSpace, weight: WeightFunction,
             lead = gfv if term == "app3_fwd" else -gfv
             series = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
         elif term.startswith("app4"):
-            th = theta_eps(params, gfv)
-            if term == "app4_rev":
-                th = -th
-            exact = (1.0 + th * d) ** n
-            series = 1.0 + n * th * d + 0.5 * n * (n - 1) * th**2 * d * d
+            sth = -th if term == "app4_rev" else th
+            exact = (1.0 + sth * d) ** n
+            series = 1.0 + n * sth * d + 0.5 * n * (n - 1) * sth**2 * d * d
         else:  # app6
-            th = theta_eps(params, gfv)
             cr = params.c_ratio
             left = (w_fwd * (1.0 + th * d) ** n * b_fwd) ** cr
             right = (w_rev * (1.0 - th * d) ** n * b_rev) ** cr
@@ -247,7 +253,7 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
             for j in range(levels)]
     d_full, d_t = reparam_partial(space, weight, params, segs, [[1.0], [t]])
     a, big_a = abs(params.a), (1.0 - t) * sup
-    margins = [a * big_a * math.exp(a * big_a * sg.length) * sg.length
+    margins = [a * big_a * exp_or_inf(a * big_a * sg.length) * sg.length
                - abs(dt / (t * df) - 1.0)
                for sg, df, dt in zip(segs, d_full.tolist(), d_t.tolist())]
     return CheckReport(name="limit_bound", margins=margins, tolerance=1e-12,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcheck import cli
+from cdcheck import cli, taylor
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
 from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
@@ -539,6 +539,31 @@ class TestRunExitCodes:
                      str(tmp_path / "o")]) == 2
         assert "[s_kappa(d_f) finite]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius, seed", [(6.0, 4), (8.0, 2)])
+    def test_underflowing_distances_exit_2(self, tmp_path, capsys, radius,
+                                           seed):
+        # f reaches 3,500-14,000 at these H^3 base points, so e^{-a f} and
+        # every distance underflow to 0 and d_t / (t d_f) is 0/0: the limit
+        # bound's exponent overflowed first (exit 4, OverflowError)
+        cfg = base_cfg("limits", space={"kind": "hyperbolic", "dim": 3},
+                       kappa=-3.0,
+                       sampling={"seed": seed, "region": {"radius": radius}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[d_t normal]" in capsys.readouterr().err
+
+    def test_theta_delta_past_one_exits_2(self, tmp_path, capsys):
+        # H^3 at scale 0.005: |theta| 2^-4 = 1.12, where app6 took a power
+        # of a negative base and read a NaN margin (exit 1, RuntimeWarning)
+        cfg = base_cfg("taylor", space={"kind": "hyperbolic", "dim": 3,
+                                        "scale": 0.005},
+                       kappa=-1.2e5, sampling={"seed": 0})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[|theta| delta < 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_weight_factor_past_float_range_exits_2(self, tmp_path, capsys,
                                                     seed):
@@ -664,11 +689,14 @@ class TestArtifacts:
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == 0
-        per_term = out / "taylor_app2_fwd.csv"
-        rows = _csv_rows(per_term)
-        assert rows[0] == ["delta", "exact", "series", "remainder"]
+        # one table: a row per term and delta, terms in report order
+        rows = _csv_rows(out / "taylor.csv")
+        assert rows[0] == ["term", "delta", "exact", "series", "remainder"]
+        assert [row[0] for row in rows[1::11]] == list(taylor.TERMS)
+        assert len(rows) == 1 + 11 * len(taylor.TERMS)
+        assert not list(out.glob("taylor_*.csv"))
         for row in rows[1:]:
-            d, e, s, r = map(float, row)
+            d, e, s, r = map(float, row[1:])
             assert r == pytest.approx(e - s, abs=1e-15)
 
     def test_report_contains_resolved_config(self, tmp_path):
@@ -785,7 +813,7 @@ class TestDeterminism:
 _FAULTS_SNIPPET = """\
 import contextlib, io, json, resource, sys
 from pathlib import Path
-from cdcheck import cli
+from cdcheck import cli, taylor
 cfg, out = sys.argv[1], Path(sys.argv[2])
 for i in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

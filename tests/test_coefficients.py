@@ -302,6 +302,18 @@ class TestLimits:
         segs, ts = calls[0][3], calls[0][4]
         assert len(segs) == len(ts) == 1 + 7 + 2 * 6
 
+    def test_overflowing_asymmetry_rate_is_inf(self):
+        # |grad f| = 6000 along a segment of length 0.4 puts the rate B of
+        # the decay envelope past the float range, which raised
+        # OverflowError; the envelope then bounds nothing and reads +inf
+        sp = make_space("euclidean", 3)
+        rep = check_limits(sp, weight_preset(sp, "linear(6000)"),
+                           validate_params(3, 9, 0.4), -0.7, np.zeros(3),
+                           np.array([0.0, 0.4, 0.0]),
+                           [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
+        assert all(row["bound"] == math.inf for row in rep.provenance["decay"])
+        assert rep.verdict == "pass"
+
     def test_overflowing_decay_bound_is_met(self, tmp_path):
         # unit S^2, zero weight, kappa = -3e5: the decay envelope
         # expm1(...) passes the float range at the larger distances, which

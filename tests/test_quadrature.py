@@ -1,4 +1,5 @@
-"""Level-batched adaptive Simpson: accuracy, call count, summation order."""
+"""Round-batched Gauss-Legendre panels: nodes, accuracy, call count,
+summation order."""
 
 import math
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from cdcheck.errors import PreconditionError
-from cdcheck.quadrature import MAX_OPEN, adaptive_simpson, composite_simpson
+from cdcheck.params import validate_params
+from cdcheck.quadrature import (_NODES, _WEIGHTS, MAX_OPEN, PANEL_LENGTH,
+                                gauss_legendre)
+from cdcheck.spaces import make_space, segment_between, weight_preset
 
 
 def counting(fn):
@@ -24,30 +28,38 @@ def abscissae(fn):
     return lambda p: fn(p[1])
 
 
-def recursive_simpson(fn, a, b, rel_tol=1e-10, max_depth=30):
-    """The scalar recursive formulation the level-batched one reproduces."""
-    fa, fb, m = fn(a), fn(b), 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    grid = np.linspace(a, b, 33)
-    vals = np.array([fn(float(s)) for s in grid[1:-1]])
-    coarse = composite_simpson(np.concatenate([[fa], vals, [fb]]),
-                               float(grid[1] - grid[0]))
+def recursive_gauss_legendre(fn, a, b, rel_tol=1e-10, max_depth=30):
+    """The scalar recursive formulation the round-batched one reproduces:
+    one level per round, the round's panels from left to right, a panel's
+    two sums from its 24 values, and the round's tolerance from the
+    accepted panels plus the round's 16-point sums."""
+    n = math.ceil(abs(b - a) / PANEL_LENGTH)
 
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1)
-        rv, re = recurse(m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1)
-        return lv + rv, le + re
+    def sums(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fw = np.array([fn(s) for s in (mid + half * _NODES).tolist()]) * _WEIGHTS
+        return mid, fw[:16].sum() * half, fw[16:].sum() * half
 
-    tol0 = rel_tol * max(abs(coarse), 1e-300) + 1e-300
-    return recurse(a, fa, m, fm, b, fb, whole, tol0, 0)
+    def level(panels, depth, val, err):
+        if not panels:
+            return val, err
+        panel_sums = [sums(lo, hi) for lo, hi in panels]
+        est = 0.0
+        for _, v16, _ in panel_sums:
+            est += v16
+        tol = rel_tol * abs(val + est)
+        sv = se = 0.0
+        split = []
+        for (lo, hi), (mid, v16, v8) in zip(panels, panel_sums):
+            e = abs(v16 - v8)
+            if depth >= max_depth or not e > tol:
+                sv, se = sv + v16, se + e
+            else:
+                split += [(lo, mid), (mid, hi)]
+        return level(split, depth + 1, val + sv, err + se)
+
+    return level([(a + (b - a) * (k / n), a + (b - a) * ((k + 1) / n))
+                  for k in range(n)], 0, 0.0, 0.0)
 
 
 def gaussian(x, c=0.3, w=0.01):
@@ -60,56 +72,118 @@ def elementwise(f):
     return lambda p: np.array([f(s) for s in np.asarray(p[1], float).tolist()])
 
 
+class TestNodes:
+    @pytest.mark.parametrize("points, cols", [(16, slice(0, 16)),
+                                              (8, slice(16, 24))])
+    def test_match_leggauss(self, points, cols):
+        x, w = np.polynomial.legendre.leggauss(points)
+        order = np.argsort(_NODES[cols])
+        assert np.abs(_NODES[cols][order] - x).max() <= 1e-15
+        assert np.abs(_WEIGHTS[cols][order] - w).max() <= 1e-15
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("L", [0.01, 1.0, 7.5])
     def test_decaying_exponential(self, L):
-        val, err = adaptive_simpson(abscissae(lambda x: np.exp(-x)), 0.0, L,
-                                    rel_tol=1e-12)
+        val, err = gauss_legendre(abscissae(lambda x: np.exp(-x)), 0.0, L,
+                                  rel_tol=1e-12)
         exact = -math.expm1(-L)
         assert val == pytest.approx(exact, rel=1e-12)
         assert err <= 1e-12 * exact
 
     def test_cubic_is_exact(self):
         cubic = lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 1.0
-        val, err = adaptive_simpson(abscissae(cubic), -1.0, 2.0)
+        val, err = gauss_legendre(abscissae(cubic), -1.0, 2.0)
         exact = 0.5 * (16 - 1) - (8 + 1) / 3.0 + 1.5 * (4 - 1) - 3.0
         assert val == pytest.approx(exact, rel=1e-14)
         assert err < 1e-14
 
     def test_peaked_gaussian(self):
-        val, _ = adaptive_simpson(abscissae(gaussian), 0.0, 1.0,
-                                  rel_tol=1e-10)
+        val, _ = gauss_legendre(abscissae(gaussian), 0.0, 1.0, rel_tol=1e-10)
         exact = 0.01 * math.sqrt(2.0 * math.pi)  # tails below 1e-195
         assert val == pytest.approx(exact, rel=1e-10)
 
+    def test_peak_missed_by_the_first_round(self):
+        # the first round's nodes all lie where e^{-1e4 x} is below 1e-11,
+        # so its value is 1e-10 of the integral; a tolerance taken from it
+        # alone asks for digits below the integrand's rounding noise and
+        # never settles (a geodesic far out in H^3 read so)
+        noise = np.random.default_rng(0)
+        fn = counting(lambda x: np.exp(-1e4 * x)
+                      * (1.0 + 1e-14 * noise.standard_normal(x.shape)))
+        val, err = gauss_legendre(fn, 0.0, 0.5, rel_tol=1e-10)
+        assert val == pytest.approx(1e-4, rel=1e-10)
+        assert err <= 1e-10 * val
+        assert fn.calls <= 12
+
     def test_empty_interval(self):
-        assert adaptive_simpson(abscissae(np.exp), 0.4, 0.4) == (0.0, 0.0)
+        fn = counting(np.exp)
+        assert gauss_legendre(fn, 0.4, 0.4) == (0.0, 0.0)
+        assert fn.calls == 0
+
+
+class TestGeodesicIntegrands:
+    """The integrands e^{-a f} of ``reparam_partial``, against 64-point
+    Gauss-Legendre on 8 panels."""
+
+    @pytest.mark.parametrize("kind, dim, preset", [
+        ("euclidean", 3, "quadratic(0.3)"), ("sphere", 2, "cosine(0.3)"),
+        ("hyperbolic", 3, "quadratic(0.3)"), ("hyperbolic", 3, "linear(0.5)"),
+    ])
+    def test_matches_gl64(self, kind, dim, preset):
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        a = validate_params(dim, 3 * dim, 0.4).a
+        rng = np.random.default_rng(11)
+        segs = []
+        for _ in range(100):
+            x = sp.sample_point(rng)
+            segs.append(segment_between(sp, x, sp.geodesic(
+                x, sp.sample_unit(rng, x), 10.0 ** rng.uniform(-3, 0.6))))
+        starts = np.stack([sg.start for sg in segs])
+        dirs = np.stack([sg.direction for sg in segs])
+        f = lambda i, s: np.exp(-a * w.eval(sp.geodesic(starts[i], dirs[i], s)))
+        ends = np.array([[1.0], [0.5], [0.1]]) * [sg.length for sg in segs]
+        cols = np.broadcast_to(np.arange(len(segs)), ends.shape)
+        vals, errs = gauss_legendre(lambda p: f(cols.ravel()[p[0]], p[1]),
+                                    0.0, ends, rel_tol=1e-13)
+        x64, w64 = np.polynomial.legendre.leggauss(64)
+        for val, err, i, end in zip(vals.ravel(), errs.ravel(), cols.ravel(),
+                                    ends.ravel()):
+            edges = np.linspace(0.0, end, 9)
+            half = 0.5 * np.diff(edges)[:, None]
+            s = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x64
+            ref = float((f(i, s.ravel()).reshape(s.shape) * w64 * half).sum())
+            assert abs(val - ref) <= 1e-13 * ref
+            # the error estimate covers the difference, up to the rounding
+            # of the two sums
+            assert abs(val - ref) <= err + 4.0 * np.finfo(float).eps * ref
 
 
 class TestLevels:
     @pytest.mark.parametrize("max_depth", [0, 3, 8, 30])
     def test_one_call_per_level(self, max_depth):
         fn = counting(gaussian)
-        adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-13, max_depth=max_depth)
-        assert fn.calls <= max_depth + 2
+        gauss_legendre(fn, 0.0, 1.0, rel_tol=1e-13, max_depth=max_depth)
+        assert fn.calls <= max_depth + 1
 
     def test_nan_refinement_is_final(self):
-        # a NaN integrand cannot converge: it stops at the first level
-        # instead of splitting every interval down to max_depth
+        # a NaN integrand cannot converge: its panel is final in the first
+        # round instead of splitting down to max_depth
         fn = counting(lambda x: np.where(x > 0.5, np.nan, x))
-        val, err = adaptive_simpson(fn, 0.0, 1.0, max_depth=12)
+        val, err = gauss_legendre(fn, 0.0, 1.0, max_depth=12)
         assert math.isnan(val) and math.isnan(err)
-        assert fn.calls == 2
+        assert fn.calls == 1
 
     def test_unsettled_refinement_is_refused(self):
-        # noise above the tolerance never settles: every interval splits
-        # at every level, and past MAX_OPEN open intervals the call is
-        # refused instead of splitting on towards 2^30 of them
+        # noise above the tolerance never settles: every panel splits in
+        # every round, and past MAX_OPEN open panels the call is refused
+        # instead of splitting on towards 2^30 of them
         noise = np.random.default_rng(0)
-        fn = counting(lambda x: 1.0 + 1e-9 * noise.standard_normal(x.shape))
-        with pytest.raises(PreconditionError, match="does not settle"):
-            adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-13)
-        assert fn.calls == math.log2(MAX_OPEN) + 2
+        fn = counting(lambda x: 1.0 + 1e-6 * noise.standard_normal(x.shape))
+        with pytest.raises(PreconditionError, match="do not settle"):
+            gauss_legendre(fn, 0.0, 1.0, rel_tol=1e-13)
+        assert fn.calls == math.log2(MAX_OPEN) + 1
 
     @pytest.mark.parametrize("f, a, b, rel_tol, max_depth", [
         (math.exp, 0.0, 2.0, 1e-13, 30),
@@ -119,19 +193,19 @@ class TestLevels:
         (lambda s: math.sin(40.0 * s) ** 2, -1.0, 0.5, 1e-11, 30),
     ])
     def test_bit_identical_to_recursion(self, f, a, b, rel_tol, max_depth):
-        batched = adaptive_simpson(elementwise(f), a, b, rel_tol=rel_tol,
-                                   max_depth=max_depth)
-        scalar = recursive_simpson(f, a, b, rel_tol=rel_tol,
-                                   max_depth=max_depth)
+        batched = gauss_legendre(elementwise(f), a, b, rel_tol=rel_tol,
+                                 max_depth=max_depth)
+        scalar = recursive_gauss_legendre(f, a, b, rel_tol=rel_tol,
+                                          max_depth=max_depth)
         assert batched == scalar
 
 
 class TestStack:
-    """A stack of intervals is integrated in one level-batched call whose
+    """A stack of intervals is integrated in one round-batched call whose
     every value and error is the float of a call on its interval alone."""
 
     # per integral (i, x) -> f_i(x): a smooth one that stops early, a peak
-    # that needs many levels, a kink, and an oscillation
+    # that needs many rounds, a kink, and an oscillation
     FNS = (math.exp,
            lambda s: math.exp(-0.5 * ((s - 0.3) / 0.01) ** 2),
            lambda s: math.sqrt(abs(s - 0.2)),
@@ -147,11 +221,11 @@ class TestStack:
         a = np.array([0.0, 0.0, 0.0, -1.0, 0.4, 0.7])
         b = np.array([2.0, 1.0, 1.0, 0.5, 0.4, 0.1])
         fns = self.FNS + (math.exp, math.cos)  # an empty and a reversed one
-        vals, errs = adaptive_simpson(self.stacked(fns), a, b,
-                                      rel_tol=rel_tol, max_depth=max_depth)
+        vals, errs = gauss_legendre(self.stacked(fns), a, b,
+                                    rel_tol=rel_tol, max_depth=max_depth)
         for i, f in enumerate(fns):
-            one = adaptive_simpson(elementwise(f), a[i], b[i],
-                                   rel_tol=rel_tol, max_depth=max_depth)
+            one = gauss_legendre(elementwise(f), a[i], b[i],
+                                 rel_tol=rel_tol, max_depth=max_depth)
             assert (vals[i], errs[i]) == one
         assert (vals[4], errs[4]) == (0.0, 0.0)
 
@@ -163,11 +237,11 @@ class TestStack:
             seen.append(np.bincount(p[0], minlength=len(fns)))
             return self.stacked(fns)(p)
 
-        adaptive_simpson(fn, a, b, **kw)
+        gauss_legendre(fn, a, b, **kw)
         return len(seen), np.sum(seen, axis=0).tolist()
 
     def test_integrals_stop_at_their_own_depth(self):
-        # each level evaluates only the intervals still open, so every
+        # each round evaluates only the panels still open, so every
         # integral costs the abscissae of its own call, and the stack makes
         # as many calls as its deepest integral
         a, b = [0.0, 0.0, -1.0], [2.0, 1.0, 0.5]
@@ -180,21 +254,21 @@ class TestStack:
         assert len({n for n, _ in single}) == 3
 
     def test_max_depth_reached(self):
-        # a kink at 0.2 keeps intervals open to max_depth, where the stack
+        # a kink at 0.2 keeps panels open to max_depth, where the stack
         # and the single call stop together
         fns = (self.FNS[2], math.exp)
-        vals, errs = adaptive_simpson(self.stacked(fns), [0.0, 0.0],
-                                      [1.0, 1.0], rel_tol=1e-15, max_depth=6)
+        vals, errs = gauss_legendre(self.stacked(fns), [0.0, 0.0],
+                                    [1.0, 1.0], rel_tol=1e-15, max_depth=6)
         for i, f in enumerate(fns):
-            assert (vals[i], errs[i]) == adaptive_simpson(
+            assert (vals[i], errs[i]) == gauss_legendre(
                 elementwise(f), 0.0, 1.0, rel_tol=1e-15, max_depth=6)
         calls, _ = self.evaluations(fns, [0.0, 0.0], [1.0, 1.0],
                                     rel_tol=1e-15, max_depth=6)
-        assert calls == 6 + 2
+        assert calls == 6 + 1
 
     def test_shapes(self):
-        vals, errs = adaptive_simpson(abscissae(np.exp), [[0.0], [1.0]],
-                                      [1.0, 2.0, 3.0])
+        vals, errs = gauss_legendre(abscissae(np.exp), [[0.0], [1.0]],
+                                    [1.0, 2.0, 3.0])
         assert vals.shape == errs.shape == (2, 3)
         assert vals[1, 0] == 0.0
-        assert vals[0, 1] == adaptive_simpson(abscissae(np.exp), 0.0, 2.0)[0]
+        assert vals[0, 1] == gauss_legendre(abscissae(np.exp), 0.0, 2.0)[0]

@@ -275,6 +275,17 @@ class TestLimitBound:
                                 np.array([0.6, 0.8]), r=1.0)
         assert rep.verdict == "pass"
 
+    def test_bound_past_float_range_reads_inf(self):
+        # |grad f| = 6000 puts |a| A L past the float range at L = 0.5,
+        # which raised OverflowError; along e2 f is constant, so every
+        # deviation is 0 and the bound holds at every level
+        w = weight_preset(EUC3, "linear(6000)")
+        rep = check_limit_bound(EUC3, w, validate_params(3, 9, 0.4), 0.5,
+                                np.zeros(3), np.array([0.0, 1.0, 0.0]), r=0.5)
+        assert rep.margins[0] == math.inf
+        assert all(math.isfinite(m) for m in rep.margins[1:])
+        assert rep.verdict == "pass"
+
     def test_sphere_cosine_meridian(self):
         p = validate_params(3, 12, 0.5)
         w = weight_preset(SPHERE, "cosine(0.4)")
