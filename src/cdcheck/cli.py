@@ -5,16 +5,20 @@ Usage:
     cdcheck validate --config cfg.json
 
 The config is a JSON object checked against one schema, ``_SCHEMA``:
-unknown fields are refused at every level, ``space`` takes ``radius`` only
-on a sphere and ``scale`` only on a hyperbolic space, ``regions.kind`` is
-"interval" or "ball", and ``tolerances`` has a key per suite that reads one
-(not taylor, limits or all). ``validate`` builds the `Run` a run takes,
-so an axis density of any kind with no mass on its grid exits 2 there, as
-do ball regions off Euclidean space or under a non-constant weight, a
-``sampling.region`` on a sphere, a ``sampling.region.center`` off R^n or
-of another length than a point, and an H^n region radius whose points
-(stored on the hyperboloid, n + 1 coordinates) pass X_n = 2^26 R, where
-their coordinates keep no digit of the hyperboloid (`spaces.SPAN`).
+unknown fields are refused at every level, ``space`` takes a positive
+``radius`` only on a sphere and ``scale`` only on a hyperbolic space,
+``regions.kind`` is "interval" or "ball", and ``tolerances`` has a key per
+suite that reads one (not taylor, limits or all). ``validate`` builds the
+`Run` a run takes, so an axis density of any kind with no mass on its grid
+exits 2 there, as do ball regions off Euclidean space or under a
+non-constant weight, a ``sampling.region`` on a sphere, a
+``sampling.region.center`` off R^n or of another length than a point, and
+an H^n region radius whose hyperboloid points pass X_n = 2^26, where they
+keep no digit of the hyperboloid (`spaces.SPAN`).
+
+Only `resolve_config` reads a radius or scale R: the space suites run on
+the unit model at ``Run.kappa`` = kappa R^2, every length in units of R,
+as the checks are invariant under g -> R^2 g, kappa -> kappa / R^2.
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
 tolerance, 2 configuration or precondition error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
@@ -166,8 +170,9 @@ _Axis = NamedTuple("_Axis", [("geometry", AxisGeometry), ("pair", list),
                              ("interpolation", dict)])
 # a resolved config and what its suite runs on, each built once
 Run = NamedTuple("Run", [("cfg", dict), ("space", ModelSpace),
-                         ("weight", WeightFunction),
-                         ("params", DimensionParams), ("axis", _Axis)])
+                         ("weight", WeightFunction), ("params", DimensionParams),
+                         ("axis", _Axis), ("kappa", float)])
+_SPACE_SUITES = ("curvature", "jacobian", "taylor", "limits")  # at Run.kappa
 
 
 def load_config(path) -> Run:
@@ -183,7 +188,12 @@ def resolve_config(cfg: dict) -> Run:
     out = {"weight": "zero", "tolerances": {}, **cfg, "params": p,
            "sampling": {**_DEFAULT_SAMPLING, **cfg.get("sampling", {})},
            "space": dict(cfg["space"])}
-    space = make_space(**out["space"])
+    R = out["space"].get("radius", out["space"].get("scale", 1))
+    kappa = cfg["kappa"] if R == 1 else cfg["kappa"] * (R * R)  # int at R = 1
+    if not (R > 0 and R * R > 0.0 and math.isfinite(kappa)):
+        raise ConfigError(f"space radius or scale {R:g} is not positive, or"
+                          " R^2 or kappa R^2 leaves the float range")
+    space = make_space(out["space"]["kind"], out["space"]["dim"])
     weight, params = weight_preset(space, out["weight"]), validate_params(**p)
     if p["n"] != space.dim:
         raise ConfigError(f"params.n = {p['n']} differs from the space"
@@ -204,26 +214,26 @@ def resolve_config(cfg: dict) -> Run:
     if space.kind == "hyperbolic" and not space.region_in_range(
             region.get("radius", 1)):
         raise ConfigError("sampling.region.radius puts points of the"
-                          " hyperbolic space past X_n = 2^26 R")
-    axis = _build_axis(out, space, weight)
+                          " hyperbolic space past X_n = 2^26")
+    axis = _build_axis(out, space, weight, R)
     if params.N == params.n and not (weight.is_constant and (
             axis is None or axis.geometry.weight.is_constant)):
         raise ConfigError("N = n requires a constant weight and geometry f1")
-    return Run(out, space, weight, params, axis)
+    return Run(out, space, weight, params, axis, kappa)
 
 
-def _build_axis(cfg, space, weight) -> _Axis | None:
+def _build_axis(cfg, space, weight, R) -> _Axis | None:
     """The axis of a resolved config as its 1-d suites take it, defaults
     only where read; None if no suite reads it and no field sets it. Refuses
     a density without grid mass, an interval the suite places outside the
     window, and ball regions the ball check refuses."""
     if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
-            cfg["suite"] in ("curvature", "jacobian", "taylor", "limits")):
+            cfg["suite"] in _SPACE_SUITES):
         return None
     g = dict(cfg.get("geometry", {}))
     geometry = _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
     if (isinstance(geometry, MeridianGeometry)
-            and (space.dim, space.sec) != (2, 1.0)):
+            and (space.kind, space.dim, R) != ("sphere", 2, 1.0)):
         raise ConfigError("a meridian geometry needs the unit S^2 space")
     uses = lambda suite: cfg["suite"] in (suite, "all")
     regions, bm, interpolation = cfg.get("regions", {}), None, None
@@ -290,18 +300,18 @@ def _tol(run, suite) -> float:
 
 
 def _run_curvature(run, out_dir):
-    cfg, space, weight, params, _ = run
+    cfg, space, weight, params = run[:4]
     s = cfg["sampling"]
-    return [check_curvature_bound(space, weight, params, cfg["kappa"],
+    return [check_curvature_bound(space, weight, params, run.kappa,
                                   {"count": s["trials"], "seed": s["seed"],
                                    "region": s.get("region"),
                                    "tol": _tol(run, "curvature")})]
 
 
 def _run_jacobian(run, out_dir):
-    cfg, space, weight, params, _ = run
+    cfg, space, weight, params = run[:4]
     s = cfg["sampling"]
-    kappa, trials, steps = cfg["kappa"], s["trials"], s.get("steps", 128)
+    kappa, trials, steps = run.kappa, s["trials"], s.get("steps", 128)
     tol = _tol(run, "jacobian")
     xs, ws, Ss, margins, grids = jacobi.scan_rays(
         space, weight, params, kappa, np.random.default_rng(s["seed"]),
@@ -344,7 +354,7 @@ def _run_twcd(run, out_dir):
 
 
 def _run_bm(run, out_dir):
-    cfg, space, weight, params, axis = run
+    cfg, space, weight, params, axis = run[:5]
     if axis.bm is None:  # ball regions
         X, Y = ({"kind": "ball", "radius": r} for r in cfg["regions"]["radii"])
         where = (space, weight)
@@ -358,7 +368,7 @@ def _run_bm(run, out_dir):
 
 
 def _run_interpolation(run, out_dir):
-    cfg, _, _, params, axis = run
+    cfg, _, _, params, axis = run[:5]
     t, p, X, Y = (axis.interpolation[k] for k in ("t", "p", "X", "Y"))
     psi0, psi1 = (lambda x, I=I, mid=np.mean(I):
                   np.exp(-0.5 * ((x - mid) / 0.3) ** 2)
@@ -391,12 +401,12 @@ def _base_point(run):
 
 
 def _run_taylor(run, out_dir):
-    cfg, space, _, params, _ = run
+    space, params = run.space, run.params
     x, weight, x0, v = _base_point(run)
     # theta needs eps != 0 (eps = 0 at N = 1)
     terms = [term for term in taylor.TERMS
              if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
-    checks = taylor.check_series(space, weight, params, cfg["kappa"],
+    checks = taylor.check_series(space, weight, params, run.kappa,
                                  x0, v, terms)
     _write_table(out_dir / "taylor.csv",
                  ["term", "delta", "exact", "series", "remainder"],
@@ -414,12 +424,12 @@ def _run_taylor(run, out_dir):
 
 
 def _run_limits(run, out_dir):
-    cfg, space, _, params, _ = run
+    space, params = run.space, run.params
     _, weight, x, v = _base_point(run)
     y = space.geodesic(x, v, 0.4)
     return [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
-                                     r=0.5, seed=cfg["sampling"]["seed"]),
-            coefficients.check_limits(space, weight, params, cfg["kappa"],
+                                     r=0.5, seed=run.cfg["sampling"]["seed"]),
+            coefficients.check_limits(space, weight, params, run.kappa,
                                       x, y, [0.1, 0.05, 0.02, 0.01,
                                              0.005, 0.002, 0.001])]
 
@@ -434,16 +444,18 @@ _RUNNERS = {"curvature": _run_curvature, "jacobian": _run_jacobian,
 
 def run_suite(run: Run, out_dir) -> list[CheckReport]:
     suite = run.cfg["suite"]
-    if suite != "all":
-        return _RUNNERS[suite](run, out_dir)
     reports = []
-    for name, runner in _RUNNERS.items():
+    for name in _RUNNERS if suite == "all" else [suite]:
         try:
-            reports.extend(runner(run, out_dir))
+            got = _RUNNERS[name](run, out_dir)
         except PreconditionError as exc:
-            reports.append(CheckReport(
-                name=name, margins=[], tolerance=0.0, vacuous=True,
-                provenance={"skipped": str(exc)}))
+            if suite != "all":
+                raise
+            got = [CheckReport(name=name, margins=[], tolerance=0.0,
+                               vacuous=True, provenance={"skipped": str(exc)})]
+        for rep in got:
+            rep.kappa = run.kappa if name in _SPACE_SUITES else None
+        reports += got
     return reports
 
 
@@ -451,7 +463,7 @@ def _report_payload(cfg: dict, rep: CheckReport) -> dict:
     return {
         "name": rep.name,
         "params": cfg["params"],
-        "kappa": cfg["kappa"],
+        "kappa": cfg["kappa"] if rep.kappa is None else rep.kappa,
         "seed": cfg["sampling"]["seed"],
         "margins": [None if math.isnan(m) else m for m in rep.margins],
         "min_margin": None if math.isnan(rep.min_margin) else rep.min_margin,

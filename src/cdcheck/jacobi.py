@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import (_log_beta_pair, require_float_range,
                            within_conjugate_radius)
-from .errors import SingularJacobian
+from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, s_kappa
 from .quadrature import cumulative_simpson
 from .spaces import ModelSpace, WeightFunction
@@ -48,7 +48,8 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
     Rows :-1 of E are C I + Sn S, with the scalar propagator C = cos,
     Sn = sin/omega of frequency omega = sqrt(k) theta (cosh, sinh for
     k < 0; 1, t for k = 0), and the last row is e_n + t S[-1]. Each ray
-    evaluates only its own branch, so no unused cosh can overflow.
+    evaluates only its own branch, so no unused cosh can overflow; a ray
+    whose det E leaves the float range raises PreconditionError.
     With S = [[A, b], [c^T, d]], P = C I + Sn A and M the matrix E with
     its last row replaced by S[-1] (the last row of E'), det E is linear
     in the last row and a_nn is a cofactor expansion along it:
@@ -66,25 +67,28 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
     C = np.ones((B, ts.size))
     Sn = np.tile(ts, (B, 1))
     pos, neg = w2 > 0, w2 < 0
-    if pos.any():
-        om = np.sqrt(w2[pos])[:, None]
-        C[pos] = np.cos(om * ts)
-        Sn[pos] = np.sin(om * ts) / om
-    if neg.any():
-        om = np.sqrt(-w2[neg])[:, None]
-        C[neg] = np.cosh(om * ts)
-        Sn[neg] = np.sinh(om * ts) / om
     alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
     beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
     gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
-    p = [C + Sn * a[:, None] for a in alpha.T]  # multiplied in index order
-    det_P = math.prod(p)
-    cross = sum((beta[:, i] * gamma[:, i])[:, None]
-                * math.prod(p[:i] + p[i + 1:]) for i in range(n - 1))
-    det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
-    det = det_P + ts * det_M
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return det, det_M / det
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if pos.any():
+            om = np.sqrt(w2[pos])[:, None]
+            C[pos] = np.cos(om * ts)
+            Sn[pos] = np.sin(om * ts) / om
+        if neg.any():  # cosh and sinh may overflow: checked below
+            om = np.sqrt(-w2[neg])[:, None]
+            C[neg] = np.cosh(om * ts)
+            Sn[neg] = np.sinh(om * ts) / om
+        p = [C + Sn * a[:, None] for a in alpha.T]  # multiplied in index order
+        det_P = math.prod(p)
+        cross = sum((beta[:, i] * gamma[:, i])[:, None]
+                    * math.prod(p[:i] + p[i + 1:]) for i in range(n - 1))
+        det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
+        det = det_P + ts * det_M
+        a_nn = det_M / det
+    if not np.all(np.isfinite(det)):
+        raise PreconditionError("det E leaves the float range", failed="det E finite")
+    return det, a_nn
 
 
 def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
@@ -107,7 +111,7 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
     ts = np.linspace(0.0, 1.0, steps + 1)
     dt = ts[1] - ts[0]
 
-    # f first, so a geodesic past X_n = SPAN R stops the scan before the
+    # f first, so a geodesic past X_n = SPAN stops the scan before the
     # propagator overflows; zero-speed rays and constant weights take f(x)
     f_gamma = np.empty((B, steps + 1))
     live = (thetas > 1e-14) & (not weight.is_constant)

@@ -52,8 +52,8 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     a = params.a
     if a == 0.0 or weight.is_constant:
         f0 = float(weight.eval(segs[0].start)) if weight.is_constant else 0.0
-        scale = math.exp(-a * f0) if weight.is_constant else 1.0
-        out = scale * ts * lengths
+        factor = math.exp(-a * f0) if weight.is_constant else 1.0
+        out = factor * ts * lengths
     else:
         starts = np.stack([sg.start for sg in segs])[rows.ravel()]
         directions = np.stack([sg.direction for sg in segs])[rows.ravel()]

@@ -1,9 +1,9 @@
 """Constant-curvature model spaces with weights.
 
-Three models are provided: Euclidean R^d, and the round sphere and
-hyperbolic space as the quadrics <X, X> = +-R^2 of R^{d+1}, under the
-Euclidean and the Minkowski form (see `_Quadric`). All geodesic, log-map,
-and frame operations are closed form.
+Three models are provided: Euclidean R^d, and the unit sphere and
+hyperbolic space as the quadrics <X, X> = +-1 of R^{d+1} under the
+Euclidean and the Minkowski form (`_Quadric`; `cli.resolve_config` maps a
+radius or scale R to them). Geodesics, logs and frames are closed form.
 
 ``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
 over stacks of points and tangents (..., ambient), bit for bit equal to
@@ -15,8 +15,8 @@ R^n a normal block, then a uniform block.
 Every weight preset is an ambient function F with closed-form DF and
 D^2F; its Riemannian gradient and Hessian come from one rule,
 `_ambient_weight` (no finite differences). H^n coordinates grow as e^d
-at a distance d from the origin (0, ..., 0, R), and a point past X_n =
-SPAN R is refused; checks confined near one point run there (`centred`).
+at a distance d from the origin (0, ..., 0, 1), and a point past X_n =
+SPAN is refused; checks confined near one point run there (`centred`).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .report import CheckReport
 
 # sphere segments this close to the antipode are treated as cut-locus hits
 CUT_MARGIN = 1e-6
-# past X_n = SPAN R the constant R^2 of an H^n point's Minkowski square
-# falls below the last bit of X_n^2: its coordinates keep no digit of it
+# past X_n = SPAN the constant 1 of an H^n point's Minkowski square falls
+# below the last bit of X_n^2: its coordinates keep no digit of it
 SPAN = 2.0**26
 
 
@@ -67,13 +67,13 @@ class ModelSpace:
 
     kind: str
     dim: int
-    sec: float  # constant sectional curvature
-    ambient: int  # length of point coordinate arrays
+    sec: float  # constant sectional curvature: 0 on R^n, 1 and -1 on S^n, H^n
+    ambient: int  # length of point coordinate arrays: n, or n + 1 on S^n, H^n
 
-    def __init__(self, dim: int, ambient: int, sec: float):
+    def __init__(self, dim: int):
         if dim < 2:
             raise ConfigError("model dimension must be >= 2")
-        self.dim, self.ambient, self.sec = dim, ambient, sec
+        self.dim, self.ambient = dim, dim if self.sec == 0.0 else dim + 1
 
     # -- core geometry -------------------------------------------------
     def geodesic(self, x, v, t):
@@ -125,10 +125,7 @@ class ModelSpace:
 
 
 class Euclidean(ModelSpace):
-    kind = "euclidean"
-
-    def __init__(self, dim: int):
-        super().__init__(dim, dim, 0.0)
+    kind, sec = "euclidean", 0.0
 
     def geodesic(self, x, v, t):
         t = np.asarray(t, dtype=float)
@@ -142,9 +139,7 @@ class Euclidean(ModelSpace):
         d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
         length = float(np.linalg.norm(d))
         if length < 1e-15:
-            v = np.zeros(self.dim)
-            v[0] = 1.0
-            return v, 0.0
+            return np.eye(self.dim)[0], 0.0
         return d / length, length
 
     def inner(self, x, u, v):
@@ -162,38 +157,34 @@ class Euclidean(ModelSpace):
 
 
 class _Quadric(ModelSpace):
-    """S^n or H^n as the quadric <X, X> = 1/sec of R^{n+1} under the form
-    G = diag(1, ..., 1, ``_sign``): Euclidean on S^n (sec = 1/R^2),
-    Minkowski with the time coordinate last on H^n (sec = -1/R^2, X_n > 0).
-    ``inner`` is G at every point; the tangents at X are G-orthogonal to X.
+    """S^n or H^n as the quadric <X, X> = sec of R^{n+1} under the form
+    G = diag(1, ..., 1, sec): Euclidean on S^n (sec = 1), Minkowski
+    with the time coordinate last on H^n (sec = -1, X_n > 0). ``inner`` is
+    G at every point; the tangents at X are G-orthogonal to X.
 
     The unit-speed geodesic is c_sec(t) X + s_sec(t) V. ``log`` takes the
-    length from the chord c = |Y - X|_G: L = 2R ``_arc``(c / 2R), asin on
-    S^n and asinh on H^n. Past c^2 = 2R^2, where Y - X cancels in the form,
-    c^2 is 2(1/sec - <X, Y>), which does not. The direction is Y - X made
+    length from the chord c = |Y - X|_G: L = 2 ``_arc``(c / 2), asin on
+    S^n and asinh on H^n. Past c^2 = 2, where Y - X cancels in the form,
+    c^2 is 2(sec - <X, Y>), which does not. The direction is Y - X made
     G-orthogonal to X, which does not cancel at short lengths as
     Y - c_sec(L) X does, and is tangent at a point its rounding put off
     the quadric.
     """
 
-    def __init__(self, dim: int, radius: float = 1.0):
-        if radius <= 0:
-            raise ConfigError(f"{self.kind} {'radius' if self._sign > 0 else 'scale'}"
-                              " must be positive")
-        super().__init__(dim, dim + 1, self._sign / radius**2)
-        self.radius = float(radius)
-        self._form = np.append(np.ones(dim), self._sign)
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self._form = np.append(np.ones(dim), self.sec)
 
     def log(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        R, d = self.radius, y - x
-        c2 = 2.0 * (self._sign * R * R - float(self.inner(x, x, y)))
-        if c2 <= 2.0 * R * R:
+        d = y - x
+        c2 = 2.0 * (self.sec - float(self.inner(x, x, y)))
+        if c2 <= 2.0:
             c2 = float(self.inner(x, d, d))
-        half = 0.5 * (math.sqrt(max(c2, 0.0)) / R)
+        half = 0.5 * math.sqrt(max(c2, 0.0))
         if half > self._half_cut:
             raise CutLocusError("antipodal pair on the sphere: minimal geodesic not unique")
-        length = R * (2.0 * self._arc(half))
+        length = 2.0 * self._arc(half)
         if length < 1e-15:
             return self.frame(x)[0], 0.0
         v = d - float(self.inner(x, d, x) / self.inner(x, x, x)) * x
@@ -205,63 +196,58 @@ class _Quadric(ModelSpace):
 
 class Sphere(_Quadric):
     kind = "sphere"
-    _arc, _sign = math.asin, 1.0
-    _half_cut = math.cos(0.5 * CUT_MARGIN)  # c / 2R at angle pi - CUT_MARGIN
+    sec, _arc = 1.0, math.asin
+    _half_cut = math.cos(0.5 * CUT_MARGIN)  # c / 2 at angle pi - CUT_MARGIN
 
     def geodesic(self, x, v, t):
-        ang = np.asarray(t, dtype=float)[..., None] / self.radius
-        return np.cos(ang) * np.asarray(x) + self.radius * np.sin(ang) * np.asarray(v)
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.cos(t) * np.asarray(x) + np.sin(t) * np.asarray(v)
 
     def velocity(self, x, v, t):
-        ang = np.asarray(t, dtype=float)[..., None] / self.radius
-        return -np.sin(ang) * np.asarray(x) / self.radius + np.cos(ang) * np.asarray(v)
+        t = np.asarray(t, dtype=float)[..., None]
+        return -np.sin(t) * np.asarray(x) + np.cos(t) * np.asarray(v)
 
     def frame(self, x):
-        normal = np.asarray(x, dtype=float)[..., None] / self.radius
-        return np.swapaxes(_orthonormal_completion(normal, self.ambient),
-                           -1, -2)
+        return np.swapaxes(_orthonormal_completion(
+            np.asarray(x, dtype=float)[..., None], self.ambient), -1, -2)
 
     def _sample_points(self, rng, region, count):
         u = rng.normal(size=(count, self.ambient))
-        return self.radius * u / np.sqrt(_dot(u, u))[:, None]
+        return u / np.sqrt(_dot(u, u))[:, None]
 
 
 class Hyperbolic(_Quadric):
-    """H^n on the hyperboloid; ``scale`` is R, the curvature -1/R^2.
+    """H^n on the hyperboloid <X, X> = -1, of curvature -1.
 
-    The geodesic cosh(s) X + sinh(s) R V, s = t / R, is taken as (e^s N+ +
-    e^-s N-) / 2 for the null vectors N+- = X +- R V: where it passes the
-    origin from far out no two large terms cancel, and each point is a
-    smooth function of t to the last bits of its coordinates.
+    The geodesic cosh(t) X + sinh(t) V is taken as (e^t N+ + e^-t N-) / 2
+    for the null vectors N+- = X +- V: where it passes the origin from far
+    out no two large terms cancel, and each point is a smooth function of
+    t to the last bits of its coordinates.
 
     Configs keep the upper half space (p, y), y > 0, with metric
-    R^2 (|dp|^2 + dy^2) / y^2 as their chart: the point of (p, y) is
-    X = R ((r^2 - 1) / 2y, p / y, (r^2 + 1) / 2y) with r^2 = |p|^2 + y^2,
-    and back p = X_{1..n-1} / q, y = R / q for q = X_n - X_0. Points are
+    (|dp|^2 + dy^2) / y^2 as their chart: the point of (p, y) is
+    X = ((r^2 - 1) / 2y, p / y, (r^2 + 1) / 2y) with r^2 = |p|^2 + y^2,
+    and back p = X_{1..n-1} / q, y = 1 / q for q = X_n - X_0. Points are
     drawn uniform in (p, log y), and ``frame`` is the image of the
-    half-space frame y e_i / R: rows (p_j, e_j, p_j) and
+    half-space frame y e_i: rows (p_j, e_j, p_j) and
     ((y^2 - |p|^2 + 1) / 2y, -p / y, (y^2 - |p|^2 - 1) / 2y).
     """
 
     kind = "hyperbolic"
-    _arc, _sign = math.asinh, -1.0
+    sec, _arc = -1.0, math.asinh
     _half_cut = math.inf
 
-    def __init__(self, dim: int, scale: float = 1.0):
-        super().__init__(dim, scale)
-        self.scale = self.radius
-
     def _null(self, x, v, t):
-        """(e^s, N+, N-) of the geodesic."""
-        x, rv = np.asarray(x, dtype=float), self.radius * np.asarray(v, dtype=float)
-        return np.exp(np.asarray(t, dtype=float)[..., None] / self.radius), x + rv, x - rv
+        """(e^t, N+, N-) of the geodesic."""
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        return np.exp(np.asarray(t, dtype=float)[..., None]), x + v, x - v
 
     def geodesic(self, x, v, t):
-        """Raises PreconditionError where a point reaches X_n = SPAN R."""
+        """Raises PreconditionError where a point reaches X_n = SPAN."""
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             e, up, down = self._null(x, v, t)
             out = 0.5 * (e * up + down / e)
-        if not np.all(out[..., -1] < SPAN * self.radius):
+        if not np.all(out[..., -1] < SPAN):
             raise PreconditionError("a geodesic leaves the span where H^n"
                                     " coordinates keep digits",
                                     failed="geodesic within SPAN")
@@ -269,21 +255,21 @@ class Hyperbolic(_Quadric):
 
     def velocity(self, x, v, t):
         e, up, down = self._null(x, v, t)
-        return 0.5 * (e * up - down / e) / self.radius
+        return 0.5 * (e * up - down / e)
 
     def _nulls(self, x):
-        """(q, s) = (X_n - X_0, X_n + X_0) = (R / y, R r^2 / y) at points;
+        """(q, s) = (X_n - X_0, X_n + X_0) = (1 / y, r^2 / y) at points;
         the one that cancels, s where X_0 < 0 and q where X_0 > 0, taken
-        from q s = |X_{1..n-1}|^2 + R^2."""
+        from q s = |X_{1..n-1}|^2 + 1."""
         mid = x[..., 1:-1]
         q, s, up = x[..., -1] - x[..., 0], x[..., -1] + x[..., 0], x[..., 0] > 0.0
-        prod = _dot(mid, mid) + self.radius**2
+        prod = _dot(mid, mid) + 1.0
         return np.where(up, prod / s, q), np.where(up, s, prod / q)
 
     def frame(self, x):
         x = np.asarray(x, dtype=float)
         q = self._nulls(x)[0][..., None]
-        p, y = x[..., 1:-1] / q, self.radius / q
+        p, y = x[..., 1:-1] / q, 1.0 / q
         out = np.zeros(x.shape[:-1] + (self.dim, self.ambient))
         out[..., :-1, 0] = out[..., :-1, -1] = p
         out[..., :-1, 1:-1] = np.eye(self.dim - 1)
@@ -296,11 +282,11 @@ class Hyperbolic(_Quadric):
         p = rng.uniform(-r, r, size=(count, self.dim))
         p, y = p[:, :-1], np.exp(p[:, -1:])
         h = (_dot(p, p)[:, None] + y * y) / (2.0 * y)
-        return self.radius * np.hstack([h - 0.5 / y, p / y, h + 0.5 / y])
+        return np.hstack([h - 0.5 / y, p / y, h + 0.5 / y])
 
     def region_in_range(self, radius) -> bool:
         """Whether the points of a region of this radius stay below X_n =
-        SPAN R: the largest, ((n - 1) r^2 + e^{-2r} + 1) e^r / 2 at p_i = r,
+        SPAN: the largest, ((n - 1) r^2 + e^{-2r} + 1) e^r / 2 at p_i = r,
         y = e^{-r}, is compared in logs."""
         r = abs(radius)
         return r + math.log(0.5 * ((self.dim - 1) * r * r + math.exp(-2.0 * r)
@@ -308,11 +294,13 @@ class Hyperbolic(_Quadric):
 
 
 def make_space(kind: str, dim: int, **kw) -> ModelSpace:
-    spaces = {"euclidean": Euclidean, "sphere": Sphere,
-              "hyperbolic": Hyperbolic}  # kw: a radius or a scale
+    """The unit model of ``kind``; kw: its radius or scale, 1.0 if given."""
+    spaces = {cls.kind: cls for cls in (Euclidean, Sphere, Hyperbolic)}
     if kind not in spaces:
         raise ConfigError(f"unknown space kind: {kind}")
-    return spaces[kind](dim, **kw)
+    if kw not in ({}, {{"sphere": "radius", "hyperbolic": "scale"}.get(kind): 1.0}):
+        raise ConfigError(f"{kw} on a {kind} model: every model is a unit one")
+    return spaces[kind](dim)
 
 
 @dataclass(frozen=True)
@@ -342,11 +330,8 @@ class WeightFunction:
 
     def __init__(self, eval_fn, grad_fn, hess_fn, *, is_constant=False,
                  name="custom"):
-        self._eval = eval_fn
-        self._grad = grad_fn
-        self._hess = hess_fn
-        self.is_constant = is_constant
-        self.name = name
+        self._eval, self._grad, self._hess = eval_fn, grad_fn, hess_fn
+        self.is_constant, self.name = is_constant, name
 
     def eval(self, x):
         return self._eval(np.asarray(x, dtype=float))
@@ -393,25 +378,23 @@ def _euclidean_presets(space, a):
 
 
 def _sphere_presets(space, a):
-    """cosine(a) = a X_n / R, and linear(a) = a theta for the colatitude
-    theta = acos(X_n / R) (singular at the poles)."""
-    R = space.radius
-
+    """cosine(a) = a X_n, and linear(a) = a theta for the colatitude
+    theta = acos(X_n) (singular at the poles)."""
     def dtheta(z):  # d theta / d X_n
-        return -1.0 / np.sqrt((R - z) * (R + z))
+        return -1.0 / np.sqrt((1.0 - z) * (1.0 + z))
 
-    return {"cosine": (lambda x: a * x[..., -1] / R,
-                       lambda x: _along(x, {-1: a / R}), _no_hessian),
-            "linear": (lambda x: a * np.arccos(np.clip(x[..., -1] / R, -1.0, 1.0)),
+    return {"cosine": (lambda x: a * x[..., -1],
+                       lambda x: _along(x, {-1: a}), _no_hessian),
+            "linear": (lambda x: a * np.arccos(np.clip(x[..., -1], -1.0, 1.0)),
                        lambda x: _along(x, {-1: a * dtheta(x[..., -1])}),
                        lambda x, u, w: (a * x[..., -1] * dtheta(x[..., -1]) ** 3
                                         * u[..., -1] * w[..., -1]))}
 
 
 def _hyperbolic_presets(space, a, at=None):
-    """The half-space coordinate functions a (|p|^2 + y^2) / 2 and a p_1, at
-    any scale, composed with the isometry (p, y) -> (p0 + y0 p, y0 y) that
-    takes the origin (0, ..., 0, R) to ``at`` (default: the origin), whose
+    """The half-space coordinate functions a (|p|^2 + y^2) / 2 and a p_1,
+    composed with the isometry (p, y) -> (p0 + y0 p, y0 y) that takes the
+    origin (0, ..., 0, 1) to ``at`` (default: the origin), whose
     chart point is (p0, y0): a (y0^2 r^2 + 2 y0 p0 . p + |p0|^2) / 2 and
     a (y0 p_1 + p0_1) for r^2 = |p|^2 + y^2 = s / q and p = X_{1..n-1} / q
     (``_nulls``). Each is F = c + N . X / q, N = sigma (e_0 + e_n) + a middle
@@ -419,9 +402,9 @@ def _hyperbolic_presets(space, a, at=None):
     Dq . w DF . u) / q."""
     e = np.eye(space.ambient)
     Dq = e[-1] - e[0]
-    at = space.radius * e[-1] if at is None else np.asarray(at, dtype=float)
+    at = e[-1] if at is None else np.asarray(at, dtype=float)
     q0 = space._nulls(at)[0]
-    p0, y0 = np.concatenate([[0.0], at[1:-1] / q0, [0.0]]), space.radius / q0
+    p0, y0 = np.concatenate([[0.0], at[1:-1] / q0, [0.0]]), 1.0 / q0
 
     def ratio(n, c):
         def G(x):  # (F - c, q)
@@ -473,7 +456,7 @@ _PRESET_RE = re.compile(r"^([a-z]+)(?:[:(]([-+0-9.eE]+)\)?)?$")
 def weight_preset(space: ModelSpace, spec: str, at=None) -> WeightFunction:
     """Named weight presets: zero, constant(a), linear(a), quadratic(a),
     cosine(a) (sphere only); on H^n, ``at`` composes the preset with an
-    isometry taking the origin (0, ..., 0, R) to the point ``at``."""
+    isometry taking the origin (0, ..., 0, 1) to the point ``at``."""
     m = _PRESET_RE.match(spec.strip())
     if not m:
         raise ConfigError(f"cannot parse weight preset: {spec!r}")
@@ -483,8 +466,8 @@ def weight_preset(space: ModelSpace, spec: str, at=None) -> WeightFunction:
     if name == "constant":
         return constant_weight(arg)
     if name == "quadratic" and isinstance(space, Sphere):
-        # |x| = R on the sphere, so a |x|^2 / 2 is the constant a R^2 / 2
-        weight = constant_weight(0.5 * arg * space.radius**2)
+        # |x| = 1 on the sphere, so a |x|^2 / 2 is the constant a / 2
+        weight = constant_weight(0.5 * arg)
         weight.name = f"quadratic({arg})"
         return weight
     presets = (_PRESETS[space.kind](space, arg) if at is None
@@ -499,11 +482,11 @@ def centred(space: ModelSpace, spec: str, x, v):
     tangent v, moved on H^n by the isometry that takes x to the origin: the
     preset composed with it (``weight_preset``'s ``at``), the origin, and
     the tangent there with v's coordinates in ``frame(x)``, where a
-    tangent's Minkowski products keep the digits they lose as (X_n / R)^2
-    at x. On R^n and S^n the preset, x and v as given."""
+    tangent's Minkowski products keep the digits they lose as X_n^2 at x.
+    On R^n and S^n the preset, x and v as given."""
     if space.kind != "hyperbolic":
         return weight_preset(space, spec), x, v
-    origin = space.radius * np.eye(space.ambient)[-1]
+    origin = np.eye(space.ambient)[-1]
     return (weight_preset(space, spec, at=x), origin,
             unit_tangents(space.frame(origin),
                           space.inner(x, space.frame(x), v)))
@@ -534,10 +517,8 @@ def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
 
     margin(x, v) = Ric_f^N(v) - c^{-1} kappa e^{-4(1-eps)f(x)/(n-1)}.
     """
-    count = sampling.get("count", 200)
-    seed = sampling.get("seed", 0)
-    region = sampling.get("region")
-    tol = sampling.get("tol", 1e-9)
+    count, seed = sampling.get("count", 200), sampling.get("seed", 0)
+    region, tol = sampling.get("region"), sampling.get("tol", 1e-9)
     rng = np.random.default_rng(seed)
     xs = space.sample_point(rng, region, count)
     vs = space.sample_unit(rng, xs)

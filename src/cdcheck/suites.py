@@ -200,10 +200,10 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
         r0, r1 = pair.X["radius"], pair.Y["radius"]
         n = space.dim
         omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        scale = math.exp(-f0)
-        m_x = scale * omega * r0**n
-        m_y = scale * omega * r1**n
-        m_z = scale * omega * ((1 - t) * r0 + t * r1) ** n
+        factor = math.exp(-f0)
+        m_x = factor * omega * r0**n
+        m_y = factor * omega * r1**n
+        m_z = factor * omega * ((1 - t) * r0 + t * r1) ** n
         rev, fwd, refine_drift = _inf_beta_balls(space, params, kappa, f0,
                                                  r0, r1, t, samples)
     else:
@@ -232,7 +232,7 @@ def _inf_beta_balls(space, params, kappa, f0, r0, r1, t, samples):
     of radii r0 and r1 around the origin."""
     rng = np.random.default_rng(1234)
     cr = params.c_ratio
-    scale = math.exp(-params.a * f0)
+    factor = math.exp(-params.a * f0)
     vals = []
     for count in (samples**2, 4 * samples**2):
         n = space.dim
@@ -242,7 +242,7 @@ def _inf_beta_balls(space, params, kappa, f0, r0, r1, t, samples):
         u = rng.normal(size=(count, n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         ys = r1 * rng.random((count, 1)) ** (1.0 / n) * u
-        d = np.linalg.norm(xs - ys, axis=1) * scale
+        d = np.linalg.norm(xs - ys, axis=1) * factor
         rev, fwd = (np.exp(cr * lb)
                     for lb in log_beta_pair(params, kappa, t * d, d, t))
         vals.append((float(rev.min()), float(fwd.min())))

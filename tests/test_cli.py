@@ -230,6 +230,14 @@ class TestValidate:
                                  "region": {"radius": 0.1}}},
         {"space": {"kind": "hyperbolic", "dim": 3}, "weight": "zero",
          "sampling": {"region": {"center": [40.0, 40.0, 40.0]}}},
+        {"space": {"kind": "sphere", "dim": 3, "radius": 0.0}},
+        {"space": {"kind": "sphere", "dim": 3, "radius": -2.0}},
+        {"space": {"kind": "hyperbolic", "dim": 3, "scale": 0}},
+        {"space": {"kind": "hyperbolic", "dim": 3, "scale": -0.5}},
+        {"space": {"kind": "sphere", "dim": 3, "radius": 1e200}},
+        {"space": {"kind": "hyperbolic", "dim": 3, "scale": 1e-200}},
+        {"space": {"kind": "sphere", "dim": 3, "radius": 1e10},
+         "kappa": 1e300},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -255,7 +263,9 @@ class TestValidate:
             "ball-weight-not-constant", "ball-weight-not-constant-all",
             "region-center-short", "region-center-short-sphere",
             "ball-on-sphere", "ball-on-hyperbolic", "region-on-sphere",
-            "region-center-on-hyperbolic"])
+            "region-center-on-hyperbolic", "radius-zero", "radius-negative",
+            "scale-zero", "scale-negative", "radius-square-past-float",
+            "scale-square-underflows", "kappa-radius-square-past-float"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -379,7 +389,7 @@ class TestRunExitCodes:
             ce = json.loads((out / "counterexample.json").read_text())
             assert ce["margin"] < -tol
             # the margin is the one-ray margin on the grid it names
-            _, space, weight, params, _ = cli.resolve_config(cfg)
+            _, space, weight, params = cli.resolve_config(cfg)[:4]
             assert refine_ray_margin(
                 space, weight, params, cfg["kappa"],
                 *(np.array(ce[k]) for k in ("x", "w", "S")),
@@ -508,24 +518,72 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 0
 
+    def test_hyperbolic_geodesic_past_float_range_exits_2(self, tmp_path,
+                                                          capsys):
+        # rays 15-30 long run past X_n = 2^26, where a point keeps no
+        # digit of the hyperboloid
+        cfg = base_cfg("jacobian", space={"kind": "hyperbolic", "dim": 3},
+                       kappa=-3.0, sampling={"trials": 50, "seed": 0,
+                                             "theta_range": [15.0, 30.0]})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[geodesic within SPAN]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite, scale", [
         ("jacobian", 0.001), ("limits", 0.001), ("limits", 0.005),
         ("limits", 0.002), ("taylor", 0.003)])
-    def test_hyperbolic_geodesic_past_float_range_exits_2(self, tmp_path,
-                                                          capsys, suite,
-                                                          scale):
-        # at small scales a ray, the limits ball or the largest taylor
-        # offset runs past X_n = 2^26 R, where a point keeps no digit of
-        # the hyperboloid: past it limits overflowed (0.005, 0.002), taylor
-        # ran out of memory (0.003), and the half-space model read jacobian
-        # -1.0 and a NaN limit bound at 0.001, with RuntimeWarnings
+    def test_small_scale_is_the_unit_run(self, tmp_path, suite, scale):
+        # while the space kept its scale R, a ray, the limits ball or the
+        # largest taylor offset of these runs, in absolute lengths, ran
+        # past X_n = 2^26 R: they exited 2, and before that refusal
+        # overflowed, ran out of memory or read NaN margins. Run on the
+        # unit model at kappa R^2 = -3, they pass
         cfg = base_cfg(suite, space={"kind": "hyperbolic", "dim": 3,
                                      "scale": scale},
                        kappa=-3.0 / scale**2, sampling={"trials": 50, "seed": 0})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("suite, space, kappa, sampling", [
+        ("taylor", {"kind": "sphere", "dim": 2, "radius": 100.0}, 5e-5,
+         {"seed": 1}),
+        ("taylor", {"kind": "hyperbolic", "dim": 3, "scale": 100.0}, -9e-5,
+         {"seed": 1}),
+        ("jacobian", {"kind": "hyperbolic", "dim": 3, "scale": 0.001}, -3e6,
+         {"trials": 50, "seed": 0}),
+        ("jacobian", {"kind": "sphere", "dim": 2, "radius": 0.01}, 5000.0,
+         {"trials": 200, "seed": 1})],
+        ids=["taylor-s2-radius100", "taylor-h3-scale100",
+             "jacobian-h3-scale0.001", "jacobian-s2-radius0.01"])
+    def test_scaled_false_counterexamples_pass(self, tmp_path, suite, space,
+                                               kappa, sampling):
+        # zero weight, kappa R^2 inside the bound: each run read absolute
+        # lengths on a space of radius or scale R. taylor's offsets were
+        # 2^-4 .. 2^-14 R / 100 and read taylor_series -163.59 (S^2) and
+        # -202.24 (H^3); the H^3 rays were 200-1,200 R long and overflowed
+        # the propagator (RuntimeWarnings); every S^2 ray passed the
+        # conjugate radius (exit 2)
+        cfg = base_cfg(suite, space=space, weight="zero", kappa=kappa,
+                       params={"n": space["dim"], "N": 9.0, "eps": 0.4},
+                       sampling=sampling)
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_propagator_past_float_range_exits_2(self, tmp_path, capsys):
+        # cosh of rays 400-500 long at kappa = -3 overflows: the rays were
+        # dropped as inadmissible, with RuntimeWarnings, and the run exited
+        # 2 naming the wrong cause
+        cfg = base_cfg("jacobian", space={"kind": "hyperbolic", "dim": 3},
+                       weight="zero", kappa=-3.0,
+                       sampling={"trials": 50, "seed": 0,
+                                 "theta_range": [400.0, 500.0]})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
-        assert "[geodesic within SPAN]" in capsys.readouterr().err
+        assert "[det E finite]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["limits", "taylor"])
     def test_s_kappa_past_float_range_exits_2(self, tmp_path, capsys, suite):
@@ -554,11 +612,11 @@ class TestRunExitCodes:
         assert "[d_t normal]" in capsys.readouterr().err
 
     def test_theta_delta_past_one_exits_2(self, tmp_path, capsys):
-        # H^3 at scale 0.005: |theta| 2^-4 = 1.12, where app6 took a power
-        # of a negative base and read a NaN margin (exit 1, RuntimeWarning)
-        cfg = base_cfg("taylor", space={"kind": "hyperbolic", "dim": 3,
-                                        "scale": 0.005},
-                       kappa=-1.2e5, sampling={"seed": 0})
+        # a steep weight on H^3: |theta| 2^-4 = 1.13, where app6 took a
+        # power of a negative base and read a NaN margin (exit 1,
+        # RuntimeWarning)
+        cfg = base_cfg("taylor", space={"kind": "hyperbolic", "dim": 3},
+                       weight="linear(40)", kappa=-3.0, sampling={"seed": 1})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2

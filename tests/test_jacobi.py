@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cdcheck import coefficients, jacobi
-from cdcheck.errors import SingularJacobian
+from cdcheck.errors import PreconditionError, SingularJacobian
 from cdcheck.jacobi import (concavity_margins, integrate_jacobi,
                             integrate_jacobi_batch, jacobi_closed_form,
                             refine_ray_margin, sample_rays, scan_rays)
@@ -147,6 +147,16 @@ class TestTrajectories:
         assert np.array_equal(det, ref_det)
         assert np.array_equal(a_nn, ref_ann, equal_nan=True)
 
+    @pytest.mark.parametrize("k_theta2", [-1.0e6, -2.0e5])
+    def test_det_past_float_range_is_refused(self, k_theta2):
+        # cosh overflows at omega = 1,000, and at omega = 447 the product
+        # of the two factors p_i does: the ray is refused, not dropped
+        Ss = np.stack([_random_symmetric(3, 1), _random_symmetric(3, 2)])
+        with pytest.raises(PreconditionError, match="float range") as exc:
+            jacobi_closed_form(Ss, np.array([-1.0, k_theta2]),
+                               np.linspace(0.0, 1.0, 17))
+        assert exc.value.failed == "det E finite"
+
     def test_step_halving_stability(self, sphere2):
         # det E is exact on any grid; Dbar and h carry the a_nn quadrature
         p = validate_params(2, 2, 1.0)
@@ -269,10 +279,10 @@ class TestSampling:
         elif kind == "sphere":
             np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0,
                                        rtol=1e-14)
-        else:  # the half-space coordinates X_{1..n-1} / q and y = R / q
+        else:  # the half-space coordinates X_{1..n-1} / q and y = 1 / q
             q = xs[:, -1] - xs[:, 0]
             assert np.all(np.abs(xs[:, 1:-1] / q[:, None]) <= r + 1e-12)
-            assert np.all(np.abs(np.log(sp.radius / q)) <= r + 1e-12)
+            assert np.all(np.abs(np.log(q)) <= r + 1e-12)
 
     def test_hyperbolic_rays_keep_their_draws(self):
         # H^3 rays take the five blocks of the half-space model: a uniform

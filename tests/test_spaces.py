@@ -33,7 +33,7 @@ class TestGeodesics:
         p = sp.geodesic(x, v, 1.0)
         np.testing.assert_allclose(p, [math.sinh(1.0), 0.0, math.cosh(1.0)],
                                    rtol=1e-15)
-        np.testing.assert_allclose(_to_half_space(sp, p), [0.0, math.e],
+        np.testing.assert_allclose(_to_half_space(p), [0.0, math.e],
                                    rtol=1e-15)
 
     @pytest.mark.parametrize("kind,dim", [("euclidean", 3), ("sphere", 2),
@@ -50,6 +50,18 @@ class TestGeodesics:
             b = sp.geodesic(x, v, t + h)
             speed = sp.log(a, b)[1] / (2 * h)
             assert speed == pytest.approx(1.0, abs=1e-8)
+
+    def test_models_are_unit(self):
+        # only the config reads a radius or scale: a model takes one of 1.0
+        # and refuses any other, rather than run as the unit model
+        assert make_space("sphere", 2, radius=1.0).sec == 1.0
+        assert make_space("hyperbolic", 3, scale=1.0).sec == -1.0
+        for kind, kw in (("sphere", {"radius": 2.0}),
+                         ("hyperbolic", {"scale": 0.5}),
+                         ("sphere", {"scale": 1.0}),
+                         ("euclidean", {"radius": 1.0})):
+            with pytest.raises(ConfigError, match="unit"):
+                make_space(kind, 2, **kw)
 
 
 class TestLogMap:
@@ -90,7 +102,8 @@ class TestLogMap:
 
 def _cases(*cases):
     """(kind, dim, space options, preset) cases, with ids that name the
-    options only when there are any."""
+    options only when there are any; an option is the radius or scale R
+    of the space (`_length`)."""
     ids = ["-".join([kind, str(dim), preset] + [f"{k}{v:g}" for k, v in kw.items()])
            for kind, dim, kw, preset in cases]
     return pytest.mark.parametrize("kind,dim,kw,preset", cases, ids=ids)
@@ -111,19 +124,21 @@ class TestWeights:
         ("hyperbolic", 2, {"scale": 0.6}, "quadratic(0.4)"),
     )
     def test_gradient_matches_fd(self, kind, dim, kw, preset):
-        sp = make_space(kind, dim, **kw)
+        # at a radius or scale R a step h is h / R on the unit model, and
+        # the derivative along a unit-speed geodesic is the model's over R
+        R, sp = _length(kw), make_space(kind, dim)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = sp.sample_point(rng)
-            if sp.kind == "sphere" and abs(x[-1]) > 0.95 * sp.radius:
+            if sp.kind == "sphere" and abs(x[-1]) > 0.95:
                 continue
             v = sp.sample_unit(rng, x)
             h = 1e-6
-            fd = (w.eval(sp.geodesic(x, v, h))
-                  - w.eval(sp.geodesic(x, v, -h))) / (2 * h)
+            fd = (w.eval(sp.geodesic(x, v, h / R))
+                  - w.eval(sp.geodesic(x, v, -h / R))) / (2 * h)
             # grad f is the Riemannian gradient: g(grad f, v) = df(v)
-            assert sp.inner(x, w.grad(x), v) == pytest.approx(fd, abs=1e-6)
+            assert sp.inner(x, w.grad(x), v) / R == pytest.approx(fd, abs=1e-6)
 
     @_cases(
         ("euclidean", 2, {}, "quadratic(0.5)"),
@@ -138,19 +153,20 @@ class TestWeights:
         ("hyperbolic", 2, {"scale": 0.6}, "quadratic(0.4)"),
     )
     def test_hessian_matches_geodesic_fd(self, kind, dim, kw, preset):
-        # nabla^2 f(v,v) = (f o gamma)''(0) for unit-speed geodesics
-        sp = make_space(kind, dim, **kw)
+        # nabla^2 f(v,v) = (f o gamma)''(0) for unit-speed geodesics; at a
+        # radius or scale R the model's over R^2
+        R, sp = _length(kw), make_space(kind, dim)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = sp.sample_point(rng)
-            if sp.kind == "sphere" and abs(x[-1]) > 0.9 * sp.radius:
+            if sp.kind == "sphere" and abs(x[-1]) > 0.9:
                 continue
             v = sp.sample_unit(rng, x)
             h = 1e-4
-            fd = (w.eval(sp.geodesic(x, v, h)) - 2 * w.eval(x)
-                  + w.eval(sp.geodesic(x, v, -h))) / h**2
-            assert w.hess(x, v, v) == pytest.approx(fd, abs=5e-6)
+            fd = (w.eval(sp.geodesic(x, v, h / R)) - 2 * w.eval(x)
+                  + w.eval(sp.geodesic(x, v, -h / R))) / h**2
+            assert w.hess(x, v, v) / R**2 == pytest.approx(fd, abs=5e-6)
 
     def test_hessian_symmetry(self):
         sp = make_space("euclidean", 3)
@@ -163,7 +179,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("preset", ["linear(0.7)", "quadratic(0.4)"])
     def test_hyperbolic_hessian_symmetry(self, preset):
-        sp = make_space("hyperbolic", 3, scale=2.0)
+        sp = make_space("hyperbolic", 3)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -173,14 +189,15 @@ class TestWeights:
             assert w.hess(x, u, v) == pytest.approx(w.hess(x, v, u), rel=1e-12)
 
     def test_sphere_quadratic_is_constant(self):
-        # |x| = R on the sphere, so f = a |x|^2 / 2 = a R^2 / 2
-        sp = make_space("sphere", 2, radius=2.0)
+        # |x| = 1 on the unit sphere, so f = a |x|^2 / 2 = a / 2 at every
+        # radius: the preset is read on the unit model
+        sp = make_space("sphere", 2)
         w = weight_preset(sp, "quadratic(0.6)")
         assert w.is_constant and w.name == "quadratic(0.6)"
         rng = np.random.default_rng(12)
         xs = np.stack([sp.sample_point(rng) for _ in range(10)])
         vs = np.stack([sp.sample_unit(rng, x) for x in xs])
-        np.testing.assert_allclose(w.eval(xs), 1.2, rtol=1e-15)
+        np.testing.assert_allclose(w.eval(xs), 0.3, rtol=1e-15)
         np.testing.assert_array_equal(w.grad(xs), 0.0)
         np.testing.assert_array_equal(w.hess(xs, vs, vs), 0.0)
 
@@ -200,8 +217,8 @@ class TestWeights:
         # Euclidean length sqrt(1.5) and Minkowski length 1
         sp = make_space("hyperbolic", 3)
         w = weight_preset(sp, "linear(1)")
-        x = _to_hyperboloid(sp, [0.0, 0.0, 2.0])
-        lower = _to_hyperboloid(sp, [0.5, 0.0, 1.0])
+        x = _to_hyperboloid([0.0, 0.0, 2.0])
+        lower = _to_hyperboloid([0.5, 0.0, 1.0])
         np.testing.assert_allclose(w.grad(lower), [0.5, 1.0, 0.0, 0.5],
                                    atol=1e-15)
         assert grad_sup(sp, w, [lower]) == pytest.approx(1.0, rel=1e-14)
@@ -209,23 +226,24 @@ class TestWeights:
         assert grad_sup(sp, w, [lower, x]) == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("kind, dim, kw, preset", [
-        ("hyperbolic", 3, {"scale": 0.6}, "quadratic(0.4)"),
-        ("hyperbolic", 2, {}, "linear(0.7)"),
+        ("hyperbolic", 3, {"radius": 4.0}, "quadratic(0.4)"),
+        ("hyperbolic", 2, {"radius": 2.0}, "linear(0.7)"),
         ("sphere", 2, {}, "cosine(0.3)"), ("euclidean", 3, {}, "linear(0.5)")])
     def test_centred_weight_is_the_weight_moved(self, kind, dim, kw, preset):
         # on H^n the weight at x along v reads as the moved weight at the
-        # origin along the moved tangent; elsewhere nothing moves
-        sp = make_space(kind, dim, **kw)
+        # origin along the moved tangent; elsewhere nothing moves (kw: the
+        # sampling region of x)
+        sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
         rng = np.random.default_rng(9)
         for _ in range(10):
-            x = sp.sample_point(rng, {"radius": 2.0} if kind == "hyperbolic" else None)
+            x = sp.sample_point(rng, kw or None)
             v = sp.sample_unit(rng, x)
             moved, o, u = centred(sp, preset, x, v)
             if kind != "hyperbolic":
                 assert o is x and u is v and moved.name == w.name
                 continue
-            np.testing.assert_array_equal(o, sp.radius * np.eye(dim + 1)[-1])
+            np.testing.assert_array_equal(o, np.eye(dim + 1)[-1])
             assert u[-1] == 0.0 and sp.inner(o, u, u) == pytest.approx(1.0, rel=1e-15)
             for t in (0.0, 0.3, -0.7):
                 assert moved.eval(sp.geodesic(o, u, t)) == pytest.approx(
@@ -238,16 +256,17 @@ class TestWeights:
     @pytest.mark.parametrize("dim, scale", [(2, 1.0), (3, 1.0), (3, 0.6)])
     def test_hyperbolic_presets_are_half_space_functions(self, dim, scale):
         # quadratic(a) = a |p|^2 / 2 and linear(a) = a p_1 at the
-        # hyperboloid image of the half-space point p, at any scale, up to
-        # heights e^{+-8}, where X_n - X_0 or X_n + X_0 cancels
-        sp = make_space("hyperbolic", dim, scale=scale)
+        # hyperboloid image of the half-space point p, up to heights
+        # e^{+-8}, where X_n - X_0 or X_n + X_0 cancels; at any scale R,
+        # whose hyperboloid point X is the unit model's X / R
+        sp = make_space("hyperbolic", dim)
         quadratic = weight_preset(sp, "quadratic(0.4)")
         linear = weight_preset(sp, "linear(0.7)")
         rng = np.random.default_rng(14)
         for _ in range(40):
             p = np.append(rng.uniform(-6.0, 6.0, dim - 1),
                           math.exp(rng.uniform(-8.0, 8.0)))
-            x = _to_hyperboloid(sp, p)
+            x = _to_hyperboloid(p, R=scale) / scale
             assert quadratic.eval(x) == pytest.approx(0.2 * (p @ p), rel=1e-14)
             assert linear.eval(x) == pytest.approx(0.7 * p[0], rel=1e-14,
                                                    abs=1e-15)
@@ -348,11 +367,10 @@ def _point_per_point(sp, rng, region=None):
         p = rng.uniform(-r, r, size=sp.dim - 1)
         y = np.exp(rng.uniform(-r, r))
         h = (np.dot(p, p) + y * y) / (2.0 * y)
-        return sp.radius * np.concatenate([[h - 0.5 / y], p / y,
-                                           [h + 0.5 / y]])
+        return np.concatenate([[h - 0.5 / y], p / y, [h + 0.5 / y]])
     if sp.kind == "sphere":
         u = rng.normal(size=sp.ambient)
-        return sp.radius * u / np.linalg.norm(u)
+        return u / np.linalg.norm(u)
     u = rng.normal(size=sp.dim)
     u /= np.linalg.norm(u)
     center = np.asarray((region or {}).get("center", np.zeros(sp.dim)))
@@ -382,18 +400,18 @@ def _inner_per_point(sp, x, u, v):
     return float(np.dot(u, v))
 
 
-STACK_SPACES = [("euclidean", 3, {}), ("sphere", 2, {}),
-                ("sphere", 3, {"radius": 1.7}), ("hyperbolic", 3, {}),
-                ("hyperbolic", 3, {"scale": 0.6})]
+# (kind, dim, the region the points are drawn in, radius 1.5 if empty)
+STACK_SPACES = [("euclidean", 3, {}), ("sphere", 2, {}), ("sphere", 3, {}),
+                ("hyperbolic", 3, {}), ("hyperbolic", 3, {"radius": 6.0})]
 
 
 class TestStacks:
     """The stacked layer equals its per-point reference loops bit for bit."""
 
     @staticmethod
-    def _points_and_units(sp, count=40):
+    def _points_and_units(sp, region=None, count=40):
         rng = np.random.default_rng(17)
-        xs = np.stack([sp.sample_point(rng, {"radius": 1.5})
+        xs = np.stack([sp.sample_point(rng, region or {"radius": 1.5})
                        for _ in range(count)])
         vs = np.stack([_unit_per_point(sp, rng, x) for x in xs])
         if isinstance(sp, Hyperbolic):  # vertical directions, up and down
@@ -417,8 +435,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
     def test_sample_unit(self, kind, dim, kw):
-        sp = make_space(kind, dim, **kw)
-        xs, _ = self._points_and_units(sp)
+        sp = make_space(kind, dim)
+        xs, _ = self._points_and_units(sp, kw)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         want = [_unit_per_point(sp, ref, x) for x in xs]
         np.testing.assert_array_equal(sp.sample_unit(rng, xs), want)
@@ -428,8 +446,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
     def test_geodesic(self, kind, dim, kw):
-        sp = make_space(kind, dim, **kw)
-        xs, vs = self._points_and_units(sp)
+        sp = make_space(kind, dim)
+        xs, vs = self._points_and_units(sp, kw)
         ts = np.random.default_rng(5).uniform(-1.5, 1.5, len(xs))
         ts[2] = 0.0
         want = [sp.geodesic(x, v, t) for x, v, t in zip(xs, vs, ts)]
@@ -446,8 +464,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind, dim, kw", STACK_SPACES)
     def test_inner_and_norm(self, kind, dim, kw):
-        sp = make_space(kind, dim, **kw)
-        xs, vs = self._points_and_units(sp)
+        sp = make_space(kind, dim)
+        xs, vs = self._points_and_units(sp, kw)
         us = 1.7 * vs[::-1]
         np.testing.assert_array_equal(
             sp.inner(xs, us, vs),
@@ -459,12 +477,12 @@ class TestStacks:
 
     @pytest.mark.parametrize("kind, dim, kw, preset", [
         ("euclidean", 3, {}, "quadratic(0.7)"), ("sphere", 2, {}, "cosine(0.4)"),
-        ("sphere", 3, {"radius": 1.7}, "linear(0.3)"),
-        ("hyperbolic", 3, {"scale": 0.6}, "quadratic(0.3)")])
+        ("sphere", 3, {}, "linear(0.3)"),
+        ("hyperbolic", 3, {"radius": 6.0}, "quadratic(0.3)")])
     def test_grad_sup(self, kind, dim, kw, preset):
-        sp = make_space(kind, dim, **kw)
+        sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
-        xs, _ = self._points_and_units(sp)
+        xs, _ = self._points_and_units(sp, kw)
         want = max(math.sqrt(max(_inner_per_point(sp, x, w.grad(x),
                                                   w.grad(x)), 0.0))
                    for x in xs)
@@ -474,14 +492,15 @@ class TestStacks:
     @pytest.mark.parametrize("kind, dim, kw, preset", [
         ("euclidean", 3, {}, "quadratic(0.7)"), ("sphere", 2, {}, "cosine(0.4)"),
         ("hyperbolic", 3, {}, "linear(0.5)"),
-        ("hyperbolic", 3, {"scale": 0.6}, "quadratic(0.3)")])
+        ("hyperbolic", 3, {"radius": 3.0}, "quadratic(0.3)")])
     def test_curvature_bound_report(self, kind, dim, kw, preset):
-        sp = make_space(kind, dim, **kw)
+        sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
         p = validate_params(dim, 7, 0.4)
-        rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8})
+        rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8,
+                                                     "region": kw or None})
         rng = np.random.default_rng(8)
-        xs = _points_per_stack(sp, rng, None, 60)
+        xs = _points_per_stack(sp, rng, kw or None, 60)
         vs = [_unit_per_point(sp, rng, x) for x in xs]
         ric = [ricci_fN_batch(sp, w, p, x[None], v[None])[0]
                for x, v in zip(xs, vs)]
@@ -511,29 +530,35 @@ class TestPointValidity:
                 np.testing.assert_array_equal(got, want)
 
     def test_hyperbolic_points_in_model(self):
-        # <X, X>_M = -R^2 on the upper sheet
+        # <X, X>_M = -1 on the upper sheet
         rng = np.random.default_rng(8)
-        for scale in (1.0, 0.6):
-            sp = make_space("hyperbolic", 2, scale=scale)
-            for _ in range(50):
-                x = sp.sample_point(rng)
-                assert x[-1] > 0.0
-                assert sp.inner(x, x, x) == pytest.approx(-scale**2, rel=1e-14)
+        sp = make_space("hyperbolic", 2)
+        for _ in range(100):
+            x = sp.sample_point(rng)
+            assert x[-1] > 0.0
+            assert sp.inner(x, x, x) == pytest.approx(-1.0, rel=1e-14)
 
 
-# H^n in the upper half space (p, y), y > 0, with the metric
+# H^n of scale R in the upper half space (p, y), y > 0, with the metric
 # R^2 (|dp|^2 + dy^2) / y^2 of curvature -1/R^2: the reference for the
-# hyperboloid. Every geodesic from (p0, y0) in the Euclidean unit direction
+# hyperboloid, whose model is the unit one read in units of R (a point X
+# is the model's X / R, a length t its t / R, unit tangents are shared).
+# Every geodesic from (p0, y0) in the Euclidean unit direction
 # e = R v / y0 is, at s = t / R, y = y0 / D and p = p0 + e_p y0 sinh(s) / D,
 # D = cosh s - e_y sinh s = ((1 - e_y) e^s + (1 + e_y) e^-s) / 2 with the
 # smaller of 1 -+ e_y taken as |e_p|^2 / (1 + |e_y|), so D > 0 at every
 # direction and length; the length between two points is
 # 2 R asinh(|p1 - p0| / (2 sqrt(y0 y1))).
 
-def _to_hyperboloid(sp, p, u=None):
+def _length(kw):
+    """The radius or scale R of a case's space options, 1.0 if none."""
+    return kw.get("radius", kw.get("scale", 1.0))
+
+
+def _to_hyperboloid(p, u=None, R=1.0):
     """The hyperboloid point X of the half-space point p, and the image V
     of a half-space tangent u at p if one is given."""
-    R, p = sp.radius, np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     x, y = p[:-1], p[-1]
     x2 = x @ x
     X = R * np.concatenate([[(x2 + y * y - 1.0) / (2.0 * y)], x / y,
@@ -548,15 +573,15 @@ def _to_hyperboloid(sp, p, u=None):
     return X, V
 
 
-def _to_half_space(sp, X):
-    """The half-space point (X_1..X_{n-1} / q, R / q), q = X_n - X_0."""
+def _to_half_space(X):
+    """The half-space point (X_1..X_{n-1} / q, 1 / q), q = X_n - X_0."""
     q = X[-1] - X[0]
-    return np.append(X[1:-1] / q, sp.radius / q)
+    return np.append(X[1:-1] / q, 1.0 / q)
 
 
-def _half_space_geodesic(sp, p, v, t):
+def _half_space_geodesic(p, v, t, R=1.0):
     """(gamma_v(t), gamma_v'(t)) in the half space, in closed form."""
-    R, p, v = sp.radius, np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
     s, e = t / R, R * v / p[-1]
     big = 1.0 + abs(e[-1])
     small = (e[:-1] @ e[:-1]) / big
@@ -568,15 +593,14 @@ def _half_space_geodesic(sp, p, v, t):
     return point, velocity
 
 
-def _half_space_log(sp, X, Y):
+def _half_space_log(X, Y, R=1.0):
     """(unit v, length) between two stored hyperboloid points, in 60-digit
     decimals: each point scaled onto <X, X>_M = -R^2 and taken to the half
     space, the length 2R asinh(|p1 - p0| / (2 sqrt(y0 y1))) there, and v the
     image of the closed form's derivative at t = 0."""
     with localcontext() as ctx:
         ctx.prec = 60
-        R = Decimal(sp.radius)
-
+        R = Decimal(R)
         def chart(X):
             X = [Decimal(float(c)) for c in X]
             X = [c * R / (X[-1] ** 2 - sum(a * a for a in X[:-1])).sqrt()
@@ -608,77 +632,79 @@ HYPERBOLIC_SPACES = [(2, 1.0), (3, 1.0), (2, 0.6), (3, 0.6)]
 
 class TestHyperboloidReference:
     """geodesic, velocity and log of H^n on the hyperboloid against the
-    half-space closed form, to 1e-11 relative, at random and at
-    near-vertical directions."""
+    half-space closed form of scale R, to 1e-11 relative, at random and at
+    near-vertical directions: the unit model read in units of R."""
 
     @staticmethod
-    def _rays(sp):
+    def _rays(dim, R):
         """Half-space (p, unit v) at (0, .., 0, 1) and 5 random points of a
         radius-2 region: one random direction and, up and down, |e_p| in
         {0, 1e-13, 1e-8, 1e-5, 1e-3} for the Euclidean unit direction e of
         v."""
         rng = np.random.default_rng(23)
-        ps = [np.eye(sp.dim)[-1]]
-        ps += [np.append(rng.uniform(-2.0, 2.0, sp.dim - 1),
+        ps = [np.eye(dim)[-1]]
+        ps += [np.append(rng.uniform(-2.0, 2.0, dim - 1),
                          math.exp(rng.uniform(-2.0, 2.0))) for _ in range(5)]
         rays = []
         for p in ps:
-            e = rng.normal(size=sp.dim)
-            rays.append((p, e / np.linalg.norm(e) * p[-1] / sp.radius))
-            across = rng.normal(size=sp.dim - 1)
+            e = rng.normal(size=dim)
+            rays.append((p, e / np.linalg.norm(e) * p[-1] / R))
+            across = rng.normal(size=dim - 1)
             across /= np.linalg.norm(across)
             for ex in (0.0, 1e-13, 1e-8, 1e-5, 1e-3):
                 for up in (1.0, -1.0):
                     e = np.append(ex * across, up * math.sqrt(1.0 - ex * ex))
-                    rays.append((p, e * p[-1] / sp.radius))
+                    rays.append((p, e * p[-1] / R))
         return rays
 
     @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
     def test_geodesic_and_velocity(self, dim, scale):
-        sp = make_space("hyperbolic", dim, scale=scale)
-        for p, u in self._rays(sp):
-            x, v = _to_hyperboloid(sp, p, u)
+        R, sp = scale, make_space("hyperbolic", dim)
+        for p, u in self._rays(dim, R):
+            x, v = _to_hyperboloid(p, u, R)
             for t in (1e-6, 1e-3, 1.0, 3.0, 10.0):
-                t *= scale
-                point, vel = _to_hyperboloid(sp, *_half_space_geodesic(sp, p, u, t))
-                assert _rel(sp.geodesic(x, v, t), point) < 1e-11, (p, u, t)
-                assert _rel(sp.velocity(x, v, t), vel) < 1e-11, (p, u, t)
-        # 25 R out from the origin a point passes X_n = 2^26 R
-        x, v = _to_hyperboloid(sp, np.eye(dim)[-1], np.eye(dim)[0] / scale)
+                point, vel = _to_hyperboloid(
+                    *_half_space_geodesic(p, u, t * R, R), R)
+                assert _rel(R * sp.geodesic(x / R, v, t), point) < 1e-11, (p, u, t)
+                assert _rel(sp.velocity(x / R, v, t), vel) < 1e-11, (p, u, t)
+        # 25 out from the origin a point passes X_n = 2^26
+        x, v = _to_hyperboloid(np.eye(dim)[-1], np.eye(dim)[0])
         with pytest.raises(PreconditionError, match="span"):
-            sp.geodesic(x, v, 25.0 * scale)
+            sp.geodesic(x, v, 25.0)
 
     @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
     def test_geodesic_from_far_out_is_smooth(self, dim, scale):
         # back through the origin from 8 R out the points are a smooth
         # function of t: their second differences over a step h are
         # gamma (h / R)^2 to the rounding of the points themselves
-        sp = make_space("hyperbolic", dim, scale=scale)
-        o = scale * np.eye(dim + 1)[-1]
+        R, sp = scale, make_space("hyperbolic", dim)
+        o = np.eye(dim + 1)[-1]
         v = sp.frame(o)[0]
-        x, w = sp.geodesic(o, v, 8.0 * scale), -sp.velocity(o, v, 8.0 * scale)
-        h = 1e-4 * scale
-        pts = sp.geodesic(x, w, 8.0 * scale + h * np.arange(-20, 21))
+        x, w = sp.geodesic(o, v, 8.0), -sp.velocity(o, v, 8.0)
+        h = 1e-4 * R
+        pts = R * sp.geodesic(x, w, (8.0 * R + h * np.arange(-20, 21)) / R)
         np.testing.assert_allclose(pts[2:] - 2.0 * pts[1:-1] + pts[:-2],
-                                   pts[1:-1] * 1e-8, rtol=0, atol=1e-14 * scale)
+                                   pts[1:-1] * 1e-8, rtol=0, atol=1e-14 * R)
 
     @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
     def test_log(self, dim, scale):
         # the reference takes the stored points: rounding a point's
         # coordinates alone moves a pair 1e-6 apart by about 1e-10 of its
         # length, in any float coordinates
-        sp = make_space("hyperbolic", dim, scale=scale)
-        rays = self._rays(sp)
+        R, sp = scale, make_space("hyperbolic", dim)
+        rays = self._rays(dim, R)
         base = np.eye(dim)[-1]  # and a point ln 3 above it, 1e-9 or 1e-6 aside
         pairs = [(base, 3.0 * base + aside * np.eye(dim)[0])
                  for aside in (1e-9, 1e-6)]
-        pairs += [(p, _half_space_geodesic(sp, p, u, t * scale)[0])
+        pairs += [(p, _half_space_geodesic(p, u, t * R, R)[0])
                   for p, u in rays for t in (1e-6, 1e-3, 1.0, 3.0)]
         ps = [p for p, _ in rays[::11]]
         pairs += [(p, q) for i, p in enumerate(ps) for q in ps[i + 1:]]
         for p, q in pairs:
-            x, y = _to_hyperboloid(sp, p), _to_hyperboloid(sp, q)
-            v, length = _half_space_log(sp, x, y)
+            # the reference scales the model's stored points onto the
+            # hyperboloid of scale R
+            x, y = _to_hyperboloid(p), _to_hyperboloid(q)
+            v, length = _half_space_log(x, y, R)
             got_v, got_length = sp.log(x, y)
-            assert abs(got_length / length - 1.0) < 1e-11, (p, q)
+            assert abs(R * got_length / length - 1.0) < 1e-11, (p, q)
             assert _rel(got_v, v) < 1e-11, (p, q)
