@@ -20,14 +20,13 @@ Only `resolve_config` reads a radius or scale R: the space suites run on
 the unit model at ``Run.kappa`` = kappa R^2, every length in units of R,
 as the checks are invariant under g -> R^2 g, kappa -> kappa / R^2.
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
-tolerance, 2 configuration or precondition error, 4 internal error (a
+tolerance, 2 config, precondition or output error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
 import json
@@ -283,13 +282,13 @@ def _axis_density(geometry, spec) -> DensityField:
 
 
 def _write_table(path, header, rows) -> None:
-    """A CSV table; floats are written to round trip (``.17g``), str cells
-    as they are."""
+    """A CSV table in one write, with csv's CRLF line ends: Python floats
+    to round trip (``.17g``), str cells as they are (no comma or quote)."""
+    lines = [",".join(header), *(",".join(
+        [v if isinstance(v, str) else f"{v:.17g}" for v in row])
+        for row in rows), ""]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([v if isinstance(v, str) else f"{v:.17g}" for v in row]
-                    for row in rows)
+        fh.write("\r\n".join(lines))
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +333,7 @@ def _run_jacobian(run, out_dir):
     _write_table(out_dir / "worst_ray.csv",
                  ["t", "det", "J", "h", "l", "log_D", "log_Dbar"],
                  np.column_stack(cols + [params.c * traj["l"],
-                                         traj["int_ann"]]))
+                                         traj["int_ann"]]).tolist())
     if margins[i] < -tol:
         record = {"x": xs[i].tolist(), "w": ws[i].tolist(),
                   "S": Ss[i].tolist(), "margin": float(margins[i]),
@@ -410,10 +409,13 @@ def _run_taylor(run, out_dir):
                                  x0, v, terms)
     _write_table(out_dir / "taylor.csv",
                  ["term", "delta", "exact", "series", "remainder"],
-                 ((chk.term, *row) for chk in checks for row in
-                  zip(chk.deltas, chk.exact, chk.series, chk.remainder)))
-    reports = [CheckReport(name="taylor_series",
-                           margins=[chk.margin for chk in checks],
+                 ((chk.term, *row) for chk in checks for row in zip(
+                     chk.deltas.tolist(), chk.exact.tolist(),
+                     chk.series.tolist(), chk.remainder.tolist())))
+    margins = taylor.series_margins(checks[0].deltas,
+                                    np.array([chk.exact for chk in checks]),
+                                    np.array([chk.series for chk in checks]))
+    reports = [CheckReport(name="taylor_series", margins=margins.tolist(),
                            tolerance=0.0,
                            provenance={"x": np.asarray(x).tolist()})]
     # the identity divides by eps0, infinite at N = n and 0 at N = 1
@@ -493,22 +495,23 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"output directory error: {exc}", file=sys.stderr)
         return 2
+    path = out_dir / f"{cfg['suite']}_report.json"
     try:
-        reports = run_suite(run, out_dir)
+        payloads = [_report_payload(cfg, rep)
+                    for rep in run_suite(run, out_dir)]
+        # canonical_json of {hash, reports, suite, timestamp}, encoded once
+        body = canonical_json({"reports": payloads, "suite": cfg["suite"]})
+        path.write_text(f'{{"hash":"{report_hash(body[1:-1])}",{body[1:-1]},'
+                        f'"timestamp":{time.time()!r}}}')
     except PreconditionError as exc:
         print(f"precondition failed: {exc} [{exc.failed}]", file=sys.stderr)
         return 2
     except CdCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    payloads = [_report_payload(cfg, rep) for rep in reports]
-    bundle = {"suite": cfg["suite"], "reports": payloads,
-              "hash": report_hash({"suite": cfg["suite"],
-                                   "reports": payloads}),
-              "timestamp": time.time()}
-    path = out_dir / f"{cfg['suite']}_report.json"
-    path.write_text(canonical_json(bundle))
+    except OSError as exc:  # an artifact or the report cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         for p in payloads:
             mm = p["min_margin"]

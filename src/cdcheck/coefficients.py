@@ -127,17 +127,17 @@ def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in ]0,1[, got {t}")
     seg = segment_between(space, x, y)
-    d_full, d_t = reparam_partial(space, weight, params, [seg], [1.0, t])
-    return _beta_of(params, kappa, t, seg, d_t, d_full)
+    d_full, d_t = reparam_partial(space, weight, params, seg, [1.0, t])
+    return _beta_of(params, kappa, t, seg.length, d_t, d_full)[0]
 
 
-def _beta_of(params, kappa, t, seg, d_t, d_full) -> float:
-    """beta_{kappa,t} on one segment from its distances d_t and d_f."""
-    if seg.length == 0.0:
-        return 1.0
-    if not within_conjugate_radius(kappa, d_full):
-        return math.inf
-    return math.exp(float(log_beta(params, kappa, d_t, d_full, t)))
+def _beta_of(params, kappa, t, length, d_t, d_full) -> list[float]:
+    """beta_{kappa,t} on segments of these lengths (one or a stack) from d_t
+    and d_f: 1 on an empty one, +inf past the conjugate radius."""
+    logs = np.ravel(log_beta(params, kappa, d_t, d_full, t)).tolist()
+    inside = np.ravel(within_conjugate_radius(kappa, d_full)).tolist()
+    return [1.0 if L == 0.0 else math.exp(lb) if ok else math.inf
+            for L, lb, ok in zip(np.ravel(length).tolist(), logs, inside)]
 
 
 def check_limits(space, weight, params, kappa: float, x, y,
@@ -155,14 +155,15 @@ def check_limits(space, weight, params, kappa: float, x, y,
     # limit 3 takes beta_{1/2}(x, y_k) at y_k on the geodesic at d(x,y) 2^-k
     t_mid = 0.5
     dks = [seg.length * 0.5**k for k in range(6)]
-    decay_segs = [segment_between(space, seg.start, space.geodesic(
-        seg.start, seg.direction, dk)) for dk in dks]
-    dist = reparam_partial(space, weight, params,
-                           [seg] * (ts.size + 1) + decay_segs * 2,
-                           np.concatenate([[1.0], ts, np.ones(6),
-                                           np.full(6, t_mid)]))
+    decay_ends = space.geodesic(seg.start, seg.direction, np.array(dks))
+    # one stack: (x, y) for d_f and each d_t, then each (x, y_k) twice
+    segs = segment_between(space, seg.start, np.concatenate(
+        [np.broadcast_to(seg.end, (ts.size + 1, seg.end.size)), decay_ends,
+         decay_ends]))
+    dist = reparam_partial(space, weight, params, segs, np.concatenate(
+        [[1.0], ts, np.ones(6), np.full(6, t_mid)]))
     d_full, d_t = dist[0], dist[1:ts.size + 1]
-    decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6).tolist()
+    decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6)
     log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full, ts)
     base = math.exp(-params.a * float(weight.eval(seg.start))) * seg.length
     margins = []
@@ -194,8 +195,9 @@ def check_limits(space, weight, params, kappa: float, x, y,
         aa * (1.0 - t_mid) * sup * r) * 2.0
     decay_rows = []
     decay_margin = math.inf
-    for dk, sk, dk_full, dk_t in zip(dks, decay_segs, decay_full, decay_t):
-        dev = abs(_beta_of(params, kappa, t_mid, sk, dk_t, dk_full) - 1.0)
+    for dk, beta_k in zip(dks, _beta_of(params, kappa, t_mid, segs.length[-6:],
+                                        decay_t, decay_full)):
+        dev = abs(beta_k - 1.0)
         # conservative envelope: linear asymmetry term plus curvature term;
         # past the float range it bounds nothing and reads +inf
         ex = params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0)

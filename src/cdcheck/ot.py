@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,6 +62,10 @@ class AxisGeometry:
                 self.space.velocity(self.origin, e1, self.xs),
                 np.broadcast_to(e2, (self.xs.size, e2.size)))
 
+    @cached_property
+    def m_cumulative(self) -> np.ndarray:  # m([lo, x]) at the grid points x
+        return cumulative_simpson(self.m_density, self.dx)
+
     def _g_table(self, a: float) -> np.ndarray:
         """Antiderivative G(x) = int_lo^x e^{-a f}; makes every d_t O(1)."""
         tab = self._g_cache.get(a)
@@ -71,14 +76,18 @@ class AxisGeometry:
 
     def reparam_partial(self, params: DimensionParams, x, y, t):
         """d_t(x, y) along the axis geodesic, vectorized."""
+        return self.partial_distances(params, x, y)(t)
+
+    def partial_distances(self, params: DimensionParams, x, y):
+        """t -> d_t(x, y), with G looked up at x once for every t."""
         a = params.a
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if a == 0.0:
-            return np.abs(t * (y - x))
+            return lambda t: np.abs(t * (y - x))
         g = self._g_table(a)
-        mid = x + t * (y - x)
-        return np.abs(np.interp(mid, self.xs, g) - np.interp(x, self.xs, g))
+        g_x = np.interp(x, self.xs, g)
+        return lambda t: np.abs(np.interp(x + t * (y - x), self.xs, g) - g_x)
 
     def integrate(self, values) -> float:
         return composite_simpson(np.asarray(values, dtype=float), self.dx)

@@ -6,7 +6,7 @@ weight f, the partial re-parametrized distance at fraction t is
     d_t(x, y) = integral_0^{t L} exp(-a f(gamma(s))) ds,   a = 2(1-eps)/(n-1).
 
 The full distance is d_f(x, y) = d_1(x, y). ``reparam_partial`` takes one
-segment and one fraction, or a stack of segments and their fractions, and
+segment and one fraction, or a stacked segment and its fractions, and
 computes every distance of the stack in one stacked call of the
 Gauss-Legendre panel rule `quadrature.gauss_legendre` on the analytic
 geodesics: each round evaluates the integrand at all of its abscissae at
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PreconditionError
 from .params import DimensionParams
 from .quadrature import gauss_legendre
-from .spaces import GeodesicSegment, ModelSpace, WeightFunction
+from .spaces import ModelSpace, WeightFunction
 
 LOG_MAX = math.log(sys.float_info.max)  # exp of a larger exponent overflows
 
@@ -38,25 +38,25 @@ def exp_or_inf(x: float) -> float:
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
                     params: DimensionParams, seg, t, rel_tol: float = 1e-10):
     """d_t(x, y) along a segment, t in [0, 1]: a float for one segment and
-    a scalar t; for a sequence of segments, an array of the shape of their
-    index broadcast against t (so t = [[t0], [t1]] gives the two fractions
-    on every segment as two rows). Raises PreconditionError where e^{-a f}
+    a scalar t; for a stack of k, an array of the shape of arange(k)
+    broadcast against t (so t = [[t0], [t1]] gives the two fractions on
+    every segment as two rows). Raises PreconditionError where e^{-a f}
     overflows, or where a distance of a non-empty segment underflows."""
-    single = isinstance(seg, GeodesicSegment)
-    segs = [seg] if single else list(seg)
-    rows, ts = np.broadcast_arrays(np.arange(len(segs)),
+    single = np.ndim(seg.length) == 0
+    rows, ts = np.broadcast_arrays(np.arange(np.size(seg.length)),
                                    np.asarray(t, dtype=float))
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError(f"fraction t must lie in [0, 1], got {t}")
-    lengths = np.array([sg.length for sg in segs])[rows]
+    lengths = np.reshape(seg.length, -1)[rows]
+    starts, directions = (np.reshape(u, (-1, space.ambient))
+                          for u in (seg.start, seg.direction))
     a = params.a
     if a == 0.0 or weight.is_constant:
-        f0 = float(weight.eval(segs[0].start)) if weight.is_constant else 0.0
+        f0 = float(weight.eval(starts[0])) if weight.is_constant else 0.0
         factor = math.exp(-a * f0) if weight.is_constant else 1.0
         out = factor * ts * lengths
     else:
-        starts = np.stack([sg.start for sg in segs])[rows.ravel()]
-        directions = np.stack([sg.direction for sg in segs])[rows.ravel()]
+        starts, directions = starts[rows.ravel()], directions[rows.ravel()]
 
         def integrand(p):
             expo = -a * weight.eval(space.geodesic(starts[p[0]],

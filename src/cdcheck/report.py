@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 
 @dataclass
@@ -46,7 +46,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
 
-def report_hash(payload: dict[str, Any], exclude: Sequence[str] = ("timestamp",)) -> str:
-    """SHA-256 of the canonical JSON with volatile fields removed."""
-    trimmed = {k: v for k, v in payload.items() if k not in exclude}
-    return hashlib.sha256(canonical_json(trimmed).encode()).hexdigest()
+def report_hash(body: str) -> str:
+    """SHA-256 of ``{body}``: a report file's own bytes without its
+    ``hash`` and ``timestamp`` members (``body``, the members between)."""
+    return hashlib.sha256(f"{{{body}}}".encode()).hexdigest()

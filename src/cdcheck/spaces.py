@@ -5,10 +5,10 @@ hyperbolic space as the quadrics <X, X> = +-1 of R^{d+1} under the
 Euclidean and the Minkowski form (`_Quadric`; `cli.resolve_config` maps a
 radius or scale R to them). Geodesics, logs and frames are closed form.
 
-``geodesic``, ``inner``, ``norm``, ``sample_unit`` and ``frame`` broadcast
-over stacks of points and tangents (..., ambient), bit for bit equal to
-the calls on single points: dot products are stacked matrix products,
-which round like one pair's ``np.dot``. ``sample_point`` draws a stack of
+``geodesic``, ``log``, ``inner``, ``norm``, ``sample_unit`` and ``frame``
+broadcast over stacks of points and tangents (..., ambient), bit for bit
+equal to the calls on single points: dot products are stacked matrix
+products, which round like one pair's ``np.dot``. ``sample_point`` draws a stack of
 ``count`` points: on S^n and H^n the draws of ``count`` single calls, on
 R^n a normal block, then a uniform block.
 
@@ -86,8 +86,19 @@ class ModelSpace:
         raise NotImplementedError
 
     def log(self, x, y):
-        """(unit tangent v, length L) with geodesic(x, v, L) == y."""
+        """(unit tangent v, length L) with geodesic(x, v, L) == y; for stacks
+        of points (x may be one), each the float of its own pair's call."""
         raise NotImplementedError
+
+    def _unit(self, x, v, norm, length):
+        """(v / norm, length), and (frame(x)[0], 0.0) where length < 1e-15."""
+        zero = length < 1e-15
+        with np.errstate(divide="ignore", invalid="ignore"):  # where zero
+            v = v / norm[..., None]
+        if zero.any():
+            v = np.where(zero[..., None], self.frame(x)[..., 0, :], v)
+            length = np.where(zero, 0.0, length)
+        return (v, float(length)) if length.ndim == 0 else (v, length)
 
     def inner(self, x, u, v):
         """g_x(u, v), over the leading axes of stacks."""
@@ -137,10 +148,8 @@ class Euclidean(ModelSpace):
 
     def log(self, x, y):
         d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        length = float(np.linalg.norm(d))
-        if length < 1e-15:
-            return np.eye(self.dim)[0], 0.0
-        return d / length, length
+        length = np.sqrt(_dot(d, d))  # the float of np.linalg.norm(d)
+        return self._unit(x, d, length, length)
 
     def inner(self, x, u, v):
         return _dot(u, v)
@@ -178,17 +187,15 @@ class _Quadric(ModelSpace):
     def log(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         d = y - x
-        c2 = 2.0 * (self.sec - float(self.inner(x, x, y)))
-        if c2 <= 2.0:
-            c2 = float(self.inner(x, d, d))
-        half = 0.5 * math.sqrt(max(c2, 0.0))
-        if half > self._half_cut:
+        c2 = 2.0 * (self.sec - self.inner(x, x, y))
+        c2 = np.where(c2 <= 2.0, self.inner(x, d, d), c2)
+        half = 0.5 * np.sqrt(np.maximum(c2, 0.0))
+        if np.any(half > self._half_cut):
             raise CutLocusError("antipodal pair on the sphere: minimal geodesic not unique")
-        length = 2.0 * self._arc(half)
-        if length < 1e-15:
-            return self.frame(x)[0], 0.0
-        v = d - float(self.inner(x, d, x) / self.inner(x, x, x)) * x
-        return v / self.norm(x, v), length
+        # libm's asin and asinh: numpy's differ from them in the last bit
+        length = 2.0 * np.vectorize(self._arc, otypes=[float])(half)
+        v = d - (self.inner(x, d, x) / self.inner(x, x, x))[..., None] * x
+        return self._unit(x, v, self.norm(x, v), length)
 
     def inner(self, x, u, v):
         return _dot(np.asarray(u, dtype=float) * self._form, v)
@@ -305,18 +312,20 @@ def make_space(kind: str, dim: int, **kw) -> ModelSpace:
 
 @dataclass(frozen=True)
 class GeodesicSegment:
-    """A minimal geodesic between two points, clear of the cut locus."""
+    """One minimal geodesic, or a stack of them, clear of the cut locus."""
 
     start: np.ndarray
     end: np.ndarray
     direction: np.ndarray
-    length: float
+    length: float | np.ndarray
 
 
 def segment_between(space: ModelSpace, x, y) -> GeodesicSegment:
-    """The minimal geodesic from x to y; raises CutLocusError on sphere antipodes."""
+    """The minimal geodesic from x to y, or the stack of them for stacks of
+    points (x may be one point); raises CutLocusError on sphere antipodes."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     v, length = space.log(x, y)
-    return GeodesicSegment(np.asarray(x, float), np.asarray(y, float), v, length)
+    return GeodesicSegment(x, y, v, length)
 
 
 class WeightFunction:

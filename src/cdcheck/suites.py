@@ -14,14 +14,13 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import (log_beta_pair, require_conjugate_radius,
-                           require_float_range)
+from .coefficients import (_log_beta_pair, log_beta_pair,
+                           require_conjugate_radius, require_float_range)
 from .errors import HypothesisError, PreconditionError, RegionError
 from .params import DimensionParams, c_kappa, s_kappa
 from .ot import (AxisGeometry, DensityField, entropy_functional,
                  fisher_information, monotone_1d_transport, renyi_pointwise,
                  w2_axis)
-from .quadrature import cumulative_simpson
 from .report import CheckReport
 from .spaces import ricci_fN_batch
 
@@ -73,14 +72,9 @@ def axis_log_betas(geometry: AxisGeometry, params: DimensionParams,
                    kappa: float, x, y, t):
     """(log beta_{1-t}(y, x), log beta_t(x, y)) at the axis pairs (x, y),
     with t broadcast against them; raises PreconditionError if a pair
-    reaches the conjugate radius. d_t and d_f come from one lookup of G at
-    x, shared by the stacked fractions (t, 1)."""
-    t = np.asarray(t, dtype=float)
-    ndim = max(np.ndim(x), np.ndim(y), t.ndim)
-    fracs = np.stack([t, np.ones_like(t)]).reshape(
-        (2,) + (1,) * (ndim - t.ndim) + t.shape)
-    d_t, d_full = geometry.reparam_partial(params, x, y, fracs)
-    return log_beta_pair(params, kappa, d_t, d_full, t)
+    reaches the conjugate radius. d_t and d_f share one lookup of G at x."""
+    distances = geometry.partial_distances(params, x, y)
+    return log_beta_pair(params, kappa, distances(t), distances(1.0), t)
 
 
 # ----------------------------------------------------------------------
@@ -110,16 +104,21 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     interp = monotone_1d_transport(rho0, rho1)
     entropy = partial(renyi_pointwise, params=params)
     ts = np.sort(np.asarray(t_grid, dtype=float))
-    d_full = g.reparam_partial(params, interp.Q0, interp.Q1, 1.0)
+    # G at Q_0, d_f and s_kappa(d_f) once for every t-chunk
+    distances = g.partial_distances(params, interp.Q0, interp.Q1)
+    d_full = distances(1.0)
+    require_float_range(kappa, d_full)
+    s_full = s_kappa(kappa, d_full)
     cr, coef = params.c_ratio, (params.c + 1.0) / params.c
     log_j0, log_j1 = np.log(interp.j0), np.log(interp.j1)
     per_t = []
     for start in range(0, ts.size, _T_CHUNK):
         t = ts[start:start + _T_CHUNK]
         lhs = interp.pushforward_integral(t, entropy)
-        d_t = g.reparam_partial(params, interp.Q0, interp.Q1, t[:, None])
-        log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full,
-                                         t[:, None])
+        d_t = distances(t[:, None])
+        log_rev, log_fwd = _log_beta_pair(
+            params, kappa, d_full, t[:, None], s_kappa(kappa, d_full - d_t),
+            s_kappa(kappa, d_t), s_full)
         rhs = coef * (
             (1.0 - t) * ((1.0 - np.exp(cr * (log_rev + log_j0))) @ interp.du)
             + t * ((1.0 - np.exp(cr * (log_fwd + log_j1))) @ interp.du))
@@ -150,7 +149,7 @@ class RegionPair:
 
 
 def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
-    tab = cumulative_simpson(geometry.m_density, geometry.dx)
+    tab = geometry.m_cumulative
     a, b = min(lo, hi), max(lo, hi)
     return float(np.interp(b, geometry.xs, tab) - np.interp(a, geometry.xs, tab))
 

@@ -47,27 +47,29 @@ class SeriesCheck:
 
     @property
     def margin(self) -> float:
-        """1 - q0 / (4 max(ref)) for q = |remainder| / delta^3, q0 at the
-        smallest delta whose remainder is above the noise floor and ref at
-        8 and 16 times that delta; 0.0 when no remainder, or no reference
-        remainder, is above the floor, and NaN when any remainder is not
-        finite.
+        """`series_margins` of this check alone."""
+        return float(series_margins(self.deltas, self.exact[None],
+                                    self.series[None])[0])
 
-        Two reference points keep a sign change of the remainder near one
-        of them from deciding the verdict.
-        """
-        rem = np.abs(self.remainder)
-        if not np.all(np.isfinite(rem)):
-            return math.nan
-        live = rem > NOISE_FLOOR * float(np.max(1.0 + np.abs(self.exact)))
-        if not live.any():
-            return 0.0
-        q = rem / self.deltas**3
-        d0 = self.deltas[live].min()
-        ref = q[live & np.isin(self.deltas, (8.0 * d0, 16.0 * d0))]
-        if not ref.size:
-            return 0.0
-        return float(1.0 - q[self.deltas == d0][0] / (4.0 * ref.max()))
+
+def series_margins(deltas, exact, series) -> np.ndarray:
+    """The margin of each row of stacks (terms, deltas) of exact values and
+    series: 1 - q0 / (4 max(ref)) for q = |remainder| / delta^3, q0 at the
+    smallest delta whose remainder is above the noise floor and ref at 8
+    and 16 times that delta (two, so that a sign change of the remainder
+    near one does not decide the verdict); 0.0 when no remainder, or no
+    reference remainder, is above the floor; NaN if one is not finite."""
+    rem = np.abs(exact - series)
+    live = rem > NOISE_FLOOR * np.max(1.0 + np.abs(exact), axis=1,
+                                      keepdims=True)
+    d0 = np.where(live, deltas, np.inf).min(axis=1, keepdims=True)
+    ref = live & ((deltas == 8.0 * d0) | (deltas == 16.0 * d0))
+    q = rem / deltas**3
+    q0 = q[np.arange(len(q)), np.argmax(deltas == d0, axis=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+        margin = 1.0 - q0 / (4.0 * np.where(ref, q, -np.inf).max(axis=1))
+    return np.where(np.isfinite(rem).all(axis=1),
+                    np.where(ref.any(axis=1), margin, 0.0), np.nan)
 
 
 def _pointwise_data(space, weight, params, x, v):
@@ -133,8 +135,8 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
     n = params.n
     if any(tm.startswith(("app1", "app2", "app6")) for tm in terms):
-        segs = [segment_between(space, space.geodesic(x, v, dd),
-                                space.geodesic(x, v, -dd)) for dd in d]
+        segs = segment_between(space, space.geodesic(x, v, d),
+                               space.geodesic(x, v, -d))
         d_half, d_full = reparam_partial(space, weight, params, segs,
                                          [[0.5], [1.0]], rel_tol=1e-13)
         require_float_range(kappa, d_full)
@@ -195,12 +197,13 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     return checks[0] if single else checks
 
 
-def f_of_theta(params: DimensionParams, gradf_v: float, theta: float) -> float:
+def f_of_theta(params: DimensionParams, gradf_v: float, theta):
     """F(theta) = n(n-(n-1)(c+1))theta^2 + 2n(alpha-c)g theta + (alpha^2+2alpha-c)g^2."""
     n, c = params.n, params.c
     alpha = (1.0 - params.eps) / (n - 1.0)
     g = gradf_v
-    return (n * (n - (n - 1.0) * (c + 1.0)) * theta**2
+    # libm's pow, as float ** 2 takes it: an array's ** 2 rounds as x * x
+    return (n * (n - (n - 1.0) * (c + 1.0)) * np.float_power(theta, 2)
             + 2.0 * n * (alpha - c) * g * theta
             + (alpha**2 + 2.0 * alpha - c) * g**2)
 
@@ -219,16 +222,15 @@ def check_F_identity(params: DimensionParams, gradf_v: float,
     if params.eps0 == 0.0:
         raise PreconditionError("identity needs eps0 > 0", failed="eps0 > 0")
     n, c, eps, eps0 = params.n, params.c, params.eps, params.eps0
-    g = gradf_v
-    margins = []
-    for th in theta_grid:
-        lhs = f_of_theta(params, g, th)
-        if not math.isinf(params.N):
-            lhs += (c + 1.0) * g**2 / (params.N - n)
-        rhs = (n / eps0) * (eps * th + (eps - eps0) * g / (n - 1.0)) ** 2
-        margins.append(tol - abs(lhs - rhs))
-    return CheckReport(name="F_identity", margins=margins, tolerance=0.0,
-                       provenance={"gradf_v": gradf_v})
+    g, th = gradf_v, np.asarray(theta_grid, dtype=float)
+    lhs = f_of_theta(params, g, th)
+    if not math.isinf(params.N):
+        lhs += (c + 1.0) * g**2 / (params.N - n)
+    root = eps * th + (eps - eps0) * g / (n - 1.0)
+    rhs = (n / eps0) * np.float_power(root, 2)  # as in f_of_theta
+    return CheckReport(name="F_identity",
+                       margins=(tol - np.abs(lhs - rhs)).tolist(),
+                       tolerance=0.0, provenance={"gradf_v": gradf_v})
 
 
 def check_limit_bound(space: ModelSpace, weight: WeightFunction,
@@ -249,12 +251,12 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
                           rng.normal(size=(grad_samples, space.dim)))
     radii = rng.random(grad_samples)
     sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
-    segs = [segment_between(space, x, space.geodesic(x, v, r * 2.0**-j))
-            for j in range(levels)]
+    segs = segment_between(space, x, space.geodesic(
+        x, v, r * 2.0 ** -np.arange(levels)))
     d_full, d_t = reparam_partial(space, weight, params, segs, [[1.0], [t]])
     a, big_a = abs(params.a), (1.0 - t) * sup
-    margins = [a * big_a * exp_or_inf(a * big_a * sg.length) * sg.length
-               - abs(dt / (t * df) - 1.0)
-               for sg, df, dt in zip(segs, d_full.tolist(), d_t.tolist())]
+    margins = [a * big_a * exp_or_inf(a * big_a * L) * L
+               - abs(dt / (t * df) - 1.0) for L, df, dt in zip(
+                   segs.length.tolist(), d_full.tolist(), d_t.tolist())]
     return CheckReport(name="limit_bound", margins=margins, tolerance=1e-12,
                        provenance={"t": t, "r": r, "grad_sup": sup})

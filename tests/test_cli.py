@@ -3,6 +3,7 @@
 import copy
 import csv
 import ctypes
+import hashlib
 import importlib
 import json
 import math
@@ -20,6 +21,7 @@ from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
 from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
 from cdcheck.ot import AxisGeometry
+from cdcheck.report import CheckReport
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -464,6 +466,17 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir", str(out)]) == 2
         assert "output directory error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("squatted", ["taylor_report.json", "taylor.csv"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, squatted):
+        # a directory squatting on an artifact's or the report's name made
+        # the write raise IsADirectoryError, which read as a crash (exit 4)
+        out = tmp_path / "out"
+        (out / squatted).mkdir(parents=True)
+        path = write_cfg(tmp_path, "c.json", base_cfg("taylor"))
+        assert main(["run", "--config", path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_limits_past_conjugate_radius_exits_2(self, tmp_path, capsys):
         # d(x, y) = 0.4 > pi / sqrt(100): beta is infinite, which once gave
         # NaN margins and a false counterexample (exit 1)
@@ -756,6 +769,52 @@ class TestArtifacts:
         for row in rows[1:]:
             d, e, s, r = map(float, row[1:])
             assert r == pytest.approx(e - s, abs=1e-15)
+
+    def test_table_is_the_csv_writer_table(self, tmp_path):
+        header = ["term", "a", "b"]
+        rows = [["x", 0.1, np.float64(1.0 / 3.0)], ["y", -0.0, math.nan],
+                ["z", np.float64(-1e-300), math.inf],
+                ["w", 2.0 ** 60, np.float64(-math.inf)]]
+        cli._write_table(tmp_path / "t.csv", header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([v if isinstance(v, str) else f"{v:.17g}"
+                         for v in row] for row in rows)
+        assert ((tmp_path / "t.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("suite", ["curvature", "all"])
+    def test_report_file_is_the_canonical_bundle(self, tmp_path, monkeypatch,
+                                                 suite):
+        # the file is canonical_json of {hash, reports, suite, timestamp},
+        # and the hash is the SHA-256 of canonical_json of {reports, suite}
+        if suite == "curvature":  # NaN, +-inf and a -0.0 minimum
+            monkeypatch.setattr(cli, "run_suite", lambda run, out_dir: [
+                CheckReport("nan", [math.nan, 1.0], 0.0),
+                CheckReport("inf", [math.inf, -math.inf], 0.0),
+                CheckReport("zero", [-0.0, 0.5], 0.0)])
+            cfg = base_cfg("curvature")
+        else:
+            cfg = {**copy.deepcopy(FUZZ_BASE), "suite": "all"}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) in (0, 1)
+        text = (out / f"{suite}_report.json").read_text()
+        bundle = json.loads(text)
+        canonical = lambda obj: json.dumps(obj, sort_keys=True,
+                                           separators=(",", ":"))
+        body = {"suite": bundle["suite"], "reports": bundle["reports"]}
+        assert bundle["hash"] == hashlib.sha256(
+            canonical(body).encode()).hexdigest()
+        assert text == canonical(bundle)
+        if suite == "curvature":
+            assert '"margins":[null,1.0],"min_margin":null' in text
+            assert '"margins":[Infinity,-Infinity]' in text
+            assert '"min_margin":-0.0' in text
+        else:
+            assert len(bundle["reports"]) == 10
 
     def test_report_contains_resolved_config(self, tmp_path):
         cfg = base_cfg("curvature")

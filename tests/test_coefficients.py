@@ -268,6 +268,31 @@ class TestLimits:
                            [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("kind, dim, preset, kappa", [
+        ("sphere", 2, "cosine(0.2)", 0.8), ("euclidean", 3, "quadratic(0.3)",
+                                            -0.5),
+        ("hyperbolic", 3, "linear(0.5)", -3.0)])
+    def test_decay_rows_are_the_per_segment_beta(self, kind, dim, preset,
+                                                 kappa):
+        # limit 3's stacked segments give each y_k the beta_{1/2} of its own
+        # segment, taken with libm's exp
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, 3 * dim, 0.4)
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            x = sp.sample_point(rng)
+            seg = segment_between(sp, x, sp.geodesic(
+                x, sp.sample_unit(rng, x), 0.4))
+            rep = check_limits(sp, w, p, kappa, x, seg.end, [0.1, 0.01])
+            for k, row in enumerate(rep.provenance["decay"]):
+                seg_k = segment_between(sp, seg.start, sp.geodesic(
+                    seg.start, seg.direction, seg.length * 0.5**k))
+                d_full, d_t = reparam_partial(sp, w, p, seg_k, [1.0, 0.5])
+                want = math.exp(float(log_beta(p, kappa, d_t, d_full, 0.5)))
+                assert row["d"] == seg.length * 0.5**k
+                assert row["dev"] == abs(want - 1.0)
+
     def test_limit2_error_is_rounding_only(self, tmp_path):
         # the benchmark's H^3 limits call at this seed: a second quadrature
         # on the reversed segment put 6.3e-8 of error into limit 2
@@ -300,7 +325,7 @@ class TestLimits:
         assert rep.verdict == "pass"
         assert len(calls) == 1
         segs, ts = calls[0][3], calls[0][4]
-        assert len(segs) == len(ts) == 1 + 7 + 2 * 6
+        assert segs.length.shape == np.shape(ts) == (1 + 7 + 2 * 6,)
 
     def test_overflowing_asymmetry_rate_is_inf(self):
         # |grad f| = 6000 along a segment of length 0.4 puts the rate B of

@@ -157,15 +157,16 @@ class TestStacked:
         p = validate_params(dim, 3 * dim, 0.4)
         rng = np.random.default_rng(5)
         x = sp.sample_point(rng)
-        segs = [segment_between(sp, x, sp.geodesic(x, sp.sample_unit(rng, x),
-                                                   length))
-                for length in (1.1, 0.3, 2.0 ** -9, 0.0)]
+        ends = np.array([sp.geodesic(x, sp.sample_unit(rng, x), length)
+                         for length in (1.1, 0.3, 2.0 ** -9, 0.0)])
         ts = [[0.0], [0.37], [0.5], [1.0]]
-        stacked = reparam_partial(sp, w, p, segs, ts, rel_tol=1e-13)
+        stacked = reparam_partial(sp, w, p, segment_between(sp, x, ends), ts,
+                                  rel_tol=1e-13)
         assert stacked.shape == (4, 4)
         for i, t in enumerate(np.ravel(ts)):
-            for j, seg in enumerate(segs):
-                one = reparam_partial(sp, w, p, seg, t, rel_tol=1e-13)
+            for j, end in enumerate(ends):
+                one = reparam_partial(sp, w, p, segment_between(sp, x, end), t,
+                                      rel_tol=1e-13)
                 assert stacked[i, j] == one
                 assert isinstance(one, float)
 
@@ -173,13 +174,13 @@ class TestStacked:
         # scale * t * L, in that order, on every item of a stack
         sp = make_space("euclidean", 3)
         p = validate_params(3, 9, 0.4)
-        segs = [segment_between(sp, np.zeros(3), np.array([0.1, 0.7, 0.3])),
-                segment_between(sp, np.zeros(3), np.array([1.3, -0.2, 0.9]))]
+        segs = segment_between(sp, np.zeros(3), np.array([[0.1, 0.7, 0.3],
+                                                          [1.3, -0.2, 0.9]]))
         ts = np.array([0.3, 0.7])
         got = reparam_partial(sp, constant_weight(0.9), p, segs, ts)
         scale = math.exp(-p.a * 0.9)
-        assert got.tolist() == [scale * t * sg.length
-                                for t, sg in zip(ts.tolist(), segs)]
+        assert got.tolist() == [scale * t * length for t, length in
+                                zip(ts.tolist(), segs.length.tolist())]
 
     def test_weight_factor_past_float_range(self):
         # e^{-a f} = e^{15 |x|^2} overflows near |x| = 6.9: the distance
@@ -188,14 +189,14 @@ class TestStacked:
         w = weight_preset(sp, "quadratic(-50)")
         p = validate_params(3, 9, 0.4)
         seg = segment_between(sp, np.array([6.5, 0.0, 0.0]),
-                              np.array([7.5, 0.0, 0.0]))
+                              np.array([[7.5, 0.0, 0.0]]))
         with pytest.raises(PreconditionError) as exc:
-            reparam_partial(sp, w, p, [seg], 1.0)
+            reparam_partial(sp, w, p, seg, 1.0)
         assert exc.value.failed == "e^{-a f} finite"
 
     def test_fraction_out_of_range(self, flat2):
         p = validate_params(2, 4, 0.5)
-        seg = segment_between(flat2, np.zeros(2), np.array([1.0, 0.0]))
+        seg = segment_between(flat2, np.zeros(2), np.array([[1.0, 0.0]] * 2))
         with pytest.raises(ValueError, match="fraction"):
             reparam_partial(flat2, weight_preset(flat2, "linear(1.0)"), p,
-                            [seg, seg], [0.5, 1.5])
+                            seg, [0.5, 1.5])

@@ -99,6 +99,61 @@ class TestLogMap:
         with pytest.raises(CutLocusError):
             segment_between(sp, x, -x)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cut_locus_rejected_from_a_stack(self, dim):
+        sp = make_space("sphere", dim)
+        x = np.eye(dim + 1)[-1]
+        ys = np.stack([sp.geodesic(x, np.eye(dim + 1)[0], 1.0), -x])
+        with pytest.raises(CutLocusError):
+            sp.log(x, ys)
+        with pytest.raises(CutLocusError):
+            segment_between(sp, np.stack([x, x]), ys)
+
+    @pytest.mark.parametrize("kind, dim", [
+        ("euclidean", 3), ("sphere", 2), ("sphere", 3), ("hyperbolic", 2),
+        ("hyperbolic", 3)])
+    def test_stack_is_the_per_pair_log(self, kind, dim):
+        # lengths 0 (x itself), near 0, and past c^2 = 2 (pi / 2 on S^n,
+        # 2 asinh(1 / sqrt 2) on H^n), from one point and from a stack
+        sp = make_space(kind, dim)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = sp.sample_point(rng)
+            ys = np.stack([x] + [sp.geodesic(x, sp.sample_unit(rng, x), L)
+                                 for L in (1e-12, 1e-6, 0.3, 1.5, 2.0, 3.0)])
+            xs = sp.sample_point(rng, None, len(ys))
+            for start in (x, xs):
+                vs, lengths = sp.log(start, ys)
+                seg = segment_between(sp, start, ys)
+                for i, y in enumerate(ys):
+                    xi = np.broadcast_to(start, ys.shape)[i]
+                    v, L = _log_per_pair(sp, xi, y)
+                    assert np.array_equal(vs[i], v) and lengths[i] == L
+                    assert (np.array_equal(seg.direction[i], v)
+                            and seg.length[i] == L)
+                    one = sp.log(xi, y)
+                    assert np.array_equal(one[0], v) and one[1] == L
+                    assert type(one[1]) is float
+
+
+def _log_per_pair(sp, x, y):
+    """The log of one pair in float arithmetic, with libm's asin and asinh
+    and np.linalg.norm on R^n: the reference the stacked log keeps."""
+    d = y - x
+    if sp.kind == "euclidean":
+        length = float(np.linalg.norm(d))
+        return (np.eye(sp.dim)[0], 0.0) if length < 1e-15 else (d / length,
+                                                                  length)
+    c2 = 2.0 * (sp.sec - float(sp.inner(x, x, y)))
+    if c2 <= 2.0:
+        c2 = float(sp.inner(x, d, d))
+    length = 2.0 * (math.asin if sp.sec > 0 else math.asinh)(
+        0.5 * math.sqrt(max(c2, 0.0)))
+    if length < 1e-15:
+        return sp.frame(x)[0], 0.0
+    v = d - float(sp.inner(x, d, x) / sp.inner(x, x, x)) * x
+    return v / sp.norm(x, v), length
+
 
 def _cases(*cases):
     """(kind, dim, space options, preset) cases, with ids that name the

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cdcheck import ot
 from cdcheck.coefficients import log_beta, log_beta_pair
 from cdcheck.errors import HypothesisError, PreconditionError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, renyi_pointwise,
                         entropy_functional)
 from cdcheck.params import s_kappa, validate_params
+from cdcheck.quadrature import cumulative_simpson
 from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
                             weight_preset)
 from cdcheck.suites import (RegionPair, _curvature_margins, axis_log_betas,
@@ -258,6 +260,22 @@ class TestBrunnMinkowski:
         rep = check_brunn_minkowski(pair, g, None, p, -2.5)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
+
+    def test_measure_table_is_built_once(self, monkeypatch):
+        # the cumulative reference measure on the axis grid is one table
+        # per geometry, not one per interval measure (three per t)
+        g = LineGeometry("linear(1)", lo=-2.0, hi=2.0, points=4096)
+        calls = []
+        monkeypatch.setattr(ot, "cumulative_simpson",
+                            lambda *args: calls.append(args) or
+                            cumulative_simpson(*args))
+        p = validate_params(2, 6, 0.4)
+        X, Y = ({"kind": "interval", "bounds": b}
+                for b in ((-1.0, -0.3), (0.3, 1.0)))
+        for t in (0.25, 0.5, 0.75):
+            check_brunn_minkowski(RegionPair(X, Y, t), g, None, p, -2.5)
+        # one for the measure, one for the G table of e^{-a f}
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["interval", "ball"])

@@ -13,9 +13,9 @@ from cdcheck.params import validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
-from cdcheck.taylor import (TERMS, SeriesCheck, check_F_identity,
-                            check_limit_bound, check_series, f_of_theta,
-                            theta_eps)
+from cdcheck.taylor import (NOISE_FLOOR, TERMS, SeriesCheck,
+                            check_F_identity, check_limit_bound, check_series,
+                            f_of_theta, series_margins, theta_eps)
 
 EUC3 = make_space("euclidean", 3)
 SPHERE = make_space("sphere", 2, radius=1.0)
@@ -95,6 +95,31 @@ class TestCubicBound:
         assert not SeriesCheck("app1_fwd", deltas, exact,
                                np.zeros_like(deltas)).margin >= 0.0
 
+    def test_stack_is_the_per_term_margin(self):
+        # the synthetic cases above (sign change, quadratic, noise floor,
+        # NaN, inf), a remainder above the floor only at the two largest
+        # offsets (no reference) and the rows of a real call, as one stack
+        deltas = np.array([2.0 ** -k for k in range(4, 15)])
+        rems = [-2e-3 * deltas**3 + deltas**4, 1e-3 * deltas**2,
+                1e-16 * np.sin(deltas),
+                np.where(deltas == 2.0**-10, np.nan, deltas**2),
+                np.where(deltas == 2.0**-4, np.inf, 0.0),
+                np.where(deltas >= 2.0**-5, 1e-3, 0.0)]
+        exact = np.array(rems)
+        series = np.zeros_like(exact)
+        p = validate_params(3, 9, 0.4)
+        checks = check_series(EUC3, weight_preset(EUC3, "quadratic(0.3)"), p,
+                              -0.7, *euc_ray(), TERMS, grid=deltas)
+        exact = np.vstack([exact] + [chk.exact for chk in checks])
+        series = np.vstack([series] + [chk.series for chk in checks])
+        got = series_margins(deltas, exact, series)
+        want = [_margin_per_term(deltas, e, s) for e, s in zip(exact, series)]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(want[3:5]).all() and want[2] == want[5] == 0.0
+        for e, s, m in zip(exact, series, want):
+            one = SeriesCheck("app1_fwd", deltas, e, s).margin
+            assert one == m or math.isnan(one) and math.isnan(m)
+
     def test_grid_must_halve(self):
         # on a grid of thirds no offset has references at 8 and 16 times it
         p = validate_params(3, 9, 0.4)
@@ -102,6 +127,23 @@ class TestCubicBound:
         with pytest.raises(ValueError, match="halvings"):
             check_series(EUC3, w, p, -0.7, *euc_ray(), "app3_fwd",
                          grid=[3.0 ** -k for k in range(3, 10)])
+
+
+def _margin_per_term(deltas, exact, series) -> float:
+    """SeriesCheck.margin of one term, one offset at a time: the reference
+    the stacked margins keep."""
+    rem = np.abs(exact - series)
+    if not np.all(np.isfinite(rem)):
+        return math.nan
+    live = rem > NOISE_FLOOR * float(np.max(1.0 + np.abs(exact)))
+    if not live.any():
+        return 0.0
+    q = rem / deltas**3
+    d0 = deltas[live].min()
+    ref = q[live & np.isin(deltas, (8.0 * d0, 16.0 * d0))]
+    if not ref.size:
+        return 0.0
+    return float(1.0 - q[deltas == d0][0] / (4.0 * ref.max()))
 
 
 class TestSharedDistances:
@@ -122,7 +164,7 @@ class TestSharedDistances:
         # one stacked call: every offset's segment at fractions 1/2 and 1
         assert len(calls) == 1
         segs, ts = calls[0]
-        assert len(segs) == len(grid) and ts == [[0.5], [1.0]]
+        assert segs.length.shape == (len(grid),) and ts == [[0.5], [1.0]]
 
     @pytest.mark.parametrize("space, preset, kappa, ray", [
         (EUC3, "quadratic(0.3)", -0.7, euc_ray),
@@ -240,6 +282,27 @@ class TestFIdentity:
                 n * (n - (n - 1) * (c + 1)) * th * th, abs=1e-12)
             assert f_of_theta(p, 0.0, th) == pytest.approx(
                 (n / p.eps0) * (p.eps * th) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n, N, eps, g", [
+        (3, 9.0, 0.4, 0.7), (2, 6.0, 0.5, 0.7), (3, math.inf, -0.3, -1.1),
+        (4, -2.0, 0.6, 0.25)])
+    def test_grid_is_the_per_theta_identity(self, n, N, eps, g):
+        # one array for the grid, every margin the float of the loop over
+        # theta in float arithmetic (where theta ** 2 is libm's pow)
+        p = validate_params(n, N, eps)
+        grid = np.concatenate([np.linspace(-3.0, 3.0, 101),
+                               np.random.default_rng(2).normal(0, 3, 5000)])
+        c, alpha, want = p.c, (1.0 - eps) / (n - 1.0), []
+        for th in grid.tolist():
+            lhs = (n * (n - (n - 1.0) * (c + 1.0)) * th**2
+                   + 2.0 * n * (alpha - c) * g * th
+                   + (alpha**2 + 2.0 * alpha - c) * g**2)
+            if not math.isinf(N):
+                lhs += (c + 1.0) * g**2 / (N - n)
+            rhs = (n / p.eps0) * (p.eps * th + (p.eps - p.eps0) * g
+                                  / (n - 1.0)) ** 2
+            want.append(1e-10 - abs(lhs - rhs))
+        assert check_F_identity(p, g, grid).margins == want
 
     def test_infinite_N(self):
         p = validate_params(3, math.inf, 0.4)
