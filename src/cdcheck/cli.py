@@ -382,11 +382,11 @@ def _run_interpolation(run, out_dir):
 
 def _run_functional(run, out_dir):
     cfg, params, rho = run.cfg, run.params, run.axis.rho
-    f0, tol = float(rho.geometry.f_vals[0]), _tol(run, "functional")
+    f0 = float(rho.geometry.f_vals[0])
     delta = cfg.get("functional", {}).get(
         "delta", (1.0 - params.eps) * f0 / (params.n - 1.0))
-    return [suites.check_hwi_lsi(rho, params, cfg["kappa"], delta, tol=tol),
-            suites.check_transport_energy(rho, params, cfg["kappa"], tol=tol)]
+    return suites.check_functional(rho, params, cfg["kappa"], delta,
+                                   _tol(run, "functional"))
 
 
 def _base_point(run):

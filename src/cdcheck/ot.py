@@ -230,11 +230,10 @@ def monotone_1d_transport(rho0: DensityField, rho1: DensityField) -> MonotoneInt
     return MonotoneInterpolation(rho0, rho1)
 
 
-def w2_axis(rho0: DensityField, rho1: DensityField) -> float:
-    """W2 between axis densities: the cost of the monotone coupling, the
-    integral of (Q_1 - Q_0)^2 over u on the graded grid."""
-    interp = MonotoneInterpolation(rho0, rho1)
-    return math.sqrt(((interp.Q1 - interp.Q0) ** 2) @ interp.du)
+def w2_axis(coupling: MonotoneInterpolation) -> float:
+    """W2 between the two axis densities of a monotone coupling: its cost,
+    the integral of (Q_1 - Q_0)^2 over u on the graded grid."""
+    return math.sqrt(((coupling.Q1 - coupling.Q0) ** 2) @ coupling.du)
 
 
 # ----------------------------------------------------------------------

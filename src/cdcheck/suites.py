@@ -14,13 +14,13 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import (_log_beta_pair, log_beta_pair,
+from .coefficients import (_log_beta_pair, frak_b, log_b, log_beta_pair,
                            require_conjugate_radius, require_float_range)
 from .errors import HypothesisError, PreconditionError, RegionError
-from .params import DimensionParams, c_kappa, s_kappa
-from .ot import (AxisGeometry, DensityField, entropy_functional,
-                 fisher_information, monotone_1d_transport, renyi_pointwise,
-                 w2_axis)
+from .params import DimensionParams, s_kappa
+from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
+                 entropy_functional, fisher_information,
+                 monotone_1d_transport, renyi_pointwise, w2_axis)
 from .report import CheckReport
 from .spaces import ricci_fN_batch
 
@@ -140,7 +140,7 @@ class RegionPair:
 
     Supported region dicts: {"kind": "interval", "bounds": (a, b)} on an
     axis geometry, or {"kind": "ball", "radius": r}, centred at the origin
-    of Euclidean space under a constant weight.
+    of Euclidean space under a constant weight (exact infima, kappa <= 0).
     """
 
     X: dict
@@ -167,10 +167,15 @@ def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
 def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
                           params: DimensionParams, kappa: float,
                           samples: int = 64, tol: float = 1e-6) -> CheckReport:
-    """Weighted Brunn-Minkowski with sampled coefficient infima.
+    """Weighted Brunn-Minkowski with the coefficient infima over X x Y,
+    sampled on a grid for intervals and exact for balls:
 
     m(Z_t)^{c/(c+1)} >= (1-t) (inf beta_{1-t})^{c/(c+1)} m(X)^{c/(c+1)}
                         + t (inf beta_t)^{c/(c+1)} m(Y)^{c/(c+1)}.
+
+    Flat balls under a constant weight f0 have Ric_f^N = 0, so the
+    hypothesis needs kappa <= 0; there beta falls with distance, and each
+    infimum is beta at the farthest pair, d_f = e^{-a f0} (r0 + r1).
     """
     t = pair.t
     cr = params.c_ratio
@@ -195,6 +200,10 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
     elif kx == ky == "ball":
         space = geometry_or_space
         require_flat_balls(space, weight_or_none)
+        if kappa > 0.0:  # Ric_f^N = 0 on flat space under a constant weight
+            raise PreconditionError(f"curvature bound fails on flat balls at"
+                                    f" kappa = {kappa:g} > 0",
+                                    failed="curvature bound")
         f0 = float(weight_or_none.eval(np.zeros(space.dim))) if weight_or_none else 0.0
         r0, r1 = pair.X["radius"], pair.Y["radius"]
         n = space.dim
@@ -203,8 +212,10 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
         m_x = factor * omega * r0**n
         m_y = factor * omega * r1**n
         m_z = factor * omega * ((1 - t) * r0 + t * r1) ** n
-        rev, fwd, refine_drift = _inf_beta_balls(space, params, kappa, f0,
-                                                 r0, r1, t, samples)
+        d_f = math.exp(-params.a * f0) * (r0 + r1)
+        rev, fwd = np.exp(cr * np.array(
+            log_beta_pair(params, kappa, t * d_f, d_f, t))).tolist()
+        refine_drift = 0.0
     else:
         raise RegionError(f"unsupported region kinds: {kx}, {ky}")
 
@@ -224,29 +235,6 @@ def require_flat_balls(space, weight) -> None:
         raise RegionError(f"ball regions need Euclidean space, not {space.kind}")
     if weight is not None and not weight.is_constant:
         raise RegionError("ball regions support constant weights only")
-
-
-def _inf_beta_balls(space, params, kappa, f0, r0, r1, t, samples):
-    """Monte Carlo infima of the beta powers over a pair of Euclidean balls
-    of radii r0 and r1 around the origin."""
-    rng = np.random.default_rng(1234)
-    cr = params.c_ratio
-    factor = math.exp(-params.a * f0)
-    vals = []
-    for count in (samples**2, 4 * samples**2):
-        n = space.dim
-        u = rng.normal(size=(count, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        xs = r0 * rng.random((count, 1)) ** (1.0 / n) * u
-        u = rng.normal(size=(count, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        ys = r1 * rng.random((count, 1)) ** (1.0 / n) * u
-        d = np.linalg.norm(xs - ys, axis=1) * factor
-        rev, fwd = (np.exp(cr * lb)
-                    for lb in log_beta_pair(params, kappa, t * d, d, t))
-        vals.append((float(rev.min()), float(fwd.min())))
-    drift = max(abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
-    return vals[1][0], vals[1][1], drift
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +367,12 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
 # ----------------------------------------------------------------------
 # functional inequalities
 # ----------------------------------------------------------------------
-def _functional_preconditions(rho: DensityField, params: DimensionParams,
-                              kappa: float, delta: float | None):
+def check_functional(rho: DensityField, params: DimensionParams, kappa: float,
+                     delta: float, tol: float = 1e-5) -> list[CheckReport]:
+    """HWI/log-Sobolev and transport-energy reports for mu = rho m against
+    m, in one pass: the hypothesis (kappa > 0, a constant weight, the delta
+    and curvature bounds, unit mass) is checked once, and both reports take
+    one monotone coupling of (mu, m) and one entropy H."""
     g = rho.geometry
     if kappa <= 0.0:
         raise PreconditionError("kappa must be positive", failed="kappa > 0")
@@ -389,25 +381,23 @@ def _functional_preconditions(rho: DensityField, params: DimensionParams,
             "the m-constant hypothesis is only verifiable for constant"
             " weights; got a non-constant weight",
             failed="m-constant")
-    f0 = float(g.f_vals[0])
-    if delta is not None:
-        if (1.0 - params.eps) * f0 > (params.n - 1.0) * delta + 1e-12:
-            raise PreconditionError("(1-eps) f <= (n-1) delta fails",
-                                    failed="delta bound")
+    if (1.0 - params.eps) * g.f_vals[0] > (params.n - 1.0) * delta + 1e-12:
+        raise PreconditionError("(1-eps) f <= (n-1) delta fails",
+                                failed="delta bound")
     _require_curvature(g, params, kappa)
-    rho.check_mass()
-    return f0
+    coupling = monotone_1d_transport(rho, DensityField(g, np.ones_like(g.xs)))
+    H = entropy_functional(rho, params)
+    return [check_hwi_lsi(rho, params, kappa, delta, coupling, H, tol),
+            check_transport_energy(rho, params, kappa, coupling, H, tol)]
 
 
 def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
-                  delta: float, tol: float = 1e-5) -> CheckReport:
-    """HWI and log-Sobolev margins for mu = rho m against m itself."""
-    g = rho.geometry
-    _functional_preconditions(rho, params, kappa, delta)
-    ones = DensityField(g, np.ones_like(g.xs))
-    H = entropy_functional(rho, params)
+                  delta: float, coupling: MonotoneInterpolation, H: float,
+                  tol: float = 1e-5) -> CheckReport:
+    """HWI and log-Sobolev margins for mu = rho m against m itself, from
+    its entropy H and the optimal coupling of (mu, m)."""
     I = fisher_information(rho, params)
-    W2 = w2_axis(rho, ones)
+    W2 = w2_axis(coupling)
     cr = params.c_ratio
     sup = float(rho.values.max())
     amp = 1.0 + 2.0 * sup ** (-cr)
@@ -421,18 +411,15 @@ def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
 
 
 def check_transport_energy(rho: DensityField, params: DimensionParams,
-                           kappa: float, tol: float = 1e-5) -> CheckReport:
-    """Transport-energy lower bound on the entropy of mu = rho m.
+                           kappa: float, coupling: MonotoneInterpolation,
+                           H: float, tol: float = 1e-5) -> CheckReport:
+    """Transport-energy lower bound on the entropy H of mu = rho m.
 
-    The optimal coupling of (mu, m) is the monotone one, the pairs
-    (Q_0(u), Q_1(u)) of their quantiles; the b-type coefficients are
-    integrated over it in the mass coordinate u.
+    ``coupling`` is the optimal coupling of (mu, m), the monotone one: the
+    pairs (Q_0(u), Q_1(u)) of their quantiles. The coefficients
+    b^{c/(c+1)} and bfrak are integrated over it in the mass coordinate u.
     """
     g = rho.geometry
-    f0 = _functional_preconditions(rho, params, kappa, None)
-    ones = DensityField(g, np.ones_like(g.xs))
-    interp = monotone_1d_transport(rho, ones)
-    H = entropy_functional(rho, params)
     c = params.c
     ratio = (c + 1.0) / c
 
@@ -442,18 +429,13 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                                                           rho.values, 1.0)),
                                     0.0) * g.m_density)
 
-    d_f = g.reparam_partial(params, interp.Q0, interp.Q1, 1.0)
+    d_f = g.reparam_partial(params, coupling.Q0, coupling.Q1, 1.0)
     require_conjugate_radius(kappa, d_f)
     require_float_range(kappa, d_f)
-    base = math.exp(-params.a * f0) * np.abs(interp.Q1 - interp.Q0)
-    pos = d_f > 0
-    b_pow = np.ones_like(d_f)  # b^{c/(c+1)} with the unit value at the diagonal
-    b_pow[pos] = np.exp((np.log(base[pos]) - np.log(s_kappa(kappa, d_f[pos])))
-                        / (c + 1.0))
-    frak = np.zeros_like(d_f)
-    frak[pos] = (base[pos] * c_kappa(kappa, d_f[pos]) / s_kappa(kappa, d_f[pos])
-                 - 1.0) / (c + 1.0)
-    pair_term = (frak + np.exp(1.0 - b_pow)) @ interp.du
+    base = math.exp(-params.a * g.f_vals[0]) * np.abs(coupling.Q1 - coupling.Q0)
+    b_pow = np.exp(params.c_ratio * log_b(params, kappa, base, d_f))
+    pair_term = ((frak_b(params, kappa, base, d_f) + np.exp(1.0 - b_pow))
+                 @ coupling.du)
     rhs = 0.5 * ratio + 0.5 * log_term - 0.5 * ratio * pair_term
     margin = H - rhs
     return CheckReport(name="transport_energy", margins=[margin],
@@ -461,4 +443,3 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                        provenance={"kappa": kappa, "H": H,
                                    "log_term": log_term,
                                    "pair_term": pair_term})
-

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import require_float_range
+from .coefficients import _log_beta_pair, require_float_range
 from .errors import PreconditionError
 from .params import DimensionParams, s_kappa
 from .report import CheckReport
@@ -142,10 +142,9 @@ def check_series(space: ModelSpace, weight: WeightFunction,
         require_float_range(kappa, d_full)
         # beta_{kappa,1/2} both ways: the reversed first half starts at
         # gamma(-delta)
-        log_sf = np.log(0.5 * s_kappa(kappa, d_full))
-        b_fwd, b_rev = np.exp(params.inv_c * (
-            np.log(s_kappa(kappa, np.array([d_half, d_full - d_half])))
-            - log_sf))
+        b_rev, b_fwd = np.exp(_log_beta_pair(
+            params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
+            s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
     if any(tm.startswith(("app4", "app6")) for tm in terms):
         th = theta_eps(params, gfv)
         # past |theta| delta = 1 the factors (1 -+ theta delta)^n are no

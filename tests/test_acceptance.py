@@ -312,8 +312,7 @@ def test_criterion_09_functional_inequalities():
     for a in (0.0, 0.1, 0.2):
         rho = density_from_callable(meridian,
                                     lambda th, a=a: 1.0 + a * np.cos(th))
-        hw = suites.check_hwi_lsi(rho, p, 1.0, 0.0)
-        te = suites.check_transport_energy(rho, p, 1.0)
+        hw, te = suites.check_functional(rho, p, 1.0, 0.0)
         ok &= hw.min_margin >= -1e-5 and te.min_margin >= -1e-5
         if a == 0.0:
             ok &= abs(hw.min_margin) < 1e-9 and abs(te.min_margin) < 1e-9

@@ -898,6 +898,18 @@ class TestParameterRange:
                      str(tmp_path / "o")]) == 2
         assert "[curvature bound]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", [0.5, 8.0])
+    def test_bm_on_flat_balls_at_positive_kappa_is_a_precondition(
+            self, tmp_path, capsys, kappa):
+        # Ric_f^N = 0 on flat space under a constant weight, below kappa/c
+        cfg = {"space": {"kind": "euclidean", "dim": 3}, "weight": "zero",
+               "params": {"n": 3, "N": 6, "eps": 0.5}, "kappa": kappa,
+               "suite": "bm", "regions": {"kind": "ball", "radii": [0.4, 1.0]}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert "[curvature bound]" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_seed_same_hash(self, tmp_path):

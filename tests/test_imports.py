@@ -116,6 +116,53 @@ def test_dead_definition_scan_sees_an_unread_constant(tmp_path):
                                                "mod.py:2 LONE"]
 
 
+def _is_call_of(node: ast.AST, name: str) -> bool:
+    """``node`` is a call of ``name`` or of an attribute ``.name``."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _binds(node: ast.AST, name: str) -> bool:
+    """``node`` imports, defines or assigns ``name``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any((alias.asname or alias.name) == name for alias in node.names)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id == name)
+
+
+def _coefficient_copies(path: Path) -> list[str]:
+    """The marks of a beta, b or bfrak formula written out in a module:
+    c_kappa bound outside params and coefficients, and np.log of an
+    s_kappa call outside coefficients."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    if path.name not in ("params.py", "coefficients.py"):
+        hits += [f"{path.name}:{node.lineno} binds c_kappa"
+                 for node in ast.walk(tree) if _binds(node, "c_kappa")]
+    if path.name != "coefficients.py":
+        hits += [f"{path.name}:{node.lineno} takes the log of s_kappa"
+                 for node in ast.walk(tree) if _is_call_of(node, "log")
+                 and any(_is_call_of(sub, "s_kappa")
+                         for arg in node.args for sub in ast.walk(arg))]
+    return hits
+
+
+def test_coefficients_have_one_home():
+    # every beta, b and bfrak comes from coefficients (``__init__.py`` is
+    # skipped: its c_kappa is a re-export)
+    assert [hit for path in MODULES for hit in _coefficient_copies(path)] == []
+
+
+def test_coefficient_copy_scan_sees_both_marks(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import numpy as np\nfrom .params import c_kappa, s_kappa\n"
+                   "\n\ndef b(d):\n    return -np.log(2 * s_kappa(1.0, d))\n")
+    assert _coefficient_copies(mod) == ["mod.py:2 binds c_kappa",
+                                        "mod.py:6 takes the log of s_kappa"]
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):

@@ -3,7 +3,8 @@ import pytest
 
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, entropy_functional,
-                        fisher_information, renyi_pointwise, w2_axis)
+                        fisher_information, monotone_1d_transport,
+                        renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
 
 
@@ -120,13 +121,15 @@ class TestW2:
         g = line(lo=-1.0, hi=4.0)
         r0 = density_from_callable(g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
         r1 = density_from_callable(g, lambda x: ((x >= 2) & (x <= 3)).astype(float))
-        assert w2_axis(r0, r1) == pytest.approx(2.0, abs=1e-6)
+        assert w2_axis(monotone_1d_transport(r0, r1)) == pytest.approx(
+            2.0, abs=1e-6)
 
     def test_symmetry(self):
         g = line(f1="quadratic(0.4)")
         r0 = density_from_callable(g, lambda x: np.exp(-2 * x**2))
         r1 = density_from_callable(g, lambda x: np.exp(-(x - 0.6) ** 2))
-        assert w2_axis(r0, r1) == pytest.approx(w2_axis(r1, r0), abs=1e-9)
+        assert w2_axis(monotone_1d_transport(r0, r1)) == pytest.approx(
+            w2_axis(monotone_1d_transport(r1, r0)), abs=1e-9)
 
     def test_against_fine_quantile_rule(self):
         # the midpoint rule on 2,000,000 uniform u nodes of the inverted
@@ -139,7 +142,8 @@ class TestW2:
         u = (np.arange(n) + 0.5) / n
         q0, q1 = (np.interp(u, trapezoid_cdf(r), g.xs) for r in (r0, r1))
         ref = np.sqrt(np.mean((q1 - q0) ** 2))
-        assert w2_axis(r0, r1) == pytest.approx(ref, abs=1e-7)
+        assert w2_axis(monotone_1d_transport(r0, r1)) == pytest.approx(
+            ref, abs=1e-7)
 
 
 class TestEntropy:

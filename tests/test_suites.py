@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cdcheck import ot
-from cdcheck.coefficients import log_beta, log_beta_pair
+from cdcheck import ot, suites
+from cdcheck.coefficients import beta, log_beta, log_beta_pair
 from cdcheck.errors import HypothesisError, PreconditionError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, renyi_pointwise,
@@ -14,10 +14,9 @@ from cdcheck.quadrature import cumulative_simpson
 from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
                             weight_preset)
 from cdcheck.suites import (RegionPair, _curvature_margins, axis_log_betas,
-                            check_brunn_minkowski, check_hwi_lsi,
-                            check_interpolation, check_transport_energy,
-                            check_twcd, conclusion_exponent, envelope_psi,
-                            p_mean)
+                            check_brunn_minkowski, check_functional,
+                            check_interpolation, check_twcd,
+                            conclusion_exponent, envelope_psi, p_mean)
 
 
 def flat_line(points=4096, lo=-2.0, hi=2.0):
@@ -277,6 +276,44 @@ class TestBrunnMinkowski:
         # one for the measure, one for the G table of e^{-a f}
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("f0", [0.0, 0.7])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("kappa", [-1.0, -4.0])
+    def test_ball_infima_at_the_farthest_pair(self, kappa, t, f0):
+        # at kappa < 0 beta falls with distance, so both infima are beta at
+        # x = -r0 e_1, y = r1 e_1; no pair of the balls goes below them
+        sp, w = make_space("euclidean", 3), constant_weight(f0)
+        p = validate_params(3, 6, 0.5)
+        r0, r1 = 0.4, 1.0
+        pair = RegionPair({"kind": "ball", "radius": r0},
+                          {"kind": "ball", "radius": r1}, t)
+        rep = check_brunn_minkowski(pair, sp, w, p, kappa)
+        x, y = np.array([-r0, 0.0, 0.0]), np.array([r1, 0.0, 0.0])
+        rev = beta(sp, w, p, kappa, 1.0 - t, y, x) ** p.c_ratio
+        fwd = beta(sp, w, p, kappa, t, x, y) ** p.c_ratio
+        m = rep.provenance["measures"]
+        rhs = ((1 - t) * rev * m["X"] ** p.c_ratio
+               + t * fwd * m["Y"] ** p.c_ratio)
+        assert rep.min_margin == pytest.approx(
+            (m["Z"] ** p.c_ratio - rhs) / (1.0 + rhs), rel=1e-12)
+        assert rep.provenance["inf_beta_refine_drift"] == 0.0
+        rng = np.random.default_rng(7)
+        xs, ys = (sp.sample_point(rng, {"radius": r}, 10_000)
+                  for r in (r0, r1))
+        d = math.exp(-p.a * f0) * np.linalg.norm(xs - ys, axis=1)
+        logs = np.array(log_beta_pair(p, kappa, t * d, d, t))
+        assert np.all(np.exp(p.c_ratio * logs).min(axis=1) >= (rev, fwd))
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
+    def test_flat_balls_equality_at_kappa_zero(self, t):
+        # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the radius
+        pair = RegionPair({"kind": "ball", "radius": 0.4},
+                          {"kind": "ball", "radius": 1.0}, t)
+        rep = check_brunn_minkowski(pair, make_space("euclidean", 3),
+                                    constant_weight(0.0),
+                                    validate_params(3, 3, 1.0), 0.0)
+        assert rep.min_margin == 0.0
+
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["interval", "ball"])
     def test_endpoint_t_rejected(self, kind, t):
@@ -438,19 +475,17 @@ class TestFunctional:
     def test_uniform_density_equalities(self, meridian):
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: np.ones_like(th))
-        hw = check_hwi_lsi(rho, p, 1.0, 0.0)
+        hw, te = check_functional(rho, p, 1.0, 0.0)
         assert abs(hw.min_margin) < 1e-9
-        te = check_transport_energy(rho, p, 1.0)
         assert abs(te.min_margin) < 1e-9
 
     @pytest.mark.parametrize("a", [0.1, 0.2])
     def test_cosine_perturbation(self, meridian, a):
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: 1.0 + a * np.cos(th))
-        hw = check_hwi_lsi(rho, p, 1.0, 0.0)
+        hw, te = check_functional(rho, p, 1.0, 0.0)
         assert hw.verdict == "pass"
         assert hw.min_margin >= -1e-5
-        te = check_transport_energy(rho, p, 1.0)
         assert te.verdict == "pass"
         assert te.min_margin >= -1e-5
 
@@ -461,16 +496,32 @@ class TestFunctional:
         for a in (0.08, 0.04, 0.02):
             rho = density_from_callable(meridian,
                                         lambda th: 1.0 + a * np.cos(th))
-            rep = check_hwi_lsi(rho, p, 1.0, 0.0)
+            rep, _ = check_functional(rho, p, 1.0, 0.0)
             margins.append(rep.margins[1])
         assert all(m >= -1e-9 for m in margins)
         assert margins[0] > margins[1] > margins[2] >= 0.0 - 1e-9
+
+    def test_one_coupling_and_one_curvature_pass(self, meridian, monkeypatch):
+        # both reports share the hypothesis check and the coupling of (mu, m)
+        built, checked = [], []
+        init = MonotoneInterpolation.__init__
+        monkeypatch.setattr(MonotoneInterpolation, "__init__",
+                            lambda self, *args: built.append(args) or
+                            init(self, *args))
+        monkeypatch.setattr(suites, "_curvature_margins",
+                            lambda *args: checked.append(args) or
+                            _curvature_margins(*args))
+        p = validate_params(2, 2, 1.0)
+        rho = density_from_callable(meridian, lambda th: 1.0 + 0.2 * np.cos(th))
+        check_functional(rho, p, 1.0, 0.0)
+        assert len(built) == 1
+        assert len(checked) == 1
 
     def test_kappa_positive_required(self, meridian):
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: np.ones_like(th))
         with pytest.raises(PreconditionError) as ei:
-            check_hwi_lsi(rho, p, -1.0, 0.0)
+            check_functional(rho, p, -1.0, 0.0)
         assert "kappa" in ei.value.failed
 
     def test_nonconstant_weight_flagged(self):
@@ -478,7 +529,7 @@ class TestFunctional:
         p = validate_params(2, 10, 0.5)
         rho = density_from_callable(g, lambda x: np.exp(-x**2))
         with pytest.raises(PreconditionError) as ei:
-            check_hwi_lsi(rho, p, 0.5, 10.0)
+            check_functional(rho, p, 0.5, 10.0)
         assert "constant" in ei.value.failed or "m-constant" in ei.value.failed
 
 
