@@ -240,13 +240,11 @@ def w2_axis(coupling: MonotoneInterpolation) -> float:
 # entropies and Fisher information
 # ----------------------------------------------------------------------
 def renyi_pointwise(r: np.ndarray, params: DimensionParams) -> np.ndarray:
-    """H(r) = c^{-1}(c+1) r (1 - r^{-c/(c+1)}) = ((c+1)/c)(r - r^{1/(c+1)})."""
+    """H(r) = c^{-1}(c+1) r (1 - r^{-c/(c+1)}) = ((c+1)/c)(r - r^{1/(c+1)})
+    for r >= 0; H(0) = 0."""
     r = np.asarray(r, dtype=float)
     coef = (params.c + 1.0) / params.c
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = coef * (r[pos] - r[pos] ** (1.0 / (params.c + 1.0)))
-    return out
+    return coef * (r - r ** (1.0 / (params.c + 1.0)))
 
 
 def entropy_functional(rho: DensityField, params: DimensionParams) -> float:

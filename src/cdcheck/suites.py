@@ -157,9 +157,9 @@ def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
 def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
     """Sampled infima of beta_{1-t}(y,x)^{c/(c+1)} and beta_t(x,y)^{c/(c+1)}
     over the interval product, on a k x k grid."""
-    X, Y = np.meshgrid(np.linspace(xlo, xhi, k), np.linspace(ylo, yhi, k),
-                       indexing="ij")
-    logs = axis_log_betas(geometry, params, kappa, X, Y, t)
+    logs = axis_log_betas(geometry, params, kappa,
+                          np.linspace(xlo, xhi, k)[:, None],
+                          np.linspace(ylo, yhi, k), t)
     rev, fwd = np.exp(params.c_ratio * np.array(logs))
     return float(rev.min()), float(fwd.min())
 
@@ -284,14 +284,24 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
 
     At each of 4,096 z nodes, the sup of the hypothesis right-hand side
     over the pairs (x, y) in X x Y with (1-t)x + ty = z: the best of 64 x
-    values brackets it, and golden-section steps on all z at once shrink
+    cells brackets it, and golden-section steps on all z at once shrink
     the bracket to 1e-9. A relative slack covers interpolation error; at
     1e-4 it dwarfs the O(1e-9 |d rhs/dx|) that the bracket can miss.
+
+    All 64 cells are scanned only at every 8th node and the last one. A
+    node between two such neighbours scans the 6 cells around their best
+    cells k_l and k_r when |k_l - k_r| <= 1, and all 64 otherwise (the sup
+    switches mode there). Where the best of all 64 cells lies in the
+    window, the window's best cell and value are the full scan's, so the
+    envelope is the same bit for bit. It can differ only at an exact tie
+    with a lower cell outside the window, or where a mode that is the sup
+    at neither neighbour lies more than 2 cells outside both best cells.
     """
     zs = np.linspace((1 - t) * X[0] + t * Y[0],
                      (1 - t) * X[1] + t * Y[1], 4096)
     lo = np.maximum(X[0], (zs - t * Y[1]) / (1 - t))
     hi = np.minimum(X[1], (zs - t * Y[0]) / (1 - t))
+    width = hi - lo
 
     def rhs(x, z):  # the interval ends may round past X and Y
         x = np.clip(x, *X)
@@ -301,14 +311,27 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
 
     cells = np.linspace(0.0, 1.0, 64)
     best, k = np.empty(zs.size), np.empty(zs.size, dtype=int)
-    step = 8192 // cells.size  # chunks no larger than the axis grid
-    for s in range(0, zs.size, step):
-        part = slice(s, s + step)
-        vals = rhs(lo[part, None] + (hi - lo)[part, None] * cells,
-                   zs[part, None])
-        k[part], best[part] = vals.argmax(axis=1), vals.max(axis=1)
-    a = lo + (hi - lo) * cells[np.maximum(k - 1, 0)]
-    b = lo + (hi - lo) * cells[np.minimum(k + 1, cells.size - 1)]
+
+    def scan(nodes, first, size):
+        """Best of the cells first, ..., first + size - 1 at each node."""
+        step = 8192 // size  # nodes per rhs call of at most 8,192 points
+        for s in range(0, nodes.size, step):
+            i, j0 = nodes[s:s + step], first[s:s + step]
+            j = j0[:, None] + np.arange(size)
+            vals = rhs(lo[i, None] + width[i, None] * cells[j], zs[i, None])
+            k[i], best[i] = j0 + vals.argmax(axis=1), vals.max(axis=1)
+
+    coarse = np.append(np.arange(0, zs.size, 8), zs.size - 1)
+    scan(coarse, np.zeros_like(coarse), cells.size)
+    fine = np.flatnonzero(np.arange(zs.size - 1) % 8)
+    left = fine - fine % 8
+    k_l, k_r = k[left], k[np.minimum(left + 8, zs.size - 1)]
+    near = np.abs(k_l - k_r) <= 1
+    first = np.clip(np.minimum(k_l, k_r) - 2, 0, cells.size - 6)
+    scan(fine[near], first[near], 6)
+    scan(fine[~near], np.zeros_like(first[~near]), cells.size)
+    a = lo + width * cells[np.maximum(k - 1, 0)]
+    b = lo + width * cells[np.minimum(k + 1, cells.size - 1)]
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = rhs(c, zs), rhs(d, zs)

@@ -30,6 +30,57 @@ def quad_line(a=0.5, points=4096, lo=-2.0, hi=2.0):
 T_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 
 
+def full_scan_envelope(geometry, params, kappa, psi0, psi1, X, Y, t, p,
+                       slack=1e-4):
+    """(nodes, values) of envelope_psi's envelope from the best of all 64 x
+    cells at every z node: the reference the windowed scan must reproduce
+    bit for bit."""
+    zs = np.linspace((1 - t) * X[0] + t * Y[0],
+                     (1 - t) * X[1] + t * Y[1], 4096)
+    lo = np.maximum(X[0], (zs - t * Y[1]) / (1 - t))
+    hi = np.minimum(X[1], (zs - t * Y[0]) / (1 - t))
+
+    def rhs(x, z):
+        x = np.clip(x, *X)
+        y = np.clip((z - (1 - t) * x) / t, *Y)
+        b_rev, b_fwd = np.exp(axis_log_betas(geometry, params, kappa, x, y, t))
+        return p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p)
+
+    cells = np.linspace(0.0, 1.0, 64)
+    best, k = np.empty(zs.size), np.empty(zs.size, dtype=int)
+    step = 8192 // cells.size
+    for s in range(0, zs.size, step):
+        part = slice(s, s + step)
+        vals = rhs(lo[part, None] + (hi - lo)[part, None] * cells,
+                   zs[part, None])
+        k[part], best[part] = vals.argmax(axis=1), vals.max(axis=1)
+    a = lo + (hi - lo) * cells[np.maximum(k - 1, 0)]
+    b = lo + (hi - lo) * cells[np.minimum(k + 1, cells.size - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = rhs(c, zs), rhs(d, zs)
+    steps = math.log(1e-9 / max(float(np.max(b - a)), 1e-9), g)
+    for _ in range(math.ceil(steps)):
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - g * (b - a), a + g * (b - a))
+        f_new = rhs(new, zs)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    env = np.maximum(best, np.maximum(fc, fd))
+    env *= 1.0 + slack
+    env += slack * float(env.max())
+    return zs, env
+
+
+def cut_bump(I):
+    """The interpolation runner's psi on the interval I: a Gaussian bump of
+    width 0.3 at its middle, 0 outside it."""
+    mid = np.mean(I)
+    return lambda x: (np.exp(-0.5 * ((x - mid) / 0.3) ** 2)
+                      * ((x >= I[0]) & (x <= I[1])))
+
+
 class TestTwCD:
     def test_equal_endpoints_zero_margin(self):
         g = quad_line()
@@ -381,6 +432,65 @@ class TestInterpolationInequality:
                                     1 - t))
             brute = p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p).max()
             assert brute * (1 - 1e-12) <= psi(z) <= brute * (1 + 1e-8)
+        nodes, env = full_scan_envelope(g, params, kappa, psi0, psi1, X, Y,
+                                        t, p, 0.0)
+        assert np.array_equal(psi(nodes), env)
+
+    # the benchmark's interpolation line and edge cases of its settings:
+    # (X, Y, t, p)
+    @pytest.mark.parametrize("X, Y, t, p", [
+        ((-0.5, -0.5 + 1e-12), (0.2, 1.0), 0.5, 0.0),
+        ((-1.0, -0.2), (0.2, 1.0), 1e-6, 0.0),
+        ((-1.0, -0.2), (0.2, 1.0), 0.999999, 0.0),
+        ((-1.0, -0.2), (0.2, 1.0), 0.5, 1e300),
+        ((-1.0, -0.2), (0.2, 1.0), 0.5, math.inf),
+        ((-1.0, 0.5), (-0.5, 1.0), 0.5, 0.0),
+        ((-1.0, 1.0), (-1.0, 1.0), 0.5, 0.0),
+        ((-2.0, -0.2), (0.2, 2.0), 0.5, 0.0)],
+        ids=["X-width-1e-12", "t-1e-6", "t-0.999999", "p-1e300", "p-inf",
+             "overlapping", "X-is-Y", "window-edge"])
+    def test_envelope_is_the_full_scan(self, X, Y, t, p):
+        g = quad_line(points=8192)
+        params = validate_params(2, 10.0, 0.5)
+        psi0, psi1 = cut_bump(X), cut_bump(Y)
+        psi = envelope_psi(g, params, -1.0, psi0, psi1, X, Y, t, p)
+        nodes, env = full_scan_envelope(g, params, -1.0, psi0, psi1, X, Y, t, p)
+        assert np.array_equal(psi(nodes), env)
+
+    def test_envelope_mode_switch_scans_all_cells(self, monkeypatch):
+        # at p = +inf the sup jumps from the x bump to the lower y bump:
+        # nodes between coarse neighbours whose best cells differ by more
+        # than 1 fall back to all 64 cells
+        rows = []
+        monkeypatch.setattr(suites, "axis_log_betas",
+                            lambda g, params, kappa, x, y, t: rows.append(
+                                np.shape(x)) or axis_log_betas(
+                                    g, params, kappa, x, y, t))
+        g = quad_line()
+        params = validate_params(2, 10.0, 0.5)
+        X, Y, t = (-1.0, -0.2), (0.2, 1.0), 0.3
+        psi0 = lambda x: np.exp(-0.5 * ((x + 0.6) / 0.2) ** 2)
+        psi1 = lambda y: 0.6 * np.exp(-0.5 * ((y - 0.6) / 0.2) ** 2)
+        psi = envelope_psi(g, params, -1.0, psi0, psi1, X, Y, t, math.inf, 0.0)
+        full = sum(shape[0] for shape in rows if shape[1:] == (64,))
+        assert full > 513  # 512 coarse nodes and the last node, and more
+        nodes, env = full_scan_envelope(g, params, -1.0, psi0, psi1, X, Y, t,
+                                        math.inf, 0.0)
+        assert np.array_equal(psi(nodes), env)
+
+    def test_envelope_evaluations(self, monkeypatch):
+        # the benchmark's interpolation-p0 call: 513 full scans, 6 cells at
+        # the 3,583 other nodes and 38 golden rounds on 4,096 nodes, where
+        # a full scan at every node took 417,792 points
+        points = []
+        monkeypatch.setattr(suites, "axis_log_betas",
+                            lambda g, params, kappa, x, y, t: points.append(
+                                np.broadcast(x, y).size) or axis_log_betas(
+                                    g, params, kappa, x, y, t))
+        X, Y = (-1.0, -0.2), (0.2, 1.0)
+        envelope_psi(quad_line(points=8192), validate_params(2, 10.0, 0.5),
+                     -1.0, cut_bump(X), cut_bump(Y), X, Y, 0.5, 0.0)
+        assert sum(points) <= 215_000
 
     def test_envelope_far_from_origin(self):
         # near x = 1e4 neighbouring floats are 1.8e-12 apart: the search
