@@ -27,11 +27,11 @@ from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  MonotoneInterpolation, density_from_callable,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
-from .suites import (RegionPair, check_brunn_minkowski, check_functional,
-                     check_hwi_lsi, check_interpolation,
+from .suites import (check_ball_brunn_minkowski, check_brunn_minkowski,
+                     check_functional, check_hwi_lsi, check_interpolation,
                      check_transport_energy, check_twcd, conclusion_exponent,
                      p_mean)
-from .taylor import (SeriesCheck, check_F_identity, check_limit_bound,
-                     check_series, f_of_theta, theta_eps)
+from .taylor import (check_F_identity, check_limit_bound, check_series,
+                     f_of_theta, theta_eps)
 
 __version__ = "0.1.0"

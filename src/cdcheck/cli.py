@@ -302,9 +302,8 @@ def _run_curvature(run, out_dir):
     cfg, space, weight, params = run[:4]
     s = cfg["sampling"]
     return [check_curvature_bound(space, weight, params, run.kappa,
-                                  {"count": s["trials"], "seed": s["seed"],
-                                   "region": s.get("region"),
-                                   "tol": _tol(run, "curvature")})]
+                                  s["trials"], s["seed"], s.get("region"),
+                                  _tol(run, "curvature"))]
 
 
 def _run_jacobian(run, out_dir):
@@ -326,8 +325,8 @@ def _run_jacobian(run, out_dir):
                                   "seed": s["seed"], "steps": steps})
     # the first smallest margin; a NaN margin names no worst ray
     i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
-    traj = jacobi.integrate_jacobi(space, weight, params, xs[i], ws[i],
-                                   Ss[i], steps)
+    traj = jacobi.integrate_jacobi(space, weight, xs[i], ws[i], Ss[i],
+                                   steps)
     # columns t, det, J, h, l, log D = c l and log Dbar of the worst ray
     cols = [traj[k] for k in ("ts", "det", "J", "h", "l")]
     _write_table(out_dir / "worst_ray.csv",
@@ -345,7 +344,7 @@ def _run_jacobian(run, out_dir):
 def _run_twcd(run, out_dir):
     cfg = run.cfg
     rep = suites.check_twcd(*run.axis.pair, run.params, cfg["kappa"],
-                            cfg["sampling"]["t_grid"], tol=_tol(run, "twcd"))
+                            cfg["sampling"]["t_grid"], _tol(run, "twcd"))
     cols = ("t", "lhs", "rhs", "margin")
     _write_table(out_dir / "twcd.csv", cols,
                  ([row[k] for k in cols] for row in rep.provenance["rows"]))
@@ -354,15 +353,15 @@ def _run_twcd(run, out_dir):
 
 def _run_bm(run, out_dir):
     cfg, space, weight, params, axis = run[:5]
+    kappa, tol = cfg["kappa"], _tol(run, "bm")
     if axis.bm is None:  # ball regions
-        X, Y = ({"kind": "ball", "radius": r} for r in cfg["regions"]["radii"])
-        where = (space, weight)
-    else:
-        X, Y = ({"kind": "interval", "bounds": b} for b in axis.bm)
-        where = (axis.geometry, None)
-    return [suites.check_brunn_minkowski(suites.RegionPair(X, Y, t), *where,
-                                         params, cfg["kappa"],
-                                         tol=_tol(run, "bm"))
+        r0, r1 = cfg["regions"]["radii"]
+        return [suites.check_ball_brunn_minkowski(space, weight, r0, r1, t,
+                                                  params, kappa, tol)
+                for t in cfg["sampling"]["t_grid"]]
+    X, Y = axis.bm
+    return [suites.check_brunn_minkowski(axis.geometry, X, Y, t, params,
+                                         kappa, tol)
             for t in cfg["sampling"]["t_grid"]]
 
 
@@ -376,8 +375,8 @@ def _run_interpolation(run, out_dir):
                        t, p)
     return [suites.check_interpolation(axis.geometry, params, cfg["kappa"],
                                        psi0, psi1, psi, X, Y, t, p,
-                                       seed=cfg["sampling"]["seed"],
-                                       tol=_tol(run, "interpolation"))]
+                                       cfg["sampling"]["seed"],
+                                       _tol(run, "interpolation"))]
 
 
 def _run_functional(run, out_dir):
@@ -402,19 +401,15 @@ def _base_point(run):
 def _run_taylor(run, out_dir):
     space, params = run.space, run.params
     x, weight, x0, v = _base_point(run)
-    # theta needs eps != 0 (eps = 0 at N = 1)
-    terms = [term for term in taylor.TERMS
-             if params.eps != 0.0 or term not in ("app4_fwd", "app4_rev", "app6")]
-    checks = taylor.check_series(space, weight, params, run.kappa,
-                                 x0, v, terms)
+    terms, deltas, exact, series = taylor.check_series(
+        space, weight, params, run.kappa, x0, v)
     _write_table(out_dir / "taylor.csv",
                  ["term", "delta", "exact", "series", "remainder"],
-                 ((chk.term, *row) for chk in checks for row in zip(
-                     chk.deltas.tolist(), chk.exact.tolist(),
-                     chk.series.tolist(), chk.remainder.tolist())))
-    margins = taylor.series_margins(checks[0].deltas,
-                                    np.array([chk.exact for chk in checks]),
-                                    np.array([chk.series for chk in checks]))
+                 ((term, *row) for term, *cols in zip(
+                     terms, exact.tolist(), series.tolist(),
+                     (exact - series).tolist())
+                  for row in zip(deltas.tolist(), *cols)))
+    margins = taylor.series_margins(deltas, exact, series)
     reports = [CheckReport(name="taylor_series", margins=margins.tolist(),
                            tolerance=0.0,
                            provenance={"x": np.asarray(x).tolist()})]
@@ -429,8 +424,8 @@ def _run_limits(run, out_dir):
     space, params = run.space, run.params
     _, weight, x, v = _base_point(run)
     y = space.geodesic(x, v, 0.4)
-    return [taylor.check_limit_bound(space, weight, params, 0.5, x, v,
-                                     r=0.5, seed=run.cfg["sampling"]["seed"]),
+    return [taylor.check_limit_bound(space, weight, params, 0.5, x, v, 0.5,
+                                     run.cfg["sampling"]["seed"]),
             coefficients.check_limits(space, weight, params, run.kappa,
                                       x, y, [0.1, 0.05, 0.02, 0.01,
                                              0.005, 0.002, 0.001])]

@@ -31,6 +31,8 @@ from .reparam import LOG_MAX, exp_or_inf, reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12
+# how far an extrapolated t -> 0 limit may lie from its closed form
+LIMIT_TOL = 1e-6
 
 
 def within_conjugate_radius(kappa: float, d_full):
@@ -141,7 +143,7 @@ def _beta_of(params, kappa, t, length, d_t, d_full) -> list[float]:
 
 
 def check_limits(space, weight, params, kappa: float, x, y,
-                 t_grid, tol: float = 1e-6) -> CheckReport:
+                 t_grid) -> CheckReport:
     """Verify the t -> 0 limits of beta against b and bfrak by extrapolation,
     and the small-distance decay |beta_t - 1| = O(d(x,y)).
 
@@ -172,14 +174,14 @@ def check_limits(space, weight, params, kappa: float, x, y,
     # limit 1: beta_t(x, y) -> b(x, y)
     b_target = float(np.exp(log_b(params, kappa, base, d_full)))
     b_extrap = neville_extrapolate(ts, np.exp(log_fwd))
-    margins.append(tol - abs(b_extrap - b_target))
+    margins.append(LIMIT_TOL - abs(b_extrap - b_target))
     provenance["b_limit"] = {"target": b_target, "extrapolated": b_extrap}
 
     # limit 2: (1 - beta_{1-t}(y, x)^{c/(c+1)})/t -> bfrak(x, y)
     fb_target = float(frak_b(params, kappa, base, d_full))
     quots = -np.expm1(params.c_ratio * log_rev) / ts
     fb_extrap = neville_extrapolate(ts, quots)
-    margins.append(tol - abs(fb_extrap - fb_target))
+    margins.append(LIMIT_TOL - abs(fb_extrap - fb_target))
     provenance["frak_b_limit"] = {"target": fb_target, "extrapolated": fb_extrap}
 
     # limit 3: |beta_t - 1| -> 0 at least linearly in d(x,y). The linear

@@ -91,9 +91,8 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
     return det, a_nn
 
 
-def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
-                           params: DimensionParams, xs, ws, Ss,
-                           steps: int = 128):
+def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
+                           ws, Ss, steps: int = 128):
     """Vectorized trajectory computation for a batch of rays.
 
     Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
@@ -138,13 +137,12 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction,
             "f_gamma": f_gamma, "thetas": thetas, "admissible": admissible}
 
 
-def integrate_jacobi(space: ModelSpace, weight: WeightFunction,
-                     params: DimensionParams, x, w, S, steps: int = 128):
+def integrate_jacobi(space: ModelSpace, weight: WeightFunction, x, w, S,
+                     steps: int = 128):
     """One ray's :func:`integrate_jacobi_batch` dict, each array reduced to
     the ray's row; raises SingularJacobian if det E hits 0."""
     out = integrate_jacobi_batch(
-        space, weight, params,
-        *(np.asarray(a, float)[None] for a in (x, w, S)), steps)
+        space, weight, *(np.asarray(a, float)[None] for a in (x, w, S)), steps)
     if not out["admissible"][0]:
         raise SingularJacobian("det(dF_t) vanishes on [0, 1]; ray inadmissible")
     return {k: v if k == "ts" else v[0] for k, v in out.items()}
@@ -211,7 +209,7 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     has no log D. A constant weight's partial distances are theta e^{-a f} t;
     any other weight's come from a cumulative Simpson along the geodesic.
     """
-    out = integrate_jacobi_batch(space, weight, params, xs, ws, Ss, steps)
+    out = integrate_jacobi_batch(space, weight, xs, ws, Ss, steps)
     ts, theta = out["ts"], out["thetas"][:, None]
     if weight.is_constant:
         d_partial = theta * np.exp(-params.a * out["f_gamma"][:, :1]) * ts

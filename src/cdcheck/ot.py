@@ -216,14 +216,11 @@ class MonotoneInterpolation:
         return (np.interp(q, self.g.xs, self.g.m_density)
                 * ((1.0 - t) * self.dQ0 + t * self.dQ1))
 
-    def mass_integral(self, integrand_of_rho, j) -> np.ndarray:
-        """integral of integrand(rho) d m for the densities rho = 1/j at
-        the quantiles: the sum of integrand(1/j) j du over the last axis."""
-        return (integrand_of_rho(1.0 / j) * j) @ self.du
-
     def pushforward_integral(self, ts, integrand_of_rho) -> np.ndarray:
-        """integral of integrand(rho_t) d m for each t of ``ts``."""
-        return self.mass_integral(integrand_of_rho, self.jacobian(ts))
+        """integral of integrand(rho_t) d m for each t of ``ts``: the sum of
+        integrand(1/j_t) j_t du over u."""
+        j = self.jacobian(ts)
+        return (integrand_of_rho(1.0 / j) * j) @ self.du
 
 
 def monotone_1d_transport(rho0: DensityField, rho1: DensityField) -> MonotoneInterpolation:

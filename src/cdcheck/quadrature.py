@@ -11,6 +11,7 @@ from .errors import PreconditionError
 # open panels past which a refinement that never settles (rounding noise
 # above the tolerance) is refused rather than split on
 MAX_OPEN = 2**16
+MAX_DEPTH = 30  # halvings of a first-round panel past which it is accepted
 PANEL_LENGTH = 1.0  # the longest panel of a first round
 
 # Gauss-Legendre on [-1, 1]: the nodes x > 0 and their weights, 16 and 8
@@ -34,7 +35,6 @@ def gauss_legendre(
     a,
     b,
     rel_tol: float = 1e-10,
-    max_depth: int = 30,
 ):
     """Gauss-Legendre panels on a stack of intervals [a_i, b_i]: (value,
     estimated absolute error), floats for scalar a and b, else arrays of
@@ -46,7 +46,7 @@ def gauss_legendre(
     ceil(|b - a| / PANEL_LENGTH) equal panels. A panel's value is its
     16-point sum and its error the distance from its 8-point sum, which
     overstates the 16-point sum's error. Each round is one call at the 24
-    abscissae of every open panel, and halves, up to ``max_depth`` times,
+    abscissae of every open panel, and halves, up to MAX_DEPTH times,
     each panel whose error exceeds rel_tol times its integral's value in
     that round; a NaN error is final. Accepted panels are added up round by
     round, each round from left to right, so each value and error is the
@@ -73,7 +73,7 @@ def gauss_legendre(
         e = np.abs(v16 - v8)
         # each integral's current value: its accepted and its open panels
         tol = rel_tol * np.abs(val + np.bincount(ids, v16, minlength=n.size))
-        done = ~(e > tol[ids]) | (depth == max_depth)  # NaN: final
+        done = ~(e > tol[ids]) | (depth == MAX_DEPTH)  # NaN: final
         val += np.bincount(ids[done], v16[done], minlength=n.size)
         err += np.bincount(ids[done], e[done], minlength=n.size)
         s = ~done

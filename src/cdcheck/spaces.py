@@ -520,21 +520,30 @@ def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
 
 
 def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
-                          params: DimensionParams, kappa: float,
-                          sampling: dict) -> CheckReport:
-    """Sampled verification of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)} g.
+                          params: DimensionParams, kappa: float, count: int,
+                          seed: int, region, tol: float) -> CheckReport:
+    """Sampled verification of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)} g
+    in every direction, at ``count`` sampled points.
 
-    margin(x, v) = Ric_f^N(v) - c^{-1} kappa e^{-4(1-eps)f(x)/(n-1)}.
+    margin(x) = lambda_min(Q(x)) - c^{-1} kappa e^{-4(1-eps)f(x)/(n-1)},
+    with Q = (n-1) sec I + Hess f - grad f grad f^T / (N-n) the matrix of
+    the quadratic form Ric_f^N in ``frame(x)`` (no last term at N = +inf).
     """
-    count, seed = sampling.get("count", 200), sampling.get("seed", 0)
-    region, tol = sampling.get("region"), sampling.get("tol", 1e-9)
-    rng = np.random.default_rng(seed)
-    xs = space.sample_point(rng, region, count)
-    vs = space.sample_unit(rng, xs)
-    ric = ricci_fN_batch(space, weight, params, xs, vs)
+    n, N = params.n, params.N
+    if N == n and not weight.is_constant:
+        raise ConfigError("N = n requires a constant weight function")
+    xs = space.sample_point(np.random.default_rng(seed), region, count)
+    frames = space.frame(xs)
+    # Hess f of every pair of frame vectors, in one broadcast call
+    q = (n - 1) * space.sec * np.eye(space.dim) + np.asarray(weight.hess(
+        xs[:, None, None], frames[:, :, None], frames[:, None]), dtype=float)
+    if not math.isinf(N) and N != n:
+        grad = np.asarray(weight.grad(xs), dtype=float)
+        g = space.inner(xs[:, None], grad[:, None], frames)
+        q = q - g[:, :, None] * g[:, None, :] / (N - n)
     f = np.asarray(weight.eval(xs), dtype=float)
     rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * f)
-    margins = ric - rhs
+    margins = np.linalg.eigvalsh(q)[:, 0] - rhs
     return CheckReport(
         name="curvature_bound",
         margins=[float(m) for m in margins],

@@ -9,7 +9,6 @@ functional inequalities (HWI, log-Sobolev, transport-energy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,7 +21,14 @@ from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
 from .report import CheckReport
-from .spaces import ricci_fN_batch
+from .spaces import WeightFunction, ricci_fN_batch
+
+# points per side of the grid on X x Y behind the interval bm infima
+BM_SAMPLES = 64
+# random pairs at which the interpolation hypothesis is checked
+HYPOTHESIS_SAMPLES = 10000
+# relative slack of the interpolation envelope over its sup
+SLACK = 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +93,7 @@ _T_CHUNK = 8
 
 def check_twcd(rho0: DensityField, rho1: DensityField,
                params: DimensionParams, kappa: float, t_grid,
-               tol: float = 1e-6) -> CheckReport:
+               tol: float) -> CheckReport:
     """Twisted displacement convexity of the Renyi-type entropy along the
     monotone interpolation.
 
@@ -134,20 +140,6 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
 # ----------------------------------------------------------------------
 # Brunn-Minkowski
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RegionPair:
-    """Two regions plus an interpolation parameter.
-
-    Supported region dicts: {"kind": "interval", "bounds": (a, b)} on an
-    axis geometry, or {"kind": "ball", "radius": r}, centred at the origin
-    of Euclidean space under a constant weight (exact infima, kappa <= 0).
-    """
-
-    X: dict
-    Y: dict
-    t: float
-
-
 def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
     tab = geometry.m_cumulative
     a, b = min(lo, hi), max(lo, hi)
@@ -164,61 +156,64 @@ def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
     return float(rev.min()), float(fwd.min())
 
 
-def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
-                          params: DimensionParams, kappa: float,
-                          samples: int = 64, tol: float = 1e-6) -> CheckReport:
-    """Weighted Brunn-Minkowski with the coefficient infima over X x Y,
-    sampled on a grid for intervals and exact for balls:
+def check_brunn_minkowski(geometry: AxisGeometry, X: tuple, Y: tuple,
+                          t: float, params: DimensionParams, kappa: float,
+                          tol: float) -> CheckReport:
+    """Weighted Brunn-Minkowski for the axis intervals X and Y, with the
+    coefficient infima over X x Y sampled on BM_SAMPLES^2 and twice as many
+    points per side (the finer ones are used, their drift reported):
 
     m(Z_t)^{c/(c+1)} >= (1-t) (inf beta_{1-t})^{c/(c+1)} m(X)^{c/(c+1)}
                         + t (inf beta_t)^{c/(c+1)} m(Y)^{c/(c+1)}.
+    """
+    (xlo, xhi), (ylo, yhi) = X, Y
+    # the transport between the intervals stays in their hull
+    ends = (xlo, xhi, ylo, yhi)
+    _require_curvature(geometry, params, kappa, (min(ends), max(ends)))
+    m_x = _interval_measure(geometry, xlo, xhi)
+    m_y = _interval_measure(geometry, ylo, yhi)
+    m_z = _interval_measure(geometry, (1 - t) * xlo + t * ylo,
+                            (1 - t) * xhi + t * yhi)
+    rev, fwd = _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi,
+                                t, BM_SAMPLES)
+    rev2, fwd2 = _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo,
+                                  yhi, t, 2 * BM_SAMPLES)
+    return _bm_report(params, kappa, t, tol, (m_x, m_y, m_z), rev2, fwd2,
+                      max(abs(rev - rev2), abs(fwd - fwd2)))
 
-    Flat balls under a constant weight f0 have Ric_f^N = 0, so the
-    hypothesis needs kappa <= 0; there beta falls with distance, and each
+
+def check_ball_brunn_minkowski(space, weight: WeightFunction, r0: float,
+                               r1: float, t: float, params: DimensionParams,
+                               kappa: float, tol: float) -> CheckReport:
+    """Weighted Brunn-Minkowski, as `check_brunn_minkowski`, for the balls
+    of radii r0 and r1 centred at the origin of Euclidean space under a
+    constant weight f0, with exact infima. There Ric_f^N = 0, so the
+    hypothesis needs kappa <= 0; beta falls with distance, and each
     infimum is beta at the farthest pair, d_f = e^{-a f0} (r0 + r1).
     """
-    t = pair.t
-    cr = params.c_ratio
-    kx, ky = pair.X.get("kind"), pair.Y.get("kind")
-    if kx == ky == "interval":
-        g: AxisGeometry = geometry_or_space
-        xlo, xhi = pair.X["bounds"]
-        ylo, yhi = pair.Y["bounds"]
-        # the transport between the intervals stays in their hull
-        ends = (xlo, xhi, ylo, yhi)
-        _require_curvature(g, params, kappa, (min(ends), max(ends)))
-        m_x = _interval_measure(g, xlo, xhi)
-        m_y = _interval_measure(g, ylo, yhi)
-        m_z = _interval_measure(g, (1 - t) * xlo + t * ylo,
-                                (1 - t) * xhi + t * yhi)
-        rev, fwd = _inf_beta_powers(g, params, kappa, xlo, xhi, ylo, yhi,
-                                    t, samples)
-        rev2, fwd2 = _inf_beta_powers(g, params, kappa, xlo, xhi, ylo, yhi,
-                                      t, 2 * samples)
-        refine_drift = max(abs(rev - rev2), abs(fwd - fwd2))
-        rev, fwd = rev2, fwd2
-    elif kx == ky == "ball":
-        space = geometry_or_space
-        require_flat_balls(space, weight_or_none)
-        if kappa > 0.0:  # Ric_f^N = 0 on flat space under a constant weight
-            raise PreconditionError(f"curvature bound fails on flat balls at"
-                                    f" kappa = {kappa:g} > 0",
-                                    failed="curvature bound")
-        f0 = float(weight_or_none.eval(np.zeros(space.dim))) if weight_or_none else 0.0
-        r0, r1 = pair.X["radius"], pair.Y["radius"]
-        n = space.dim
-        omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        factor = math.exp(-f0)
-        m_x = factor * omega * r0**n
-        m_y = factor * omega * r1**n
-        m_z = factor * omega * ((1 - t) * r0 + t * r1) ** n
-        d_f = math.exp(-params.a * f0) * (r0 + r1)
-        rev, fwd = np.exp(cr * np.array(
-            log_beta_pair(params, kappa, t * d_f, d_f, t))).tolist()
-        refine_drift = 0.0
-    else:
-        raise RegionError(f"unsupported region kinds: {kx}, {ky}")
+    require_flat_balls(space, weight)
+    if kappa > 0.0:  # Ric_f^N = 0 on flat space under a constant weight
+        raise PreconditionError(f"curvature bound fails on flat balls at"
+                                f" kappa = {kappa:g} > 0",
+                                failed="curvature bound")
+    f0 = float(weight.eval(np.zeros(space.dim)))
+    n = space.dim
+    omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    factor = math.exp(-f0)
+    m_x = factor * omega * r0**n
+    m_y = factor * omega * r1**n
+    m_z = factor * omega * ((1 - t) * r0 + t * r1) ** n
+    d_f = math.exp(-params.a * f0) * (r0 + r1)
+    rev, fwd = np.exp(params.c_ratio * np.array(
+        log_beta_pair(params, kappa, t * d_f, d_f, t))).tolist()
+    return _bm_report(params, kappa, t, tol, (m_x, m_y, m_z), rev, fwd, 0.0)
 
+
+def _bm_report(params, kappa, t, tol, measures, rev, fwd, refine_drift):
+    """The Brunn-Minkowski report of the measures (m(X), m(Y), m(Z_t)) and
+    the infima rev and fwd of the beta powers."""
+    m_x, m_y, m_z = measures
+    cr = params.c_ratio
     lhs = m_z**cr
     rhs = (1 - t) * rev * m_x**cr + t * fwd * m_y**cr
     margin = (lhs - rhs) / (1.0 + abs(rhs))
@@ -230,10 +225,10 @@ def check_brunn_minkowski(pair: RegionPair, geometry_or_space, weight_or_none,
 
 def require_flat_balls(space, weight) -> None:
     """Raise RegionError unless a ball pair lies in Euclidean space under a
-    constant (or absent) weight: its measures and distances are flat ones."""
+    constant weight: its measures and distances are flat ones."""
     if space.kind != "euclidean":
         raise RegionError(f"ball regions need Euclidean space, not {space.kind}")
-    if weight is not None and not weight.is_constant:
+    if not weight.is_constant:
         raise RegionError("ball regions support constant weights only")
 
 
@@ -278,14 +273,13 @@ def require_p_range(p: float, params: DimensionParams) -> None:
         raise PreconditionError("p must be >= -c/(c+1)", failed="p range")
 
 
-def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
-                 slack: float = 1e-4):
+def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
     """Tight admissible middle function for the p-mean hypothesis.
 
     At each of 4,096 z nodes, the sup of the hypothesis right-hand side
     over the pairs (x, y) in X x Y with (1-t)x + ty = z: the best of 64 x
     cells brackets it, and golden-section steps on all z at once shrink
-    the bracket to 1e-9. A relative slack covers interpolation error; at
+    the bracket to 1e-9. A relative SLACK covers interpolation error; at
     1e-4 it dwarfs the O(1e-9 |d rhs/dx|) that the bracket can miss.
 
     All 64 cells are scanned only at every 8th node and the last one. A
@@ -345,26 +339,27 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p,
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     env = np.maximum(best, np.maximum(fc, fd))
-    env *= 1.0 + slack
-    env += slack * float(env.max())
+    env *= 1.0 + SLACK
+    env += SLACK * float(env.max())
     return lambda z: np.interp(z, zs, env, left=0.0, right=0.0)
 
 
 def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
                         kappa: float, psi0, psi1, psi, X: tuple, Y: tuple,
-                        t: float, p: float, samples: int = 10000,
-                        seed: int = 0, tol: float = 1e-6) -> CheckReport:
+                        t: float, p: float, seed: int,
+                        tol: float) -> CheckReport:
     """p-mean interpolation inequality on the axis.
 
-    The pointwise hypothesis is sampled on random (x, y) in X x Y with
-    z the exact geodesic t-point; HypothesisError aborts the check if it
-    fails, otherwise the integral conclusion margin is reported.
+    The pointwise hypothesis is sampled on HYPOTHESIS_SAMPLES random
+    (x, y) in X x Y with z the exact geodesic t-point; HypothesisError
+    aborts the check if it fails, otherwise the integral conclusion margin
+    is reported.
     """
     require_p_range(p, params)
     _require_curvature(geometry, params, kappa)
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(X[0], X[1], samples)
-    ys = rng.uniform(Y[0], Y[1], samples)
+    xs = rng.uniform(X[0], X[1], HYPOTHESIS_SAMPLES)
+    ys = rng.uniform(Y[0], Y[1], HYPOTHESIS_SAMPLES)
     zs = (1.0 - t) * xs + t * ys
     b_rev, b_fwd = np.exp(axis_log_betas(geometry, params, kappa, xs, ys, t))
     hyp = p_mean(psi0(xs) / b_rev, psi1(ys) / b_fwd, t, p)
@@ -391,7 +386,7 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
 # functional inequalities
 # ----------------------------------------------------------------------
 def check_functional(rho: DensityField, params: DimensionParams, kappa: float,
-                     delta: float, tol: float = 1e-5) -> list[CheckReport]:
+                     delta: float, tol: float) -> list[CheckReport]:
     """HWI/log-Sobolev and transport-energy reports for mu = rho m against
     m, in one pass: the hypothesis (kappa > 0, a constant weight, the delta
     and curvature bounds, unit mass) is checked once, and both reports take
@@ -416,7 +411,7 @@ def check_functional(rho: DensityField, params: DimensionParams, kappa: float,
 
 def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
                   delta: float, coupling: MonotoneInterpolation, H: float,
-                  tol: float = 1e-5) -> CheckReport:
+                  tol: float) -> CheckReport:
     """HWI and log-Sobolev margins for mu = rho m against m itself, from
     its entropy H and the optimal coupling of (mu, m)."""
     I = fisher_information(rho, params)
@@ -435,7 +430,7 @@ def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
 
 def check_transport_energy(rho: DensityField, params: DimensionParams,
                            kappa: float, coupling: MonotoneInterpolation,
-                           H: float, tol: float = 1e-5) -> CheckReport:
+                           H: float, tol: float) -> CheckReport:
     """Transport-energy lower bound on the entropy H of mu = rho m.
 
     ``coupling`` is the optimal coupling of (mu, m), the monotone one: the

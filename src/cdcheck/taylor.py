@@ -7,16 +7,14 @@ at the smallest offset whose remainder is above the noise floor it may be
 at most four times its larger value at 8 and 16 times that offset, where an
 O(delta^2) remainder would make it 8 to 16 times larger. Remainders at the
 noise floor pass with margin 0; a non-finite remainder fails with margin
-NaN. The offsets are successive halvings. The distance and coefficient
-terms share one pair of re-parametrized distances per offset when they are
-checked in one ``check_series`` call.
+NaN. The offsets are the successive halvings 2^-4, ..., 2^-14, and every
+term of one ``check_series`` call shares one pair of re-parametrized
+distances per offset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,27 +27,13 @@ from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
 from .reparam import LOG_MAX, exp_or_inf, reparam_partial
 
 NOISE_FLOOR = 5e-15
+# the F identity's absolute tolerance
+F_IDENTITY_TOL = 1e-10
+# the limit bound's shrinking pairs, and the points of its gradient sup
+LEVELS, GRAD_SAMPLES = 8, 400
 
 TERMS = ("app1_fwd", "app1_rev", "app1_full", "app2_fwd", "app2_rev",
          "app3_fwd", "app3_rev", "app4_fwd", "app4_rev", "app6")
-
-
-@dataclass
-class SeriesCheck:
-    term: str
-    deltas: np.ndarray
-    exact: np.ndarray
-    series: np.ndarray
-
-    @property
-    def remainder(self) -> np.ndarray:
-        return self.exact - self.series
-
-    @property
-    def margin(self) -> float:
-        """`series_margins` of this check alone."""
-        return float(series_margins(self.deltas, self.exact[None],
-                                    self.series[None])[0])
 
 
 def series_margins(deltas, exact, series) -> np.ndarray:
@@ -72,7 +56,7 @@ def series_margins(deltas, exact, series) -> np.ndarray:
                     np.where(ref.any(axis=1), margin, 0.0), np.nan)
 
 
-def _pointwise_data(space, weight, params, x, v):
+def _pointwise_data(space, weight, x, v):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     fx = float(weight.eval(x))
@@ -96,35 +80,25 @@ def theta_eps(params: DimensionParams, gradf_v: float) -> float:
 
 
 def check_series(space: ModelSpace, weight: WeightFunction,
-                 params: DimensionParams, kappa: float, x, v,
-                 term: str | Sequence[str],
-                 grid=None) -> SeriesCheck | list[SeriesCheck]:
-    """Exact-versus-series comparison for one expansion term or several.
+                 params: DimensionParams, kappa: float, x, v):
+    """Exact-versus-series comparison of the TERMS on the offsets
+    delta = 2^-4, ..., 2^-14: (terms, deltas, exact, series), the last two
+    of shape (terms, deltas), as `series_margins` takes them. The app4 and
+    app6 terms rest on theta, which needs eps != 0; at eps = 0 (N = 1)
+    they are left out.
 
-    ``term`` is one id from TERMS, which gives one SeriesCheck, or a
-    sequence of ids, which gives a list of SeriesChecks in that order.
     The app1, app2 and app6 terms rest on the re-parametrized distances
     (d_half, d_full) on the segment gamma(delta) -> gamma(-delta); that
-    pair is computed for every delta in one stacked quadrature, shared by
-    every term of the call.
-    ``grid`` (default 2^-4 .. 2^-14) must be successive halvings, so that
-    the offsets 8 and 16 times each offset are on it. Raises
+    pair is computed for every delta in one stacked quadrature. Raises
     PreconditionError if e^{-a f} at the base point or s_kappa of a
     distance leaves the float range, or if an app4 or app6 term meets
     |theta| delta >= 1 on the grid.
     """
-    single = isinstance(term, str)
-    terms = (term,) if single else tuple(term)
-    for tm in terms:
-        if tm not in TERMS:
-            raise PreconditionError(f"unknown series term: {tm}",
-                                    failed="term id")
-    if grid is None:
-        grid = [2.0 ** -k for k in range(4, 15)]
-    d = np.asarray(sorted(grid, reverse=True), dtype=float)
-    if not np.all(d[:-1] == 2.0 * d[1:]):
-        raise ValueError("the delta grid must be successive halvings")
-    fx, gfv, hvv = _pointwise_data(space, weight, params, x, v)
+    with_theta = params.eps != 0.0
+    terms = tuple(term for term in TERMS if with_theta
+                  or not term.startswith(("app4", "app6")))
+    d = 2.0 ** -np.arange(4.0, 15.0)
+    fx, gfv, hvv = _pointwise_data(space, weight, x, v)
     a = params.a
     alpha = 0.5 * a  # (1-eps)/(n-1)
     if -2.0 * a * fx > LOG_MAX:
@@ -134,18 +108,17 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
     n = params.n
-    if any(tm.startswith(("app1", "app2", "app6")) for tm in terms):
-        segs = segment_between(space, space.geodesic(x, v, d),
-                               space.geodesic(x, v, -d))
-        d_half, d_full = reparam_partial(space, weight, params, segs,
-                                         [[0.5], [1.0]], rel_tol=1e-13)
-        require_float_range(kappa, d_full)
-        # beta_{kappa,1/2} both ways: the reversed first half starts at
-        # gamma(-delta)
-        b_rev, b_fwd = np.exp(_log_beta_pair(
-            params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
-            s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
-    if any(tm.startswith(("app4", "app6")) for tm in terms):
+    segs = segment_between(space, space.geodesic(x, v, d),
+                           space.geodesic(x, v, -d))
+    d_half, d_full = reparam_partial(space, weight, params, segs,
+                                     [[0.5], [1.0]], rel_tol=1e-13)
+    require_float_range(kappa, d_full)
+    # beta_{kappa,1/2} both ways: the reversed first half starts at
+    # gamma(-delta)
+    b_rev, b_fwd = np.exp(_log_beta_pair(
+        params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
+        s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
+    if with_theta:
         th = theta_eps(params, gfv)
         # past |theta| delta = 1 the factors (1 -+ theta delta)^n are no
         # small-delta expansion, and app6 takes a power of a negative base
@@ -153,12 +126,11 @@ def check_series(space: ModelSpace, weight: WeightFunction,
             raise PreconditionError(f"|theta| delta = {abs(th) * d[0]:.3g}"
                                     " reaches 1 on the delta grid",
                                     failed="|theta| delta < 1")
-    if any(tm.startswith(("app3", "app6")) for tm in terms):
-        # the weight ratios e^{f(x) - f(gamma(-+delta))}
-        f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
-        w_rev, w_fwd = np.exp(fx - f_pm.reshape(2, -1))
+    # the weight ratios e^{f(x) - f(gamma(-+delta))}
+    f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
+    w_rev, w_fwd = np.exp(fx - f_pm.reshape(2, -1))
 
-    checks = []
+    rows = []
     for term in terms:
         if term == "app1_fwd":
             exact = d_half
@@ -191,9 +163,9 @@ def check_series(space: ModelSpace, weight: WeightFunction,
             F = f_of_theta(params, gfv, th)
             series = 1.0 + cr * (kap_eff - hvv
                                  - F / (params.c + 1.0)) * 0.5 * d * d
-        checks.append(SeriesCheck(term=term, deltas=d, exact=exact,
-                                  series=series))
-    return checks[0] if single else checks
+        rows.append((exact, series))
+    exact, series = np.moveaxis(np.array(rows), 1, 0)
+    return terms, d, exact, series
 
 
 def f_of_theta(params: DimensionParams, gradf_v: float, theta):
@@ -208,7 +180,7 @@ def f_of_theta(params: DimensionParams, gradf_v: float, theta):
 
 
 def check_F_identity(params: DimensionParams, gradf_v: float,
-                     theta_grid, tol: float = 1e-10) -> CheckReport:
+                     theta_grid) -> CheckReport:
     """Algebraic identity tying F(theta) to the square completing the
     converse argument:
 
@@ -228,30 +200,29 @@ def check_F_identity(params: DimensionParams, gradf_v: float,
     root = eps * th + (eps - eps0) * g / (n - 1.0)
     rhs = (n / eps0) * np.float_power(root, 2)  # as in f_of_theta
     return CheckReport(name="F_identity",
-                       margins=(tol - np.abs(lhs - rhs)).tolist(),
+                       margins=(F_IDENTITY_TOL - np.abs(lhs - rhs)).tolist(),
                        tolerance=0.0, provenance={"gradf_v": gradf_v})
 
 
 def check_limit_bound(space: ModelSpace, weight: WeightFunction,
-                      params: DimensionParams, t: float, x, v,
-                      r: float = 1.0, levels: int = 8,
-                      grad_samples: int = 400, seed: int = 0) -> CheckReport:
+                      params: DimensionParams, t: float, x, v, r: float,
+                      seed: int = 0) -> CheckReport:
     """Asymmetry bound |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L with
-    A = (1-t) sup |grad f|, on a shrinking pair sequence L = d(x,y) = r 2^{-j}
+    A = (1-t) sup |grad f|, on the LEVELS pairs L = d(x,y) = r 2^{-j}
     whose distances come from one stacked quadrature; a nonnegative margin
     means the bound holds.
 
-    The gradient sup over the ball is estimated by dense sampling, which
+    The gradient sup over the ball is estimated at GRAD_SAMPLES points, which
     under-estimates the true sup and therefore only tightens the bound.
     """
     rng = np.random.default_rng(seed)
     # a normal block behind the directions, then a uniform block of radii
     units = unit_tangents(space.frame(x),
-                          rng.normal(size=(grad_samples, space.dim)))
-    radii = rng.random(grad_samples)
+                          rng.normal(size=(GRAD_SAMPLES, space.dim)))
+    radii = rng.random(GRAD_SAMPLES)
     sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
     segs = segment_between(space, x, space.geodesic(
-        x, v, r * 2.0 ** -np.arange(levels)))
+        x, v, r * 2.0 ** -np.arange(LEVELS)))
     d_full, d_t = reparam_partial(space, weight, params, segs, [[1.0], [t]])
     a, big_a = abs(params.a), (1.0 - t) * sup
     margins = [a * big_a * exp_or_inf(a * big_a * L) * L

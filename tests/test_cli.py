@@ -355,6 +355,21 @@ class TestRunExitCodes:
         rep = json.loads((out / "curvature_report.json").read_text())
         assert rep["reports"][0]["min_margin"] is not None
 
+    def test_curvature_fails_off_a_random_direction(self, tmp_path):
+        # at a sampled point of this H^3 region the bound fails only near
+        # one direction: one random direction per point read +0.301 (exit 0)
+        cfg = base_cfg("curvature", space={"kind": "hyperbolic", "dim": 3},
+                       weight="linear(0.5)", kappa=-2.4,
+                       sampling={"trials": 200, "seed": 0,
+                                 "region": {"radius": 1.0}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 1
+        rep = json.loads((out / "curvature_report.json").read_text())
+        assert rep["reports"][0]["min_margin"] == pytest.approx(-0.2975,
+                                                                abs=1e-4)
+
     def test_sphere_jacobian_passes(self, tmp_path):
         cfg = {
             "space": {"kind": "sphere", "dim": 2, "radius": 1.0},
@@ -401,8 +416,7 @@ class TestRunExitCodes:
             # the table is the kernel's row of the counterexample ray on the
             # sampling grid, written to round trip, with log D = c l
             traj = integrate_jacobi_batch(
-                space, weight, params,
-                *(np.array([ce[k]]) for k in ("x", "w", "S")),
+                space, weight, *(np.array([ce[k]]) for k in ("x", "w", "S")),
                 cfg["sampling"].get("steps", 128))
             want = [traj["ts"]] + [traj[k][0] for k in ("det", "J", "h", "l")]
             want += [params.c * traj["l"][0], traj["int_ann"][0]]

@@ -14,7 +14,7 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -114,6 +114,69 @@ def test_dead_definition_scan_sees_an_unread_constant(tmp_path):
                    "def used():\n    return READ\n\n\nused()\n")
     assert _dead_definitions([mod], [mod]) == ["mod.py:1 UNREAD",
                                                "mod.py:2 LONE"]
+
+
+def _passed(callers) -> dict[str, set]:
+    """Per called name (a function, attribute or class), the positions and
+    keywords its calls pass, and "*" if one passes *args or **kw."""
+    passed = defaultdict(set)
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = isinstance(node, ast.Call) and (getattr(
+                node.func, "id", None) or getattr(node.func, "attr", None))
+            if not name:
+                continue
+            passed[name].update(range(len(node.args)),
+                                (k.arg or "*" for k in node.keywords))
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed[name].add("*")
+    return passed
+
+
+def _unset_defaults(modules, callers) -> list[str]:
+    """The keyword defaults no call sets: a call sets one by keyword or by
+    position, a class call sets those of ``__init__``, and a call with *args
+    or **kw sets every one."""
+    passed, unset = _passed(callers), []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {fn: cls for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(fn)
+            names = {fn.name} | ({cls.name} if cls and fn.name == "__init__"
+                                 else set())
+            got = set().union(*(passed[name] for name in names))
+            # a method's calls do not pass self
+            args = fn.args.posonlyargs + fn.args.args
+            skip = int(cls is not None)
+            defaults = [(i - skip, arg.arg) for i, arg in enumerate(args)][
+                len(args) - len(fn.args.defaults):]
+            defaults += [(None, arg.arg) for arg, value in zip(
+                fn.args.kwonlyargs, fn.args.kw_defaults) if value is not None]
+            unset += [f"{path.name}:{fn.lineno} {fn.name}({name})"
+                      for i, name in defaults if not {"*", i, name} & got]
+    return unset
+
+
+def test_every_default_is_set_by_a_caller():
+    # a keyword default that no src or benchmark call sets is one value in
+    # use: a constant, not a knob that only tests turn
+    assert _unset_defaults(ALL_MODULES, CALLERS) == []
+
+
+def test_default_scan_sees_an_unset_knob(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n"
+                   "class K:\n    def __init__(self, x=0, y=0):\n"
+                   "        self.x = x\n\n    def m(self, u=0, v=0):\n"
+                   "        return u\n\n\n"
+                   "def g(p=0, q=0):\n    return p\n\n\n"
+                   "f(0, 1, d=4)\nK(1).m(2)\ng(*[1])\n")
+    assert _unset_defaults([mod], [mod]) == [
+        "mod.py:1 f(c)", "mod.py:6 __init__(y)", "mod.py:9 m(v)"]
 
 
 def _is_call_of(node: ast.AST, name: str) -> bool:

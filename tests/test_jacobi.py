@@ -80,7 +80,7 @@ def north_ray(sp, theta, S):
 class TestTrajectories:
     def test_identity_when_S_zero(self, flat3):
         p = validate_params(3, 5, 0.5)
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+        traj = integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
                                 np.array([0.7, 0.0, 0.0]), np.zeros((3, 3)))
         np.testing.assert_allclose(traj["det"], 1.0, atol=1e-12)
         np.testing.assert_allclose(traj["J"], 1.0, atol=1e-12)
@@ -90,7 +90,7 @@ class TestTrajectories:
     def test_flat_isotropic_determinant(self, flat3):
         lam = 0.35
         p = validate_params(3, 5, 0.5)
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+        traj = integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
                                 np.array([0.4, 0.1, 0.0]), lam * np.eye(3))
         expect = (1.0 + lam * traj["ts"]) ** 3
         np.testing.assert_allclose(traj["det"], expect, rtol=1e-10)
@@ -98,7 +98,7 @@ class TestTrajectories:
     def test_sphere_normal_block(self, sphere2):
         theta = 1.1
         p = validate_params(2, 2, 1.0)
-        traj = integrate_jacobi(sphere2, constant_weight(0.0), p,
+        traj = integrate_jacobi(sphere2, constant_weight(0.0),
                                 *north_ray(sphere2, theta, np.zeros((2, 2))))
         expect = np.cos(theta * traj["ts"])
         np.testing.assert_allclose(traj["det"], expect, atol=1e-10)
@@ -161,9 +161,9 @@ class TestTrajectories:
         # det E is exact on any grid; Dbar and h carry the a_nn quadrature
         p = validate_params(2, 2, 1.0)
         S = np.array([[0.3, 0.1], [0.1, -0.2]])
-        coarse = integrate_jacobi(sphere2, constant_weight(0.0), p,
+        coarse = integrate_jacobi(sphere2, constant_weight(0.0),
                                   *north_ray(sphere2, 0.8, S), steps=128)
-        fine = integrate_jacobi(sphere2, constant_weight(0.0), p,
+        fine = integrate_jacobi(sphere2, constant_weight(0.0),
                                 *north_ray(sphere2, 0.8, S), steps=256)
         assert abs(np.exp(coarse["int_ann"][-1])
                    - np.exp(fine["int_ann"][-1])) < 1e-8
@@ -172,7 +172,7 @@ class TestTrajectories:
     def test_singular_ray_rejected(self, flat3):
         p = validate_params(3, 5, 0.5)
         with pytest.raises(SingularJacobian):
-            integrate_jacobi(flat3, constant_weight(0.0), p, np.zeros(3),
+            integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
                              np.array([0.5, 0.0, 0.0]), -1.5 * np.eye(3))
 
     @pytest.mark.parametrize("speed, S", [
@@ -197,8 +197,8 @@ class TestTrajectories:
         p = validate_params(dim, dim + 2.0, 0.5)
         xs, ws, Ss = sample_rays(sp, np.random.default_rng(2), 40)
         ws[:3] = 0.0  # zero-speed rows
-        got = integrate_jacobi_batch(sp, w, p, xs, ws, Ss, 32)
-        want = integrate_jacobi_batch(sp, along, p, xs, ws, Ss, 32)
+        got = integrate_jacobi_batch(sp, w, xs, ws, Ss, 32)
+        want = integrate_jacobi_batch(sp, along, xs, ws, Ss, 32)
         assert got.keys() == want.keys()
         for key in got:
             assert np.array_equal(got[key], want[key], equal_nan=True), key
@@ -206,7 +206,7 @@ class TestTrajectories:
     def test_positive_densities(self, sphere2):
         p = validate_params(2, 4, 0.5)
         w = weight_preset(sphere2, "cosine(0.3)")
-        traj = integrate_jacobi(sphere2, w, p,
+        traj = integrate_jacobi(sphere2, w,
                                 *north_ray(sphere2, 0.7,
                                            [[0.2, 0.0], [0.0, 0.1]]))
         # D and Dbar are kept as their logs: finite logs, positive densities
@@ -361,7 +361,7 @@ class TestScan:
         for ray in zip(*(np.concatenate(a) for a in zip(*rays))):
             margin, steps = refine_ray_margin(*args, *ray, steps=64), 64
             if (margin is not None and margin < -1e-6
-                    and integrate_jacobi(sp, w, args[2], *ray,
+                    and integrate_jacobi(sp, w, *ray,
                                          64)["det"].min() < 0.1):
                 margin, steps = refine_ray_margin(*args, *ray), 4096
                 dropped += margin is None
@@ -390,7 +390,7 @@ class TestConcavity:
         lam = 0.4
         p = validate_params(3, 3, 1.0)
         ray = np.zeros(3), np.array([0.6, 0, 0]), lam * np.eye(3)
-        traj = integrate_jacobi(flat3, constant_weight(0.0), p, *ray)
+        traj = integrate_jacobi(flat3, constant_weight(0.0), *ray)
         power = traj["J"] ** (p.c / (p.c + 1.0))
         expect = 1.0 + lam * traj["ts"]
         np.testing.assert_allclose(power, expect, rtol=1e-9)
@@ -442,7 +442,7 @@ class TestConcavity:
         # s-ratio recombination of margin (ii) on the same grid
         p = validate_params(2, 4, 0.3)
         w = weight_preset(sphere2, "cosine(0.2)")
-        traj = integrate_jacobi(sphere2, w, p,
+        traj = integrate_jacobi(sphere2, w,
                                 *north_ray(sphere2, 0.8,
                                            [[0.15, 0.0], [0.0, 0.05]]))
         kappa = 0.9
@@ -540,7 +540,7 @@ class TestPartials:
             m.setattr(jacobi, "cumulative_simpson", counted)
             m.setattr(jacobi, "concavity_margins", recorded)
             keep, _, _ = jacobi._ray_margins(sp, w, p, 0.3, xs, ws, Ss, 64)
-        out = integrate_jacobi_batch(sp, w, p, xs, ws, Ss, 64)
+        out = integrate_jacobi_batch(sp, w, xs, ws, Ss, 64)
         simpson_d = _simpson_partials(p, out["f_gamma"],
                                       out["thetas"][:, None], out["ts"])[keep]
         assert keep.size > 20
@@ -598,7 +598,7 @@ class TestOverflow:
         sp = make_space(kind, n)
         p = validate_params(n, N, eps)
         wf = weight_preset(sp, weight)
-        traj = integrate_jacobi(sp, wf, p, x, w, S)
+        traj = integrate_jacobi(sp, wf, x, w, S)
         assert max(traj["int_ann"].max(), p.c * traj["l"].max()) > 710.0
         # the minimum of the margins is NaN if any margin is
         margin = refine_ray_margin(sp, wf, p, kappa, x, w, S, steps=128)
@@ -611,9 +611,8 @@ class TestFalsification:
     @staticmethod
     def _search(sp, params, kappa, seed):
         w = constant_weight(0.0)
-        curv = check_curvature_bound(sp, w, params, kappa,
-                                     {"count": 400, "seed": seed,
-                                      "region": None})
+        curv = check_curvature_bound(sp, w, params, kappa, 400, seed, None,
+                                     1e-9)
         assert curv.verdict != "pass"
         *_, margins, _ = scan_rays(sp, w, params, kappa,
                                    np.random.default_rng(seed), 500, 64,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cdcheck import quadrature
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
 from cdcheck.quadrature import (_NODES, _WEIGHTS, MAX_OPEN, PANEL_LENGTH,
@@ -162,16 +163,18 @@ class TestGeodesicIntegrands:
 
 class TestLevels:
     @pytest.mark.parametrize("max_depth", [0, 3, 8, 30])
-    def test_one_call_per_level(self, max_depth):
+    def test_one_call_per_level(self, max_depth, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
         fn = counting(gaussian)
-        gauss_legendre(fn, 0.0, 1.0, rel_tol=1e-13, max_depth=max_depth)
+        gauss_legendre(fn, 0.0, 1.0, rel_tol=1e-13)
         assert fn.calls <= max_depth + 1
 
-    def test_nan_refinement_is_final(self):
+    def test_nan_refinement_is_final(self, monkeypatch):
         # a NaN integrand cannot converge: its panel is final in the first
-        # round instead of splitting down to max_depth
+        # round instead of splitting down to MAX_DEPTH
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 12)
         fn = counting(lambda x: np.where(x > 0.5, np.nan, x))
-        val, err = gauss_legendre(fn, 0.0, 1.0, max_depth=12)
+        val, err = gauss_legendre(fn, 0.0, 1.0)
         assert math.isnan(val) and math.isnan(err)
         assert fn.calls == 1
 
@@ -192,9 +195,10 @@ class TestLevels:
         (lambda s: math.sqrt(abs(s - 0.2)), 0.0, 1.0, 1e-12, 12),
         (lambda s: math.sin(40.0 * s) ** 2, -1.0, 0.5, 1e-11, 30),
     ])
-    def test_bit_identical_to_recursion(self, f, a, b, rel_tol, max_depth):
-        batched = gauss_legendre(elementwise(f), a, b, rel_tol=rel_tol,
-                                 max_depth=max_depth)
+    def test_bit_identical_to_recursion(self, f, a, b, rel_tol, max_depth,
+                                        monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+        batched = gauss_legendre(elementwise(f), a, b, rel_tol=rel_tol)
         scalar = recursive_gauss_legendre(f, a, b, rel_tol=rel_tol,
                                           max_depth=max_depth)
         assert batched == scalar
@@ -217,15 +221,14 @@ class TestStack:
 
     @pytest.mark.parametrize("rel_tol, max_depth", [(1e-13, 30), (1e-10, 30),
                                                     (1e-12, 12), (1e-13, 3)])
-    def test_stack_equals_single_calls(self, rel_tol, max_depth):
+    def test_stack_equals_single_calls(self, rel_tol, max_depth, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
         a = np.array([0.0, 0.0, 0.0, -1.0, 0.4, 0.7])
         b = np.array([2.0, 1.0, 1.0, 0.5, 0.4, 0.1])
         fns = self.FNS + (math.exp, math.cos)  # an empty and a reversed one
-        vals, errs = gauss_legendre(self.stacked(fns), a, b,
-                                    rel_tol=rel_tol, max_depth=max_depth)
+        vals, errs = gauss_legendre(self.stacked(fns), a, b, rel_tol=rel_tol)
         for i, f in enumerate(fns):
-            one = gauss_legendre(elementwise(f), a[i], b[i],
-                                 rel_tol=rel_tol, max_depth=max_depth)
+            one = gauss_legendre(elementwise(f), a[i], b[i], rel_tol=rel_tol)
             assert (vals[i], errs[i]) == one
         assert (vals[4], errs[4]) == (0.0, 0.0)
 
@@ -253,17 +256,18 @@ class TestStack:
         assert calls == max(n for n, _ in single)
         assert len({n for n, _ in single}) == 3
 
-    def test_max_depth_reached(self):
-        # a kink at 0.2 keeps panels open to max_depth, where the stack
+    def test_max_depth_reached(self, monkeypatch):
+        # a kink at 0.2 keeps panels open to MAX_DEPTH, where the stack
         # and the single call stop together
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 6)
         fns = (self.FNS[2], math.exp)
         vals, errs = gauss_legendre(self.stacked(fns), [0.0, 0.0],
-                                    [1.0, 1.0], rel_tol=1e-15, max_depth=6)
+                                    [1.0, 1.0], rel_tol=1e-15)
         for i, f in enumerate(fns):
             assert (vals[i], errs[i]) == gauss_legendre(
-                elementwise(f), 0.0, 1.0, rel_tol=1e-15, max_depth=6)
+                elementwise(f), 0.0, 1.0, rel_tol=1e-15)
         calls, _ = self.evaluations(fns, [0.0, 0.0], [1.0, 1.0],
-                                    rel_tol=1e-15, max_depth=6)
+                                    rel_tol=1e-15)
         assert calls == 6 + 1
 
     def test_shapes(self):

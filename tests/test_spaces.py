@@ -383,24 +383,24 @@ class TestCurvatureBound:
     def test_round_sphere_sharp(self):
         sp = make_space("sphere", 2)
         rep = check_curvature_bound(sp, constant_weight(0.0),
-                                    validate_params(2, 2, 1.0), 1.0,
-                                    {"count": 100, "seed": 0})
+                                    validate_params(2, 2, 1.0), 1.0, 100, 0,
+                                    None, 1e-9)
         assert rep.verdict == "pass"
         assert abs(rep.min_margin) < 1e-10
 
     def test_flat_kappa_zero(self):
         sp = make_space("euclidean", 3)
         rep = check_curvature_bound(sp, constant_weight(0.0),
-                                    validate_params(3, 5, 1.0), 0.0,
-                                    {"count": 100, "seed": 0})
+                                    validate_params(3, 5, 1.0), 0.0, 100, 0,
+                                    None, 1e-9)
         assert rep.verdict == "pass"
         assert abs(rep.min_margin) < 1e-12
 
     def test_flat_positive_kappa_fails(self):
         sp = make_space("euclidean", 3)
         p = validate_params(3, 5, 1.0)
-        rep = check_curvature_bound(sp, constant_weight(0.0), p, 0.1,
-                                    {"count": 100, "seed": 0})
+        rep = check_curvature_bound(sp, constant_weight(0.0), p, 0.1, 100, 0,
+                                    None, 1e-9)
         assert rep.verdict == "fail"
         assert rep.min_margin == pytest.approx(-0.1 * p.inv_c, rel=1e-12)
 
@@ -549,18 +549,30 @@ class TestStacks:
         ("hyperbolic", 3, {}, "linear(0.5)"),
         ("hyperbolic", 3, {"radius": 3.0}, "quadratic(0.3)")])
     def test_curvature_bound_report(self, kind, dim, kw, preset):
+        # the margin at each point is the least eigenvalue of the matrix of
+        # Ric_f^N in its frame, built entry by entry, less the bound
         sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
         p = validate_params(dim, 7, 0.4)
-        rep = check_curvature_bound(sp, w, p, -0.5, {"count": 60, "seed": 8,
-                                                     "region": kw or None})
-        rng = np.random.default_rng(8)
-        xs = _points_per_stack(sp, rng, kw or None, 60)
-        vs = [_unit_per_point(sp, rng, x) for x in xs]
-        ric = [ricci_fN_batch(sp, w, p, x[None], v[None])[0]
-               for x, v in zip(xs, vs)]
-        want = ric - p.inv_c * -0.5 * np.exp(-2.0 * p.a * w.eval(xs))
+        rep = check_curvature_bound(sp, w, p, -0.5, 60, 8, kw or None, 1e-9)
+        xs = _points_per_stack(sp, np.random.default_rng(8), kw or None, 60)
+        rhs = p.inv_c * -0.5 * np.exp(-2.0 * p.a * w.eval(xs))
+        want = []
+        for x, bound in zip(xs, rhs):
+            frame = sp.frame(x)
+            g = [sp.inner(x, w.grad(x), u) for u in frame]
+            q = [[((dim - 1) * sp.sec * (i == j)
+                   + float(w.hess(x, frame[i], frame[j])))
+                  - g[i] * g[j] / (7 - dim) for j in range(dim)]
+                 for i in range(dim)]
+            want.append(np.linalg.eigvalsh(np.array(q))[0] - bound)
         np.testing.assert_array_equal(rep.margins, want)
+        # and no direction at a point is below it
+        rng = np.random.default_rng(9)
+        at = np.repeat(xs, 1000, axis=0)
+        ric = ricci_fN_batch(sp, w, p, at, sp.sample_unit(rng, at))
+        assert np.all(ric.reshape(60, 1000) - rhs[:, None]
+                      >= np.array(want)[:, None] - 1e-12)
 
 
 class TestPointValidity:

@@ -13,9 +13,9 @@ from cdcheck.params import s_kappa, validate_params
 from cdcheck.quadrature import cumulative_simpson
 from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
                             weight_preset)
-from cdcheck.suites import (RegionPair, _curvature_margins, axis_log_betas,
-                            check_brunn_minkowski, check_functional,
-                            check_interpolation, check_twcd,
+from cdcheck.suites import (_curvature_margins, axis_log_betas,
+                            check_ball_brunn_minkowski, check_brunn_minkowski,
+                            check_functional, check_interpolation, check_twcd,
                             conclusion_exponent, envelope_psi, p_mean)
 
 
@@ -86,7 +86,7 @@ class TestTwCD:
         g = quad_line()
         p = validate_params(2, 10, 0.5)
         rho = density_from_callable(g, lambda x: np.exp(-2 * x**2))
-        rep = check_twcd(rho, rho, p, 0.0, [0.3, 0.5, 0.7])
+        rep = check_twcd(rho, rho, p, 0.0, [0.3, 0.5, 0.7], 1e-6)
         assert rep.verdict == "pass"
         assert abs(rep.min_margin) < 1e-9
 
@@ -99,7 +99,7 @@ class TestTwCD:
         kappa = -0.4
         r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.4) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.4) ** 2))
-        rep = check_twcd(r0, r1, p, kappa, T_GRID)
+        rep = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
         assert rep.verdict == "pass"
 
         from cdcheck.ot import MonotoneInterpolation
@@ -147,7 +147,7 @@ class TestTwCD:
         g = quad_line(points=points)
         r0, r1 = self._bumps(g, pair)
         return check_twcd(r0, r1, validate_params(2, 10, 0.5), -1.0,
-                          self.FINE_T)
+                          self.FINE_T, 1e-6)
 
     def test_pair2_converged_margin(self):
         # the source-grid pushforward read 4.40e-3 here, 55% above the limit
@@ -170,13 +170,14 @@ class TestTwCD:
         entropy = lambda r: renyi_pointwise(r, p)
         for pair in self.PAIRS:
             r0, r1 = self._bumps(g, pair)
-            rows = check_twcd(r0, r1, p, kappa, self.FINE_T).provenance["rows"]
+            rows = check_twcd(r0, r1, p, kappa, self.FINE_T,
+                              1e-6).provenance["rows"]
             mi = MonotoneInterpolation(r0, r1)
             b_rev, b_fwd = np.exp(log_beta_pair(
                 p, kappa, g.reparam_partial(p, mi.Q0, mi.Q1, t[:, None]),
                 g.reparam_partial(p, mi.Q0, mi.Q1, 1.0), t[:, None]))
-            ref = ((1.0 - t) * mi.mass_integral(entropy, b_rev * mi.j0)
-                   + t * mi.mass_integral(entropy, b_fwd * mi.j1))
+            mass = lambda j: (entropy(1.0 / j) * j) @ mi.du
+            ref = (1.0 - t) * mass(b_rev * mi.j0) + t * mass(b_fwd * mi.j1)
             got = np.array([row["rhs"] for row in rows])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
 
@@ -186,7 +187,7 @@ class TestTwCD:
         g = quad_line(points=16384, lo=-4.0, hi=4.0)
         p = validate_params(2, 10, 0.5)
         r0, r1 = self._bumps(g, self.PAIRS[2])
-        rep = check_twcd(r0, r1, p, -1.0, [0.99])
+        rep = check_twcd(r0, r1, p, -1.0, [0.99], 1e-6)
         lhs = rep.provenance["rows"][0]["lhs"]
         assert lhs == pytest.approx(entropy_functional(r1, p), abs=1e-2)
 
@@ -203,7 +204,7 @@ class TestTwCD:
         r0, r1 = (density_from_callable(
             g, lambda x, a=a, b=b: ((x >= a) & (x <= b)).astype(float))
             for a, b in (X, Y))
-        rep = check_twcd(r0, r1, p, 0.0, T_GRID)
+        rep = check_twcd(r0, r1, p, 0.0, T_GRID, 1e-6)
         L0, L1 = (X[1] - X[0]) / 4.0, (Y[1] - Y[0]) / 4.0
         r = p.c / (p.c + 1.0)
         for row in rep.provenance["rows"]:
@@ -220,7 +221,7 @@ class TestTwCD:
             r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
             r1 = density_from_callable(
                 g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
-            margins.append(check_twcd(r0, r1, p, 0.5, T_GRID).margins)
+            margins.append(check_twcd(r0, r1, p, 0.5, T_GRID, 1e-6).margins)
         assert np.all(np.isfinite(margins))
         assert np.max(np.abs(np.subtract(*margins))) < 1e-6
 
@@ -230,7 +231,7 @@ class TestTwCD:
         kappa = -1.0
         r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.5) ** 2))
-        rep = check_twcd(r0, r1, p, kappa, T_GRID)
+        rep = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
@@ -239,7 +240,7 @@ class TestTwCD:
         p = validate_params(2, 10, 0.5)
         r0 = density_from_callable(g, lambda x: np.exp(-3 * x**2))
         with pytest.raises(PreconditionError):
-            check_twcd(r0, r0, p, 5.0, [0.5])
+            check_twcd(r0, r0, p, 5.0, [0.5], 1e-6)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_endpoint_t_rejected(self, t):
@@ -250,7 +251,7 @@ class TestTwCD:
         r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.5) ** 2))
         with pytest.raises(ValueError, match=r"\]0,1\["):
-            check_twcd(r0, r1, p, -1.0, [t, 0.5])
+            check_twcd(r0, r1, p, -1.0, [t, 0.5], 1e-6)
 
 
 class TestAxisLogBetas:
@@ -289,25 +290,22 @@ class TestBrunnMinkowski:
     def test_flat_balls_classical(self):
         sp = make_space("euclidean", 3)
         p = validate_params(3, 3, 1.0)
-        pair = RegionPair({"kind": "ball", "radius": 0.4},
-                          {"kind": "ball", "radius": 1.0}, 0.3)
-        rep = check_brunn_minkowski(pair, sp, constant_weight(0.0), p, 0.0)
+        rep = check_ball_brunn_minkowski(sp, constant_weight(0.0), 0.4, 1.0,
+                                         0.3, p, 0.0, 1e-6)
         assert rep.verdict == "pass"
 
     def test_equal_regions_equality(self):
         g = flat_line()
         p = validate_params(2, 4, 0.5)
-        pair = RegionPair({"kind": "interval", "bounds": (-0.5, 0.5)},
-                          {"kind": "interval", "bounds": (-0.5, 0.5)}, 0.37)
-        rep = check_brunn_minkowski(pair, g, None, p, 0.0)
+        rep = check_brunn_minkowski(g, (-0.5, 0.5), (-0.5, 0.5), 0.37, p, 0.0,
+                                    1e-6)
         assert abs(rep.min_margin) < 1e-9
 
     def test_weighted_intervals_negative_kappa(self):
         g = LineGeometry("linear(1)", lo=-2.0, hi=2.0, points=4096)
         p = validate_params(2, 6, 0.4)
-        pair = RegionPair({"kind": "interval", "bounds": (-1.0, -0.3)},
-                          {"kind": "interval", "bounds": (0.3, 1.0)}, 0.5)
-        rep = check_brunn_minkowski(pair, g, None, p, -2.5)
+        rep = check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), 0.5, p, -2.5,
+                                    1e-6)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
@@ -320,10 +318,9 @@ class TestBrunnMinkowski:
                             lambda *args: calls.append(args) or
                             cumulative_simpson(*args))
         p = validate_params(2, 6, 0.4)
-        X, Y = ({"kind": "interval", "bounds": b}
-                for b in ((-1.0, -0.3), (0.3, 1.0)))
         for t in (0.25, 0.5, 0.75):
-            check_brunn_minkowski(RegionPair(X, Y, t), g, None, p, -2.5)
+            check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), t, p, -2.5,
+                                  1e-6)
         # one for the measure, one for the G table of e^{-a f}
         assert len(calls) == 2
 
@@ -336,9 +333,7 @@ class TestBrunnMinkowski:
         sp, w = make_space("euclidean", 3), constant_weight(f0)
         p = validate_params(3, 6, 0.5)
         r0, r1 = 0.4, 1.0
-        pair = RegionPair({"kind": "ball", "radius": r0},
-                          {"kind": "ball", "radius": r1}, t)
-        rep = check_brunn_minkowski(pair, sp, w, p, kappa)
+        rep = check_ball_brunn_minkowski(sp, w, r0, r1, t, p, kappa, 1e-6)
         x, y = np.array([-r0, 0.0, 0.0]), np.array([r1, 0.0, 0.0])
         rev = beta(sp, w, p, kappa, 1.0 - t, y, x) ** p.c_ratio
         fwd = beta(sp, w, p, kappa, t, x, y) ** p.c_ratio
@@ -358,31 +353,29 @@ class TestBrunnMinkowski:
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_flat_balls_equality_at_kappa_zero(self, t):
         # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the radius
-        pair = RegionPair({"kind": "ball", "radius": 0.4},
-                          {"kind": "ball", "radius": 1.0}, t)
-        rep = check_brunn_minkowski(pair, make_space("euclidean", 3),
-                                    constant_weight(0.0),
-                                    validate_params(3, 3, 1.0), 0.0)
+        rep = check_ball_brunn_minkowski(make_space("euclidean", 3),
+                                         constant_weight(0.0), 0.4, 1.0, t,
+                                         validate_params(3, 3, 1.0), 0.0, 1e-6)
         assert rep.min_margin == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["interval", "ball"])
     def test_endpoint_t_rejected(self, kind, t):
         p = validate_params(2, 10, 0.5)
-        if kind == "interval":
-            X, Y = ({"kind": kind, "bounds": b} for b in ((-1.0, -0.3),
-                                                          (0.3, 1.0)))
-            where = (flat_line(points=1024), None)
-        else:
-            X, Y = ({"kind": kind, "radius": r} for r in (0.4, 1.0))
-            where = (make_space("euclidean", 2), constant_weight(0.0))
         with pytest.raises(ValueError, match=r"\]0,1\["):
-            check_brunn_minkowski(RegionPair(X, Y, t), *where, p, -1.0)
+            if kind == "interval":
+                check_brunn_minkowski(flat_line(points=1024), (-1.0, -0.3),
+                                      (0.3, 1.0), t, p, -1.0, 1e-6)
+            else:
+                check_ball_brunn_minkowski(make_space("euclidean", 2),
+                                           constant_weight(0.0), 0.4, 1.0, t,
+                                           p, -1.0, 1e-6)
 
 
 class TestInterpolationInequality:
-    def test_same_bump_equality(self):
+    def test_same_bump_equality(self, monkeypatch):
         # beta = 1 when kappa = 0 and f = 0: psi0=psi1=psi gives equality
+        monkeypatch.setattr(suites, "HYPOTHESIS_SAMPLES", 2000)
         g = flat_line()
         p = validate_params(2, 4, 0.5)
         bump = lambda x: np.exp(-4.0 * np.asarray(x) ** 2)
@@ -390,7 +383,7 @@ class TestInterpolationInequality:
         t = 0.5
         for pp in (0.0, -0.4):
             rep = check_interpolation(g, p, 0.0, bump, bump, bump,
-                                      X, Y, t, pp, samples=2000, seed=1)
+                                      X, Y, t, pp, 1, 1e-6)
             assert abs(rep.min_margin) < 1e-9
 
     def test_prekopa_leindler_weighted(self):
@@ -404,21 +397,22 @@ class TestInterpolationInequality:
                           * ((np.asarray(y) >= Y[0]) & (np.asarray(y) <= Y[1])))
         psi = envelope_psi(g, p, kappa, psi0, psi1, X, Y, t, 0.0)
         rep = check_interpolation(g, p, kappa, psi0, psi1, psi,
-                                  X, Y, t, 0.0, seed=0)
+                                  X, Y, t, 0.0, 0, 1e-6)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
     @pytest.mark.parametrize("t", [0.3, 0.5])
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, math.inf])
-    def test_envelope_is_the_sup(self, p, t):
+    def test_envelope_is_the_sup(self, p, t, monkeypatch):
         # at 32 of the envelope's z nodes, against the max over 2^16 x
+        monkeypatch.setattr(suites, "SLACK", 0.0)
         g = quad_line()
         params = validate_params(2, 10.0, 0.5)
         kappa = -1.0
         X, Y = (-1.0, -0.2), (0.2, 1.0)
         psi0 = lambda x: np.exp(-0.5 * ((x + 0.6) / 0.3) ** 2)
         psi1 = lambda y: np.exp(-0.5 * ((y - 0.6) / 0.3) ** 2)
-        psi = envelope_psi(g, params, kappa, psi0, psi1, X, Y, t, p, 0.0)
+        psi = envelope_psi(g, params, kappa, psi0, psi1, X, Y, t, p)
         zs = np.linspace((1 - t) * X[0] + t * Y[0],
                          (1 - t) * X[1] + t * Y[1], 4096)[::128]
         for z in zs:
@@ -462,6 +456,7 @@ class TestInterpolationInequality:
         # nodes between coarse neighbours whose best cells differ by more
         # than 1 fall back to all 64 cells
         rows = []
+        monkeypatch.setattr(suites, "SLACK", 0.0)
         monkeypatch.setattr(suites, "axis_log_betas",
                             lambda g, params, kappa, x, y, t: rows.append(
                                 np.shape(x)) or axis_log_betas(
@@ -471,7 +466,7 @@ class TestInterpolationInequality:
         X, Y, t = (-1.0, -0.2), (0.2, 1.0), 0.3
         psi0 = lambda x: np.exp(-0.5 * ((x + 0.6) / 0.2) ** 2)
         psi1 = lambda y: 0.6 * np.exp(-0.5 * ((y - 0.6) / 0.2) ** 2)
-        psi = envelope_psi(g, params, -1.0, psi0, psi1, X, Y, t, math.inf, 0.0)
+        psi = envelope_psi(g, params, -1.0, psi0, psi1, X, Y, t, math.inf)
         full = sum(shape[0] for shape in rows if shape[1:] == (64,))
         assert full > 513  # 512 coarse nodes and the last node, and more
         nodes, env = full_scan_envelope(g, params, -1.0, psi0, psi1, X, Y, t,
@@ -516,7 +511,7 @@ class TestInterpolationInequality:
         with pytest.raises(PreconditionError):
             check_interpolation(g, p, 0.0, bump, bump, bump,
                                 (-1, 1), (-1, 1), 0.5,
-                                -p.c / (p.c + 1.0) - 0.1)
+                                -p.c / (p.c + 1.0) - 0.1, 0, 1e-6)
 
     def test_bad_hypothesis_rejected(self):
         g = flat_line()
@@ -525,7 +520,7 @@ class TestInterpolationInequality:
         small = lambda x: 0.5 * np.exp(-np.asarray(x) ** 2)
         with pytest.raises(HypothesisError):
             check_interpolation(g, p, 0.0, bump, bump, small,
-                                (-1, 1), (-1, 1), 0.5, 0.0)
+                                (-1, 1), (-1, 1), 0.5, 0.0, 0, 1e-6)
 
 
 class TestPMean:
@@ -585,7 +580,7 @@ class TestFunctional:
     def test_uniform_density_equalities(self, meridian):
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: np.ones_like(th))
-        hw, te = check_functional(rho, p, 1.0, 0.0)
+        hw, te = check_functional(rho, p, 1.0, 0.0, 1e-5)
         assert abs(hw.min_margin) < 1e-9
         assert abs(te.min_margin) < 1e-9
 
@@ -593,7 +588,7 @@ class TestFunctional:
     def test_cosine_perturbation(self, meridian, a):
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: 1.0 + a * np.cos(th))
-        hw, te = check_functional(rho, p, 1.0, 0.0)
+        hw, te = check_functional(rho, p, 1.0, 0.0, 1e-5)
         assert hw.verdict == "pass"
         assert hw.min_margin >= -1e-5
         assert te.verdict == "pass"
@@ -606,7 +601,7 @@ class TestFunctional:
         for a in (0.08, 0.04, 0.02):
             rho = density_from_callable(meridian,
                                         lambda th: 1.0 + a * np.cos(th))
-            rep, _ = check_functional(rho, p, 1.0, 0.0)
+            rep, _ = check_functional(rho, p, 1.0, 0.0, 1e-5)
             margins.append(rep.margins[1])
         assert all(m >= -1e-9 for m in margins)
         assert margins[0] > margins[1] > margins[2] >= 0.0 - 1e-9
@@ -623,7 +618,7 @@ class TestFunctional:
                             _curvature_margins(*args))
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: 1.0 + 0.2 * np.cos(th))
-        check_functional(rho, p, 1.0, 0.0)
+        check_functional(rho, p, 1.0, 0.0, 1e-5)
         assert len(built) == 1
         assert len(checked) == 1
 
@@ -631,7 +626,7 @@ class TestFunctional:
         p = validate_params(2, 2, 1.0)
         rho = density_from_callable(meridian, lambda th: np.ones_like(th))
         with pytest.raises(PreconditionError) as ei:
-            check_functional(rho, p, -1.0, 0.0)
+            check_functional(rho, p, -1.0, 0.0, 1e-5)
         assert "kappa" in ei.value.failed
 
     def test_nonconstant_weight_flagged(self):
@@ -639,7 +634,7 @@ class TestFunctional:
         p = validate_params(2, 10, 0.5)
         rho = density_from_callable(g, lambda x: np.exp(-x**2))
         with pytest.raises(PreconditionError) as ei:
-            check_functional(rho, p, 0.5, 10.0)
+            check_functional(rho, p, 0.5, 10.0, 1e-5)
         assert "constant" in ei.value.failed or "m-constant" in ei.value.failed
 
 
@@ -690,5 +685,6 @@ class TestAxisCurvature:
         g = MeridianGeometry("linear(0.3)", points=401)
         rho = density_from_callable(g, lambda th: 1.0 + 0.1 * np.cos(th))
         with pytest.raises(PreconditionError, match="not finite") as ei:
-            check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID)
+            check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID,
+                       1e-6)
         assert ei.value.failed == "curvature bound"

@@ -13,9 +13,9 @@ from cdcheck.params import validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
-from cdcheck.taylor import (NOISE_FLOOR, TERMS, SeriesCheck,
-                            check_F_identity, check_limit_bound, check_series,
-                            f_of_theta, series_margins, theta_eps)
+from cdcheck.taylor import (NOISE_FLOOR, TERMS, check_F_identity,
+                            check_limit_bound, check_series, f_of_theta,
+                            series_margins, theta_eps)
 
 EUC3 = make_space("euclidean", 3)
 SPHERE = make_space("sphere", 2, radius=1.0)
@@ -33,48 +33,55 @@ def meridian_ray():
     return x, v
 
 
+def series(space, w, p, kappa, x, v):
+    """{term: (deltas, exact, series, margin)} of one check_series call."""
+    terms, deltas, exact, approx = check_series(space, w, p, kappa, x, v)
+    margins = series_margins(deltas, exact, approx)
+    return {term: (deltas, exact[k], approx[k], margins[k])
+            for k, term in enumerate(terms)}
+
+
+def one_margin(deltas, exact, approx) -> float:
+    """`series_margins` of one row."""
+    return float(series_margins(deltas, exact[None], approx[None])[0])
+
+
 class TestSeriesSlopes:
     @pytest.mark.parametrize("term", TERMS)
     def test_euclidean_quadratic_weight(self, term):
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "quadratic(0.3)")
         x, v = euc_ray()
-        chk = check_series(EUC3, w, p, -0.7, x, v, term)
-        assert chk.margin >= 0.0, f"{term}: margin {chk.margin:.3f}"
+        margin = series(EUC3, w, p, -0.7, x, v)[term][3]
+        assert margin >= 0.0, f"{term}: margin {margin:.3f}"
 
     @pytest.mark.parametrize("term", TERMS)
     def test_sphere_cosine_weight(self, term):
         p = validate_params(3, 12, 0.5)
         w = weight_preset(SPHERE, "cosine(0.4)")
         x, v = meridian_ray()
-        chk = check_series(SPHERE, w, p, 0.8, x, v, term)
-        assert chk.margin >= 0.0, f"{term}: margin {chk.margin:.3f}"
+        margin = series(SPHERE, w, p, 0.8, x, v)[term][3]
+        assert margin >= 0.0, f"{term}: margin {margin:.3f}"
 
     def test_verdict_stable_under_grid_trim(self):
-        # dropping the coarsest offset must not change the verdict
+        # dropping the coarsest offset must not change the verdict: the
+        # offsets 2^-4 .. 2^-12 of the stack, and 2^-5 .. 2^-12
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "quadratic(0.3)")
         x, v = euc_ray()
-        grid = [2.0 ** -k for k in range(4, 13)]
-        full = check_series(EUC3, w, p, -0.7, x, v, "app2_fwd", grid=grid)
-        trim = check_series(EUC3, w, p, -0.7, x, v, "app2_fwd", grid=grid[1:])
-        assert full.margin >= 0.0 and trim.margin >= 0.0
-
-    def test_unknown_term_rejected(self):
-        p = validate_params(3, 9, 0.4)
-        with pytest.raises(PreconditionError):
-            check_series(EUC3, constant_weight(), p, 0.0,
-                         *euc_ray(), "app7_fwd")
+        deltas, exact, approx, _ = series(EUC3, w, p, -0.7, x, v)["app2_fwd"]
+        full = one_margin(deltas[:9], exact[:9], approx[:9])
+        trim = one_margin(deltas[1:9], exact[1:9], approx[1:9])
+        assert full >= 0.0 and trim >= 0.0
 
 
 class TestCubicBound:
-    """The margin of SeriesCheck on synthetic remainders."""
+    """The margin of one row of `series_margins` on synthetic remainders."""
 
     @staticmethod
     def margin(rem):
         deltas = np.array([2.0 ** -k for k in range(4, 15)])
-        return SeriesCheck("app1_fwd", deltas, rem(deltas),
-                           np.zeros_like(deltas)).margin
+        return one_margin(deltas, rem(deltas), np.zeros_like(deltas))
 
     def test_cubic_with_sign_change_passes(self):
         # the remainder changes sign near delta = 2e-3, inside the grid
@@ -92,8 +99,7 @@ class TestCubicBound:
         assert math.isnan(margin)
         deltas = np.array([2.0 ** -k for k in range(4, 15)])
         exact = np.where(deltas == 2.0**-4, np.inf, 0.0)
-        assert not SeriesCheck("app1_fwd", deltas, exact,
-                               np.zeros_like(deltas)).margin >= 0.0
+        assert not one_margin(deltas, exact, np.zeros_like(deltas)) >= 0.0
 
     def test_stack_is_the_per_term_margin(self):
         # the synthetic cases above (sign change, quadratic, noise floor,
@@ -108,29 +114,22 @@ class TestCubicBound:
         exact = np.array(rems)
         series = np.zeros_like(exact)
         p = validate_params(3, 9, 0.4)
-        checks = check_series(EUC3, weight_preset(EUC3, "quadratic(0.3)"), p,
-                              -0.7, *euc_ray(), TERMS, grid=deltas)
-        exact = np.vstack([exact] + [chk.exact for chk in checks])
-        series = np.vstack([series] + [chk.series for chk in checks])
+        _, got_deltas, real_exact, real_series = check_series(
+            EUC3, weight_preset(EUC3, "quadratic(0.3)"), p, -0.7, *euc_ray())
+        assert np.array_equal(got_deltas, deltas)
+        exact = np.vstack([exact, real_exact])
+        series = np.vstack([series, real_series])
         got = series_margins(deltas, exact, series)
         want = [_margin_per_term(deltas, e, s) for e, s in zip(exact, series)]
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(want[3:5]).all() and want[2] == want[5] == 0.0
         for e, s, m in zip(exact, series, want):
-            one = SeriesCheck("app1_fwd", deltas, e, s).margin
+            one = one_margin(deltas, e, s)
             assert one == m or math.isnan(one) and math.isnan(m)
-
-    def test_grid_must_halve(self):
-        # on a grid of thirds no offset has references at 8 and 16 times it
-        p = validate_params(3, 9, 0.4)
-        w = weight_preset(EUC3, "quadratic(0.3)")
-        with pytest.raises(ValueError, match="halvings"):
-            check_series(EUC3, w, p, -0.7, *euc_ray(), "app3_fwd",
-                         grid=[3.0 ** -k for k in range(3, 10)])
 
 
 def _margin_per_term(deltas, exact, series) -> float:
-    """SeriesCheck.margin of one term, one offset at a time: the reference
+    """The margin of one term, one offset at a time: the reference
     the stacked margins keep."""
     rem = np.abs(exact - series)
     if not np.all(np.isfinite(rem)):
@@ -158,29 +157,12 @@ class TestSharedDistances:
             return reparam_partial(*args, **kwargs)
 
         monkeypatch.setattr(taylor, "reparam_partial", counted)
-        grid = [2.0 ** -k for k in range(4, 12)]
-        checks = check_series(EUC3, w, p, -0.7, x, v, TERMS, grid=grid)
-        assert [chk.term for chk in checks] == list(TERMS)
+        terms, deltas, _, _ = check_series(EUC3, w, p, -0.7, x, v)
+        assert terms == TERMS
         # one stacked call: every offset's segment at fractions 1/2 and 1
         assert len(calls) == 1
         segs, ts = calls[0]
-        assert segs.length.shape == (len(grid),) and ts == [[0.5], [1.0]]
-
-    @pytest.mark.parametrize("space, preset, kappa, ray", [
-        (EUC3, "quadratic(0.3)", -0.7, euc_ray),
-        (SPHERE, "cosine(0.3)", 0.8, meridian_ray),
-    ])
-    def test_shared_call_matches_single_terms(self, space, preset, kappa,
-                                              ray):
-        p = validate_params(space.dim, 9 if space.dim == 3 else 6, 0.4)
-        w = weight_preset(space, preset)
-        x, v = ray()
-        checks = check_series(space, w, p, kappa, x, v, TERMS)
-        for chk in checks:
-            one = check_series(space, w, p, kappa, x, v, chk.term)
-            assert np.array_equal(one.exact, chk.exact)
-            assert np.array_equal(one.series, chk.series)
-            assert one.margin == chk.margin
+        assert segs.length.shape == (len(deltas),) and ts == [[0.5], [1.0]]
 
 
 class TestExactReductions:
@@ -190,20 +172,21 @@ class TestExactReductions:
         p = validate_params(3, 9, 0.4)
         w = constant_weight()
         x, v = euc_ray()
+        checks = series(EUC3, w, p, 0.0, x, v)
         for term in ("app1_fwd", "app1_rev", "app1_full"):
-            chk = check_series(EUC3, w, p, 0.0, x, v, term)
-            assert np.max(np.abs(chk.remainder)) < 1e-12
-            assert chk.margin >= 0.0
+            _, exact, approx, margin = checks[term]
+            assert np.max(np.abs(exact - approx)) < 1e-12
+            assert margin >= 0.0
 
     def test_constant_weight_app2_only_kappa_term(self):
         # grad f = 0 kills the odd term; beta - 1 is pure curvature
         p = validate_params(3, 9, 0.4)
         w = constant_weight(0.7)
         x, v = euc_ray()
-        chk = check_series(EUC3, w, p, -0.5, x, v, "app2_fwd")
-        assert chk.margin >= 0.0
+        deltas, _, approx, margin = series(EUC3, w, p, -0.5, x, v)["app2_fwd"]
+        assert margin >= 0.0
         # the claimed quadratic coefficient: inv_c kappa e^{-2 a f} / 2
-        coef = (chk.series[0] - 1.0) / chk.deltas[0] ** 2
+        coef = (approx[0] - 1.0) / deltas[0] ** 2
         expected = 0.5 * p.inv_c * (-0.5) * math.exp(-2.0 * p.a * 0.7)
         assert coef == pytest.approx(expected, rel=1e-12)
 
@@ -212,24 +195,25 @@ class TestExactReductions:
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "quadratic(0.3)")
         x, v = euc_ray()
-        fwd, rev = check_series(EUC3, w, p, -0.7, x, v,
-                                ["app2_fwd", "app2_rev"])
+        checks = series(EUC3, w, p, -0.7, x, v)
+        deltas, fwd = checks["app2_fwd"][:2]
+        rev = checks["app2_rev"][1]
         for i in (0, 3):
-            yp, ym = (EUC3.geodesic(x, v, s * fwd.deltas[i]) for s in (1, -1))
-            assert fwd.exact[i] == pytest.approx(
+            yp, ym = (EUC3.geodesic(x, v, s * deltas[i]) for s in (1, -1))
+            assert fwd[i] == pytest.approx(
                 beta(EUC3, w, p, -0.7, 0.5, yp, ym), rel=1e-9)
-            assert rev.exact[i] == pytest.approx(
+            assert rev[i] == pytest.approx(
                 beta(EUC3, w, p, -0.7, 0.5, ym, yp), rel=1e-9)
 
     def test_app3_matches_weight_ratio(self):
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "linear(0.6)")
         x, v = euc_ray()
-        chk = check_series(EUC3, w, p, 0.0, x, v, "app3_fwd")
-        y = EUC3.geodesic(x, v, -chk.deltas[0])
-        assert chk.exact[0] == pytest.approx(
+        deltas, exact, _, margin = series(EUC3, w, p, 0.0, x, v)["app3_fwd"]
+        y = EUC3.geodesic(x, v, -deltas[0])
+        assert exact[0] == pytest.approx(
             math.exp(-float(w.eval(y)) + float(w.eval(x))), abs=1e-14)
-        assert chk.margin >= 0.0
+        assert margin >= 0.0
 
     def test_app4_is_binomial(self):
         # exact (1 + theta d)^n against its quadratic truncation: the
@@ -238,11 +222,12 @@ class TestExactReductions:
         p = validate_params(3, 9, 0.4)
         w = weight_preset(EUC3, "linear(0.6)")
         x, v = euc_ray()
-        chk = check_series(EUC3, w, p, 0.0, x, v, "app4_fwd")
+        deltas, exact, approx, margin = series(EUC3, w, p, 0.0, x,
+                                               v)["app4_fwd"]
         th = theta_eps(p, float(np.dot(w.grad(x), v)))
-        tail = (1.0 + th * chk.deltas) ** 3 - chk.series
-        assert np.allclose(chk.remainder, tail, atol=1e-15)
-        assert chk.margin == pytest.approx(0.75, abs=0.02)
+        tail = (1.0 + th * deltas) ** 3 - approx
+        assert np.allclose(exact - approx, tail, atol=1e-15)
+        assert margin == pytest.approx(0.75, abs=0.02)
 
 
 class TestThetaEps:
@@ -327,7 +312,7 @@ class TestLimitBound:
         # zero gradient: both the deviation and the bound vanish
         p = validate_params(3, 9, 0.4)
         rep = check_limit_bound(EUC3, constant_weight(0.3), p, 0.5,
-                                *euc_ray())
+                                *euc_ray(), r=1.0)
         assert rep.verdict == "pass"
 
     def test_linear_weight_plane(self):
