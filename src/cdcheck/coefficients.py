@@ -23,11 +23,11 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .params import DimensionParams, c_kappa, diam_kappa, s_kappa
+from .params import LOG_MAX, DimensionParams, c_kappa, diam_kappa, s_kappa
 from .quadrature import neville_extrapolate
 from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
-from .reparam import LOG_MAX, exp_or_inf, reparam_partial
+from .reparam import exp_or_inf, reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import (_log_beta_pair, require_float_range,
                            within_conjugate_radius)
 from .errors import PreconditionError, SingularJacobian
-from .params import DimensionParams, s_kappa
+from .params import DimensionParams, require_normal, s_kappa
 from .quadrature import cumulative_simpson
 from .spaces import ModelSpace, WeightFunction
 
@@ -92,7 +92,7 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
 
 
 def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
-                           ws, Ss, steps: int = 128):
+                           ws, Ss, steps: int):
     """Vectorized trajectory computation for a batch of rays.
 
     Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
@@ -101,10 +101,9 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     ``f_gamma`` (f along the geodesic, a constant weight's base-point value
     on every column), plus the speeds ``thetas`` and an ``admissible`` mask
     (det > 0 on the whole grid). Inadmissible rows carry NaN downstream.
+    J, formed for ``worst_ray.csv`` only, reads +inf past the float range.
     """
-    xs = np.asarray(xs, dtype=float)
-    ws = np.asarray(ws, dtype=float)
-    Ss = np.asarray(Ss, dtype=float)
+    xs, ws, Ss = (np.asarray(a, dtype=float) for a in (xs, ws, Ss))
     B = xs.shape[0]
     thetas = space.norm(xs, ws)
     ts = np.linspace(0.0, 1.0, steps + 1)
@@ -128,17 +127,17 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     a_nn[~admissible] = np.nan
 
     int_ann = cumulative_simpson(a_nn, dt)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         logdet = np.where(det > 0, np.log(np.where(det > 0, det, 1.0)), np.nan)
+        J = np.exp(logdet - f_gamma + f_gamma[:, :1])
     h = logdet - int_ann
     l = h - f_gamma + f_gamma[:, :1]
-    J = np.exp(logdet - f_gamma + f_gamma[:, :1])
     return {"ts": ts, "det": det, "J": J, "h": h, "l": l, "int_ann": int_ann,
             "f_gamma": f_gamma, "thetas": thetas, "admissible": admissible}
 
 
 def integrate_jacobi(space: ModelSpace, weight: WeightFunction, x, w, S,
-                     steps: int = 128):
+                     steps: int):
     """One ray's :func:`integrate_jacobi_batch` dict, each array reduced to
     the ray's row; raises SingularJacobian if det E hits 0."""
     out = integrate_jacobi_batch(
@@ -151,10 +150,10 @@ def integrate_jacobi(space: ModelSpace, weight: WeightFunction, x, w, S,
 def _log_margin(x, w0, x0, w1, x1):
     """(e^x - r)/(1 + r) with r = w0 e^x0 + w1 e^x1, from the logs x, x0, x1.
 
-    Both parts are scaled by e^-s with the row constant s = max(0, x0, x1)
-    of the (B, 1) end values: r e^-s <= w0 + w1 is finite, e^-s + r e^-s > 0
-    and e^{x - s} is the one exponential per element. No inf/inf can arise;
-    only a margin whose value is beyond the float range reads +inf.
+    Both parts are scaled by e^-s with s = max(0, x0, x1) elementwise, as
+    margin (iii)'s beta terms vary with t: r e^-s <= w0 + w1 is finite and
+    e^-s + r e^-s > 0. No inf/inf can arise; only a margin whose value is
+    beyond the float range reads +inf.
     """
     s = np.maximum(np.maximum(x0, x1), 0.0)
     r = w0 * np.exp(x0 - s) + w1 * np.exp(x1 - s)
@@ -162,7 +161,7 @@ def _log_margin(x, w0, x0, w1, x1):
         return (np.exp(x - s) - r) / (np.exp(-s) + r)
 
 
-def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
+def concavity_margins(ts, log_D, log_Dbar, d_partial,
                       params: DimensionParams, kappa: float):
     """Margins of the three concavity inequalities on the grid interior.
 
@@ -172,10 +171,10 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
                            + t beta_t(x,y)^{c/(c+1)} J_1^{c/(c+1)}
 
     with d_{1-t}(y,x) = d_f(x,y) - d_t(x,y) by reversal of the geodesic.
-    D and Dbar enter through their logs c l and int a_nn, which stay
-    finite where the densities overflow. All margins are scaled by
-    1/(1 + |RHS|). Works on batched rows. Raises PreconditionError if
-    s_kappa of some d_f leaves the float range.
+    The densities enter through their logs, finite where they overflow:
+    log D = c l, log Dbar = int a_nn, and (c/(c+1)) log J = (log D + c log
+    Dbar)/(c+1) as J = D^{1/c} Dbar. Margins are scaled by 1/(1 + |RHS|), on
+    batched rows; PreconditionError if s_kappa of a d_f leaves float range.
     """
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
@@ -189,12 +188,11 @@ def concavity_margins(ts, log_D, log_Dbar, J, d_partial,
     m2 = _log_margin(log_D[..., inner], s_rev / s_full, log_D[..., :1],
                      s_t / s_full, log_D[..., -1:])
 
-    cr = params.c_ratio
-    brev, bfwd = (np.exp(cr * lb) for lb in _log_beta_pair(
+    log_Jr = (log_D + params.c * log_Dbar) / (params.c + 1.0)
+    log_rev, log_fwd = (params.c_ratio * lb for lb in _log_beta_pair(
         params, kappa, d_full, t, s_rev, s_t, s_full))
-    Jcr = np.where(J > 0, J, np.nan) ** cr
-    rhs3 = (1.0 - t) * brev * Jcr[..., :1] + t * bfwd * Jcr[..., -1:]
-    m3 = (Jcr[..., inner] - rhs3) / (1.0 + np.abs(rhs3))
+    m3 = _log_margin(log_Jr[..., inner], 1.0 - t, log_rev + log_Jr[..., :1],
+                     t, log_fwd + log_Jr[..., -1:])
     return m1, m2, m3
 
 
@@ -208,19 +206,21 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     margins: a zero-speed ray has no s-ratios, and a ray with det E <= 0
     has no log D. A constant weight's partial distances are theta e^{-a f} t;
     any other weight's come from a cumulative Simpson along the geodesic.
+    Raises PreconditionError where e^{-a f} or d_f leaves the float range.
     """
     out = integrate_jacobi_batch(space, weight, xs, ws, Ss, steps)
     ts, theta = out["ts"], out["thetas"][:, None]
-    if weight.is_constant:
-        d_partial = theta * np.exp(-params.a * out["f_gamma"][:, :1]) * ts
-    else:
-        d_partial = cumulative_simpson(
-            theta * np.exp(-params.a * out["f_gamma"]), ts[1] - ts[0])
-    keep = np.flatnonzero(out["admissible"] & (out["thetas"] > 1e-14)
-                          & within_conjugate_radius(kappa, d_partial[:, -1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        speed = theta * np.exp(-params.a * out["f_gamma"])
+        d_partial = (speed[:, :1] * ts if weight.is_constant
+                     else cumulative_simpson(speed, ts[1] - ts[0]))
+    d_full, moving = d_partial[:, -1], out["thetas"] > 1e-14
+    require_normal(d_full, moving)
+    keep = np.flatnonzero(out["admissible"] & moving
+                          & within_conjugate_radius(kappa, d_full))
     m1, m2, m3 = concavity_margins(ts, params.c * out["l"][keep],
-                                   out["int_ann"][keep], out["J"][keep],
-                                   d_partial[keep], params, kappa)
+                                   out["int_ann"][keep], d_partial[keep],
+                                   params, kappa)
     margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
     return keep, margins, np.min(out["det"][keep], axis=-1)
 
@@ -244,8 +244,7 @@ def refine_ray_margin(space: ModelSpace, weight: WeightFunction,
 
 
 def sample_rays(space: ModelSpace, rng: np.random.Generator, count: int,
-                region: dict | None = None,
-                theta_range: tuple[float, float] = (0.2, 1.2)):
+                region: dict | None, theta_range: tuple[float, float]):
     """Random admissible-candidate rays: eigenvalues uniform in
     [-0.8, 0.8]/theta with a Haar-random eigenframe.
 

@@ -24,6 +24,7 @@ from .params import DimensionParams
 from .quadrature import composite_simpson, cumulative_simpson
 from .spaces import Euclidean, Sphere, weight_preset
 
+AXIS_POINTS = 4096  # axis grid points when the config gives none
 
 # ----------------------------------------------------------------------
 # quasi-1D geometries
@@ -100,7 +101,7 @@ class LineGeometry(AxisGeometry):
     space, origin = Euclidean(2), np.zeros(2)
 
     def __init__(self, f1: str, lo: float = -2.0, hi: float = 2.0,
-                 points: int = 4096):
+                 points: int = AXIS_POINTS):
         super().__init__(f1, lo, hi, points, np.ones_like)
 
 
@@ -114,7 +115,7 @@ class MeridianGeometry(AxisGeometry):
 
     space, origin = Sphere(2), np.array([0.0, 0.0, 1.0])
 
-    def __init__(self, f1: str = "zero", points: int = 4096):
+    def __init__(self, f1: str = "zero", points: int = AXIS_POINTS):
         super().__init__(f1, 0.0, math.pi, points, np.sin)
 
 

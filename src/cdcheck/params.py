@@ -1,4 +1,4 @@
-"""Dimension parameters, the epsilon-range, and comparison functions.
+"""Dimension parameters, epsilon-range, comparison functions, float guards.
 
 The triple (n, N, eps) fixes every exponent of the theory through the
 constant c. N may be any extended real in ]-inf, 1] u [n, +inf]; N = +inf
@@ -9,15 +9,17 @@ analytic limits there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
+from .errors import DimensionError, PreconditionError, RangeError
 
 # below this threshold |kappa| * s^2 the closed forms of s_kappa and
 # c_kappa lose digits to cancellation; switch to the Taylor series
 _SERIES_THRESHOLD = 1e-8
+LOG_MAX = math.log(sys.float_info.max)  # exp of a larger exponent overflows
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,25 @@ class DimensionParams:
     def c_ratio(self) -> float:
         """The exponent c/(c + 1)."""
         return self.c / (self.c + 1.0)
+
+
+def require_exp_range(expo, what: str) -> None:
+    """Raise PreconditionError where e^expo, named ``what``, overflows."""
+    if np.any(np.asarray(expo) > LOG_MAX):
+        raise PreconditionError(f"{what} leaves the float range",
+                                failed="e^{-a f} finite")
+
+
+def require_normal(d, moving) -> None:
+    """Raise PreconditionError where a re-parametrized distance d leaves the
+    float range, or underflows it on a moving path: there e^{-a f}
+    underflowed all along, d keeps no digit and its ratios are 0/0."""
+    if not np.all(np.isfinite(d)):
+        raise PreconditionError("a re-parametrized distance leaves the float"
+                                " range", failed="e^{-a f} finite")
+    if np.any((d < sys.float_info.min) & moving):
+        raise PreconditionError("a re-parametrized distance underflows the"
+                                " float range", failed="d_t normal")
 
 
 def validate_params(n: int, N: float, eps: float) -> DimensionParams:

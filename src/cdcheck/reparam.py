@@ -18,16 +18,12 @@ one-segment call returns.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from .errors import PreconditionError
-from .params import DimensionParams
+from .params import LOG_MAX, DimensionParams, require_exp_range, require_normal
 from .quadrature import gauss_legendre
 from .spaces import ModelSpace, WeightFunction
-
-LOG_MAX = math.log(sys.float_info.max)  # exp of a larger exponent overflows
 
 
 def exp_or_inf(x: float) -> float:
@@ -53,23 +49,17 @@ def reparam_partial(space: ModelSpace, weight: WeightFunction,
     a = params.a
     if a == 0.0 or weight.is_constant:
         f0 = float(weight.eval(starts[0])) if weight.is_constant else 0.0
-        factor = math.exp(-a * f0) if weight.is_constant else 1.0
-        out = factor * ts * lengths
+        require_exp_range(-a * f0, "e^{-a f} of a constant weight")
+        out = math.exp(-a * f0) * ts * lengths
     else:
         starts, directions = starts[rows.ravel()], directions[rows.ravel()]
 
         def integrand(p):
             expo = -a * weight.eval(space.geodesic(starts[p[0]],
                                                    directions[p[0]], p[1]))
-            if np.any(expo > LOG_MAX):
-                raise PreconditionError("e^{-a f} on a segment leaves the float"
-                                        " range", failed="e^{-a f} finite")
+            require_exp_range(expo, "e^{-a f} on a segment")
             return np.exp(expo)
 
         out, _ = gauss_legendre(integrand, 0.0, ts * lengths, rel_tol=rel_tol)
-    # where e^{-a f} underflows along a whole segment, its distances keep
-    # no digit and every ratio of them is 0/0
-    if np.any((out < sys.float_info.min) & (ts * lengths > 0.0)):
-        raise PreconditionError("a re-parametrized distance underflows the"
-                                " float range", failed="d_t normal")
+    require_normal(out, ts * lengths > 0.0)
     return float(out[0]) if single and np.ndim(t) == 0 else out

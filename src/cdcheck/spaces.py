@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CutLocusError, PreconditionError
-from .params import DimensionParams
+from .params import DimensionParams, require_exp_range
 from .report import CheckReport
 
 # sphere segments this close to the antipode are treated as cut-locus hits
@@ -501,53 +501,44 @@ def centred(space: ModelSpace, spec: str, x, v):
                           space.inner(x, space.frame(x), v)))
 
 
-def ricci_fN_batch(space, weight, params, xs, vs) -> np.ndarray:
-    """N-weighted Ricci curvature Ric_f^N(v, v) at each point of ``xs``
-    for the unit tangent of ``vs`` at it.
-
-    The last term vanishes for N = +inf; N = n requires a constant weight.
-    """
+def ricci_fN_batch(space, weight, params, xs, frames) -> np.ndarray:
+    """The matrix (..., k, k) of Ric_f^N at the points xs (..., ambient) in
+    the frame rows ``frames`` (..., k, ambient) there: (n-1) sec I + Hess f
+    - grad f grad f^T / (N-n), with no last term at N = +inf; N = n requires
+    a constant weight. Hess f of every pair of rows is one broadcast call."""
     n, N = params.n, params.N
     if N == n and not weight.is_constant:
         raise ConfigError("N = n requires a constant weight function")
-    ric_g = (n - 1) * space.sec * np.ones(xs.shape[0])
-    hess = np.asarray(weight.hess(xs, vs, vs), dtype=float)
-    out = ric_g + hess
+    q = (n - 1) * space.sec * np.eye(frames.shape[-2]) + np.asarray(
+        weight.hess(xs[..., None, None, :], frames[..., :, None, :],
+                    frames[..., None, :, :]), dtype=float)
     if not math.isinf(N) and N != n:
-        gv = space.inner(xs, np.asarray(weight.grad(xs), dtype=float), vs)
-        out = out - gv * gv / (N - n)
-    return out
+        grad = np.asarray(weight.grad(xs), dtype=float)
+        g = space.inner(xs[..., None, :], grad[..., None, :], frames)
+        q = q - g[..., :, None] * g[..., None, :] / (N - n)
+    return q
+
+
+def curvature_floor(params: DimensionParams, kappa: float, f) -> np.ndarray:
+    """c^{-1} kappa e^{-2af}, the floor of Ric_f^N, at the weight values f;
+    raises PreconditionError where e^{-2af} overflows, unless kappa = 0."""
+    expo = -2.0 * params.a * np.asarray(f, dtype=float)
+    expo = expo if kappa else np.minimum(expo, 0.0)  # 0 whatever e^{-2af} is
+    require_exp_range(expo, "e^{-2a f} at a point of the curvature check")
+    return params.inv_c * kappa * np.exp(expo)
 
 
 def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
                           params: DimensionParams, kappa: float, count: int,
                           seed: int, region, tol: float) -> CheckReport:
     """Sampled verification of Ric_f^N >= c^{-1} kappa e^{-4(1-eps)f/(n-1)} g
-    in every direction, at ``count`` sampled points.
-
-    margin(x) = lambda_min(Q(x)) - c^{-1} kappa e^{-4(1-eps)f(x)/(n-1)},
-    with Q = (n-1) sec I + Hess f - grad f grad f^T / (N-n) the matrix of
-    the quadratic form Ric_f^N in ``frame(x)`` (no last term at N = +inf).
-    """
-    n, N = params.n, params.N
-    if N == n and not weight.is_constant:
-        raise ConfigError("N = n requires a constant weight function")
+    in every direction at ``count`` sampled points x: the least eigenvalue
+    of ``ricci_fN_batch`` in ``frame(x)`` less the ``curvature_floor``."""
     xs = space.sample_point(np.random.default_rng(seed), region, count)
-    frames = space.frame(xs)
-    # Hess f of every pair of frame vectors, in one broadcast call
-    q = (n - 1) * space.sec * np.eye(space.dim) + np.asarray(weight.hess(
-        xs[:, None, None], frames[:, :, None], frames[:, None]), dtype=float)
-    if not math.isinf(N) and N != n:
-        grad = np.asarray(weight.grad(xs), dtype=float)
-        g = space.inner(xs[:, None], grad[:, None], frames)
-        q = q - g[:, :, None] * g[:, None, :] / (N - n)
-    f = np.asarray(weight.eval(xs), dtype=float)
-    rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * f)
-    margins = np.linalg.eigvalsh(q)[:, 0] - rhs
-    return CheckReport(
-        name="curvature_bound",
-        margins=[float(m) for m in margins],
-        tolerance=tol,
-        provenance={"kappa": kappa, "count": count, "seed": seed,
-                    "space": space.kind, "weight": weight.name},
-    )
+    margins = (np.linalg.eigvalsh(ricci_fN_batch(space, weight, params, xs,
+                                                 space.frame(xs)))[:, 0]
+               - curvature_floor(params, kappa, weight.eval(xs)))
+    return CheckReport(name="curvature_bound", margins=margins.tolist(),
+                       tolerance=tol,
+                       provenance={"kappa": kappa, "count": count, "seed": seed,
+                                   "space": space.kind, "weight": weight.name})

@@ -21,7 +21,7 @@ from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
 from .report import CheckReport
-from .spaces import WeightFunction, ricci_fN_batch
+from .spaces import WeightFunction, curvature_floor, ricci_fN_batch
 
 # points per side of the grid on X x Y behind the interval bm infima
 BM_SAMPLES = 64
@@ -40,15 +40,15 @@ def _curvature_margins(geometry: AxisGeometry, params: DimensionParams,
     at the grid points xs of the axis, worst case over unit directions.
 
     Every preset has grad f along the axis and Hess f diagonal in the
-    frame (axis tangent, normal), so Ric_f^N(v) is affine in the squared
-    tangent component of v: its minimum is at one of the two frame vectors.
+    frame (axis tangent, normal), so Ric_f^N is diagonal there: its least
+    eigenvalue is the smaller of two one-row ``ricci_fN_batch`` calls.
     """
     points, *frame = geometry.axis_frame()
     with np.errstate(divide="ignore", invalid="ignore"):
         ric = np.min([ricci_fN_batch(geometry.space, geometry.weight, params,
-                                     points, vs) for vs in frame], axis=0)
-    rhs = params.inv_c * kappa * np.exp(-2.0 * params.a * geometry.f_vals)
-    return geometry.xs, ric - rhs
+                                     points, vs[:, None])[:, 0, 0]
+                      for vs in frame], axis=0)
+    return geometry.xs, ric - curvature_floor(params, kappa, geometry.f_vals)
 
 
 def _require_curvature(geometry, params, kappa, hull=None):

@@ -20,11 +20,11 @@ import numpy as np
 
 from .coefficients import _log_beta_pair, require_float_range
 from .errors import PreconditionError
-from .params import DimensionParams, s_kappa
+from .params import DimensionParams, require_exp_range, s_kappa
 from .report import CheckReport
 from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
                      unit_tangents)
-from .reparam import LOG_MAX, exp_or_inf, reparam_partial
+from .reparam import exp_or_inf, reparam_partial
 
 NOISE_FLOOR = 5e-15
 # the F identity's absolute tolerance
@@ -101,9 +101,7 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     fx, gfv, hvv = _pointwise_data(space, weight, x, v)
     a = params.a
     alpha = 0.5 * a  # (1-eps)/(n-1)
-    if -2.0 * a * fx > LOG_MAX:
-        raise PreconditionError("e^{-a f} at the base point leaves the float"
-                                " range", failed="e^{-a f} finite")
+    require_exp_range(-2.0 * a * fx, "e^{-a f} at the base point")
     e0 = math.exp(-a * fx)
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)

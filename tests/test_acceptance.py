@@ -105,7 +105,8 @@ def check_riccati(space, weight, params, x, w, traj,
         direction = np.asarray(w, float) / theta
         pts = space.geodesic(x, direction, theta * ts)
         vels = space.velocity(x, direction, theta * ts)
-        ric_fn = theta2 * ricci_fN_batch(space, weight, params, pts, vels)
+        ric_fn = theta2 * ricci_fN_batch(space, weight, params, pts,
+                                         vels[:, None])[:, 0, 0]
     else:
         ric_fn = np.zeros_like(ts)
     ef = np.exp(params.a * traj["f_gamma"])
@@ -127,7 +128,7 @@ class TestRiccati:
         flat3, zero = make_space("euclidean", 3), constant_weight(0.0)
         p = validate_params(3, 3, 1.0)
         ray = np.zeros(3), np.array([0.5, 0, 0]), lam * np.eye(3)
-        traj = jacobi.integrate_jacobi(flat3, zero, *ray)
+        traj = jacobi.integrate_jacobi(flat3, zero, *ray, 128)
         rep = check_riccati(flat3, zero, p, *ray[:2], traj)
         assert rep.verdict == "pass"
         # normal block is conformal (lam I), so the comparison is an
@@ -140,7 +141,7 @@ class TestRiccati:
         flat3, zero = make_space("euclidean", 3), constant_weight(0.0)
         p = validate_params(3, 3, 1.0)
         ray = np.zeros(3), np.array([0.5, 0, 0]), np.zeros((3, 3))
-        traj = jacobi.integrate_jacobi(flat3, zero, *ray)
+        traj = jacobi.integrate_jacobi(flat3, zero, *ray, 128)
         rep = check_riccati(flat3, zero, p, *ray[:2], traj)
         assert rep.verdict == "pass"
         assert abs(rep.min_margin) < 1e-10
@@ -155,7 +156,7 @@ class TestRiccati:
         for _ in range(10):
             M = rng.uniform(-0.4, 0.4, size=(2, 2))
             S = 0.5 * (M + M.T)
-            traj = jacobi.integrate_jacobi(sphere2, w, x, v, S)
+            traj = jacobi.integrate_jacobi(sphere2, w, x, v, S, 128)
             rep = check_riccati(sphere2, w, p, x, v, traj)
             assert rep.verdict == "pass", rep.min_margin
 
@@ -166,7 +167,7 @@ def _ray_suite_margins(space, weight, params, kappa, rays, seed):
                                       rays, 128, None, (0.2, 1.2), 1e-8)
     riccati_mins = []
     # differential inequalities on a subsample of admissible rays
-    xs, ws, Ss = jacobi.sample_rays(space, rng, 60)
+    xs, ws, Ss = jacobi.sample_rays(space, rng, 60, None, (0.2, 1.2))
     for x, w, S in zip(xs, ws, Ss):
         try:
             traj = jacobi.integrate_jacobi(space, weight, x, w, S, 256)

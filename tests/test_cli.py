@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -735,6 +736,42 @@ class TestRunExitCodes:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "[samples]" in capsys.readouterr().err
+
+
+# weights whose e^{-a f} leaves the float range on every model space
+_STEEP_SPACES = {"R3": {"kind": "euclidean", "dim": 3},
+                 "H3": {"kind": "hyperbolic", "dim": 3},
+                 "S2": {"kind": "sphere", "dim": 2}}
+_STEEP_WEIGHTS = ("constant(2000)", "constant(-2000)", "linear(800)",
+                  "linear(-800)", "quadratic(400)", "quadratic(-400)")
+
+
+class TestSteepWeights:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("weight", _STEEP_WEIGHTS)
+    @pytest.mark.parametrize("suite", ["jacobian", "limits", "curvature",
+                                       "taylor"])
+    @pytest.mark.parametrize("space", sorted(_STEEP_SPACES))
+    def test_verdict_or_refusal(self, tmp_path, space, suite, weight, kappa):
+        # e^{-a f}, a distance or the curvature floor past the float range
+        # is refused ([e^{-a f} finite], [d_t normal]); every verdict rests
+        # on finite margins. These configs crashed (exit 4 on a warning or
+        # an OverflowError) or read margins of NaN or +-inf
+        n = _STEEP_SPACES[space]["dim"]
+        cfg = {"space": _STEEP_SPACES[space], "weight": weight,
+               "params": {"n": n, "N": 9, "eps": 0.4}, "kappa": kappa,
+               "suite": suite, "sampling": {"trials": 20, "seed": 1}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out-dir", str(tmp_path), "--quiet"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        reports = json.loads((tmp_path / f"{suite}_report.json").read_text())
+        mins = [(r["min_margin"], r["tolerance"]) for r in reports["reports"]]
+        assert all(m is not None and math.isfinite(m) for m, _ in mins)
+        assert (code == 1) == any(m < -tol for m, tol in mins)
 
 
 class TestAxisCurvatureHypothesis:

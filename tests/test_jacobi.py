@@ -81,7 +81,8 @@ class TestTrajectories:
     def test_identity_when_S_zero(self, flat3):
         p = validate_params(3, 5, 0.5)
         traj = integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
-                                np.array([0.7, 0.0, 0.0]), np.zeros((3, 3)))
+                                np.array([0.7, 0.0, 0.0]), np.zeros((3, 3)),
+                                128)
         np.testing.assert_allclose(traj["det"], 1.0, atol=1e-12)
         np.testing.assert_allclose(traj["J"], 1.0, atol=1e-12)
         np.testing.assert_allclose(np.exp(p.c * traj["l"]), 1.0, atol=1e-12)
@@ -91,7 +92,8 @@ class TestTrajectories:
         lam = 0.35
         p = validate_params(3, 5, 0.5)
         traj = integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
-                                np.array([0.4, 0.1, 0.0]), lam * np.eye(3))
+                                np.array([0.4, 0.1, 0.0]), lam * np.eye(3),
+                                128)
         expect = (1.0 + lam * traj["ts"]) ** 3
         np.testing.assert_allclose(traj["det"], expect, rtol=1e-10)
 
@@ -99,7 +101,8 @@ class TestTrajectories:
         theta = 1.1
         p = validate_params(2, 2, 1.0)
         traj = integrate_jacobi(sphere2, constant_weight(0.0),
-                                *north_ray(sphere2, theta, np.zeros((2, 2))))
+                                *north_ray(sphere2, theta, np.zeros((2, 2))),
+                                128)
         expect = np.cos(theta * traj["ts"])
         np.testing.assert_allclose(traj["det"], expect, atol=1e-10)
 
@@ -173,7 +176,8 @@ class TestTrajectories:
         p = validate_params(3, 5, 0.5)
         with pytest.raises(SingularJacobian):
             integrate_jacobi(flat3, constant_weight(0.0), np.zeros(3),
-                             np.array([0.5, 0.0, 0.0]), -1.5 * np.eye(3))
+                             np.array([0.5, 0.0, 0.0]), -1.5 * np.eye(3),
+                             128)
 
     @pytest.mark.parametrize("speed, S", [
         (0.5, -1.5 * np.eye(3)), (0.5, [[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]),
@@ -195,7 +199,8 @@ class TestTrajectories:
         w = weight_preset(sp, preset)
         along = WeightFunction(w.eval, w.grad, w.hess)
         p = validate_params(dim, dim + 2.0, 0.5)
-        xs, ws, Ss = sample_rays(sp, np.random.default_rng(2), 40)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(2), 40, None,
+                                 (0.2, 1.2))
         ws[:3] = 0.0  # zero-speed rows
         got = integrate_jacobi_batch(sp, w, xs, ws, Ss, 32)
         want = integrate_jacobi_batch(sp, along, xs, ws, Ss, 32)
@@ -208,7 +213,7 @@ class TestTrajectories:
         w = weight_preset(sphere2, "cosine(0.3)")
         traj = integrate_jacobi(sphere2, w,
                                 *north_ray(sphere2, 0.7,
-                                           [[0.2, 0.0], [0.0, 0.1]]))
+                                           [[0.2, 0.0], [0.0, 0.1]]), 128)
         # D and Dbar are kept as their logs: finite logs, positive densities
         assert np.all(np.isfinite(p.c * traj["l"]))
         assert np.all(np.isfinite(traj["int_ann"]))
@@ -291,7 +296,7 @@ class TestSampling:
         # points its points on the hyperboloid
         sp = make_space("hyperbolic", 3)
         rng, ref = np.random.default_rng(31), np.random.default_rng(31)
-        xs, ws, Ss = sample_rays(sp, rng, 50)
+        xs, ws, Ss = sample_rays(sp, rng, 50, None, (0.2, 1.2))
         block = ref.uniform(-1.0, 1.0, size=(50, 3))
         coeffs = ref.normal(size=(50, 3))
         thetas = ref.uniform(0.2, 1.2, size=50)
@@ -312,7 +317,8 @@ class TestSampling:
                                            ("hyperbolic", 3)])
     def test_same_seed_same_rays(self, kind, dim):
         sp = make_space(kind, dim)
-        first, again = (sample_rays(sp, np.random.default_rng(9), 300)
+        first, again = (sample_rays(sp, np.random.default_rng(9), 300, None,
+                                    (0.2, 1.2))
                         for _ in range(2))
         for got, want in zip(first, again):
             np.testing.assert_array_equal(got, want)
@@ -390,7 +396,7 @@ class TestConcavity:
         lam = 0.4
         p = validate_params(3, 3, 1.0)
         ray = np.zeros(3), np.array([0.6, 0, 0]), lam * np.eye(3)
-        traj = integrate_jacobi(flat3, constant_weight(0.0), *ray)
+        traj = integrate_jacobi(flat3, constant_weight(0.0), *ray, 128)
         power = traj["J"] ** (p.c / (p.c + 1.0))
         expect = 1.0 + lam * traj["ts"]
         np.testing.assert_allclose(power, expect, rtol=1e-9)
@@ -409,7 +415,7 @@ class TestConcavity:
         p = validate_params(2, 2, 1.0)
         w = constant_weight(0.0)
         rng = np.random.default_rng(42)
-        xs, ws, Ss = sample_rays(sphere2, rng, 200)
+        xs, ws, Ss = sample_rays(sphere2, rng, 200, None, (0.2, 1.2))
         checked = 0
         for x, wv, S in zip(xs, ws, Ss):
             margin = refine_ray_margin(sphere2, w, p, 1.0, x, wv, S,
@@ -433,7 +439,7 @@ class TestConcavity:
         ts = np.linspace(0.0, 1.0, 9)
         d_partial = np.outer([0.4, 1.1], ts)
         ones = np.ones((2, 9))
-        concavity_margins(ts, 0.1 * ones, 0.2 * ones, ones, d_partial,
+        concavity_margins(ts, 0.1 * ones, 0.2 * ones, d_partial,
                           validate_params(3, 5, 0.5), 0.6)
         assert len(calls) == 3
 
@@ -444,7 +450,7 @@ class TestConcavity:
         w = weight_preset(sphere2, "cosine(0.2)")
         traj = integrate_jacobi(sphere2, w,
                                 *north_ray(sphere2, 0.8,
-                                           [[0.15, 0.0], [0.0, 0.05]]))
+                                           [[0.15, 0.0], [0.0, 0.05]]), 128)
         kappa = 0.9
         ts = traj["ts"]
         d_part = _simpson_partials(p, traj["f_gamma"], traj["thetas"], ts)
@@ -526,15 +532,16 @@ class TestPartials:
             simpson.append(np.shape(y))
             return cumulative_simpson(y, dx)
 
-        def recorded(ts, log_D, log_Dbar, J, d_partial, params, kappa):
+        def recorded(ts, log_D, log_Dbar, d_partial, params, kappa):
             d_partials.append(d_partial)
-            return concavity_margins(ts, log_D, log_Dbar, J, d_partial,
-                                     params, kappa)
+            return concavity_margins(ts, log_D, log_Dbar, d_partial, params,
+                                     kappa)
 
         sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
         p = validate_params(dim, dim + 2.0, 0.5)
-        xs, ws, Ss = sample_rays(sp, np.random.default_rng(3), 60)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(3), 60, None,
+                                 (0.2, 1.2))
         ws[:3] = 0.0  # zero-speed rows
         with monkeypatch.context() as m:
             m.setattr(jacobi, "cumulative_simpson", counted)
@@ -598,11 +605,28 @@ class TestOverflow:
         sp = make_space(kind, n)
         p = validate_params(n, N, eps)
         wf = weight_preset(sp, weight)
-        traj = integrate_jacobi(sp, wf, x, w, S)
+        traj = integrate_jacobi(sp, wf, x, w, S, 128)
         assert max(traj["int_ann"].max(), p.c * traj["l"].max()) > 710.0
         # the minimum of the margins is NaN if any margin is
         margin = refine_ray_margin(sp, wf, p, kappa, x, w, S, steps=128)
         assert margin is not None and np.isfinite(margin)
+
+    def test_log_J_margin_past_exp_range(self):
+        # f falls by 800 along the ray, so J = det E e^{f(x) - f} passes the
+        # float range while log D and log Dbar do not: margin (iii) taken
+        # from J^{c/(c+1)} read NaN, with a RuntimeWarning
+        sp = make_space("euclidean", 3)
+        wf = weight_preset(sp, "linear(800)")
+        p = validate_params(3, 9.0, 0.4)
+        ray = (np.array([0.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+               0.1 * np.eye(3))
+        traj = integrate_jacobi(sp, wf, *ray, 128)
+        assert traj["J"][-1] == np.inf
+        assert max(traj["int_ann"].max(), p.c * traj["l"].max()) < 710.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            margin = refine_ray_margin(sp, wf, p, 0.0, *ray, steps=128)
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFalsification:

@@ -330,7 +330,7 @@ class TestWeights:
 def ricci_fN(sp, w, p, x, v):
     """Ric_f^N(v, v) at one point."""
     return float(ricci_fN_batch(sp, w, p, np.asarray(x, float)[None],
-                                np.asarray(v, float)[None])[0])
+                                np.asarray(v, float)[None, None])[0, 0, 0])
 
 
 class TestRicci:
@@ -570,7 +570,8 @@ class TestStacks:
         # and no direction at a point is below it
         rng = np.random.default_rng(9)
         at = np.repeat(xs, 1000, axis=0)
-        ric = ricci_fN_batch(sp, w, p, at, sp.sample_unit(rng, at))
+        ric = ricci_fN_batch(sp, w, p, at,
+                             sp.sample_unit(rng, at)[:, None])[:, 0, 0]
         assert np.all(ric.reshape(60, 1000) - rhs[:, None]
                       >= np.array(want)[:, None] - 1e-12)
 

@@ -11,8 +11,8 @@ from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         entropy_functional)
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.quadrature import cumulative_simpson
-from cdcheck.spaces import (constant_weight, make_space, ricci_fN_batch,
-                            weight_preset)
+from cdcheck.spaces import (check_curvature_bound, constant_weight,
+                            make_space, ricci_fN_batch, weight_preset)
 from cdcheck.suites import (_curvature_margins, axis_log_betas,
                             check_ball_brunn_minkowski, check_brunn_minkowski,
                             check_functional, check_interpolation, check_twcd,
@@ -674,9 +674,9 @@ class TestAxisCurvature:
         weight = weight_preset(space, preset)
         phis = 2.0 * np.pi * np.arange(64) / 64
         ric = np.min([ricci_fN_batch(space, weight, p, pts,
-                                     np.cos(phi) * e_axis
-                                     + np.sin(phi) * e_normal)
-                      for phi in phis], axis=0)
+                                     (np.cos(phi) * e_axis
+                                      + np.sin(phi) * e_normal)[:, None])
+                      [:, 0, 0] for phi in phis], axis=0)
         brute = ric - p.inv_c * kappa * np.exp(-2.0 * p.a * weight.eval(pts))
         np.testing.assert_allclose(margins[idx], brute, rtol=0, atol=1e-12)
 
@@ -688,3 +688,126 @@ class TestAxisCurvature:
             check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID,
                        1e-6)
         assert ei.value.failed == "curvature bound"
+
+
+# the Ric_f^N formulas the curvature checks took before they shared one
+# kernel: one direction at a time (the axis check), and the matrix in
+# frame(x) built inline (the space check), with the floor written out
+def _ricci_one_direction(space, weight, params, xs, vs):
+    n, N = params.n, params.N
+    out = (n - 1) * space.sec * np.ones(xs.shape[0]) + np.asarray(
+        weight.hess(xs, vs, vs), dtype=float)
+    if not math.isinf(N) and N != n:
+        gv = space.inner(xs, np.asarray(weight.grad(xs), dtype=float), vs)
+        out = out - gv * gv / (N - n)
+    return out
+
+
+def _ricci_in_frame(space, weight, params, xs):
+    n, N = params.n, params.N
+    frames = space.frame(xs)
+    q = (n - 1) * space.sec * np.eye(space.dim) + np.asarray(weight.hess(
+        xs[:, None, None], frames[:, :, None], frames[:, None]), dtype=float)
+    if not math.isinf(N) and N != n:
+        grad = np.asarray(weight.grad(xs), dtype=float)
+        g = space.inner(xs[:, None], grad[:, None], frames)
+        q = q - g[:, :, None] * g[:, None, :] / (N - n)
+    return q
+
+
+def _floor(params, kappa, f):
+    return params.inv_c * kappa * np.exp(-2.0 * params.a * f)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (N, eps) in each N regime at dimension n
+REGIMES = {"N<0": lambda n: (-2.0, 0.5), "N=1": lambda n: (1.0, 0.0),
+           "N=n": lambda n: (float(n), 0.3), "N>n": lambda n: (n + 4.0, 0.5),
+           "N=inf": lambda n: (math.inf, 0.5)}
+SPACE_PRESETS = {("euclidean", 3): ("zero", "constant(0.7)", "linear(0.5)",
+                                    "quadratic(0.3)", "quadratic(-0.4)"),
+                 ("sphere", 2): ("zero", "cosine(0.3)", "linear(0.4)",
+                                 "quadratic(0.5)"),
+                 ("sphere", 3): ("zero", "cosine(0.3)", "linear(0.4)"),
+                 ("hyperbolic", 3): ("zero", "linear(0.5)", "quadratic(0.3)")}
+AXIS_PRESETS = {("line", 2): ("zero", "constant(0.7)", "linear(1)",
+                              "quadratic(0.5)", "quadratic(-0.5)"),
+                ("meridian", 2): ("zero", "cosine(0.3)", "linear(0.3)",
+                                  "quadratic(0.5)")}
+
+
+def _constant(preset, kind):
+    return preset.startswith(("zero", "constant")) or (
+        kind in ("sphere", "meridian") and preset.startswith("quadratic"))
+
+
+def _grid(presets):
+    """(kind, dim, preset, regime) cases; N = n takes constant weights
+    only."""
+    return [(kind, dim, preset, regime)
+            for (kind, dim), names in presets.items() for preset in names
+            for regime in REGIMES
+            if regime != "N=n" or _constant(preset, kind)]
+
+
+def _axis(kind, preset):
+    return (LineGeometry(preset, points=401) if kind == "line"
+            else MeridianGeometry(preset, points=401))
+
+
+class TestOneRicciKernel:
+    @pytest.mark.parametrize("kind, dim, preset, regime",
+                             _grid(SPACE_PRESETS))
+    def test_space_paths_are_the_old_formulas(self, kind, dim, preset,
+                                              regime):
+        # one-row frames give the one-direction form, frame(x) the inline
+        # matrix, and the curvature check its margins, bit for bit
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, *REGIMES[regime](dim))
+        rng = np.random.default_rng(5)
+        xs = sp.sample_point(rng, None, 200)
+        vs = sp.sample_unit(rng, xs)
+        _same_bits(ricci_fN_batch(sp, w, p, xs, vs[:, None])[:, 0, 0],
+                   _ricci_one_direction(sp, w, p, xs, vs))
+        _same_bits(ricci_fN_batch(sp, w, p, xs, sp.frame(xs)),
+                   _ricci_in_frame(sp, w, p, xs))
+        for kappa in (-0.7, 0.0, 0.9):
+            rep = check_curvature_bound(sp, w, p, kappa, 200, 7, None, 1e-9)
+            xs = sp.sample_point(np.random.default_rng(7), None, 200)
+            _same_bits(rep.margins,
+                       np.linalg.eigvalsh(_ricci_in_frame(sp, w, p, xs))[:, 0]
+                       - _floor(p, kappa, w.eval(xs)))
+
+    @pytest.mark.parametrize("kind, dim, preset, regime",
+                             _grid(AXIS_PRESETS))
+    def test_axis_path_is_the_old_formula(self, kind, dim, preset, regime):
+        g = _axis(kind, preset)
+        p = validate_params(dim, *REGIMES[regime](dim))
+        points, *frame = g.axis_frame()
+        for kappa in (-0.7, 0.0, 0.9):
+            xs, margins = _curvature_margins(g, p, kappa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ric = np.min([_ricci_one_direction(g.space, g.weight, p,
+                                                   points, vs)
+                              for vs in frame], axis=0)
+            _same_bits(margins, ric - _floor(p, kappa, g.f_vals))
+
+    @pytest.mark.parametrize("kind, dim, preset, regime",
+                             _grid(AXIS_PRESETS))
+    def test_axis_frame_diagonalizes_the_form(self, kind, dim, preset,
+                                              regime):
+        # the axis check reads the least eigenvalue of Ric_f^N off its
+        # diagonal in (tangent, normal); the meridian's linear(a) is
+        # singular at the poles, so the grid ends are left out
+        g = _axis(kind, preset)
+        p = validate_params(dim, *REGIMES[regime](dim))
+        points, tangent, normal = (a[1:-1] for a in g.axis_frame())
+        q = ricci_fN_batch(g.space, g.weight, p, points,
+                           np.stack([tangent, normal], axis=1))
+        assert np.all(np.isfinite(q))
+        assert np.all(q[:, 0, 1] == 0.0) and np.all(q[:, 1, 0] == 0.0)
