@@ -201,23 +201,23 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
 
     Returns (keep, margins, det_min): the indices of the rays that move,
     are admissible and whose re-parametrized length stays below the
-    conjugate radius, and for each of them the minimum over inequalities
-    (i)-(iii) and the minimum of det E on the grid. Dropped rows get no
-    margins: a zero-speed ray has no s-ratios, and a ray with det E <= 0
-    has no log D. A constant weight's partial distances are theta e^{-a f} t;
-    any other weight's come from a cumulative Simpson along the geodesic.
-    Raises PreconditionError where e^{-a f} or d_f leaves the float range.
+    conjugate radius (d_f = inf where e^{-a f} overflows), and for each of
+    them the minimum over inequalities (i)-(iii) and the minimum of det E
+    on the grid. Dropped rows get no margins: a zero-speed ray has no
+    s-ratios, and a ray with det E <= 0 has no log D. A constant weight's
+    partial distances are theta e^{-a f} t; any other weight's come from a
+    cumulative Simpson. Raises PreconditionError where a kept d_f underflows.
     """
     out = integrate_jacobi_batch(space, weight, xs, ws, Ss, steps)
     ts, theta = out["ts"], out["thetas"][:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        speed = theta * np.exp(-params.a * out["f_gamma"])
-        d_partial = (speed[:, :1] * ts if weight.is_constant
+    f = out["f_gamma"][:, :1] if weight.is_constant else out["f_gamma"]
+    with np.errstate(over="ignore", invalid="ignore"):  # such rays are dropped
+        speed = theta * np.exp(-params.a * f)
+        d_partial = (speed * ts if weight.is_constant
                      else cumulative_simpson(speed, ts[1] - ts[0]))
-    d_full, moving = d_partial[:, -1], out["thetas"] > 1e-14
-    require_normal(d_full, moving)
-    keep = np.flatnonzero(out["admissible"] & moving
-                          & within_conjugate_radius(kappa, d_full))
+    keep = np.flatnonzero(out["admissible"] & (out["thetas"] > 1e-14)
+                          & within_conjugate_radius(kappa, d_partial[:, -1]))
+    require_normal(d_partial[keep, -1], True)
     m1, m2, m3 = concavity_margins(ts, params.c * out["l"][keep],
                                    out["int_ann"][keep], d_partial[keep],
                                    params, kappa)

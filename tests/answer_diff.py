@@ -1,10 +1,9 @@
 """Answer identity of two source trees on the benchmark's calls.
 
-    python tests/answer_diff.py PARENT_SRC CHANGE_SRC [--seeds 11-20]
-                                [--sets 0-6]
+    python tests/answer_diff.py PARENT_SRC CHANGE_SRC
 
-Runs every ``cdcheck run`` call of input sets ``--sets`` at seeds
-``--seeds`` of the four workloads of ``perfbench/workloads.py`` (imported
+Runs every ``cdcheck run`` call of input sets 0-6 at seeds 11-20 (``SETS``,
+``SEEDS``) of the four workloads of ``perfbench/workloads.py`` (imported
 read-only, never changed) on each tree, in one process per tree with
 warnings as errors, and compares the calls one by one: exit code, stderr,
 the verdict of every report, the report hash and the bytes of every file
@@ -30,12 +29,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the report's last field, the only one that differs between two runs
 _TIMESTAMP = re.compile(rb',"timestamp":[^,}]*}$')
-
-
-def _span(text: str) -> range:
-    """``"a-b"`` (inclusive) or ``"a"`` as a range."""
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+SEEDS, SETS = range(11, 21), range(7)
 
 
 def _outcome(cli, cfg: dict, work: Path) -> dict:
@@ -64,7 +58,7 @@ def _outcome(cli, cfg: dict, work: Path) -> dict:
     return outcome
 
 
-def collect(src: str, seeds: range, sets: range, out: str) -> None:
+def collect(src: str, out: str) -> None:
     """Run every call on the tree ``src`` and write the outcomes to ``out``
     as JSON, keyed workload/seed/set/call."""
     import warnings
@@ -77,8 +71,8 @@ def collect(src: str, seeds: range, sets: range, out: str) -> None:
     outcomes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.NAMES:
-            for seed in seeds:
-                for index in sets:
+            for seed in SEEDS:
+                for index in SETS:
                     for call in workloads.build(name, seed, index):
                         key = f"{name}/{seed}/{index}/{call.name}"
                         work = Path(tmp) / str(len(outcomes))
@@ -106,19 +100,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--seeds", default="11-20")
-    parser.add_argument("--sets", default="0-6")
     parser.add_argument("--collect", metavar="OUT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    seeds, sets = _span(args.seeds), _span(args.sets)
     if args.collect:  # a child process: the tree is the first path
-        collect(args.parent_src, seeds, sets, args.collect)
+        collect(args.parent_src, args.collect)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         outs = [str(Path(tmp) / f"{tree}.json") for tree in ("parent", "change")]
         children = [subprocess.Popen(
-            [sys.executable, __file__, src, src, "--seeds", args.seeds,
-             "--sets", args.sets, "--collect", out])
+            [sys.executable, __file__, src, src, "--collect", out])
             for src, out in zip((args.parent_src, args.change_src), outs)]
         if any([child.wait() for child in children]):
             print("a tree's run failed", file=sys.stderr)

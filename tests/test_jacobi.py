@@ -628,6 +628,28 @@ class TestOverflow:
             margin = refine_ray_margin(sp, wf, p, 0.0, *ray, steps=128)
         assert margin == pytest.approx(0.0, abs=1e-12)
 
+    def test_dropped_rays_refuse_nothing(self):
+        # f = -1600 at the first ray, so e^{-a f} and d_f overflow; the
+        # second is inadmissible (det E reaches 0) and its d_f underflows.
+        # Both are dropped and the batch keeps the third; only a kept
+        # ray's underflowed d_f refuses the run
+        sp = make_space("euclidean", 3)
+        wf = weight_preset(sp, "linear(800)")
+        p = validate_params(3, 9.0, 0.4)
+        e1, e2 = np.eye(3)[:2]
+        xs = np.array([-2.0 * e1, 2.0 * e1, 0.5 * e1])
+        ws = np.array([e2, e2, e2])
+        Ss = np.array([0.1 * np.eye(3), -3.0 * np.eye(3), 0.1 * np.eye(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep, margins, _ = jacobi._ray_margins(sp, wf, p, 0.0, xs, ws,
+                                                   Ss, 128)
+            assert keep.tolist() == [2] and np.isfinite(margins).all()
+            with pytest.raises(PreconditionError) as exc:
+                jacobi._ray_margins(sp, wf, p, 0.0, xs[1:2], ws[1:2],
+                                    Ss[:1], 128)
+        assert exc.value.failed == "d_t normal"
+
 
 class TestFalsification:
     # a counterexample search is one scan_rays call past the curvature
