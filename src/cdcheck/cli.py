@@ -172,6 +172,7 @@ Run = NamedTuple("Run", [("cfg", dict), ("space", ModelSpace),
                          ("weight", WeightFunction), ("params", DimensionParams),
                          ("axis", _Axis), ("kappa", float)])
 _SPACE_SUITES = ("curvature", "jacobian", "taylor", "limits")  # at Run.kappa
+_LINE_OFF_RN = "a line geometry needs a euclidean space"
 
 
 def load_config(path) -> Run:
@@ -223,17 +224,22 @@ def resolve_config(cfg: dict) -> Run:
 
 def _build_axis(cfg, space, weight, R) -> _Axis | None:
     """The axis of a resolved config as its 1-d suites take it, defaults
-    only where read; None if no suite reads it and no field sets it. Refuses
-    a density without grid mass, an interval the suite places outside the
-    window, and ball regions the ball check refuses."""
+    only where read; None if no field sets it and no suite reads it or the
+    suite is "all" off R^n, where the default axis, a line, is refused.
+    Refuses a line off R^n, a meridian off the unit S^2, a density without
+    grid mass, an interval the suite places outside the window, and ball
+    regions the ball check refuses."""
     if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
-            cfg["suite"] in _SPACE_SUITES):
+            cfg["suite"] in _SPACE_SUITES
+            or cfg["suite"] == "all" and space.kind != "euclidean"):
         return None
     g = dict(cfg.get("geometry", {}))
-    geometry = _GEOMETRIES[g.pop("kind", "line")](g.pop("f1", "zero"), **g)
-    if (isinstance(geometry, MeridianGeometry)
-            and (space.kind, space.dim, R) != ("sphere", 2, 1.0)):
+    kind = g.pop("kind", "line")
+    if kind == "line" and space.kind != "euclidean":
+        raise ConfigError(_LINE_OFF_RN)
+    if kind == "meridian" and (space.kind, space.dim, R) != ("sphere", 2, 1):
         raise ConfigError("a meridian geometry needs the unit S^2 space")
+    geometry = _GEOMETRIES[kind](g.pop("f1", "zero"), **g)
     uses = lambda suite: cfg["suite"] in (suite, "all")
     regions, bm, interpolation = cfg.get("regions", {}), None, None
     if uses("bm") and regions.get("kind") == "ball":
@@ -444,6 +450,8 @@ def run_suite(run: Run, out_dir) -> list[CheckReport]:
     reports = []
     for name in _RUNNERS if suite == "all" else [suite]:
         try:
+            if run.axis is None and name not in _SPACE_SUITES:  # "all" off R^n
+                raise PreconditionError(_LINE_OFF_RN)
             got = _RUNNERS[name](run, out_dir)
         except PreconditionError as exc:
             if suite != "all":

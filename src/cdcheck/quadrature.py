@@ -97,18 +97,14 @@ adaptive_simpson = gauss_legendre
 
 
 def composite_simpson(values: np.ndarray, dx):
-    """Composite Simpson rule on a uniform grid (odd point count preferred),
-    along the last axis; ``dx`` broadcasts against the leading axes.
+    """Composite Simpson rule on a uniform grid of 3 or more points (odd
+    point count preferred), along the last axis; ``dx`` broadcasts against
+    the leading axes.
 
-    Falls back to a trapezoid correction on the last interval when the
-    number of intervals is odd.
+    Closes an odd number of intervals with a 3-point rule on the last one.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1] - 1
-    if n == 0:
-        return 0.0 * values[..., 0]
-    if n == 1:
-        return 0.5 * dx * (values[..., 0] + values[..., 1])
     if n % 2 == 1:
         head = composite_simpson(values[..., :-1], dx)
         # 3-point closure on the trailing interval keeps O(dx^4) accuracy
@@ -121,7 +117,8 @@ def composite_simpson(values: np.ndarray, dx):
 
 
 def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral of uniformly sampled values along the last axis.
+    """Cumulative integral of values sampled at 3 or more uniform points,
+    along the last axis.
 
     Entry k approximates the integral from the grid start to grid point k;
     the local-quadratic increments make the result 4th-order accurate.
@@ -129,11 +126,6 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     out = np.zeros(values.shape)
-    if n < 2:
-        return out
-    if n == 2:
-        out[..., 1] = 0.5 * dx * (values[..., 0] + values[..., 1])
-        return out
     inc = np.empty(values.shape[:-1] + (n - 1,))
     if n == 3:
         # quadratic increments on a 3-point grid

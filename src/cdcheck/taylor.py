@@ -56,16 +56,6 @@ def series_margins(deltas, exact, series) -> np.ndarray:
                     np.where(ref.any(axis=1), margin, 0.0), np.nan)
 
 
-def _pointwise_data(space, weight, x, v):
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fx = float(weight.eval(x))
-    grad = np.asarray(weight.grad(x), dtype=float)
-    gfv = float(space.inner(x, grad, v))
-    hvv = float(weight.hess(x, v, v))
-    return fx, gfv, hvv
-
-
 def theta_eps(params: DimensionParams, gradf_v: float) -> float:
     """theta = -(1/(n-1)) (1/eps) (eps - eps0) g(grad f, v); needs eps != 0."""
     if params.eps == 0.0:
@@ -87,83 +77,65 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     app6 terms rest on theta, which needs eps != 0; at eps = 0 (N = 1)
     they are left out.
 
-    The app1, app2 and app6 terms rest on the re-parametrized distances
-    (d_half, d_full) on the segment gamma(delta) -> gamma(-delta); that
-    pair is computed for every delta in one stacked quadrature. Raises
-    PreconditionError if e^{-a f} at the base point or s_kappa of a
-    distance leaves the float range, or if an app4 or app6 term meets
-    |theta| delta >= 1 on the grid.
+    Each of app1-app4 is one formula on the signed offsets s = delta
+    (its fwd row) and s = -delta (its rev row); app6 averages the two rows
+    of its product. The app1, app2 and app6 terms rest on the
+    re-parametrized distances (d_half, d_full) on the segment
+    gamma(delta) -> gamma(-delta); that pair is computed for every delta in
+    one stacked quadrature. Raises PreconditionError if e^{-a f} at the
+    base point or s_kappa of a distance leaves the float range, or if an
+    app4 or app6 term meets |theta| delta >= 1 on the grid.
     """
     with_theta = params.eps != 0.0
-    terms = tuple(term for term in TERMS if with_theta
-                  or not term.startswith(("app4", "app6")))
     d = 2.0 ** -np.arange(4.0, 15.0)
-    fx, gfv, hvv = _pointwise_data(space, weight, x, v)
-    a = params.a
+    sd = np.stack([d, -d])  # the signed offsets, rows fwd and rev
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fx = float(weight.eval(x))
+    gfv = float(space.inner(x, np.asarray(weight.grad(x), dtype=float), v))
+    hvv = float(weight.hess(x, v, v))
+    a, n = params.a, params.n
     alpha = 0.5 * a  # (1-eps)/(n-1)
     require_exp_range(-2.0 * a * fx, "e^{-a f} at the base point")
     e0 = math.exp(-a * fx)
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
-    n = params.n
     segs = segment_between(space, space.geodesic(x, v, d),
                            space.geodesic(x, v, -d))
     d_half, d_full = reparam_partial(space, weight, params, segs,
                                      [[0.5], [1.0]], rel_tol=1e-13)
     require_float_range(kappa, d_full)
-    # beta_{kappa,1/2} both ways: the reversed first half starts at
-    # gamma(-delta)
-    b_rev, b_fwd = np.exp(_log_beta_pair(
+    # beta_{kappa,1/2} both ways, fwd then rev; the pair kernel returns the
+    # reversed one, from gamma(-delta), first
+    b = np.exp(_log_beta_pair(
         params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
-        s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
+        s_kappa(kappa, d_half), s_kappa(kappa, d_full)))[::-1]
     if with_theta:
         th = theta_eps(params, gfv)
-        # past |theta| delta = 1 the factors (1 -+ theta delta)^n are no
+        # past |theta| delta = 1 the factors (1 + theta s)^n are no
         # small-delta expansion, and app6 takes a power of a negative base
         if abs(th) * d[0] >= 1.0:
             raise PreconditionError(f"|theta| delta = {abs(th) * d[0]:.3g}"
                                     " reaches 1 on the delta grid",
                                     failed="|theta| delta < 1")
-    # the weight ratios e^{f(x) - f(gamma(-+delta))}
-    f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
-    w_rev, w_fwd = np.exp(fx - f_pm.reshape(2, -1))
-
-    rows = []
-    for term in terms:
-        if term == "app1_fwd":
-            exact = d_half
-            series = e0 * d * (1.0 - alpha * gfv * d + A * d * d)
-        elif term == "app1_rev":
-            exact = d_full - d_half
-            series = e0 * d * (1.0 + alpha * gfv * d + A * d * d)
-        elif term == "app1_full":
-            exact = d_full
-            series = 2.0 * e0 * d * (1.0 + A * d * d)
-        elif term.startswith("app2"):
-            g2 = params.inv_c * alpha * gfv
-            coef2 = kap_eff + (1.0 - params.c) * g2**2
-            exact = b_fwd if term == "app2_fwd" else b_rev
-            lead = -g2 if term == "app2_fwd" else g2
-            series = 1.0 + lead * d + 0.5 * coef2 * d * d
-        elif term.startswith("app3"):
-            exact = w_fwd if term == "app3_fwd" else w_rev
-            lead = gfv if term == "app3_fwd" else -gfv
-            series = 1.0 + lead * d + 0.5 * (gfv**2 - hvv) * d * d
-        elif term.startswith("app4"):
-            sth = -th if term == "app4_rev" else th
-            exact = (1.0 + sth * d) ** n
-            series = 1.0 + n * sth * d + 0.5 * n * (n - 1) * sth**2 * d * d
-        else:  # app6
-            cr = params.c_ratio
-            left = (w_fwd * (1.0 + th * d) ** n * b_fwd) ** cr
-            right = (w_rev * (1.0 - th * d) ** n * b_rev) ** cr
-            exact = 0.5 * (left + right)
-            F = f_of_theta(params, gfv, th)
-            series = 1.0 + cr * (kap_eff - hvv
-                                 - F / (params.c + 1.0)) * 0.5 * d * d
-        rows.append((exact, series))
-    exact, series = np.moveaxis(np.array(rows), 1, 0)
-    return terms, d, exact, series
+    # the weight ratios e^{f(x) - f(gamma(-s))}
+    w = np.exp(fx - weight.eval(space.geodesic(x, v, -sd)))
+    g2 = params.inv_c * alpha * gfv
+    coef2 = kap_eff + (1.0 - params.c) * g2**2
+    exact = [np.stack([d_half, d_full - d_half]), [d_full], b, w]
+    series = [e0 * d * (1.0 - alpha * gfv * sd + A * sd * sd),
+              [2.0 * e0 * d * (1.0 + A * d * d)],
+              1.0 - g2 * sd + 0.5 * coef2 * sd * sd,
+              1.0 + gfv * sd + 0.5 * (gfv**2 - hvv) * sd * sd]
+    if with_theta:
+        binom, cr = (1.0 + th * sd) ** n, params.c_ratio
+        F = f_of_theta(params, gfv, th)
+        exact += [binom, [0.5 * ((w * binom * b) ** cr).sum(axis=0)]]
+        series += [1.0 + n * th * sd + 0.5 * n * (n - 1) * th**2 * sd * sd,
+                   [1.0 + cr * (kap_eff - hvv - F / (params.c + 1.0))
+                    * 0.5 * d * d]]
+    exact, series = np.vstack(exact), np.vstack(series)
+    return TERMS[:len(exact)], d, exact, series
 
 
 def f_of_theta(params: DimensionParams, gradf_v: float, theta):
@@ -184,12 +156,10 @@ def check_F_identity(params: DimensionParams, gradf_v: float,
 
     F(theta) + (c+1) g^2/(N-n) = (n/eps0) (eps theta + (eps-eps0) g/(n-1))^2.
     """
-    if params.N == params.n:
-        raise PreconditionError("identity needs N != n", failed="N != n")
-    if math.isinf(params.eps0):
-        raise PreconditionError("identity needs finite eps0", failed="eps0 finite")
-    if params.eps0 == 0.0:
-        raise PreconditionError("identity needs eps0 > 0", failed="eps0 > 0")
+    # eps0 is 0 at N = 1 and infinite exactly at N = n
+    if not 0.0 < params.eps0 < math.inf:
+        raise PreconditionError("identity needs 0 < eps0 < inf",
+                                failed="0 < eps0 < inf")
     n, c, eps, eps0 = params.n, params.c, params.eps, params.eps0
     g, th = gradf_v, np.asarray(theta_grid, dtype=float)
     lhs = f_of_theta(params, g, th)

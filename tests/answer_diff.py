@@ -8,7 +8,9 @@ read-only, never changed) on each tree, in one process per tree with
 warnings as errors, and compares the calls one by one: exit code, stderr,
 the verdict of every report, the report hash and the bytes of every file
 the call writes (the report without its timestamp). Prints each
-difference and exits 1 if there is any, 0 otherwise.
+difference, then, for every report name in a call whose report hash moved,
+the largest |change of min_margin|, and exits 1 if there is any
+difference, 0 otherwise.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -20,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -44,13 +47,15 @@ def _outcome(cli, cfg: dict, work: Path) -> dict:
         code = cli.main(["run", "--config", str(cfg_path), "--out-dir",
                          str(out_dir), "--quiet"])
     outcome = {"exit": code, "stderr": err.getvalue(), "verdicts": None,
-               "hash": None, "artifacts": {}}
+               "hash": None, "min_margins": None, "artifacts": {}}
     for path in sorted(out_dir.iterdir()):
         data = path.read_bytes()
         if path.name.endswith("_report.json"):
             report = json.loads(data)
             outcome["hash"] = report["hash"]
             outcome["verdicts"] = [r["verdict"] for r in report["reports"]]
+            outcome["min_margins"] = [[r["name"], r["min_margin"]]
+                                      for r in report["reports"]]
             data = _TIMESTAMP.sub(b"}", data)
         outcome["artifacts"][path.name] = hashlib.sha256(data).hexdigest()
         path.unlink()
@@ -96,6 +101,27 @@ def differences(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def margin_moves(parent: dict, change: dict) -> list[str]:
+    """One line per report name: the largest |change of min_margin| over
+    the calls whose report hash moved, reports paired by position; inf
+    where one side's min_margin is n/a (a NaN margin) and the other's not."""
+    largest = {}
+    for key in sorted(set(parent) & set(change)):
+        want, got = parent[key], change[key]
+        if want["hash"] == got["hash"]:
+            continue
+        for (name, old), (new_name, new) in zip(want["min_margins"] or [],
+                                                got["min_margins"] or []):
+            if name != new_name:
+                continue
+            move = (0.0 if old == new else math.inf if None in (old, new)
+                    else abs(new - old))
+            if move > largest.get(name, (-1.0,))[0]:
+                largest[name] = (move, key)
+    return [f"largest |change of min_margin| in {name}: {move!r} ({key})"
+            for name, (move, key) in sorted(largest.items())]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -115,7 +141,7 @@ def main(argv=None) -> int:
             return 2
         parent, change = (json.loads(Path(out).read_text()) for out in outs)
     lines = differences(parent, change)
-    print("\n".join(lines))
+    print("\n".join(lines + margin_moves(parent, change)))
     codes = [o["exit"] for o in parent.values()]
     print(f"{len(parent)} calls ({codes.count(0)} exit 0, {codes.count(1)}"
           f" exit 1, {len(codes) - codes.count(0) - codes.count(1)} other);"

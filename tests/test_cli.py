@@ -941,13 +941,15 @@ class TestParameterRange:
         assert "taylor_series" in names and "F_identity" not in names
 
     def test_bm_on_default_line_is_a_precondition(self, tmp_path, capsys):
-        # no geometry block: the flat zero-weight line has Ric = 0, below
-        # kappa/c > 0 on the regions' hull, so bm has no hypothesis
+        # no geometry block on S^2: the default axis, the flat line, is
+        # refused off R^n (on it Ric = 0 is below kappa/c > 0, so bm had
+        # no hypothesis there either)
         cfg = sphere_cfg(suite="bm", params={"n": 2, "N": 4.0, "eps": 0.5})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
-        assert "[curvature bound]" in capsys.readouterr().err
+        assert ("a line geometry needs a euclidean space"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("kappa", [0.5, 8.0])
     def test_bm_on_flat_balls_at_positive_kappa_is_a_precondition(
@@ -960,6 +962,62 @@ class TestParameterRange:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "[curvature bound]" in capsys.readouterr().err
+
+
+def test_jacobian_on_the_three_point_ray_grid(tmp_path):
+    # sampling.steps: 2, the smallest the schema takes, integrates every
+    # ray on 3 points through the 3-point Simpson rule
+    cfg = base_cfg("jacobian", sampling={"trials": 50, "seed": 0, "steps": 2})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--out-dir", str(out), "--quiet"]) in (0, 1)
+    rep, = json.loads((out / "jacobian_report.json").read_text())["reports"]
+    assert rep["margins"] and all(
+        m is not None and math.isfinite(m) for m in rep["margins"])
+    assert len(_csv_rows(out / "worst_ray.csv")) == 1 + 3
+
+
+class TestAxisOffRn:
+    """The 1-d suites' default axis is the line of R^2: off R^n a run
+    without an axis field reads no axis, and a line is refused."""
+
+    H2 = {"space": {"kind": "hyperbolic", "dim": 2},
+          "weight": "quadratic(0.3)", "params": {"n": 2, "N": -2.0, "eps": 0.5},
+          "kappa": -3.0, "suite": "all", "sampling": {"trials": 200, "seed": 0}}
+
+    def test_all_on_H2_reports_the_axis_suites_vacuous(self, tmp_path):
+        # the curvature bound fails on H^2; twcd, bm and interpolation
+        # passed beside it on the flat line, which says nothing about H^2
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", self.H2),
+                     "--out-dir", str(out), "--quiet"]) == 1
+        reports = json.loads((out / "all_report.json").read_text())["reports"]
+        got = [(r["name"], r["verdict"]) for r in reports]
+        assert got[:6] == [("curvature_bound", "fail"),
+                           ("jacobian_concavity", "fail"),
+                           ("twcd", "vacuous"), ("bm", "vacuous"),
+                           ("interpolation", "vacuous"),
+                           ("functional", "vacuous")]
+        assert all(r["provenance"]["skipped"]
+                   == "a line geometry needs a euclidean space"
+                   for r in reports[2:6])
+        assert [name for name, _ in got[6:]] == [
+            "taylor_series", "F_identity", "limit_bound",
+            "coefficient_limits"]
+
+    @pytest.mark.parametrize("space", [{"kind": "hyperbolic", "dim": 2},
+                                       {"kind": "sphere", "dim": 2}])
+    @pytest.mark.parametrize("over", [
+        {"suite": "twcd"}, {"suite": "bm"}, {"suite": "interpolation"},
+        {"suite": "functional"}, {"geometry": {"kind": "line"}},
+        {"densities": [{"kind": "bump"}, {"kind": "bump"}]}])
+    def test_line_off_Rn_exits_2_at_validate(self, tmp_path, capsys, space,
+                                             over):
+        path = write_cfg(tmp_path, "c.json",
+                         {**self.H2, "space": space, **over})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: a line geometry needs a euclidean space\n")
 
 
 class TestDeterminism:

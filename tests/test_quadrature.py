@@ -1,5 +1,5 @@
 """Round-batched Gauss-Legendre panels: nodes, accuracy, call count,
-summation order."""
+summation order; the Simpson rules on their smallest grid."""
 
 import math
 
@@ -10,6 +10,7 @@ from cdcheck import quadrature
 from cdcheck.errors import PreconditionError
 from cdcheck.params import validate_params
 from cdcheck.quadrature import (_NODES, _WEIGHTS, MAX_OPEN, PANEL_LENGTH,
+                                composite_simpson, cumulative_simpson,
                                 gauss_legendre)
 from cdcheck.spaces import make_space, segment_between, weight_preset
 
@@ -276,3 +277,30 @@ class TestStack:
         assert vals.shape == errs.shape == (2, 3)
         assert vals[1, 0] == 0.0
         assert vals[0, 1] == gauss_legendre(abscissae(np.exp), 0.0, 2.0)[0]
+
+
+class TestSimpsonThreePoints:
+    """A ray grid of ``sampling.steps: 2`` has 3 points, the fewest any grid
+    has: both rules are exact on quadratics there."""
+
+    # rows c0 + c1 x + c2 x^2 sampled at x0, x0 + h, x0 + 2h
+    COEFFS = np.array([[1.0, 0.0, 0.0], [0.3, -2.0, 0.0], [-0.7, 1.5, 2.5],
+                       [0.0, 0.0, -4.0]])
+
+    @staticmethod
+    def antiderivative(coeffs, x):
+        return (coeffs[:, :1] * x + coeffs[:, 1:2] * x**2 / 2.0
+                + coeffs[:, 2:] * x**3 / 3.0)
+
+    @pytest.mark.parametrize("x0, h", [(0.0, 0.5), (-1.3, 0.1), (2.0, 0.75)])
+    def test_exact_on_quadratics(self, x0, h):
+        xs = x0 + h * np.arange(3.0)
+        values = (self.COEFFS[:, :1] + self.COEFFS[:, 1:2] * xs
+                  + self.COEFFS[:, 2:] * xs**2)
+        F = self.antiderivative(self.COEFFS, xs)
+        want = F - F[:, :1]
+        got = cumulative_simpson(values, h)
+        assert got.shape == values.shape and np.all(got[:, 0] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(composite_simpson(values, h), want[:, -1],
+                                   rtol=0.0, atol=1e-14)

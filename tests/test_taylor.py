@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cdcheck import taylor
-from cdcheck.coefficients import beta
+from cdcheck.coefficients import _log_beta_pair, beta
 from cdcheck.errors import PreconditionError
-from cdcheck.params import validate_params
+from cdcheck.params import s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (constant_weight, make_space, segment_between,
                             weight_preset)
@@ -230,6 +230,89 @@ class TestExactReductions:
         assert margin == pytest.approx(0.75, abs=0.02)
 
 
+# (N, eps) in each N regime at dimension n; N = n takes constant weights
+REGIMES = {"N<0": lambda n: (-2.0, 0.5), "N=1": lambda n: (1.0, 0.0),
+           "N=n": lambda n: (float(n), 0.3), "N>n": lambda n: (n + 4.0, 0.5),
+           "N=inf": lambda n: (math.inf, 0.5)}
+PRESETS = {("euclidean", 3): ("zero", "constant(0.7)", "linear(0.5)",
+                              "quadratic(0.3)", "quadratic(-0.4)"),
+           ("sphere", 2): ("zero", "cosine(0.3)", "linear(0.4)"),
+           ("hyperbolic", 3): ("zero", "linear(0.5)", "quadratic(0.3)")}
+SERIES_CASES = [(kind, dim, preset, regime)
+                for (kind, dim), names in PRESETS.items() for preset in names
+                for regime in REGIMES if regime != "N=n"
+                or preset.startswith(("zero", "constant"))]
+
+
+def _ten_formulas(space, weight, params, kappa, x, v):
+    """{term: (exact, series)}: each TERM written out on its own, as
+    check_series had them, one formula per term and direction."""
+    d = 2.0 ** -np.arange(4.0, 15.0)
+    fx = float(weight.eval(x))
+    gfv = float(space.inner(x, np.asarray(weight.grad(x), dtype=float), v))
+    hvv = float(weight.hess(x, v, v))
+    a, n, c = params.a, params.n, params.c
+    alpha = 0.5 * a
+    e0 = math.exp(-a * fx)
+    kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
+    A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
+    segs = segment_between(space, space.geodesic(x, v, d),
+                           space.geodesic(x, v, -d))
+    d_half, d_full = reparam_partial(space, weight, params, segs,
+                                     [[0.5], [1.0]], rel_tol=1e-13)
+    b_rev, b_fwd = np.exp(_log_beta_pair(
+        params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
+        s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
+    f_pm = weight.eval(space.geodesic(x, v, np.concatenate([d, -d])))
+    w_rev, w_fwd = np.exp(fx - f_pm.reshape(2, -1))
+    g2 = params.inv_c * alpha * gfv
+    coef2 = kap_eff + (1.0 - c) * g2**2
+    rows = {
+        "app1_fwd": (d_half, e0 * d * (1.0 - alpha * gfv * d + A * d * d)),
+        "app1_rev": (d_full - d_half,
+                     e0 * d * (1.0 + alpha * gfv * d + A * d * d)),
+        "app1_full": (d_full, 2.0 * e0 * d * (1.0 + A * d * d)),
+        "app2_fwd": (b_fwd, 1.0 + -g2 * d + 0.5 * coef2 * d * d),
+        "app2_rev": (b_rev, 1.0 + g2 * d + 0.5 * coef2 * d * d),
+        "app3_fwd": (w_fwd, 1.0 + gfv * d + 0.5 * (gfv**2 - hvv) * d * d),
+        "app3_rev": (w_rev, 1.0 + -gfv * d + 0.5 * (gfv**2 - hvv) * d * d)}
+    if params.eps == 0.0:
+        return rows
+    th = theta_eps(params, gfv)
+    for term, sth in (("app4_fwd", th), ("app4_rev", -th)):
+        rows[term] = ((1.0 + sth * d) ** n,
+                      1.0 + n * sth * d + 0.5 * n * (n - 1) * sth**2 * d * d)
+    cr = params.c_ratio
+    left = (w_fwd * (1.0 + th * d) ** n * b_fwd) ** cr
+    right = (w_rev * (1.0 - th * d) ** n * b_rev) ** cr
+    F = f_of_theta(params, gfv, th)
+    rows["app6"] = (0.5 * (left + right),
+                    1.0 + cr * (kap_eff - hvv - F / (c + 1.0)) * 0.5 * d * d)
+    return rows
+
+
+class TestSignedOffsets:
+    @pytest.mark.parametrize("kind, dim, preset, regime", SERIES_CASES)
+    def test_rows_are_the_ten_formulas(self, kind, dim, preset, regime):
+        # the signed-offset rows equal the per-term formulas bit for bit
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        p = validate_params(dim, *REGIMES[regime](dim))
+        rng = np.random.default_rng(9)
+        x = sp.sample_point(rng)
+        v = sp.sample_unit(rng, x)
+        for kappa in (-0.7, 0.0, 0.9):
+            terms, deltas, exact, approx = check_series(sp, w, p, kappa, x, v)
+            want = _ten_formulas(sp, w, p, kappa, x, v)
+            assert terms == tuple(want) == TERMS[:len(want)]
+            assert len(terms) == (7 if regime == "N=1" else 10)
+            assert np.array_equal(deltas, 2.0 ** -np.arange(4.0, 15.0))
+            for got, k in ((exact, 0), (approx, 1)):
+                rows = np.array([pair[k] for pair in want.values()])
+                assert got.shape == rows.shape
+                assert got.tobytes() == rows.tobytes()
+
+
 class TestThetaEps:
     def test_eps_zero_rejected(self):
         p = validate_params(3, 9, 0.0)
@@ -295,16 +378,18 @@ class TestFIdentity:
         assert rep.verdict == "pass"
 
     def test_N_equals_n_rejected(self):
+        # eps0 is infinite exactly at N = n
         p = validate_params(3, 3, 0.4)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             check_F_identity(p, 0.2, [0.1])
+        assert exc.value.failed == "0 < eps0 < inf"
 
     def test_N_equals_1_rejected(self):
         # eps0 = 0 at N = 1: the identity's right-hand side divides by it
         p = validate_params(2, 1, 0.0)
         with pytest.raises(PreconditionError) as exc:
             check_F_identity(p, 0.2, [0.1])
-        assert exc.value.failed == "eps0 > 0"
+        assert exc.value.failed == "0 < eps0 < inf"
 
 
 class TestLimitBound:
