@@ -429,12 +429,9 @@ def _run_taylor(run, out_dir):
 def _run_limits(run, out_dir):
     space, params = run.space, run.params
     _, weight, x, v = _base_point(run)
-    y = space.geodesic(x, v, 0.4)
-    return [taylor.check_limit_bound(space, weight, params, 0.5, x, v, 0.5,
-                                     run.cfg["sampling"]["seed"]),
-            coefficients.check_limits(space, weight, params, run.kappa,
-                                      x, y, [0.1, 0.05, 0.02, 0.01,
-                                             0.005, 0.002, 0.001])]
+    return [taylor.check_limit_bound(space, weight, params, x, v),
+            coefficients.check_limits(space, weight, params, run.kappa, x,
+                                      space.geodesic(x, v, 0.4))]
 
 
 # every suite but "all", in the order "all" runs them

@@ -23,16 +23,20 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .params import LOG_MAX, DimensionParams, c_kappa, diam_kappa, s_kappa
+from .params import (LOG_MAX, DimensionParams, c_kappa, diam_kappa,
+                     require_exp_range, s_kappa)
 from .quadrature import neville_extrapolate
 from .report import CheckReport
 from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
-from .reparam import exp_or_inf, reparam_partial
+from .reparam import reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
 BOUNDARY_TOL = 1e-12
-# how far an extrapolated t -> 0 limit may lie from its closed form
-LIMIT_TOL = 1e-6
+# how far an extrapolated t -> 0 limit may lie from its closed form: in
+# log b, and in bfrak relative to 1 + |bfrak|
+LIMIT_TOL = 1e-8
+# the t-grid of the t -> 0 limits at unit scale (`check_limits` divides it)
+T_GRID = np.array([0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1])
 
 
 def within_conjugate_radius(kappa: float, d_full):
@@ -122,6 +126,15 @@ def frak_b(params: DimensionParams, kappa: float, base, d_full):
     return np.where(d_full == 0.0, 0.0, val)
 
 
+def asymmetry_rate(params: DimensionParams, t: float, sup: float, L):
+    """|a| A e^{|a| A L} with A = (1-t) sup, elementwise in L, +inf past the
+    float range: the asymmetry bound |d_t/(t d_f) - 1| <= rate L on
+    segments of length L along which |grad f| <= sup."""
+    aa = abs(params.a) * (1.0 - t) * sup  # |a| A
+    with np.errstate(over="ignore"):
+        return aa * np.exp(aa * np.asarray(L, dtype=float))
+
+
 def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
          kappa: float, t: float, x, y) -> float:
     """Twisted coefficient beta_{kappa,t}(x,y) for t in ]0,1[: 1 at x = y,
@@ -130,34 +143,34 @@ def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
         raise ValueError(f"t must lie in ]0,1[, got {t}")
     seg = segment_between(space, x, y)
     d_full, d_t = reparam_partial(space, weight, params, seg, [1.0, t])
-    return _beta_of(params, kappa, t, seg.length, d_t, d_full)[0]
+    if not within_conjugate_radius(kappa, d_full):
+        return math.inf
+    return math.exp(float(log_beta(params, kappa, d_t, d_full, t)))
 
 
-def _beta_of(params, kappa, t, length, d_t, d_full) -> list[float]:
-    """beta_{kappa,t} on segments of these lengths (one or a stack) from d_t
-    and d_f: 1 on an empty one, +inf past the conjugate radius."""
-    logs = np.ravel(log_beta(params, kappa, d_t, d_full, t)).tolist()
-    inside = np.ravel(within_conjugate_radius(kappa, d_full)).tolist()
-    return [1.0 if L == 0.0 else math.exp(lb) if ok else math.inf
-            for L, lb, ok in zip(np.ravel(length).tolist(), logs, inside)]
-
-
-def check_limits(space, weight, params, kappa: float, x, y,
-                 t_grid) -> CheckReport:
+def check_limits(space, weight, params, kappa: float, x, y) -> CheckReport:
     """Verify the t -> 0 limits of beta against b and bfrak by extrapolation,
     and the small-distance decay |beta_t - 1| = O(d(x,y)).
 
-    Limits 1 and 2 share one d_f(x,y) and one d_t(x,y) per t; these and
-    the distance pairs of limit 3 come from one stacked quadrature. Raises
-    PreconditionError if d_f reaches the conjugate radius or leaves the float
-    range of s_kappa.
+    The t-grid is T_GRID divided by the larger of 1, sqrt|kappa| e^{-a f(x)}
+    d(x,y) and |a| sup|grad f| d(x,y): the t-scales on which
+    s_kappa(d_t)/(t s_kappa(d_f)) and d_t/t vary. Limits 1 and 2 share one
+    d_f(x,y) and one d_t(x,y) per t; these and the distance pairs of limit 3
+    come from one stacked quadrature. Raises PreconditionError if e^{-a f(x)}
+    leaves the float range, or if d_f reaches the conjugate radius or leaves
+    the float range of s_kappa.
     """
-    ts = np.sort(np.asarray(t_grid, dtype=float))
     seg = segment_between(space, x, y)
+    sup = grad_sup(space, weight, seg.start, seg.direction, seg.length)
+    expo = -params.a * float(weight.eval(seg.start))
+    require_exp_range(expo, "e^{-a f} at the base point")
+    base = math.exp(expo) * seg.length
+    ts = T_GRID / max(1.0, math.sqrt(abs(kappa)) * base,
+                      abs(params.a) * sup * seg.length)
     # limit 3 takes beta_{1/2}(x, y_k) at y_k on the geodesic at d(x,y) 2^-k
     t_mid = 0.5
-    dks = [seg.length * 0.5**k for k in range(6)]
-    decay_ends = space.geodesic(seg.start, seg.direction, np.array(dks))
+    dks = seg.length * 0.5 ** np.arange(6)
+    decay_ends = space.geodesic(seg.start, seg.direction, dks)
     # one stack: (x, y) for d_f and each d_t, then each (x, y_k) twice
     segs = segment_between(space, seg.start, np.concatenate(
         [np.broadcast_to(seg.end, (ts.size + 1, seg.end.size)), decay_ends,
@@ -167,47 +180,34 @@ def check_limits(space, weight, params, kappa: float, x, y,
     d_full, d_t = dist[0], dist[1:ts.size + 1]
     decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6)
     log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full, ts)
-    base = math.exp(-params.a * float(weight.eval(seg.start))) * seg.length
     margins = []
     provenance = {"kappa": kappa, "t_grid": ts.tolist()}
 
-    # limit 1: beta_t(x, y) -> b(x, y)
-    b_target = float(np.exp(log_b(params, kappa, base, d_full)))
-    b_extrap = neville_extrapolate(ts, np.exp(log_fwd))
-    margins.append(LIMIT_TOL - abs(b_extrap - b_target))
-    provenance["b_limit"] = {"target": b_target, "extrapolated": b_extrap}
+    # limit 1: log beta_t(x, y) -> log b(x, y)
+    lb_target = float(log_b(params, kappa, base, d_full))
+    lb_extrap = neville_extrapolate(ts, log_fwd)
+    margins.append(LIMIT_TOL - abs(lb_extrap - lb_target))
+    provenance["log_b_limit"] = {"target": lb_target, "extrapolated": lb_extrap}
 
     # limit 2: (1 - beta_{1-t}(y, x)^{c/(c+1)})/t -> bfrak(x, y)
     fb_target = float(frak_b(params, kappa, base, d_full))
     quots = -np.expm1(params.c_ratio * log_rev) / ts
     fb_extrap = neville_extrapolate(ts, quots)
-    margins.append(LIMIT_TOL - abs(fb_extrap - fb_target))
+    margins.append(LIMIT_TOL - abs(fb_extrap - fb_target)
+                   / (1.0 + abs(fb_target)))
     provenance["frak_b_limit"] = {"target": fb_target, "extrapolated": fb_extrap}
 
-    # limit 3: |beta_t - 1| -> 0 at least linearly in d(x,y). The linear
-    # rate comes from the asymmetry of the re-parametrized distance,
-    # |d_t/(t d_f) - 1| <= |a| A e^{|a| A r} d(x,y) with
-    # A = (1-t) sup||grad f||; curvature adds a quadratic correction.
-    r = seg.length
-    rng = np.random.default_rng(12345)
-    pts = space.geodesic(seg.start, seg.direction, rng.uniform(0.0, r, 200))
-    sup = grad_sup(space, weight, pts)
-    aa = abs(params.a)
-    B = aa * (1.0 - t_mid) * sup * exp_or_inf(
-        aa * (1.0 - t_mid) * sup * r) * 2.0
-    decay_rows = []
-    decay_margin = math.inf
-    for dk, beta_k in zip(dks, _beta_of(params, kappa, t_mid, segs.length[-6:],
-                                        decay_t, decay_full)):
-        dev = abs(beta_k - 1.0)
-        # conservative envelope: linear asymmetry term plus curvature term;
-        # past the float range it bounds nothing and reads +inf
-        ex = params.inv_c * (B * dk + abs(kappa) * dk * dk / 3.0)
-        lim = math.inf if ex > LOG_MAX else math.expm1(ex)
-        decay_rows.append({"d": dk, "dev": dev, "bound": lim})
-        decay_margin = min(decay_margin, lim - dev + 1e-12)
-    margins.append(float(decay_margin))
-    provenance["decay"] = decay_rows
+    # limit 3: |beta_{1/2} - 1| -> 0 at least linearly in d(x,y), at the
+    # rate B = 2 asymmetry_rate(d(x,y)) of the re-parametrized distance;
+    # curvature adds a quadratic term. Past the float range the envelope
+    # bounds nothing and reads +inf
+    dev = np.abs(np.expm1(log_beta(params, kappa, decay_t, decay_full, t_mid)))
+    B = 2.0 * asymmetry_rate(params, t_mid, sup, seg.length)
+    with np.errstate(over="ignore"):
+        bound = np.expm1(params.inv_c * (B * dks + abs(kappa) * dks**2 / 3.0))
+    margins.append(float(np.min(bound - dev + 1e-12)))
+    provenance["decay"] = [{"d": d, "dev": e, "bound": lim} for d, e, lim
+                           in zip(dks.tolist(), dev.tolist(), bound.tolist())]
 
     return CheckReport(name="coefficient_limits", margins=margins,
                        tolerance=0.0, provenance=provenance)

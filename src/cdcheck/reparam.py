@@ -21,14 +21,9 @@ import math
 
 import numpy as np
 
-from .params import LOG_MAX, DimensionParams, require_exp_range, require_normal
+from .params import DimensionParams, require_exp_range, require_normal
 from .quadrature import gauss_legendre
 from .spaces import ModelSpace, WeightFunction
-
-
-def exp_or_inf(x: float) -> float:
-    """e^x, +inf past the float range: a bound there bounds nothing."""
-    return math.inf if x > LOG_MAX else math.exp(x)
 
 
 def reparam_partial(space: ModelSpace, weight: WeightFunction,

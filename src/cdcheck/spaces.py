@@ -36,6 +36,8 @@ CUT_MARGIN = 1e-6
 # past X_n = SPAN the constant 1 of an H^n point's Minkowski square falls
 # below the last bit of X_n^2: its coordinates keep no digit of it
 SPAN = 2.0**26
+# the points of a segment at which `grad_sup` reads |grad f|
+GRAD_POINTS = 257
 
 
 def _orthonormal_completion(existing: np.ndarray, dim: int) -> np.ndarray:
@@ -352,12 +354,13 @@ class WeightFunction:
         return self._hess(np.asarray(x, dtype=float), np.asarray(u, float), np.asarray(w, float))
 
 
-def grad_sup(space: ModelSpace, weight: WeightFunction, points) -> float:
-    """Largest Riemannian gradient norm |grad f|(p) over a stack of points;
-    0.0 for none."""
-    points = np.asarray(points, dtype=float).reshape(-1, space.ambient)
-    norms = space.norm(points, np.asarray(weight.grad(points), dtype=float))
-    return float(np.max(norms, initial=0.0))
+def grad_sup(space: ModelSpace, weight: WeightFunction, x, v,
+             length: float) -> float:
+    """Largest Riemannian gradient norm |grad f| at GRAD_POINTS evenly
+    spaced points of the segment gamma_v([0, length]) from x: a grid sup,
+    which can only under-estimate the segment's."""
+    points = space.geodesic(x, v, np.linspace(0.0, length, GRAD_POINTS))
+    return float(np.max(space.norm(points, weight.grad(points))))
 
 
 def _no_hessian(x, u, w):

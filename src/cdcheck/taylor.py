@@ -18,19 +18,18 @@ import math
 
 import numpy as np
 
-from .coefficients import _log_beta_pair, require_float_range
+from .coefficients import _log_beta_pair, asymmetry_rate, require_float_range
 from .errors import PreconditionError
 from .params import DimensionParams, require_exp_range, s_kappa
 from .report import CheckReport
-from .spaces import (ModelSpace, WeightFunction, grad_sup, segment_between,
-                     unit_tangents)
-from .reparam import exp_or_inf, reparam_partial
+from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
+from .reparam import reparam_partial
 
 NOISE_FLOOR = 5e-15
 # the F identity's absolute tolerance
 F_IDENTITY_TOL = 1e-10
-# the limit bound's shrinking pairs, and the points of its gradient sup
-LEVELS, GRAD_SAMPLES = 8, 400
+# the limit bound's t, and its LEVELS pairs of lengths L = LIMIT_R 2^-j
+LIMIT_T, LIMIT_R, LEVELS = 0.5, 0.5, 8
 
 TERMS = ("app1_fwd", "app1_rev", "app1_full", "app2_fwd", "app2_rev",
          "app3_fwd", "app3_rev", "app4_fwd", "app4_rev", "app6")
@@ -173,28 +172,23 @@ def check_F_identity(params: DimensionParams, gradf_v: float,
 
 
 def check_limit_bound(space: ModelSpace, weight: WeightFunction,
-                      params: DimensionParams, t: float, x, v, r: float,
-                      seed: int = 0) -> CheckReport:
+                      params: DimensionParams, x, v) -> CheckReport:
     """Asymmetry bound |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L with
-    A = (1-t) sup |grad f|, on the LEVELS pairs L = d(x,y) = r 2^{-j}
-    whose distances come from one stacked quadrature; a nonnegative margin
-    means the bound holds.
+    A = (1-t) sup |grad f| (`asymmetry_rate`) at t = LIMIT_T, on the LEVELS
+    pairs (x, gamma_v(L)) with L = LIMIT_R 2^{-j}, whose distances come from
+    one stacked quadrature; a nonnegative margin means the bound holds.
 
-    The gradient sup over the ball is estimated at GRAD_SAMPLES points, which
-    under-estimates the true sup and therefore only tightens the bound.
+    d_t(x, .) reads f only on the segment gamma_v([0, LIMIT_R]), so the sup
+    is taken there (`grad_sup`); a grid sup can only under-estimate it,
+    which only tightens the bound.
     """
-    rng = np.random.default_rng(seed)
-    # a normal block behind the directions, then a uniform block of radii
-    units = unit_tangents(space.frame(x),
-                          rng.normal(size=(GRAD_SAMPLES, space.dim)))
-    radii = rng.random(GRAD_SAMPLES)
-    sup = grad_sup(space, weight, space.geodesic(x, units, r * radii))
+    sup = grad_sup(space, weight, x, v, LIMIT_R)
     segs = segment_between(space, x, space.geodesic(
-        x, v, r * 2.0 ** -np.arange(LEVELS)))
-    d_full, d_t = reparam_partial(space, weight, params, segs, [[1.0], [t]])
-    a, big_a = abs(params.a), (1.0 - t) * sup
-    margins = [a * big_a * exp_or_inf(a * big_a * L) * L
-               - abs(dt / (t * df) - 1.0) for L, df, dt in zip(
-                   segs.length.tolist(), d_full.tolist(), d_t.tolist())]
-    return CheckReport(name="limit_bound", margins=margins, tolerance=1e-12,
-                       provenance={"t": t, "r": r, "grad_sup": sup})
+        x, v, LIMIT_R * 2.0 ** -np.arange(LEVELS)))
+    d_full, d_t = reparam_partial(space, weight, params, segs,
+                                  [[1.0], [LIMIT_T]])
+    margins = (asymmetry_rate(params, LIMIT_T, sup, segs.length) * segs.length
+               - np.abs(d_t / (LIMIT_T * d_full) - 1.0))
+    return CheckReport(name="limit_bound", margins=margins.tolist(),
+                       tolerance=1e-12, provenance={"t": LIMIT_T, "r": LIMIT_R,
+                                                    "grad_sup": sup})

@@ -9,8 +9,8 @@ warnings as errors, and compares the calls one by one: exit code, stderr,
 the verdict of every report, the report hash and the bytes of every file
 the call writes (the report without its timestamp). Prints each
 difference, then, for every report name in a call whose report hash moved,
-the largest |change of min_margin|, and exits 1 if there is any
-difference, 0 otherwise.
+the number of such calls and the largest |change of min_margin| among
+them, and exits 1 if there is any difference, 0 otherwise.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -102,10 +102,11 @@ def differences(parent: dict, change: dict) -> list[str]:
 
 
 def margin_moves(parent: dict, change: dict) -> list[str]:
-    """One line per report name: the largest |change of min_margin| over
-    the calls whose report hash moved, reports paired by position; inf
-    where one side's min_margin is n/a (a NaN margin) and the other's not."""
-    largest = {}
+    """One line per report name: the number of calls whose report hash
+    moved and the largest |change of min_margin| over them, reports paired
+    by position; inf where one side's min_margin is n/a (a NaN margin) and
+    the other's not."""
+    moved, largest = {}, {}
     for key in sorted(set(parent) & set(change)):
         want, got = parent[key], change[key]
         if want["hash"] == got["hash"]:
@@ -116,9 +117,11 @@ def margin_moves(parent: dict, change: dict) -> list[str]:
                 continue
             move = (0.0 if old == new else math.inf if None in (old, new)
                     else abs(new - old))
+            moved[name] = moved.get(name, 0) + 1
             if move > largest.get(name, (-1.0,))[0]:
                 largest[name] = (move, key)
-    return [f"largest |change of min_margin| in {name}: {move!r} ({key})"
+    return [f"{name}: hash moved in {moved[name]} calls, largest |change of"
+            f" min_margin| {move!r} ({key})"
             for name, (move, key) in sorted(largest.items())]
 
 

@@ -269,7 +269,6 @@ def test_criterion_06_brunn_minkowski():
 
 
 def test_criterion_07_coefficient_limits():
-    t_grid = [0.4, 0.2, 0.1, 0.05, 0.025]
     configs = []
     sphere = make_space("sphere", 2, radius=1.0)
     x = np.array([0.0, np.sin(1.0), np.cos(1.0)])
@@ -283,7 +282,7 @@ def test_criterion_07_coefficient_limits():
     configs.append((euc, weight_preset(euc, "quadratic(0.4)"),
                     validate_params(3, math.inf, 0.3), 0.0,
                     np.array([-0.3, 0.1, 0.2]), np.array([0.2, -0.3, 0.4])))
-    ok = all(check_limits(sp, w, p, k, xx, yy, t_grid).verdict == "pass"
+    ok = all(check_limits(sp, w, p, k, xx, yy).verdict == "pass"
              for sp, w, p, k, xx, yy in configs)
     _gate(7, "small-time and small-distance coefficient limits", ok)
 

@@ -6,9 +6,10 @@ import pytest
 
 from cdcheck.errors import ConfigError, CutLocusError, PreconditionError
 from cdcheck.params import validate_params
-from cdcheck.spaces import (Hyperbolic, centred, check_curvature_bound,
-                            constant_weight, grad_sup, make_space,
-                            ricci_fN_batch, segment_between, weight_preset)
+from cdcheck.spaces import (GRAD_POINTS, Hyperbolic, centred,
+                            check_curvature_bound, constant_weight, grad_sup,
+                            make_space, ricci_fN_batch, segment_between,
+                            weight_preset)
 
 
 class TestGeodesics:
@@ -276,9 +277,15 @@ class TestWeights:
         lower = _to_hyperboloid([0.5, 0.0, 1.0])
         np.testing.assert_allclose(w.grad(lower), [0.5, 1.0, 0.0, 0.5],
                                    atol=1e-15)
-        assert grad_sup(sp, w, [lower]) == pytest.approx(1.0, rel=1e-14)
-        assert grad_sup(sp, w, [x]) == pytest.approx(2.0, rel=1e-14)
-        assert grad_sup(sp, w, [lower, x]) == pytest.approx(2.0, rel=1e-14)
+        seg = segment_between(sp, lower, x)
+        assert grad_sup(sp, w, lower, seg.direction, 0.0) == pytest.approx(
+            1.0, rel=1e-14)
+        assert grad_sup(sp, w, x, -seg.direction, 0.0) == pytest.approx(
+            2.0, rel=1e-14)
+        # y rises from 1 to 2 along the segment (an arc of the circle about
+        # (-2.75, 0, 0)), so its sup is at x
+        assert grad_sup(sp, w, lower, seg.direction,
+                        seg.length) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind, dim, kw, preset", [
         ("hyperbolic", 3, {"radius": 4.0}, "quadratic(0.4)"),
@@ -535,14 +542,22 @@ class TestStacks:
         ("sphere", 3, {}, "linear(0.3)"),
         ("hyperbolic", 3, {"radius": 6.0}, "quadratic(0.3)")])
     def test_grad_sup(self, kind, dim, kw, preset):
+        # the sup over GRAD_POINTS evenly spaced points of the segment, each
+        # point from its own geodesic call; a zero length reads gamma_v(0)
         sp = make_space(kind, dim)
         w = weight_preset(sp, preset)
-        xs, _ = self._points_and_units(sp, kw)
-        want = max(math.sqrt(max(_inner_per_point(sp, x, w.grad(x),
-                                                  w.grad(x)), 0.0))
-                   for x in xs)
-        assert grad_sup(sp, w, xs) == want
-        assert grad_sup(sp, w, np.empty((0, sp.ambient))) == 0.0
+        xs, vs = self._points_and_units(sp, kw, count=6)
+
+        def norm_at(p):
+            return math.sqrt(max(_inner_per_point(sp, p, w.grad(p),
+                                                  w.grad(p)), 0.0))
+
+        for x, v in zip(xs, vs):
+            want = max(norm_at(sp.geodesic(x, v, s))
+                       for s in np.linspace(0.0, 0.7, GRAD_POINTS))
+            assert grad_sup(sp, w, x, v, 0.7) == want
+            assert grad_sup(sp, w, x, v, 0.0) == norm_at(
+                sp.geodesic(x, v, 0.0))
 
     @pytest.mark.parametrize("kind, dim, kw, preset", [
         ("euclidean", 3, {}, "quadratic(0.7)"), ("sphere", 2, {}, "cosine(0.4)"),

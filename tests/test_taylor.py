@@ -11,8 +11,8 @@ from cdcheck.coefficients import _log_beta_pair, beta
 from cdcheck.errors import PreconditionError
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
-from cdcheck.spaces import (constant_weight, make_space, segment_between,
-                            weight_preset)
+from cdcheck.spaces import (GRAD_POINTS, constant_weight, make_space,
+                            segment_between, weight_preset)
 from cdcheck.taylor import (NOISE_FLOOR, TERMS, check_F_identity,
                             check_limit_bound, check_series, f_of_theta,
                             series_margins, theta_eps)
@@ -396,16 +396,15 @@ class TestLimitBound:
     def test_constant_weight_bound_is_tight(self):
         # zero gradient: both the deviation and the bound vanish
         p = validate_params(3, 9, 0.4)
-        rep = check_limit_bound(EUC3, constant_weight(0.3), p, 0.5,
-                                *euc_ray(), r=1.0)
+        rep = check_limit_bound(EUC3, constant_weight(0.3), p, *euc_ray())
         assert rep.verdict == "pass"
 
     def test_linear_weight_plane(self):
         p = validate_params(2, 6, 0.5)
         e2 = make_space("euclidean", 2)
         w = weight_preset(e2, "linear(0.8)")
-        rep = check_limit_bound(e2, w, p, 0.5, np.array([0.1, -0.2]),
-                                np.array([0.6, 0.8]), r=1.0)
+        rep = check_limit_bound(e2, w, p, np.array([0.1, -0.2]),
+                                np.array([0.6, 0.8]))
         assert rep.verdict == "pass"
 
     def test_bound_past_float_range_reads_inf(self):
@@ -413,8 +412,8 @@ class TestLimitBound:
         # which raised OverflowError; along e2 f is constant, so every
         # deviation is 0 and the bound holds at every level
         w = weight_preset(EUC3, "linear(6000)")
-        rep = check_limit_bound(EUC3, w, validate_params(3, 9, 0.4), 0.5,
-                                np.zeros(3), np.array([0.0, 1.0, 0.0]), r=0.5)
+        rep = check_limit_bound(EUC3, w, validate_params(3, 9, 0.4),
+                                np.zeros(3), np.array([0.0, 1.0, 0.0]))
         assert rep.margins[0] == math.inf
         assert all(math.isfinite(m) for m in rep.margins[1:])
         assert rep.verdict == "pass"
@@ -422,7 +421,7 @@ class TestLimitBound:
     def test_sphere_cosine_meridian(self):
         p = validate_params(3, 12, 0.5)
         w = weight_preset(SPHERE, "cosine(0.4)")
-        rep = check_limit_bound(SPHERE, w, p, 0.3, *meridian_ray(), r=0.8)
+        rep = check_limit_bound(SPHERE, w, p, *meridian_ray())
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("kind, dim, preset", [
@@ -435,26 +434,23 @@ class TestLimitBound:
         rng = np.random.default_rng(21)
         x = sp.sample_point(rng)
         v = sp.sample_unit(rng, x)
-        rep = check_limit_bound(sp, w, p, 0.5, x, v, r=0.6, seed=3)
-        # per sample, a unit direction from its row of one normal block and
-        # a radius from one uniform block drawn after it
-        rng = np.random.default_rng(3)
-        coeffs = rng.normal(size=(400, dim))
+        rep = check_limit_bound(sp, w, p, x, v)
+        # the sup of |grad f| over the GRAD_POINTS grid points of the pairs'
+        # segment gamma_v([0, 0.5]), one point at a time
         sup = 0.0
-        for coeff, radius in zip(coeffs, rng.random(400)):
-            u = (coeff / np.linalg.norm(coeff)) @ sp.frame(x)
-            pt = sp.geodesic(x, u, 0.6 * radius)
+        for s in np.linspace(0.0, 0.5, GRAD_POINTS):
+            pt = sp.geodesic(x, v, s)
             sup = max(sup, sp.norm(pt, w.grad(pt)))
         assert rep.provenance["grad_sup"] == sup
+        assert (rep.provenance["t"], rep.provenance["r"]) == (0.5, 0.5)
         # per level, the margin of |d_t/(t d_f) - 1| <= |a| A e^{|a| A L} L,
         # A = (1-t) sup, from one-segment distances
         want = []
         for j in range(8):
-            seg = segment_between(sp, x, sp.geodesic(x, v, 0.6 * 2.0**-j))
+            seg = segment_between(sp, x, sp.geodesic(x, v, 0.5 * 2.0**-j))
             d_full = reparam_partial(sp, w, p, seg, 1.0)
             d_t = reparam_partial(sp, w, p, seg, 0.5)
-            big_a = 0.5 * sup
-            rhs = (abs(p.a) * big_a * math.exp(abs(p.a) * big_a * seg.length)
-                   * seg.length)
+            aa = abs(p.a) * 0.5 * sup  # |a| A
+            rhs = aa * np.exp(aa * seg.length) * seg.length
             want.append(rhs - abs(d_t / (0.5 * d_full) - 1.0))
         np.testing.assert_array_equal(rep.margins, want)
