@@ -10,7 +10,7 @@ and transport-energy inequalities with explicit numerical margins.
 
 from .errors import (CdCheckError, ConfigError, CutLocusError,
                      DimensionError, HypothesisError, PreconditionError,
-                     RangeError, RegionError, SingularJacobian)
+                     RangeError, SingularJacobian)
 from .params import (DimensionParams, c_kappa, diam_kappa, s_kappa,
                      validate_params)
 from .report import CheckReport, canonical_json, report_hash
@@ -27,10 +27,9 @@ from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,
                  MonotoneInterpolation, density_from_callable,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
-from .suites import (check_ball_brunn_minkowski, check_brunn_minkowski,
-                     check_functional, check_hwi_lsi, check_interpolation,
-                     check_transport_energy, check_twcd, conclusion_exponent,
-                     p_mean)
+from .suites import (check_brunn_minkowski, check_functional, check_hwi_lsi,
+                     check_interpolation, check_transport_energy, check_twcd,
+                     conclusion_exponent, p_mean)
 from .taylor import (check_F_identity, check_limit_bound, check_series,
                      f_of_theta, theta_eps)
 

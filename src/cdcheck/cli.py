@@ -7,18 +7,19 @@ Usage:
 The config is a JSON object checked against one schema, ``_SCHEMA``:
 unknown fields are refused at every level, ``space`` takes a positive
 ``radius`` only on a sphere and ``scale`` only on a hyperbolic space,
-``regions.kind`` is "interval" or "ball", and ``tolerances`` has a key per
-suite that reads one (not taylor, limits or all). ``validate`` builds the
-`Run` a run takes, so an axis density of any kind with no mass on its grid
-exits 2 there, as do ball regions off Euclidean space or under a
-non-constant weight, a ``sampling.region`` on a sphere, a
+``regions`` has two interval ``bounds`` on the axis, and ``tolerances``
+has a key per suite that reads one (not taylor, limits or all).
+``validate`` builds the `Run` a run takes, so an axis density of any kind
+with no mass on its grid exits 2 there, as do a meridian under a
+non-radial weight, a ``sampling.region`` on a sphere, a
 ``sampling.region.center`` off R^n or of another length than a point, and
 an H^n region radius whose hyperboloid points pass X_n = 2^26, where they
 keep no digit of the hyperboloid (`spaces.SPAN`).
 
-Only `resolve_config` reads a radius or scale R: the space suites run on
-the unit model at ``Run.kappa`` = kappa R^2, every length in units of R,
-as the checks are invariant under g -> R^2 g, kappa -> kappa / R^2.
+Only `resolve_config` reads a radius or scale R: every suite runs on the
+unit model at ``Run.kappa`` = kappa R^2, every length in units of R (a
+meridian's r and ``hi`` too), as the checks are invariant under
+g -> R^2 g, kappa -> kappa / R^2.
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
 tolerance, 2 config, precondition or output error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
@@ -60,7 +61,6 @@ _DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
 # the tolerance of each suite that reads one, when the config gives none
 _TOLERANCES = {"curvature": 1e-9, "jacobian": 1e-8, "twcd": 1e-6, "bm": 1e-6,
                "interpolation": 1e-6, "functional": 1e-5}
-_GEOMETRIES = {"line": LineGeometry, "meridian": MeridianGeometry}
 # what the 1-d suites place on the axis by default: the twcd and functional
 # densities, the bm intervals and the interpolation settings
 _TWCD_DENSITIES = [{"kind": "bump", "center": -0.5, "width": 0.4},
@@ -119,12 +119,12 @@ _SCHEMA = {
                  "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(_TOLERANCES, _real(0)),
-    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS},
+    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS,
+                                         "hi": _REAL},
                        line={"f1": _STR, "points": _POINTS, "lo": _REAL,
                              "hi": _REAL}),
     "densities": [_DENSITY, _DENSITY],
-    "regions": _Kinds("interval", interval={"bounds": [_PAIR, _PAIR]},
-                      ball={"radii": _Need(_POSITIVE_PAIR)}),
+    "regions": {"bounds": [_PAIR, _PAIR]},
     "interpolation": {"t": _OPEN_T, "X": _PAIR, "Y": _PAIR,
                       "p": lambda v: v in (math.inf, -math.inf) or _REAL(v)},
     "functional": {"delta": _REAL, "density": _DENSITY},
@@ -171,7 +171,7 @@ _Axis = NamedTuple("_Axis", [("geometry", AxisGeometry), ("pair", list),
 Run = NamedTuple("Run", [("cfg", dict), ("space", ModelSpace),
                          ("weight", WeightFunction), ("params", DimensionParams),
                          ("axis", _Axis), ("kappa", float)])
-_SPACE_SUITES = ("curvature", "jacobian", "taylor", "limits")  # at Run.kappa
+_SPACE_SUITES = ("curvature", "jacobian", "taylor", "limits")  # read no axis
 _LINE_OFF_RN = "a line geometry needs a euclidean space"
 
 
@@ -215,38 +215,39 @@ def resolve_config(cfg: dict) -> Run:
             region.get("radius", 1)):
         raise ConfigError("sampling.region.radius puts points of the"
                           " hyperbolic space past X_n = 2^26")
-    axis = _build_axis(out, space, weight, R)
+    axis = _build_axis(out, space)
     if params.N == params.n and not (weight.is_constant and (
             axis is None or axis.geometry.weight.is_constant)):
         raise ConfigError("N = n requires a constant weight and geometry f1")
     return Run(out, space, weight, params, axis, kappa)
 
 
-def _build_axis(cfg, space, weight, R) -> _Axis | None:
+def _build_axis(cfg, space) -> _Axis | None:
     """The axis of a resolved config as its 1-d suites take it, defaults
     only where read; None if no field sets it and no suite reads it or the
     suite is "all" off R^n, where the default axis, a line, is refused.
-    Refuses a line off R^n, a meridian off the unit S^2, a density without
-    grid mass, an interval the suite places outside the window, and ball
-    regions the ball check refuses."""
+    Refuses a line off R^n, a meridian ``hi`` on S^n (its window is
+    [0, pi]), what the geometry refuses (a non-radial meridian weight), a
+    density without grid mass and an interval the suite places outside the
+    window."""
     if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
             cfg["suite"] in _SPACE_SUITES
             or cfg["suite"] == "all" and space.kind != "euclidean"):
         return None
     g = dict(cfg.get("geometry", {}))
-    kind = g.pop("kind", "line")
+    kind, f1 = g.pop("kind", "line"), g.pop("f1", "zero")
     if kind == "line" and space.kind != "euclidean":
         raise ConfigError(_LINE_OFF_RN)
-    if kind == "meridian" and (space.kind, space.dim, R) != ("sphere", 2, 1):
-        raise ConfigError("a meridian geometry needs the unit S^2 space")
-    geometry = _GEOMETRIES[kind](g.pop("f1", "zero"), **g)
+    if kind == "meridian" and space.kind == "sphere" and "hi" in g:
+        raise ConfigError("geometry.hi is not read on a sphere: its"
+                          " meridian is the colatitude in [0, pi]")
+    geometry = (LineGeometry(f1, **g) if kind == "line"
+                else MeridianGeometry(space, f1, **g))
     uses = lambda suite: cfg["suite"] in (suite, "all")
-    regions, bm, interpolation = cfg.get("regions", {}), None, None
-    if uses("bm") and regions.get("kind") == "ball":
-        suites.require_flat_balls(space, weight)
-    elif uses("bm"):
+    bm, interpolation = None, None
+    if uses("bm"):
         bm = [_inside(geometry, span)
-              for span in regions.get("bounds", _BM_BOUNDS)]
+              for span in cfg.get("regions", {}).get("bounds", _BM_BOUNDS)]
     if uses("interpolation"):
         icfg = {**_INTERPOLATION, **cfg.get("interpolation", {})}
         interpolation = {**icfg, "X": _inside(geometry, icfg["X"]),
@@ -348,9 +349,8 @@ def _run_jacobian(run, out_dir):
 
 
 def _run_twcd(run, out_dir):
-    cfg = run.cfg
-    rep = suites.check_twcd(*run.axis.pair, run.params, cfg["kappa"],
-                            cfg["sampling"]["t_grid"], _tol(run, "twcd"))
+    rep = suites.check_twcd(*run.axis.pair, run.params, run.kappa,
+                            run.cfg["sampling"]["t_grid"], _tol(run, "twcd"))
     cols = ("t", "lhs", "rhs", "margin")
     _write_table(out_dir / "twcd.csv", cols,
                  ([row[k] for k in cols] for row in rep.provenance["rows"]))
@@ -358,28 +358,22 @@ def _run_twcd(run, out_dir):
 
 
 def _run_bm(run, out_dir):
-    cfg, space, weight, params, axis = run[:5]
-    kappa, tol = cfg["kappa"], _tol(run, "bm")
-    if axis.bm is None:  # ball regions
-        r0, r1 = cfg["regions"]["radii"]
-        return [suites.check_ball_brunn_minkowski(space, weight, r0, r1, t,
-                                                  params, kappa, tol)
-                for t in cfg["sampling"]["t_grid"]]
-    X, Y = axis.bm
-    return [suites.check_brunn_minkowski(axis.geometry, X, Y, t, params,
-                                         kappa, tol)
-            for t in cfg["sampling"]["t_grid"]]
+    X, Y = run.axis.bm
+    return [suites.check_brunn_minkowski(run.axis.geometry, X, Y, t,
+                                         run.params, run.kappa,
+                                         _tol(run, "bm"))
+            for t in run.cfg["sampling"]["t_grid"]]
 
 
 def _run_interpolation(run, out_dir):
-    cfg, _, _, params, axis = run[:5]
+    cfg, params, axis = run.cfg, run.params, run.axis
     t, p, X, Y = (axis.interpolation[k] for k in ("t", "p", "X", "Y"))
     psi0, psi1 = (lambda x, I=I, mid=np.mean(I):
                   np.exp(-0.5 * ((x - mid) / 0.3) ** 2)
                   * ((x >= I[0]) & (x <= I[1])) for I in (X, Y))
-    psi = envelope_psi(axis.geometry, params, cfg["kappa"], psi0, psi1, X, Y,
+    psi = envelope_psi(axis.geometry, params, run.kappa, psi0, psi1, X, Y,
                        t, p)
-    return [suites.check_interpolation(axis.geometry, params, cfg["kappa"],
+    return [suites.check_interpolation(axis.geometry, params, run.kappa,
                                        psi0, psi1, psi, X, Y, t, p,
                                        cfg["sampling"]["seed"],
                                        _tol(run, "interpolation"))]
@@ -390,7 +384,7 @@ def _run_functional(run, out_dir):
     f0 = float(rho.geometry.f_vals[0])
     delta = cfg.get("functional", {}).get(
         "delta", (1.0 - params.eps) * f0 / (params.n - 1.0))
-    return suites.check_functional(rho, params, cfg["kappa"], delta,
+    return suites.check_functional(rho, params, run.kappa, delta,
                                    _tol(run, "functional"))
 
 
@@ -455,17 +449,16 @@ def run_suite(run: Run, out_dir) -> list[CheckReport]:
                 raise
             got = [CheckReport(name=name, margins=[], tolerance=0.0,
                                vacuous=True, provenance={"skipped": str(exc)})]
-        for rep in got:
-            rep.kappa = run.kappa if name in _SPACE_SUITES else None
         reports += got
     return reports
 
 
-def _report_payload(cfg: dict, rep: CheckReport) -> dict:
+def _report_payload(run: Run, rep: CheckReport) -> dict:
+    cfg = run.cfg
     return {
         "name": rep.name,
         "params": cfg["params"],
-        "kappa": cfg["kappa"] if rep.kappa is None else rep.kappa,
+        "kappa": run.kappa,
         "seed": cfg["sampling"]["seed"],
         "margins": [None if math.isnan(m) else m for m in rep.margins],
         "min_margin": None if math.isnan(rep.min_margin) else rep.min_margin,
@@ -497,7 +490,7 @@ def _run(args) -> int:
         return 2
     path = out_dir / f"{cfg['suite']}_report.json"
     try:
-        payloads = [_report_payload(cfg, rep)
+        payloads = [_report_payload(run, rep)
                     for rep in run_suite(run, out_dir)]
         # canonical_json of {hash, reports, suite, timestamp}, encoded once
         body = canonical_json({"reports": payloads, "suite": cfg["suite"]})

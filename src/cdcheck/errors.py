@@ -25,10 +25,6 @@ class SingularJacobian(CdCheckError):
     """det(dF_t) <= 0 somewhere on [0, 1]: the transport ray is inadmissible."""
 
 
-class RegionError(CdCheckError):
-    """Unsupported region shape for a Brunn-Minkowski style check."""
-
-
 class HypothesisError(CdCheckError):
     """The pointwise hypothesis of an interpolation inequality failed on samples."""
 

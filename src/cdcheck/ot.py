@@ -2,12 +2,14 @@
 
 Absolutely continuous measures live on a geodesic axis, weighted by a
 preset f of its model space: the x_1-axis of flat space with densities
-in x_1 only (the optimal map moves only the first coordinate), or a
-meridian of the unit 2-sphere with rotationally symmetric densities.
-Both carry the reference measure m = base * e^{-f} / Z on an axis grid,
-and both reduce to the monotone coupling of two densities, taken in the
-mass coordinate u in ]0, 1[ of their quantile functions: W2 and
-displacement interpolation are integrals in u.
+in x_1 only (the optimal map moves only the first coordinate), or the
+meridian of any model space, the distance r from its origin, with radial
+densities under a radial weight (the optimal map between radial measures
+is radial and monotone: McCann, GAFA 2001). Both carry the reference
+measure m = base * e^{-f} / Z on an axis grid, and both reduce to the
+monotone coupling of two densities, taken in the mass coordinate u in
+]0, 1[ of their quantile functions: W2 and displacement interpolation
+are integrals in u.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .params import DimensionParams
 from .quadrature import composite_simpson, cumulative_simpson
-from .spaces import Euclidean, Sphere, weight_preset
+from .spaces import Euclidean, ModelSpace, weight_preset
 
 AXIS_POINTS = 4096  # axis grid points when the config gives none
 
@@ -106,17 +108,31 @@ class LineGeometry(AxisGeometry):
 
 
 class MeridianGeometry(AxisGeometry):
-    """Rotationally symmetric densities on the unit 2-sphere.
+    """Radial densities on the unit model ``space`` of any dimension n.
 
-    The axis is the colatitude theta in [0, pi], at the points
-    (sin theta, 0, cos theta), weighted by a preset ``f1`` of the unit
-    sphere; the base factor sin(theta) is the surface-measure marginal.
+    The axis is the distance r from the origin (0 on R^n, (0, ..., 0, 1)
+    on S^n and H^n) along e_1: the colatitude r in [0, pi] on S^n, and
+    r in [0, hi] on R^n and H^n. Its base factor s(r)^{n-1}, s = sin, r
+    or sinh, is the volume's marginal. ``f1`` is a preset of ``space``
+    that depends on r alone: a ConfigError unless it reads the same along
+    the axis as along the geodesic from the origin in the normal e_2.
     """
 
-    space, origin = Sphere(2), np.array([0.0, 0.0, 1.0])
-
-    def __init__(self, f1: str = "zero", points: int = AXIS_POINTS):
-        super().__init__(f1, 0.0, math.pi, points, np.sin)
+    def __init__(self, space: ModelSpace, f1: str = "zero", hi: float = 2.0,
+                 points: int = AXIS_POINTS):
+        e = np.eye(space.ambient)
+        self.space, self.origin = space, e[-1] * abs(space.sec)  # 0 on R^n
+        s = {"euclidean": lambda r: r, "sphere": np.sin,
+             "hyperbolic": np.sinh}[space.kind]
+        super().__init__(f1, 0.0, math.pi if space.kind == "sphere" else hi,
+                         points, lambda r: s(r) ** (space.dim - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = self.weight.eval(space.geodesic(self.origin, e[1],
+                                                     self.xs))
+        if not np.array_equal(normal, self.f_vals):
+            raise ConfigError(f"a meridian needs a radial weight: {f1} on"
+                              f" the {space.kind} space depends on more than"
+                              f" the distance from the origin")
 
 
 @dataclass

@@ -24,7 +24,6 @@ class CheckReport:
     tolerance: float
     vacuous: bool = False
     provenance: dict[str, Any] = field(default_factory=dict)
-    kappa: float | None = None  # the kappa it ran at, if not the config's
 
     @functools.cached_property
     def min_margin(self) -> float:

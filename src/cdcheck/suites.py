@@ -15,13 +15,13 @@ import numpy as np
 
 from .coefficients import (_log_beta_pair, frak_b, log_b, log_beta_pair,
                            require_conjugate_radius, require_float_range)
-from .errors import HypothesisError, PreconditionError, RegionError
+from .errors import HypothesisError, PreconditionError
 from .params import DimensionParams, s_kappa
 from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
                  entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
 from .report import CheckReport
-from .spaces import WeightFunction, curvature_floor, ricci_fN_batch
+from .spaces import curvature_floor, ricci_fN_batch
 
 # points per side of the grid on X x Y behind the interval bm infima
 BM_SAMPLES = 64
@@ -178,58 +178,14 @@ def check_brunn_minkowski(geometry: AxisGeometry, X: tuple, Y: tuple,
                                 t, BM_SAMPLES)
     rev2, fwd2 = _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo,
                                   yhi, t, 2 * BM_SAMPLES)
-    return _bm_report(params, kappa, t, tol, (m_x, m_y, m_z), rev2, fwd2,
-                      max(abs(rev - rev2), abs(fwd - fwd2)))
-
-
-def check_ball_brunn_minkowski(space, weight: WeightFunction, r0: float,
-                               r1: float, t: float, params: DimensionParams,
-                               kappa: float, tol: float) -> CheckReport:
-    """Weighted Brunn-Minkowski, as `check_brunn_minkowski`, for the balls
-    of radii r0 and r1 centred at the origin of Euclidean space under a
-    constant weight f0, with exact infima. There Ric_f^N = 0, so the
-    hypothesis needs kappa <= 0; beta falls with distance, and each
-    infimum is beta at the farthest pair, d_f = e^{-a f0} (r0 + r1).
-    """
-    require_flat_balls(space, weight)
-    if kappa > 0.0:  # Ric_f^N = 0 on flat space under a constant weight
-        raise PreconditionError(f"curvature bound fails on flat balls at"
-                                f" kappa = {kappa:g} > 0",
-                                failed="curvature bound")
-    f0 = float(weight.eval(np.zeros(space.dim)))
-    n = space.dim
-    omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    factor = math.exp(-f0)
-    m_x = factor * omega * r0**n
-    m_y = factor * omega * r1**n
-    m_z = factor * omega * ((1 - t) * r0 + t * r1) ** n
-    d_f = math.exp(-params.a * f0) * (r0 + r1)
-    rev, fwd = np.exp(params.c_ratio * np.array(
-        log_beta_pair(params, kappa, t * d_f, d_f, t))).tolist()
-    return _bm_report(params, kappa, t, tol, (m_x, m_y, m_z), rev, fwd, 0.0)
-
-
-def _bm_report(params, kappa, t, tol, measures, rev, fwd, refine_drift):
-    """The Brunn-Minkowski report of the measures (m(X), m(Y), m(Z_t)) and
-    the infima rev and fwd of the beta powers."""
-    m_x, m_y, m_z = measures
     cr = params.c_ratio
-    lhs = m_z**cr
-    rhs = (1 - t) * rev * m_x**cr + t * fwd * m_y**cr
-    margin = (lhs - rhs) / (1.0 + abs(rhs))
+    rhs = (1 - t) * rev2 * m_x**cr + t * fwd2 * m_y**cr
+    margin = (m_z**cr - rhs) / (1.0 + abs(rhs))
     return CheckReport(name="brunn_minkowski", margins=[margin], tolerance=tol,
                        provenance={"kappa": kappa, "t": t,
                                    "measures": {"X": m_x, "Y": m_y, "Z": m_z},
-                                   "inf_beta_refine_drift": refine_drift})
-
-
-def require_flat_balls(space, weight) -> None:
-    """Raise RegionError unless a ball pair lies in Euclidean space under a
-    constant weight: its measures and distances are flat ones."""
-    if space.kind != "euclidean":
-        raise RegionError(f"ball regions need Euclidean space, not {space.kind}")
-    if not weight.is_constant:
-        raise RegionError("ball regions support constant weights only")
+                                   "inf_beta_refine_drift": max(
+                                       abs(rev - rev2), abs(fwd - fwd2))})
 
 
 # ----------------------------------------------------------------------

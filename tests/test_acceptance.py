@@ -252,13 +252,15 @@ def test_criterion_05_displacement_convexity():
 
 
 def test_criterion_06_brunn_minkowski():
-    euc = make_space("euclidean", 3)
+    # the balls of radii 0.4 and 1 about the origin of R^3 are intervals of
+    # its radial axis; at kappa = 0 and N = n they are the equality case
+    radial = MeridianGeometry(make_space("euclidean", 3), hi=1.0)
     p = validate_params(3, 3, 1.0)
     ok = True
     for t in (0.2, 0.5, 0.8):
-        rep = suites.check_ball_brunn_minkowski(euc, constant_weight(0.0),
-                                                0.4, 1.0, t, p, 0.0, 1e-6)
-        ok &= rep.min_margin >= -1e-10
+        rep = suites.check_brunn_minkowski(radial, (0.0, 0.4), (0.0, 1.0), t,
+                                           p, 0.0, 1e-6)
+        ok &= abs(rep.min_margin) < 1e-7
     g = LineGeometry("quadratic(0.5)", lo=-2.0, hi=2.0, points=4096)
     pw = validate_params(2, 8, 0.4)
     for t in (0.25, 0.5, 0.75):
@@ -302,7 +304,7 @@ def test_criterion_08_series_expansions():
 
 
 def test_criterion_09_functional_inequalities():
-    meridian = MeridianGeometry()
+    meridian = MeridianGeometry(make_space("sphere", 2))
     p = validate_params(2, 2, 1.0)
     ok = True
     for a in (0.0, 0.1, 0.2):

@@ -22,6 +22,7 @@ from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
 from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
 from cdcheck.ot import AxisGeometry
+from cdcheck.params import validate_params
 from cdcheck.report import CheckReport
 
 
@@ -66,7 +67,7 @@ FUZZ_BASE = {
                  "f1": "zero"},
     "densities": [{"kind": "bump", "center": 0.0, "width": 0.5},
                   {"kind": "uniform", "bounds": [-1.0, 1.0]}],
-    "regions": {"kind": "interval", "bounds": [[-1.0, -0.3], [0.3, 1.0]]},
+    "regions": {"bounds": [[-1.0, -0.3], [0.3, 1.0]]},
     "interpolation": {"t": 0.5, "p": 0.0, "X": [-1.0, -0.2],
                       "Y": [0.2, 1.0]},
     "functional": {"delta": 0.0,
@@ -168,9 +169,6 @@ class TestValidate:
         {"suite": "twcd", "tolerances": {"twcd": "x"}},
         {"suite": "bm", "regions": 5},
         {"suite": "interpolation", "interpolation": {"t": "x"}},
-        {**S2_ZERO, "suite": "twcd", "geometry": {"kind": "meridian"},
-         "space": {"kind": "sphere", "dim": 2, "radius": 2.0}},
-        {"suite": "twcd", "geometry": {"kind": "meridian"}},
         {**S2_ZERO, "suite": "interpolation", "geometry": {"kind": "meridian"}},
         {"suite": "bm", "regions": {"bounds": [[-3.0, -1.0], [0.3, 1.0]]}},
         {"suite": "twcd", "densities": [{"kind": "uniform",
@@ -241,13 +239,23 @@ class TestValidate:
         {"space": {"kind": "hyperbolic", "dim": 3, "scale": 1e-200}},
         {"space": {"kind": "sphere", "dim": 3, "radius": 1e10},
          "kappa": 1e300},
+        {**S2_ZERO, "suite": "twcd",
+         "geometry": {"kind": "meridian", "hi": 2.0}},
+        {"suite": "twcd", "weight": "linear(0.5)",
+         "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
+        {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
+         "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
+        {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
+         "geometry": {"kind": "meridian", "f1": "quadratic(0.3)"}},
+        {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
+         "weight": "zero", "geometry": {"kind": "meridian", "hi": 30.0}},
+        {"suite": "twcd", "geometry": {"kind": "meridian", "hi": 0.0}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
             "t-grid-string", "steps-string", "points-string",
             "one-density", "tolerance-string", "regions-number",
-            "interpolation-t-string", "meridian-radius-2", "meridian-on-r3",
-            "interpolation-outside-meridian", "regions-outside-line",
+            "interpolation-t-string", "interpolation-outside-meridian", "regions-outside-line",
             "uniform-outside-line", "uniform-without-bounds",
             "ball-without-radii", "line-window-reversed",
             "interpolation-p-string", "interpolation-p-bool",
@@ -268,7 +276,10 @@ class TestValidate:
             "ball-on-sphere", "ball-on-hyperbolic", "region-on-sphere",
             "region-center-on-hyperbolic", "radius-zero", "radius-negative",
             "scale-zero", "scale-negative", "radius-square-past-float",
-            "scale-square-underflows", "kappa-radius-square-past-float"])
+            "scale-square-underflows", "kappa-radius-square-past-float",
+            "meridian-hi-on-sphere", "meridian-linear-on-r3",
+            "meridian-linear-on-h3", "meridian-quadratic-on-h3",
+            "meridian-past-span-h3", "meridian-hi-zero"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -954,10 +965,12 @@ class TestParameterRange:
     @pytest.mark.parametrize("kappa", [0.5, 8.0])
     def test_bm_on_flat_balls_at_positive_kappa_is_a_precondition(
             self, tmp_path, capsys, kappa):
-        # Ric_f^N = 0 on flat space under a constant weight, below kappa/c
+        # Ric_f^N = 0 on flat space under a constant weight, below kappa/c;
+        # the balls of radii 0.4 and 1 are intervals of the radial axis
         cfg = {"space": {"kind": "euclidean", "dim": 3}, "weight": "zero",
                "params": {"n": 3, "N": 6, "eps": 0.5}, "kappa": kappa,
-               "suite": "bm", "regions": {"kind": "ball", "radii": [0.4, 1.0]}}
+               "suite": "bm", "geometry": {"kind": "meridian", "hi": 1.0},
+               "regions": {"bounds": [[0.0, 0.4], [0.0, 1.0]]}}
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
@@ -1018,6 +1031,85 @@ class TestAxisOffRn:
         assert main(["validate", "--config", path]) == 2
         assert capsys.readouterr().err == (
             "config error: a line geometry needs a euclidean space\n")
+
+
+# (space kind, dim) and the N regimes of the radial-axis sweep
+_SWEEP_SPACES = {"S2": ("sphere", 2), "S3": ("sphere", 3),
+                 "H3": ("hyperbolic", 3), "R3": ("euclidean", 3)}
+_SWEEP_N = {"N=-2": lambda n: -2.0, "N=1": lambda n: 1.0,
+            "N=3n": lambda n: 3.0 * n, "N=inf": lambda n: math.inf}
+
+
+class TestMeridian:
+    """The meridian is the radial axis of every model space: the distance
+    from the origin, under a radial weight."""
+
+    @pytest.mark.parametrize("over", [
+        {**S2_ZERO, "kappa": 0.125,
+         "space": {"kind": "sphere", "dim": 2, "radius": 2.0}},
+        {}], ids=["radius-2", "on-r3"])
+    def test_former_refusals_run(self, tmp_path, over):
+        # a meridian at radius 2 (the unit run at kappa 0.5), and on R^3
+        # under the radial quadratic(0.3); both once exited 2 at validate
+        cfg = {**base_cfg("twcd"), **over,
+               "geometry": {"kind": "meridian", "points": 1025}}
+        if "radius" not in cfg["space"]:
+            cfg["geometry"]["f1"] = "quadratic(0.3)"
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_ball_config_names_its_fields(self, tmp_path, capsys):
+        # ball regions are the meridian intervals [0, r0] and [0, r1]
+        cfg = base_cfg("bm", weight="zero",
+                       regions={"kind": "ball", "radii": [0.4, 1.0]})
+        assert main(["validate", "--config",
+                     write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown config fields: ['regions.kind',"
+            " 'regions.radii']\n")
+
+    @pytest.mark.parametrize("suite", ["twcd", "bm", "interpolation"])
+    @pytest.mark.parametrize("regime", list(_SWEEP_N))
+    @pytest.mark.parametrize("space", list(_SWEEP_SPACES))
+    def test_regime_sweep_passes(self, tmp_path, space, regime, suite):
+        # zero weight, eps at half its range, kappa 10% of c (n - 1) inside
+        # the bound kappa_max = c (n - 1) sec (0 on R^3): every axis suite
+        # holds on the meridian of every model space in every N regime
+        kind, n = _SWEEP_SPACES[space]
+        N = _SWEEP_N[regime](n)
+        eps0 = 0.0 if N == 1 else 1.0 if N == math.inf else (N - 1) / (N - n)
+        p = validate_params(n, N, 0.5 * math.sqrt(eps0))
+        sec = {"sphere": 1.0, "euclidean": 0.0, "hyperbolic": -1.0}[kind]
+        cfg = {"space": {"kind": kind, "dim": n}, "weight": "zero",
+               "params": {"n": n, "N": "inf" if N == math.inf else N,
+                          "eps": p.eps},
+               "kappa": p.c * (n - 1) * (sec - 0.1), "suite": suite,
+               "geometry": {"kind": "meridian", "points": 1025},
+               "densities": [{"kind": "bump", "center": 0.6, "width": 0.3},
+                             {"kind": "bump", "center": 1.3, "width": 0.4}],
+               "regions": {"bounds": [[0.0, 0.4], [0.0, 1.0]]},
+               "interpolation": {"t": 0.5, "p": 0.0, "X": [0.2, 0.7],
+                                 "Y": [0.9, 1.5]},
+               "sampling": {"seed": 0, "t_grid": [0.25, 0.5, 0.75]}}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        reports = json.loads((out / f"{suite}_report.json").read_text())
+        assert all(r["verdict"] == "pass" and r["min_margin"] > 0.0
+                   for r in reports["reports"])
+
+
+def test_readme_examples_validate(tmp_path, capsys):
+    # every ```json block of the README is a config that validate accepts
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in text.split("```json\n")[1:]]
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = write_cfg(tmp_path, f"{i}.json", json.loads(block))
+        assert main(["validate", "--config", path]) == 0, block
+    assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

@@ -3,9 +3,9 @@ run at kappa R^2.
 
 The lower N-weighted Ricci bound and its characterizations are invariant
 under g -> R^2 g, kappa -> kappa / R^2. ``resolve_config`` alone reads R,
-so every payload of a space suite, but the config it echoes, and every
-artifact must be the unit run's, bit for bit, at the kappa R^2 the
-program computes.
+so every payload of a space suite or of an axis suite on the meridian,
+but the config it echoes, and every artifact must be the unit run's, bit
+for bit, at the kappa R^2 the program computes.
 """
 
 import json
@@ -26,12 +26,23 @@ SPACES = [("sphere", 2, "radius", 0.5, "cosine(0.3)"),
 SUITES = ("curvature", "jacobian", "taylor", "limits")
 
 
-def _run(tmp_path, name, space, weight, kappa, suite):
+# the meridian and what the axis suites place on it, inside the window
+# [0, 2] of H^n as well as [0, pi] of S^n; r is in units of R
+MERIDIAN = {"geometry": {"kind": "meridian", "points": 1025},
+            "densities": [{"kind": "bump", "center": 0.6, "width": 0.3},
+                          {"kind": "bump", "center": 1.3, "width": 0.4}],
+            "regions": {"bounds": [[0.0, 0.4], [0.0, 1.0]]},
+            "interpolation": {"X": [0.2, 0.7], "Y": [0.9, 1.5]},
+            "functional": {"density": {"kind": "cosine", "amplitude": 0.2}}}
+AXIS_SUITES = ("twcd", "bm", "interpolation", "functional")
+
+
+def _run(tmp_path, name, space, weight, kappa, suite, **axis):
     """(exit code, report payloads, artifacts) of one run."""
     cfg = {"space": space, "weight": weight,
            "params": {"n": space["dim"], "N": 9.0, "eps": 0.4},
            "kappa": kappa, "suite": suite,
-           "sampling": {"trials": 20, "seed": 1}}
+           "sampling": {"trials": 20, "seed": 1}, **axis}
     out = tmp_path / name
     out.mkdir()
     path = out / "c.json"
@@ -69,3 +80,26 @@ def test_run_at_R_is_the_unit_run(tmp_path, kind, dim, key, kappa0, preset,
                 assert got.pop("config") != ref.pop("config")
                 assert got == ref, tag
             assert artifacts == want[2], tag
+
+
+@pytest.mark.parametrize("R", [0.5, 100.0])
+@pytest.mark.parametrize("kind, dim, key, kappa0, preset", SPACES[:2]
+                         + SPACES[3:], ids=["sphere2", "sphere3",
+                                            "hyperbolic3"])
+def test_meridian_run_at_R_is_the_unit_run(tmp_path, kind, dim, key, kappa0,
+                                           preset, R):
+    # the functional suite needs kappa > 0, so it runs on S^n only
+    kappa = kappa0 / R**2
+    unit_kappa = kappa * (R * R)
+    for suite in AXIS_SUITES[:3] if kind == "hyperbolic" else AXIS_SUITES:
+        code, payloads, artifacts = _run(
+            tmp_path, f"R-{suite}", {"kind": kind, "dim": dim, key: R},
+            "zero", kappa, suite, **MERIDIAN)
+        want = _run(tmp_path, f"unit-{suite}", {"kind": kind, "dim": dim},
+                    "zero", unit_kappa, suite, **MERIDIAN)
+        assert code == want[0] == 0, suite
+        for got, ref in zip(payloads, want[1], strict=True):
+            assert got.pop("config") != ref.pop("config")
+            assert got == ref, suite
+            assert got["kappa"] == unit_kappa
+        assert artifacts == want[2], suite

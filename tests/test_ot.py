@@ -1,15 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
+from cdcheck.errors import ConfigError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, entropy_functional,
                         fisher_information, monotone_1d_transport,
                         renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
+from cdcheck.spaces import make_space
 
 
 def line(points=4096, lo=-2.0, hi=2.0, f1="zero"):
     return LineGeometry(f1, lo=lo, hi=hi, points=points)
+
+
+def s2_meridian(f1="zero", points=4096):
+    return MeridianGeometry(make_space("sphere", 2), f1, points=points)
 
 
 def trapezoid_cdf(rho):
@@ -148,7 +156,7 @@ class TestW2:
 
 class TestEntropy:
     def test_reference_measure_has_zero_entropy(self):
-        g = MeridianGeometry()
+        g = s2_meridian()
         rho = density_from_callable(g, lambda th: np.ones_like(th))
         p = validate_params(2, 4, 0.5)
         assert entropy_functional(rho, p) == pytest.approx(
@@ -181,7 +189,7 @@ class TestEntropy:
 
 class TestFisher:
     def test_reference_density_zero(self):
-        g = MeridianGeometry()
+        g = s2_meridian()
         rho = density_from_callable(g, lambda th: np.ones_like(th))
         p = validate_params(2, 2, 1.0)
         assert fisher_information(rho, p) == pytest.approx(0.0, abs=1e-12)
@@ -189,7 +197,7 @@ class TestFisher:
     def test_small_perturbation_expansion(self):
         # rho = 1 + a cos(theta): rho^{1/(c+1)} ~ 1 + a cos/(c+1), so
         # I ~ ((c+1)/...) closed form on the meridian at O(a^2)
-        g = MeridianGeometry(points=8192)
+        g = s2_meridian(points=8192)
         p = validate_params(2, 2, 1.0)
         cp1 = p.c + 1.0
         for a in (0.01, 0.02):
@@ -204,7 +212,70 @@ class TestFisher:
         p = validate_params(2, 2, 1.0)
         vals = []
         for pts in (4096, 8192):
-            g = MeridianGeometry(points=pts)
+            g = s2_meridian(points=pts)
             rho = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
             vals.append(fisher_information(rho, p))
         assert abs(vals[0] - vals[1]) < 1e-6
+
+
+# every weight preset of each model space, with whether it depends on the
+# distance r from the origin alone (H^n's are half-space coordinates)
+PRESETS = {"euclidean": {"zero": True, "constant(0.7)": True,
+                         "linear(0.5)": False, "quadratic(0.3)": True,
+                         "quadratic(-0.4)": True},
+           "sphere": {"zero": True, "constant(0.7)": True,
+                      "cosine(0.3)": True, "linear(0.4)": True,
+                      "quadratic(0.5)": True},
+           "hyperbolic": {"zero": True, "constant(0.7)": True,
+                          "linear(0.5)": False, "quadratic(0.3)": False}}
+
+
+class TestMeridian:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind, preset, radial", [
+        (kind, preset, radial) for kind, table in PRESETS.items()
+        for preset, radial in table.items()])
+    def test_only_radial_weights(self, kind, preset, radial, dim):
+        # the geometry compares f1 along the axis e_1 with f1 along the
+        # normal e_2, so a preset that is not radial is refused
+        space = make_space(kind, dim)
+        if radial:
+            MeridianGeometry(space, preset, points=257)
+        else:
+            with pytest.raises(ConfigError, match="radial weight"):
+                MeridianGeometry(space, preset, points=257)
+
+    def test_unit_s2_is_the_colatitude(self):
+        # the S^2 meridian is the colatitude theta in [0, pi] at the points
+        # (sin theta, 0, cos theta), with base factor sin theta
+        g = s2_meridian("cosine(0.3)", points=513)
+        th = np.linspace(0.0, np.pi, 513)
+        points = g.axis_frame()[0]
+        assert np.array_equal(g.xs, th)
+        assert np.array_equal(points, np.stack(
+            [np.sin(th), np.zeros_like(th), np.cos(th)], -1))
+        raw = np.sin(th) * np.exp(-0.3 * np.cos(th))
+        assert np.array_equal(g.m_density, raw / g.integrate(raw))
+
+    @pytest.mark.parametrize("kind, dim, hi, cap", [
+        # the normalized volume of the ball or cap of radius r about the
+        # origin, over the window [0, hi]
+        ("sphere", 2, math.pi, lambda r: (1.0 - np.cos(r)) / 2.0),
+        ("sphere", 3, math.pi,
+         lambda r: (r - np.sin(r) * np.cos(r)) / math.pi),
+        ("euclidean", 3, 1.5, lambda r: (r / 1.5) ** 3),
+        ("hyperbolic", 3, 1.5,
+         lambda r: (np.sinh(2 * r) - 2 * r) / (np.sinh(3.0) - 3.0))])
+    def test_measure_is_the_closed_form_volume(self, kind, dim, hi, cap):
+        g = MeridianGeometry(make_space(kind, dim), "zero",
+                             **({} if kind == "sphere" else {"hi": hi}))
+        assert g.xs[-1] == hi
+        np.testing.assert_allclose(g.m_cumulative, cap(g.xs), rtol=0,
+                                   atol=1e-10)
+
+    def test_window_and_origin(self):
+        for kind, origin in (("euclidean", [0.0, 0.0, 0.0]),
+                             ("hyperbolic", [0.0, 0.0, 0.0, 1.0])):
+            g = MeridianGeometry(make_space(kind, 3), hi=0.8, points=65)
+            assert (g.xs[0], g.xs[-1]) == (0.0, 0.8)
+            assert np.array_equal(g.axis_frame()[0][0], origin)

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from cdcheck import ot, suites
-from cdcheck.coefficients import beta, log_beta, log_beta_pair
+from cdcheck.coefficients import log_beta, log_beta_pair
 from cdcheck.errors import HypothesisError, PreconditionError
 from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
                         density_from_callable, renyi_pointwise,
                         entropy_functional)
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.quadrature import cumulative_simpson
-from cdcheck.spaces import (check_curvature_bound, constant_weight,
-                            make_space, ricci_fN_batch, weight_preset)
+from cdcheck.spaces import (check_curvature_bound, make_space,
+                            ricci_fN_batch, weight_preset)
 from cdcheck.suites import (_curvature_margins, axis_log_betas,
-                            check_ball_brunn_minkowski, check_brunn_minkowski,
-                            check_functional, check_interpolation, check_twcd,
+                            check_brunn_minkowski, check_functional,
+                            check_interpolation, check_twcd,
                             conclusion_exponent, envelope_psi, p_mean)
 
 
@@ -25,6 +25,16 @@ def flat_line(points=4096, lo=-2.0, hi=2.0):
 
 def quad_line(a=0.5, points=4096, lo=-2.0, hi=2.0):
     return LineGeometry(f"quadratic({a})", lo=lo, hi=hi, points=points)
+
+
+def s2_meridian(f1="zero", points=4096):
+    return MeridianGeometry(make_space("sphere", 2), f1, points=points)
+
+
+def r3_meridian(hi=1.0):
+    """The radial axis of R^3 on [0, hi]: two balls about the origin are
+    its intervals [0, r0] and [0, r1]."""
+    return MeridianGeometry(make_space("euclidean", 3), hi=hi)
 
 
 T_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -217,7 +227,7 @@ class TestTwCD:
         p = validate_params(2, 6.0, 0.5)
         margins = []
         for points in (4096, 16384):
-            g = MeridianGeometry("zero", points)
+            g = s2_meridian("zero", points)
             r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
             r1 = density_from_callable(
                 g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
@@ -288,10 +298,9 @@ class TestAxisLogBetas:
 
 class TestBrunnMinkowski:
     def test_flat_balls_classical(self):
-        sp = make_space("euclidean", 3)
         p = validate_params(3, 3, 1.0)
-        rep = check_ball_brunn_minkowski(sp, constant_weight(0.0), 0.4, 1.0,
-                                         0.3, p, 0.0, 1e-6)
+        rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0),
+                                    0.3, p, 0.0, 1e-6)
         assert rep.verdict == "pass"
 
     def test_equal_regions_equality(self):
@@ -324,52 +333,39 @@ class TestBrunnMinkowski:
         # one for the measure, one for the G table of e^{-a f}
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("f0", [0.0, 0.7])
-    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("kappa", [-1.0, -4.0])
-    def test_ball_infima_at_the_farthest_pair(self, kappa, t, f0):
-        # at kappa < 0 beta falls with distance, so both infima are beta at
-        # x = -r0 e_1, y = r1 e_1; no pair of the balls goes below them
-        sp, w = make_space("euclidean", 3), constant_weight(f0)
-        p = validate_params(3, 6, 0.5)
-        r0, r1 = 0.4, 1.0
-        rep = check_ball_brunn_minkowski(sp, w, r0, r1, t, p, kappa, 1e-6)
-        x, y = np.array([-r0, 0.0, 0.0]), np.array([r1, 0.0, 0.0])
-        rev = beta(sp, w, p, kappa, 1.0 - t, y, x) ** p.c_ratio
-        fwd = beta(sp, w, p, kappa, t, x, y) ** p.c_ratio
-        m = rep.provenance["measures"]
-        rhs = ((1 - t) * rev * m["X"] ** p.c_ratio
-               + t * fwd * m["Y"] ** p.c_ratio)
-        assert rep.min_margin == pytest.approx(
-            (m["Z"] ** p.c_ratio - rhs) / (1.0 + rhs), rel=1e-12)
-        assert rep.provenance["inf_beta_refine_drift"] == 0.0
-        rng = np.random.default_rng(7)
-        xs, ys = (sp.sample_point(rng, {"radius": r}, 10_000)
-                  for r in (r0, r1))
-        d = math.exp(-p.a * f0) * np.linalg.norm(xs - ys, axis=1)
-        logs = np.array(log_beta_pair(p, kappa, t * d, d, t))
-        assert np.all(np.exp(p.c_ratio * logs).min(axis=1) >= (rev, fwd))
-
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_flat_balls_equality_at_kappa_zero(self, t):
-        # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the radius
-        rep = check_ball_brunn_minkowski(make_space("euclidean", 3),
-                                         constant_weight(0.0), 0.4, 1.0, t,
-                                         validate_params(3, 3, 1.0), 0.0, 1e-6)
-        assert rep.min_margin == 0.0
+        # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the
+        # radius: the balls of radii 0.4 and 1 about the origin of R^3
+        rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0), t,
+                                    validate_params(3, 3, 1.0), 0.0, 1e-6)
+        assert abs(rep.min_margin) < 1e-7
+        m = rep.provenance["measures"]
+        assert m["Z"] == pytest.approx(((1 - t) * 0.4 + t) ** 3, abs=1e-7)
+        assert rep.provenance["inf_beta_refine_drift"] == 0.0
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+    def test_coincident_pairs_read_beta_one(self, t):
+        # x = 0 and y = 0, or x + t (y - x) rounding to x on a pair whose
+        # y - x is a rounding residue, read beta = 1, not beta = 0 from
+        # d_t = 0 < d_f: the parent read margins 0.120, 0.160 and 0.078 here,
+        # with a drift of 0.92 between the 64- and 128-point infima
+        rep = check_brunn_minkowski(flat_line(), (0.0, 0.4), (0.0, 1.0), t,
+                                    validate_params(2, 9, 0.4), -1.0, 1e-6)
+        want = {0.25: 0.02113, 0.5: 0.02707, 0.75: 0.01955}[t]
+        assert rep.min_margin == pytest.approx(want, abs=1e-4)
+        assert rep.provenance["inf_beta_refine_drift"] == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
-    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    @pytest.mark.parametrize("kind", ["line", "meridian"])
     def test_endpoint_t_rejected(self, kind, t):
-        p = validate_params(2, 10, 0.5)
+        p = validate_params(2 if kind == "line" else 3, 10, 0.5)
+        X, Y = (-1.0, -0.3), (0.3, 1.0)
+        g = flat_line(points=1024)
+        if kind == "meridian":
+            X, Y, g = (0.0, 0.4), (0.0, 1.0), r3_meridian()
         with pytest.raises(ValueError, match=r"\]0,1\["):
-            if kind == "interval":
-                check_brunn_minkowski(flat_line(points=1024), (-1.0, -0.3),
-                                      (0.3, 1.0), t, p, -1.0, 1e-6)
-            else:
-                check_ball_brunn_minkowski(make_space("euclidean", 2),
-                                           constant_weight(0.0), 0.4, 1.0, t,
-                                           p, -1.0, 1e-6)
+            check_brunn_minkowski(g, X, Y, t, p, -1.0, 1e-6)
 
 
 class TestInterpolationInequality:
@@ -575,7 +571,7 @@ class TestPMean:
 class TestFunctional:
     @pytest.fixture
     def meridian(self):
-        return MeridianGeometry()
+        return s2_meridian()
 
     def test_uniform_density_equalities(self, meridian):
         p = validate_params(2, 2, 1.0)
@@ -667,7 +663,7 @@ class TestAxisCurvature:
         p = validate_params(*N_REGIMES[regime])
         kappa = 0.3
         g = (LineGeometry(preset, points=401) if kind == "line"
-             else MeridianGeometry(preset, points=401))
+             else s2_meridian(preset, points=401))
         xs, margins = _curvature_margins(g, p, kappa)
         idx = np.linspace(0, xs.size - 1, 20).astype(int)
         space, pts, e_axis, e_normal = _axis_tangent_planes(kind, xs[idx])
@@ -682,7 +678,7 @@ class TestAxisCurvature:
 
     def test_meridian_linear_weight_is_not_finite(self):
         # linear(a) = a theta has an infinite Hessian at the pole theta = 0
-        g = MeridianGeometry("linear(0.3)", points=401)
+        g = s2_meridian("linear(0.3)", points=401)
         rho = density_from_callable(g, lambda th: 1.0 + 0.1 * np.cos(th))
         with pytest.raises(PreconditionError, match="not finite") as ei:
             check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID,
@@ -756,7 +752,7 @@ def _grid(presets):
 
 def _axis(kind, preset):
     return (LineGeometry(preset, points=401) if kind == "line"
-            else MeridianGeometry(preset, points=401))
+            else s2_meridian(preset, points=401))
 
 
 class TestOneRicciKernel:
