@@ -18,8 +18,8 @@ keep no digit of the hyperboloid (`spaces.SPAN`).
 
 Only `resolve_config` reads a radius or scale R: every suite runs on the
 unit model at ``Run.kappa`` = kappa R^2, every length in units of R (a
-meridian's r and ``hi`` too), as the checks are invariant under
-g -> R^2 g, kappa -> kappa / R^2.
+meridian's r too), as the checks are invariant under g -> R^2 g,
+kappa -> kappa / R^2.
 Exit codes: 0 all checks pass, 1 at least one inequality fails beyond
 tolerance, 2 config, precondition or output error, 4 internal error (a
 crash of the program, reported on one stderr line; never a verdict).
@@ -119,8 +119,7 @@ _SCHEMA = {
                  "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(_TOLERANCES, _real(0)),
-    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS,
-                                         "hi": _REAL},
+    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS},
                        line={"f1": _STR, "points": _POINTS, "lo": _REAL,
                              "hi": _REAL}),
     "densities": [_DENSITY, _DENSITY],
@@ -226,10 +225,9 @@ def _build_axis(cfg, space) -> _Axis | None:
     """The axis of a resolved config as its 1-d suites take it, defaults
     only where read; None if no field sets it and no suite reads it or the
     suite is "all" off R^n, where the default axis, a line, is refused.
-    Refuses a line off R^n, a meridian ``hi`` on S^n (its window is
-    [0, pi]), what the geometry refuses (a non-radial meridian weight), a
-    density without grid mass and an interval the suite places outside the
-    window."""
+    Refuses a line off R^n, what the geometry refuses (a non-radial
+    meridian weight), a density without grid mass and an interval the
+    suite places outside the window."""
     if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
             cfg["suite"] in _SPACE_SUITES
             or cfg["suite"] == "all" and space.kind != "euclidean"):
@@ -238,9 +236,6 @@ def _build_axis(cfg, space) -> _Axis | None:
     kind, f1 = g.pop("kind", "line"), g.pop("f1", "zero")
     if kind == "line" and space.kind != "euclidean":
         raise ConfigError(_LINE_OFF_RN)
-    if kind == "meridian" and space.kind == "sphere" and "hi" in g:
-        raise ConfigError("geometry.hi is not read on a sphere: its"
-                          " meridian is the colatitude in [0, pi]")
     geometry = (LineGeometry(f1, **g) if kind == "line"
                 else MeridianGeometry(space, f1, **g))
     uses = lambda suite: cfg["suite"] in (suite, "all")

@@ -74,17 +74,14 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
 
 
 def _log_beta(params, s_part, d_full, s_full, frac):
-    """log_beta from s_part = s_kappa(d_part) and s_full = s_kappa(d_full);
-    0, the coincident limit, also where d_part rounds to 0 on a pair whose
-    d_f is a rounding residue (an axis pair with x + t (y - x) == x)."""
+    """log_beta from s_part = s_kappa(d_part) and s_full = s_kappa(d_full)."""
     frac = np.asarray(frac, dtype=float)
     if not np.all((frac > 0.0) & (frac < 1.0)):
         raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
                          f" to {frac.max()}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.log(s_part) - np.log(frac * s_full)
-    return np.where((d_full == 0.0) | (s_part == 0.0), 0.0,
-                    params.inv_c * ratio)
+    return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
 
 
 def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):

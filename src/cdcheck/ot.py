@@ -27,6 +27,7 @@ from .quadrature import composite_simpson, cumulative_simpson
 from .spaces import Euclidean, ModelSpace, weight_preset
 
 AXIS_POINTS = 4096  # axis grid points when the config gives none
+RADIAL_HI = 2.0  # the meridian window [0, RADIAL_HI] on R^n and H^n
 
 # ----------------------------------------------------------------------
 # quasi-1D geometries
@@ -79,18 +80,29 @@ class AxisGeometry:
 
     def reparam_partial(self, params: DimensionParams, x, y, t):
         """d_t(x, y) along the axis geodesic, vectorized."""
-        return self.partial_distances(params, x, y)(t)
+        return self.partial_distances(params, x, y)[1](t)
 
     def partial_distances(self, params: DimensionParams, x, y):
-        """t -> d_t(x, y), with G looked up at x once for every t."""
+        """(d_f(x, y), t -> d_t(x, y)), with G looked up at x and at the
+        end x + (y - x) once for every t."""
         a = params.a
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if a == 0.0:
-            return lambda t: np.abs(t * (y - x))
+            return np.abs(y - x), lambda t: np.abs(t * (y - x))
         g = self._g_table(a)
         g_x = np.interp(x, self.xs, g)
-        return lambda t: np.abs(np.interp(x + t * (y - x), self.xs, g) - g_x)
+        end = x + (y - x)
+        d_full = np.abs(np.interp(end, self.xs, g) - g_x)
+
+        def d_t(t):
+            z = x + t * (y - x)
+            d = np.abs(np.interp(z, self.xs, g) - g_x)
+            # where z rounds to x or to the end, y - x is a rounding residue
+            # on which G is linear: d_t = t d_f, not 0 or d_f
+            rounded = (z == x) | (z == end)
+            return np.where(rounded, t * d_full, d) if rounded.any() else d
+        return d_full, d_t
 
     def integrate(self, values) -> float:
         return composite_simpson(np.asarray(values, dtype=float), self.dx)
@@ -112,20 +124,22 @@ class MeridianGeometry(AxisGeometry):
 
     The axis is the distance r from the origin (0 on R^n, (0, ..., 0, 1)
     on S^n and H^n) along e_1: the colatitude r in [0, pi] on S^n, and
-    r in [0, hi] on R^n and H^n. Its base factor s(r)^{n-1}, s = sin, r
-    or sinh, is the volume's marginal. ``f1`` is a preset of ``space``
-    that depends on r alone: a ConfigError unless it reads the same along
-    the axis as along the geodesic from the origin in the normal e_2.
+    r in [0, RADIAL_HI] on R^n and H^n. Its base factor s(r)^{n-1},
+    s = sin, r or sinh, is the volume's marginal. ``f1`` is a preset of
+    ``space`` that depends on r alone: a ConfigError unless it reads the
+    same along the axis as along the geodesic from the origin in the
+    normal e_2.
     """
 
-    def __init__(self, space: ModelSpace, f1: str = "zero", hi: float = 2.0,
+    def __init__(self, space: ModelSpace, f1: str = "zero",
                  points: int = AXIS_POINTS):
         e = np.eye(space.ambient)
         self.space, self.origin = space, e[-1] * abs(space.sec)  # 0 on R^n
         s = {"euclidean": lambda r: r, "sphere": np.sin,
              "hyperbolic": np.sinh}[space.kind]
-        super().__init__(f1, 0.0, math.pi if space.kind == "sphere" else hi,
-                         points, lambda r: s(r) ** (space.dim - 1))
+        hi = math.pi if space.kind == "sphere" else RADIAL_HI
+        super().__init__(f1, 0.0, hi, points,
+                         lambda r: s(r) ** (space.dim - 1))
         with np.errstate(over="ignore", invalid="ignore"):
             normal = self.weight.eval(space.geodesic(self.origin, e[1],
                                                      self.xs))

@@ -79,8 +79,8 @@ def axis_log_betas(geometry: AxisGeometry, params: DimensionParams,
     """(log beta_{1-t}(y, x), log beta_t(x, y)) at the axis pairs (x, y),
     with t broadcast against them; raises PreconditionError if a pair
     reaches the conjugate radius. d_t and d_f share one lookup of G at x."""
-    distances = geometry.partial_distances(params, x, y)
-    return log_beta_pair(params, kappa, distances(t), distances(1.0), t)
+    d_full, distances = geometry.partial_distances(params, x, y)
+    return log_beta_pair(params, kappa, distances(t), d_full, t)
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +111,7 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     entropy = partial(renyi_pointwise, params=params)
     ts = np.sort(np.asarray(t_grid, dtype=float))
     # G at Q_0, d_f and s_kappa(d_f) once for every t-chunk
-    distances = g.partial_distances(params, interp.Q0, interp.Q1)
-    d_full = distances(1.0)
+    d_full, distances = g.partial_distances(params, interp.Q0, interp.Q1)
     require_float_range(kappa, d_full)
     s_full = s_kappa(kappa, d_full)
     cr, coef = params.c_ratio, (params.c + 1.0) / params.c

@@ -254,7 +254,7 @@ def test_criterion_05_displacement_convexity():
 def test_criterion_06_brunn_minkowski():
     # the balls of radii 0.4 and 1 about the origin of R^3 are intervals of
     # its radial axis; at kappa = 0 and N = n they are the equality case
-    radial = MeridianGeometry(make_space("euclidean", 3), hi=1.0)
+    radial = MeridianGeometry(make_space("euclidean", 3))
     p = validate_params(3, 3, 1.0)
     ok = True
     for t in (0.2, 0.5, 0.8):

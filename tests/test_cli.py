@@ -175,7 +175,6 @@ class TestValidate:
                                          "bounds": [-3.0, 0.0]},
                                         {"kind": "bump"}]},
         {"suite": "twcd", "densities": [{"kind": "uniform"}, {"kind": "bump"}]},
-        {"suite": "bm", "regions": {"kind": "ball"}},
         {"suite": "twcd", "geometry": {"kind": "line", "lo": 2.0, "hi": -2.0}},
         {"suite": "interpolation", "interpolation": {"p": "x"}},
         {"suite": "interpolation", "interpolation": {"p": True}},
@@ -193,8 +192,6 @@ class TestValidate:
          "geometry": {"f1": "quadratic(0.3)"}},
         {"sampling": {"trials": 200, "seed": 0, "theta_range": [1.0, 0.2]}},
         {"sampling": {"trials": 200, "seed": 0, "theta_range": [0.0, 0.0]}},
-        {"suite": "bm", "weight": "zero",
-         "regions": {"kind": "ball", "radii": [-0.3, 0.3]}},
         {"out_dir": 5},
         {"suite": "twcd", "geometry": {"kind": ["line"]}},
         {"suite": "interpolation", "interpolation": {"X": [-0.2, -1.0]}},
@@ -208,25 +205,17 @@ class TestValidate:
         {"sampling": {"trails": 200, "seed": 0}},
         {"suite": "twcd", "densities": [{"kind": "bump", "centre": 0.3},
                                         {"kind": "bump"}]},
-        {"suite": "bm", "weight": "zero",
-         "regions": {"kind": "balls", "radii": [0.3, 0.5]}},
         {"suite": "interpolation", "interpolation": {"pp": 1.0}},
         {"space": {"kind": "euclidean", "dim": 3, "radius": 2.0}},
         {"suite": "taylor", "tolerances": {"taylor": 1e-3}},
         {"kappa": 10**400},
         {"suite": "twcd", "geometry": {"f1": "quadratic(1e300)"}},
         {"suite": "twcd", "geometry": {"lo": -1e308, "hi": 1e308}},
-        {"suite": "bm", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
-        {"suite": "all", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
         {"sampling": {"trials": 200, "seed": 0,
                       "region": {"center": [0.0, 0.0], "radius": 1.0}}},
         {"suite": "taylor", "space": {"kind": "sphere", "dim": 2},
          "weight": "cosine(0.3)", "params": {"n": 2, "N": 6.0, "eps": 0.4},
          "sampling": {"region": {"center": [0.0, 0.0]}}},
-        {**S2_ZERO, "suite": "bm",
-         "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
-        {"suite": "bm", "space": {"kind": "hyperbolic", "dim": 3},
-         "weight": "zero", "regions": {"kind": "ball", "radii": [0.3, 0.5]}},
         {**S2_ZERO, "sampling": {"trials": 50, "seed": 3,
                                  "region": {"radius": 0.1}}},
         {"space": {"kind": "hyperbolic", "dim": 3}, "weight": "zero",
@@ -239,17 +228,12 @@ class TestValidate:
         {"space": {"kind": "hyperbolic", "dim": 3, "scale": 1e-200}},
         {"space": {"kind": "sphere", "dim": 3, "radius": 1e10},
          "kappa": 1e300},
-        {**S2_ZERO, "suite": "twcd",
-         "geometry": {"kind": "meridian", "hi": 2.0}},
         {"suite": "twcd", "weight": "linear(0.5)",
          "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
         {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
          "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
         {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
          "geometry": {"kind": "meridian", "f1": "quadratic(0.3)"}},
-        {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
-         "weight": "zero", "geometry": {"kind": "meridian", "hi": 30.0}},
-        {"suite": "twcd", "geometry": {"kind": "meridian", "hi": 0.0}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -257,29 +241,26 @@ class TestValidate:
             "one-density", "tolerance-string", "regions-number",
             "interpolation-t-string", "interpolation-outside-meridian", "regions-outside-line",
             "uniform-outside-line", "uniform-without-bounds",
-            "ball-without-radii", "line-window-reversed",
+            "line-window-reversed",
             "interpolation-p-string", "interpolation-p-bool",
             "interpolation-p-nan", "interpolation-t-zero",
             "interpolation-t-one", "twcd-t-grid-zero", "bm-t-grid-one",
             "interpolation-p-minus-inf",
             "interpolation-p-below-range", "N-equals-n-weight",
             "N-equals-n-f1", "theta-range-reversed", "theta-range-zero",
-            "ball-radius-negative", "out-dir-number", "geometry-kind-list",
+            "out-dir-number", "geometry-kind-list",
             "interpolation-X-reversed", "regions-reversed",
             "uniform-reversed", "uniform-without-grid-mass",
             "sampling-unknown-key", "density-unknown-key",
-            "regions-kind-unknown", "interpolation-unknown-key",
+            "interpolation-unknown-key",
             "euclidean-radius", "tolerance-unread", "kappa-past-float",
             "f1-without-reference-mass", "line-window-too-wide",
-            "ball-weight-not-constant", "ball-weight-not-constant-all",
             "region-center-short", "region-center-short-sphere",
-            "ball-on-sphere", "ball-on-hyperbolic", "region-on-sphere",
-            "region-center-on-hyperbolic", "radius-zero", "radius-negative",
-            "scale-zero", "scale-negative", "radius-square-past-float",
+            "region-on-sphere", "region-center-on-hyperbolic", "radius-zero",
+            "radius-negative", "scale-zero", "scale-negative", "radius-square-past-float",
             "scale-square-underflows", "kappa-radius-square-past-float",
-            "meridian-hi-on-sphere", "meridian-linear-on-r3",
-            "meridian-linear-on-h3", "meridian-quadratic-on-h3",
-            "meridian-past-span-h3", "meridian-hi-zero"])
+            "meridian-linear-on-r3", "meridian-linear-on-h3",
+            "meridian-quadratic-on-h3"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -969,7 +950,7 @@ class TestParameterRange:
         # the balls of radii 0.4 and 1 are intervals of the radial axis
         cfg = {"space": {"kind": "euclidean", "dim": 3}, "weight": "zero",
                "params": {"n": 3, "N": 6, "eps": 0.5}, "kappa": kappa,
-               "suite": "bm", "geometry": {"kind": "meridian", "hi": 1.0},
+               "suite": "bm", "geometry": {"kind": "meridian"},
                "regions": {"bounds": [[0.0, 0.4], [0.0, 1.0]]}}
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["run", "--config", path, "--out-dir",

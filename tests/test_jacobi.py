@@ -443,6 +443,20 @@ class TestConcavity:
                           validate_params(3, 5, 0.5), 0.6)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    def test_underflowed_partial_distance_reads_beta_zero(self, kappa):
+        # where e^{-a f} underflows on the first part of a ray, d_t = 0 < d_f
+        # there: beta_t(x, y) = 0, and d_{1-t}(y, x) = d_f, so with J = 1
+        # margin (iii) reads (1 - r)/(1 + r) at r = (1 - t)^{c/(c+1)}
+        p = validate_params(3, 5, 0.5)
+        ts = np.linspace(0.0, 1.0, 9)
+        d_partial = np.maximum(ts - 0.5, 0.0)[None, :]
+        zeros = np.zeros((1, 9))
+        m3 = concavity_margins(ts, zeros, zeros, d_partial, p, kappa)[2][0]
+        t = ts[1:5]  # d_t = 0 at t <= 0.5
+        r = (1.0 - t) ** p.c_ratio
+        np.testing.assert_allclose(m3[:4], (1.0 - r) / (1.0 + r), rtol=1e-12)
+
     def test_beta_form_matches_sratio_form(self, sphere2):
         # margin (iii) rewritten through beta powers must agree with the
         # s-ratio recombination of margin (ii) on the same grid

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cdcheck.errors import ConfigError
-from cdcheck.ot import (LineGeometry, MeridianGeometry, MonotoneInterpolation,
-                        density_from_callable, entropy_functional,
-                        fisher_information, monotone_1d_transport,
-                        renyi_pointwise, w2_axis)
+from cdcheck.ot import (RADIAL_HI, LineGeometry, MeridianGeometry,
+                        MonotoneInterpolation, density_from_callable,
+                        entropy_functional, fisher_information,
+                        monotone_1d_transport, renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
 from cdcheck.spaces import make_space
 
@@ -257,25 +257,38 @@ class TestMeridian:
         raw = np.sin(th) * np.exp(-0.3 * np.cos(th))
         assert np.array_equal(g.m_density, raw / g.integrate(raw))
 
-    @pytest.mark.parametrize("kind, dim, hi, cap", [
+    @pytest.mark.parametrize("kind, dim, cap", [
         # the normalized volume of the ball or cap of radius r about the
-        # origin, over the window [0, hi]
-        ("sphere", 2, math.pi, lambda r: (1.0 - np.cos(r)) / 2.0),
-        ("sphere", 3, math.pi,
-         lambda r: (r - np.sin(r) * np.cos(r)) / math.pi),
-        ("euclidean", 3, 1.5, lambda r: (r / 1.5) ** 3),
-        ("hyperbolic", 3, 1.5,
-         lambda r: (np.sinh(2 * r) - 2 * r) / (np.sinh(3.0) - 3.0))])
-    def test_measure_is_the_closed_form_volume(self, kind, dim, hi, cap):
-        g = MeridianGeometry(make_space(kind, dim), "zero",
-                             **({} if kind == "sphere" else {"hi": hi}))
-        assert g.xs[-1] == hi
+        # origin, over the window [0, pi] on S^n and [0, RADIAL_HI = 2] else
+        ("sphere", 2, lambda r: (1.0 - np.cos(r)) / 2.0),
+        ("sphere", 3, lambda r: (r - np.sin(r) * np.cos(r)) / math.pi),
+        ("euclidean", 3, lambda r: (r / 2.0) ** 3),
+        ("hyperbolic", 3,
+         lambda r: (np.sinh(2 * r) - 2 * r) / (np.sinh(4.0) - 4.0))])
+    def test_measure_is_the_closed_form_volume(self, kind, dim, cap):
+        g = MeridianGeometry(make_space(kind, dim), "zero")
+        assert g.xs[-1] == (math.pi if kind == "sphere" else RADIAL_HI)
         np.testing.assert_allclose(g.m_cumulative, cap(g.xs), rtol=0,
                                    atol=1e-10)
 
     def test_window_and_origin(self):
         for kind, origin in (("euclidean", [0.0, 0.0, 0.0]),
                              ("hyperbolic", [0.0, 0.0, 0.0, 1.0])):
-            g = MeridianGeometry(make_space(kind, 3), hi=0.8, points=65)
-            assert (g.xs[0], g.xs[-1]) == (0.0, 0.8)
+            g = MeridianGeometry(make_space(kind, 3), points=65)
+            assert (g.xs[0], g.xs[-1]) == (0.0, RADIAL_HI)
             assert np.array_equal(g.axis_frame()[0][0], origin)
+
+
+class TestPartialDistances:
+    @pytest.mark.parametrize("x", [-2.0, 0.4])
+    def test_rounding_residue_pair_is_linear(self, x):
+        # y - x is one ulp, so x + t (y - x) rounds to x or to y for every
+        # t in ]0, 1[, while d_f > 0 (exact at the grid start -2, a rounding
+        # residue of G at 0.4); G is linear on the pair and d_t = t d_f,
+        # where the lookup read d_t = 0 or d_f, so log beta = -inf
+        g, p = line(f1="quadratic(0.5)"), validate_params(2, 9, 0.4)
+        y, t = np.nextafter(x, 1.0), np.array([0.25, 0.5, 0.75])
+        d_full, distances = g.partial_distances(p, x, y)
+        assert d_full > 0.0
+        assert np.array_equal(distances(t), t * d_full)
+        assert distances(1.0) == d_full

@@ -27,14 +27,13 @@ def quad_line(a=0.5, points=4096, lo=-2.0, hi=2.0):
     return LineGeometry(f"quadratic({a})", lo=lo, hi=hi, points=points)
 
 
-def s2_meridian(f1="zero", points=4096):
-    return MeridianGeometry(make_space("sphere", 2), f1, points=points)
+S2 = make_space("sphere", 2)
 
 
-def r3_meridian(hi=1.0):
-    """The radial axis of R^3 on [0, hi]: two balls about the origin are
-    its intervals [0, r0] and [0, r1]."""
-    return MeridianGeometry(make_space("euclidean", 3), hi=hi)
+def r3_meridian():
+    """The radial axis of R^3 on [0, RADIAL_HI]: two balls about the
+    origin are its intervals [0, r0] and [0, r1]."""
+    return MeridianGeometry(make_space("euclidean", 3))
 
 
 T_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -227,7 +226,7 @@ class TestTwCD:
         p = validate_params(2, 6.0, 0.5)
         margins = []
         for points in (4096, 16384):
-            g = s2_meridian("zero", points)
+            g = MeridianGeometry(S2, "zero", points)
             r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
             r1 = density_from_callable(
                 g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
@@ -336,12 +335,14 @@ class TestBrunnMinkowski:
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_flat_balls_equality_at_kappa_zero(self, t):
         # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the
-        # radius: the balls of radii 0.4 and 1 about the origin of R^3
+        # radius: the balls of radii 0.4 and 1 about the origin of R^3, each
+        # measure normalized by the ball of radius RADIAL_HI = 2
         rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0), t,
                                     validate_params(3, 3, 1.0), 0.0, 1e-6)
         assert abs(rep.min_margin) < 1e-7
         m = rep.provenance["measures"]
-        assert m["Z"] == pytest.approx(((1 - t) * 0.4 + t) ** 3, abs=1e-7)
+        assert m["Z"] == pytest.approx((((1 - t) * 0.4 + t) / 2) ** 3,
+                                       abs=1e-7)
         assert rep.provenance["inf_beta_refine_drift"] == 0.0
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
@@ -571,7 +572,7 @@ class TestPMean:
 class TestFunctional:
     @pytest.fixture
     def meridian(self):
-        return s2_meridian()
+        return MeridianGeometry(S2)
 
     def test_uniform_density_equalities(self, meridian):
         p = validate_params(2, 2, 1.0)
@@ -663,7 +664,7 @@ class TestAxisCurvature:
         p = validate_params(*N_REGIMES[regime])
         kappa = 0.3
         g = (LineGeometry(preset, points=401) if kind == "line"
-             else s2_meridian(preset, points=401))
+             else MeridianGeometry(S2, preset, points=401))
         xs, margins = _curvature_margins(g, p, kappa)
         idx = np.linspace(0, xs.size - 1, 20).astype(int)
         space, pts, e_axis, e_normal = _axis_tangent_planes(kind, xs[idx])
@@ -678,7 +679,7 @@ class TestAxisCurvature:
 
     def test_meridian_linear_weight_is_not_finite(self):
         # linear(a) = a theta has an infinite Hessian at the pole theta = 0
-        g = s2_meridian("linear(0.3)", points=401)
+        g = MeridianGeometry(S2, "linear(0.3)", points=401)
         rho = density_from_callable(g, lambda th: 1.0 + 0.1 * np.cos(th))
         with pytest.raises(PreconditionError, match="not finite") as ei:
             check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID,
@@ -752,7 +753,7 @@ def _grid(presets):
 
 def _axis(kind, preset):
     return (LineGeometry(preset, points=401) if kind == "line"
-            else s2_meridian(preset, points=401))
+            else MeridianGeometry(S2, preset, points=401))
 
 
 class TestOneRicciKernel:
