@@ -56,7 +56,8 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 SUITES = ("curvature", "jacobian", "twcd", "bm", "interpolation",
           "functional", "taylor", "limits", "all")
 
-_DEFAULT_SAMPLING = {"trials": 1000, "seed": 0,
+_DEFAULT_SAMPLING = {"trials": 1000, "seed": 0, "steps": 128,
+                     "theta_range": [0.2, 1.2],
                      "t_grid": [0.1, 0.25, 0.5, 0.75, 0.9]}
 # the tolerance of each suite that reads one, when the config gives none
 _TOLERANCES = {"curvature": 1e-9, "jacobian": 1e-8, "twcd": 1e-6, "bm": 1e-6,
@@ -119,7 +120,7 @@ _SCHEMA = {
                  "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(_TOLERANCES, _real(0)),
-    "geometry": _Kinds("line", meridian={"f1": _STR, "points": _POINTS},
+    "geometry": _Kinds("line", meridian={"points": _POINTS},
                        line={"f1": _STR, "points": _POINTS, "lo": _REAL,
                              "hi": _REAL}),
     "densities": [_DENSITY, _DENSITY],
@@ -214,18 +215,19 @@ def resolve_config(cfg: dict) -> Run:
             region.get("radius", 1)):
         raise ConfigError("sampling.region.radius puts points of the"
                           " hyperbolic space past X_n = 2^26")
-    axis = _build_axis(out, space)
+    axis = _build_axis(out, space, weight)
     if params.N == params.n and not (weight.is_constant and (
             axis is None or axis.geometry.weight.is_constant)):
         raise ConfigError("N = n requires a constant weight and geometry f1")
     return Run(out, space, weight, params, axis, kappa)
 
 
-def _build_axis(cfg, space) -> _Axis | None:
+def _build_axis(cfg, space, weight) -> _Axis | None:
     """The axis of a resolved config as its 1-d suites take it, defaults
     only where read; None if no field sets it and no suite reads it or the
     suite is "all" off R^n, where the default axis, a line, is refused.
-    Refuses a line off R^n, what the geometry refuses (a non-radial
+    The meridian runs under the run's ``weight``, the line under its own
+    ``f1``. Refuses a line off R^n, what the geometry refuses (a non-radial
     meridian weight), a density without grid mass and an interval the
     suite places outside the window."""
     if cfg.keys().isdisjoint(("geometry", "densities", "functional")) and (
@@ -233,11 +235,11 @@ def _build_axis(cfg, space) -> _Axis | None:
             or cfg["suite"] == "all" and space.kind != "euclidean"):
         return None
     g = dict(cfg.get("geometry", {}))
-    kind, f1 = g.pop("kind", "line"), g.pop("f1", "zero")
+    kind = g.pop("kind", "line")
     if kind == "line" and space.kind != "euclidean":
         raise ConfigError(_LINE_OFF_RN)
-    geometry = (LineGeometry(f1, **g) if kind == "line"
-                else MeridianGeometry(space, f1, **g))
+    geometry = (LineGeometry(g.pop("f1", "zero"), **g) if kind == "line"
+                else MeridianGeometry(space, weight, **g))
     uses = lambda suite: cfg["suite"] in (suite, "all")
     bm, interpolation = None, None
     if uses("bm"):
@@ -311,20 +313,16 @@ def _run_curvature(run, out_dir):
 def _run_jacobian(run, out_dir):
     cfg, space, weight, params = run[:4]
     s = cfg["sampling"]
-    kappa, trials, steps = run.kappa, s["trials"], s.get("steps", 128)
-    tol = _tol(run, "jacobian")
+    trials, steps, tol = s["trials"], s["steps"], _tol(run, "jacobian")
     xs, ws, Ss, margins, grids = jacobi.scan_rays(
-        space, weight, params, kappa, np.random.default_rng(s["seed"]),
-        trials, steps, s.get("region"),
-        tuple(s.get("theta_range", (0.2, 1.2))), tol)
+        space, weight, params, run.kappa, np.random.default_rng(s["seed"]),
+        trials, steps, s.get("region"), tuple(s["theta_range"]), tol)
     if not margins.size:
         raise PreconditionError(f"all {trials} rays were inadmissible or"
                                 " reached the conjugate radius",
                                 failed="samples")
     rep = CheckReport(name="jacobian_concavity", margins=margins.tolist(),
-                      tolerance=tol,
-                      provenance={"kappa": kappa, "trials": trials,
-                                  "seed": s["seed"], "steps": steps})
+                      tolerance=tol)
     # the first smallest margin; a NaN margin names no worst ray
     i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
     traj = jacobi.integrate_jacobi(space, weight, xs[i], ws[i], Ss[i],
@@ -344,11 +342,10 @@ def _run_jacobian(run, out_dir):
 
 
 def _run_twcd(run, out_dir):
-    rep = suites.check_twcd(*run.axis.pair, run.params, run.kappa,
-                            run.cfg["sampling"]["t_grid"], _tol(run, "twcd"))
-    cols = ("t", "lhs", "rhs", "margin")
-    _write_table(out_dir / "twcd.csv", cols,
-                 ([row[k] for k in cols] for row in rep.provenance["rows"]))
+    rep, rows = suites.check_twcd(*run.axis.pair, run.params, run.kappa,
+                                  run.cfg["sampling"]["t_grid"],
+                                  _tol(run, "twcd"))
+    _write_table(out_dir / "twcd.csv", ("t", "lhs", "rhs", "margin"), rows)
     return [rep]
 
 
@@ -448,18 +445,13 @@ def run_suite(run: Run, out_dir) -> list[CheckReport]:
     return reports
 
 
-def _report_payload(run: Run, rep: CheckReport) -> dict:
-    cfg = run.cfg
+def _report_payload(rep: CheckReport) -> dict:
     return {
         "name": rep.name,
-        "params": cfg["params"],
-        "kappa": run.kappa,
-        "seed": cfg["sampling"]["seed"],
         "margins": [None if math.isnan(m) else m for m in rep.margins],
         "min_margin": None if math.isnan(rep.min_margin) else rep.min_margin,
         "tolerance": rep.tolerance,
         "verdict": rep.verdict,
-        "config": cfg,
         "provenance": rep.provenance,
     }
 
@@ -485,10 +477,10 @@ def _run(args) -> int:
         return 2
     path = out_dir / f"{cfg['suite']}_report.json"
     try:
-        payloads = [_report_payload(run, rep)
-                    for rep in run_suite(run, out_dir)]
-        # canonical_json of {hash, reports, suite, timestamp}, encoded once
-        body = canonical_json({"reports": payloads, "suite": cfg["suite"]})
+        payloads = [_report_payload(rep) for rep in run_suite(run, out_dir)]
+        # canonical_json of {hash, reports, run, timestamp}, encoded once
+        body = canonical_json({"reports": payloads,
+                               "run": {"config": cfg, "kappa": run.kappa}})
         path.write_text(f'{{"hash":"{report_hash(body[1:-1])}",{body[1:-1]},'
                         f'"timestamp":{time.time()!r}}}')
     except PreconditionError as exc:

@@ -181,7 +181,7 @@ def check_limits(space, weight, params, kappa: float, x, y) -> CheckReport:
     decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6)
     log_rev, log_fwd = log_beta_pair(params, kappa, d_t, d_full, ts)
     margins = []
-    provenance = {"kappa": kappa, "t_grid": ts.tolist()}
+    provenance = {"t_grid": ts.tolist()}
 
     # limit 1: log beta_t(x, y) -> log b(x, y)
     lb_target = float(log_b(params, kappa, base, d_full))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .params import DimensionParams
 from .quadrature import composite_simpson, cumulative_simpson
-from .spaces import Euclidean, ModelSpace, weight_preset
+from .spaces import Euclidean, ModelSpace, WeightFunction, weight_preset
 
 AXIS_POINTS = 4096  # axis grid points when the config gives none
 RADIAL_HI = 2.0  # the meridian window [0, RADIAL_HI] on R^n and H^n
@@ -37,25 +37,26 @@ class AxisGeometry:
 
     The axis is the unit-speed geodesic of the model space ``space`` from
     ``origin`` along e_1, with e_2 (unit in every model's ambient form)
-    normal to it all along. It carries a uniform grid, the weight preset
-    ``f1`` of ``space`` at the grid points, a base volume factor, and the
+    normal to it all along. It carries a uniform grid, the weight ``weight``
+    of ``space`` at the grid points, a base volume factor, and the
     reference density m(x): integral rho * m dx = 1 is a density's mass.
     """
 
-    def __init__(self, f1: str, lo: float, hi: float, points: int,
-                 base: Callable):
+    def __init__(self, weight: WeightFunction, lo: float, hi: float,
+                 points: int, base: Callable):
         if points < 16 or not (lo < hi and math.isfinite(hi - lo)):
             raise ConfigError(f"axis grid of {points} points on [{lo:g},"
                               f" {hi:g}]: needs 16 or more on lo < hi")
         self.xs = np.linspace(lo, hi, points)
         self.dx = self.xs[1] - self.xs[0]
-        self.weight = weight_preset(self.space, f1)
+        self.weight = weight
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             self.f_vals = self.weight.eval(self.axis_frame()[0])
             raw = base(self.xs) * np.exp(-self.f_vals)
             mass = composite_simpson(raw, self.dx)
-        if not 0.0 < mass < math.inf:  # an f1 past the float range
-            raise ConfigError(f"axis weight {f1} has reference mass {mass:g}")
+        if not 0.0 < mass < math.inf:  # a weight past the float range
+            raise ConfigError(f"axis weight {weight.name} has reference"
+                              f" mass {mass:g}")
         self.m_density = raw / mass
         self._g_cache: dict[float, np.ndarray] = {}
 
@@ -109,14 +110,16 @@ class AxisGeometry:
 
 
 class LineGeometry(AxisGeometry):
-    """The x_1-axis of the flat plane, densities in x_1 only; ``f1`` is a
-    weight preset of R^2, evaluated at the points (x, 0)."""
+    """The x_1-axis of the flat plane, densities in x_1 only: a 1-d model
+    of its own, under the weight preset ``f1`` of R^2, evaluated at the
+    points (x, 0)."""
 
     space, origin = Euclidean(2), np.zeros(2)
 
     def __init__(self, f1: str, lo: float = -2.0, hi: float = 2.0,
                  points: int = AXIS_POINTS):
-        super().__init__(f1, lo, hi, points, np.ones_like)
+        super().__init__(weight_preset(self.space, f1), lo, hi, points,
+                         np.ones_like)
 
 
 class MeridianGeometry(AxisGeometry):
@@ -125,28 +128,28 @@ class MeridianGeometry(AxisGeometry):
     The axis is the distance r from the origin (0 on R^n, (0, ..., 0, 1)
     on S^n and H^n) along e_1: the colatitude r in [0, pi] on S^n, and
     r in [0, RADIAL_HI] on R^n and H^n. Its base factor s(r)^{n-1},
-    s = sin, r or sinh, is the volume's marginal. ``f1`` is a preset of
-    ``space`` that depends on r alone: a ConfigError unless it reads the
-    same along the axis as along the geodesic from the origin in the
+    s = sin, r or sinh, is the volume's marginal. ``weight``, the run's
+    weight of ``space``, depends on r alone: a ConfigError unless it reads
+    the same along the axis as along the geodesic from the origin in the
     normal e_2.
     """
 
-    def __init__(self, space: ModelSpace, f1: str = "zero",
+    def __init__(self, space: ModelSpace, weight: WeightFunction,
                  points: int = AXIS_POINTS):
         e = np.eye(space.ambient)
         self.space, self.origin = space, e[-1] * abs(space.sec)  # 0 on R^n
         s = {"euclidean": lambda r: r, "sphere": np.sin,
              "hyperbolic": np.sinh}[space.kind]
         hi = math.pi if space.kind == "sphere" else RADIAL_HI
-        super().__init__(f1, 0.0, hi, points,
+        super().__init__(weight, 0.0, hi, points,
                          lambda r: s(r) ** (space.dim - 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            normal = self.weight.eval(space.geodesic(self.origin, e[1],
-                                                     self.xs))
+            normal = weight.eval(space.geodesic(self.origin, e[1], self.xs))
         if not np.array_equal(normal, self.f_vals):
-            raise ConfigError(f"a meridian needs a radial weight: {f1} on"
-                              f" the {space.kind} space depends on more than"
-                              f" the distance from the origin")
+            raise ConfigError(f"a meridian needs a radial weight:"
+                              f" {weight.name} on the {space.kind} space"
+                              f" depends on more than the distance from"
+                              f" the origin")
 
 
 @dataclass

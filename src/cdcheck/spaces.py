@@ -542,6 +542,4 @@ def check_curvature_bound(space: ModelSpace, weight: WeightFunction,
                                                  space.frame(xs)))[:, 0]
                - curvature_floor(params, kappa, weight.eval(xs)))
     return CheckReport(name="curvature_bound", margins=margins.tolist(),
-                       tolerance=tol,
-                       provenance={"kappa": kappa, "count": count, "seed": seed,
-                                   "space": space.kind, "weight": weight.name})
+                       tolerance=tol)

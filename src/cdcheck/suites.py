@@ -51,18 +51,14 @@ def _curvature_margins(geometry: AxisGeometry, params: DimensionParams,
     return geometry.xs, ric - curvature_floor(params, kappa, geometry.f_vals)
 
 
-def _require_curvature(geometry, params, kappa, hull=None):
-    """Worst curvature margin on the window, or on the grid points within
-    one step of ``hull`` = (lo, hi); raises PreconditionError if it is
-    negative or not finite."""
+def _require_curvature(geometry, params, kappa, hull):
+    """Worst curvature margin on the grid points within one step of
+    ``hull`` = (lo, hi) in the window, where a suite's measures live;
+    raises PreconditionError if it is negative or not finite."""
     xs, margins = _curvature_margins(geometry, params, kappa)
-    where = "the window"
-    if hull is not None:
-        lo, hi = hull
-        near = (xs >= lo - geometry.dx) & (xs <= hi + geometry.dx)
-        if near.any():
-            margins = margins[near]
-            where = f"the hull [{lo:g}, {hi:g}] of the regions"
+    lo, hi = hull
+    margins = margins[(xs >= lo - geometry.dx) & (xs <= hi + geometry.dx)]
+    where = f"the hull [{lo:g}, {hi:g}] of the measures"
     if not np.isfinite(margins).all():
         raise PreconditionError(f"curvature margin is not finite on {where}",
                                 failed="curvature bound")
@@ -93,9 +89,10 @@ _T_CHUNK = 8
 
 def check_twcd(rho0: DensityField, rho1: DensityField,
                params: DimensionParams, kappa: float, t_grid,
-               tol: float) -> CheckReport:
+               tol: float) -> tuple[CheckReport, list]:
     """Twisted displacement convexity of the Renyi-type entropy along the
-    monotone interpolation.
+    monotone interpolation: the report and its rows (t, lhs, rhs, margin),
+    one per t of the sorted grid.
 
     For each t the margin is RHS(t) - U_m(mu_t), with the beta-weighted
     right-hand side taken over the monotone coupling (Q_0(u), Q_1(u)). In
@@ -104,9 +101,12 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     with r = c/(c+1), evaluated for _T_CHUNK values of the sorted t-grid
     at a time. The rhs terms are taken as written there, with
     (beta j)^r = e^{r (log beta + log j)}: one exponential per (t, u).
+    The curvature hypothesis is judged on the hull of the grid points
+    where rho_0 or rho_1 is positive.
     """
     g = rho0.geometry
-    curv = _require_curvature(g, params, kappa)
+    live = g.xs[(rho0.values > 0.0) | (rho1.values > 0.0)]
+    curv = _require_curvature(g, params, kappa, (live[0], live[-1]))
     interp = monotone_1d_transport(rho0, rho1)
     entropy = partial(renyi_pointwise, params=params)
     ts = np.sort(np.asarray(t_grid, dtype=float))
@@ -116,7 +116,7 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     s_full = s_kappa(kappa, d_full)
     cr, coef = params.c_ratio, (params.c + 1.0) / params.c
     log_j0, log_j1 = np.log(interp.j0), np.log(interp.j1)
-    per_t = []
+    rows = []
     for start in range(0, ts.size, _T_CHUNK):
         t = ts[start:start + _T_CHUNK]
         lhs = interp.pushforward_integral(t, entropy)
@@ -127,13 +127,11 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
         rhs = coef * (
             (1.0 - t) * ((1.0 - np.exp(cr * (log_rev + log_j0))) @ interp.du)
             + t * ((1.0 - np.exp(cr * (log_fwd + log_j1))) @ interp.du))
-        per_t += [{"t": float(v), "lhs": float(l), "rhs": float(r),
-                   "margin": float(r - l)} for v, l, r in zip(t, lhs, rhs)]
-
-    return CheckReport(name="twcd", margins=[row["margin"] for row in per_t],
+        rows += zip(t.tolist(), lhs.tolist(), rhs.tolist(),
+                    (rhs - lhs).tolist())
+    return CheckReport(name="twcd", margins=[row[3] for row in rows],
                        tolerance=tol,
-                       provenance={"kappa": kappa, "functional": "renyi",
-                                   "curvature_margin": curv, "rows": per_t})
+                       provenance={"curvature_margin": curv}), rows
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +179,7 @@ def check_brunn_minkowski(geometry: AxisGeometry, X: tuple, Y: tuple,
     rhs = (1 - t) * rev2 * m_x**cr + t * fwd2 * m_y**cr
     margin = (m_z**cr - rhs) / (1.0 + abs(rhs))
     return CheckReport(name="brunn_minkowski", margins=[margin], tolerance=tol,
-                       provenance={"kappa": kappa, "t": t,
+                       provenance={"t": t,
                                    "measures": {"X": m_x, "Y": m_y, "Z": m_z},
                                    "inf_beta_refine_drift": max(
                                        abs(rev - rev2), abs(fwd - fwd2))})
@@ -311,7 +309,8 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     is reported.
     """
     require_p_range(p, params)
-    _require_curvature(geometry, params, kappa)
+    _require_curvature(geometry, params, kappa,
+                       (min(X[0], Y[0]), max(X[1], Y[1])))
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X[0], X[1], HYPOTHESIS_SAMPLES)
     ys = rng.uniform(Y[0], Y[1], HYPOTHESIS_SAMPLES)
@@ -331,7 +330,7 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     rhs = p_mean(i0, i1, t, q)
     margin = (iz - rhs) / (1.0 + abs(rhs))
     return CheckReport(name="interpolation", margins=[margin], tolerance=tol,
-                       provenance={"kappa": kappa, "t": t, "p": p, "q": q,
+                       provenance={"t": t, "p": p, "q": q,
                                    "integrals": {"psi0": i0, "psi1": i1,
                                                  "psi": iz},
                                    "hypothesis_worst": worst})
@@ -357,7 +356,7 @@ def check_functional(rho: DensityField, params: DimensionParams, kappa: float,
     if (1.0 - params.eps) * g.f_vals[0] > (params.n - 1.0) * delta + 1e-12:
         raise PreconditionError("(1-eps) f <= (n-1) delta fails",
                                 failed="delta bound")
-    _require_curvature(g, params, kappa)
+    _require_curvature(g, params, kappa, (g.xs[0], g.xs[-1]))  # m's support
     coupling = monotone_1d_transport(rho, DensityField(g, np.ones_like(g.xs)))
     H = entropy_functional(rho, params)
     return [check_hwi_lsi(rho, params, kappa, delta, coupling, H, tol),
@@ -378,9 +377,8 @@ def check_hwi_lsi(rho: DensityField, params: DimensionParams, kappa: float,
     lsi_rhs = 3.0 * params.c / (amp * 2.0 * kappa * math.exp(-4.0 * delta)) * I
     margins = [hwi_rhs - H, lsi_rhs - H]
     return CheckReport(name="hwi_lsi", margins=margins, tolerance=tol,
-                       provenance={"kappa": kappa, "delta": delta,
-                                   "H": H, "I": I, "W2": W2,
-                                   "sup_rho": sup})
+                       provenance={"delta": delta, "H": H, "I": I,
+                                   "W2": W2, "sup_rho": sup})
 
 
 def check_transport_energy(rho: DensityField, params: DimensionParams,
@@ -413,6 +411,5 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
     margin = H - rhs
     return CheckReport(name="transport_energy", margins=[margin],
                        tolerance=tol,
-                       provenance={"kappa": kappa, "H": H,
-                                   "log_term": log_term,
+                       provenance={"H": H, "log_term": log_term,
                                    "pair_term": pair_term})

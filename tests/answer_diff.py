@@ -6,11 +6,14 @@ Runs every ``cdcheck run`` call of input sets 0-6 at seeds 11-20 (``SETS``,
 ``SEEDS``) of the four workloads of ``perfbench/workloads.py`` (imported
 read-only, never changed) on each tree, in one process per tree with
 warnings as errors, and compares the calls one by one: exit code, stderr,
-the verdict of every report, the report hash and the bytes of every file
-the call writes (the report without its timestamp). Prints each
-difference, then, for every report name in a call whose report hash moved,
-the number of such calls and the largest |change of min_margin| among
-them, and exits 1 if there is any difference, 0 otherwise.
+the verdict of every report, the answers inside the report (each report's
+name, verdict, tolerance and margins list, by position and bit for bit),
+the report hash and the bytes of every file the call writes (the report
+without its timestamp). Prints each difference but a moved report file or
+hash, then, for every report name in a call whose report hash moved, the
+number of such calls and the largest |change of min_margin| among them,
+then the number of calls that moved only in report layout or hash, and
+exits 1 if there is any difference, 0 otherwise.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -33,6 +36,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the report's last field, the only one that differs between two runs
 _TIMESTAMP = re.compile(rb',"timestamp":[^,}]*}$')
 SEEDS, SETS = range(11, 21), range(7)
+# what a report answers, compared bit for bit whatever its layout
+_ANSWER = ("name", "verdict", "tolerance", "margins")
 
 
 def _outcome(cli, cfg: dict, work: Path) -> dict:
@@ -47,13 +52,16 @@ def _outcome(cli, cfg: dict, work: Path) -> dict:
         code = cli.main(["run", "--config", str(cfg_path), "--out-dir",
                          str(out_dir), "--quiet"])
     outcome = {"exit": code, "stderr": err.getvalue(), "verdicts": None,
-               "hash": None, "min_margins": None, "artifacts": {}}
+               "answers": None, "hash": None, "min_margins": None,
+               "artifacts": {}}
     for path in sorted(out_dir.iterdir()):
         data = path.read_bytes()
         if path.name.endswith("_report.json"):
             report = json.loads(data)
             outcome["hash"] = report["hash"]
             outcome["verdicts"] = [r["verdict"] for r in report["reports"]]
+            outcome["answers"] = [[r[k] for k in _ANSWER]
+                                  for r in report["reports"]]
             outcome["min_margins"] = [[r["name"], r["min_margin"]]
                                       for r in report["reports"]]
             data = _TIMESTAMP.sub(b"}", data)
@@ -86,19 +94,27 @@ def collect(src: str, out: str) -> None:
     Path(out).write_text(json.dumps(outcomes, indent=1, sort_keys=True))
 
 
-def differences(parent: dict, change: dict) -> list[str]:
-    """One line per call and field on which the two trees differ."""
+def differences(parent: dict, change: dict) -> tuple[list[str], int]:
+    """One line per call and field on which the two trees differ, but for
+    a moved report file or hash, and the number of calls that differ only
+    in those two: in report layout or hash."""
     lines = [f"{key}: only in {'parent' if key in parent else 'change'}"
              for key in sorted(set(parent) ^ set(change))]
+    layout = 0
     for key in sorted(set(parent) & set(change)):
         want, got = parent[key], change[key]
-        lines += [f"{key}: {field} {want[field]!r} -> {got[field]!r}"
-                  for field in ("exit", "stderr", "verdicts", "hash")
-                  if got[field] != want[field]]
+        moved = [f"{key}: {field} {want[field]!r} -> {got[field]!r}"
+                 for field in ("exit", "stderr", "verdicts", "answers")
+                 if got[field] != want[field]]
         files = set(want["artifacts"]) | set(got["artifacts"])
-        lines += [f"{key}: {name} differs" for name in sorted(files)
+        # the report file holds its hash, so a moved hash moves its bytes
+        differ = [name for name in sorted(files)
                   if want["artifacts"].get(name) != got["artifacts"].get(name)]
-    return lines
+        moved += [f"{key}: {name} differs" for name in differ
+                  if not name.endswith("_report.json")]
+        layout += bool(differ) and not moved
+        lines += moved
+    return lines, layout
 
 
 def margin_moves(parent: dict, change: dict) -> list[str]:
@@ -143,13 +159,14 @@ def main(argv=None) -> int:
             print("a tree's run failed", file=sys.stderr)
             return 2
         parent, change = (json.loads(Path(out).read_text()) for out in outs)
-    lines = differences(parent, change)
+    lines, layout = differences(parent, change)
     print("\n".join(lines + margin_moves(parent, change)))
     codes = [o["exit"] for o in parent.values()]
     print(f"{len(parent)} calls ({codes.count(0)} exit 0, {codes.count(1)}"
           f" exit 1, {len(codes) - codes.count(0) - codes.count(1)} other);"
-          f" {len(lines)} differences")
-    return 1 if lines else 0
+          f" {len(lines)} differences; {layout} calls moved only in report"
+          f" layout or hash")
+    return 1 if lines or layout else 0
 
 
 if __name__ == "__main__":

@@ -220,7 +220,7 @@ def test_criterion_05_displacement_convexity():
             g, lambda x, m0=m0, w0=w0: np.exp(-0.5 * ((x - m0) / w0) ** 2))
         r1 = density_from_callable(
             g, lambda x, m1=m1, w1=w1: np.exp(-0.5 * ((x - m1) / w1) ** 2))
-        rep = suites.check_twcd(r0, r1, p, -1.0, t_grid, 1e-6)
+        rep, _ = suites.check_twcd(r0, r1, p, -1.0, t_grid, 1e-6)
         ok &= rep.min_margin >= -1e-6
 
     # classical reduction: eps = 1, f = 0, N = n against an independently
@@ -231,14 +231,13 @@ def test_criterion_05_displacement_convexity():
     kappa = -0.4
     r0 = density_from_callable(gf, lambda x: np.exp(-3 * (x - 0.4) ** 2))
     r1 = density_from_callable(gf, lambda x: np.exp(-2 * (x + 0.4) ** 2))
-    rep = suites.check_twcd(r0, r1, pc, kappa, t_grid, 1e-6)
+    _, rows = suites.check_twcd(r0, r1, pc, kappa, t_grid, 1e-6)
     # in the mass coordinate u: rho_0 dm = du, rho_0(Q_0)^{-1/n} = j_0^{1/n}
     # and rho_1(T(Q_0))^{-1/n} = j_1^{1/n}
     mi = monotone_1d_transport(r0, r1)
     d = np.abs(mi.Q1 - mi.Q0)
     sd = np.where(d > 1e-14, d, 1e-14)
-    for row in rep.provenance["rows"]:
-        t = row["t"]
+    for t, _, rhs, _ in rows:
         s_full = s_kappa(kappa, sd)
         sig_t = s_kappa(kappa, t * sd) / s_full
         sig_1mt = s_kappa(kappa, (1 - t) * sd) / s_full
@@ -247,14 +246,15 @@ def test_criterion_05_displacement_convexity():
         tau_1mt = np.where(d > 1e-14, (1 - t) ** (1.0 / n)
                            * sig_1mt ** (1.0 - 1.0 / n), 1 - t)
         lhs = (tau_1mt * mi.j0 ** (1.0 / n) + tau_t * mi.j1 ** (1.0 / n)) @ mi.du
-        ok &= abs(row["rhs"] - n * (1.0 - lhs)) < 1e-9
+        ok &= abs(rhs - n * (1.0 - lhs)) < 1e-9
     _gate(5, "displacement convexity and classical reduction", ok)
 
 
 def test_criterion_06_brunn_minkowski():
     # the balls of radii 0.4 and 1 about the origin of R^3 are intervals of
     # its radial axis; at kappa = 0 and N = n they are the equality case
-    radial = MeridianGeometry(make_space("euclidean", 3))
+    r3 = make_space("euclidean", 3)
+    radial = MeridianGeometry(r3, weight_preset(r3, "zero"))
     p = validate_params(3, 3, 1.0)
     ok = True
     for t in (0.2, 0.5, 0.8):
@@ -304,7 +304,8 @@ def test_criterion_08_series_expansions():
 
 
 def test_criterion_09_functional_inequalities():
-    meridian = MeridianGeometry(make_space("sphere", 2))
+    s2 = make_space("sphere", 2)
+    meridian = MeridianGeometry(s2, weight_preset(s2, "zero"))
     p = validate_params(2, 2, 1.0)
     ok = True
     for a in (0.0, 0.1, 0.2):

@@ -229,11 +229,11 @@ class TestValidate:
         {"space": {"kind": "sphere", "dim": 3, "radius": 1e10},
          "kappa": 1e300},
         {"suite": "twcd", "weight": "linear(0.5)",
-         "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
+         "geometry": {"kind": "meridian"}},
         {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
-         "geometry": {"kind": "meridian", "f1": "linear(0.5)"}},
+         "weight": "linear(0.5)", "geometry": {"kind": "meridian"}},
         {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
-         "geometry": {"kind": "meridian", "f1": "quadratic(0.3)"}},
+         "weight": "quadratic(0.3)", "geometry": {"kind": "meridian"}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -830,8 +830,8 @@ class TestArtifacts:
     @pytest.mark.parametrize("suite", ["curvature", "all"])
     def test_report_file_is_the_canonical_bundle(self, tmp_path, monkeypatch,
                                                  suite):
-        # the file is canonical_json of {hash, reports, suite, timestamp},
-        # and the hash is the SHA-256 of canonical_json of {reports, suite}
+        # the file is canonical_json of {hash, reports, run, timestamp},
+        # and the hash is the SHA-256 of canonical_json of {reports, run}
         if suite == "curvature":  # NaN, +-inf and a -0.0 minimum
             monkeypatch.setattr(cli, "run_suite", lambda run, out_dir: [
                 CheckReport("nan", [math.nan, 1.0], 0.0),
@@ -848,7 +848,8 @@ class TestArtifacts:
         bundle = json.loads(text)
         canonical = lambda obj: json.dumps(obj, sort_keys=True,
                                            separators=(",", ":"))
-        body = {"suite": bundle["suite"], "reports": bundle["reports"]}
+        assert list(bundle) == ["hash", "reports", "run", "timestamp"]
+        body = {"reports": bundle["reports"], "run": bundle["run"]}
         assert bundle["hash"] == hashlib.sha256(
             canonical(body).encode()).hexdigest()
         assert text == canonical(bundle)
@@ -866,12 +867,46 @@ class TestArtifacts:
         assert main(["run", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == 0
         bundle = json.loads((out / "curvature_report.json").read_text())
-        rep = bundle["reports"][0]
-        assert rep["config"]["params"]["n"] == 3
-        assert rep["seed"] == 0
-        assert "t_grid" in rep["config"]["sampling"]
-        assert {"name", "margins", "min_margin", "tolerance",
-                "verdict"} <= set(rep)
+        config = bundle["run"]["config"]
+        assert config["params"]["n"] == 3
+        assert bundle["run"]["kappa"] == -0.5
+        # the sampling defaults, the jacobian grid among them, resolved
+        assert config["sampling"] == {**cli._DEFAULT_SAMPLING, "trials": 200}
+        assert set(bundle["reports"][0]) == {
+            "name", "margins", "min_margin", "tolerance", "verdict",
+            "provenance"}
+
+    # the provenance entries that state an input the file already states
+    _RESTATED = {"curvature_bound": {"count", "seed", "space", "weight"},
+                 "jacobian_concavity": {"trials", "seed", "steps"},
+                 "twcd": {"functional", "rows"}}
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_report_file_states_config_and_kappa_once(self, tmp_path, suite):
+        # on R^2 with every field set (functional, which needs kappa > 0,
+        # on the S^2 meridian): one run member holds the config and kappa,
+        # no payload restates them, and no provenance an input
+        cfg = {**copy.deepcopy(FUZZ_BASE), "suite": suite}
+        if suite == "functional":
+            cfg = {**S2_ZERO, "kappa": 1.0, "suite": suite,
+                   "params": {"n": 2, "N": 2.0, "eps": 1.0},
+                   "geometry": {"kind": "meridian"}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out-dir", str(out), "--quiet"]) in (0, 1)
+        text = (out / f"{suite}_report.json").read_text()
+        bundle = json.loads(text)
+        assert bundle["run"] == {"config": cli.resolve_config(cfg).cfg,
+                                 "kappa": cfg["kappa"]}
+        assert text.count('"config":') == 1
+        # the config's own kappa field and the run's kappa
+        assert text.count('"kappa":') == 2
+        assert len(bundle["reports"]) == (10 if suite == "all" else 1 + (
+            suite in ("taylor", "limits", "functional")))
+        for rep in bundle["reports"]:
+            assert not {"config", "params", "seed", "kappa"} & set(rep)
+            assert not ({"kappa"} | self._RESTATED.get(rep["name"], set())
+                        ) & set(rep["provenance"]), rep["name"]
 
 
 
@@ -1031,15 +1066,71 @@ class TestMeridian:
         {}], ids=["radius-2", "on-r3"])
     def test_former_refusals_run(self, tmp_path, over):
         # a meridian at radius 2 (the unit run at kappa 0.5), and on R^3
-        # under the radial quadratic(0.3); both once exited 2 at validate
+        # under the run's radial weight quadratic(0.3); both once exited 2
+        # at validate
         cfg = {**base_cfg("twcd"), **over,
                "geometry": {"kind": "meridian", "points": 1025}}
-        if "radius" not in cfg["space"]:
-            cfg["geometry"]["f1"] = "quadratic(0.3)"
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main(["validate", "--config", path]) == 0
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_f1_is_line_only(self, tmp_path, capsys):
+        # the meridian runs under the run's weight; f1 names the line's
+        cfg = base_cfg("twcd", geometry={"kind": "meridian", "f1": "zero"})
+        assert main(["validate", "--config",
+                     write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown config fields: ['geometry.f1']\n")
+
+    @pytest.mark.parametrize("weight", ["linear(0.5)", "quadratic(0.3)"])
+    def test_h3_meridian_refuses_a_non_radial_run_weight(self, tmp_path,
+                                                        capsys, weight):
+        cfg = base_cfg("twcd", weight=weight, geometry={"kind": "meridian"},
+                       space={"kind": "hyperbolic", "dim": 3})
+        assert main(["validate", "--config",
+                     write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert "a meridian needs a radial weight" in capsys.readouterr().err
+
+    def test_axis_suites_run_under_the_run_weight(self, tmp_path):
+        # the meridian once took its weight from geometry.f1 (zero when
+        # unset), so hwi_lsi and transport_energy passed on the zero weight
+        # while curvature and jacobian judged cosine(0.3); the functional
+        # hypothesis m-constant fails for the run's own weight
+        cfg = {**S2_ZERO, "weight": "cosine(0.3)", "kappa": 0.3,
+               "suite": "all", "geometry": {"kind": "meridian"},
+               "regions": {"bounds": [[0.2, 0.7], [0.9, 1.5]]},
+               "interpolation": {"X": [0.2, 0.7], "Y": [0.9, 1.5]}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        run = cli.load_config(path)
+        assert run.axis.geometry.weight is run.weight
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == 0
+        reports = {r["name"]: r for r in json.loads(
+            (out / "all_report.json").read_text())["reports"]}
+        assert not {"hwi_lsi", "transport_energy"} & set(reports)
+        functional = reports["functional"]
+        assert functional["verdict"] == "vacuous"
+        assert "m-constant" in functional["provenance"]["skipped"]
+        cfg["suite"] = "functional"
+        assert main(["run", "--config", write_cfg(tmp_path, "f.json", cfg),
+                     "--out-dir", str(out), "--quiet"]) == 2
+
+    def test_axis_curvature_is_judged_where_the_measures_live(self, tmp_path):
+        # linear(a) = a r has an infinite Hessian at the poles r = 0 and pi
+        # of the S^2 meridian; the twcd densities live on [1.0, 2.0], where
+        # the bound holds. Judged on the whole window, the run exited 2
+        cfg = {**S2_ZERO, "weight": "linear(0.3)", "kappa": 0.3,
+               "suite": "twcd", "geometry": {"kind": "meridian"},
+               "densities": [{"kind": "uniform", "bounds": [1.0, 1.4]},
+                             {"kind": "uniform", "bounds": [1.6, 2.0]}]}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        [rep] = json.loads((out / "twcd_report.json").read_text())["reports"]
+        assert rep["min_margin"] == pytest.approx(6.842e-3, abs=1e-6)
+        assert rep["provenance"]["curvature_margin"] > 0.0
 
     def test_ball_config_names_its_fields(self, tmp_path, capsys):
         # ball regions are the meridian intervals [0, r0] and [0, r1]

@@ -3,9 +3,10 @@ run at kappa R^2.
 
 The lower N-weighted Ricci bound and its characterizations are invariant
 under g -> R^2 g, kappa -> kappa / R^2. ``resolve_config`` alone reads R,
-so every payload of a space suite or of an axis suite on the meridian,
-but the config it echoes, and every artifact must be the unit run's, bit
-for bit, at the kappa R^2 the program computes.
+so the whole report list of a space suite or of an axis suite on the
+meridian, and every artifact, must be the unit run's, bit for bit, at the
+kappa R^2 the program computes; only the config the file states once
+differs.
 """
 
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from cdcheck import cli
 from cdcheck.cli import main
+from cdcheck.report import canonical_json
 
 # (space, its radius or scale key, the unit run's kappa, a non-constant
 # weight) at (n, 9, 0.4): each kappa is inside the zero weight's bound,
@@ -38,7 +40,7 @@ AXIS_SUITES = ("twcd", "bm", "interpolation", "functional")
 
 
 def _run(tmp_path, name, space, weight, kappa, suite, **axis):
-    """(exit code, report payloads, artifacts) of one run."""
+    """(exit code, report file, artifacts) of one run."""
     cfg = {"space": space, "weight": weight,
            "params": {"n": space["dim"], "N": 9.0, "eps": 0.4},
            "kappa": kappa, "suite": suite,
@@ -50,10 +52,17 @@ def _run(tmp_path, name, space, weight, kappa, suite, **axis):
     code = main(["run", "--config", str(path), "--out-dir", str(out / "o"),
                  "--quiet"])
     report = out / "o" / f"{suite}_report.json"
-    payloads = json.loads(report.read_text())["reports"]
     artifacts = {p.name: p.read_bytes() for p in (out / "o").iterdir()
                  if p != report}
-    return code, payloads, artifacts
+    return code, json.loads(report.read_text()), artifacts
+
+
+def _same_reports(got, want, unit_kappa):
+    """The report lists of two report files are equal bit for bit, the
+    runs differ in their config only and both state ``unit_kappa``."""
+    assert canonical_json(got["reports"]) == canonical_json(want["reports"])
+    assert got["run"]["config"] != want["run"]["config"]
+    assert got["run"]["kappa"] == want["run"]["kappa"] == unit_kappa
 
 
 @pytest.mark.parametrize("R", [0.5, 0.01, 100.0])
@@ -70,15 +79,13 @@ def test_run_at_R_is_the_unit_run(tmp_path, kind, dim, key, kappa0, preset,
     for weight in ("zero", preset):
         for suite in SUITES:
             tag = f"{weight}-{suite}"
-            code, payloads, artifacts = _run(
+            code, report, artifacts = _run(
                 tmp_path, f"R-{tag}", {"kind": kind, "dim": dim, key: R},
                 weight, kappa, suite)
             want = _run(tmp_path, f"unit-{tag}", {"kind": kind, "dim": dim},
                         weight, unit_kappa, suite)
             assert code == want[0], tag
-            for got, ref in zip(payloads, want[1], strict=True):
-                assert got.pop("config") != ref.pop("config")
-                assert got == ref, tag
+            _same_reports(report, want[1], unit_kappa)
             assert artifacts == want[2], tag
 
 
@@ -92,14 +99,11 @@ def test_meridian_run_at_R_is_the_unit_run(tmp_path, kind, dim, key, kappa0,
     kappa = kappa0 / R**2
     unit_kappa = kappa * (R * R)
     for suite in AXIS_SUITES[:3] if kind == "hyperbolic" else AXIS_SUITES:
-        code, payloads, artifacts = _run(
+        code, report, artifacts = _run(
             tmp_path, f"R-{suite}", {"kind": kind, "dim": dim, key: R},
             "zero", kappa, suite, **MERIDIAN)
         want = _run(tmp_path, f"unit-{suite}", {"kind": kind, "dim": dim},
                     "zero", unit_kappa, suite, **MERIDIAN)
         assert code == want[0] == 0, suite
-        for got, ref in zip(payloads, want[1], strict=True):
-            assert got.pop("config") != ref.pop("config")
-            assert got == ref, suite
-            assert got["kappa"] == unit_kappa
+        _same_reports(report, want[1], unit_kappa)
         assert artifacts == want[2], suite

@@ -9,15 +9,21 @@ from cdcheck.ot import (RADIAL_HI, LineGeometry, MeridianGeometry,
                         entropy_functional, fisher_information,
                         monotone_1d_transport, renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
-from cdcheck.spaces import make_space
+from cdcheck.spaces import make_space, weight_preset
 
 
 def line(points=4096, lo=-2.0, hi=2.0, f1="zero"):
     return LineGeometry(f1, lo=lo, hi=hi, points=points)
 
 
-def s2_meridian(f1="zero", points=4096):
-    return MeridianGeometry(make_space("sphere", 2), f1, points=points)
+def meridian(space, preset="zero", points=4096):
+    """The radial axis of ``space`` under the weight preset ``preset``."""
+    return MeridianGeometry(space, weight_preset(space, preset),
+                            points=points)
+
+
+def s2_meridian(preset="zero", points=4096):
+    return meridian(make_space("sphere", 2), preset, points)
 
 
 def trapezoid_cdf(rho):
@@ -236,14 +242,15 @@ class TestMeridian:
         (kind, preset, radial) for kind, table in PRESETS.items()
         for preset, radial in table.items()])
     def test_only_radial_weights(self, kind, preset, radial, dim):
-        # the geometry compares f1 along the axis e_1 with f1 along the
-        # normal e_2, so a preset that is not radial is refused
+        # the geometry compares the weight along the axis e_1 with the
+        # weight along the normal e_2, so a preset that is not radial is
+        # refused
         space = make_space(kind, dim)
         if radial:
-            MeridianGeometry(space, preset, points=257)
+            meridian(space, preset, 257)
         else:
             with pytest.raises(ConfigError, match="radial weight"):
-                MeridianGeometry(space, preset, points=257)
+                meridian(space, preset, 257)
 
     def test_unit_s2_is_the_colatitude(self):
         # the S^2 meridian is the colatitude theta in [0, pi] at the points
@@ -266,7 +273,7 @@ class TestMeridian:
         ("hyperbolic", 3,
          lambda r: (np.sinh(2 * r) - 2 * r) / (np.sinh(4.0) - 4.0))])
     def test_measure_is_the_closed_form_volume(self, kind, dim, cap):
-        g = MeridianGeometry(make_space(kind, dim), "zero")
+        g = meridian(make_space(kind, dim))
         assert g.xs[-1] == (math.pi if kind == "sphere" else RADIAL_HI)
         np.testing.assert_allclose(g.m_cumulative, cap(g.xs), rtol=0,
                                    atol=1e-10)
@@ -274,7 +281,7 @@ class TestMeridian:
     def test_window_and_origin(self):
         for kind, origin in (("euclidean", [0.0, 0.0, 0.0]),
                              ("hyperbolic", [0.0, 0.0, 0.0, 1.0])):
-            g = MeridianGeometry(make_space(kind, 3), points=65)
+            g = meridian(make_space(kind, 3), points=65)
             assert (g.xs[0], g.xs[-1]) == (0.0, RADIAL_HI)
             assert np.array_equal(g.axis_frame()[0][0], origin)
 

@@ -28,9 +28,7 @@ def test_margins_are_read_once():
     # (seven when each read took the minimum again), and the signed zero
     # of the first minimum is kept
     rep = CheckReport("x", _Counted([0.5, 0.0, -0.0]), 0.0)
-    cfg = {"params": {}, "kappa": 0.0, "sampling": {"seed": 0}}
-    payload = cli._report_payload(cli.Run(cfg, None, None, None, None, 0.0),
-                                  rep)
+    payload = cli._report_payload(rep)
     assert rep.margins.passes == 3
     assert (payload["verdict"], math.copysign(1.0, payload["min_margin"])) == (
         "pass", 1.0)

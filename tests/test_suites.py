@@ -30,10 +30,15 @@ def quad_line(a=0.5, points=4096, lo=-2.0, hi=2.0):
 S2 = make_space("sphere", 2)
 
 
+def meridian(space, preset="zero", points=4096):
+    """The radial axis of ``space`` under the weight preset ``preset``."""
+    return MeridianGeometry(space, weight_preset(space, preset), points)
+
+
 def r3_meridian():
     """The radial axis of R^3 on [0, RADIAL_HI]: two balls about the
     origin are its intervals [0, r0] and [0, r1]."""
-    return MeridianGeometry(make_space("euclidean", 3))
+    return meridian(make_space("euclidean", 3))
 
 
 T_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -95,7 +100,7 @@ class TestTwCD:
         g = quad_line()
         p = validate_params(2, 10, 0.5)
         rho = density_from_callable(g, lambda x: np.exp(-2 * x**2))
-        rep = check_twcd(rho, rho, p, 0.0, [0.3, 0.5, 0.7], 1e-6)
+        rep, _ = check_twcd(rho, rho, p, 0.0, [0.3, 0.5, 0.7], 1e-6)
         assert rep.verdict == "pass"
         assert abs(rep.min_margin) < 1e-9
 
@@ -108,7 +113,7 @@ class TestTwCD:
         kappa = -0.4
         r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.4) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.4) ** 2))
-        rep = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
+        rep, rows = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
         assert rep.verdict == "pass"
 
         from cdcheck.ot import MonotoneInterpolation
@@ -119,8 +124,7 @@ class TestTwCD:
         # coupling (Q_0(u), Q_1(u)) in the mass coordinate u
         d = np.abs(mi.Q1 - mi.Q0)
         sd = np.where(d > 1e-14, d, 1e-14)
-        for row in rep.provenance["rows"]:
-            t = row["t"]
+        for t, _, rhs, _ in rows:
             # tau-coefficients with N = n: beta_t^{1/N} = (s(t d)/(t s(d)))
             s_full = s_kappa(K / (n - 1.0), sd)
             s_t = s_kappa(K / (n - 1.0), t * sd)
@@ -137,7 +141,7 @@ class TestTwCD:
             # the twcd rhs at this t must equal the classical rhs
             # computed through the same U = Renyi reduction
             rhs_classical = n * (1.0 - lhs_classical)
-            assert row["rhs"] == pytest.approx(rhs_classical, abs=1e-9)
+            assert rhs == pytest.approx(rhs_classical, abs=1e-9)
 
     # criterion 5 of the acceptance gate, as the benchmark runs it
     PAIRS = (((-0.5, 0.4), (0.5, 0.6)), ((-0.8, 0.3), (0.2, 0.4)),
@@ -156,7 +160,7 @@ class TestTwCD:
         g = quad_line(points=points)
         r0, r1 = self._bumps(g, pair)
         return check_twcd(r0, r1, validate_params(2, 10, 0.5), -1.0,
-                          self.FINE_T, 1e-6)
+                          self.FINE_T, 1e-6)[0]
 
     def test_pair2_converged_margin(self):
         # the source-grid pushforward read 4.40e-3 here, 55% above the limit
@@ -179,15 +183,14 @@ class TestTwCD:
         entropy = lambda r: renyi_pointwise(r, p)
         for pair in self.PAIRS:
             r0, r1 = self._bumps(g, pair)
-            rows = check_twcd(r0, r1, p, kappa, self.FINE_T,
-                              1e-6).provenance["rows"]
+            _, rows = check_twcd(r0, r1, p, kappa, self.FINE_T, 1e-6)
             mi = MonotoneInterpolation(r0, r1)
             b_rev, b_fwd = np.exp(log_beta_pair(
                 p, kappa, g.reparam_partial(p, mi.Q0, mi.Q1, t[:, None]),
                 g.reparam_partial(p, mi.Q0, mi.Q1, 1.0), t[:, None]))
             mass = lambda j: (entropy(1.0 / j) * j) @ mi.du
             ref = (1.0 - t) * mass(b_rev * mi.j0) + t * mass(b_fwd * mi.j1)
-            got = np.array([row["rhs"] for row in rows])
+            got = np.array([row[2] for row in rows])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
 
     def test_wide_window_endpoint_entropy(self):
@@ -196,8 +199,7 @@ class TestTwCD:
         g = quad_line(points=16384, lo=-4.0, hi=4.0)
         p = validate_params(2, 10, 0.5)
         r0, r1 = self._bumps(g, self.PAIRS[2])
-        rep = check_twcd(r0, r1, p, -1.0, [0.99], 1e-6)
-        lhs = rep.provenance["rows"][0]["lhs"]
+        _, [(_, lhs, _, _)] = check_twcd(r0, r1, p, -1.0, [0.99], 1e-6)
         assert lhs == pytest.approx(entropy_functional(r1, p), abs=1e-2)
 
     @pytest.mark.parametrize("X, Y, tol", [
@@ -213,24 +215,24 @@ class TestTwCD:
         r0, r1 = (density_from_callable(
             g, lambda x, a=a, b=b: ((x >= a) & (x <= b)).astype(float))
             for a, b in (X, Y))
-        rep = check_twcd(r0, r1, p, 0.0, T_GRID, 1e-6)
+        _, rows = check_twcd(r0, r1, p, 0.0, T_GRID, 1e-6)
         L0, L1 = (X[1] - X[0]) / 4.0, (Y[1] - Y[0]) / 4.0
         r = p.c / (p.c + 1.0)
-        for row in rep.provenance["rows"]:
-            t = row["t"]
+        for t, _, _, margin in rows:
             ref = ((p.c + 1.0) / p.c * (((1 - t) * L0 + t * L1) ** r
                                         - (1 - t) * L0**r - t * L1**r))
-            assert abs(row["margin"] - ref) <= tol
+            assert abs(margin - ref) <= tol
 
     def test_meridian_margins_grid_independent(self):
         p = validate_params(2, 6.0, 0.5)
         margins = []
         for points in (4096, 16384):
-            g = MeridianGeometry(S2, "zero", points)
+            g = meridian(S2, points=points)
             r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
             r1 = density_from_callable(
                 g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
-            margins.append(check_twcd(r0, r1, p, 0.5, T_GRID, 1e-6).margins)
+            margins.append(check_twcd(r0, r1, p, 0.5, T_GRID,
+                                      1e-6)[0].margins)
         assert np.all(np.isfinite(margins))
         assert np.max(np.abs(np.subtract(*margins))) < 1e-6
 
@@ -240,7 +242,7 @@ class TestTwCD:
         kappa = -1.0
         r0 = density_from_callable(g, lambda x: np.exp(-3 * (x - 0.3) ** 2))
         r1 = density_from_callable(g, lambda x: np.exp(-2 * (x + 0.5) ** 2))
-        rep = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
+        rep, _ = check_twcd(r0, r1, p, kappa, T_GRID, 1e-6)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
@@ -572,7 +574,7 @@ class TestPMean:
 class TestFunctional:
     @pytest.fixture
     def meridian(self):
-        return MeridianGeometry(S2)
+        return meridian(S2)
 
     def test_uniform_density_equalities(self, meridian):
         p = validate_params(2, 2, 1.0)
@@ -664,7 +666,7 @@ class TestAxisCurvature:
         p = validate_params(*N_REGIMES[regime])
         kappa = 0.3
         g = (LineGeometry(preset, points=401) if kind == "line"
-             else MeridianGeometry(S2, preset, points=401))
+             else meridian(S2, preset, 401))
         xs, margins = _curvature_margins(g, p, kappa)
         idx = np.linspace(0, xs.size - 1, 20).astype(int)
         space, pts, e_axis, e_normal = _axis_tangent_planes(kind, xs[idx])
@@ -679,7 +681,7 @@ class TestAxisCurvature:
 
     def test_meridian_linear_weight_is_not_finite(self):
         # linear(a) = a theta has an infinite Hessian at the pole theta = 0
-        g = MeridianGeometry(S2, "linear(0.3)", points=401)
+        g = meridian(S2, "linear(0.3)", 401)
         rho = density_from_callable(g, lambda th: 1.0 + 0.1 * np.cos(th))
         with pytest.raises(PreconditionError, match="not finite") as ei:
             check_twcd(rho, rho, validate_params(2, 6.0, 0.5), 0.5, T_GRID,
@@ -753,7 +755,7 @@ def _grid(presets):
 
 def _axis(kind, preset):
     return (LineGeometry(preset, points=401) if kind == "line"
-            else MeridianGeometry(S2, preset, points=401))
+            else meridian(S2, preset, 401))
 
 
 class TestOneRicciKernel:
