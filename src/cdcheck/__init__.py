@@ -8,19 +8,18 @@ displacement convexity, Brunn-Minkowski, interpolation, HWI, log-Sobolev
 and transport-energy inequalities with explicit numerical margins.
 """
 
-from .errors import (CdCheckError, ConfigError, CutLocusError,
-                     DimensionError, HypothesisError, PreconditionError,
-                     RangeError, SingularJacobian)
+from .errors import (CdCheckError, ConfigError, DimensionError,
+                     HypothesisError, PreconditionError, RangeError,
+                     SingularJacobian)
 from .params import (DimensionParams, c_kappa, diam_kappa, s_kappa,
                      validate_params)
 from .report import CheckReport, canonical_json, report_hash
-from .spaces import (Euclidean, GeodesicSegment, Hyperbolic, ModelSpace,
-                     Sphere, WeightFunction, check_curvature_bound,
-                     constant_weight, make_space, segment_between,
-                     weight_preset)
+from .spaces import (Euclidean, Hyperbolic, ModelSpace, Sphere,
+                     WeightFunction, check_curvature_bound, constant_weight,
+                     make_space, weight_preset)
 from .reparam import reparam_partial
 from .coefficients import (beta, frak_b, log_b, log_beta, log_beta_pair,
-                           require_conjugate_radius, within_conjugate_radius)
+                           require_beta_domain, within_conjugate_radius)
 from .jacobi import (integrate_jacobi, jacobi_closed_form, sample_rays,
                      scan_rays)
 from .ot import (AxisGeometry, DensityField, LineGeometry, MeridianGeometry,

@@ -105,7 +105,7 @@ _N = lambda v: v == math.inf or _REAL(v) or (
 _DIM, _POINTS = _Need(_real(2, kind=int)), _real(16, 2**20, kind=int)
 _DENSITY = _Kinds("bump", bump={"center": _REAL, "width": _REAL},
                   uniform={"bounds": _Need(_PAIR)},
-                  cosine={"amplitude": _REAL})
+                  cosine={"amplitude": _real(-1, 1)})
 # the config schema, walked by _valid
 _SCHEMA = {
     "space": _Need(_Kinds(euclidean={"dim": _DIM},
@@ -416,8 +416,7 @@ def _run_limits(run, out_dir):
     space, params = run.space, run.params
     _, weight, x, v = _base_point(run)
     return [taylor.check_limit_bound(space, weight, params, x, v),
-            coefficients.check_limits(space, weight, params, run.kappa, x,
-                                      space.geodesic(x, v, 0.4))]
+            coefficients.check_limits(space, weight, params, run.kappa, x, v)]
 
 
 # every suite but "all", in the order "all" runs them

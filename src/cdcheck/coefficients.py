@@ -1,10 +1,12 @@
 """Twisted distortion coefficients and their small-t / small-distance limits.
 
 beta_{kappa,t}(x,y) = (s_kappa(d_t(x,y)) / (t s_kappa(d_f(x,y))))^{1/c}
-with d_t the partial re-parametrized distance. The inequalities use the
+with d_t the partial re-parametrized distance, on the segment (x, v, L)
+with y = gamma_v(L) that the caller holds. The inequalities use the
 pair beta_{1-t}(y,x), beta_t(x,y); reversing the geodesic gives
 d_{1-t}(y,x) = d_f(x,y) - d_t(x,y), so ``log_beta_pair`` forms both from
-one (d_t, d_f). With base = e^{-a f(x)} d(x,y) and d_f = d_f(x,y),
+one (d_t, d_f). Every beta is taken behind one guard of its domain,
+``require_beta_domain``. With base = e^{-a f(x)} d(x,y) and d_f = d_f(x,y),
 
     b(base, d_f)     = (base / s_kappa(d_f))^{1/c}
     bfrak(base, d_f) = (1/(c+1)) (base c_kappa(d_f)/s_kappa(d_f) - 1)
@@ -27,7 +29,7 @@ from .params import (LOG_MAX, DimensionParams, c_kappa, diam_kappa,
                      require_exp_range, s_kappa)
 from .quadrature import neville_extrapolate
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
+from .spaces import ModelSpace, WeightFunction, grad_sup
 from .reparam import reparam_partial
 
 # distances within this of C_kappa count as past the conjugate radius
@@ -37,6 +39,8 @@ BOUNDARY_TOL = 1e-12
 LIMIT_TOL = 1e-8
 # the t-grid of the t -> 0 limits at unit scale (`check_limits` divides it)
 T_GRID = np.array([0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1])
+# d(x, y) of the pair (x, gamma_v(PAIR_LENGTH)) that `check_limits` reads
+PAIR_LENGTH = 0.4
 
 
 def within_conjugate_radius(kappa: float, d_full):
@@ -44,21 +48,20 @@ def within_conjugate_radius(kappa: float, d_full):
     return d_full < diam_kappa(kappa) - BOUNDARY_TOL
 
 
-def require_conjugate_radius(kappa: float, d_full) -> None:
-    """Raise PreconditionError unless every d_f lies below the conjugate radius."""
-    if not np.all(within_conjugate_radius(kappa, d_full)):
-        raise PreconditionError(
-            "re-parametrized distance reaches the conjugate radius",
-            failed="d_f < C_kappa")
-
-
-def require_float_range(kappa: float, d_full) -> None:
-    """Raise PreconditionError unless s_kappa and c_kappa of every d_f are
-    floats: for kappa < 0 they grow like e^{sqrt(-kappa) d_f} / 2."""
+def require_beta_domain(kappa: float, d_full) -> None:
+    """Raise PreconditionError unless every d_f lies in the domain of
+    beta_{kappa,t}: s_kappa and c_kappa of it are floats (for kappa < 0
+    they grow like e^{sqrt(-kappa) d_f} / 2), and it lies below the
+    conjugate radius. For kappa > 0 only the radius can fail, for
+    kappa < 0 only the float range."""
     r = math.sqrt(max(-kappa, 0.0))
     if r and not np.all(r * np.asarray(d_full) < LOG_MAX + min(0.0, math.log(r))):
         raise PreconditionError("s_kappa of a re-parametrized distance leaves"
                                 " the float range", failed="s_kappa(d_f) finite")
+    if not np.all(within_conjugate_radius(kappa, d_full)):
+        raise PreconditionError(
+            "re-parametrized distance reaches the conjugate radius",
+            failed="d_f < C_kappa")
 
 
 def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
@@ -89,18 +92,18 @@ def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):
     d_full = d_f(x,y), elementwise over arrays.
 
     The reversed coefficient takes d_{1-t}(y,x) = d_f - d_t; both share
-    one s_kappa(d_f). Raises PreconditionError if some d_f reaches the
-    conjugate radius or leaves the float range of s_kappa.
+    one s_kappa(d_f). Raises PreconditionError if some d_f leaves the
+    domain of beta (`require_beta_domain`).
     """
     d_full = np.asarray(d_full, dtype=float)
-    require_float_range(kappa, d_full)
+    require_beta_domain(kappa, d_full)
     return _log_beta_pair(params, kappa, d_full, t, *(
         s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full)))
 
 
 def _log_beta_pair(params, kappa, d_full, t, s_rev, s_t, s_full):
-    """log_beta_pair from the s_kappa of d_f - d_t, d_t and d_f."""
-    require_conjugate_radius(kappa, d_full)
+    """log_beta_pair from the s_kappa of d_f - d_t, d_t and d_f; the
+    caller has run `require_beta_domain` on d_f."""
     return (_log_beta(params, s_rev, d_full, s_full, 1.0 - t),
             _log_beta(params, s_t, d_full, s_full, t))
 
@@ -136,46 +139,45 @@ def asymmetry_rate(params: DimensionParams, t: float, sup: float, L):
 
 
 def beta(space: ModelSpace, weight: WeightFunction, params: DimensionParams,
-         kappa: float, t: float, x, y) -> float:
-    """Twisted coefficient beta_{kappa,t}(x,y) for t in ]0,1[: 1 at x = y,
-    +inf once d_f(x,y) reaches the conjugate radius."""
+         kappa: float, t: float, x, v, length: float) -> float:
+    """Twisted coefficient beta_{kappa,t}(x, y) for t in ]0,1[ and
+    y = gamma_v(length): 1 at length 0, +inf once d_f(x, y) reaches the
+    conjugate radius."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in ]0,1[, got {t}")
-    seg = segment_between(space, x, y)
-    d_full, d_t = reparam_partial(space, weight, params, seg, [1.0, t])
+    d_full, d_t = reparam_partial(space, weight, params, x, v, length,
+                                  [1.0, t])
     if not within_conjugate_radius(kappa, d_full):
         return math.inf
     return math.exp(float(log_beta(params, kappa, d_t, d_full, t)))
 
 
-def check_limits(space, weight, params, kappa: float, x, y) -> CheckReport:
+def check_limits(space, weight, params, kappa: float, x, v) -> CheckReport:
     """Verify the t -> 0 limits of beta against b and bfrak by extrapolation,
-    and the small-distance decay |beta_t - 1| = O(d(x,y)).
+    and the small-distance decay |beta_t - 1| = O(d(x,y)), for the pair
+    (x, y) with y = gamma_v(PAIR_LENGTH).
 
     The t-grid is T_GRID divided by the larger of 1, sqrt|kappa| e^{-a f(x)}
     d(x,y) and |a| sup|grad f| d(x,y): the t-scales on which
     s_kappa(d_t)/(t s_kappa(d_f)) and d_t/t vary. Limits 1 and 2 share one
     d_f(x,y) and one d_t(x,y) per t; these and the distance pairs of limit 3
     come from one stacked quadrature. Raises PreconditionError if e^{-a f(x)}
-    leaves the float range, or if d_f reaches the conjugate radius or leaves
-    the float range of s_kappa.
+    leaves the float range, or if d_f leaves the domain of beta.
     """
-    seg = segment_between(space, x, y)
-    sup = grad_sup(space, weight, seg.start, seg.direction, seg.length)
-    expo = -params.a * float(weight.eval(seg.start))
+    length = PAIR_LENGTH
+    sup = grad_sup(space, weight, x, v, length)
+    expo = -params.a * float(weight.eval(x))
     require_exp_range(expo, "e^{-a f} at the base point")
-    base = math.exp(expo) * seg.length
+    base = math.exp(expo) * length
     ts = T_GRID / max(1.0, math.sqrt(abs(kappa)) * base,
-                      abs(params.a) * sup * seg.length)
+                      abs(params.a) * sup * length)
     # limit 3 takes beta_{1/2}(x, y_k) at y_k on the geodesic at d(x,y) 2^-k
     t_mid = 0.5
-    dks = seg.length * 0.5 ** np.arange(6)
-    decay_ends = space.geodesic(seg.start, seg.direction, dks)
-    # one stack: (x, y) for d_f and each d_t, then each (x, y_k) twice
-    segs = segment_between(space, seg.start, np.concatenate(
-        [np.broadcast_to(seg.end, (ts.size + 1, seg.end.size)), decay_ends,
-         decay_ends]))
-    dist = reparam_partial(space, weight, params, segs, np.concatenate(
+    dks = length * 0.5 ** np.arange(6)
+    # one stack from x along v: d(x,y) for d_f and each d_t, then each d_k
+    # twice
+    dist = reparam_partial(space, weight, params, x, v, np.concatenate(
+        [np.full(ts.size + 1, length), dks, dks]), np.concatenate(
         [[1.0], ts, np.ones(6), np.full(6, t_mid)]))
     d_full, d_t = dist[0], dist[1:ts.size + 1]
     decay_full, decay_t = dist[ts.size + 1:].reshape(2, 6)
@@ -202,7 +204,7 @@ def check_limits(space, weight, params, kappa: float, x, y) -> CheckReport:
     # curvature adds a quadratic term. Past the float range the envelope
     # bounds nothing and reads +inf
     dev = np.abs(np.expm1(log_beta(params, kappa, decay_t, decay_full, t_mid)))
-    B = 2.0 * asymmetry_rate(params, t_mid, sup, seg.length)
+    B = 2.0 * asymmetry_rate(params, t_mid, sup, length)
     with np.errstate(over="ignore"):
         bound = np.expm1(params.inv_c * (B * dks + abs(kappa) * dks**2 / 3.0))
     margins.append(float(np.min(bound - dev + 1e-12)))

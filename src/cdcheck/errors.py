@@ -17,10 +17,6 @@ class ConfigError(CdCheckError):
     """Inconsistent configuration (e.g. non-constant weight with N = n)."""
 
 
-class CutLocusError(CdCheckError):
-    """The requested geodesic construction crosses or hits the cut locus."""
-
-
 class SingularJacobian(CdCheckError):
     """det(dF_t) <= 0 somewhere on [0, 1]: the transport ray is inadmissible."""
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .coefficients import (_log_beta_pair, require_float_range,
+from .coefficients import (_log_beta_pair, require_beta_domain,
                            within_conjugate_radius)
 from .errors import PreconditionError, SingularJacobian
 from .params import DimensionParams, require_normal, s_kappa
@@ -174,13 +174,13 @@ def concavity_margins(ts, log_D, log_Dbar, d_partial,
     The densities enter through their logs, finite where they overflow:
     log D = c l, log Dbar = int a_nn, and (c/(c+1)) log J = (log D + c log
     Dbar)/(c+1) as J = D^{1/c} Dbar. Margins are scaled by 1/(1 + |RHS|), on
-    batched rows; PreconditionError if s_kappa of a d_f leaves float range.
+    batched rows; PreconditionError if a d_f leaves the domain of beta.
     """
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
     t = ts[inner]
     d_t = d_partial[..., inner]
-    require_float_range(kappa, d_full)
+    require_beta_domain(kappa, d_full)
     s_rev, s_t, s_full = (s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full))
 
     m1 = _log_margin(log_Dbar[..., inner], 1.0 - t, log_Dbar[..., :1],

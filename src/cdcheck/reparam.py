@@ -1,12 +1,15 @@
 """Re-parametrized distances along weighted geodesics.
 
-For a unit-speed minimal geodesic gamma from x to y of length L and
-weight f, the partial re-parametrized distance at fraction t is
+For the unit-speed geodesic gamma_v from x with unit tangent v, minimal on
+[0, L], and a weight f, the partial re-parametrized distance from x to
+y = gamma_v(L) at fraction t is
 
-    d_t(x, y) = integral_0^{t L} exp(-a f(gamma(s))) ds,   a = 2(1-eps)/(n-1).
+    d_t(x, y) = integral_0^{t L} exp(-a f(gamma_v(s))) ds,  a = 2(1-eps)/(n-1).
 
-The full distance is d_f(x, y) = d_1(x, y). ``reparam_partial`` takes one
-segment and one fraction, or a stacked segment and its fractions, and
+The full distance is d_f(x, y) = d_1(x, y). A segment is the (x, v, L)
+its caller holds; no log map recovers it from the endpoints.
+``reparam_partial`` takes one segment and one fraction, or a stack of
+lengths (x and v broadcast against them) and their fractions, and
 computes every distance of the stack in one stacked call of the
 Gauss-Legendre panel rule `quadrature.gauss_legendre` on the analytic
 geodesics: each round evaluates the integrand at all of its abscissae at
@@ -27,20 +30,23 @@ from .spaces import ModelSpace, WeightFunction
 
 
 def reparam_partial(space: ModelSpace, weight: WeightFunction,
-                    params: DimensionParams, seg, t, rel_tol: float = 1e-10):
-    """d_t(x, y) along a segment, t in [0, 1]: a float for one segment and
-    a scalar t; for a stack of k, an array of the shape of arange(k)
-    broadcast against t (so t = [[t0], [t1]] gives the two fractions on
-    every segment as two rows). Raises PreconditionError where e^{-a f}
-    overflows, or where a distance of a non-empty segment underflows."""
-    single = np.ndim(seg.length) == 0
-    rows, ts = np.broadcast_arrays(np.arange(np.size(seg.length)),
+                    params: DimensionParams, x, v, length, t,
+                    rel_tol: float = 1e-10):
+    """d_t(x, gamma_v(length)), t in [0, 1]: a float for one length and a
+    scalar t; for a stack of k lengths (x and v broadcast against them),
+    an array of the shape of arange(k) broadcast against t (so t = [[t0],
+    [t1]] gives the two fractions on every segment as two rows). Raises
+    PreconditionError where e^{-a f} overflows, or where a distance of a
+    non-empty segment underflows."""
+    single = np.ndim(length) == 0
+    rows, ts = np.broadcast_arrays(np.arange(np.size(length)),
                                    np.asarray(t, dtype=float))
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise ValueError(f"fraction t must lie in [0, 1], got {t}")
-    lengths = np.reshape(seg.length, -1)[rows]
-    starts, directions = (np.reshape(u, (-1, space.ambient))
-                          for u in (seg.start, seg.direction))
+    lengths = np.reshape(length, -1)[rows]
+    starts, directions = (np.reshape(np.broadcast_to(
+        np.asarray(u, dtype=float), np.shape(length) + (space.ambient,)),
+        (-1, space.ambient)) for u in (x, v))
     a = params.a
     if a == 0.0 or weight.is_constant:
         f0 = float(weight.eval(starts[0])) if weight.is_constant else 0.0

@@ -3,9 +3,12 @@
 Three models are provided: Euclidean R^d, and the unit sphere and
 hyperbolic space as the quadrics <X, X> = +-1 of R^{d+1} under the
 Euclidean and the Minkowski form (`_Quadric`; `cli.resolve_config` maps a
-radius or scale R to them). Geodesics, logs and frames are closed form.
+radius or scale R to them). Geodesics and frames are closed form. There is
+no log map: a geodesic segment is the (x, v, L) its caller holds, a point,
+a unit tangent there and a length, and every pair a check reads is built
+as gamma_v(L) from one.
 
-``geodesic``, ``log``, ``inner``, ``norm``, ``sample_unit`` and ``frame``
+``geodesic``, ``velocity``, ``inner``, ``norm``, ``sample_unit`` and ``frame``
 broadcast over stacks of points and tangents (..., ambient), bit for bit
 equal to the calls on single points: dot products are stacked matrix
 products, which round like one pair's ``np.dot``. ``sample_point`` draws a stack of
@@ -23,16 +26,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CutLocusError, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .params import DimensionParams, require_exp_range
 from .report import CheckReport
 
-# sphere segments this close to the antipode are treated as cut-locus hits
-CUT_MARGIN = 1e-6
 # past X_n = SPAN the constant 1 of an H^n point's Minkowski square falls
 # below the last bit of X_n^2: its coordinates keep no digit of it
 SPAN = 2.0**26
@@ -87,21 +87,6 @@ class ModelSpace:
         """Unit tangent(s) of gamma_v at parameter t."""
         raise NotImplementedError
 
-    def log(self, x, y):
-        """(unit tangent v, length L) with geodesic(x, v, L) == y; for stacks
-        of points (x may be one), each the float of its own pair's call."""
-        raise NotImplementedError
-
-    def _unit(self, x, v, norm, length):
-        """(v / norm, length), and (frame(x)[0], 0.0) where length < 1e-15."""
-        zero = length < 1e-15
-        with np.errstate(divide="ignore", invalid="ignore"):  # where zero
-            v = v / norm[..., None]
-        if zero.any():
-            v = np.where(zero[..., None], self.frame(x)[..., 0, :], v)
-            length = np.where(zero, 0.0, length)
-        return (v, float(length)) if length.ndim == 0 else (v, length)
-
     def inner(self, x, u, v):
         """g_x(u, v), over the leading axes of stacks."""
         raise NotImplementedError
@@ -148,11 +133,6 @@ class Euclidean(ModelSpace):
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(np.asarray(v), t.shape + (self.dim,)).copy()
 
-    def log(self, x, y):
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        length = np.sqrt(_dot(d, d))  # the float of np.linalg.norm(d)
-        return self._unit(x, d, length, length)
-
     def inner(self, x, u, v):
         return _dot(u, v)
 
@@ -171,33 +151,13 @@ class _Quadric(ModelSpace):
     """S^n or H^n as the quadric <X, X> = sec of R^{n+1} under the form
     G = diag(1, ..., 1, sec): Euclidean on S^n (sec = 1), Minkowski
     with the time coordinate last on H^n (sec = -1, X_n > 0). ``inner`` is
-    G at every point; the tangents at X are G-orthogonal to X.
-
-    The unit-speed geodesic is c_sec(t) X + s_sec(t) V. ``log`` takes the
-    length from the chord c = |Y - X|_G: L = 2 ``_arc``(c / 2), asin on
-    S^n and asinh on H^n. Past c^2 = 2, where Y - X cancels in the form,
-    c^2 is 2(sec - <X, Y>), which does not. The direction is Y - X made
-    G-orthogonal to X, which does not cancel at short lengths as
-    Y - c_sec(L) X does, and is tangent at a point its rounding put off
-    the quadric.
+    G at every point; the tangents at X are G-orthogonal to X. The
+    unit-speed geodesic is c_sec(t) X + s_sec(t) V.
     """
 
     def __init__(self, dim: int):
         super().__init__(dim)
         self._form = np.append(np.ones(dim), self.sec)
-
-    def log(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        d = y - x
-        c2 = 2.0 * (self.sec - self.inner(x, x, y))
-        c2 = np.where(c2 <= 2.0, self.inner(x, d, d), c2)
-        half = 0.5 * np.sqrt(np.maximum(c2, 0.0))
-        if np.any(half > self._half_cut):
-            raise CutLocusError("antipodal pair on the sphere: minimal geodesic not unique")
-        # libm's asin and asinh: numpy's differ from them in the last bit
-        length = 2.0 * np.vectorize(self._arc, otypes=[float])(half)
-        v = d - (self.inner(x, d, x) / self.inner(x, x, x))[..., None] * x
-        return self._unit(x, v, self.norm(x, v), length)
 
     def inner(self, x, u, v):
         return _dot(np.asarray(u, dtype=float) * self._form, v)
@@ -205,8 +165,7 @@ class _Quadric(ModelSpace):
 
 class Sphere(_Quadric):
     kind = "sphere"
-    sec, _arc = 1.0, math.asin
-    _half_cut = math.cos(0.5 * CUT_MARGIN)  # c / 2 at angle pi - CUT_MARGIN
+    sec = 1.0
 
     def geodesic(self, x, v, t):
         t = np.asarray(t, dtype=float)[..., None]
@@ -243,8 +202,7 @@ class Hyperbolic(_Quadric):
     """
 
     kind = "hyperbolic"
-    sec, _arc = -1.0, math.asinh
-    _half_cut = math.inf
+    sec = -1.0
 
     def _null(self, x, v, t):
         """(e^t, N+, N-) of the geodesic."""
@@ -310,24 +268,6 @@ def make_space(kind: str, dim: int, **kw) -> ModelSpace:
     if kw not in ({}, {{"sphere": "radius", "hyperbolic": "scale"}.get(kind): 1.0}):
         raise ConfigError(f"{kw} on a {kind} model: every model is a unit one")
     return spaces[kind](dim)
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """One minimal geodesic, or a stack of them, clear of the cut locus."""
-
-    start: np.ndarray
-    end: np.ndarray
-    direction: np.ndarray
-    length: float | np.ndarray
-
-
-def segment_between(space: ModelSpace, x, y) -> GeodesicSegment:
-    """The minimal geodesic from x to y, or the stack of them for stacks of
-    points (x may be one point); raises CutLocusError on sphere antipodes."""
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    v, length = space.log(x, y)
-    return GeodesicSegment(x, y, v, length)
 
 
 class WeightFunction:

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .coefficients import (_log_beta_pair, frak_b, log_b, log_beta_pair,
-                           require_conjugate_radius, require_float_range)
+                           require_beta_domain)
 from .errors import HypothesisError, PreconditionError
 from .params import DimensionParams, s_kappa
 from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
@@ -73,8 +73,8 @@ def _require_curvature(geometry, params, kappa, hull):
 def axis_log_betas(geometry: AxisGeometry, params: DimensionParams,
                    kappa: float, x, y, t):
     """(log beta_{1-t}(y, x), log beta_t(x, y)) at the axis pairs (x, y),
-    with t broadcast against them; raises PreconditionError if a pair
-    reaches the conjugate radius. d_t and d_f share one lookup of G at x."""
+    with t broadcast against them; raises PreconditionError if a pair's
+    d_f leaves the domain of beta. d_t and d_f share one lookup of G at x."""
     d_full, distances = geometry.partial_distances(params, x, y)
     return log_beta_pair(params, kappa, distances(t), d_full, t)
 
@@ -112,7 +112,7 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
     ts = np.sort(np.asarray(t_grid, dtype=float))
     # G at Q_0, d_f and s_kappa(d_f) once for every t-chunk
     d_full, distances = g.partial_distances(params, interp.Q0, interp.Q1)
-    require_float_range(kappa, d_full)
+    require_beta_domain(kappa, d_full)
     s_full = s_kappa(kappa, d_full)
     cr, coef = params.c_ratio, (params.c + 1.0) / params.c
     log_j0, log_j1 = np.log(interp.j0), np.log(interp.j1)
@@ -138,9 +138,16 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
 # Brunn-Minkowski
 # ----------------------------------------------------------------------
 def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
-    tab = geometry.m_cumulative
-    a, b = min(lo, hi), max(lo, hi)
-    return float(np.interp(b, geometry.xs, tab) - np.interp(a, geometry.xs, tab))
+    """m([lo, hi]) from the cubic Hermite of `m_cumulative` with slope
+    `m_density` at both ends: O(dx^4) off the grid, the table on it."""
+    xs, tab, m = geometry.xs, geometry.m_cumulative, geometry.m_density
+    ends = np.array([min(lo, hi), max(lo, hi)])
+    i = np.clip(np.searchsorted(xs, ends) - 1, 0, xs.size - 2)
+    h = xs[i + 1] - xs[i]
+    s = (ends - xs[i]) / h  # 0 and 1 exactly at the cell's grid points
+    at = (((1.0 + 2.0 * s) * tab[i] + s * h * m[i]) * (1.0 - s) ** 2
+          + ((3.0 - 2.0 * s) * tab[i + 1] + (s - 1.0) * h * m[i + 1]) * s * s)
+    return float(at[1] - at[0])
 
 
 def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
@@ -401,8 +408,7 @@ def check_transport_energy(rho: DensityField, params: DimensionParams,
                                     0.0) * g.m_density)
 
     d_f = g.reparam_partial(params, coupling.Q0, coupling.Q1, 1.0)
-    require_conjugate_radius(kappa, d_f)
-    require_float_range(kappa, d_f)
+    require_beta_domain(kappa, d_f)
     base = math.exp(-params.a * g.f_vals[0]) * np.abs(coupling.Q1 - coupling.Q0)
     b_pow = np.exp(params.c_ratio * log_b(params, kappa, base, d_f))
     pair_term = ((frak_b(params, kappa, base, d_f) + np.exp(1.0 - b_pow))

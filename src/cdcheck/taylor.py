@@ -18,11 +18,11 @@ import math
 
 import numpy as np
 
-from .coefficients import _log_beta_pair, asymmetry_rate, require_float_range
+from .coefficients import _log_beta_pair, asymmetry_rate, require_beta_domain
 from .errors import PreconditionError
 from .params import DimensionParams, require_exp_range, s_kappa
 from .report import CheckReport
-from .spaces import ModelSpace, WeightFunction, grad_sup, segment_between
+from .spaces import ModelSpace, WeightFunction, grad_sup
 from .reparam import reparam_partial
 
 NOISE_FLOOR = 5e-15
@@ -80,10 +80,12 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     (its fwd row) and s = -delta (its rev row); app6 averages the two rows
     of its product. The app1, app2 and app6 terms rest on the
     re-parametrized distances (d_half, d_full) on the segment
-    gamma(delta) -> gamma(-delta); that pair is computed for every delta in
-    one stacked quadrature. Raises PreconditionError if e^{-a f} at the
-    base point or s_kappa of a distance leaves the float range, or if an
-    app4 or app6 term meets |theta| delta >= 1 on the grid.
+    gamma(delta) -> gamma(-delta), walked from gamma_v(delta) along
+    -gamma_v'(delta) for the length 2 delta; that pair is computed for
+    every delta in one stacked quadrature. Raises PreconditionError if
+    e^{-a f} at the base point leaves the float range, if d_full leaves
+    the domain of beta, or if an app4 or app6 term meets
+    |theta| delta >= 1 on the grid.
     """
     with_theta = params.eps != 0.0
     d = 2.0 ** -np.arange(4.0, 15.0)
@@ -99,11 +101,10 @@ def check_series(space: ModelSpace, weight: WeightFunction,
     e0 = math.exp(-a * fx)
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
-    segs = segment_between(space, space.geodesic(x, v, d),
-                           space.geodesic(x, v, -d))
-    d_half, d_full = reparam_partial(space, weight, params, segs,
-                                     [[0.5], [1.0]], rel_tol=1e-13)
-    require_float_range(kappa, d_full)
+    d_half, d_full = reparam_partial(
+        space, weight, params, space.geodesic(x, v, d),
+        -space.velocity(x, v, d), 2.0 * d, [[0.5], [1.0]], rel_tol=1e-13)
+    require_beta_domain(kappa, d_full)
     # beta_{kappa,1/2} both ways, fwd then rev; the pair kernel returns the
     # reversed one, from gamma(-delta), first
     b = np.exp(_log_beta_pair(
@@ -183,11 +184,10 @@ def check_limit_bound(space: ModelSpace, weight: WeightFunction,
     which only tightens the bound.
     """
     sup = grad_sup(space, weight, x, v, LIMIT_R)
-    segs = segment_between(space, x, space.geodesic(
-        x, v, LIMIT_R * 2.0 ** -np.arange(LEVELS)))
-    d_full, d_t = reparam_partial(space, weight, params, segs,
+    lengths = LIMIT_R * 2.0 ** -np.arange(LEVELS)
+    d_full, d_t = reparam_partial(space, weight, params, x, v, lengths,
                                   [[1.0], [LIMIT_T]])
-    margins = (asymmetry_rate(params, LIMIT_T, sup, segs.length) * segs.length
+    margins = (asymmetry_rate(params, LIMIT_T, sup, lengths) * lengths
                - np.abs(d_t / (LIMIT_T * d_full) - 1.0))
     return CheckReport(name="limit_bound", margins=margins.tolist(),
                        tolerance=1e-12, provenance={"t": LIMIT_T, "r": LIMIT_R,

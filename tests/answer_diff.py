@@ -11,8 +11,9 @@ name, verdict, tolerance and margins list, by position and bit for bit),
 the report hash and the bytes of every file the call writes (the report
 without its timestamp). Prints each difference but a moved report file or
 hash, then, for every report name in a call whose report hash moved, the
-number of such calls and the largest |change of min_margin| among them,
-then the number of calls that moved only in report layout or hash, and
+number of such calls, the largest |change of min_margin| among them and the
+largest |change| of any one margin, margins paired by position, then the
+number of calls that moved only in report layout or hash, and
 exits 1 if there is any difference, 0 otherwise.
 
 This is a script, not a test module: pytest does not collect it.
@@ -117,28 +118,46 @@ def differences(parent: dict, change: dict) -> tuple[list[str], int]:
     return lines, layout
 
 
+def _move(old, new) -> float:
+    """|new - old|: 0.0 if equal (NaN and NaN too), inf where one side is
+    n/a or NaN and the other not."""
+    if old == new or old != old and new != new:
+        return 0.0
+    if None in (old, new) or old != old or new != new:
+        return math.inf
+    return abs(new - old)
+
+
 def margin_moves(parent: dict, change: dict) -> list[str]:
     """One line per report name: the number of calls whose report hash
-    moved and the largest |change of min_margin| over them, reports paired
-    by position; inf where one side's min_margin is n/a (a NaN margin) and
-    the other's not."""
+    moved, the largest |change of min_margin| over them and the largest
+    |change| of one margin, margins paired by position (inf where the
+    lists differ in length), reports paired by position (a call with
+    several reports of one name counts once). A NaN margin
+    makes its min_margin n/a: inf where one side's is and the other's not.
+    The margin move keeps last-bit drift apart from a margin that moves as
+    a whole."""
     moved, largest = {}, {}
     for key in sorted(set(parent) & set(change)):
         want, got = parent[key], change[key]
         if want["hash"] == got["hash"]:
             continue
-        for (name, old), (new_name, new) in zip(want["min_margins"] or [],
-                                                got["min_margins"] or []):
+        for (name, old), (new_name, new), (*_, olds), (*_, news) in zip(
+                want["min_margins"] or [], got["min_margins"] or [],
+                want["answers"] or [], got["answers"] or []):
             if name != new_name:
                 continue
-            move = (0.0 if old == new else math.inf if None in (old, new)
-                    else abs(new - old))
-            moved[name] = moved.get(name, 0) + 1
-            if move > largest.get(name, (-1.0,))[0]:
-                largest[name] = (move, key)
-    return [f"{name}: hash moved in {moved[name]} calls, largest |change of"
-            f" min_margin| {move!r} ({key})"
-            for name, (move, key) in sorted(largest.items())]
+            moves = [_move(old, new), max(map(_move, olds, news), default=0.0)
+                     if len(olds) == len(news) else math.inf]
+            moved.setdefault(name, set()).add(key)
+            best = largest.setdefault(name, [(-1.0, ""), (-1.0, "")])
+            for i, move in enumerate(moves):
+                if move > best[i][0]:
+                    best[i] = (move, key)
+    return [f"{name}: hash moved in {len(moved[name])} calls, largest"
+            f" |change of min_margin| {mm!r} ({mkey}), of a margin {am!r}"
+            f" ({akey})"
+            for name, [(mm, mkey), (am, akey)] in sorted(largest.items())]
 
 
 def main(argv=None) -> int:

@@ -234,6 +234,10 @@ class TestValidate:
          "weight": "linear(0.5)", "geometry": {"kind": "meridian"}},
         {"suite": "twcd", "space": {"kind": "hyperbolic", "dim": 3},
          "weight": "quadratic(0.3)", "geometry": {"kind": "meridian"}},
+        {"suite": "twcd", "densities": [{"kind": "cosine", "amplitude": -1.5},
+                                        {"kind": "bump"}]},
+        {"suite": "functional", "functional": {
+            "density": {"kind": "cosine", "amplitude": 3}}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -260,7 +264,8 @@ class TestValidate:
             "radius-negative", "scale-zero", "scale-negative", "radius-square-past-float",
             "scale-square-underflows", "kappa-radius-square-past-float",
             "meridian-linear-on-r3", "meridian-linear-on-h3",
-            "meridian-quadratic-on-h3"])
+            "meridian-quadratic-on-h3", "densities-cosine-amplitude",
+            "functional-cosine-amplitude"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -1082,6 +1087,24 @@ class TestMeridian:
                      write_cfg(tmp_path, "c.json", cfg)]) == 2
         assert capsys.readouterr().err == (
             "config error: unknown config fields: ['geometry.f1']\n")
+
+    @pytest.mark.parametrize("field, over", [
+        ("densities.1.amplitude", {"densities": [
+            {"kind": "cosine", "amplitude": 1}, {"kind": "cosine",
+                                                 "amplitude": 3}]}),
+        ("functional.density.amplitude", {"functional": {
+            "density": {"kind": "cosine", "amplitude": 3}}})])
+    def test_cosine_amplitude_past_one_is_refused(self, tmp_path, capsys,
+                                                  field, over):
+        # 1 + 3 cos r is negative near the pole: the run judged
+        # max(0, 1 + 3 cos r) and passed, not the density it was given
+        cfg = {**S2_ZERO, "params": {"n": 2, "N": 2, "eps": 1},
+               "kappa": 1, "suite": "functional",
+               "geometry": {"kind": "meridian"}, **over}
+        assert main(["validate", "--config",
+                     write_cfg(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid {field}: 3\n")
 
     @pytest.mark.parametrize("weight", ["linear(0.5)", "quadratic(0.3)"])
     def test_h3_meridian_refuses_a_non_radial_run_weight(self, tmp_path,

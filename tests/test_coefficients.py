@@ -7,13 +7,25 @@ import pytest
 
 from cdcheck import cli, coefficients
 from cdcheck.coefficients import (beta, check_limits, frak_b, log_b, log_beta,
-                                  log_beta_pair, require_conjugate_radius,
-                                  require_float_range)
+                                  log_beta_pair, require_beta_domain)
 from cdcheck.errors import PreconditionError
 from cdcheck.params import c_kappa, diam_kappa, s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
-from cdcheck.spaces import (constant_weight, make_space, segment_between,
-                            weight_preset)
+from cdcheck.spaces import constant_weight, make_space, weight_preset
+
+
+def chord(x, y):
+    """(x, v, L) of the segment from x to y of R^n."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    length = float(np.linalg.norm(y - x))
+    return x, (y - x) / length, length
+
+
+def meridian(theta):
+    """The point at colatitude theta of the (X_1, X_2) meridian of S^2 and
+    the unit tangent there towards larger theta."""
+    return (np.array([0.0, np.sin(theta), np.cos(theta)]),
+            np.array([0.0, np.cos(theta), -np.sin(theta)]))
 
 
 def classical_distortion(kappa, N, t, theta):
@@ -34,7 +46,8 @@ class TestBeta:
     def test_unit_regime_at_coincidence(self, flat2):
         p = validate_params(2, 4, 0.5)
         x = np.array([0.1, 0.2])
-        assert beta(flat2, constant_weight(0.0), p, 1.0, 0.5, x, x) == 1.0
+        assert beta(flat2, constant_weight(0.0), p, 1.0, 0.5, x,
+                    np.array([1.0, 0.0]), 0.0) == 1.0
 
     def test_flat_constant_weight(self, flat2):
         # kappa = 0 with constant f: s_0 is linear so the ratio is 1
@@ -42,7 +55,7 @@ class TestBeta:
         x = np.zeros(2)
         y = np.array([0.8, 0.3])
         for t in (0.2, 0.5, 0.8):
-            b = beta(flat2, constant_weight(0.7), p, 0.0, t, x, y)
+            b = beta(flat2, constant_weight(0.7), p, 0.0, t, *chord(x, y))
             assert b == pytest.approx(1.0, rel=1e-12)
 
     def test_classical_reduction(self, flat2):
@@ -61,22 +74,20 @@ class TestBeta:
             d = float(np.linalg.norm(x - y))
             if kappa > 0 and d >= math.pi / math.sqrt(kappa):
                 continue
-            got = beta(flat2, w, p, kappa, t, x, y)
+            got = beta(flat2, w, p, kappa, t, *chord(x, y))
             ref = classical_distortion(kappa, N, t, d)
             assert got == pytest.approx(ref, rel=1e-10)
 
     def test_infinite_regime(self, flat2):
         # large kappa pushes d_f past the conjugate diameter
         p = validate_params(2, 4, 0.5)
-        x = np.zeros(2)
-        y = np.array([2.0, 0.0])
-        assert math.isinf(beta(flat2, constant_weight(0.0), p, 9.0, 0.5, x, y))
+        seg = np.zeros(2), np.array([1.0, 0.0]), 2.0
+        assert math.isinf(beta(flat2, constant_weight(0.0), p, 9.0, 0.5, *seg))
 
     def test_regime_monotone_in_kappa(self, flat2):
         p = validate_params(2, 4, 0.5)
-        x = np.zeros(2)
-        y = np.array([1.5, 0.0])
-        vals = [beta(flat2, constant_weight(0.0), p, k, 0.5, x, y)
+        seg = np.zeros(2), np.array([1.0, 0.0]), 1.5
+        vals = [beta(flat2, constant_weight(0.0), p, k, 0.5, *seg)
                 for k in np.linspace(0.5, 8.0, 30)]
         infinite = [math.isinf(v) for v in vals]
         flipped = infinite.index(True) if any(infinite) else len(vals)
@@ -87,7 +98,7 @@ class TestBeta:
     def test_power_finite_positive(self, flat2):
         p = validate_params(2, 4, 0.5)
         b = beta(flat2, constant_weight(0.0), p, 0.5, 0.3,
-                 np.zeros(2), np.array([1.0, 0.2]))
+                 *chord(np.zeros(2), np.array([1.0, 0.2])))
         val = b ** p.c_ratio
         assert 0.0 < val < math.inf
 
@@ -118,16 +129,14 @@ class TestLogBeta:
         w = weight_preset(sp, "cosine(0.3)")
         p = validate_params(2, 6, 0.5)
         kappa = 0.8
-        x = np.array([0.0, np.sin(1.0), np.cos(1.0)])
-        y = np.array([0.0, np.sin(1.6), np.cos(1.6)])
-        seg = segment_between(sp, x, y)
-        d_full = reparam_partial(sp, w, p, seg, 1.0)
+        (x, v), (y, u) = meridian(1.0), meridian(1.6)
+        d_full = reparam_partial(sp, w, p, x, v, 0.6, 1.0)
         for t in (0.2, 0.5, 0.7):
-            d_t = reparam_partial(sp, w, p, seg, t)
+            d_t = reparam_partial(sp, w, p, x, v, 0.6, t)
             rev, fwd = np.exp(log_beta_pair(p, kappa, d_t, d_full, t))
-            assert rev == pytest.approx(beta(sp, w, p, kappa, 1.0 - t, y, x),
-                                        rel=1e-10)
-            assert fwd == pytest.approx(beta(sp, w, p, kappa, t, x, y),
+            assert rev == pytest.approx(
+                beta(sp, w, p, kappa, 1.0 - t, y, -u, 0.6), rel=1e-10)
+            assert fwd == pytest.approx(beta(sp, w, p, kappa, t, x, v, 0.6),
                                         rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.8, 0.0, -1.2])
@@ -167,10 +176,10 @@ class TestConjugateRadiusGuard:
     def test_raises_at_the_conjugate_radius(self):
         diam = diam_kappa(1.0)
         with pytest.raises(PreconditionError) as exc:
-            require_conjugate_radius(1.0, np.array([0.5, diam - 1e-13]))
+            require_beta_domain(1.0, np.array([0.5, diam - 1e-13]))
         assert exc.value.failed == "d_f < C_kappa"
-        require_conjugate_radius(1.0, np.array([0.5, diam - 1e-11]))
-        require_conjugate_radius(-1.0, 1e6)
+        require_beta_domain(1.0, np.array([0.5, diam - 1e-11]))
+        require_beta_domain(-1e-12, 1e6)
 
 
 class TestFloatRangeGuard:
@@ -181,17 +190,32 @@ class TestFloatRangeGuard:
         r = math.sqrt(-kappa)
         bound = (math.log(sys.float_info.max) + min(0.0, math.log(r))) / r
         inside = np.array([0.0, 0.5 * bound, bound * (1 - 1e-12)])
-        require_float_range(kappa, inside)
+        require_beta_domain(kappa, inside)
         assert np.all(np.isfinite(s_kappa(kappa, inside)))
         assert np.all(np.isfinite(c_kappa(kappa, inside)))
         for d_full in (np.append(inside, 1.001 * bound), math.inf, math.nan):
             with pytest.raises(PreconditionError) as exc:
-                require_float_range(kappa, d_full)
+                require_beta_domain(kappa, d_full)
             assert exc.value.failed == "s_kappa(d_f) finite"
 
     def test_bounded_s_kappa_is_never_refused(self):
-        for kappa in (0.0, 1e-12, 4.0):
-            require_float_range(kappa, np.array([0.0, 1e6, 1e300]))
+        # for kappa >= 0 s_kappa is bounded: only the radius refuses
+        require_beta_domain(0.0, np.array([0.0, 1e6, 1e300]))
+        for kappa in (1e-12, 4.0):
+            with pytest.raises(PreconditionError) as exc:
+                require_beta_domain(kappa, np.array([0.0, 1e6, 1e300]))
+            assert exc.value.failed == "d_f < C_kappa"
+
+    def test_pair_guards_once_before_s_kappa(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(coefficients, "require_beta_domain", lambda *a: (
+            events.append("guard"), require_beta_domain(*a)))
+        monkeypatch.setattr(coefficients, "s_kappa", lambda *a: (
+            events.append("s_kappa"), s_kappa(*a))[1])
+        d_full = np.array([0.2, 0.9, 1.4])
+        log_beta_pair(validate_params(2, 4, 0.5), 0.6, 0.3 * d_full, d_full,
+                      0.3)
+        assert events == ["guard"] + ["s_kappa"] * 3
 
     def test_pair_refuses_before_taking_s_kappa(self):
         p = validate_params(2, 4, 0.5)
@@ -200,19 +224,18 @@ class TestFloatRangeGuard:
         assert exc.value.failed == "s_kappa(d_f) finite"
 
 
-def section_args(space, w, p, x, y):
-    """(base, d_f) of the pair: base = e^{-a f(x)} d(x, y)."""
-    seg = segment_between(space, x, y)
-    base = math.exp(-p.a * float(w.eval(x))) * seg.length
-    return base, reparam_partial(space, w, p, seg, 1.0)
+def section_args(space, w, p, x, v, length):
+    """(base, d_f) of the pair (x, gamma_v(length)): base = e^{-a f(x)}
+    d(x, y)."""
+    base = math.exp(-p.a * float(w.eval(x))) * length
+    return base, reparam_partial(space, w, p, x, v, length, 1.0)
 
 
 class TestSectionCoefficients:
     def test_constant_weight_flat(self, flat2):
         p = validate_params(2, 4, 0.5)
-        x = np.zeros(2)
-        y = np.array([0.9, 0.1])
-        args = section_args(flat2, constant_weight(0.5), p, x, y)
+        args = section_args(flat2, constant_weight(0.5), p,
+                            *chord(np.zeros(2), np.array([0.9, 0.1])))
         assert math.exp(log_b(p, 0.0, *args)) == pytest.approx(1.0, rel=1e-10)
         assert frak_b(p, 0.0, *args) == pytest.approx(0.0, abs=1e-10)
 
@@ -221,8 +244,8 @@ class TestSectionCoefficients:
         sp = make_space("sphere", 2)
         p = validate_params(2, 4, 0.5)
         x = np.array([0.0, 0.0, 1.0])
-        y = np.array([1.0, 0.0, 0.0])
-        args = section_args(sp, constant_weight(0.0), p, x, y)
+        v = np.array([1.0, 0.0, 0.0])
+        args = section_args(sp, constant_weight(0.0), p, x, v, math.pi / 2)
         expect_b = (math.pi / 2) ** p.inv_c
         assert math.exp(log_b(p, 1.0, *args)) == pytest.approx(expect_b,
                                                                rel=1e-9)
@@ -265,24 +288,24 @@ class TestLimits:
     def test_constant_weight_exact_at_kappa0(self, flat2):
         p = validate_params(2, 4, 0.5)
         w = constant_weight(0.3)
-        x = np.zeros(2)
-        y = np.array([1.0, 0.0])
+        seg = np.zeros(2), np.array([1.0, 0.0]), 1.0
         # beta_t is identically the t->0 limit coefficient for kappa = 0
-        b = math.exp(log_b(p, 0.0, *section_args(flat2, w, p, x, y)))
+        b = math.exp(log_b(p, 0.0, *section_args(flat2, w, p, *seg)))
         for t in (0.5, 0.1, 0.01):
-            bt = beta(flat2, w, p, 0.0, t, x, y)
+            bt = beta(flat2, w, p, 0.0, t, *seg)
             assert bt == pytest.approx(b, rel=1e-12)
             assert bt == pytest.approx(1.0, rel=1e-12)
 
-    def test_extrapolated_limits(self):
+    def test_extrapolated_limits(self, monkeypatch):
         sp = make_space("sphere", 2)
         p = validate_params(2, 4, 0.5)
         w = weight_preset(sp, "cosine(0.2)")
         rng = np.random.default_rng(3)
         x = sp.sample_point(rng)
         v = sp.sample_unit(rng, x)
-        y = sp.geodesic(x, v, 0.7)
-        rep = check_limits(sp, w, p, 0.8, x, y)
+        # a pair farther apart than the suite's
+        monkeypatch.setattr(coefficients, "PAIR_LENGTH", 0.7)
+        rep = check_limits(sp, w, p, 0.8, x, v)
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("kind, dim, preset, kappa", [
@@ -299,15 +322,13 @@ class TestLimits:
         rng = np.random.default_rng(4)
         for _ in range(6):
             x = sp.sample_point(rng)
-            seg = segment_between(sp, x, sp.geodesic(
-                x, sp.sample_unit(rng, x), 0.4))
-            rep = check_limits(sp, w, p, kappa, x, seg.end)
+            v = sp.sample_unit(rng, x)
+            rep = check_limits(sp, w, p, kappa, x, v)
             for k, row in enumerate(rep.provenance["decay"]):
-                seg_k = segment_between(sp, seg.start, sp.geodesic(
-                    seg.start, seg.direction, seg.length * 0.5**k))
-                d_full, d_t = reparam_partial(sp, w, p, seg_k, [1.0, 0.5])
+                d_full, d_t = reparam_partial(sp, w, p, x, v, 0.4 * 0.5**k,
+                                              [1.0, 0.5])
                 want = np.expm1(log_beta(p, kappa, d_t, d_full, 0.5))
-                assert row["d"] == seg.length * 0.5**k
+                assert row["d"] == 0.4 * 0.5**k
                 assert row["dev"] == abs(float(want))
 
     def test_limit2_error_is_rounding_only(self, tmp_path):
@@ -335,13 +356,15 @@ class TestLimits:
         monkeypatch.setattr(coefficients, "reparam_partial", counted)
         sp = make_space("sphere", 2)
         p = validate_params(2, 4, 0.5)
-        x = np.array([0.0, np.sin(1.0), np.cos(1.0)])
-        y = np.array([0.0, np.sin(1.6), np.cos(1.6)])
-        rep = check_limits(sp, weight_preset(sp, "cosine(0.2)"), p, 0.8, x, y)
+        x, v = meridian(1.0)
+        rep = check_limits(sp, weight_preset(sp, "cosine(0.2)"), p, 0.8, x, v)
         assert rep.verdict == "pass"
         assert len(calls) == 1
-        segs, ts = calls[0][3], calls[0][4]
-        assert segs.length.shape == np.shape(ts) == (1 + 7 + 2 * 6,)
+        # from x along v: d(x, y) for d_f and each t, then each d_k twice
+        lengths, ts = calls[0][5], calls[0][6]
+        assert lengths.shape == np.shape(ts) == (1 + 7 + 2 * 6,)
+        dks = (0.4 * 0.5 ** np.arange(6)).tolist()
+        assert lengths.tolist() == [0.4] * 8 + dks + dks
 
     def test_overflowing_asymmetry_rate_is_inf(self):
         # |grad f| = 6000 along a segment of length 0.4 puts the rate B of
@@ -350,7 +373,7 @@ class TestLimits:
         sp = make_space("euclidean", 3)
         rep = check_limits(sp, weight_preset(sp, "linear(6000)"),
                            validate_params(3, 9, 0.4), -0.7, np.zeros(3),
-                           np.array([0.0, 0.4, 0.0]))
+                           np.array([0.0, 1.0, 0.0]))
         assert all(row["bound"] == math.inf for row in rep.provenance["decay"])
         assert rep.verdict == "pass"
 

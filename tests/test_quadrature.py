@@ -12,7 +12,7 @@ from cdcheck.params import validate_params
 from cdcheck.quadrature import (_NODES, _WEIGHTS, MAX_OPEN, PANEL_LENGTH,
                                 composite_simpson, cumulative_simpson,
                                 gauss_legendre)
-from cdcheck.spaces import make_space, segment_between, weight_preset
+from cdcheck.spaces import make_space, weight_preset
 
 
 def counting(fn):
@@ -140,12 +140,11 @@ class TestGeodesicIntegrands:
         segs = []
         for _ in range(100):
             x = sp.sample_point(rng)
-            segs.append(segment_between(sp, x, sp.geodesic(
-                x, sp.sample_unit(rng, x), 10.0 ** rng.uniform(-3, 0.6))))
-        starts = np.stack([sg.start for sg in segs])
-        dirs = np.stack([sg.direction for sg in segs])
+            segs.append((x, sp.sample_unit(rng, x),
+                         10.0 ** rng.uniform(-3, 0.6)))
+        starts, dirs, lengths = (np.stack(u) for u in zip(*segs))
         f = lambda i, s: np.exp(-a * w.eval(sp.geodesic(starts[i], dirs[i], s)))
-        ends = np.array([[1.0], [0.5], [0.1]]) * [sg.length for sg in segs]
+        ends = np.array([[1.0], [0.5], [0.1]]) * lengths
         cols = np.broadcast_to(np.arange(len(segs)), ends.shape)
         vals, errs = gauss_legendre(lambda p: f(cols.ravel()[p[0]], p[1]),
                                     0.0, ends, rel_tol=1e-13)

@@ -334,6 +334,18 @@ class TestBrunnMinkowski:
         # one for the measure, one for the G table of e^{-a f}
         assert len(calls) == 2
 
+    def test_interval_measure_is_the_table_on_the_grid(self):
+        # ends on the grid read the Simpson table; off it the cubic Hermite
+        # with slope m_density is O(dx^4): m([0, r]) = (r / 2)^3 on the R^3
+        # meridian [0, 2]
+        g = r3_meridian()
+        tab = g.m_cumulative
+        assert suites._interval_measure(g, g.xs[700], g.xs[35]) == float(
+            tab[700] - tab[35])
+        for r in (0.3, 1.0, 1.7):
+            assert suites._interval_measure(g, 0.0, r) == pytest.approx(
+                (r / 2.0) ** 3, rel=0.0, abs=1e-14)
+
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
     def test_flat_balls_equality_at_kappa_zero(self, t):
         # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the
@@ -341,10 +353,10 @@ class TestBrunnMinkowski:
         # measure normalized by the ball of radius RADIAL_HI = 2
         rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0), t,
                                     validate_params(3, 3, 1.0), 0.0, 1e-6)
-        assert abs(rep.min_margin) < 1e-7
+        assert abs(rep.min_margin) < 1e-12
         m = rep.provenance["measures"]
         assert m["Z"] == pytest.approx((((1 - t) * 0.4 + t) / 2) ** 3,
-                                       abs=1e-7)
+                                       abs=1e-12)
         assert rep.provenance["inf_beta_refine_drift"] == 0.0
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])

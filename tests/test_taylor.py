@@ -12,7 +12,7 @@ from cdcheck.errors import PreconditionError
 from cdcheck.params import s_kappa, validate_params
 from cdcheck.reparam import reparam_partial
 from cdcheck.spaces import (GRAD_POINTS, constant_weight, make_space,
-                            segment_between, weight_preset)
+                            weight_preset)
 from cdcheck.taylor import (NOISE_FLOOR, TERMS, check_F_identity,
                             check_limit_bound, check_series, f_of_theta,
                             series_margins, theta_eps)
@@ -153,16 +153,20 @@ class TestSharedDistances:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[3:5])
+            calls.append(args[3:7])
             return reparam_partial(*args, **kwargs)
 
         monkeypatch.setattr(taylor, "reparam_partial", counted)
         terms, deltas, _, _ = check_series(EUC3, w, p, -0.7, x, v)
         assert terms == TERMS
-        # one stacked call: every offset's segment at fractions 1/2 and 1
+        # one stacked call: every offset's segment, from gamma(delta) back
+        # along the geodesic for 2 delta, at fractions 1/2 and 1
         assert len(calls) == 1
-        segs, ts = calls[0]
-        assert segs.length.shape == (len(deltas),) and ts == [[0.5], [1.0]]
+        starts, directions, lengths, ts = calls[0]
+        assert lengths.tolist() == (2.0 * deltas).tolist()
+        assert np.array_equal(starts, EUC3.geodesic(x, v, deltas))
+        assert np.array_equal(directions, -EUC3.velocity(x, v, deltas))
+        assert ts == [[0.5], [1.0]]
 
 
 class TestExactReductions:
@@ -177,6 +181,21 @@ class TestExactReductions:
             _, exact, approx, margin = checks[term]
             assert np.max(np.abs(exact - approx)) < 1e-12
             assert margin >= 0.0
+
+    @pytest.mark.parametrize("kind, dim", [("euclidean", 3), ("sphere", 2),
+                                           ("hyperbolic", 3)])
+    def test_constant_weight_app1_full_is_exact(self, kind, dim):
+        # d_f of a constant weight is e^{-a f} times the segment's length,
+        # which is 2 delta as given, not as a log map recovers it
+        sp = make_space(kind, dim)
+        p = validate_params(dim, 3 * dim, 0.4)
+        rng = np.random.default_rng(9)
+        x = sp.sample_point(rng)
+        v = sp.sample_unit(rng, x)
+        terms, deltas, exact, _ = check_series(sp, constant_weight(0.7), p,
+                                               0.5, x, v)
+        want = math.exp(-p.a * 0.7) * (2.0 * deltas)
+        assert exact[terms.index("app1_full")].tobytes() == want.tobytes()
 
     def test_constant_weight_app2_only_kappa_term(self):
         # grad f = 0 kills the odd term; beta - 1 is pure curvature
@@ -200,10 +219,11 @@ class TestExactReductions:
         rev = checks["app2_rev"][1]
         for i in (0, 3):
             yp, ym = (EUC3.geodesic(x, v, s * deltas[i]) for s in (1, -1))
+            length = 2.0 * deltas[i]
             assert fwd[i] == pytest.approx(
-                beta(EUC3, w, p, -0.7, 0.5, yp, ym), rel=1e-9)
+                beta(EUC3, w, p, -0.7, 0.5, yp, -v, length), rel=1e-9)
             assert rev[i] == pytest.approx(
-                beta(EUC3, w, p, -0.7, 0.5, ym, yp), rel=1e-9)
+                beta(EUC3, w, p, -0.7, 0.5, ym, v, length), rel=1e-9)
 
     def test_app3_matches_weight_ratio(self):
         p = validate_params(3, 9, 0.4)
@@ -256,10 +276,9 @@ def _ten_formulas(space, weight, params, kappa, x, v):
     e0 = math.exp(-a * fx)
     kap_eff = params.inv_c * kappa * math.exp(-2.0 * a * fx)
     A = (2.0 * alpha**2 * gfv**2 / 3.0) - (alpha * hvv / 3.0)
-    segs = segment_between(space, space.geodesic(x, v, d),
-                           space.geodesic(x, v, -d))
-    d_half, d_full = reparam_partial(space, weight, params, segs,
-                                     [[0.5], [1.0]], rel_tol=1e-13)
+    d_half, d_full = reparam_partial(
+        space, weight, params, space.geodesic(x, v, d),
+        -space.velocity(x, v, d), 2.0 * d, [[0.5], [1.0]], rel_tol=1e-13)
     b_rev, b_fwd = np.exp(_log_beta_pair(
         params, kappa, d_full, 0.5, s_kappa(kappa, d_full - d_half),
         s_kappa(kappa, d_half), s_kappa(kappa, d_full)))
@@ -447,10 +466,10 @@ class TestLimitBound:
         # A = (1-t) sup, from one-segment distances
         want = []
         for j in range(8):
-            seg = segment_between(sp, x, sp.geodesic(x, v, 0.5 * 2.0**-j))
-            d_full = reparam_partial(sp, w, p, seg, 1.0)
-            d_t = reparam_partial(sp, w, p, seg, 0.5)
+            length = 0.5 * 2.0**-j
+            d_full = reparam_partial(sp, w, p, x, v, length, 1.0)
+            d_t = reparam_partial(sp, w, p, x, v, length, 0.5)
             aa = abs(p.a) * 0.5 * sup  # |a| A
-            rhs = aa * np.exp(aa * seg.length) * seg.length
+            rhs = aa * np.exp(aa * length) * length
             want.append(rhs - abs(d_t / (0.5 * d_full) - 1.0))
         np.testing.assert_array_equal(rep.margins, want)
