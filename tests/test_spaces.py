@@ -53,6 +53,7 @@ class TestGeodesics:
             assert speed == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("kind,dim", [("euclidean", 3), ("sphere", 2),
+                                          ("sphere", 3), ("hyperbolic", 2),
                                           ("hyperbolic", 3)])
     def test_reversed_walk_lands_on_the_far_end(self, kind, dim):
         # the segment gamma_v(delta) -> gamma_v(-delta) walked as taylor
@@ -691,3 +692,22 @@ class TestHyperboloidReference:
         pts = R * sp.geodesic(x, w, (8.0 * R + h * np.arange(-20, 21)) / R)
         np.testing.assert_allclose(pts[2:] - 2.0 * pts[1:-1] + pts[:-2],
                                    pts[1:-1] * 1e-8, rtol=0, atol=1e-14 * R)
+
+    @pytest.mark.parametrize("dim, scale", HYPERBOLIC_SPACES)
+    def test_geodesic_reaches_the_reference_endpoint(self, dim, scale):
+        # the segment (x, v, L) the 60-digit reference takes from x to y,
+        # walked by the model, ends at y: pairs 1e-9 and 1e-6 aside of a
+        # point ln 3 up, along the rays, and between the rays' base points
+        R, sp = scale, make_space("hyperbolic", dim)
+        rays = self._rays(dim, R)
+        base = np.eye(dim)[-1]
+        pairs = [(base, 3.0 * base + aside * np.eye(dim)[0])
+                 for aside in (1e-9, 1e-6)]
+        pairs += [(p, _half_space_geodesic(p, u, t * R, R)[0])
+                  for p, u in rays for t in (1e-6, 1e-3, 1.0, 3.0)]
+        ps = [p for p, _ in rays[::11]]
+        pairs += [(p, q) for i, p in enumerate(ps) for q in ps[i + 1:]]
+        for p, q in pairs:
+            x, y = _to_hyperboloid(p), _to_hyperboloid(q)
+            v, length = _half_space_log(x, y, R)
+            assert _rel(sp.geodesic(x, v, length / R), y) < 1e-11, (p, q)
