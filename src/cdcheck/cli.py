@@ -351,10 +351,9 @@ def _run_twcd(run, out_dir):
 
 def _run_bm(run, out_dir):
     X, Y = run.axis.bm
-    return [suites.check_brunn_minkowski(run.axis.geometry, X, Y, t,
-                                         run.params, run.kappa,
-                                         _tol(run, "bm"))
-            for t in run.cfg["sampling"]["t_grid"]]
+    return suites.check_brunn_minkowski(run.axis.geometry, X, Y,
+                                        run.cfg["sampling"]["t_grid"],
+                                        run.params, run.kappa, _tol(run, "bm"))
 
 
 def _run_interpolation(run, out_dir):

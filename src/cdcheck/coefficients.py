@@ -55,10 +55,13 @@ def require_beta_domain(kappa: float, d_full) -> None:
     conjugate radius. For kappa > 0 only the radius can fail, for
     kappa < 0 only the float range."""
     r = math.sqrt(max(-kappa, 0.0))
-    if r and not np.all(r * np.asarray(d_full) < LOG_MAX + min(0.0, math.log(r))):
-        raise PreconditionError("s_kappa of a re-parametrized distance leaves"
-                                " the float range", failed="s_kappa(d_f) finite")
-    if not np.all(within_conjugate_radius(kappa, d_full)):
+    if r:  # below the float bound is below C_kappa = +inf
+        if not np.all(r * np.asarray(d_full)
+                      < LOG_MAX + min(0.0, math.log(r))):
+            raise PreconditionError("s_kappa of a re-parametrized distance"
+                                    " leaves the float range",
+                                    failed="s_kappa(d_f) finite")
+    elif not np.all(within_conjugate_radius(kappa, d_full)):
         raise PreconditionError(
             "re-parametrized distance reaches the conjugate radius",
             failed="d_f < C_kappa")
@@ -83,8 +86,12 @@ def _log_beta(params, s_part, d_full, s_full, frac):
         raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
                          f" to {frac.max()}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(s_part) - np.log(frac * s_full)
-    return np.where(d_full == 0.0, 0.0, params.inv_c * ratio)
+        rest = np.log(frac * s_full)
+        ratio = np.log(s_part)  # the full shape of (d_part, d_full, frac)
+        ratio -= rest  # in place: two arrays alive, not three
+    ratio *= params.inv_c
+    zero = d_full == 0.0
+    return np.where(zero, 0.0, ratio) if zero.any() else ratio
 
 
 def log_beta_pair(params: DimensionParams, kappa: float, d_t, d_full, t):

@@ -9,7 +9,9 @@ is radial and monotone: McCann, GAFA 2001). Both carry the reference
 measure m = base * e^{-f} / Z on an axis grid, and both reduce to the
 monotone coupling of two densities, taken in the mass coordinate u in
 ]0, 1[ of their quantile functions: W2 and displacement interpolation
-are integrals in u.
+are integrals in u. Tables on a uniform grid (the antiderivative G of
+e^{-a f} behind every d_t, the density m) are read by `UniformTable`,
+np.interp's floats in O(1) per point.
 """
 
 from __future__ import annotations
@@ -28,6 +30,110 @@ from .spaces import Euclidean, ModelSpace, WeightFunction, weight_preset
 
 AXIS_POINTS = 4096  # axis grid points when the config gives none
 RADIAL_HI = 2.0  # the meridian window [0, RADIAL_HI] on R^n and H^n
+_READ_CHUNK = 8192  # points per pass of a UniformTable read
+
+
+# ----------------------------------------------------------------------
+# tables on uniform grids
+# ----------------------------------------------------------------------
+class UniformTable:
+    """``values`` at the nodes ``xs`` of a uniform grid (an np.linspace),
+    read at any points x as np.interp(x, xs, values, fill, fill) reads
+    them, float for float, in O(1) per point: np.interp binary-searches
+    every point that the cell of the one before does not hold.
+
+    A point's cell k is the node with xs[k] <= x < xs[k + 1]; k = n - 1
+    holds every x >= xs[-1] (slope -0.0, so values[-1] to the last bit)
+    and k = -1 every x < xs[0] (the left value, slope 0, in the last entry
+    of the slope and value tables). The nearest node of x, counted from
+    xs[0] in steps of the grid, is k or k + 1: one comparison with it finds
+    k. The value is slope (x - xs[k]) + v_k, np.interp's formula. Where
+    it gives NaN (x = +-inf or NaN, a non-finite table) np.interp's rules
+    for such points are applied one by one. A grid whose nodes the floats
+    of its window do not resolve finds k by bisection instead. A read of
+    more than _READ_CHUNK points goes a chunk at a time, so that its
+    temporaries stay the size of one chunk.
+    """
+
+    def __init__(self, xs: np.ndarray, values: np.ndarray, fill=None):
+        n = xs.size
+        self.xs, self.fill = xs, fill
+        self._scale = (n - 1) / (xs[-1] - xs[0])
+        self._offset = 0.5 - xs[0] * self._scale
+        self._values = np.append(values, values[0] if fill is None else fill)
+        self.values = self._values[:-1]  # a view: the table holds one copy
+        nodes = np.arange(n)
+        self._bisect = not (np.all(self._nearest(xs) >= nodes) and np.all(
+            self._nearest(np.nextafter(xs, -math.inf)) <= nodes))
+        # np.interp reads a node's value as it is; slope * 0 + v turns a
+        # -0.0 into 0.0
+        self._signed_zeros = bool(np.any(np.signbit(values) & (values == 0.0)))
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:  # at the first read, if there is one
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slopes = np.diff(self.values) / np.diff(self.xs)  # as np.interp
+        return np.concatenate([slopes, [-0.0, 0.0]])
+
+    def _nearest(self, x: np.ndarray) -> np.ndarray:
+        """The nearest node of each x, clipped to the grid: monotone in x,
+        so right at the nodes it is right everywhere."""
+        u = x * self._scale
+        u += self._offset
+        np.fmax(u, 0.0, out=u)  # and NaN to 0
+        np.fmin(u, self.xs.size - 1.0, out=u)
+        return u.astype(np.intp)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        if flat.size <= _READ_CHUNK:
+            return self._read(flat).reshape(x.shape)[()]
+        out = np.empty(x.shape)
+        into = out.reshape(-1)
+        for s in range(0, flat.size, _READ_CHUNK):
+            self._read(flat[s:s + _READ_CHUNK], into[s:s + _READ_CHUNK])
+        return out
+
+    def _read(self, x: np.ndarray, out=None) -> np.ndarray:
+        """The table at the points of the 1-d ``x``, into ``out``."""
+        xs = self.xs
+        if self._bisect:
+            k = np.searchsorted(xs, x, side="right")
+            k -= 1
+        else:
+            k = self._nearest(x)
+            k -= xs[k] > x
+        # index -1 reads the last entry: the left cell's slope and value
+        with np.errstate(over="ignore", invalid="ignore"):  # as np.interp
+            out = np.subtract(x, xs[k], out=out)
+            out *= self._slopes[k]
+            out += self._values[k]
+            if self._signed_zeros:
+                np.copyto(out, self._values[k], where=x == xs[k])
+            if self.fill is not None:
+                np.copyto(out, self.fill, where=x > xs[-1])
+            if math.isnan(np.add.reduce(out)):  # a NaN, or +inf with -inf
+                self._nan_rules(x, k, out)
+        return out
+
+    def _nan_rules(self, x, k, out) -> None:
+        """np.interp at the points where the formula gave NaN: NaN at NaN,
+        the left value below the grid, the node's value at a node, the
+        right value past the last node, and else the formula from the
+        cell's right end, or the common value of its ends where that is NaN
+        too."""
+        at = np.flatnonzero(np.isnan(out) & ~np.isnan(x))
+        x, k = x[at], k[at]
+        xs, v, s = self.xs, self._values, self._slopes
+        last = xs.size - 1
+        kr = np.minimum(k + 1, last)
+        right = s[k] * (x - xs[kr]) + v[kr]
+        right = np.where(np.isnan(right) & (v[k] == v[kr]), v[k], right)
+        out[at] = np.select(
+            [k < 0, x == xs[k], k == last],
+            [v[-1], v[k], v[last] if self.fill is None else self.fill], right)
+
 
 # ----------------------------------------------------------------------
 # quasi-1D geometries
@@ -57,8 +163,10 @@ class AxisGeometry:
         if not 0.0 < mass < math.inf:  # a weight past the float range
             raise ConfigError(f"axis weight {weight.name} has reference"
                               f" mass {mass:g}")
-        self.m_density = raw / mass
-        self._g_cache: dict[float, np.ndarray] = {}
+        # m(x) between the grid points; the density m_density is its values
+        self.m_table = UniformTable(self.xs, raw / mass)
+        self.m_density = self.m_table.values
+        self._g_cache: dict[float, UniformTable] = {}
 
     def axis_frame(self):
         """(points, unit axis tangents, unit normals) of the grid in ``space``."""
@@ -71,11 +179,12 @@ class AxisGeometry:
     def m_cumulative(self) -> np.ndarray:  # m([lo, x]) at the grid points x
         return cumulative_simpson(self.m_density, self.dx)
 
-    def _g_table(self, a: float) -> np.ndarray:
+    def _g_table(self, a: float) -> UniformTable:
         """Antiderivative G(x) = int_lo^x e^{-a f}; makes every d_t O(1)."""
         tab = self._g_cache.get(a)
         if tab is None:
-            tab = cumulative_simpson(np.exp(-a * self.f_vals), self.dx)
+            tab = UniformTable(self.xs, cumulative_simpson(
+                np.exp(-a * self.f_vals), self.dx))
             self._g_cache[a] = tab
         return tab
 
@@ -92,13 +201,13 @@ class AxisGeometry:
         if a == 0.0:
             return np.abs(y - x), lambda t: np.abs(t * (y - x))
         g = self._g_table(a)
-        g_x = np.interp(x, self.xs, g)
+        g_x = g(x)
         end = x + (y - x)
-        d_full = np.abs(np.interp(end, self.xs, g) - g_x)
+        d_full = np.abs(g(end) - g_x)
 
         def d_t(t):
             z = x + t * (y - x)
-            d = np.abs(np.interp(z, self.xs, g) - g_x)
+            d = np.abs(g(z) - g_x)
             # where z rounds to x or to the end, y - x is a rounding residue
             # on which G is linear: d_t = t d_f, not 0 or d_f
             rounded = (z == x) | (z == end)
@@ -247,8 +356,7 @@ class MonotoneInterpolation:
         """j_t(u) = 1 / rho_t(Q_t(u)), one row per t of ``ts``."""
         t = np.asarray(ts, dtype=float)[:, None]
         q = (1.0 - t) * self.Q0 + t * self.Q1
-        return (np.interp(q, self.g.xs, self.g.m_density)
-                * ((1.0 - t) * self.dQ0 + t * self.dQ1))
+        return self.g.m_table(q) * ((1.0 - t) * self.dQ0 + t * self.dQ1)
 
     def pushforward_integral(self, ts, integrand_of_rho) -> np.ndarray:
         """integral of integrand(rho_t) d m for each t of ``ts``: the sum of

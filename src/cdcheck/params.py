@@ -117,15 +117,21 @@ def s_kappa(kappa: float, s):
     Elementwise over an array s; a scalar s gives a numpy float.
     """
     s = np.asarray(s, dtype=float)
-    z = kappa * s * s
-    if kappa == 0.0:
-        return s * (1.0 - z / 6.0 + z * z / 120.0)
+    if kappa == 0.0:  # the series at z = 0: s, and NaN at s = +-inf
+        return s * (1.0 + kappa * s)
     r = math.sqrt(abs(kappa))
-    out = np.asarray(np.sin(r * s) / r if kappa > 0.0 else np.sinh(r * s) / r)
-    small = np.abs(z) < _SERIES_THRESHOLD
-    if small.any():  # the series only where it is taken
-        s, z = s[small], z[small]
-        out[small] = s * (1.0 - z / 6.0 + z * z / 120.0)
+    sin = np.sin if kappa > 0.0 else np.sinh
+    out = np.asarray(sin(s) if r == 1.0 else sin(r * s) / r)
+    # |kappa s^2| < threshold only where |s| is below its root (widened
+    # past rounding); the series is taken at those points alone
+    near = np.flatnonzero(
+        np.abs(s) < math.sqrt(_SERIES_THRESHOLD / abs(kappa)) * (1.0 + 1e-6))
+    if near.size:
+        s_near = np.take(s, near)
+        z = kappa * s_near * s_near
+        small = np.abs(z) < _SERIES_THRESHOLD
+        s_near, z = s_near[small], z[small]
+        np.put(out, near[small], s_near * (1.0 - z / 6.0 + z * z / 120.0))
     return out[()]
 
 

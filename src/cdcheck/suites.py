@@ -3,7 +3,10 @@
 Everything here consumes axis geometries from the transport module: the
 displacement convexity condition with twisted coefficients, the weighted
 Brunn-Minkowski inequality, the p-mean interpolation family, and the
-functional inequalities (HWI, log-Sobolev, transport-energy).
+functional inequalities (HWI, log-Sobolev, transport-energy). The twcd
+and bm checks take their whole t-grid in one call and compute what does
+not depend on t (the curvature hypothesis, d_f and its s_kappa) once;
+the envelope psi of the interpolation check is a `UniformTable` read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .coefficients import (_log_beta_pair, frak_b, log_b, log_beta_pair,
 from .errors import HypothesisError, PreconditionError
 from .params import DimensionParams, s_kappa
 from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
-                 entropy_functional, fisher_information,
+                 UniformTable, entropy_functional, fisher_information,
                  monotone_1d_transport, renyi_pointwise, w2_axis)
 from .report import CheckReport
 from .spaces import curvature_floor, ricci_fN_batch
@@ -150,25 +153,41 @@ def _interval_measure(geometry: AxisGeometry, lo: float, hi: float) -> float:
     return float(at[1] - at[0])
 
 
-def _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi, t, k):
+def _inf_beta_powers(geometry, params, kappa, X, Y, t_grid, k):
     """Sampled infima of beta_{1-t}(y,x)^{c/(c+1)} and beta_t(x,y)^{c/(c+1)}
-    over the interval product, on a k x k grid."""
-    logs = axis_log_betas(geometry, params, kappa,
-                          np.linspace(xlo, xhi, k)[:, None],
-                          np.linspace(ylo, yhi, k), t)
-    rev, fwd = np.exp(params.c_ratio * np.array(logs))
-    return float(rev.min()), float(fwd.min())
+    over X x Y on a k x k grid, one pair per t of ``t_grid``: d_f and its
+    s_kappa are taken once, d_t and beta per t."""
+    d_full, distances = geometry.partial_distances(
+        params, np.linspace(*X, k)[:, None], np.linspace(*Y, k))
+    require_beta_domain(kappa, d_full)
+    s_full = s_kappa(kappa, d_full)
+
+    def infima(t):  # its arrays are freed before the next t
+        d_t = distances(t)
+        logs = _log_beta_pair(params, kappa, d_full, t,
+                              s_kappa(kappa, d_full - d_t),
+                              s_kappa(kappa, d_t), s_full)
+        for log in logs:  # beta^{c/(c+1)} in place
+            log *= params.c_ratio
+            np.exp(log, out=log)
+        return tuple(float(power.min()) for power in logs)
+    return [infima(t) for t in t_grid]
 
 
 def check_brunn_minkowski(geometry: AxisGeometry, X: tuple, Y: tuple,
-                          t: float, params: DimensionParams, kappa: float,
-                          tol: float) -> CheckReport:
-    """Weighted Brunn-Minkowski for the axis intervals X and Y, with the
-    coefficient infima over X x Y sampled on BM_SAMPLES^2 and twice as many
-    points per side (the finer ones are used, their drift reported):
+                          t_grid, params: DimensionParams, kappa: float,
+                          tol: float) -> list[CheckReport]:
+    """Weighted Brunn-Minkowski for the axis intervals X and Y, one report
+    per t of ``t_grid``, with the coefficient infima over X x Y sampled on
+    BM_SAMPLES^2 and twice as many points per side (the finer ones are
+    used, their drift reported):
 
     m(Z_t)^{c/(c+1)} >= (1-t) (inf beta_{1-t})^{c/(c+1)} m(X)^{c/(c+1)}
                         + t (inf beta_t)^{c/(c+1)} m(Y)^{c/(c+1)}.
+
+    The curvature hypothesis, m(X), m(Y) and d_f on each pair grid are
+    taken once per call; the coarse grid is freed before the fine one is
+    built.
     """
     (xlo, xhi), (ylo, yhi) = X, Y
     # the transport between the intervals stays in their hull
@@ -176,20 +195,21 @@ def check_brunn_minkowski(geometry: AxisGeometry, X: tuple, Y: tuple,
     _require_curvature(geometry, params, kappa, (min(ends), max(ends)))
     m_x = _interval_measure(geometry, xlo, xhi)
     m_y = _interval_measure(geometry, ylo, yhi)
-    m_z = _interval_measure(geometry, (1 - t) * xlo + t * ylo,
-                            (1 - t) * xhi + t * yhi)
-    rev, fwd = _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo, yhi,
-                                t, BM_SAMPLES)
-    rev2, fwd2 = _inf_beta_powers(geometry, params, kappa, xlo, xhi, ylo,
-                                  yhi, t, 2 * BM_SAMPLES)
+    coarse, fine = (_inf_beta_powers(geometry, params, kappa, X, Y, t_grid, k)
+                    for k in (BM_SAMPLES, 2 * BM_SAMPLES))
     cr = params.c_ratio
-    rhs = (1 - t) * rev2 * m_x**cr + t * fwd2 * m_y**cr
-    margin = (m_z**cr - rhs) / (1.0 + abs(rhs))
-    return CheckReport(name="brunn_minkowski", margins=[margin], tolerance=tol,
-                       provenance={"t": t,
-                                   "measures": {"X": m_x, "Y": m_y, "Z": m_z},
-                                   "inf_beta_refine_drift": max(
-                                       abs(rev - rev2), abs(fwd - fwd2))})
+    reports = []
+    for t, (rev, fwd), (rev2, fwd2) in zip(t_grid, coarse, fine):
+        m_z = _interval_measure(geometry, (1 - t) * xlo + t * ylo,
+                                (1 - t) * xhi + t * yhi)
+        rhs = (1 - t) * rev2 * m_x**cr + t * fwd2 * m_y**cr
+        margin = (m_z**cr - rhs) / (1.0 + abs(rhs))
+        reports.append(CheckReport(
+            name="brunn_minkowski", margins=[margin], tolerance=tol,
+            provenance={"t": t, "measures": {"X": m_x, "Y": m_y, "Z": m_z},
+                        "inf_beta_refine_drift": max(abs(rev - rev2),
+                                                     abs(fwd - fwd2))}))
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +321,7 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
     env = np.maximum(best, np.maximum(fc, fd))
     env *= 1.0 + SLACK
     env += SLACK * float(env.max())
-    return lambda z: np.interp(z, zs, env, left=0.0, right=0.0)
+    return UniformTable(zs, env, fill=0.0)
 
 
 def check_interpolation(geometry: AxisGeometry, params: DimensionParams,

@@ -256,17 +256,12 @@ def test_criterion_06_brunn_minkowski():
     r3 = make_space("euclidean", 3)
     radial = MeridianGeometry(r3, weight_preset(r3, "zero"))
     p = validate_params(3, 3, 1.0)
-    ok = True
-    for t in (0.2, 0.5, 0.8):
-        rep = suites.check_brunn_minkowski(radial, (0.0, 0.4), (0.0, 1.0), t,
-                                           p, 0.0, 1e-6)
-        ok &= abs(rep.min_margin) < 1e-7
+    ok = all(abs(rep.min_margin) < 1e-7 for rep in suites.check_brunn_minkowski(
+        radial, (0.0, 0.4), (0.0, 1.0), (0.2, 0.5, 0.8), p, 0.0, 1e-6))
     g = LineGeometry("quadratic(0.5)", lo=-2.0, hi=2.0, points=4096)
     pw = validate_params(2, 8, 0.4)
-    for t in (0.25, 0.5, 0.75):
-        rep = suites.check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), t,
-                                           pw, -1.5, 1e-6)
-        ok &= rep.min_margin >= -1e-6
+    ok &= all(rep.min_margin >= -1e-6 for rep in suites.check_brunn_minkowski(
+        g, (-1.0, -0.3), (0.3, 1.0), (0.25, 0.5, 0.75), pw, -1.5, 1e-6))
     _gate(6, "Brunn-Minkowski: flat balls and weighted intervals", ok)
 
 

@@ -226,6 +226,26 @@ def test_coefficient_copy_scan_sees_both_marks(tmp_path):
                                         "mod.py:6 takes the log of s_kappa"]
 
 
+def _interp_calls(path: Path) -> list[str]:
+    """The calls of np.interp (or of any ``.interp``) in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno} calls interp"
+            for node in ast.walk(tree) if _is_call_of(node, "interp")]
+
+
+def test_axis_lookups_have_one_reader():
+    # every read of a uniform grid goes through ot.UniformTable, which is
+    # np.interp in O(1) per point; no src module calls np.interp
+    assert [hit for path in ALL_MODULES for hit in _interp_calls(path)] == []
+
+
+def test_interp_scan_sees_a_planted_call(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import numpy as np\n\n\ndef read(x, xs, g):\n"
+                   "    return np.interp(x, xs, g)\n")
+    assert _interp_calls(mod) == ["mod.py:5 calls interp"]
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):

@@ -5,7 +5,8 @@ import pytest
 
 from cdcheck.errors import ConfigError
 from cdcheck.ot import (RADIAL_HI, LineGeometry, MeridianGeometry,
-                        MonotoneInterpolation, density_from_callable,
+                        MonotoneInterpolation, UniformTable,
+                        density_from_callable,
                         entropy_functional, fisher_information,
                         monotone_1d_transport, renyi_pointwise, w2_axis)
 from cdcheck.params import validate_params
@@ -299,3 +300,100 @@ class TestPartialDistances:
         assert d_full > 0.0
         assert np.array_equal(distances(t), t * d_full)
         assert distances(1.0) == d_full
+
+
+class TestUniformTable:
+    """The O(1) reader returns np.interp's floats wherever it reads."""
+
+    @staticmethod
+    def _table(window, n, fill):
+        xs = np.linspace(*window, n)
+        values = np.cumsum(np.exp(-np.sin(3.0 * xs)))  # like a G table
+        values[n // 3] = 0.0
+        table = UniformTable(xs, values, fill)
+        assert not table._bisect  # the O(1) path
+        return xs, values, table
+
+    @staticmethod
+    def _same(got, xs, values, x, fill):
+        kw = {} if fill is None else {"left": fill, "right": fill}
+        want = np.interp(x, xs, values, **kw)
+        assert np.shape(got) == np.shape(want)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        # bit for bit: the same NaNs and signed zeros
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
+
+    WINDOWS = [(-2.0, 2.0), (0.0, math.pi), (1e4, 1e4 + 4.0)]
+
+    @pytest.mark.parametrize("fill", [None, 0.0])
+    @pytest.mark.parametrize("n", [16, 17, 100, 4096, 8192])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_nodes_ends_and_beyond(self, window, n, fill):
+        xs, values, table = self._table(window, n, fill)
+        lo, hi = window
+        width = hi - lo
+        x = np.concatenate([
+            xs, np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf),
+            [lo - width, lo - 1e-9 * width, hi + 1e-9 * width, hi + width,
+             -1e300, 1e300, -math.inf, math.inf, math.nan]])
+        self._same(table(x), xs, values, x, fill)
+
+    @pytest.mark.parametrize("n", [16, 8192])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_unsorted_points(self, window, n):
+        xs, values, table = self._table(window, n, None)
+        lo, hi = window
+        x = np.random.default_rng(5).uniform(lo, hi, 10000)
+        self._same(table(x), xs, values, x, None)
+
+    @pytest.mark.parametrize("fill", [None, 0.0])
+    def test_layouts(self, fill):
+        xs, values, table = self._table((-2.0, 2.0), 64, fill)
+        grid = np.random.default_rng(6).uniform(-2.5, 2.5, (7, 10))
+        for x in (np.float64(0.3), np.array(-1.7), np.array(math.nan),
+                  grid, grid.T[::2, 1::3], np.empty(0), np.empty((3, 0)),
+                  [0.1, 2.0], 1.0):
+            self._same(table(x), xs, values, x, fill)
+
+    def test_non_finite_tables(self):
+        # np.interp's rules where the formula is NaN: inf - inf slopes, a
+        # NaN value, read at nodes, inside cells and past the ends
+        xs = np.linspace(-2.0, 2.0, 64)
+        with np.errstate(over="ignore"):
+            values = np.exp(np.linspace(0.0, 720.0, 64))
+        values[[10, 30]] = math.nan
+        values[20:23] = -math.inf
+        table = UniformTable(xs, values)
+        x = np.concatenate([xs, np.random.default_rng(7).uniform(-3, 3, 2000),
+                            [math.inf, -math.inf, math.nan]])
+        self._same(table(x), xs, values, x, None)
+
+    @pytest.mark.parametrize("n", [16, 8192])
+    def test_nan_fill(self, n):
+        xs, values, table = self._table((-2.0, 2.0), n, math.nan)
+        x = np.concatenate([xs, [-3.0, 3.0, -math.inf, math.inf, math.nan]])
+        self._same(table(x), xs, values, x, math.nan)
+
+    @pytest.mark.parametrize("fill", [None, 0.0])
+    def test_signed_zeros(self, fill):
+        # np.interp reads a node's -0.0 as -0.0, where slope * 0 + v is 0.0
+        xs = np.linspace(-2.0, 2.0, 64)
+        values = np.where(np.arange(64) % 3 == 0, -0.0, np.sin(xs))
+        values[-1] = -0.0
+        x = np.concatenate([xs, np.nextafter(xs, math.inf), [3.0, -3.0]])
+        self._same(UniformTable(xs, values, fill)(x), xs, values, x, fill)
+
+    @pytest.mark.parametrize("fill", [None, 0.0])
+    def test_unresolved_grid_bisects(self, fill):
+        # nodes closer than the floats of the window, some of them equal:
+        # the nearest-node estimate could miss the cell by more than one,
+        # so the cell is found by bisection
+        xs = np.linspace(1e12, 1e12 + 1e-3, 8192)
+        values = np.cumsum(np.exp(-np.sin(np.arange(8192.0))))
+        table = UniformTable(xs, values, fill)
+        assert table._bisect
+        x = np.concatenate([xs, np.random.default_rng(8).uniform(
+            1e12 - 1e-3, 1e12 + 2e-3, 3000), [math.inf, -math.inf, math.nan]])
+        self._same(table(x), xs, values, x, fill)

@@ -77,6 +77,12 @@ class TestValidateParams:
         assert p.inv_c == pytest.approx(1.0 / p.c)
 
 
+def _sinh_scale(kappa):
+    """What the s of a test case are divided by: 1, but at kappa = -3e5,
+    where sinh(sqrt|kappa| s) would leave the float range, sqrt|kappa| / 2."""
+    return max(1.0, math.sqrt(abs(kappa)) / 2.0)
+
+
 class TestComparisonFunctions:
     def test_values(self):
         assert s_kappa(1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
@@ -144,7 +150,28 @@ class TestComparisonFunctions:
         safe = np.where(np.abs(z) < 1e-8, 0.0, s)
         return np.where(np.abs(z) < 1e-8, series(s, z), closed(r, safe))
 
-    @pytest.mark.parametrize("kappa", [1.3, -0.7, 0.0])
+    def _s_where_form(self, kappa, s):
+        return self._where_form(
+            kappa, s, lambda s, z: s * (1.0 - z / 6.0 + z * z / 120.0),
+            lambda r, s: (np.sin(r * s) / r if kappa > 0.0
+                          else np.sinh(r * s) / r))
+
+    @staticmethod
+    def _threshold_points(kappa):
+        """The s > 0 with |kappa s^2| = 1e-8 in floats, and the last s of the
+        series and the first of the closed form, with their negatives."""
+        root = math.sqrt(1e-8 / abs(kappa))
+        near = [root]
+        for _ in range(8):
+            near = [np.nextafter(near[0], 0.0), *near,
+                    np.nextafter(near[-1], math.inf)]
+        z = [abs(kappa * v * v) for v in near]
+        last = max(i for i, v in enumerate(z) if v < 1e-8)
+        pts = [near[last], near[last + 1]]
+        pts += [v for v, w in zip(near, z) if w == 1e-8]
+        return pts + [-v for v in pts]
+
+    @pytest.mark.parametrize("kappa", [1.3, -0.7, 0.0, 1.0, -1.0, -3e5])
     @pytest.mark.parametrize("s", [
         [0.0, 1e-9, -3e-6, 0.3, -2.0, 1e-4, 5e-5],  # both branches
         [0.0, 1e-9, -2e-6, 5e-6, 1e-12],  # series only
@@ -153,16 +180,42 @@ class TestComparisonFunctions:
         [[0.0, 0.5], [1e-7, -1.5]],  # a stack
     ])
     def test_array_branches_match_the_where_form(self, kappa, s):
-        ref = self._where_form(
-            kappa, s, lambda s, z: s * (1.0 - z / 6.0 + z * z / 120.0),
-            lambda r, s: (np.sin(r * s) / r if kappa > 0.0
-                          else np.sinh(r * s) / r))
+        s = np.array(s) / _sinh_scale(kappa)
+        ref = self._s_where_form(kappa, s)
         assert np.array_equal(s_kappa(kappa, np.array(s)), ref,
                               equal_nan=True)
         ref = self._where_form(
             kappa, s, lambda s, z: 1.0 - z / 2.0 + z * z / 24.0,
             lambda r, s: np.cos(r * s) if kappa > 0.0 else np.cosh(r * s))
         assert np.array_equal(c_kappa(kappa, np.array(s)), ref,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("kappa", [1.3, -0.7, 1.0, -1.0, -3e5])
+    def test_series_threshold_matches_the_where_form(self, kappa):
+        # |kappa s^2| = 1e-8 where a float gives it, and one ulp either
+        # side of where the series stops: the candidates from |s| are
+        # widened past the rounding of kappa s^2
+        s = np.array(self._threshold_points(kappa))
+        assert np.array_equal(s_kappa(kappa, s), self._s_where_form(kappa, s))
+        assert s.size >= 4
+
+    @pytest.mark.parametrize("kappa", [1.3, -0.7, 0.0, 1.0, -1.0, -3e5])
+    @pytest.mark.parametrize("layout", ["0-d", "strided", "empty"])
+    def test_layouts_match_the_where_form(self, kappa, layout):
+        base = np.array([[0.0, 1e-9, 0.3, -3e-6], [-2.0, 1e-4, np.nan, 5e-5],
+                         [1e-12, 2.9, -1e-7, 0.7]]) / _sinh_scale(kappa)
+        if layout == "0-d":
+            for v in base.ravel():
+                got = s_kappa(kappa, np.array(v))
+                assert np.ndim(got) == 0
+                assert np.array_equal(got, self._s_where_form(kappa, v),
+                                      equal_nan=True)
+            return
+        s = base.T[::2] if layout == "strided" else base[:0]
+        assert layout == "empty" or not s.flags.c_contiguous
+        got = s_kappa(kappa, s)
+        assert got.shape == s.shape
+        assert np.array_equal(got, self._s_where_form(kappa, s),
                               equal_nan=True)
 
 

@@ -284,38 +284,64 @@ class TestAxisLogBetas:
         # G at x once, at x + t (y - x) and at y: 3 N points for N pairs
         g, p = quad_line(), validate_params(2, 10, 0.5)
         looked_up = []
-        interp = np.interp
+        read = ot.UniformTable.__call__
 
-        def counted(x, xp, fp, *args, **kwargs):
-            if fp is g._g_table(p.a):
+        def counted(table, x):
+            if table is g._g_table(p.a):
                 looked_up.append(np.size(x))
-            return interp(x, xp, fp, *args, **kwargs)
+            return read(table, x)
 
-        monkeypatch.setattr(np, "interp", counted)
+        monkeypatch.setattr(ot.UniformTable, "__call__", counted)
         xs = np.linspace(-1.0, -0.2, 50)
         axis_log_betas(g, p, -1.0, xs, -xs, 0.4)
         assert sum(looked_up) == 3 * xs.size
 
 
+def per_t_bm_report(geometry, X, Y, t, params, kappa):
+    """The bm report at one t as the former per-t path took it: the
+    hypothesis, the measures and both infima grids at that t alone, the
+    infima through `axis_log_betas`."""
+    (xlo, xhi), (ylo, yhi) = X, Y
+    suites._require_curvature(geometry, params, kappa,
+                              (min(xlo, ylo), max(xhi, yhi)))
+    m = [suites._interval_measure(geometry, *I) for I in (
+        X, Y, ((1 - t) * xlo + t * ylo, (1 - t) * xhi + t * yhi))]
+    infima = []
+    for k in (suites.BM_SAMPLES, 2 * suites.BM_SAMPLES):
+        logs = axis_log_betas(geometry, params, kappa,
+                              np.linspace(xlo, xhi, k)[:, None],
+                              np.linspace(ylo, yhi, k), t)
+        rev, fwd = np.exp(params.c_ratio * np.array(logs))
+        infima.append((float(rev.min()), float(fwd.min())))
+    (rev, fwd), (rev2, fwd2) = infima
+    cr = params.c_ratio
+    rhs = (1 - t) * rev2 * m[0]**cr + t * fwd2 * m[1]**cr
+    return {"margins": [(m[2]**cr - rhs) / (1.0 + abs(rhs))],
+            "provenance": {"t": t,
+                           "measures": {"X": m[0], "Y": m[1], "Z": m[2]},
+                           "inf_beta_refine_drift": max(abs(rev - rev2),
+                                                        abs(fwd - fwd2))}}
+
+
 class TestBrunnMinkowski:
     def test_flat_balls_classical(self):
         p = validate_params(3, 3, 1.0)
-        rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0),
-                                    0.3, p, 0.0, 1e-6)
+        rep, = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0),
+                                     [0.3], p, 0.0, 1e-6)
         assert rep.verdict == "pass"
 
     def test_equal_regions_equality(self):
         g = flat_line()
         p = validate_params(2, 4, 0.5)
-        rep = check_brunn_minkowski(g, (-0.5, 0.5), (-0.5, 0.5), 0.37, p, 0.0,
-                                    1e-6)
+        rep, = check_brunn_minkowski(g, (-0.5, 0.5), (-0.5, 0.5), [0.37], p,
+                                     0.0, 1e-6)
         assert abs(rep.min_margin) < 1e-9
 
     def test_weighted_intervals_negative_kappa(self):
         g = LineGeometry("linear(1)", lo=-2.0, hi=2.0, points=4096)
         p = validate_params(2, 6, 0.4)
-        rep = check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), 0.5, p, -2.5,
-                                    1e-6)
+        rep, = check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), [0.5], p,
+                                     -2.5, 1e-6)
         assert rep.verdict == "pass"
         assert rep.min_margin >= -1e-6
 
@@ -328,11 +354,55 @@ class TestBrunnMinkowski:
                             lambda *args: calls.append(args) or
                             cumulative_simpson(*args))
         p = validate_params(2, 6, 0.4)
-        for t in (0.25, 0.5, 0.75):
-            check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), t, p, -2.5,
-                                  1e-6)
+        check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), (0.25, 0.5, 0.75),
+                              p, -2.5, 1e-6)
         # one for the measure, one for the G table of e^{-a f}
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", [
+        ("line", "linear(1)", (-1.0, -0.3), (0.3, 1.0), -2.5),
+        ("line", "quadratic(0.5)", (-1.0, -0.3), (0.3, 1.0), -1.5),
+        ("line", "zero", (0.0, 0.4), (0.0, 1.0), -1.0),
+        ("meridian", "zero", (0.0, 0.4), (0.0, 1.0), 0.0)])
+    def test_t_grid_reports_equal_the_per_t_path(self, case):
+        # one call over the t-grid answers, bit for bit, what one call per
+        # t answered
+        kind, preset, X, Y, kappa = case
+        if kind == "line":
+            g, p = LineGeometry(preset), validate_params(2, 8, 0.4)
+        else:
+            g, p = r3_meridian(), validate_params(3, 3, 1.0)
+        ts = [0.1, 0.25, 0.5, 0.75, 0.9]
+        reps = check_brunn_minkowski(g, X, Y, ts, p, kappa, 1e-6)
+        assert [rep.provenance["t"] for rep in reps] == ts
+        for rep, t in zip(reps, ts):
+            ref = per_t_bm_report(g, X, Y, t, p, kappa)
+            assert rep.margins == ref["margins"]
+            assert rep.provenance == ref["provenance"]
+
+    def test_one_hypothesis_and_one_d_f_per_pair_grid(self, monkeypatch):
+        # the curvature scan runs once per call and d_f once per pair grid,
+        # however many t the grid holds; d_t once per (grid, t)
+        g, p = LineGeometry("linear(1)"), validate_params(2, 6, 0.4)
+        scans, grids, d_ts = [], [], []
+        margins = suites._curvature_margins
+        partial = g.partial_distances
+        monkeypatch.setattr(suites, "_curvature_margins",
+                            lambda *args: scans.append(1) or margins(*args))
+
+        def counted(params, x, y):
+            grids.append(np.broadcast(x, y).shape)
+            d_full, d_t = partial(params, x, y)
+            return d_full, lambda t: d_ts.append(t) or d_t(t)
+
+        monkeypatch.setattr(g, "partial_distances", counted)
+        ts = (0.25, 0.5, 0.75)
+        reps = check_brunn_minkowski(g, (-1.0, -0.3), (0.3, 1.0), ts, p, -2.5,
+                                     1e-6)
+        assert len(reps) == 3
+        assert len(scans) == 1
+        assert grids == [(64, 64), (128, 128)]
+        assert d_ts == [*ts, *ts]
 
     def test_interval_measure_is_the_table_on_the_grid(self):
         # ends on the grid read the Simpson table; off it the cubic Hermite
@@ -351,8 +421,9 @@ class TestBrunnMinkowski:
         # at kappa = 0 and N = n, beta = 1 and m^{1/n} is linear in the
         # radius: the balls of radii 0.4 and 1 about the origin of R^3, each
         # measure normalized by the ball of radius RADIAL_HI = 2
-        rep = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0), t,
-                                    validate_params(3, 3, 1.0), 0.0, 1e-6)
+        rep, = check_brunn_minkowski(r3_meridian(), (0.0, 0.4), (0.0, 1.0),
+                                     [t], validate_params(3, 3, 1.0), 0.0,
+                                     1e-6)
         assert abs(rep.min_margin) < 1e-12
         m = rep.provenance["measures"]
         assert m["Z"] == pytest.approx((((1 - t) * 0.4 + t) / 2) ** 3,
@@ -365,8 +436,9 @@ class TestBrunnMinkowski:
         # y - x is a rounding residue, read beta = 1, not beta = 0 from
         # d_t = 0 < d_f: the parent read margins 0.120, 0.160 and 0.078 here,
         # with a drift of 0.92 between the 64- and 128-point infima
-        rep = check_brunn_minkowski(flat_line(), (0.0, 0.4), (0.0, 1.0), t,
-                                    validate_params(2, 9, 0.4), -1.0, 1e-6)
+        rep, = check_brunn_minkowski(flat_line(), (0.0, 0.4), (0.0, 1.0),
+                                     [t], validate_params(2, 9, 0.4), -1.0,
+                                     1e-6)
         want = {0.25: 0.02113, 0.5: 0.02707, 0.75: 0.01955}[t]
         assert rep.min_margin == pytest.approx(want, abs=1e-4)
         assert rep.provenance["inf_beta_refine_drift"] == 0.0
@@ -380,7 +452,7 @@ class TestBrunnMinkowski:
         if kind == "meridian":
             X, Y, g = (0.0, 0.4), (0.0, 1.0), r3_meridian()
         with pytest.raises(ValueError, match=r"\]0,1\["):
-            check_brunn_minkowski(g, X, Y, t, p, -1.0, 1e-6)
+            check_brunn_minkowski(g, X, Y, [0.5, t], p, -1.0, 1e-6)
 
 
 class TestInterpolationInequality:
