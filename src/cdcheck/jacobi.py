@@ -14,7 +14,10 @@ a_nn = (E' E^{-1})_{nn}. On the model spaces the system has constant
 coefficients, so ``jacobi_closed_form`` evaluates both exactly on the
 t-grid from one eigendecomposition per ray, without building E; the grid
 only sets the points where the inequalities are checked and the
-quadrature of a_nn behind h and Dbar.
+quadrature of a_nn behind h and Dbar. On R^n (k = 0) E(t) = I + tS, and
+``_flat_rays`` takes det E, log det E and the integral of a_nn exactly
+from the eigenvalues mu of S, with no quadrature: such a ray is
+admissible if and only if mu_min > -1, on any grid.
 """
 
 from __future__ import annotations
@@ -86,9 +89,43 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
         det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
         det = det_P + ts * det_M
         a_nn = det_M / det
+    _require_finite(det)
+    return det, a_nn
+
+
+def _flat_rays(Ss: np.ndarray, ts: np.ndarray):
+    """Exact det E, log det E and int_0^t a_nn for a batch of rays on R^n.
+
+    There E(t) = I + tS. With S = V diag(mu) V^T and q_j = V[n, j],
+    det E = prod_j (1 + t mu_j), log det E = sum_j log1p(t mu_j) and
+    a_nn = sum_j q_j^2 mu_j / (1 + t mu_j), whose integral is
+    sum_j q_j^2 log1p(t mu_j). Returns (det, logdet, int_ann, admissible)
+    of shapes (B, T) and (B,): a ray is admissible if and only if
+    mu_min > -1; an inadmissible row's int_ann is NaN, and so is its
+    log det E where a factor is negative. The sums are built one
+    eigenvalue at a time, in place.
+    """
+    mu, V = np.linalg.eigh(Ss)
+    q2 = V[:, -1, :] ** 2
+    shape = (Ss.shape[0], ts.size)
+    det, logdet, int_ann = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for m, q in zip(mu.T, q2.T):
+            tm = m[:, None] * ts
+            det *= 1.0 + tm
+            np.log1p(tm, out=tm)
+            logdet += tm
+            tm *= q[:, None]
+            int_ann += tm
+    _require_finite(det)
+    admissible = mu[:, 0] > -1.0
+    int_ann[~admissible] = np.nan
+    return det, logdet, int_ann, admissible
+
+
+def _require_finite(det):
     if not np.all(np.isfinite(det)):
         raise PreconditionError("det E leaves the float range", failed="det E finite")
-    return det, a_nn
 
 
 def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
@@ -102,12 +139,15 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     on every column), plus the speeds ``thetas`` and an ``admissible`` mask
     (det > 0 on the whole grid). Inadmissible rows carry NaN downstream.
     J, formed for ``worst_ray.csv`` only, reads +inf past the float range.
+    On R^n every array is exact (``_flat_rays``) and a ray is admissible
+    if and only if the eigenvalues of S exceed -1, between grid points
+    too; on S^n and H^n det E is exact and int_ann a cumulative Simpson of
+    a_nn.
     """
     xs, ws, Ss = (np.asarray(a, dtype=float) for a in (xs, ws, Ss))
     B = xs.shape[0]
     thetas = space.norm(xs, ws)
     ts = np.linspace(0.0, 1.0, steps + 1)
-    dt = ts[1] - ts[0]
 
     # f first, so a geodesic past X_n = SPAN stops the scan before the
     # propagator overflows; zero-speed rays and constant weights take f(x)
@@ -122,13 +162,16 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
 
     # zero-speed rays degenerate to the identity trajectory
     Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
-    det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
-    admissible = np.all(det > 0.0, axis=1)
-    a_nn[~admissible] = np.nan
-
-    int_ann = cumulative_simpson(a_nn, dt)
+    if space.sec == 0.0:
+        det, logdet, int_ann, admissible = _flat_rays(Ss, ts)
+    else:
+        det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
+        admissible = np.all(det > 0.0, axis=1)
+        a_nn[~admissible] = np.nan
+        int_ann = cumulative_simpson(a_nn, ts[1] - ts[0])
+        logdet = np.where(det > 0, np.log(np.where(det > 0, det, 1.0)),
+                          np.nan)
     with np.errstate(invalid="ignore", over="ignore"):
-        logdet = np.where(det > 0, np.log(np.where(det > 0, det, 1.0)), np.nan)
         J = np.exp(logdet - f_gamma + f_gamma[:, :1])
     h = logdet - int_ann
     l = h - f_gamma + f_gamma[:, :1]
@@ -230,10 +273,11 @@ def refine_ray_margin(space: ModelSpace, weight: WeightFunction,
                       x, w, S, steps: int = _REFINE_STEPS) -> float | None:
     """One ray's concavity margin on a grid of ``steps`` steps.
 
-    ``None`` if the ray has zero speed, is inadmissible on that grid,
-    reaches the conjugate radius, or S is not symmetric (S may come from
-    a ``counterexample.json``). The scan refines its flagged rays through
-    the same kernel, so this reproduces their margins.
+    ``None`` if the ray has zero speed, is inadmissible (on that grid;
+    exactly on R^n), reaches the conjugate radius, or S is not symmetric
+    (S may come from a ``counterexample.json``). The scan refines its
+    flagged rays through the same kernel, so this reproduces their
+    margins.
     """
     x, w, S = (np.asarray(a, float) for a in (x, w, S))
     if not np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0):
@@ -286,14 +330,16 @@ def _scan_batch(space, weight, params, kappa, rng, count, steps, region,
     """One batch of :func:`scan_rays`.
 
     Rays that are inadmissible or whose re-parametrized length reaches
-    the conjugate radius are dropped. det E is exact at every grid point;
-    the grid error left is the quadrature of a_nn behind h and Dbar, which
-    is sharp where the determinant dips toward 0, and a dip between grid
-    points can hide det E <= 0. So on a grid coarser than
-    ``_REFINE_STEPS`` steps, the rays whose determinant dips below 0.1 and
-    whose margin is below ``-tol`` are re-checked on ``_REFINE_STEPS``
-    steps, in chunks whose arrays are no larger than the batch's, and
-    dropped if the fine grid shows them inadmissible.
+    the conjugate radius are dropped. On R^n every ray is exact, with
+    admissibility mu_min > -1, and none is re-checked: its grid is
+    ``steps``. On S^n and H^n det E is exact at every grid point; the grid
+    error left is the quadrature of a_nn behind h and Dbar, which is sharp
+    where the determinant dips toward 0, and a dip between grid points can
+    hide det E <= 0. So on a grid coarser than ``_REFINE_STEPS`` steps,
+    the curved rays whose determinant dips below 0.1 and whose margin is
+    below ``-tol`` are re-checked on ``_REFINE_STEPS`` steps, in chunks
+    whose arrays are no larger than the batch's, and dropped if the fine
+    grid shows them inadmissible.
     """
     xs, ws, Ss = sample_rays(space, rng, count, region, theta_range)
     keep, margins, det_min = _ray_margins(space, weight, params, kappa,
@@ -301,7 +347,7 @@ def _scan_batch(space, weight, params, kappa, rng, count, steps, region,
     grids = np.full(keep.size, steps)
     dropped = np.zeros(keep.size, dtype=bool)
     flagged = np.flatnonzero((margins < -tol) & (det_min < 0.1)
-                             & (steps < _REFINE_STEPS))
+                             & (steps < _REFINE_STEPS) & (space.sec != 0.0))
     chunk = max(1, _RAY_BATCH * (steps + 1) // (_REFINE_STEPS + 1))
     for start in range(0, flagged.size, chunk):
         j = flagged[start:start + chunk]

@@ -219,6 +219,74 @@ class TestTrajectories:
         assert np.all(np.isfinite(traj["int_ann"]))
 
 
+class TestFlatRays:
+    def test_exact_forms_match_the_fine_quadrature(self, flat3):
+        # the exact path on the 128-step grid against the general closed
+        # form and a cumulative Simpson of a_nn on 16,384 steps, whose grid
+        # holds every point of the coarse one: the same admissible rays on
+        # both grids, and det E and int_ann at the shared points
+        xs, ws, Ss = sample_rays(flat3, np.random.default_rng(5), 2000,
+                                 None, (0.2, 1.2))
+        fine = np.linspace(0.0, 1.0, 16385)
+        admissible, want, det_err, ann_err = [], [], [], []
+        for start in range(0, 2000, 50):  # bounds the (50, 16385) arrays
+            rays = slice(start, start + 50)
+            out = integrate_jacobi_batch(flat3, constant_weight(0.0),
+                                         xs[rays], ws[rays], Ss[rays], 128)
+            assert np.array_equal(out["ts"], fine[::128])
+            det, a_nn = jacobi_closed_form(Ss[rays], np.zeros(50), fine)
+            ok = np.all(det > 0.0, axis=1)
+            admissible.append(out["admissible"])
+            want.append(ok)
+            ref = cumulative_simpson(a_nn[ok], fine[1] - fine[0])[:, ::128]
+            det_err.append(np.abs(out["det"][ok] / det[ok][:, ::128] - 1.0))
+            ann_err.append(np.abs(out["int_ann"][ok] - ref).max(axis=1))
+        admissible = np.concatenate(admissible)
+        assert np.array_equal(admissible, np.concatenate(want))
+        assert admissible.sum() == 1445
+        assert np.concatenate(det_err).max() < 1e-12
+        # the few rays that miss are near-singular, where Simpson errs
+        assert np.quantile(np.concatenate(ann_err), 0.99) < 1e-10
+
+    def test_no_closed_form_and_no_quadrature(self, monkeypatch, flat3):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("jacobi_closed_form", "cumulative_simpson"):
+            monkeypatch.setattr(jacobi, name,
+                                counted(name, getattr(jacobi, name)))
+        xs, ws, Ss = sample_rays(flat3, np.random.default_rng(2), 40, None,
+                                 (0.2, 1.2))
+        out = integrate_jacobi_batch(
+            flat3, weight_preset(flat3, "quadratic(0.3)"), xs, ws, Ss, 64)
+        assert out["admissible"].any() and not out["admissible"].all()
+        assert calls == []
+        sphere = make_space("sphere", 2)
+        integrate_jacobi_batch(sphere, constant_weight(0.0),
+                               *sample_rays(sphere, np.random.default_rng(2),
+                                            40, None, (0.2, 1.2)), 64)
+        assert calls == ["jacobi_closed_form", "cumulative_simpson"]
+
+    def test_inadmissible_rows_are_nan(self, flat3):
+        # mu_min = -1.2: det E changes sign at t = 1/1.2, and h, l, int_ann
+        # read NaN on the whole row; zero-speed rows take S = 0
+        S = np.diag([-1.2, 0.3, 0.1])
+        ws = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        out = integrate_jacobi_batch(flat3, constant_weight(0.0),
+                                     np.zeros((2, 3)), ws,
+                                     np.stack([S, S]), 16)
+        assert out["admissible"].tolist() == [False, True]
+        for key in ("h", "l", "int_ann"):
+            assert np.isnan(out[key][0]).all()
+        np.testing.assert_array_equal(out["det"][1], 1.0)
+        np.testing.assert_array_equal(out["int_ann"][1], 0.0)
+
+
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
     """The five blocks ``sample_rays`` documents (points, the normal draws
     behind the directions, theta, eigenvalues, the Gaussian matrices behind
@@ -352,12 +420,15 @@ class TestScan:
         for got, want in zip(whole, zip(*parts)):
             np.testing.assert_array_equal(got, np.concatenate(want))
 
-    def test_scan_is_the_serial_refinement(self):
-        # the scan, one ray at a time: a margin below -tol on a ray whose
-        # det E dips below 0.1 is re-checked on 4,096 steps, and a ray
-        # is dropped where its grid gives no margin
-        sp, w = make_space("euclidean", 3), constant_weight(0.0)
-        args = (sp, w, validate_params(3, 3.0, 1.0), 0.2)
+    @pytest.mark.parametrize("kind, dim, kappa", [
+        ("hyperbolic", 3, -0.5), ("sphere", 2, 1.2)], ids=["h3", "s2"])
+    def test_scan_is_the_serial_refinement(self, kind, dim, kappa):
+        # the scan, one ray at a time: on S^n and H^n a margin below -tol
+        # on a ray whose det E dips below 0.1 is re-checked on 4,096 steps,
+        # and a ray is dropped where its grid gives no margin (H^3 re-checks
+        # 4 rays and S^2 39; each drops 1)
+        sp, w = make_space(kind, dim), constant_weight(0.0)
+        args = (sp, w, validate_params(dim, float(dim), 1.0), kappa)
         *scanned, margins, grids = scan_rays(
             *args, np.random.default_rng(0), 600, 64, None, (0.2, 1.4), 1e-6)
         want, dropped = [], 0
@@ -378,16 +449,29 @@ class TestScan:
             np.testing.assert_array_equal(got, np.array(expect))
 
     def test_fine_grid_is_not_rechecked_on_a_coarser_one(self):
-        # a scan on more than 4,096 steps keeps its own margins: two of
+        # a scan on more than 4,096 steps keeps its own margins: eight of
         # these rays are flagged, and such rays once reported the
         # re-check's 4,096
-        sp = make_space("euclidean", 3)
+        sp = make_space("sphere", 2)
         *_, grids = scan_rays(sp, constant_weight(0.0),
-                              validate_params(3, 3.0, 1.0), 0.2,
+                              validate_params(2, 2.0, 1.0), 1.2,
                               np.random.default_rng(0), 250, 8192, None,
                               (0.2, 1.2), 1e-8)
         assert grids.size == 171
         assert np.all(grids == 8192)
+
+    def test_flat_rays_are_never_rechecked(self, flat3):
+        # R^n rays are exact on any grid: rays with a margin below -tol
+        # and det E below 0.1 keep the scan's own 64 steps
+        w, p = constant_weight(0.0), validate_params(3, 3.0, 1.0)
+        xs, ws, Ss, margins, grids = scan_rays(
+            flat3, w, p, 0.2, np.random.default_rng(0), 600, 64, None,
+            (0.2, 1.4), 1e-6)
+        keep, again, det_min = jacobi._ray_margins(flat3, w, p, 0.2, xs, ws,
+                                                   Ss, 64)
+        assert keep.size == grids.size and np.array_equal(again, margins)
+        assert np.any((margins < -1e-6) & (det_min < 0.1))
+        assert np.all(grids == 64)
 
 
 class TestConcavity:
@@ -574,7 +658,8 @@ class TestPartials:
                                                preset):
         calls, d_partial, simpson_d = self._run(monkeypatch, kind, dim,
                                                 preset)
-        assert calls == 1  # the quadrature of a_nn
+        # the quadrature of a_nn, which R^n rays do not take
+        assert calls == (kind != "euclidean")
         np.testing.assert_allclose(d_partial, simpson_d, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("kind, dim, preset", [
@@ -583,13 +668,15 @@ class TestPartials:
                                                       kind, dim, preset):
         calls, d_partial, simpson_d = self._run(monkeypatch, kind, dim,
                                                 preset)
-        assert calls == 2
+        assert calls == 1 + (kind != "euclidean")
         assert np.array_equal(d_partial, simpson_d)
 
 
 # two rays of the benchmark's ray-pass scans whose det E dips to ~3e-9
-# between grid points: on 128 steps the a_nn quadrature drives log Dbar
-# (first ray) or c l (second ray) far past the float range of exp
+# between grid points: on 128 steps the a_nn quadrature drove log Dbar
+# (first ray) or c l (second ray) far past the float range of exp. The
+# first is on R^3, where S has eigenvalues -1.141, -1.133 and 0.825: det E
+# < 0 on ]0.8765, 0.8828[, and the exact admissibility drops the ray
 OVERFLOW_RAYS = {
     "log-Dbar": ("euclidean", "quadratic(0.3)", (3, 10.0, 0.4), -1.0,
                  [0.5784613439631379, -0.19095029640810365,
@@ -619,6 +706,12 @@ class TestOverflow:
         sp = make_space(kind, n)
         p = validate_params(n, N, eps)
         wf = weight_preset(sp, weight)
+        if sp.sec == 0.0:
+            with pytest.raises(SingularJacobian):
+                integrate_jacobi(sp, wf, x, w, S, 128)
+            assert refine_ray_margin(sp, wf, p, kappa, x, w, S,
+                                     steps=128) is None
+            return
         traj = integrate_jacobi(sp, wf, x, w, S, 128)
         assert max(traj["int_ann"].max(), p.c * traj["l"].max()) > 710.0
         # the minimum of the margins is NaN if any margin is
