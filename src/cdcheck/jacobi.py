@@ -133,16 +133,18 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     """Vectorized trajectory computation for a batch of rays.
 
     Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
-    ``det``, ``J``, ``h``, ``l``, ``int_ann`` (= log Dbar; log D is c l, and
-    D and Dbar themselves are not formed, so they cannot overflow) and
-    ``f_gamma`` (f along the geodesic, a constant weight's base-point value
-    on every column), plus the speeds ``thetas`` and an ``admissible`` mask
-    (det > 0 on the whole grid). Inadmissible rows carry NaN downstream.
-    J, formed for ``worst_ray.csv`` only, reads +inf past the float range.
-    On R^n every array is exact (``_flat_rays``) and a ray is admissible
-    if and only if the eigenvalues of S exceed -1, between grid points
-    too; on S^n and H^n det E is exact and int_ann a cumulative Simpson of
-    a_nn.
+    ``det``, ``logdet`` (log det E), ``h``, ``l``, ``int_ann`` (= log Dbar;
+    log D is c l, and D and Dbar themselves are not formed, so they cannot
+    overflow) and ``f_gamma`` (f along the geodesic, a constant weight's
+    base-point value on every column), plus the speeds ``thetas`` and an
+    ``admissible`` mask (det > 0 on the whole grid). Inadmissible rows
+    carry NaN downstream. f along a ray is the weight's ray form
+    (``WeightFunction.ray``) where it has one, every R^n and S^n preset,
+    so no (B, steps + 1, ambient) point array is built; other weights are
+    evaluated at the points of ``space.geodesic``. On R^n every array is
+    exact (``_flat_rays``) and a ray is admissible if and only if the
+    eigenvalues of S exceed -1, between grid points too; on S^n and H^n
+    det E is exact and int_ann a cumulative Simpson of a_nn.
     """
     xs, ws, Ss = (np.asarray(a, dtype=float) for a in (xs, ws, Ss))
     B = xs.shape[0]
@@ -154,10 +156,11 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     f_gamma = np.empty((B, steps + 1))
     live = (thetas > 1e-14) & (not weight.is_constant)
     if live.any():
-        vs = ws[live] / thetas[live, None]
-        pts = space.geodesic(xs[live, None], vs[:, None],
-                             thetas[live, None] * ts)
-        f_gamma[live] = np.asarray(weight.eval(pts), dtype=float)
+        x, v = xs[live], ws[live] / thetas[live, None]
+        T = thetas[live, None] * ts
+        f_gamma[live] = (
+            weight.ray(x, v, T) if weight.ray is not None
+            else weight.eval(space.geodesic(x[:, None], v[:, None], T)))
     f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
 
     # zero-speed rays degenerate to the identity trajectory
@@ -169,25 +172,31 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
         admissible = np.all(det > 0.0, axis=1)
         a_nn[~admissible] = np.nan
         int_ann = cumulative_simpson(a_nn, ts[1] - ts[0])
-        logdet = np.where(det > 0, np.log(np.where(det > 0, det, 1.0)),
-                          np.nan)
-    with np.errstate(invalid="ignore", over="ignore"):
-        J = np.exp(logdet - f_gamma + f_gamma[:, :1])
+        # det <= 0 only on inadmissible rows, which the margins drop
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logdet = np.log(det)
     h = logdet - int_ann
     l = h - f_gamma + f_gamma[:, :1]
-    return {"ts": ts, "det": det, "J": J, "h": h, "l": l, "int_ann": int_ann,
-            "f_gamma": f_gamma, "thetas": thetas, "admissible": admissible}
+    return {"ts": ts, "det": det, "logdet": logdet, "h": h, "l": l,
+            "int_ann": int_ann, "f_gamma": f_gamma, "thetas": thetas,
+            "admissible": admissible}
 
 
 def integrate_jacobi(space: ModelSpace, weight: WeightFunction, x, w, S,
                      steps: int):
     """One ray's :func:`integrate_jacobi_batch` dict, each array reduced to
-    the ray's row; raises SingularJacobian if det E hits 0."""
+    the ray's row, with the weighted Jacobian J = det E e^{f(x) - f} (for
+    ``worst_ray.csv``; +inf past the float range) added; raises
+    SingularJacobian if det E hits 0."""
     out = integrate_jacobi_batch(
         space, weight, *(np.asarray(a, float)[None] for a in (x, w, S)), steps)
     if not out["admissible"][0]:
         raise SingularJacobian("det(dF_t) vanishes on [0, 1]; ray inadmissible")
-    return {k: v if k == "ts" else v[0] for k, v in out.items()}
+    traj = {k: v if k == "ts" else v[0] for k, v in out.items()}
+    f = traj["f_gamma"]
+    with np.errstate(invalid="ignore", over="ignore"):
+        traj["J"] = np.exp(traj["logdet"] - f + f[0])
+    return traj
 
 
 def _log_margin(x, w0, x0, w1, x1):
@@ -264,8 +273,9 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     m1, m2, m3 = concavity_margins(ts, params.c * out["l"][keep],
                                    out["int_ann"][keep], d_partial[keep],
                                    params, kappa)
-    margins = np.min(np.concatenate([m1, m2, m3], axis=-1), axis=-1)
-    return keep, margins, np.min(out["det"][keep], axis=-1)
+    np.minimum(m1, m2, out=m1)
+    np.minimum(m1, m3, out=m1)
+    return keep, np.min(m1, axis=-1), np.min(out["det"][keep], axis=-1)
 
 
 def refine_ray_margin(space: ModelSpace, weight: WeightFunction,

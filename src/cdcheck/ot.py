@@ -154,6 +154,9 @@ class AxisGeometry:
             raise ConfigError(f"axis grid of {points} points on [{lo:g},"
                               f" {hi:g}]: needs 16 or more on lo < hi")
         self.xs = np.linspace(lo, hi, points)
+        if not np.all(self.xs[1:] > self.xs[:-1]):  # nodes that collapse
+            raise ConfigError(f"axis grid of {points} points on [{lo!r},"
+                              f" {hi!r}] is finer than its floats")
         self.dx = self.xs[1] - self.xs[0]
         self.weight = weight
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -17,9 +17,12 @@ R^n a normal block, then a uniform block.
 
 Every weight preset is an ambient function F with closed-form DF and
 D^2F; its Riemannian gradient and Hessian come from one rule,
-`_ambient_weight` (no finite differences). H^n coordinates grow as e^d
-at a distance d from the origin (0, ..., 0, 1), and a point past X_n =
-SPAN is refused; checks confined near one point run there (`centred`).
+`_ambient_weight` (no finite differences). The R^n and S^n presets also
+give f along unit-speed rays from per-ray scalars
+(``WeightFunction.ray``), so the ray scan builds no point arrays for
+them. H^n coordinates grow as e^d at a distance d from the origin (0,
+..., 0, 1), and a point past X_n = SPAN is refused; checks confined near
+one point run there (`centred`).
 """
 
 from __future__ import annotations
@@ -277,12 +280,19 @@ class WeightFunction:
     ``grad`` returns the Riemannian gradient vector in the space's point
     coordinates, so g(grad f, v) is ``space.inner(x, grad f, v)``;
     ``hess(x, u, w)`` is the Riemannian Hessian Hess f(u, w).
+
+    ``ray``, if not None, is f along unit-speed geodesics without their
+    points: ``ray(x, v, T)`` for rays from x (B, ambient) along unit
+    tangents v (B, ambient) at the parameters T (B, T) is the (B, T) array
+    of f(gamma_v(T)), from a few per-ray scalars of x and v. Every R^n and
+    S^n preset has one; H^n presets and custom weights have none, and f
+    along their rays is ``eval`` of ``space.geodesic``.
     """
 
     def __init__(self, eval_fn, grad_fn, hess_fn, *, is_constant=False,
-                 name="custom"):
+                 name="custom", ray=None):
         self._eval, self._grad, self._hess = eval_fn, grad_fn, hess_fn
-        self.is_constant, self.name = is_constant, name
+        self.is_constant, self.name, self.ray = is_constant, name, ray
 
     def eval(self, x):
         return self._eval(np.asarray(x, dtype=float))
@@ -322,25 +332,43 @@ def _along(x, entries) -> np.ndarray:
 
 
 def _euclidean_presets(space, a):
+    """linear(a) = a x_0 and quadratic(a) = a |x|^2 / 2, with their ray
+    forms along x + T v: a (x_0 + T v_0), bit for bit the value at the
+    point, and a (|x|^2 + T (2 x . v + T |v|^2)) / 2."""
+    def quadratic_ray(x, v, T):
+        xx, xv, vv = (_dot(p, q)[:, None]
+                      for p, q in ((x, x), (x, v), (v, v)))
+        return 0.5 * a * (xx + T * (2.0 * xv + T * vv))
+
     return {"linear": (lambda x: a * x[..., 0], lambda x: _along(x, {0: a}),
-                       _no_hessian),
+                       _no_hessian,
+                       lambda x, v, T: a * (x[:, :1] + T * v[:, :1])),
             "quadratic": (lambda x: 0.5 * a * np.sum(x * x, axis=-1),
                           lambda x: a * x,
-                          lambda x, u, w: a * np.sum(u * w, axis=-1))}
+                          lambda x, u, w: a * np.sum(u * w, axis=-1),
+                          quadratic_ray)}
 
 
 def _sphere_presets(space, a):
     """cosine(a) = a X_n, and linear(a) = a theta for the colatitude
-    theta = acos(X_n) (singular at the poles)."""
+    theta = acos(X_n) (singular at the poles). Along cos T x + sin T v
+    both read one coordinate, X_n = cos T x_n + sin T v_n, so their ray
+    forms are bit for bit the values at the points."""
     def dtheta(z):  # d theta / d X_n
         return -1.0 / np.sqrt((1.0 - z) * (1.0 + z))
 
+    def ray_xn(x, v, T):
+        return np.cos(T) * x[:, -1:] + np.sin(T) * v[:, -1:]
+
     return {"cosine": (lambda x: a * x[..., -1],
-                       lambda x: _along(x, {-1: a}), _no_hessian),
+                       lambda x: _along(x, {-1: a}), _no_hessian,
+                       lambda x, v, T: a * ray_xn(x, v, T)),
             "linear": (lambda x: a * np.arccos(np.clip(x[..., -1], -1.0, 1.0)),
                        lambda x: _along(x, {-1: a * dtheta(x[..., -1])}),
                        lambda x, u, w: (a * x[..., -1] * dtheta(x[..., -1]) ** 3
-                                        * u[..., -1] * w[..., -1]))}
+                                        * u[..., -1] * w[..., -1]),
+                       lambda x, v, T: a * np.arccos(
+                           np.clip(ray_xn(x, v, T), -1.0, 1.0)))}
 
 
 def _hyperbolic_presets(space, a, at=None):
@@ -383,14 +411,15 @@ _PRESETS = {"euclidean": _euclidean_presets, "sphere": _sphere_presets,
             "hyperbolic": _hyperbolic_presets}
 
 
-def _ambient_weight(space: ModelSpace, name: str, F, DF, D2F) -> WeightFunction:
-    """The weight of an ambient function F, given with DF and D^2F: with
-    P_X v = v - sec <X, v> X and G the ambient form, grad f = P_X(G DF) and
-    Hess f(u, w) = D^2F(u, w) - sec <u, w> (X . DF); on R^n (sec = 0) they
-    are DF and D^2F."""
+def _ambient_weight(space: ModelSpace, name: str, F, DF, D2F,
+                    ray=None) -> WeightFunction:
+    """The weight of an ambient function F, given with DF, D^2F and its ray
+    form, if any: with P_X v = v - sec <X, v> X and G the ambient form,
+    grad f = P_X(G DF) and Hess f(u, w) = D^2F(u, w) - sec <u, w> (X . DF);
+    on R^n (sec = 0) they are DF and D^2F."""
     k = space.sec
     if k == 0.0:
-        return WeightFunction(F, DF, D2F, name=name)
+        return WeightFunction(F, DF, D2F, name=name, ray=ray)
 
     def gr(x):
         df = DF(x)
@@ -399,7 +428,7 @@ def _ambient_weight(space: ModelSpace, name: str, F, DF, D2F) -> WeightFunction:
     def he(x, u, w):
         return D2F(x, u, w) - k * space.inner(x, u, w) * _dot(x, DF(x))
 
-    return WeightFunction(F, gr, he, name=name)
+    return WeightFunction(F, gr, he, name=name, ray=ray)
 
 
 _PRESET_RE = re.compile(r"^([a-z]+)(?:[:(]([-+0-9.eE]+)\)?)?$")

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from cdcheck import cli, taylor
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
-from cdcheck.jacobi import integrate_jacobi_batch, refine_ray_margin
+from cdcheck.jacobi import (integrate_jacobi, integrate_jacobi_batch,
+                            refine_ray_margin)
 from cdcheck.ot import AxisGeometry
 from cdcheck.params import validate_params
 from cdcheck.report import CheckReport
@@ -211,6 +212,12 @@ class TestValidate:
         {"kappa": 10**400},
         {"suite": "twcd", "geometry": {"f1": "quadratic(1e300)"}},
         {"suite": "twcd", "geometry": {"lo": -1e308, "hi": 1e308}},
+        {"suite": "twcd", "geometry": {"kind": "line", "lo": 1e15,
+                                       "hi": 1e15 + 1, "points": 1048576,
+                                       "f1": "zero"}},
+        {"suite": "twcd", "geometry": {"kind": "line", "lo": 1e6,
+                                       "hi": 1e6 + 1e-6, "points": 1048576,
+                                       "f1": "zero"}},
         {"sampling": {"trials": 200, "seed": 0,
                       "region": {"center": [0.0, 0.0], "radius": 1.0}}},
         {"suite": "taylor", "space": {"kind": "sphere", "dim": 2},
@@ -259,6 +266,8 @@ class TestValidate:
             "interpolation-unknown-key",
             "euclidean-radius", "tolerance-unread", "kappa-past-float",
             "f1-without-reference-mass", "line-window-too-wide",
+            "line-grid-finer-than-floats-at-1e15",
+            "line-grid-finer-than-floats-at-1e6",
             "region-center-short", "region-center-short-sphere",
             "region-on-sphere", "region-center-on-hyperbolic", "radius-zero",
             "radius-negative", "scale-zero", "scale-negative", "radius-square-past-float",
@@ -274,6 +283,20 @@ class TestValidate:
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(1e15, 1e15 + 1), (1e6, 1e6 + 1e-6)])
+    def test_line_grid_finer_than_floats_names_the_grid(self, tmp_path,
+                                                        capsys, lo, hi):
+        # the nodes collapse (dx = 0): the grid is refused before the
+        # reference mass reads 0
+        cfg = base_cfg("twcd", geometry={"kind": "line", "lo": lo, "hi": hi,
+                                         "points": 1048576, "f1": "zero"})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert (f"axis grid of 1048576 points on [{lo!r}, {hi!r}] is finer"
+                " than its floats") in err
+        assert "reference mass" not in err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
@@ -413,11 +436,13 @@ class TestRunExitCodes:
             assert rows[0] == ["t", "det", "J", "h", "l", "log_D", "log_Dbar"]
             # the table is the kernel's row of the counterexample ray on the
             # sampling grid, written to round trip, with log D = c l
+            ray = [np.array(ce[k]) for k in ("x", "w", "S")]
+            steps = cfg["sampling"].get("steps", 128)
             traj = integrate_jacobi_batch(
-                space, weight, *(np.array([ce[k]]) for k in ("x", "w", "S")),
-                cfg["sampling"].get("steps", 128))
-            want = [traj["ts"]] + [traj[k][0] for k in ("det", "J", "h", "l")]
-            want += [params.c * traj["l"][0], traj["int_ann"][0]]
+                space, weight, *(a[None] for a in ray), steps)
+            J = integrate_jacobi(space, weight, *ray, steps)["J"]
+            want = [traj["ts"], traj["det"][0], J, traj["h"][0], traj["l"][0],
+                    params.c * traj["l"][0], traj["int_ann"][0]]
             got = np.array([[float(v) for v in row] for row in rows[1:]])
             np.testing.assert_array_equal(got, np.column_stack(want))
 

@@ -287,6 +287,97 @@ class TestFlatRays:
         np.testing.assert_array_equal(out["int_ann"][1], 0.0)
 
 
+RAY_FORM_PRESETS = [("euclidean", 2, "linear(0.7)"),
+                    ("euclidean", 3, "linear(-1.3)"),
+                    ("euclidean", 2, "quadratic(0.5)"),
+                    ("euclidean", 3, "quadratic(-2.0)"),
+                    ("sphere", 2, "cosine(0.3)"), ("sphere", 3, "cosine(-1.1)"),
+                    ("sphere", 2, "linear(0.2)"), ("sphere", 3, "linear(1.5)")]
+
+
+def _unit_rays(kind, dim, seed):
+    """(space, x, v, T) of 200 ``sample_rays`` rays: unit tangents v = w /
+    theta and the batch's parameters T = theta t, up to 3."""
+    sp = make_space(kind, dim)
+    xs, ws, _ = sample_rays(sp, np.random.default_rng(seed), 200, None,
+                            (0.2, 3.0))
+    thetas = sp.norm(xs, ws)
+    return (sp, xs, ws / thetas[:, None],
+            thetas[:, None] * np.linspace(0.0, 1.0, 65))
+
+
+def _no_points(*args):
+    raise AssertionError("geodesic points built")
+
+
+class TestRayForms:
+    @pytest.mark.parametrize("kind, dim, preset", RAY_FORM_PRESETS)
+    def test_ray_form_is_the_value_at_the_points(self, kind, dim, preset):
+        # one-coordinate presets bit for bit. R^n quadratic regroups
+        # |x + T v|^2 by powers of T: where the ray passes near the origin
+        # its terms cancel, so both roundings are bounded by the size of
+        # the terms, a (|x| + T)^2 / 2, not by |f|
+        sp, x, v, T = _unit_rays(kind, dim, seed=4)
+        w = weight_preset(sp, preset)
+        assert T.max() > 2.9
+        got = w.ray(x, v, T)
+        want = w.eval(sp.geodesic(x[:, None], v[:, None], T))
+        assert got.shape == want.shape == T.shape
+        if preset.startswith("quadratic"):
+            a = abs(float(preset[10:-1]))
+            terms = 0.5 * a * (np.sqrt(sp.inner(x, x, x))[:, None] + T) ** 2
+            assert np.all(np.abs(got - want)
+                          <= 8.0 * np.spacing(1.0 + terms))
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    def test_only_r_n_and_s_n_presets_have_one(self):
+        for kind, dim, preset in RAY_FORM_PRESETS:
+            assert weight_preset(make_space(kind, dim), preset).ray is not None
+        h3 = make_space("hyperbolic", 3)
+        for preset in ("linear(0.7)", "quadratic(0.4)"):
+            assert weight_preset(h3, preset).ray is None
+        # constant weights, the sphere's quadratic among them, read f(x)
+        s2 = make_space("sphere", 2)
+        assert weight_preset(s2, "quadratic(1)").ray is None
+
+    @pytest.mark.parametrize("kind, dim, preset", RAY_FORM_PRESETS)
+    def test_batch_builds_no_points(self, monkeypatch, kind, dim, preset):
+        # f along an R^n or S^n preset's rays never calls space.geodesic,
+        # and the batch is the one of the weight evaluated at the points
+        sp = make_space(kind, dim)
+        w = weight_preset(sp, preset)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(6), 60, None,
+                                 (0.2, 1.2))
+        ws[:3] = 0.0  # zero-speed rows
+        at_points = WeightFunction(w.eval, w.grad, w.hess)
+        want = integrate_jacobi_batch(sp, at_points, xs, ws, Ss, 32)
+        monkeypatch.setattr(sp, "geodesic", _no_points)
+        got = integrate_jacobi_batch(sp, w, xs, ws, Ss, 32)
+        assert got.keys() == want.keys()
+        for key in got:
+            if preset.startswith("quadratic") and key in ("f_gamma", "l"):
+                np.testing.assert_allclose(got[key], want[key], rtol=0,
+                                           atol=1e-14)
+            else:
+                assert np.array_equal(got[key], want[key],
+                                      equal_nan=True), key
+
+    def test_h3_batch_takes_the_points(self, monkeypatch):
+        # an H^n preset keeps the point path and its SPAN refusal
+        h3 = make_space("hyperbolic", 3)
+        w = weight_preset(h3, "linear(0.3)")
+        xs, ws, Ss = sample_rays(h3, np.random.default_rng(6), 20, None,
+                                 (15.0, 30.0))
+        with pytest.raises(PreconditionError) as err:
+            integrate_jacobi_batch(h3, w, xs, ws, Ss, 32)
+        assert err.value.failed == "geodesic within SPAN"
+
+        monkeypatch.setattr(h3, "geodesic", _no_points)
+        with pytest.raises(AssertionError, match="geodesic points built"):
+            integrate_jacobi_batch(h3, w, xs, 0.1 * ws, Ss, 32)
+
+
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
     """The five blocks ``sample_rays`` documents (points, the normal draws
     behind the directions, theta, eigenvalues, the Gaussian matrices behind
