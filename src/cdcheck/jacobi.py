@@ -41,18 +41,24 @@ _RAY_BATCH = 250
 _REFINE_STEPS = 4096
 
 
-def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
+def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray,
+                       trig=None):
     """Exact det E and a_nn = (E' E^{-1})_{nn} for a batch of rays.
 
     Ss: (B, n, n) initial derivatives S; k_theta2: (B,) values of
     k theta^2; ts: (T,). Returns (det, a_nn) of shape (B, T); a_nn is
-    inf or NaN where det is 0.
+    inf or NaN where det is 0. ``trig``, if given, is the pair (cos, sin)
+    of sqrt(k theta^2) ts, shape (B, T), which the caller has formed for
+    its own use (the ray scan on S^n, for f along the rays); a batch with
+    every k theta^2 > 0 takes C and Sn from it and writes det E and a_nn
+    into it.
 
     Rows :-1 of E are C I + Sn S, with the scalar propagator C = cos,
     Sn = sin/omega of frequency omega = sqrt(k) theta (cosh, sinh for
-    k < 0; 1, t for k = 0), and the last row is e_n + t S[-1]. Each ray
-    evaluates only its own branch, so no unused cosh can overflow; a ray
-    whose det E leaves the float range raises PreconditionError.
+    k < 0; 1, t for k = 0). A batch whose k theta^2 all have one sign
+    takes C and Sn from one argument array; a mixed batch evaluates each
+    ray's own branch, so no unused cosh can overflow. A ray whose det E
+    leaves the float range raises PreconditionError.
     With S = [[A, b], [c^T, d]], P = C I + Sn A and M the matrix E with
     its last row replaced by S[-1] (the last row of E'), det E is linear
     in the last row and a_nn is a cofactor expansion along it:
@@ -61,36 +67,63 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray):
 
     With A = U diag(alpha) U^T, beta = U^T b, gamma = U^T c and
     p_i = C + Sn alpha_i, det P = prod p_i and
-    det M = d prod p_i - Sn sum_i beta_i gamma_i prod_{j != i} p_j.
+    det M = d prod p_i - Sn sum_i beta_i gamma_i prod_{j != i} p_j; for
+    n = 2, alpha = A and U = 1. The products run in index order, and the
+    arrays are written in place: det M is formed in C, then Sn holds det E
+    and det M holds a_nn.
     """
     Ss = np.asarray(Ss, dtype=float)
     w2 = np.asarray(k_theta2, dtype=float)
     ts = np.asarray(ts, dtype=float)
     B, n, _ = Ss.shape
-    C = np.ones((B, ts.size))
-    Sn = np.tile(ts, (B, 1))
+    if n == 2:  # a 1 x 1 block is its eigenvalue, in the frame U = 1
+        alpha, beta, gamma = Ss[:, :1, 0], Ss[:, :1, 1], Ss[:, 1, :1]
+    else:
+        alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
+        beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
+        gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
     pos, neg = w2 > 0, w2 < 0
-    alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
-    beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
-    gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
+    om = np.sqrt(np.abs(w2))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if pos.any():
-            om = np.sqrt(w2[pos])[:, None]
-            C[pos] = np.cos(om * ts)
-            Sn[pos] = np.sin(om * ts) / om
-        if neg.any():  # cosh and sinh may overflow: checked below
-            om = np.sqrt(-w2[neg])[:, None]
-            C[neg] = np.cosh(om * ts)
-            Sn[neg] = np.sinh(om * ts) / om
-        p = [C + Sn * a[:, None] for a in alpha.T]  # multiplied in index order
-        det_P = math.prod(p)
-        cross = sum((beta[:, i] * gamma[:, i])[:, None]
-                    * math.prod(p[:i] + p[i + 1:]) for i in range(n - 1))
-        det_M = Ss[:, -1, -1, None] * det_P - Sn * cross
-        det = det_P + ts * det_M
-        a_nn = det_M / det
+        if pos.all() or neg.all():  # cosh and sinh may overflow: checked below
+            C, Sn = (trig if trig is not None and pos.all()
+                     else _trig(om * ts, pos.all()))
+            Sn /= om
+        else:  # each ray its own branch
+            C, Sn = np.ones((B, ts.size)), np.tile(ts, (B, 1))
+            for rows, circular in ((pos, True), (neg, False)):
+                if rows.any():
+                    c, s = (_trig(om[rows] * ts, circular)
+                            if trig is None or not circular
+                            else (trig[0][rows], trig[1][rows]))
+                    C[rows], Sn[rows] = c, s / om[rows]
+        p = [Sn * a[:, None] for a in alpha.T]
+        for q in p:
+            q += C  # p_i = C + Sn alpha_i
+        det_P = math.prod(p[1:], start=p[0])
+        # sum_i beta_i gamma_i prod_{j != i} p_j, a (B, 1) column for n = 2
+        cross = np.zeros((B, 1) if n == 2 else det_P.shape)
+        term = np.empty(cross.shape)
+        for i, bg in enumerate((beta * gamma).T):
+            others = p[:i] + p[i + 1:]
+            prod = math.prod(others[1:], start=others[0]) if others else 1.0
+            cross += np.multiply(bg[:, None], prod, out=term)
+        det_M = np.multiply(Ss[:, -1, -1, None], det_P, out=C)
+        Sn *= cross
+        det_M -= Sn
+        det = np.multiply(ts, det_M, out=Sn)
+        det += det_P
+        a_nn = np.divide(det_M, det, out=det_M)
     _require_finite(det)
     return det, a_nn
+
+
+def _trig(arg, circular: bool):
+    """(cos, sin) of arg, or (cosh, sinh) where not ``circular``; the
+    second is written into arg."""
+    if circular:
+        return np.cos(arg), np.sin(arg, out=arg)
+    return np.cosh(arg), np.sinh(arg, out=arg)
 
 
 def _flat_rays(Ss: np.ndarray, ts: np.ndarray):
@@ -144,42 +177,68 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
     evaluated at the points of ``space.geodesic``. On R^n every array is
     exact (``_flat_rays``) and a ray is admissible if and only if the
     eigenvalues of S exceed -1, between grid points too; on S^n and H^n
-    det E is exact and int_ann a cumulative Simpson of a_nn.
+    det E is exact and int_ann a cumulative Simpson of a_nn. On S^n the
+    batch forms cos(theta t) and sin(theta t) once, for the ray form and
+    for ``jacobi_closed_form``: bit for bit the pair each would form, as
+    sqrt(theta^2) = theta in binary64. Every array of the dict is the
+    call's own, so the caller may write into it.
     """
     xs, ws, Ss = (np.asarray(a, dtype=float) for a in (xs, ws, Ss))
     B = xs.shape[0]
     thetas = space.norm(xs, ws)
     ts = np.linspace(0.0, 1.0, steps + 1)
+    k_theta2 = space.sec * thetas**2
+    trig = None
+    if space.sec > 0.0:  # S^n: cos and sin of theta t, for f and for E
+        with np.errstate(invalid="ignore"):  # NaN past the float range
+            trig = _trig(np.sqrt(k_theta2)[:, None] * ts, True)
 
     # f first, so a geodesic past X_n = SPAN stops the scan before the
     # propagator overflows; zero-speed rays and constant weights take f(x)
-    f_gamma = np.empty((B, steps + 1))
     live = (thetas > 1e-14) & (not weight.is_constant)
-    if live.any():
-        x, v = xs[live], ws[live] / thetas[live, None]
-        T = thetas[live, None] * ts
-        f_gamma[live] = (
-            weight.ray(x, v, T) if weight.ray is not None
-            else weight.eval(space.geodesic(x[:, None], v[:, None], T)))
-    f_gamma[~live] = np.asarray(weight.eval(xs[~live]), dtype=float)[:, None]
+    if live.all():  # no row copies
+        f_gamma = _f_along(space, weight, xs, ws, thetas, ts, trig)
+    else:
+        f_gamma = np.empty((B, steps + 1))
+        if live.any():
+            f_gamma[live] = _f_along(
+                space, weight, xs[live], ws[live], thetas[live], ts,
+                None if trig is None else (trig[0][live], trig[1][live]))
+        f_gamma[~live] = np.asarray(weight.eval(xs[~live]),
+                                    dtype=float)[:, None]
 
     # zero-speed rays degenerate to the identity trajectory
     Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
     if space.sec == 0.0:
         det, logdet, int_ann, admissible = _flat_rays(Ss, ts)
     else:
-        det, a_nn = jacobi_closed_form(Ss, space.sec * thetas**2, ts)
+        det, a_nn = jacobi_closed_form(Ss, k_theta2, ts, trig)
         admissible = np.all(det > 0.0, axis=1)
-        a_nn[~admissible] = np.nan
+        if not admissible.all():
+            a_nn[~admissible] = np.nan
         int_ann = cumulative_simpson(a_nn, ts[1] - ts[0])
+        del a_nn  # freed before log det E, h and l are formed
         # det <= 0 only on inadmissible rows, which the margins drop
         with np.errstate(divide="ignore", invalid="ignore"):
             logdet = np.log(det)
     h = logdet - int_ann
-    l = h - f_gamma + f_gamma[:, :1]
+    l = h - f_gamma
+    l += f_gamma[:, :1]
     return {"ts": ts, "det": det, "logdet": logdet, "h": h, "l": l,
             "int_ann": int_ann, "f_gamma": f_gamma, "thetas": thetas,
             "admissible": admissible}
+
+
+def _f_along(space, weight, xs, ws, thetas, ts, trig):
+    """f on the t-grid ``ts`` along the rays from xs with tangents ws of
+    speeds thetas, in a new array: the weight's ray form, else a copy of
+    ``eval`` at the points."""
+    v = ws / thetas[:, None]
+    T = thetas[:, None] * ts
+    if weight.ray is not None:
+        return weight.ray(xs, v, T, trig)
+    return np.array(weight.eval(space.geodesic(xs[:, None], v[:, None], T)),
+                    dtype=float)
 
 
 def integrate_jacobi(space: ModelSpace, weight: WeightFunction, x, w, S,
@@ -205,12 +264,19 @@ def _log_margin(x, w0, x0, w1, x1):
     Both parts are scaled by e^-s with s = max(0, x0, x1) elementwise, as
     margin (iii)'s beta terms vary with t: r e^-s <= w0 + w1 is finite and
     e^-s + r e^-s > 0. No inf/inf can arise; only a margin whose value is
-    beyond the float range reads +inf.
+    beyond the float range reads +inf. The arguments are not written into;
+    the margin is formed in place in a new array.
     """
-    s = np.maximum(np.maximum(x0, x1), 0.0)
-    r = w0 * np.exp(x0 - s) + w1 * np.exp(x1 - s)
+    s = np.maximum(x0, x1)
+    np.maximum(s, 0.0, out=s)
+    r = w0 * np.exp(x0 - s)
+    r += w1 * np.exp(x1 - s)
     with np.errstate(over="ignore"):
-        return (np.exp(x - s) - r) / (np.exp(-s) + r)
+        m = np.exp(x - s)
+        m -= r
+        r += np.exp(-s)
+        m /= r
+    return m
 
 
 def concavity_margins(ts, log_D, log_Dbar, d_partial,
@@ -227,6 +293,8 @@ def concavity_margins(ts, log_D, log_Dbar, d_partial,
     log D = c l, log Dbar = int a_nn, and (c/(c+1)) log J = (log D + c log
     Dbar)/(c+1) as J = D^{1/c} Dbar. Margins are scaled by 1/(1 + |RHS|), on
     batched rows; PreconditionError if a d_f leaves the domain of beta.
+    No argument is written into. (ii) and (iii) are formed first, and each
+    work array is freed once read, to keep the peak memory low.
     """
     d_full = d_partial[..., -1:]
     inner = slice(1, ts.size - 1)
@@ -235,16 +303,26 @@ def concavity_margins(ts, log_D, log_Dbar, d_partial,
     require_beta_domain(kappa, d_full)
     s_rev, s_t, s_full = (s_kappa(kappa, d) for d in (d_full - d_t, d_t, d_full))
 
+    log_rev, log_fwd = _log_beta_pair(params, kappa, d_full, t, s_rev, s_t,
+                                      s_full)
+    s_rev /= s_full  # the s-ratios of (ii), once beta has read s_rev, s_t
+    s_t /= s_full
+    m2 = _log_margin(log_D[..., inner], s_rev, log_D[..., :1], s_t,
+                     log_D[..., -1:])
+    del s_rev, s_t
+
+    log_Jr = params.c * log_Dbar
+    log_Jr += log_D
+    log_Jr /= params.c + 1.0
+    for log_beta, end in ((log_rev, log_Jr[..., :1]),
+                          (log_fwd, log_Jr[..., -1:])):
+        log_beta *= params.c_ratio
+        log_beta += end
+    m3 = _log_margin(log_Jr[..., inner], 1.0 - t, log_rev, t, log_fwd)
+    del log_Jr, log_rev, log_fwd
+
     m1 = _log_margin(log_Dbar[..., inner], 1.0 - t, log_Dbar[..., :1],
                      t, log_Dbar[..., -1:])
-    m2 = _log_margin(log_D[..., inner], s_rev / s_full, log_D[..., :1],
-                     s_t / s_full, log_D[..., -1:])
-
-    log_Jr = (log_D + params.c * log_Dbar) / (params.c + 1.0)
-    log_rev, log_fwd = (params.c_ratio * lb for lb in _log_beta_pair(
-        params, kappa, d_full, t, s_rev, s_t, s_full))
-    m3 = _log_margin(log_Jr[..., inner], 1.0 - t, log_rev + log_Jr[..., :1],
-                     t, log_fwd + log_Jr[..., -1:])
     return m1, m2, m3
 
 
@@ -256,26 +334,48 @@ def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     conjugate radius (d_f = inf where e^{-a f} overflows), and for each of
     them the minimum over inequalities (i)-(iii) and the minimum of det E
     on the grid. Dropped rows get no margins: a zero-speed ray has no
-    s-ratios, and a ray with det E <= 0 has no log D. A constant weight's
-    partial distances are theta e^{-a f} t; any other weight's come from a
-    cumulative Simpson. Raises PreconditionError where a kept d_f underflows.
+    s-ratios, and a ray with det E <= 0 has no log D. Only moving,
+    admissible rows get a speed theta e^{-a f}, formed in place in f_gamma
+    or in the copy of its rows, and partial distances: a constant weight's
+    are the speed times t, any other weight's come from a cumulative
+    Simpson. Where every row is kept the rows are views, not copies.
+    Raises PreconditionError where a kept d_f underflows.
     """
     out = integrate_jacobi_batch(space, weight, xs, ws, Ss, steps)
-    ts, theta = out["ts"], out["thetas"][:, None]
-    f = out["f_gamma"][:, :1] if weight.is_constant else out["f_gamma"]
+    # each array is taken out of the batch when it is read, so that it is
+    # freed as early as it can be: this keeps the batch's peak memory low
+    ts, thetas = out["ts"], out["thetas"]
+    keep = np.flatnonzero(out["admissible"] & (thetas > 1e-14))
+    rows = _rows(keep, thetas.size)
+    det_min = np.min(out.pop("det"), axis=-1)[keep]
+    del out["logdet"], out["h"]
+    speed = out.pop("f_gamma")[rows, :1 if weight.is_constant else None]
     with np.errstate(over="ignore", invalid="ignore"):  # such rays are dropped
-        speed = theta * np.exp(-params.a * f)
+        np.multiply(-params.a, speed, out=speed)
+        np.exp(speed, out=speed)
+        speed *= thetas[rows, None]
         d_partial = (speed * ts if weight.is_constant
                      else cumulative_simpson(speed, ts[1] - ts[0]))
-    keep = np.flatnonzero(out["admissible"] & (out["thetas"] > 1e-14)
-                          & within_conjugate_radius(kappa, d_partial[:, -1]))
-    require_normal(d_partial[keep, -1], True)
-    m1, m2, m3 = concavity_margins(ts, params.c * out["l"][keep],
-                                   out["int_ann"][keep], d_partial[keep],
-                                   params, kappa)
+    del speed
+    within = within_conjugate_radius(kappa, d_partial[:, -1])
+    if not within.all():
+        keep, d_partial, det_min = (a[within]
+                                    for a in (keep, d_partial, det_min))
+    require_normal(d_partial[:, -1], True)
+    rows = _rows(keep, thetas.size)
+    log_D = out.pop("l")[rows]
+    log_D *= params.c
+    m1, m2, m3 = concavity_margins(ts, log_D, out.pop("int_ann")[rows],
+                                   d_partial, params, kappa)
     np.minimum(m1, m2, out=m1)
     np.minimum(m1, m3, out=m1)
-    return keep, np.min(m1, axis=-1), np.min(out["det"][keep], axis=-1)
+    return keep, np.min(m1, axis=-1), det_min
+
+
+def _rows(keep, size):
+    """The index of the rows ``keep`` of ``size``: a slice, whose rows are
+    views, where it holds them all."""
+    return slice(None) if keep.size == size else keep
 
 
 def refine_ray_margin(space: ModelSpace, weight: WeightFunction,

@@ -125,7 +125,7 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    out = np.zeros(values.shape)
+    out = np.empty(values.shape)
     inc = np.empty(values.shape[:-1] + (n - 1,))
     if n == 3:
         # quadratic increments on a 3-point grid
@@ -140,9 +140,17 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
                           values[..., 2], values[..., 3])
         inc[..., 0] = dx / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + f3)
         inc[..., 1] = dx / 24.0 * (-f0 + 13.0 * f1 + 13.0 * f2 - f3)
-        inc[..., 2:] = dx / 24.0 * (values[..., :-3] - 5.0 * values[..., 1:-2]
-                                    + 19.0 * values[..., 2:-1]
-                                    + 9.0 * values[..., 3:])
+        # f_{k-1} - 5 f_k + 19 f_{k+1} + 9 f_{k+2}, summed in that order
+        # (-5 f_k + f_{k-1} is f_{k-1} - 5 f_k bit for bit) in place in two
+        # contiguous arrays, which is faster than writing into inc's rows
+        rest = np.multiply(values[..., 1:-2], -5.0)
+        rest += values[..., :-3]
+        tmp = np.multiply(values[..., 2:-1], 19.0)
+        rest += tmp
+        rest += np.multiply(values[..., 3:], 9.0, out=tmp)
+        rest *= dx / 24.0
+        inc[..., 2:] = rest
+    out[..., 0] = 0.0
     np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out
 

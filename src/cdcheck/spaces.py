@@ -282,11 +282,14 @@ class WeightFunction:
     ``hess(x, u, w)`` is the Riemannian Hessian Hess f(u, w).
 
     ``ray``, if not None, is f along unit-speed geodesics without their
-    points: ``ray(x, v, T)`` for rays from x (B, ambient) along unit
-    tangents v (B, ambient) at the parameters T (B, T) is the (B, T) array
-    of f(gamma_v(T)), from a few per-ray scalars of x and v. Every R^n and
-    S^n preset has one; H^n presets and custom weights have none, and f
-    along their rays is ``eval`` of ``space.geodesic``.
+    points: ``ray(x, v, T, trig)`` for rays from x (B, ambient) along
+    unit tangents v (B, ambient) at the parameters T (B, T) is a new (B, T)
+    array of f(gamma_v(T)), from a few per-ray scalars of x and v. ``trig``
+    is None or the pair (cos T, sin T), which the S^n forms then read
+    instead of forming them (the ray scan shares it with the Jacobi
+    propagator) and which no form writes into. Every R^n and S^n preset
+    has one; H^n presets and custom weights have none, and f along their
+    rays is ``eval`` of ``space.geodesic``.
     """
 
     def __init__(self, eval_fn, grad_fn, hess_fn, *, is_constant=False,
@@ -334,15 +337,26 @@ def _along(x, entries) -> np.ndarray:
 def _euclidean_presets(space, a):
     """linear(a) = a x_0 and quadratic(a) = a |x|^2 / 2, with their ray
     forms along x + T v: a (x_0 + T v_0), bit for bit the value at the
-    point, and a (|x|^2 + T (2 x . v + T |v|^2)) / 2."""
-    def quadratic_ray(x, v, T):
+    point, and a (|x|^2 + T (2 x . v + T |v|^2)) / 2, each written into
+    one new array."""
+    def linear_ray(x, v, T, trig):
+        f = T * v[:, :1]
+        f += x[:, :1]
+        f *= a
+        return f
+
+    def quadratic_ray(x, v, T, trig):
         xx, xv, vv = (_dot(p, q)[:, None]
                       for p, q in ((x, x), (x, v), (v, v)))
-        return 0.5 * a * (xx + T * (2.0 * xv + T * vv))
+        f = T * vv
+        f += 2.0 * xv
+        f *= T
+        f += xx
+        f *= 0.5 * a
+        return f
 
     return {"linear": (lambda x: a * x[..., 0], lambda x: _along(x, {0: a}),
-                       _no_hessian,
-                       lambda x, v, T: a * (x[:, :1] + T * v[:, :1])),
+                       _no_hessian, linear_ray),
             "quadratic": (lambda x: 0.5 * a * np.sum(x * x, axis=-1),
                           lambda x: a * x,
                           lambda x, u, w: a * np.sum(u * w, axis=-1),
@@ -353,22 +367,36 @@ def _sphere_presets(space, a):
     """cosine(a) = a X_n, and linear(a) = a theta for the colatitude
     theta = acos(X_n) (singular at the poles). Along cos T x + sin T v
     both read one coordinate, X_n = cos T x_n + sin T v_n, so their ray
-    forms are bit for bit the values at the points."""
+    forms are bit for bit the values at the points. They take cos T and
+    sin T from ``trig`` where the caller has them, and write into neither."""
     def dtheta(z):  # d theta / d X_n
         return -1.0 / np.sqrt((1.0 - z) * (1.0 + z))
 
-    def ray_xn(x, v, T):
-        return np.cos(T) * x[:, -1:] + np.sin(T) * v[:, -1:]
+    def ray_xn(x, v, T, trig):
+        cos, sin = (np.cos(T), np.sin(T)) if trig is None else trig
+        xn = cos * x[:, -1:]
+        xn += sin * v[:, -1:]
+        return xn
+
+    def cosine_ray(x, v, T, trig):
+        f = ray_xn(x, v, T, trig)
+        f *= a
+        return f
+
+    def linear_ray(x, v, T, trig):
+        f = ray_xn(x, v, T, trig)
+        np.clip(f, -1.0, 1.0, out=f)
+        np.arccos(f, out=f)
+        f *= a
+        return f
 
     return {"cosine": (lambda x: a * x[..., -1],
-                       lambda x: _along(x, {-1: a}), _no_hessian,
-                       lambda x, v, T: a * ray_xn(x, v, T)),
+                       lambda x: _along(x, {-1: a}), _no_hessian, cosine_ray),
             "linear": (lambda x: a * np.arccos(np.clip(x[..., -1], -1.0, 1.0)),
                        lambda x: _along(x, {-1: a * dtheta(x[..., -1])}),
                        lambda x, u, w: (a * x[..., -1] * dtheta(x[..., -1]) ** 3
                                         * u[..., -1] * w[..., -1]),
-                       lambda x, v, T: a * np.arccos(
-                           np.clip(ray_xn(x, v, T), -1.0, 1.0)))}
+                       linear_ray)}
 
 
 def _hyperbolic_presets(space, a, at=None):

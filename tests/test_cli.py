@@ -857,6 +857,26 @@ class TestArtifacts:
         assert ((tmp_path / "t.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
+    def test_rows_are_the_per_cell_bytes(self, tmp_path):
+        # a row takes one "%.17g" format string, a row with a str cell
+        # (numpy's str too) one format per cell: the bytes are the cells'
+        # f"{v:.17g}", ints, signed zeros, inf, nan and the smallest
+        # subnormal among them
+        header = ["a", "b", "c", "d"]
+        rows = [[0.1, 1.0 / 3.0, -2.5e-300, 1e300],
+                [3, -7, 2 ** 60, True],
+                [math.inf, -math.inf, math.nan, -0.0],
+                [5e-324, -5e-324, 0.0, np.float64(1.0 / 7.0)],
+                ["s", 0.1, -0.0, math.nan], [np.str_("u"), 2, 1.5, -1e-5],
+                np.array([1.0 / 3.0, -1e-310, 2.0 ** -1074, 1.5]).tolist()]
+        cli._write_table(tmp_path / "t.csv", header, rows)
+        want = "\r\n".join([",".join(header)] + [",".join(
+            [v if isinstance(v, str) else f"{v:.17g}" for v in row])
+            for row in rows] + [""])
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert b"\r\n4.9406564584124654e-324,-4.9406564584124654e-324,0," in (
+            want.encode())
+
     @pytest.mark.parametrize("suite", ["curvature", "all"])
     def test_report_file_is_the_canonical_bundle(self, tmp_path, monkeypatch,
                                                  suite):

@@ -150,6 +150,56 @@ class TestTrajectories:
         assert np.array_equal(det, ref_det)
         assert np.array_equal(a_nn, ref_ann, equal_nan=True)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mixed_batch_is_its_one_branch_batches(self, n):
+        # rows with k theta^2 > 0, < 0 and = 0 in one batch take each
+        # row's own branch: bit for bit the batches of one sign
+        Ss = np.stack([_random_symmetric(n, seed) for seed in range(12)])
+        k_theta2 = np.tile([0.81, -0.64, 0.0, 2.5, -0.09, 0.0], 2)
+        ts = np.linspace(0.0, 1.0, 33)
+        det, a_nn = jacobi_closed_form(Ss, k_theta2, ts)
+        for rows in (k_theta2 > 0, k_theta2 < 0, k_theta2 == 0):
+            one_det, one_ann = jacobi_closed_form(Ss[rows], k_theta2[rows],
+                                                  ts)
+            assert np.array_equal(det[rows], one_det)
+            assert np.array_equal(a_nn[rows], one_ann, equal_nan=True)
+
+    @pytest.mark.parametrize("k_theta2", [[0.81, 2.5, 0.04],
+                                          [-0.64, -1.7, -0.01],
+                                          [0.81, -0.64, 0.0]],
+                             ids=["positive", "negative", "mixed"])
+    def test_two_dimensional_rays_take_no_eigh(self, monkeypatch, k_theta2):
+        # for n = 2 the 1 x 1 block A is its own eigenvalue in the frame
+        # U = 1: bit for bit the eigh path of the stacked reference
+        Ss = np.stack([_random_symmetric(2, seed) for seed in range(3)]
+                      + [np.diag([0.3, -0.2])])
+        k_theta2 = np.array(k_theta2 + [0.49])
+        ts = np.linspace(0.0, 1.0, 33)
+        ref_det, ref_ann = _closed_form_stacked(Ss, k_theta2, ts)
+
+        def no_eigh(*args):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        det, a_nn = jacobi_closed_form(Ss, k_theta2, ts)
+        assert np.array_equal(det, ref_det)
+        assert np.array_equal(a_nn, ref_ann, equal_nan=True)
+        assert np.array_equal(np.signbit(a_nn), np.signbit(ref_ann))
+
+    @pytest.mark.parametrize("k_theta2", [[-1.0e6], [0.81, -1.0e6],
+                                          [0.0, -1.0e6, 0.25]],
+                             ids=["one-ray", "mixed", "zero-speed"])
+    def test_cosh_past_float_range_is_refused(self, k_theta2):
+        # on the one-branch path and on the mixed one
+        Ss = np.stack([_random_symmetric(3, seed)
+                       for seed in range(len(k_theta2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="float range") as exc:
+                jacobi_closed_form(Ss, np.array(k_theta2),
+                                   np.linspace(0.0, 1.0, 17))
+        assert exc.value.failed == "det E finite"
+
     @pytest.mark.parametrize("k_theta2", [-1.0e6, -2.0e5])
     def test_det_past_float_range_is_refused(self, k_theta2):
         # cosh overflows at omega = 1,000, and at omega = 447 the product
@@ -320,7 +370,7 @@ class TestRayForms:
         sp, x, v, T = _unit_rays(kind, dim, seed=4)
         w = weight_preset(sp, preset)
         assert T.max() > 2.9
-        got = w.ray(x, v, T)
+        got = w.ray(x, v, T, None)
         want = w.eval(sp.geodesic(x[:, None], v[:, None], T))
         assert got.shape == want.shape == T.shape
         if preset.startswith("quadratic"):
@@ -376,6 +426,72 @@ class TestRayForms:
         monkeypatch.setattr(h3, "geodesic", _no_points)
         with pytest.raises(AssertionError, match="geodesic points built"):
             integrate_jacobi_batch(h3, w, xs, 0.1 * ws, Ss, 32)
+
+
+class TestSharedTrig:
+    # on S^n the batch forms cos(theta t) and sin(theta t) once, for f
+    # along the rays and for the propagator of det E
+    @staticmethod
+    def _batch(dim, preset, seed):
+        sp = make_space("sphere", dim)
+        w = weight_preset(sp, preset)
+        xs, ws, Ss = sample_rays(sp, np.random.default_rng(seed), 50, None,
+                                 (0.2, 3.0))
+        return sp, w, xs, ws, Ss
+
+    @staticmethod
+    def _unshared(monkeypatch, w):
+        """The ray form without the pair and jacobi_closed_form forming
+        its own cos and sin: each takes its trig from its own call."""
+        ray = w.ray
+        monkeypatch.setattr(w, "ray", lambda x, v, T, trig: ray(x, v, T, None))
+        closed = jacobi.jacobi_closed_form
+        monkeypatch.setattr(jacobi, "jacobi_closed_form",
+                            lambda Ss, k_theta2, ts, trig:
+                            closed(Ss, k_theta2, ts))
+
+    @staticmethod
+    def _counted(monkeypatch, steps):
+        """Count the np.cos and np.sin calls on (rays, steps + 1) arguments,
+        of the whole batch or of some of its rows."""
+        calls = []
+        for name in ("cos", "sin"):
+            def counted(arg, *args, _fn=getattr(np, name), _name=name,
+                        **kwargs):
+                if np.ndim(arg) == 2 and np.shape(arg)[1] == steps + 1:
+                    calls.append(_name)
+                return _fn(arg, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("preset", ["cosine(0.7)", "linear(-1.3)"])
+    @pytest.mark.parametrize("rows", ["moving", "zero-speed", "slow"])
+    def test_shared_batch_is_the_unshared_one(self, monkeypatch, dim,
+                                              preset, rows):
+        # a zero-speed ray makes a mixed batch (k theta^2 = 0), a ray below
+        # the speed floor a one-branch batch with a row that takes f(x)
+        sp, w, xs, ws, Ss = self._batch(dim, preset, seed=dim)
+        if rows == "zero-speed":
+            ws[[0, 7]] = 0.0
+        elif rows == "slow":
+            ws[3] *= 1e-15
+        with monkeypatch.context() as m:
+            calls = self._counted(m, 64)
+            got = integrate_jacobi_batch(sp, w, xs, ws, Ss, 64)
+        assert calls == ["cos", "sin"]
+        with monkeypatch.context() as m:
+            self._unshared(m, w)
+            want = integrate_jacobi_batch(sp, w, xs, ws, Ss, 64)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+    def test_constant_weight_forms_it_once(self, monkeypatch):
+        sp, _, xs, ws, Ss = self._batch(2, "cosine(0.7)", seed=5)
+        calls = self._counted(monkeypatch, 32)
+        integrate_jacobi_batch(sp, constant_weight(0.3), xs, ws, Ss, 32)
+        assert calls == ["cos", "sin"]
 
 
 def _sample_rays_per_ray(space, rng, count, region, theta_range):
@@ -676,6 +792,41 @@ class TestLogMargin:
     def _weights(T):
         t = np.linspace(0.0, 1.0, T + 2)[1:-1]
         return 1.0 - t, t
+
+    @staticmethod
+    def _former(x, w0, x0, w1, x1):
+        """The margin as one expression, before it was formed in place."""
+        s = np.maximum(np.maximum(x0, x1), 0.0)
+        r = w0 * np.exp(x0 - s) + w1 * np.exp(x1 - s)
+        with np.errstate(over="ignore"):
+            return (np.exp(x - s) - r) / (np.exp(-s) + r)
+
+    @pytest.mark.parametrize("ends", ["per-ray", "full"])
+    def test_bit_equal_to_the_expression_and_reads_only(self, ends):
+        # the scan's arguments are views of log D and log Dbar: the call
+        # must leave them, and the weights, as they were
+        rng = np.random.default_rng(3)
+        log_D = rng.uniform(-700.0, 700.0, size=(40, 19))
+        log_D[0, 1:4] = [1500.0, -np.inf, 720.0]  # +inf margin, a -inf log
+        log_D[1, 0] = log_D[2, -1] = -np.inf
+        log_D[3, [0, -1]] = 800.0
+        w0, w1 = self._weights(17)
+        if ends == "per-ray":
+            args = (log_D[:, 1:-1], w0, log_D[:, :1], w1, log_D[:, -1:])
+        else:  # margin (iii): beta terms on the whole interior
+            beta = rng.uniform(-5.0, 5.0, size=(2, 40, 17))
+            args = (log_D[:, 1:-1], rng.uniform(0.0, 1.0, 17),
+                    beta[0] + log_D[:, :1], w1, beta[1] + log_D[:, -1:])
+        before = [np.copy(a) for a in args] + [log_D.copy()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jacobi._log_margin(*args)
+            want = self._former(*args)
+        assert got[0, 0] == np.inf
+        assert np.isfinite(got[1:]).all() and np.isfinite(got[0, 1:]).all()
+        assert np.array_equal(got, want)
+        for a, b in zip(list(args) + [log_D], before):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scale", [5.0, 700.0])
     def test_matches_the_logaddexp_form(self, scale):

@@ -303,3 +303,33 @@ class TestSimpsonThreePoints:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(composite_simpson(values, h), want[:, -1],
                                    rtol=0.0, atol=1e-14)
+
+
+class TestCumulativeSimpson:
+    @staticmethod
+    def _former(values, dx):
+        """The interior increments as one expression, before they were
+        summed in place."""
+        out = np.zeros(values.shape)
+        inc = np.empty(values.shape[:-1] + (values.shape[-1] - 1,))
+        f0, f1, f2, f3 = (values[..., k] for k in range(4))
+        inc[..., 0] = dx / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + f3)
+        inc[..., 1] = dx / 24.0 * (-f0 + 13.0 * f1 + 13.0 * f2 - f3)
+        inc[..., 2:] = dx / 24.0 * (values[..., :-3] - 5.0 * values[..., 1:-2]
+                                    + 19.0 * values[..., 2:-1]
+                                    + 9.0 * values[..., 3:])
+        np.cumsum(inc, axis=-1, out=out[..., 1:])
+        return out
+
+    @pytest.mark.parametrize("n", [4, 5, 33, 129])
+    def test_bit_equal_to_the_expression(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(7, n)) * 10.0 ** rng.integers(-5, 5, (7, 1))
+        values[3, n // 2] = np.nan  # an inadmissible row
+        for v, dx in ((values, 1.0 / (n - 1)), (values[0], 0.3),
+                      (values[:, ::-1], 0.7)):
+            before = v.copy()
+            got = cumulative_simpson(v, dx)
+            assert np.array_equal(got, self._former(v, dx), equal_nan=True)
+            assert np.array_equal(v, before, equal_nan=True)
+            assert np.all(got[..., 0] == 0.0)
