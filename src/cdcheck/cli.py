@@ -287,13 +287,10 @@ def _axis_density(geometry, spec) -> DensityField:
 
 def _write_table(path, header, rows) -> None:
     """A CSV table in one write, with csv's CRLF line ends: Python floats
-    to round trip (``.17g``), str cells as they are (no comma or quote).
-    A row without a str cell is formatted by one ``%`` of a format string
-    of its width, the bytes of ``f"{v:.17g}"`` cell by cell."""
-    lines = [",".join(header), *(
-        ",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row])
-        if any(map(isinstance, row, [str] * len(row)))
-        else ",".join(["%.17g"] * len(row)) % tuple(row) for row in rows), ""]
+    to round trip (``.17g``), str cells as they are (no comma or quote)."""
+    lines = [",".join(header), *(",".join(
+        [v if isinstance(v, str) else f"{v:.17g}" for v in row])
+        for row in rows), ""]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
 

@@ -85,18 +85,22 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray,
     pos, neg = w2 > 0, w2 < 0
     om = np.sqrt(np.abs(w2))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if pos.all() or neg.all():  # cosh and sinh may overflow: checked below
-            C, Sn = (trig if trig is not None and pos.all()
-                     else _trig(om * ts, pos.all()))
-            Sn /= om
-        else:  # each ray its own branch
+        # each ray its own branch (cosh and sinh may overflow: checked
+        # below); a one-sign batch's branch arrays are C and Sn
+        one_sign = pos.all() or neg.all()
+        if not one_sign:  # rows with k theta^2 = 0 keep C = 1, Sn = t
             C, Sn = np.ones((B, ts.size)), np.tile(ts, (B, 1))
-            for rows, circular in ((pos, True), (neg, False)):
-                if rows.any():
-                    c, s = (_trig(om[rows] * ts, circular)
-                            if trig is None or not circular
-                            else (trig[0][rows], trig[1][rows]))
-                    C[rows], Sn[rows] = c, s / om[rows]
+        for rows, circular in ((pos, True), (neg, False)):
+            if not (rows.all() if one_sign else rows.any()):
+                continue
+            sel = slice(None) if one_sign else rows
+            c, s = (_trig(om[sel] * ts, circular) if trig is None
+                    or not circular else (trig[0][sel], trig[1][sel]))
+            s /= om[sel]
+            if one_sign:
+                C, Sn = c, s
+                break
+            C[rows], Sn[rows] = c, s
         p = [Sn * a[:, None] for a in alpha.T]
         for q in p:
             q += C  # p_i = C + Sn alpha_i
@@ -213,6 +217,7 @@ def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
         det, logdet, int_ann, admissible = _flat_rays(Ss, ts)
     else:
         det, a_nn = jacobi_closed_form(Ss, k_theta2, ts, trig)
+        del trig  # on S^n det and a_nn may be its arrays
         admissible = np.all(det > 0.0, axis=1)
         if not admissible.all():
             a_nn[~admissible] = np.nan

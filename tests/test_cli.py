@@ -858,9 +858,8 @@ class TestArtifacts:
                 == (tmp_path / "ref.csv").read_bytes())
 
     def test_rows_are_the_per_cell_bytes(self, tmp_path):
-        # a row takes one "%.17g" format string, a row with a str cell
-        # (numpy's str too) one format per cell: the bytes are the cells'
-        # f"{v:.17g}", ints, signed zeros, inf, nan and the smallest
+        # the bytes are the cells' f"{v:.17g}", str cells (numpy's str
+        # too) as they are: ints, signed zeros, inf, nan and the smallest
         # subnormal among them
         header = ["a", "b", "c", "d"]
         rows = [[0.1, 1.0 / 3.0, -2.5e-300, 1e300],
