@@ -10,8 +10,10 @@ measure m = base * e^{-f} / Z on an axis grid, and both reduce to the
 monotone coupling of two densities, taken in the mass coordinate u in
 ]0, 1[ of their quantile functions: W2 and displacement interpolation
 are integrals in u. Tables on a uniform grid (the antiderivative G of
-e^{-a f} behind every d_t, the density m) are read by `UniformTable`,
-np.interp's floats in O(1) per point.
+e^{-a f} behind every d_t, the density m, the interpolation envelope) are
+read by `UniformTable`, np.interp's floats in O(1) per point, under a
+contract: finite values on a grid whose floats resolve its nodes, read at
+finite points. Any other table or axis grid is a ConfigError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .params import DimensionParams
+from .params import DimensionParams, require_normal
 from .quadrature import composite_simpson, cumulative_simpson
 from .spaces import Euclidean, ModelSpace, WeightFunction, weight_preset
 
@@ -36,53 +38,52 @@ _READ_CHUNK = 8192  # points per pass of a UniformTable read
 # ----------------------------------------------------------------------
 # tables on uniform grids
 # ----------------------------------------------------------------------
+def _node_map(xs: np.ndarray) -> tuple[float, float]:
+    """(scale, offset): x * scale + offset rounds down to the nearest node
+    of x on the uniform grid ``xs``. A ConfigError unless the floats of xs
+    resolve its nodes: they increase, and the estimate is right at every
+    node and one ulp below it."""
+    nodes = np.arange(xs.size)
+    if np.all(xs[1:] > xs[:-1]):
+        scale = (xs.size - 1) / (xs[-1] - xs[0])
+        offset = 0.5 - xs[0] * scale
+        if np.all(xs * scale + offset >= nodes) and np.all(
+                np.nextafter(xs, -math.inf) * scale + offset < nodes + 1):
+            return scale, offset
+    raise ConfigError(f"axis grid of {xs.size} points on"
+                      f" {xs[[0, -1]].tolist()} is finer than its floats")
+
+
 class UniformTable:
     """``values`` at the nodes ``xs`` of a uniform grid (an np.linspace),
-    read at any points x as np.interp(x, xs, values, fill, fill) reads
-    them, float for float, in O(1) per point: np.interp binary-searches
-    every point that the cell of the one before does not hold.
+    read at points x as np.interp(x, xs, values, fill, fill) reads them,
+    float for float, in O(1) per point. The contract, checked here: the
+    values are finite and the floats of xs resolve its nodes
+    (`_node_map`); any other table is a ConfigError that names its grid.
+    Points read must be finite, and a -0.0 value can read as 0.0.
 
     A point's cell k is the node with xs[k] <= x < xs[k + 1]; k = n - 1
     holds every x >= xs[-1] (slope -0.0, so values[-1] to the last bit)
     and k = -1 every x < xs[0] (the left value, slope 0, in the last entry
-    of the slope and value tables). The nearest node of x, counted from
-    xs[0] in steps of the grid, is k or k + 1: one comparison with it finds
-    k. The value is slope (x - xs[k]) + v_k, np.interp's formula. Where
-    it gives NaN (x = +-inf or NaN, a non-finite table) np.interp's rules
-    for such points are applied one by one. A grid whose nodes the floats
-    of its window do not resolve finds k by bisection instead. A read of
-    more than _READ_CHUNK points goes a chunk at a time, so that its
-    temporaries stay the size of one chunk.
+    of the slope and value tables). The nearest node of x is k or k + 1:
+    one comparison with it finds k. The value is slope (x - xs[k]) + v_k,
+    np.interp's formula. A read of more than _READ_CHUNK points goes a
+    chunk at a time, so that its temporaries stay the size of one chunk.
     """
 
     def __init__(self, xs: np.ndarray, values: np.ndarray, fill=None):
-        n = xs.size
         self.xs, self.fill = xs, fill
-        self._scale = (n - 1) / (xs[-1] - xs[0])
-        self._offset = 0.5 - xs[0] * self._scale
+        self._scale, self._offset = _node_map(xs)
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"a table on the axis grid of {xs.size} points"
+                              f" on {xs[[0, -1]].tolist()} is not finite")
         self._values = np.append(values, values[0] if fill is None else fill)
         self.values = self._values[:-1]  # a view: the table holds one copy
-        nodes = np.arange(n)
-        self._bisect = not (np.all(self._nearest(xs) >= nodes) and np.all(
-            self._nearest(np.nextafter(xs, -math.inf)) <= nodes))
-        # np.interp reads a node's value as it is; slope * 0 + v turns a
-        # -0.0 into 0.0
-        self._signed_zeros = bool(np.any(np.signbit(values) & (values == 0.0)))
 
     @cached_property
     def _slopes(self) -> np.ndarray:  # at the first read, if there is one
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            slopes = np.diff(self.values) / np.diff(self.xs)  # as np.interp
+        slopes = np.diff(self.values) / np.diff(self.xs)  # as np.interp
         return np.concatenate([slopes, [-0.0, 0.0]])
-
-    def _nearest(self, x: np.ndarray) -> np.ndarray:
-        """The nearest node of each x, clipped to the grid: monotone in x,
-        so right at the nodes it is right everywhere."""
-        u = x * self._scale
-        u += self._offset
-        np.fmax(u, 0.0, out=u)  # and NaN to 0
-        np.fmin(u, self.xs.size - 1.0, out=u)
-        return u.astype(np.intp)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -98,41 +99,19 @@ class UniformTable:
     def _read(self, x: np.ndarray, out=None) -> np.ndarray:
         """The table at the points of the 1-d ``x``, into ``out``."""
         xs = self.xs
-        if self._bisect:
-            k = np.searchsorted(xs, x, side="right")
-            k -= 1
-        else:
-            k = self._nearest(x)
-            k -= xs[k] > x
+        u = x * self._scale  # the nearest node, clipped to the grid
+        u += self._offset
+        np.fmax(u, 0.0, out=u)
+        np.fmin(u, xs.size - 1.0, out=u)
+        k = u.astype(np.intp)
+        k -= xs[k] > x
         # index -1 reads the last entry: the left cell's slope and value
-        with np.errstate(over="ignore", invalid="ignore"):  # as np.interp
-            out = np.subtract(x, xs[k], out=out)
-            out *= self._slopes[k]
-            out += self._values[k]
-            if self._signed_zeros:
-                np.copyto(out, self._values[k], where=x == xs[k])
-            if self.fill is not None:
-                np.copyto(out, self.fill, where=x > xs[-1])
-            if math.isnan(np.add.reduce(out)):  # a NaN, or +inf with -inf
-                self._nan_rules(x, k, out)
+        out = np.subtract(x, xs[k], out=out)
+        out *= self._slopes[k]
+        out += self._values[k]
+        if self.fill is not None:
+            np.copyto(out, self.fill, where=x > xs[-1])
         return out
-
-    def _nan_rules(self, x, k, out) -> None:
-        """np.interp at the points where the formula gave NaN: NaN at NaN,
-        the left value below the grid, the node's value at a node, the
-        right value past the last node, and else the formula from the
-        cell's right end, or the common value of its ends where that is NaN
-        too."""
-        at = np.flatnonzero(np.isnan(out) & ~np.isnan(x))
-        x, k = x[at], k[at]
-        xs, v, s = self.xs, self._values, self._slopes
-        last = xs.size - 1
-        kr = np.minimum(k + 1, last)
-        right = s[k] * (x - xs[kr]) + v[kr]
-        right = np.where(np.isnan(right) & (v[k] == v[kr]), v[k], right)
-        out[at] = np.select(
-            [k < 0, x == xs[k], k == last],
-            [v[-1], v[k], v[last] if self.fill is None else self.fill], right)
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +133,7 @@ class AxisGeometry:
             raise ConfigError(f"axis grid of {points} points on [{lo:g},"
                               f" {hi:g}]: needs 16 or more on lo < hi")
         self.xs = np.linspace(lo, hi, points)
-        if not np.all(self.xs[1:] > self.xs[:-1]):  # nodes that collapse
-            raise ConfigError(f"axis grid of {points} points on [{lo!r},"
-                              f" {hi!r}] is finer than its floats")
+        _node_map(self.xs)  # before the mass, which such a grid can zero
         self.dx = self.xs[1] - self.xs[0]
         self.weight = weight
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -186,8 +163,10 @@ class AxisGeometry:
         """Antiderivative G(x) = int_lo^x e^{-a f}; makes every d_t O(1)."""
         tab = self._g_cache.get(a)
         if tab is None:
-            tab = UniformTable(self.xs, cumulative_simpson(
-                np.exp(-a * self.f_vals), self.dx))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                g = cumulative_simpson(np.exp(-a * self.f_vals), self.dx)
+            require_normal(g, False)  # G(x) is the distance d_G(lo, x)
+            tab = UniformTable(self.xs, g)
             self._g_cache[a] = tab
         return tab
 

@@ -253,6 +253,14 @@ def require_p_range(p: float, params: DimensionParams) -> None:
         raise PreconditionError("p must be >= -c/(c+1)", failed="p range")
 
 
+def require_interpolation_hypothesis(geometry, params, kappa, X, Y, p):
+    """Raise PreconditionError unless p >= -c/(c+1) and the curvature bound
+    holds on the hull of X and Y, where the interpolation's measures live."""
+    require_p_range(p, params)
+    _require_curvature(geometry, params, kappa,
+                       (min(X[0], Y[0]), max(X[1], Y[1])))
+
+
 def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
     """Tight admissible middle function for the p-mean hypothesis.
 
@@ -335,9 +343,7 @@ def check_interpolation(geometry: AxisGeometry, params: DimensionParams,
     aborts the check if it fails, otherwise the integral conclusion margin
     is reported.
     """
-    require_p_range(p, params)
-    _require_curvature(geometry, params, kappa,
-                       (min(X[0], Y[0]), max(X[1], Y[1])))
+    require_interpolation_hypothesis(geometry, params, kappa, X, Y, p)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(X[0], X[1], HYPOTHESIS_SAMPLES)
     ys = rng.uniform(Y[0], Y[1], HYPOTHESIS_SAMPLES)

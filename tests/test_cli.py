@@ -797,6 +797,53 @@ class TestSteepWeights:
 
 
 class TestAxisCurvatureHypothesis:
+    @pytest.mark.parametrize("suite", ["twcd", "bm", "interpolation"])
+    def test_steep_line_refused_before_any_table(self, tmp_path, capsys,
+                                                 suite):
+        # e^{-a f} overflows on the line: each suite judges its curvature
+        # hypothesis before it builds a table, so one line on stderr and
+        # no warning; interpolation's envelope reads G and beta
+        cfg = {"space": {"kind": "euclidean", "dim": 2}, "weight": "zero",
+               "params": {"n": 2, "N": 3, "eps": 1.4}, "kappa": -1,
+               "suite": suite,
+               "geometry": {"kind": "line", "f1": "quadratic(1000)"},
+               "sampling": {"seed": 1}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", path, "--out-dir",
+                         str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("[e^{-a f} finite]")
+
+    @pytest.mark.parametrize("X, Y, t", [
+        # 1e-13 wide: the envelope's 4,096 z nodes collapse
+        ([1.5, 1.5 + 1e-13], [1.6, 1.6 + 1e-13], 0.5),
+        # one ulp wide: the z window rounds to a point
+        ([-0.40575515852400246, -0.4057551585240024],
+         [0.861074988051592, 0.8610749880515921], 0.6045030602518363)])
+    def test_unresolved_envelope_grid_exits_2(self, tmp_path, capsys, X, Y,
+                                              t):
+        cfg = {"space": {"kind": "euclidean", "dim": 2}, "weight": "zero",
+               "params": {"n": 2, "N": 10.0, "eps": 0.5}, "kappa": -1.0,
+               "suite": "interpolation",
+               "geometry": {"kind": "line", "lo": -2.0, "hi": 2.0,
+                            "points": 8192, "f1": "quadratic(0.5)"},
+               "interpolation": {"p": 0.0, "t": t, "X": X, "Y": Y},
+               "sampling": {"seed": 1}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", path, "--out-dir",
+                         str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        lo, hi = ((1 - t) * X[i] + t * Y[i] for i in (0, 1))
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: axis grid of 4096 points on [{lo!r}, {hi!r}] is finer"
+            f" than its floats"]
+
     @pytest.mark.parametrize("kappa", [0.3, 1.0])
     @pytest.mark.parametrize("suite", ["twcd", "bm", "interpolation"])
     def test_N_equals_n_axis_weight_exits_2(self, tmp_path, suite, kappa):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdcheck.errors import ConfigError
+from cdcheck.errors import ConfigError, PreconditionError
 from cdcheck.ot import (RADIAL_HI, LineGeometry, MeridianGeometry,
                         MonotoneInterpolation, UniformTable,
                         density_from_callable,
@@ -301,18 +302,26 @@ class TestPartialDistances:
         assert np.array_equal(distances(t), t * d_full)
         assert distances(1.0) == d_full
 
+    def test_g_past_the_float_range_refused(self):
+        # a = -0.8 and f up to 4000: e^{-a f} overflows, and G is refused
+        # where it is built, before a table or a warning
+        g, p = line(f1="quadratic(1000)"), validate_params(2, 3, 1.4)
+        with pytest.raises(PreconditionError) as err:
+            g.reparam_partial(p, -1.0, 1.0, 0.5)
+        assert err.value.failed == "e^{-a f} finite"
+
 
 class TestUniformTable:
-    """The O(1) reader returns np.interp's floats wherever it reads."""
+    """The O(1) reader returns np.interp's floats wherever its contract
+    lets it read: finite tables on grids whose floats resolve their nodes,
+    at finite points."""
 
     @staticmethod
     def _table(window, n, fill):
         xs = np.linspace(*window, n)
         values = np.cumsum(np.exp(-np.sin(3.0 * xs)))  # like a G table
         values[n // 3] = 0.0
-        table = UniformTable(xs, values, fill)
-        assert not table._bisect  # the O(1) path
-        return xs, values, table
+        return xs, values, UniformTable(xs, values, fill)
 
     @staticmethod
     def _same(got, xs, values, x, fill):
@@ -320,8 +329,7 @@ class TestUniformTable:
         want = np.interp(x, xs, values, **kw)
         assert np.shape(got) == np.shape(want)
         assert type(got) is type(want)
-        assert np.array_equal(got, want, equal_nan=True)
-        # bit for bit: the same NaNs and signed zeros
+        # bit for bit: the same signed zeros
         assert np.array_equal(np.asarray(got).view(np.int64),
                               np.asarray(want).view(np.int64))
 
@@ -337,7 +345,7 @@ class TestUniformTable:
         x = np.concatenate([
             xs, np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf),
             [lo - width, lo - 1e-9 * width, hi + 1e-9 * width, hi + width,
-             -1e300, 1e300, -math.inf, math.inf, math.nan]])
+             -1e300, 1e300]])
         self._same(table(x), xs, values, x, fill)
 
     @pytest.mark.parametrize("n", [16, 8192])
@@ -352,48 +360,61 @@ class TestUniformTable:
     def test_layouts(self, fill):
         xs, values, table = self._table((-2.0, 2.0), 64, fill)
         grid = np.random.default_rng(6).uniform(-2.5, 2.5, (7, 10))
-        for x in (np.float64(0.3), np.array(-1.7), np.array(math.nan),
-                  grid, grid.T[::2, 1::3], np.empty(0), np.empty((3, 0)),
-                  [0.1, 2.0], 1.0):
+        for x in (np.float64(0.3), np.array(-1.7), grid, grid.T[::2, 1::3],
+                  np.empty(0), np.empty((3, 0)), [0.1, 2.0], 1.0):
             self._same(table(x), xs, values, x, fill)
 
-    def test_non_finite_tables(self):
-        # np.interp's rules where the formula is NaN: inf - inf slopes, a
-        # NaN value, read at nodes, inside cells and past the ends
-        xs = np.linspace(-2.0, 2.0, 64)
-        with np.errstate(over="ignore"):
-            values = np.exp(np.linspace(0.0, 720.0, 64))
-        values[[10, 30]] = math.nan
-        values[20:23] = -math.inf
-        table = UniformTable(xs, values)
-        x = np.concatenate([xs, np.random.default_rng(7).uniform(-3, 3, 2000),
-                            [math.inf, -math.inf, math.nan]])
-        self._same(table(x), xs, values, x, None)
-
-    @pytest.mark.parametrize("n", [16, 8192])
-    def test_nan_fill(self, n):
-        xs, values, table = self._table((-2.0, 2.0), n, math.nan)
-        x = np.concatenate([xs, [-3.0, 3.0, -math.inf, math.inf, math.nan]])
-        self._same(table(x), xs, values, x, math.nan)
-
-    @pytest.mark.parametrize("fill", [None, 0.0])
-    def test_signed_zeros(self, fill):
-        # np.interp reads a node's -0.0 as -0.0, where slope * 0 + v is 0.0
-        xs = np.linspace(-2.0, 2.0, 64)
-        values = np.where(np.arange(64) % 3 == 0, -0.0, np.sin(xs))
-        values[-1] = -0.0
-        x = np.concatenate([xs, np.nextafter(xs, math.inf), [3.0, -3.0]])
-        self._same(UniformTable(xs, values, fill)(x), xs, values, x, fill)
-
-    @pytest.mark.parametrize("fill", [None, 0.0])
-    def test_unresolved_grid_bisects(self, fill):
-        # nodes closer than the floats of the window, some of them equal:
-        # the nearest-node estimate could miss the cell by more than one,
-        # so the cell is found by bisection
-        xs = np.linspace(1e12, 1e12 + 1e-3, 8192)
-        values = np.cumsum(np.exp(-np.sin(np.arange(8192.0))))
+    @settings(max_examples=200, deadline=None)
+    @given(centre=st.floats(1.0, 1e9), sign=st.sampled_from([-1.0, 1.0]),
+           ulps=st.floats(4.0, 2.0**40), n=st.integers(16, 8192),
+           fill=st.sampled_from([None, 0.0]), seed=st.integers(0, 2**32 - 1))
+    def test_resolved_windows_read_as_np_interp(self, centre, sign, ulps, n,
+                                                fill, seed):
+        # a window of up to half its distance from 0, its nodes 4 or more
+        # ulps apart: the floats resolve it, and every finite read is
+        # np.interp's, bit for bit
+        lo = sign * centre
+        width = min(ulps * np.spacing(2.0 * centre) * (n - 1), 0.5 * centre)
+        xs = np.linspace(lo, lo + width, n)
+        rng = np.random.default_rng(seed)
+        values = np.cumsum(rng.uniform(0.0, 2.0, n))
         table = UniformTable(xs, values, fill)
-        assert table._bisect
-        x = np.concatenate([xs, np.random.default_rng(8).uniform(
-            1e12 - 1e-3, 1e12 + 2e-3, 3000), [math.inf, -math.inf, math.nan]])
+        x = np.concatenate([
+            xs, np.nextafter(xs, -math.inf), np.nextafter(xs, math.inf),
+            rng.uniform(lo - width, lo + 2.0 * width, 2000)])
         self._same(table(x), xs, values, x, fill)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_refused(self, bad):
+        xs = np.linspace(-2.0, 2.0, 64)
+        values = np.sin(xs)
+        values[-1] = bad
+        with pytest.raises(ConfigError, match=r"a table on the axis grid of"
+                           r" 64 points on \[-2\.0, 2\.0\] is not finite"):
+            UniformTable(xs, values)
+
+    def test_unresolved_grid_refused(self):
+        # nodes closer than the floats of the window, some of them equal
+        xs = np.linspace(1e12, 1e12 + 1e-3, 8192)
+        with pytest.raises(ConfigError, match=r"axis grid of 8192 points on"
+                           r" \[1000000000000\.0, 1000000000000\.001\] is"
+                           r" finer than its floats"):
+            UniformTable(xs, np.arange(8192.0))
+
+    def test_equal_nodes_refused(self):
+        # 19 pairs of equal nodes, yet the nearest-node estimate is right at
+        # every node and one ulp below it: the grid check also needs the
+        # nodes to increase, and the axis keeps its message
+        lo, hi = 6356499731.229579, 6356499731.229579 + 0.00010059345025898578
+        xs = np.linspace(lo, hi, 125)
+        assert np.sum(xs[1:] == xs[:-1]) == 19
+        scale = 124 / (xs[-1] - xs[0])
+        offset = 0.5 - xs[0] * scale
+        nodes = np.arange(125)
+        assert np.all(xs * scale + offset >= nodes)
+        assert np.all(np.nextafter(xs, -math.inf) * scale + offset
+                      < nodes + 1)
+        with pytest.raises(ConfigError, match="finer than its floats"):
+            UniformTable(xs, np.arange(125.0))
+        with pytest.raises(ConfigError, match="finer than its floats"):
+            LineGeometry("zero", lo=lo, hi=hi, points=125)
