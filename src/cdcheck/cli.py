@@ -9,6 +9,8 @@ unknown fields are refused at every level, ``space`` takes a positive
 ``radius`` only on a sphere and ``scale`` only on a hyperbolic space,
 ``regions`` has two interval ``bounds`` on the axis, and ``tolerances``
 has a key per suite that reads one (not taylor, limits or all).
+``sampling.steps`` lies in [2, 2^16]; ``sampling.theta_range`` is [lo, hi]
+with `jacobi.SPEED_FLOOR` < lo <= hi and hi^2 finite, so every ray moves.
 ``validate`` builds the `Run` a run takes, so an axis density of any kind
 with no mass on its grid exits 2 there, as do a meridian under a
 non-radial weight, a ``sampling.region`` on a sphere, a
@@ -96,7 +98,6 @@ class _Kinds(dict):
 
 
 _REAL, _PAIR, _STR = _real(), _list(_real(), 2), lambda v: isinstance(v, str)
-_POSITIVE_PAIR = _list(lambda v: _REAL(v) and v > 0, 2)
 # an interpolation parameter t: the coefficients beta need t in ]0, 1[
 _OPEN_T = lambda v: _REAL(v) and 0 < v < 1
 # N: a number, or infinity as the JSON value Infinity or a string token
@@ -116,8 +117,10 @@ _SCHEMA = {
     "kappa": _Need(_REAL),
     "suite": _Need(lambda v: isinstance(v, str) and v in SUITES),
     "sampling": {"trials": _real(1, kind=int), "seed": _real(0, kind=int),
-                 "steps": _real(2, kind=int), "t_grid": _list(_OPEN_T),
-                 "theta_range": lambda v: _POSITIVE_PAIR(v) and v[0] <= v[1],
+                 "steps": _real(2, 2**16, kind=int), "t_grid": _list(_OPEN_T),
+                 "theta_range": lambda v: _PAIR(v) and (
+                     jacobi.SPEED_FLOOR < v[0] <= v[1]
+                     and v[1] * v[1] <= sys.float_info.max),
                  "region": {"radius": _REAL, "center": _list(_REAL)}},
     "tolerances": dict.fromkeys(_TOLERANCES, _real(0)),
     "geometry": _Kinds("line", meridian={"points": _POINTS},

@@ -34,6 +34,9 @@ from .quadrature import cumulative_simpson
 from .spaces import ModelSpace, WeightFunction
 
 SYMMETRY_TOL = 1e-12
+# the least ray speed: `cli` refuses a theta_range that reaches it and
+# refine_ray_margin such a ray, so a batch's k theta^2 have one sign
+SPEED_FLOOR = 1e-14
 # rays that scan_rays samples and integrates at once; it bounds the
 # (batch, steps + 1) work arrays
 _RAY_BATCH = 250
@@ -46,19 +49,16 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray,
     """Exact det E and a_nn = (E' E^{-1})_{nn} for a batch of rays.
 
     Ss: (B, n, n) initial derivatives S; k_theta2: (B,) values of
-    k theta^2; ts: (T,). Returns (det, a_nn) of shape (B, T); a_nn is
-    inf or NaN where det is 0. ``trig``, if given, is the pair (cos, sin)
-    of sqrt(k theta^2) ts, shape (B, T), which the caller has formed for
-    its own use (the ray scan on S^n, for f along the rays); a batch with
-    every k theta^2 > 0 takes C and Sn from it and writes det E and a_nn
-    into it.
+    k theta^2, of one sign (ValueError otherwise); ts: (T,). Returns (det,
+    a_nn) of shape (B, T); a_nn is inf or NaN where det is 0. ``trig``, if
+    given, is (cos, sin) of sqrt(k theta^2) ts, shape (B, T), with k > 0,
+    formed by the caller for its own use (the ray scan on S^n, for f along
+    the rays): C and Sn come from it, and det E and a_nn are written in it.
 
     Rows :-1 of E are C I + Sn S, with the scalar propagator C = cos,
     Sn = sin/omega of frequency omega = sqrt(k) theta (cosh, sinh for
-    k < 0; 1, t for k = 0). A batch whose k theta^2 all have one sign
-    takes C and Sn from one argument array; a mixed batch evaluates each
-    ray's own branch, so no unused cosh can overflow. A ray whose det E
-    leaves the float range raises PreconditionError.
+    k < 0; 1, t for k = 0), formed from one argument array for the batch.
+    A ray whose det E leaves the float range raises PreconditionError.
     With S = [[A, b], [c^T, d]], P = C I + Sn A and M the matrix E with
     its last row replaced by S[-1] (the last row of E'), det E is linear
     in the last row and a_nn is a cofactor expansion along it:
@@ -76,31 +76,21 @@ def jacobi_closed_form(Ss: np.ndarray, k_theta2: np.ndarray, ts: np.ndarray,
     w2 = np.asarray(k_theta2, dtype=float)
     ts = np.asarray(ts, dtype=float)
     B, n, _ = Ss.shape
+    if np.any(np.sign(w2) != np.sign(w2[0])):
+        raise ValueError("k theta^2 must have one sign in a batch")
     if n == 2:  # a 1 x 1 block is its eigenvalue, in the frame U = 1
         alpha, beta, gamma = Ss[:, :1, 0], Ss[:, :1, 1], Ss[:, 1, :1]
     else:
         alpha, U = np.linalg.eigh(Ss[:, :-1, :-1])
         beta = np.einsum("bji,bj->bi", U, Ss[:, :-1, -1])
         gamma = np.einsum("bji,bj->bi", U, Ss[:, -1, :-1])
-    pos, neg = w2 > 0, w2 < 0
     om = np.sqrt(np.abs(w2))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # each ray its own branch (cosh and sinh may overflow: checked
-        # below); a one-sign batch's branch arrays are C and Sn
-        one_sign = pos.all() or neg.all()
-        if not one_sign:  # rows with k theta^2 = 0 keep C = 1, Sn = t
+        if w2[0] == 0.0:  # k = 0
             C, Sn = np.ones((B, ts.size)), np.tile(ts, (B, 1))
-        for rows, circular in ((pos, True), (neg, False)):
-            if not (rows.all() if one_sign else rows.any()):
-                continue
-            sel = slice(None) if one_sign else rows
-            c, s = (_trig(om[sel] * ts, circular) if trig is None
-                    or not circular else (trig[0][sel], trig[1][sel]))
-            s /= om[sel]
-            if one_sign:
-                C, Sn = c, s
-                break
-            C[rows], Sn[rows] = c, s
+        else:  # cosh and sinh may overflow: checked below
+            C, Sn = _trig(om * ts, w2[0] > 0.0) if trig is None else trig
+            Sn /= om
         p = [Sn * a[:, None] for a in alpha.T]
         for q in p:
             q += C  # p_i = C + Sn alpha_i
@@ -160,59 +150,50 @@ def _flat_rays(Ss: np.ndarray, ts: np.ndarray):
     return det, logdet, int_ann, admissible
 
 
-def _require_finite(det):
-    if not np.all(np.isfinite(det)):
-        raise PreconditionError("det E leaves the float range", failed="det E finite")
+def _require_finite(values, what="det E"):
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError(f"{what} leaves the float range", failed=f"{what} finite")
 
 
 def integrate_jacobi_batch(space: ModelSpace, weight: WeightFunction, xs,
                            ws, Ss, steps: int):
     """Vectorized trajectory computation for a batch of rays.
 
-    Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays
-    ``det``, ``logdet`` (log det E), ``h``, ``l``, ``int_ann`` (= log Dbar;
-    log D is c l, and D and Dbar themselves are not formed, so they cannot
-    overflow) and ``f_gamma`` (f along the geodesic, a constant weight's
-    base-point value on every column), plus the speeds ``thetas`` and an
-    ``admissible`` mask (det > 0 on the whole grid). Inadmissible rows
-    carry NaN downstream. f along a ray is the weight's ray form
-    (``WeightFunction.ray``) where it has one, every R^n and S^n preset,
-    so no (B, steps + 1, ambient) point array is built; other weights are
-    evaluated at the points of ``space.geodesic``. On R^n every array is
-    exact (``_flat_rays``) and a ray is admissible if and only if the
-    eigenvalues of S exceed -1, between grid points too; on S^n and H^n
-    det E is exact and int_ann a cumulative Simpson of a_nn. On S^n the
-    batch forms cos(theta t) and sin(theta t) once, for the ray form and
-    for ``jacobi_closed_form``: bit for bit the pair each would form, as
-    sqrt(theta^2) = theta in binary64. Every array of the dict is the
-    call's own, so the caller may write into it.
+    Returns a dict of the grid ``ts`` and the (B, steps + 1) arrays ``det``,
+    ``logdet`` (log det E), ``h``, ``l``, ``int_ann`` (= log Dbar; log D is
+    c l, and D and Dbar themselves are not formed, so they cannot overflow) and
+    ``f_gamma`` (f along the geodesic, a constant weight's base-point value on
+    every column), plus the speeds ``thetas``, which callers keep above
+    ``SPEED_FLOOR``, and an ``admissible`` mask (det > 0 on the whole grid).
+    Inadmissible rows carry NaN downstream; a g(w, w) past the float range
+    raises PreconditionError. f along a ray is the weight's ray form
+    (``WeightFunction.ray``) where it has one, every R^n and S^n preset, so no
+    (B, steps + 1, ambient) point array is built; other weights are evaluated
+    at the points of ``space.geodesic``. On R^n every array is exact
+    (``_flat_rays``) and a ray is admissible if and only if the eigenvalues of
+    S exceed -1, between grid points too; on S^n and H^n det E is exact and
+    int_ann a cumulative Simpson of a_nn. On S^n the batch forms cos(theta t)
+    and sin(theta t) once, for the ray form and for ``jacobi_closed_form``: bit
+    for bit the pair each would form, as sqrt(theta^2) = theta in binary64.
+    Every array of the dict is the call's own, so the caller may write into it.
     """
     xs, ws, Ss = (np.asarray(a, dtype=float) for a in (xs, ws, Ss))
-    B = xs.shape[0]
-    thetas = space.norm(xs, ws)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        thetas = space.norm(xs, ws)
+    _require_finite(thetas, "g(w, w)")  # on H^n |w_i| reaches theta X_n
     ts = np.linspace(0.0, 1.0, steps + 1)
     k_theta2 = space.sec * thetas**2
     trig = None
     if space.sec > 0.0:  # S^n: cos and sin of theta t, for f and for E
-        with np.errstate(invalid="ignore"):  # NaN past the float range
-            trig = _trig(np.sqrt(k_theta2)[:, None] * ts, True)
+        trig = _trig(np.sqrt(k_theta2)[:, None] * ts, True)
 
     # f first, so a geodesic past X_n = SPAN stops the scan before the
-    # propagator overflows; zero-speed rays and constant weights take f(x)
-    live = (thetas > 1e-14) & (not weight.is_constant)
-    if live.all():  # no row copies
-        f_gamma = _f_along(space, weight, xs, ws, thetas, ts, trig)
+    # propagator overflows; a constant weight takes f(x) on every column
+    if weight.is_constant:
+        f_gamma = np.repeat(weight.eval(xs)[:, None], ts.size, axis=1)
     else:
-        f_gamma = np.empty((B, steps + 1))
-        if live.any():
-            f_gamma[live] = _f_along(
-                space, weight, xs[live], ws[live], thetas[live], ts,
-                None if trig is None else (trig[0][live], trig[1][live]))
-        f_gamma[~live] = np.asarray(weight.eval(xs[~live]),
-                                    dtype=float)[:, None]
+        f_gamma = _f_along(space, weight, xs, ws, thetas, ts, trig)
 
-    # zero-speed rays degenerate to the identity trajectory
-    Ss = np.where((thetas > 1e-14)[:, None, None], Ss, 0.0)
     if space.sec == 0.0:
         det, logdet, int_ann, admissible = _flat_rays(Ss, ts)
     else:
@@ -334,23 +315,22 @@ def concavity_margins(ts, log_D, log_Dbar, d_partial,
 def _ray_margins(space, weight, params, kappa, xs, ws, Ss, steps):
     """The concavity margins of a batch of rays on a grid of ``steps`` steps.
 
-    Returns (keep, margins, det_min): the indices of the rays that move,
-    are admissible and whose re-parametrized length stays below the
-    conjugate radius (d_f = inf where e^{-a f} overflows), and for each of
-    them the minimum over inequalities (i)-(iii) and the minimum of det E
-    on the grid. Dropped rows get no margins: a zero-speed ray has no
-    s-ratios, and a ray with det E <= 0 has no log D. Only moving,
-    admissible rows get a speed theta e^{-a f}, formed in place in f_gamma
-    or in the copy of its rows, and partial distances: a constant weight's
-    are the speed times t, any other weight's come from a cumulative
-    Simpson. Where every row is kept the rows are views, not copies.
-    Raises PreconditionError where a kept d_f underflows.
+    Returns (keep, margins, det_min): the indices of the rays that are
+    admissible and whose re-parametrized length stays below the conjugate
+    radius (d_f = inf where e^{-a f} overflows), and for each of them the
+    minimum over inequalities (i)-(iii) and the minimum of det E on the
+    grid. Only admissible rows (a ray with det E <= 0 has no log D) get a
+    speed theta e^{-a f}, formed in place in f_gamma or in the copy of its
+    rows (views where every row is kept), and partial distances: a
+    constant weight's are the speed times t, any other weight's come from
+    a cumulative Simpson. Raises PreconditionError where a kept d_f
+    underflows.
     """
     out = integrate_jacobi_batch(space, weight, xs, ws, Ss, steps)
     # each array is taken out of the batch when it is read, so that it is
     # freed as early as it can be: this keeps the batch's peak memory low
     ts, thetas = out["ts"], out["thetas"]
-    keep = np.flatnonzero(out["admissible"] & (thetas > 1e-14))
+    keep = np.flatnonzero(out["admissible"])
     rows = _rows(keep, thetas.size)
     det_min = np.min(out.pop("det"), axis=-1)[keep]
     del out["logdet"], out["h"]
@@ -388,14 +368,15 @@ def refine_ray_margin(space: ModelSpace, weight: WeightFunction,
                       x, w, S, steps: int = _REFINE_STEPS) -> float | None:
     """One ray's concavity margin on a grid of ``steps`` steps.
 
-    ``None`` if the ray has zero speed, is inadmissible (on that grid;
-    exactly on R^n), reaches the conjugate radius, or S is not symmetric
-    (S may come from a ``counterexample.json``). The scan refines its
-    flagged rays through the same kernel, so this reproduces their
-    margins.
+    ``None`` if the ray's speed is at most ``SPEED_FLOOR``, it is
+    inadmissible (on that grid; exactly on R^n) or reaches the conjugate
+    radius, or S is not symmetric (S may come from a
+    ``counterexample.json``). The scan refines its flagged rays through
+    the same kernel, so this reproduces their margins.
     """
     x, w, S = (np.asarray(a, float) for a in (x, w, S))
-    if not np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0):
+    if not (np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0)
+            and space.norm(x, w) > SPEED_FLOOR):
         return None
     keep, margins, _ = _ray_margins(space, weight, params, kappa,
                                     x[None], w[None], S[None], steps)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -245,6 +246,11 @@ class TestValidate:
                                         {"kind": "bump"}]},
         {"suite": "functional", "functional": {
             "density": {"kind": "cosine", "amplitude": 3}}},
+        {"sampling": {"trials": 200, "seed": 0, "theta_range": [1e-15, 1.0]}},
+        {"sampling": {"trials": 200, "seed": 0, "theta_range": [1e-14, 1.0]}},
+        {"sampling": {"trials": 200, "seed": 0,
+                      "theta_range": [0.2, 1e155]}},
+        {"sampling": {"trials": 200, "seed": 0, "steps": 2**16 + 1}},
     ], ids=["kappa-string", "missing-eps", "negative-trials", "zero-trials",
             "sampling-list", "geometry-bogus-key", "geometry-ambient-dim",
             "meridian-window", "weight-number", "radius-string",
@@ -274,7 +280,9 @@ class TestValidate:
             "scale-square-underflows", "kappa-radius-square-past-float",
             "meridian-linear-on-r3", "meridian-linear-on-h3",
             "meridian-quadratic-on-h3", "densities-cosine-amplitude",
-            "functional-cosine-amplitude"])
+            "functional-cosine-amplitude", "theta-range-below-floor",
+            "theta-range-at-floor", "theta-range-square-past-float",
+            "steps-past-bound"])
     def test_bad_config_exits_2(self, tmp_path, capsys, over):
         cfg = base_cfg("jacobian")
         cfg.update(over)
@@ -297,6 +305,20 @@ class TestValidate:
         assert (f"axis grid of 1048576 points on [{lo!r}, {hi!r}] is finer"
                 " than its floats") in err
         assert "reference mass" not in err
+
+    @pytest.mark.parametrize("sampling, field", [
+        ({"theta_range": [2e-14, 1.0], "steps": 2**16}, None),
+        ({"theta_range": [1e-14, 1.0]}, "sampling.theta_range"),
+        ({"theta_range": [1e155, 1e155]}, "sampling.theta_range"),
+        ({"steps": 2**20}, "sampling.steps"),
+    ], ids=["inside", "floor", "square-past-float", "steps-2-20"])
+    def test_sampling_bounds(self, tmp_path, capsys, sampling, field):
+        # validate alone: a run of 2^16 steps is not taken here
+        cfg = base_cfg("jacobian", sampling={"trials": 1, **sampling})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == (2 if field else 0)
+        if field:
+            assert f"invalid {field}:" in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "c.json", base_cfg("curvature"))
@@ -794,6 +816,49 @@ class TestSteepWeights:
         mins = [(r["min_margin"], r["tolerance"]) for r in reports["reports"]]
         assert all(m is not None and math.isfinite(m) for m, _ in mins)
         assert (code == 1) == any(m < -tol for m, tol in mins)
+
+
+class TestRunFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(space=st.sampled_from(sorted(_STEEP_SPACES)),
+           trials=st.integers(1, 20), steps=st.integers(2, 64),
+           exponents=st.lists(st.floats(-16.0, 300.0), min_size=2,
+                              max_size=2))
+    def test_jacobian_run_exits_with_a_verdict_or_a_refusal(
+            self, space, trials, steps, exponents):
+        # theta_range ends log-uniform in [1e-16, 1e300]: a speed at the
+        # floor or one whose square leaves the float range is refused (exit
+        # 2), never a crash; exit 1 only with a finite margin below -tol
+        n = _STEEP_SPACES[space]["dim"]
+        cfg = {"space": _STEEP_SPACES[space], "weight": "zero",
+               "params": {"n": n, "N": 2 * n, "eps": 0.5}, "kappa": 0.1,
+               "suite": "jacobian",
+               "sampling": {"trials": trials, "seed": 1, "steps": steps,
+                            "theta_range": sorted(10.0**e for e in exponents)}}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            code = main(["run", "--config", write_cfg(out, "c.json", cfg),
+                         "--out-dir", tmp, "--quiet"])
+            assert code in (0, 1, 2)
+            if code == 1:
+                rep = json.loads((out / "jacobian_report.json").read_text())
+                m = rep["reports"][0]["min_margin"]
+                assert m is not None and math.isfinite(m)
+                assert m < -rep["reports"][0]["tolerance"]
+
+    def test_h3_tangent_past_float_range_exits_2(self, tmp_path, capsys):
+        # theta^2 = 1.44e308 is finite, but the hyperboloid coordinates of
+        # the tangents reach theta X_n: g(w, w) leaves the float range
+        cfg = {"space": {"kind": "hyperbolic", "dim": 3}, "weight": "zero",
+               "params": {"n": 3, "N": 6, "eps": 0.5}, "kappa": 0.1,
+               "suite": "jacobian",
+               "sampling": {"trials": 20, "seed": 1,
+                            "theta_range": [1.2e154, 1.2e154]}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "g(w, w) leaves the float range" in capsys.readouterr().err
 
 
 class TestAxisCurvatureHypothesis:
