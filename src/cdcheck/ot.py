@@ -61,6 +61,7 @@ class UniformTable:
     values are finite and the floats of xs resolve its nodes
     (`_node_map`); any other table is a ConfigError that names its grid.
     Points read must be finite, and a -0.0 value can read as 0.0.
+    ``grid``, if given, is the `_node_map` of xs, checked by the caller.
 
     A point's cell k is the node with xs[k] <= x < xs[k + 1]; k = n - 1
     holds every x >= xs[-1] (slope -0.0, so values[-1] to the last bit)
@@ -71,9 +72,10 @@ class UniformTable:
     chunk at a time, so that its temporaries stay the size of one chunk.
     """
 
-    def __init__(self, xs: np.ndarray, values: np.ndarray, fill=None):
+    def __init__(self, xs: np.ndarray, values: np.ndarray, fill=None,
+                 grid: tuple[float, float] | None = None):
         self.xs, self.fill = xs, fill
-        self._scale, self._offset = _node_map(xs)
+        self._scale, self._offset = grid or _node_map(xs)
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"a table on the axis grid of {xs.size} points"
                               f" on {xs[[0, -1]].tolist()} is not finite")
@@ -133,7 +135,7 @@ class AxisGeometry:
             raise ConfigError(f"axis grid of {points} points on [{lo:g},"
                               f" {hi:g}]: needs 16 or more on lo < hi")
         self.xs = np.linspace(lo, hi, points)
-        _node_map(self.xs)  # before the mass, which such a grid can zero
+        self._grid = _node_map(self.xs)  # before the mass, which it can zero
         self.dx = self.xs[1] - self.xs[0]
         self.weight = weight
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -144,9 +146,10 @@ class AxisGeometry:
             raise ConfigError(f"axis weight {weight.name} has reference"
                               f" mass {mass:g}")
         # m(x) between the grid points; the density m_density is its values
-        self.m_table = UniformTable(self.xs, raw / mass)
+        self.m_table = UniformTable(self.xs, raw / mass, grid=self._grid)
         self.m_density = self.m_table.values
         self._g_cache: dict[float, UniformTable] = {}
+        self.curvature_cache: dict = {}  # suites' curvature margins per hull
 
     def axis_frame(self):
         """(points, unit axis tangents, unit normals) of the grid in ``space``."""
@@ -166,7 +169,7 @@ class AxisGeometry:
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 g = cumulative_simpson(np.exp(-a * self.f_vals), self.dx)
             require_normal(g, False)  # G(x) is the distance d_G(lo, x)
-            tab = UniformTable(self.xs, g)
+            tab = UniformTable(self.xs, g, grid=self._grid)
             self._g_cache[a] = tab
         return tab
 

@@ -6,7 +6,8 @@ Brunn-Minkowski inequality, the p-mean interpolation family, and the
 functional inequalities (HWI, log-Sobolev, transport-energy). The twcd
 and bm checks take their whole t-grid in one call and compute what does
 not depend on t (the curvature hypothesis, d_f and its s_kappa) once;
-the envelope psi of the interpolation check is a `UniformTable` read.
+the envelope psi of the interpolation check, a sup refined by Brent's
+steps, is a `UniformTable` read.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ def _curvature_margins(geometry: AxisGeometry, params: DimensionParams,
 def _require_curvature(geometry, params, kappa, hull):
     """Worst curvature margin on the grid points within one step of
     ``hull`` = (lo, hi) in the window, where a suite's measures live;
-    raises PreconditionError if it is negative or not finite."""
+    raises PreconditionError if it is negative or not finite. A geometry
+    keeps the margins it passed, so a hull is judged once."""
+    key = (params, kappa, *hull)
+    if key in geometry.curvature_cache:
+        return geometry.curvature_cache[key]
     xs, margins = _curvature_margins(geometry, params, kappa)
     lo, hi = hull
     margins = margins[(xs >= lo - geometry.dx) & (xs <= hi + geometry.dx)]
@@ -70,6 +75,7 @@ def _require_curvature(geometry, params, kappa, hull):
         raise PreconditionError(
             f"curvature bound fails on {where} (margin {margin:.3e})",
             failed="curvature bound")
+    geometry.curvature_cache[key] = margin
     return margin
 
 
@@ -262,13 +268,14 @@ def require_interpolation_hypothesis(geometry, params, kappa, X, Y, p):
 
 
 def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
-    """Tight admissible middle function for the p-mean hypothesis.
+    """Tight admissible middle function for the p-mean hypothesis, whose
+    curvature bound and p range are judged first: the beta reads need them.
 
     At each of 4,096 z nodes, the sup of the hypothesis right-hand side
     over the pairs (x, y) in X x Y with (1-t)x + ty = z: the best of 64 x
-    cells brackets it, and golden-section steps on all z at once shrink
-    the bracket to 1e-9. A relative SLACK covers interpolation error; at
-    1e-4 it dwarfs the O(1e-9 |d rhs/dx|) that the bracket can miss.
+    cells brackets it, and `bracketed_sup` on all z at once closes the
+    bracket to 2e-9 about its best point. A relative SLACK covers
+    interpolation error; at 1e-4 it dwarfs the O(1e-9 |d rhs/dx|) missed.
 
     All 64 cells are scanned only at every 8th node and the last one. A
     node between two such neighbours scans the 6 cells around their best
@@ -279,15 +286,16 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
     with a lower cell outside the window, or where a mode that is the sup
     at neither neighbour lies more than 2 cells outside both best cells.
     """
+    require_interpolation_hypothesis(geometry, params, kappa, X, Y, p)
     zs = np.linspace((1 - t) * X[0] + t * Y[0],
                      (1 - t) * X[1] + t * Y[1], 4096)
     lo = np.maximum(X[0], (zs - t * Y[1]) / (1 - t))
     hi = np.minimum(X[1], (zs - t * Y[0]) / (1 - t))
     width = hi - lo
 
-    def rhs(x, z):  # the interval ends may round past X and Y
+    def rhs(x, i):  # at the nodes i; the interval ends may round past X, Y
         x = np.clip(x, *X)
-        y = np.clip((z - (1 - t) * x) / t, *Y)
+        y = np.clip((zs[i] - (1 - t) * x) / t, *Y)
         b_rev, b_fwd = np.exp(axis_log_betas(geometry, params, kappa, x, y, t))
         return p_mean(psi0(x) / b_rev, psi1(y) / b_fwd, t, p)
 
@@ -300,7 +308,7 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
         for s in range(0, nodes.size, step):
             i, j0 = nodes[s:s + step], first[s:s + step]
             j = j0[:, None] + np.arange(size)
-            vals = rhs(lo[i, None] + width[i, None] * cells[j], zs[i, None])
+            vals = rhs(lo[i, None] + width[i, None] * cells[j], i[:, None])
             k[i], best[i] = j0 + vals.argmax(axis=1), vals.max(axis=1)
 
     coarse = np.append(np.arange(0, zs.size, 8), zs.size - 1)
@@ -312,24 +320,67 @@ def envelope_psi(geometry, params, kappa, psi0, psi1, X, Y, t, p):
     first = np.clip(np.minimum(k_l, k_r) - 2, 0, cells.size - 6)
     scan(fine[near], first[near], 6)
     scan(fine[~near], np.zeros_like(first[~near]), cells.size)
-    a = lo + width * cells[np.maximum(k - 1, 0)]
-    b = lo + width * cells[np.minimum(k + 1, cells.size - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = rhs(c, zs), rhs(d, zs)
-    # a step count, not a width test: far from 0, x is coarser than 1e-9
-    steps = math.log(1e-9 / max(float(np.max(b - a)), 1e-9), g)
-    for _ in range(math.ceil(steps)):
-        left = fc >= fd  # the sup lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - g * (b - a), a + g * (b - a))
-        f_new = rhs(new, zs)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    env = np.maximum(best, np.maximum(fc, fd))
+    at = lambda j: lo + width * cells[j]
+    env = bracketed_sup(rhs, at(np.maximum(k - 1, 0)),
+                        at(np.minimum(k + 1, cells.size - 1)), at(k), best)
     env *= 1.0 + SLACK
     env += SLACK * float(env.max())
     return UniformTable(zs, env, fill=0.0)
+
+
+def bracketed_sup(f, a, b, x, fx):
+    """The best value found of f(., i) on [a_i, b_i] at each node i by
+    Brent's bracketed parabolic steps (1973), on all nodes at once; f(u, i)
+    is node i's objective at u, x in [a, b] its scanned best point, of
+    value fx. A round steps to the vertex of the parabola through the three
+    best points (at first x and the golden points of [a, b]) where that lies
+    in the bracket and below half the step before last; else by golden
+    section into the larger side, or by 1e-9 into it after a step below
+    1e-8 or from an end of the bracket. No step is below 1e-9, and a gain
+    below 1e-15 relative is a tie. A node stops once its bracket lies
+    within 2e-9 of its best point, or its step rounds to that point."""
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    nodes = np.arange(a.size)
+    c, d = b - gold * (b - a), a + gold * (b - a)
+    fc, u, fu = f(c, nodes), d, f(d, nodes)  # u enters at the first round
+    best = np.maximum(fx, np.maximum(fc, fu))
+    swap = fc > fx
+    x, w, v = np.where(swap, c, x), np.where(swap, x, c), c
+    fx, fw, fv = (np.where(swap, fc, fx), np.where(swap, fx, fc),
+                  np.full(a.size, -math.inf))
+    last = before = b - a  # the last step and the one before it
+    while True:
+        # the sup lies beyond the better of x and u, seen from the other
+        top = fu - fx > 1e-15 * np.abs(fx)
+        cut, at_a = np.where(top, x, u), top ^ (u < x)
+        a, b = np.where(at_a, cut, a), np.where(at_a, b, cut)
+        mid, low = fu > fw, fu > fv  # x, w, v: the best three, best first
+        v, fv = (np.where(mid, w, np.where(low, u, v)),
+                 np.where(mid, fw, np.where(low, fu, fv)))
+        w, fw = (np.where(top, x, np.where(mid, u, w)),
+                 np.where(top, fx, np.where(mid, fu, fw)))
+        x, fx = np.where(top, u, x), np.where(top, fu, fx)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = 0.5 * ((x - w) * r - (x - v) * q) / (q - r)
+        side = np.where(x < 0.5 * (a + b), b - x, a - x)
+        parabolic = (a < x + step) & (x + step < b) & (
+            (np.abs(step) < 0.5 * np.abs(before)) | (np.abs(step) < 1e-9))
+        probe = ~parabolic & ((x == a) | (x == b) | (np.abs(last) < 1e-8))
+        step = np.where(parabolic, step,
+                        np.where(probe, 0.0, (1.0 - gold) * side))
+        last, before = (np.where(probe, side, step),
+                        np.where(parabolic, last, side))
+        u = x + np.where(np.abs(step) < 1e-9, np.copysign(1e-9, side), step)
+        go = (np.maximum(x - a, b - x) > 2e-9) & (u != x)
+        if not go.all():
+            nodes, a, b, u, x, w, v, fx, fw, fv, last, before = (
+                arr[go] for arr in (nodes, a, b, u, x, w, v, fx, fw, fv,
+                                    last, before))
+        if not nodes.size:
+            return best
+        fu = f(u, nodes)
+        best[nodes] = np.maximum(best[nodes], fu)
 
 
 def check_interpolation(geometry: AxisGeometry, params: DimensionParams,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcheck import cli, taylor
+from cdcheck import cli, ot, suites, taylor
 from cdcheck.cli import main
 from cdcheck.errors import CdCheckError
 from cdcheck.jacobi import (integrate_jacobi, integrate_jacobi_batch,
@@ -1100,6 +1100,29 @@ class TestOneBuild:
         assert self._axis_builds(tmp_path, monkeypatch,
                                  base_cfg("taylor")) == []
 
+    def test_interpolation_judges_its_curvature_once(self, tmp_path,
+                                                     monkeypatch):
+        # the run and check_interpolation share the geometry's margins:
+        # one judgement, a ricci_fN_batch row per frame vector
+        rows = []
+        batch = suites.ricci_fN_batch
+        monkeypatch.setattr(suites, "ricci_fN_batch",
+                            lambda *args: rows.append(1) or batch(*args))
+        cfg = {**copy.deepcopy(FUZZ_BASE), "suite": "interpolation"}
+        self._axis_builds(tmp_path, monkeypatch, cfg)
+        assert len(rows) == 2
+
+    def test_axis_grid_is_checked_once(self, tmp_path, monkeypatch):
+        # m and every G table reuse the geometry's check of its 64-point
+        # grid; the envelope's 4,096 z nodes are a grid of their own
+        sizes = []
+        node_map = ot._node_map
+        monkeypatch.setattr(ot, "_node_map",
+                            lambda xs: sizes.append(xs.size) or node_map(xs))
+        cfg = {**copy.deepcopy(FUZZ_BASE), "suite": "all"}
+        self._axis_builds(tmp_path, monkeypatch, cfg)
+        assert sizes.count(64) == 1 and sizes.count(4096) == 1
+
 def sphere_cfg(**over):
     cfg = {
         "space": {"kind": "sphere", "dim": 2, "radius": 1.0},
@@ -1394,7 +1417,7 @@ class TestDeterminism:
 _FAULTS_SNIPPET = """\
 import contextlib, io, json, resource, sys
 from pathlib import Path
-from cdcheck import cli, taylor
+from cdcheck import cli, ot, suites, taylor
 cfg, out = sys.argv[1], Path(sys.argv[2])
 for i in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
