@@ -79,12 +79,18 @@ def log_beta(params: DimensionParams, kappa: float, d_part, d_full, frac):
                      s_kappa(kappa, d_full), frac)
 
 
-def _log_beta(params, s_part, d_full, s_full, frac):
-    """log_beta from s_part = s_kappa(d_part) and s_full = s_kappa(d_full)."""
+def _require_fractions(frac) -> np.ndarray:
+    """``frac`` as an array; a ValueError unless it lies in ]0, 1[."""
     frac = np.asarray(frac, dtype=float)
     if not np.all((frac > 0.0) & (frac < 1.0)):
         raise ValueError(f"fractions must lie in ]0,1[, got {frac.min()}"
                          f" to {frac.max()}")
+    return frac
+
+
+def _log_beta(params, s_part, d_full, s_full, frac):
+    """log_beta from s_part = s_kappa(d_part) and s_full = s_kappa(d_full)."""
+    frac = _require_fractions(frac)
     with np.errstate(divide="ignore", invalid="ignore"):
         rest = np.log(frac * s_full)
         ratio = np.log(s_part)  # the full shape of (d_part, d_full, frac)
@@ -113,6 +119,43 @@ def _log_beta_pair(params, kappa, d_full, t, s_rev, s_t, s_full):
     caller has run `require_beta_domain` on d_f."""
     return (_log_beta(params, s_rev, d_full, s_full, 1.0 - t),
             _log_beta(params, s_t, d_full, s_full, t))
+
+
+def beta_power_sums(params: DimensionParams, kappa: float, d_full, j0, j1,
+                    du):
+    """(t, d_t) -> ((1-t) sum (beta_{1-t}(y,x) j_0)^r du,
+    t sum (beta_t(x,y) j_1)^r du) per t of the 1-d ``t``, r = c/(c+1), over
+    the pairs (x, y) with d_f = ``d_full`` and d_t the row of ``d_t`` at t.
+
+    From `log_beta`, r log beta_frac = e (log s_kappa(d_part) - log
+    s_kappa(d_f) - log frac) with e = 1/(c+1), so frac (beta_frac j)^r =
+    frac^r s_kappa(d_part)^e W, W = (j^c / s_kappa(d_f))^e: one s_kappa and
+    one exponential per (t, pair) and side, summed against W du, which is
+    taken once. A pair with d_f = 0 (beta = 1) adds frac j^r du. Raises as
+    `require_beta_domain` does, and ValueError for a t outside ]0, 1[.
+    """
+    d_full = np.asarray(d_full, dtype=float)
+    require_beta_domain(kappa, d_full)
+    e, r, zero = 1.0 / (params.c + 1.0), params.c_ratio, d_full == 0.0
+    with np.errstate(divide="ignore"):  # W = 0 where d_f = 0
+        log_s = np.log(s_kappa(kappa, d_full))
+    sides = []  # per side: W du, and the sum of j^r du where d_f = 0
+    for j in (j0, j1):
+        weight = np.exp(e * (params.c * np.log(j) - log_s))
+        sides.append((np.where(zero, 0.0, weight) * du,
+                      j[zero] ** r @ du[zero]))
+
+    def side(frac, d_part, weight, flat):
+        with np.errstate(divide="ignore"):  # s_kappa(0)^e = e^{-inf} = 0
+            power = np.log(s_kappa(kappa, d_part))
+        power *= e
+        np.exp(power, out=power)
+        return frac**r * (power @ weight) + frac * flat
+
+    def sums(t, d_t):
+        t = _require_fractions(t)
+        return side(1.0 - t, d_full - d_t, *sides[0]), side(t, d_t, *sides[1])
+    return sums
 
 
 def log_b(params: DimensionParams, kappa: float, base, d_full):

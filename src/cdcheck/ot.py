@@ -32,7 +32,6 @@ from .spaces import Euclidean, ModelSpace, WeightFunction, weight_preset
 
 AXIS_POINTS = 4096  # axis grid points when the config gives none
 RADIAL_HI = 2.0  # the meridian window [0, RADIAL_HI] on R^n and H^n
-_READ_CHUNK = 8192  # points per pass of a UniformTable read
 
 
 # ----------------------------------------------------------------------
@@ -68,8 +67,8 @@ class UniformTable:
     and k = -1 every x < xs[0] (the left value, slope 0, in the last entry
     of the slope and value tables). The nearest node of x is k or k + 1:
     one comparison with it finds k. The value is slope (x - xs[k]) + v_k,
-    np.interp's formula. A read of more than _READ_CHUNK points goes a
-    chunk at a time, so that its temporaries stay the size of one chunk.
+    np.interp's formula. A read is a `lookup` of the cells, then a `read`
+    of the values at them; tables on one grid can share a lookup.
     """
 
     def __init__(self, xs: np.ndarray, values: np.ndarray, fill=None,
@@ -89,30 +88,29 @@ class UniformTable:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
-        if flat.size <= _READ_CHUNK:
-            return self._read(flat).reshape(x.shape)[()]
-        out = np.empty(x.shape)
-        into = out.reshape(-1)
-        for s in range(0, flat.size, _READ_CHUNK):
-            self._read(flat[s:s + _READ_CHUNK], into[s:s + _READ_CHUNK])
-        return out
+        return self.read(self.lookup(x.reshape(-1))).reshape(x.shape)[()]
 
-    def _read(self, x: np.ndarray, out=None) -> np.ndarray:
-        """The table at the points of the 1-d ``x``, into ``out``."""
+    def lookup(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, x - xs[k]): the cell of each point of ``x`` and its offset
+        in the cell, for `read` by any table on the grid xs."""
         xs = self.xs
         u = x * self._scale  # the nearest node, clipped to the grid
         u += self._offset
         np.fmax(u, 0.0, out=u)
         np.fmin(u, xs.size - 1.0, out=u)
         k = u.astype(np.intp)
-        k -= xs[k] > x
+        k -= xs.take(k) > x
+        return k, np.subtract(x, xs.take(k), out=u)
+
+    def read(self, cells: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The table at the points of the `lookup` ``cells``."""
+        k, offset = cells
         # index -1 reads the last entry: the left cell's slope and value
-        out = np.subtract(x, xs[k], out=out)
-        out *= self._slopes[k]
-        out += self._values[k]
-        if self.fill is not None:
-            np.copyto(out, self.fill, where=x > xs[-1])
+        out = offset * self._slopes.take(k)
+        out += self._values.take(k)
+        if self.fill is not None:  # x > xs[-1]: past the node of cell n - 1
+            np.copyto(out, self.fill,
+                      where=(k == self.xs.size - 1) & (offset > 0.0))
         return out
 
 
@@ -178,25 +176,33 @@ class AxisGeometry:
         return self.partial_distances(params, x, y)[1](t)
 
     def partial_distances(self, params: DimensionParams, x, y):
-        """(d_f(x, y), t -> d_t(x, y)), with G looked up at x and at the
-        end x + (y - x) once for every t."""
+        """(d_f(x, y), d_t), with G looked up at x and at the end
+        x + (y - x) once for every t: d_t(t) is d_t(x, y), and d_t(t, *tables)
+        adds each table on the axis grid at z = x + t (y - x), one lookup."""
         a = params.a
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if a == 0.0:
-            return np.abs(y - x), lambda t: np.abs(t * (y - x))
-        g = self._g_table(a)
-        g_x = g(x)
-        end = x + (y - x)
-        d_full = np.abs(g(end) - g_x)
+            d_full = np.abs(y - x)
+        else:
+            g = self._g_table(a)
+            g_x = g(x)
+            end = x + (y - x)
+            d_full = np.abs(g(end) - g_x)
 
-        def d_t(t):
+        def d_t(t, *tables):
             z = x + t * (y - x)
-            d = np.abs(g(z) - g_x)
-            # where z rounds to x or to the end, y - x is a rounding residue
-            # on which G is linear: d_t = t d_f, not 0 or d_f
-            rounded = (z == x) | (z == end)
-            return np.where(rounded, t * d_full, d) if rounded.any() else d
+            cells = self.m_table.lookup(z) if tables else None
+            reads = [table.read(cells) for table in tables]
+            if a == 0.0:
+                d = np.abs(t * (y - x))
+            else:
+                d = np.abs((g.read(cells) if tables else g(z)) - g_x)
+                # where z rounds to x or to the end, y - x is a rounding
+                # residue on which G is linear: d_t = t d_f, not 0 or d_f
+                rounded = (z == x) | (z == end)
+                d = np.where(rounded, t * d_full, d) if rounded.any() else d
+            return [d, *reads] if tables else d
         return d_full, d_t
 
     def integrate(self, values) -> float:
@@ -314,12 +320,13 @@ class MonotoneInterpolation:
     coordinate u in ]0, 1[.
 
     With Q_i the quantile functions of rho_i m, mu_t is the law of
-    Q_t = (1-t) Q_0 + t Q_1 under u uniform. Its density relative to m at
-    Q_t(u) is 1/j_t(u), with j_t = m(Q_t) ((1-t) Q_0' + t Q_1'), so every
-    integral over mu_t is an integral in u on the graded midpoint grid
-    (``u``, ``du``); nothing is re-sampled on the axis grid. ``j0`` and
-    ``j1`` are j_t at t = 0 and 1. The pairs (Q_0(u), Q_1(u)) are the
-    optimal coupling of rho_0 m with rho_1 m.
+    Q_t = Q_0 + t (Q_1 - Q_0), the z of `AxisGeometry.partial_distances`,
+    under u uniform. Its density relative to m at Q_t(u) is 1/j_t(u), with
+    j_t = m(Q_t) ((1-t) Q_0' + t Q_1'), so every integral over mu_t is an
+    integral in u on the graded midpoint grid (``u``, ``du``); nothing is
+    re-sampled on the axis grid. ``j0`` and ``j1`` are j_t at t = 0 and 1.
+    The pairs (Q_0(u), Q_1(u)) are the optimal coupling of rho_0 m with
+    rho_1 m.
     """
 
     def __init__(self, rho0: DensityField, rho1: DensityField):
@@ -337,11 +344,13 @@ class MonotoneInterpolation:
         self.Q1, self.dQ1 = _mass_quantile(rho1, self.u)
         self.j0, self.j1 = self.jacobian([0.0, 1.0])
 
-    def jacobian(self, ts) -> np.ndarray:
-        """j_t(u) = 1 / rho_t(Q_t(u)), one row per t of ``ts``."""
+    def jacobian(self, ts, m_q=None) -> np.ndarray:
+        """j_t(u) = 1 / rho_t(Q_t(u)), one row per t of ``ts``, from m(Q_t)
+        read here or, as ``m_q``, by the caller."""
         t = np.asarray(ts, dtype=float)[:, None]
-        q = (1.0 - t) * self.Q0 + t * self.Q1
-        return self.g.m_table(q) * ((1.0 - t) * self.dQ0 + t * self.dQ1)
+        if m_q is None:
+            m_q = self.g.m_table(self.Q0 + t * (self.Q1 - self.Q0))
+        return m_q * ((1.0 - t) * self.dQ0 + t * self.dQ1)
 
     def pushforward_integral(self, ts, integrand_of_rho) -> np.ndarray:
         """integral of integrand(rho_t) d m for each t of ``ts``: the sum of

@@ -5,25 +5,26 @@ displacement convexity condition with twisted coefficients, the weighted
 Brunn-Minkowski inequality, the p-mean interpolation family, and the
 functional inequalities (HWI, log-Sobolev, transport-energy). The twcd
 and bm checks take their whole t-grid in one call and compute what does
-not depend on t (the curvature hypothesis, d_f and its s_kappa) once;
-the envelope psi of the interpolation check, a sup refined by Brent's
-steps, is a `UniformTable` read.
+not depend on t (the curvature hypothesis, d_f and its s_kappa) once:
+twcd's u-integrals are sums of powers of s_kappa against weights per u
+(`beta_power_sums`), and bm's infima one exponential per (t, side) of
+the least log beta. The envelope psi of the interpolation check, a sup
+refined by Brent's steps, is a `UniformTable` read.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .coefficients import (_log_beta_pair, frak_b, log_b, log_beta_pair,
-                           require_beta_domain)
+from .coefficients import (_log_beta_pair, beta_power_sums, frak_b, log_b,
+                           log_beta_pair, require_beta_domain)
 from .errors import HypothesisError, PreconditionError
 from .params import DimensionParams, s_kappa
 from .ot import (AxisGeometry, DensityField, MonotoneInterpolation,
                  UniformTable, entropy_functional, fisher_information,
-                 monotone_1d_transport, renyi_pointwise, w2_axis)
+                 monotone_1d_transport, w2_axis)
 from .report import CheckReport
 from .spaces import curvature_floor, ricci_fN_batch
 
@@ -105,37 +106,37 @@ def check_twcd(rho0: DensityField, rho1: DensityField,
 
     For each t the margin is RHS(t) - U_m(mu_t), with the beta-weighted
     right-hand side taken over the monotone coupling (Q_0(u), Q_1(u)). In
-    the mass coordinate u (see MonotoneInterpolation) it is one integral,
-    ((c+1)/c) int_0^1 [j_t^r - (1-t) (beta_rev j_0)^r - t (beta_fwd j_1)^r] du
-    with r = c/(c+1), evaluated for _T_CHUNK values of the sorted t-grid
-    at a time. The rhs terms are taken as written there, with
-    (beta j)^r = e^{r (log beta + log j)}: one exponential per (t, u).
-    The curvature hypothesis is judged on the hull of the grid points
-    where rho_0 or rho_1 is positive.
+    the mass coordinate u (see MonotoneInterpolation), with r = c/(c+1),
+    H(1/j) j = ((c+1)/c)(1 - j^r) gives U_m(mu_t) = ((c+1)/c)
+    (int du - int j_t^r du), and RHS(t) is that form with (1-t) (beta_rev
+    j_0)^r + t (beta_fwd j_1)^r for j_t^r: `beta_power_sums`, (1-t)^r and
+    t^r times sums of s_kappa^{1/(c+1)} against weights taken once. Per
+    chunk of _T_CHUNK values of t, one lookup of Q_t(u) reads m, behind
+    j_t, and G, behind d_t. The curvature hypothesis is judged on the hull
+    of the grid points where rho_0 or rho_1 is positive.
     """
     g = rho0.geometry
     live = g.xs[(rho0.values > 0.0) | (rho1.values > 0.0)]
     curv = _require_curvature(g, params, kappa, (live[0], live[-1]))
     interp = monotone_1d_transport(rho0, rho1)
-    entropy = partial(renyi_pointwise, params=params)
     ts = np.sort(np.asarray(t_grid, dtype=float))
-    # G at Q_0, d_f and s_kappa(d_f) once for every t-chunk
+    # G at Q_0, d_f and the weights of the beta sums once for every t-chunk
     d_full, distances = g.partial_distances(params, interp.Q0, interp.Q1)
-    require_beta_domain(kappa, d_full)
-    s_full = s_kappa(kappa, d_full)
-    cr, coef = params.c_ratio, (params.c + 1.0) / params.c
-    log_j0, log_j1 = np.log(interp.j0), np.log(interp.j1)
+    beta_sums = beta_power_sums(params, kappa, d_full, interp.j0, interp.j1,
+                                interp.du)
+    coef, mass = (params.c + 1.0) / params.c, interp.du.sum()
     rows = []
     for start in range(0, ts.size, _T_CHUNK):
         t = ts[start:start + _T_CHUNK]
-        lhs = interp.pushforward_integral(t, entropy)
-        d_t = distances(t[:, None])
-        log_rev, log_fwd = _log_beta_pair(
-            params, kappa, d_full, t[:, None], s_kappa(kappa, d_full - d_t),
-            s_kappa(kappa, d_t), s_full)
-        rhs = coef * (
-            (1.0 - t) * ((1.0 - np.exp(cr * (log_rev + log_j0))) @ interp.du)
-            + t * ((1.0 - np.exp(cr * (log_fwd + log_j1))) @ interp.du))
+        d_t, m_q = distances(t[:, None], g.m_table)
+        power = np.log(interp.jacobian(t, m_q))  # to j_t^r in place
+        del m_q  # each (t, u) array is freed once it is read
+        power *= params.c_ratio
+        lhs = coef * (mass - np.exp(power, out=power) @ interp.du)
+        del power
+        rev, fwd = beta_sums(t, d_t)
+        del d_t
+        rhs = coef * (mass - rev - fwd)
         rows += zip(t.tolist(), lhs.tolist(), rhs.tolist(),
                     (rhs - lhs).tolist())
     return CheckReport(name="twcd", margins=[row[3] for row in rows],
@@ -173,10 +174,9 @@ def _inf_beta_powers(geometry, params, kappa, X, Y, t_grid, k):
         logs = _log_beta_pair(params, kappa, d_full, t,
                               s_kappa(kappa, d_full - d_t),
                               s_kappa(kappa, d_t), s_full)
-        for log in logs:  # beta^{c/(c+1)} in place
-            log *= params.c_ratio
-            np.exp(log, out=log)
-        return tuple(float(power.min()) for power in logs)
+        # exp of a positive multiple is increasing: one exp per side
+        return tuple(float(np.exp(params.c_ratio * log.min()))
+                     for log in logs)
     return [infima(t) for t in t_grid]
 
 

@@ -16,14 +16,15 @@ parent first at even pairs and the change first at odd ones. Each run's
 read it more than ``HOST_RATIO`` apart is marked as two host states.
 
 Per workload and end-to-end metric (``METRICS``) it reports the medians,
-the parent's q1, q3 and IQR, the ratio of medians and the pairs where the
-change is lower, and one label by ``RULE``. ``setup_s`` is bimodal on
-shared hosts, so the runs of each side in its slow mode (above
-``SLOW_MODE`` times the workload's fastest run) are counted too.
-With ``--claim W``, workload W runs a second round of pairs on the
-held-out seeds ``--seed`` + ``HELD_OUT``, ... Last,
-``tests/answer_diff.py`` runs on the two trees and its summary is kept.
-Everything goes to ``BENCH_<N>.json`` at the root of the work tree, under
+the parent's q1, q3 and IQR, the ratio of medians, the pairs where the
+change is lower and those where it is higher, and one label by ``RULE``.
+``setup_s`` is bimodal on shared hosts, so the runs of each side in its
+slow mode (above ``SLOW_MODE`` times the workload's fastest run) are
+counted too. With ``--claim W``, workload W runs a second round of pairs
+on the held-out seeds ``--seed`` + ``HELD_OUT``, ..., and one
+``--trace 1`` run per tree at seed ``--seed`` gives each span's calls and
+self time (the ``trace`` key). Last, ``tests/answer_diff.py`` runs on the
+two trees and its summary is kept. Everything goes to ``BENCH_<N>.json`` at the root of the work tree, under
 the top-level keys of the earlier BENCH files; those this driver does
 not measure are null.
 
@@ -53,8 +54,9 @@ WORKLOADS = ("ray-falsify", "ray-pass", "geodesic-series", "axis-transport")
 HOST_RATIO = 1.25
 SLOW_MODE = 1.2
 HELD_OUT = 20  # the claimed workload's held-out seeds start at --seed + 20
+AGREE = 0.9  # the share of pairs a label needs
 RULE = ("lower (higher) when the change is lower (higher) than the parent"
-        " in at least 8 of 10 pairs and its median lies below (above) the"
+        " in at least 9 of 10 pairs and its median lies below (above) the"
         " parent's median by more than the parent's IQR; unresolved"
         " otherwise")
 
@@ -92,6 +94,30 @@ def _run(tree: Path, workload: str, seed: int, seconds: float):
     return out, record["environment"]
 
 
+def trace_spans(trees: dict, workload: str, seed: int,
+                seconds: float) -> dict:
+    """Per span called on either tree: its calls in input set 0 and its
+    median self time per traced pass, per tree, from one ``--trace 1`` run
+    on each."""
+    runs = {}
+    for side, tree in trees.items():
+        subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
+            cwd=tree, check=True, capture_output=True, text=True)
+        runs[side] = json.loads((tree / ".perfbench_run" / "records"
+                                 / f"{workload}-s{seed}-t1.json").read_text())
+    spans = {}
+    for name in runs["parent"]["metrics"]:
+        span, _, kind = name.rpartition(".")
+        if kind in ("calls", "self_s"):
+            spans.setdefault(span, {})[kind] = {
+                side: run["metrics"][name]["value"]
+                for side, run in runs.items()}
+    return {span: kinds for span, kinds in spans.items()
+            if any(kinds["calls"].values())}
+
+
 def _quartiles(values: list[float]) -> tuple[float, float]:
     q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return q[0], q[2]
@@ -99,9 +125,10 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 
 def summarize(pairs: list[dict]) -> dict:
     """Per metric: medians, the parent's quartiles and IQR, the ratio of
-    medians, the pairs where the change is lower, and the RULE's label."""
+    medians, the pairs where the change is lower and where it is higher,
+    and the RULE's label."""
     n = len(pairs)
-    agree = math.ceil(0.8 * n)
+    agree = math.ceil(AGREE * n)
     out = {}
     for name in METRICS:
         par = [p["parent"][name] for p in pairs]
@@ -118,7 +145,8 @@ def summarize(pairs: list[dict]) -> dict:
         out[name] = {"parent_median": m_par, "change_median": m_chg,
                      "parent_q1": q1, "parent_q3": q3,
                      "parent_iqr": q3 - q1, "ratio_of_medians": m_chg / m_par,
-                     "change_lower": f"{lower} of {n}", "label": label}
+                     "change_lower": f"{lower} of {n}",
+                     "change_higher": f"{higher} of {n}", "label": label}
     fastest = min(min(p["parent"]["setup_s"], p["change"]["setup_s"])
                   for p in pairs)
     out["setup_s"]["slow_mode_runs"] = {
@@ -181,7 +209,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     parent_commit = _git("rev-parse", args.parent_rev)
     change_rev = _git("stash", "create") or "HEAD"
-    held_out = None
+    held_out = trace = None
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         _archive(parent_commit, trees["parent"])
@@ -192,6 +220,11 @@ def main(argv=None) -> int:
             held_out, _ = run_round(trees, [args.claim],
                                     args.seed + HELD_OUT, args.pairs,
                                     args.seconds)
+            trace = {"how": f"perfbench/run.py --workload {args.claim}"
+                            f" --seed {args.seed} --seconds {args.seconds:g}"
+                            " --trace 1, one run per tree",
+                     "spans": trace_spans(trees, args.claim, args.seed,
+                                          args.seconds)}
         diff = subprocess.run(
             [sys.executable, str(ROOT / "tests" / "answer_diff.py"),
              str(trees["parent"] / "src"), str(trees["change"] / "src")],
@@ -221,12 +254,13 @@ def main(argv=None) -> int:
         if args.claim else None,
         "round_1": rounds,
         "held_out": held_out,
+        "trace": trace,
         "answers": {"how": "python tests/answer_diff.py PARENT/src"
                            " CHANGE/src", "exit": diff.returncode,
                     "summary": lines[-1] if lines else diff.stderr.strip(),
                     "lines": lines[:-1][:50]},
         # measured by hand in earlier BENCH files, not by this driver
-        **dict.fromkeys(("round_2", "trace", "envelope_evaluations",
+        **dict.fromkeys(("round_2", "envelope_evaluations",
                          "setup_probe", "importtime")),
         "wall_s": round(time.perf_counter() - start, 1),
     }

@@ -281,6 +281,75 @@ class TestTwCD:
         with pytest.raises(ValueError, match=r"\]0,1\["):
             check_twcd(r0, r1, p, -1.0, [t, 0.5], 1e-6)
 
+    @pytest.mark.parametrize("params", [(2, 10, 0.5), (2, 2, 1.0)],
+                             ids=["a!=0", "a=0"])
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
+    @pytest.mark.parametrize("axis", ["zero", "quadratic(0.5)", "S2"])
+    def test_rows_match_the_log_form(self, monkeypatch, axis, kappa, params):
+        # the beta-power sums against the form they replaced: lhs as the
+        # pushforward of H(1/j) j, rhs from log beta and log j with one
+        # exponential per (t, u); the kernel is compared, not the curvature
+        # hypothesis, which fails at kappa = 0.7 on the line
+        monkeypatch.setattr(suites, "_require_curvature", lambda *args: 0.0)
+        p = validate_params(*params)
+        if axis == "S2":
+            g = meridian(S2)
+            r0 = density_from_callable(g, lambda th: 1.0 + 0.2 * np.cos(th))
+            r1 = density_from_callable(
+                g, lambda th: np.exp(-0.5 * ((th - 1.2) / 0.4) ** 2))
+        else:
+            g = LineGeometry(axis)
+            r0, r1 = TestTwCD._bumps(g, TestTwCD.PAIRS[0])
+        ts = np.linspace(0.05, 0.95, 11)  # two t-chunks
+        _, rows = check_twcd(r0, r1, p, kappa, ts, 1e-6)
+        mi = MonotoneInterpolation(r0, r1)
+        lhs = mi.pushforward_integral(ts, lambda r: renyi_pointwise(r, p))
+        log_rev, log_fwd = log_beta_pair(
+            p, kappa, g.reparam_partial(p, mi.Q0, mi.Q1, ts[:, None]),
+            g.reparam_partial(p, mi.Q0, mi.Q1, 1.0), ts[:, None])
+        mass = lambda log, j: (1.0 - np.exp(p.c_ratio * (log + np.log(j)))
+                               ) @ mi.du
+        rhs = (p.c + 1.0) / p.c * ((1.0 - ts) * mass(log_rev, mi.j0)
+                                   + ts * mass(log_fwd, mi.j1))
+        got = np.array(rows)
+        assert np.array_equal(got[:, 0], ts)
+        np.testing.assert_allclose(got[:, 1], lhs, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[:, 2], rhs, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(got[:, 3] - (rhs - lhs))
+                      <= 1e-12 * np.abs(rhs))
+
+    def test_identical_densities_read_equal_sides(self):
+        # d_f = 0 at every u: beta = 1, each side adds its j^r du with no
+        # power of s_kappa(0), and no warning is raised (warnings are
+        # errors here)
+        g = quad_line()
+        p = validate_params(2, 10, 0.5)
+        rho = density_from_callable(g, lambda x: np.exp(-2 * (x - 0.2) ** 2))
+        mi = MonotoneInterpolation(rho, rho)
+        assert np.all(g.reparam_partial(p, mi.Q0, mi.Q1, 1.0) == 0.0)
+        _, rows = check_twcd(rho, rho, p, -1.0, TestTwCD.FINE_T, 1e-6)
+        for _, lhs, rhs, _ in rows:
+            assert abs(lhs - rhs) <= 1e-14
+
+    def test_one_lookup_per_t_chunk(self, monkeypatch):
+        # a 99-point t-grid is 13 chunks of at most 8 t; each chunk looks
+        # Q_t(u) up once, and that lookup serves m and G. Before the loop:
+        # j_0 and j_1 (one read of 2 x 2,048 points), then G at Q_0 and at
+        # the end Q_0 + (Q_1 - Q_0)
+        g, p = quad_line(points=8192), validate_params(2, 10, 0.5)
+        r0, r1 = TestTwCD._bumps(g, TestTwCD.PAIRS[0])
+        looked_up = []
+        lookup = ot.UniformTable.lookup
+
+        def counted(table, x):
+            looked_up.append(np.size(x))
+            return lookup(table, x)
+
+        monkeypatch.setattr(ot.UniformTable, "lookup", counted)
+        check_twcd(r0, r1, p, -1.0, TestTwCD.FINE_T, 1e-6)
+        n = ot._MASS_CELLS
+        assert looked_up == [2 * n, n, n] + [8 * n] * 12 + [3 * n]
+
 
 class TestAxisLogBetas:
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
@@ -328,8 +397,8 @@ def per_t_bm_report(geometry, X, Y, t, params, kappa):
         logs = axis_log_betas(geometry, params, kappa,
                               np.linspace(xlo, xhi, k)[:, None],
                               np.linspace(ylo, yhi, k), t)
-        rev, fwd = np.exp(params.c_ratio * np.array(logs))
-        infima.append((float(rev.min()), float(fwd.min())))
+        infima.append(tuple(float(np.exp(params.c_ratio * log.min()))
+                            for log in logs))
     (rev, fwd), (rev2, fwd2) = infima
     cr = params.c_ratio
     rhs = (1 - t) * rev2 * m[0]**cr + t * fwd2 * m[1]**cr
@@ -459,6 +528,17 @@ class TestBrunnMinkowski:
         want = {0.25: 0.02113, 0.5: 0.02707, 0.75: 0.01955}[t]
         assert rep.min_margin == pytest.approx(want, abs=1e-4)
         assert rep.provenance["inf_beta_refine_drift"] == 0.0
+
+    @pytest.mark.parametrize("preset", ["zero", "quadratic(0.5)"])
+    def test_overlapping_intervals_raise_no_warning(self, preset):
+        # x = y on the overlap: d_f = 0, beta = 1 and log s_kappa(0) = -inf
+        # at d_t = 0 stay inside the kernels (warnings are errors here)
+        g, p = LineGeometry(preset), validate_params(2, 8, 0.4)
+        reps = check_brunn_minkowski(g, (-0.6, 0.4), (-0.2, 0.9),
+                                     [0.25, 0.5, 0.75], p, -1.5, 1e-6)
+        assert all(rep.verdict == "pass" for rep in reps)
+        assert all(math.isfinite(rep.provenance["inf_beta_refine_drift"])
+                   for rep in reps)
 
     @pytest.mark.parametrize("t", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["line", "meridian"])
